@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet cclint cclint-vet obs-snapshot
+.PHONY: all build test race lint fmt vet cclint cclint-vet bench-smoke
 
 all: build test lint
 
@@ -39,9 +39,9 @@ cclint-vet:
 	$(GO) build -o bin/cclint ./cmd/cclint
 	$(GO) vet -vettool=$(CURDIR)/bin/cclint ./...
 
-# E21 introspection artifacts: the Chrome trace-event JSON (loadable in
-# chrome://tracing or Perfetto) and the unified engine snapshot.
-obs-snapshot:
-	@mkdir -p bin
-	$(GO) run ./cmd/ccbench -experiment obs -quick \
-		-trace bin/obs-trace.json -obs-snapshot bin/obs-snapshot.json
+# A short traced run of the gating benchmark on its checkpointing
+# workload (CI's bench-smoke job): exits 0 only if the ledger oracle holds,
+# and writes bench/out/trace-wide-ckpt.json, a Chrome trace-event file
+# loadable in chrome://tracing or Perfetto.
+bench-smoke:
+	bash bench/run.sh --workload wide-ckpt --seconds 2 --trace 1

@@ -6,8 +6,6 @@ package repro
 // `go test -bench=. -benchmem` doubles as the reproduction harness.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/adt"
@@ -310,52 +308,6 @@ func BenchmarkAblationInvocationVsResult(b *testing.B) {
 			b.ReportMetric(inv, "massNFCI")
 		}
 	}
-}
-
-// BenchmarkEngineShardScaling sweeps shard count × GOMAXPROCS over the
-// wide-object contention workload (E14). shards=1 reproduces the seed's
-// single-mutex registry, so the ops/s ratio between the shards=1 column
-// and the wider columns at each GOMAXPROCS level is the regenerable
-// scaling-curve artifact of the sharded-engine refactor.
-func BenchmarkEngineShardScaling(b *testing.B) {
-	for _, procs := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("procs%d/shards%d", procs, shards), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev)
-				cfg := sim.DefaultScalingConfig()
-				cfg.TxnsPerWorker = 100
-				cfg.Shards = shards
-				var last sim.ScalingPoint
-				for i := 0; i < b.N; i++ {
-					last, _ = sim.RunScaling(sim.UIPNRBC, cfg)
-				}
-				b.ReportMetric(last.OpsPerSec, "ops/s")
-				b.ReportMetric(last.TxnPerSec, "txn/s")
-				b.ReportMetric(float64(last.Blocked), "blocked/run")
-				if last.WALBatches > 0 {
-					b.ReportMetric(float64(last.WALRecords)/float64(last.WALBatches), "recs/walBatch")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkGroupCommitBatch isolates the WAL: the mean group-commit batch
-// size under concurrent committers, versus the one-record-per-append
-// discipline of the seed log.
-func BenchmarkGroupCommitBatch(b *testing.B) {
-	cfg := sim.DefaultScalingConfig()
-	cfg.TxnsPerWorker = 100
-	cfg.Shards = 8
-	var last sim.ScalingPoint
-	for i := 0; i < b.N; i++ {
-		last, _ = sim.RunScaling(sim.UIPNRBC, cfg)
-	}
-	if last.WALBatches > 0 {
-		b.ReportMetric(float64(last.WALRecords)/float64(last.WALBatches), "recs/batch")
-	}
-	b.ReportMetric(float64(last.WALRecords), "walRecs/run")
 }
 
 // BenchmarkAblationDeadlock measures deadlock incidence versus contention

@@ -1,64 +1,27 @@
-// Command ccbench runs the experiment suite of EXPERIMENTS.md: the
-// deterministic conflict-mass sweep (the trade-off curve between
+// Command ccbench runs the paper-artifact experiments of EXPERIMENTS.md:
+// the deterministic conflict-mass sweep (the trade-off curve between
 // update-in-place and deferred-update recovery), the engine-level banking
-// and resource-pool workloads under every scheduler pairing, the recovery
-// cost profile, the engine scaling sweep (shard count × GOMAXPROCS ×
-// operation mix — update-heavy and read-mostly — on the wide-object
-// workload), the group-commit flush sweep (flusher dwell × simulated
-// sync latency against the asynchronous WAL), the lock-release-policy
-// sweep (release policy × sync latency × contention skew — the measured
-// cost of commit-ordered lock release), and the checkpointed-restart
-// sweep (restart time and replayed-record count versus log length with
-// fuzzy checkpointing off/on), the segmented-restart sweep (truncation
-// cost and parallel two-pass restart across WAL backend × segment size ×
-// restart parallelism), the logging-discipline sweep (log bytes per
-// commit, commit hold, and restart work under undo logging versus
-// REDO-only dependency logging, per WAL backend), and the commit-pipeline
-// sweep (the sharded, commit-LSN-ordered commit pipeline over the
-// copy-on-write registry versus the legacy sequential sweep over the
-// locked registry, measured by lock-acquisition counts), and the
-// observability sweep (the cost of the obs layer itself: disabled-path
-// allocations, byte-identical sampled replay, and trace/histogram
-// coverage under the full concurrent workload).
+// and resource-pool workloads under every scheduler pairing, and the
+// recovery cost profile. Engine performance is measured by bench/ (see
+// BENCHMARK.json), not here.
 //
 // Usage:
 //
 //	ccbench                            # full suite at default sizes
 //	ccbench -quick                     # reduced sizes
-//	ccbench -experiment mass           # one of: mass, banking, pool, recovery, scaling, flush, release, checkpoint, restart, redo, pipeline, obs
-//	ccbench -experiment scaling,flush  # a comma-separated subset
-//	ccbench -shards 8                  # fix the engine shard count (0 = sweep 1..16)
-//	ccbench -json                      # also write BENCH_engine.json (scaling/flush/release/checkpoint/restart/redo/pipeline/obs points)
-//	ccbench -experiment obs -trace trace.json -obs-snapshot snap.json
-//	                                   # export the Chrome trace and unified snapshot
+//	ccbench -experiment mass           # one of: mass, banking, pool, recovery
+//	ccbench -experiment mass,pool      # a comma-separated subset
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/commute"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/txn"
-)
-
-// benchJSONPath is where -json writes the machine-readable sweep points,
-// tracking the engine's perf trajectory across PRs.
-const benchJSONPath = "BENCH_engine.json"
-
-var (
-	flagShards = flag.Int("shards", 0, "engine shard count for the scaling experiment (0 = sweep 1,2,4,8,16)")
-	flagJSON   = flag.Bool("json", false, "write scaling, flush, and release results to "+benchJSONPath)
-	flagTrace  = flag.String("trace", "", "write the obs experiment's Chrome trace-event JSON to this path (loadable in chrome://tracing or Perfetto)")
-	flagObs    = flag.String("obs-snapshot", "", "write the obs experiment's unified introspection snapshot (JSON) to this path")
 )
 
 // experimentOrder is the single source of truth for experiment names and
@@ -72,14 +35,6 @@ var experimentOrder = []struct {
 	{"banking", bankingExperiment},
 	{"pool", poolExperiment},
 	{"recovery", recoveryExperiment},
-	{"scaling", scalingExperiment},
-	{"flush", flushExperiment},
-	{"release", releaseExperiment},
-	{"checkpoint", checkpointExperiment},
-	{"restart", restartExperiment},
-	{"redo", redoExperiment},
-	{"pipeline", pipelineExperiment},
-	{"obs", obsExperiment},
 }
 
 func experimentNames() string {
@@ -89,22 +44,6 @@ func experimentNames() string {
 	}
 	return strings.Join(names, ", ")
 }
-
-// benchDoc is the BENCH_engine.json schema: one section per machine-
-// readable sweep. Sections not exercised by the selected experiments are
-// omitted.
-type benchDoc struct {
-	Scaling    []sim.ScalingPoint    `json:"scaling,omitempty"`
-	Flush      []sim.FlushPoint      `json:"flush,omitempty"`
-	Release    []sim.ReleasePoint    `json:"release,omitempty"`
-	Checkpoint []sim.CheckpointPoint `json:"checkpoint,omitempty"`
-	Restart    []sim.RestartPoint    `json:"restart,omitempty"`
-	Redo       []sim.RedoPoint       `json:"redo,omitempty"`
-	Pipeline   []sim.PipelinePoint   `json:"pipeline,omitempty"`
-	Obs        []sim.ObsPoint        `json:"obs,omitempty"`
-}
-
-var benchOut benchDoc
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced sizes")
@@ -131,408 +70,6 @@ func main() {
 			e.run(*quick)
 		}
 	}
-	if *flagJSON {
-		writeBenchJSON()
-	}
-}
-
-func writeBenchJSON() {
-	// The file is a committed artifact holding every sweep's latest points;
-	// running a subset of experiments must not discard the others' data, so
-	// merge section-wise over whatever is already recorded. The merge is
-	// generic over the benchDoc schema (via its JSON encoding): adding a
-	// sweep is one struct field plus one experiment function, with no
-	// bespoke merge/empty-check/summary code to keep in step.
-	cur, err := json.Marshal(benchOut)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	var fresh map[string]json.RawMessage
-	_ = json.Unmarshal(cur, &fresh) // omitempty drops unexercised sections
-	if len(fresh) == 0 {
-		fmt.Fprintf(os.Stderr, "ccbench: -json applies to the machine-readable sweeps (see benchDoc); no %s written\n", benchJSONPath)
-		return
-	}
-	merged := map[string]json.RawMessage{}
-	if prev, err := os.ReadFile(benchJSONPath); err == nil {
-		_ = json.Unmarshal(prev, &merged)
-	}
-	for k, v := range fresh {
-		merged[k] = v
-	}
-	f, err := os.Create(benchJSONPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(merged); err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	var parts []string
-	for _, k := range sortedKeys(merged) {
-		var arr []json.RawMessage
-		_ = json.Unmarshal(merged[k], &arr)
-		parts = append(parts, fmt.Sprintf("%d %s", len(arr), k))
-	}
-	fmt.Printf("wrote %s points to %s\n", strings.Join(parts, " + "), benchJSONPath)
-}
-
-func sortedKeys(m map[string]json.RawMessage) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// pipelineExperiment measures the commit-pipeline refactor (E20): the
-// banking workload under moderate zipf skew runs once per arm — the
-// legacy sequential commit sweep over the lock-guarded registry versus
-// the sharded, commit-LSN-ordered pipeline over the copy-on-write
-// registry — under each release policy. Wall-clock columns on a 1-vCPU
-// box are ordinal only; the machine-independent signals are the lock
-// acquisition counters: registry lock acquisitions per operation (zero in
-// the CoW arm — the lock-free read path's acceptance criterion) and WAL
-// staging-stripe acquisitions per commit (batch staging merges a shard's
-// per-object commit records into one acquisition), plus the commit-time
-// lock hold and dependency-stall counts the ordered release affects.
-func pipelineExperiment(quick bool) {
-	cfg := sim.DefaultPipelineConfig()
-	policies := []txn.ReleasePolicy{txn.ReleaseEarlyTracked, txn.ReleaseAfterAck}
-	if quick {
-		cfg.TxnsPerWorker = 30
-		policies = policies[:1]
-	}
-	pts, err := sim.PipelineSweep(sim.UIPNRBC, cfg, policies)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderPipelineTable(
-		fmt.Sprintf("E20 — commit-pipeline sweep, %d accounts, %d workers, zipf %.1f, dwell %dus, GOMAXPROCS=%d (pipeline × registry × release policy)",
-			cfg.Objects, cfg.Workers, cfg.ZipfS, cfg.BatchInterval.Microseconds(), runtime.GOMAXPROCS(0)), pts))
-	fmt.Println("shape: the CoW registry's reg-acq/op column is exactly zero (the legacy arm")
-	fmt.Println("pays several per operation — lookup on invoke plus the commit sweep), and")
-	fmt.Println("batch staging drops wal-acq/txn below the sequential arm's one-per-record")
-	fmt.Println("rate; hold(us) and txn/s are wall-clock-ordinal on 1 vCPU — the acquisition")
-	fmt.Println("columns are the machine-independent signal.")
-	fmt.Println()
-	benchOut.Pipeline = pts
-}
-
-// obsExperiment measures the observability layer's own cost (E21) with
-// three arms: "disabled" proves every hook is free when no observer is
-// attached (0 allocs/op across the nil-receiver hook set), "sampled"
-// re-runs the identical seeded single-worker workload with tracing on and
-// proves the final engine state is byte-identical, and
-// "concurrent-sampled" runs the full contended workload against an
-// asynchronous flusher to populate every phase histogram and trace-event
-// kind. Latency columns are wall-clock-ordinal on 1 vCPU; the
-// machine-independent signals are the allocation count, the
-// identical-state bit, and the trace-kind coverage. With -trace the
-// concurrent arm's Chrome trace-event JSON is written out, and with
-// -obs-snapshot a durable checkpoint-and-restart run exports the unified
-// introspection snapshot.
-func obsExperiment(quick bool) {
-	cfg := sim.DefaultObsConfig()
-	if quick {
-		cfg.TxnsPerWorker = 40
-		cfg.Objects = 16
-	}
-	pts, o, err := sim.RunObs(sim.UIPNRBC, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderObsTable(
-		fmt.Sprintf("E21 — observability sweep, %d accounts, %d workers, zipf %.1f, sample %.2f, GOMAXPROCS=%d (disabled vs sampled vs concurrent)",
-			cfg.Objects, cfg.Workers, cfg.ZipfS, cfg.SampleRate, runtime.GOMAXPROCS(0)), pts))
-	fmt.Println("shape: the disabled arm's allocs/op column is exactly zero (nil-receiver")
-	fmt.Println("hooks compile to a branch, never a box), the sampled arm's identical bit")
-	fmt.Println("proves instrumentation cannot perturb workload results, and the concurrent")
-	fmt.Println("arm covers every trace-event kind; latency percentiles are wall-clock-")
-	fmt.Println("ordinal on 1 vCPU — allocation and coverage counts are the machine-")
-	fmt.Println("independent signal.")
-	fmt.Println()
-	benchOut.Obs = pts
-	if *flagTrace != "" {
-		if err := writeObsTrace(*flagTrace, o); err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Chrome trace-event JSON to %s\n\n", *flagTrace)
-	}
-	if *flagObs != "" {
-		if err := writeObsSnapshot(*flagObs, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote unified introspection snapshot to %s\n\n", *flagObs)
-	}
-}
-
-// writeObsTrace exports the concurrent arm's trace buffer as Chrome
-// trace-event JSON, loadable in chrome://tracing or Perfetto.
-func writeObsTrace(path string, o *obs.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := o.Trace().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeObsSnapshot runs the durable checkpoint-and-restart arm in a
-// throwaway directory and exports the unified snapshot document.
-func writeObsSnapshot(path string, cfg sim.ObsConfig) error {
-	dir, err := os.MkdirTemp("", "ccbench-obs-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	snap, err := sim.ObsUnifiedSnapshot(sim.UIPNRBC, cfg, dir)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// redoExperiment measures the logging-discipline trade-off (E19): the
-// three-participant transfer workload runs once per discipline × WAL
-// backend arm — undo logging (the recovery half of update-in-place)
-// versus REDO-only dependency logging (logging like deferred update:
-// logical operation records with no undo payload, dependency sets on the
-// commit records, aborts logging nothing) — then each arm's durable
-// artifacts are crash-restarted. Wall-clock columns on a 1-vCPU box are
-// ordinal only; the machine-independent signals are log bytes per commit
-// (RedoSweep hard-errors if the redo arm's ever reaches the undo arm's),
-// the replayed/undone record counts (redo replays the winners-only
-// projection and undoes nothing), and the dependency-set volume.
-func redoExperiment(quick bool) {
-	cfg := sim.DefaultRedoSweepConfig()
-	if quick {
-		cfg.Length = 40
-	}
-	pts, err := sim.RedoSweep(cfg, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderRedoTable(
-		fmt.Sprintf("E19 — logging-discipline sweep, %d accounts, %d workers, %d participants/transfer, %d txns/worker, %d%% voluntary aborts (discipline × WAL backend)",
-			cfg.Accounts, cfg.Workers, cfg.Participants, cfg.Length, cfg.AbortPct), pts))
-	fmt.Println("shape: the redo arm logs fewer bytes per commit — no undo payloads, no")
-	fmt.Println("per-object commit records, no compensation/abort trail — at the price of")
-	fmt.Println("dependency sets on its commit records; its restart replays only the")
-	fmt.Println("winners-only projection (Theorem 9's equieffectiveness) and undoes nothing,")
-	fmt.Println("where the undo arm replays every durable record. Conservation holds in")
-	fmt.Println("every arm.")
-	fmt.Println()
-	benchOut.Redo = pts
-}
-
-// restartExperiment measures the segmented-WAL truncation and parallel-
-// restart trade-offs (E18): the checkpointed three-participant transfer
-// workload runs once per WAL backend arm — the legacy single-file backend
-// (truncation rewrites the surviving suffix) and the segmented backend at
-// each swept rotation threshold (truncation unlinks whole dead segments,
-// rewriting nothing) — and each arm's durable artifacts are crash-
-// restarted at every swept parallelism. Pass 1's winner scan fans out one
-// goroutine per retained segment; pass 2 hashes objects over the worker
-// pool. Wall-clock columns on a 1-vCPU box are ordinal only; the
-// machine-independent signals are the truncation byte/segment counts and
-// the per-worker replayed-record distribution, with the recovered total
-// conserved at every point and the replay sizes identical across
-// parallelisms (the equivalence the recovery tests prove bit-exactly).
-func restartExperiment(quick bool) {
-	cfg := sim.DefaultRestartSweepConfig()
-	if quick {
-		cfg.Length = 60
-		cfg.EveryTxns = 20
-		cfg.SegmentBytes = []int64{1 << 10}
-		cfg.Parallelisms = []int{1, 2}
-	}
-	pts, err := sim.RestartSweep(cfg, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderRestartTable(
-		fmt.Sprintf("E18 — segmented restart sweep, %d accounts, %d workers, %d participants/transfer, checkpoint every %d txns/worker, %d txns/worker total (backend × segment size × restart parallelism)",
-			cfg.Accounts, cfg.Workers, cfg.Participants, cfg.EveryTxns, cfg.Length), pts))
-	fmt.Println("shape: the file arm's truncRW column pays the whole surviving suffix in")
-	fmt.Println("rewrite bytes at every checkpoint, while the segmented arm rewrites zero")
-	fmt.Println("bytes and unlinks dead segments instead — truncation cost drops from")
-	fmt.Println("O(live log) to O(dead segments). At restart, pass 1 fans out over the")
-	fmt.Println("retained segments and pass 2 spreads replay across the worker pool")
-	fmt.Println("(busy/par), with identical replayed counts at every parallelism.")
-	fmt.Println()
-	benchOut.Restart = pts
-}
-
-// checkpointExperiment measures restart cost versus log length (E17): the
-// fan-out transfer workload on a real file-backed WAL at increasing run
-// lengths, with fuzzy checkpointing (and log truncation) off versus on,
-// then a timed crash-restart from the durable artifacts. Off: the restart
-// replays the whole log, so replayed records grow linearly with run
-// length. On: restart seeds from the newest snapshot and replays only the
-// suffix past the checkpoint frontier, so the replay count is bounded by
-// the checkpoint interval regardless of run length — the
-// recovery-versus-log-length trade-off the checkpoint subsystem exists to
-// flatten. Wall-clock restart times on a 1-vCPU box are ordinal only; the
-// replayed/truncated record counts are the machine-independent signal.
-func checkpointExperiment(quick bool) {
-	cfg := sim.DefaultCheckpointConfig()
-	if quick {
-		cfg.EveryTxns = 20
-		cfg.Lengths = []int{40, 120}
-	}
-	pts, err := sim.CheckpointSweep(cfg, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderCheckpointTable(
-		fmt.Sprintf("E17 — checkpointed restart sweep, %d accounts, %d workers, %d participants/transfer, checkpoint every %d txns/worker (file-backed WAL)",
-			cfg.Accounts, cfg.Workers, cfg.Participants, cfg.EveryTxns), pts))
-	fmt.Println("shape: with checkpointing off, replayed records grow linearly with run length")
-	fmt.Println("(the whole log is the restart's input); with it on, truncation keeps the")
-	fmt.Println("retained log near the last checkpoint interval and restart replays only the")
-	fmt.Println("suffix past the frontier — bounded replay at every run length, with the")
-	fmt.Println("recovered total conserved either way.")
-	fmt.Println()
-	benchOut.Checkpoint = pts
-}
-
-// releaseExperiment measures the lock-release-policy trade-off (E16):
-// throughput, commit-latency percentiles, commit-time lock hold, and
-// dependency stalls across release policy × simulated sync latency ×
-// contention skew, on the asynchronous WAL over the fsync-simulating
-// backend. ReleaseAfterAck closes the early-release durability hole by
-// holding locks across the barrier — the hold then includes the flusher
-// dwell plus the sync — while ReleaseEarlyTracked closes it with
-// dependency tickets at (near) zero lock-hold cost. In quick mode a single
-// smoke point per policy keeps the sweep path exercised in CI.
-func releaseExperiment(quick bool) {
-	cfg := sim.DefaultReleaseConfig()
-	policies := []txn.ReleasePolicy{txn.ReleaseEarlyTracked, txn.ReleaseAfterAck}
-	latencies := []time.Duration{0, 100 * time.Microsecond, 500 * time.Microsecond}
-	skews := []float64{0, 1.3}
-	if quick {
-		cfg.TxnsPerWorker = 30
-		latencies = []time.Duration{100 * time.Microsecond}
-		skews = []float64{0}
-	}
-	pts, err := sim.ReleaseSweep(sim.UIPNRBC, cfg, policies, latencies, skews)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderReleaseTable(
-		fmt.Sprintf("E16 — lock-release-policy sweep, %d accounts, %d workers, dwell %dus, GOMAXPROCS=%d (policy × sync latency × zipf skew)",
-			cfg.Objects, cfg.Workers, cfg.BatchInterval.Microseconds(), runtime.GOMAXPROCS(0)), pts))
-	fmt.Println("shape: release-after-ack's mean lock hold includes the dwell and the sync —")
-	fmt.Println("its blocked count and commit latency grow with sync latency and skew, while")
-	fmt.Println("release-early-tracked keeps holds at in-memory cost and pays only dependency")
-	fmt.Println("stalls (commits whose read-from set was not yet durable at the barrier).")
-	fmt.Println()
-	benchOut.Release = pts
-}
-
-// flushExperiment measures the group-commit trade-off (E15): commit-
-// latency percentiles and mean durable batch size across a flusher-dwell ×
-// sync-latency grid, on the asynchronous WAL over the fsync-simulating
-// backend. Longer dwells amortize each sync over more transactions at the
-// price of commit latency; sync latency sets the floor the amortization
-// is worth paying for.
-func flushExperiment(quick bool) {
-	cfg := sim.DefaultFlushConfig()
-	if quick {
-		cfg.TxnsPerWorker = 30
-	}
-	intervals := []time.Duration{0, 200 * time.Microsecond, time.Millisecond}
-	latencies := []time.Duration{0, 100 * time.Microsecond, 500 * time.Microsecond}
-	pts, err := sim.FlushSweep(sim.UIPNRBC, cfg, intervals, latencies)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(sim.RenderFlushTable(
-		fmt.Sprintf("E15 — group-commit flush sweep, %d accounts, %d workers, GOMAXPROCS=%d (dwell × simulated sync latency)",
-			cfg.Objects, cfg.Workers, runtime.GOMAXPROCS(0)), pts))
-	fmt.Println("shape: p50 commit latency tracks dwell + sync latency; mean batch size grows")
-	fmt.Println("with dwell, cutting syncs — the batch-size-vs-latency trade-off of group")
-	fmt.Println("commit. With zero dwell each commit barrier syncs almost alone.")
-	fmt.Println()
-	benchOut.Flush = pts
-}
-
-// scalingExperiment measures the wide-object workload across the joint
-// shard-count × zipf-skew grid (E14): with one shard the engine
-// degenerates to a single-mutex registry — the pre-sharding design — and
-// with skew the key distribution collapses onto hot objects, so the grid
-// shows where sharding pays and where contention takes it back. Each grid
-// cell is measured under three operation mixes: the update-heavy default,
-// the read-mostly variant (90% balance reads, isolating the
-// registry/locking read path from recovery costs), and a long-read
-// variant pinning 10% of the read-mostly transactions open for a 32-op
-// scan against the update stream. With -json the points are written to
-// BENCH_engine.json.
-func scalingExperiment(quick bool) {
-	counts := []int{1, 2, 4, 8, 16}
-	if *flagShards > 0 {
-		counts = []int{*flagShards}
-	}
-	skews := []float64{0, 1.3}
-	longRead := sim.ReadMostlyScalingConfig()
-	longRead.LongReadPct = 10
-	longRead.LongReadOps = 32
-	longRead.Mix = "read-mostly+longread"
-	configs := []sim.ScalingConfig{sim.DefaultScalingConfig(), sim.ReadMostlyScalingConfig(), longRead}
-	if quick {
-		skews = []float64{0}
-	}
-	var pts []sim.ScalingPoint
-	for _, cfg := range configs {
-		if quick {
-			cfg.TxnsPerWorker = 60
-		}
-		for _, s := range []sim.Scheduler{sim.UIPNRBC, sim.DUNFC} {
-			pts = append(pts, sim.ScalingGridSweep(s, cfg, skews, counts)...)
-		}
-	}
-	base := sim.DefaultScalingConfig()
-	fmt.Println(sim.RenderScalingTable(
-		fmt.Sprintf("E14 — engine scaling sweep, %d objects, %d workers, GOMAXPROCS=%d (shards × zipf skew; shards=1 is the single-mutex design; update-heavy vs read-mostly vs long-read mix)",
-			base.Objects, base.Workers, runtime.GOMAXPROCS(0)), pts))
-	fmt.Println("shape: ops/s grows with shard count until the hardware parallelism or the")
-	fmt.Println("workload's conflict mass is exhausted, and skew flattens the shard curve —")
-	fmt.Println("sharding only pays while keys spread; the read-mostly mix measures the")
-	fmt.Println("harness's per-operation floor, the long-read mix pits pinned-open scans")
-	fmt.Println("against the update stream, and the per-shard histories always merge into one")
-	fmt.Println("totally ordered history (verified by the sim tests).")
-	fmt.Println()
-	benchOut.Scaling = pts
 }
 
 // massExperiment prints the deterministic conflict-mass sweep: the

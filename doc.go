@@ -17,9 +17,8 @@
 // object registry is striped over a power-of-two shard array, each shard
 // publishing its object map through an atomic copy-on-write snapshot
 // (stripe.CowMap) — object lookup is a hash plus one atomic load, with
-// zero lock acquisitions on the hit path (proven by a counter, not by
-// timing: Metrics.RegistryLockAcqs stays exactly zero), while
-// registration copies the map under a writer-only mutex. Each shard
+// zero lock acquisitions on the hit path, while registration copies the
+// map under a writer-only mutex. Each shard
 // records events into its own buffer stamped from one global atomic
 // sequence, and Engine.History() merges the buffers back into the single
 // totally ordered history the checkers replay. The write-ahead log is
@@ -51,8 +50,7 @@
 // contain. Either way, no acknowledged commit ever reads from an unsynced
 // loser.
 //
-// Txn.Commit's phase-2 sweep is itself sharded
-// (txn.Options.CommitPipeline, default PipelineSharded): participants are
+// Txn.Commit's phase-2 sweep is itself sharded: participants are
 // grouped per registry shard, each shard's per-object commit records are
 // staged through one WAL stripe acquisition (wal.Log.AppendBatchAsync —
 // sound outside the checkpoint gate because restart decides by the
@@ -62,9 +60,6 @@
 // each shard admits its committers strictly by their TxnCommitRec stage
 // tickets (the stamp order the WAL's LSNs refine), so a later commit
 // never exposes its writes in a shard before an earlier one does.
-// PipelineSequential keeps the legacy per-object sweep as the measured
-// "before" arm, and E20 counts the difference in lock acquisitions —
-// machine-independent — rather than wall clock.
 //
 // Restart cost is bounded by fuzzy checkpointing (internal/checkpoint,
 // txn.Engine.Checkpoint): a checkpointer walks the striped registry shard
@@ -77,22 +72,20 @@
 // before the checkpoint frontier (wal.TruncateBefore, clamped to the
 // watermark). recovery.RestartAllWithCheckpoint seeds object state from
 // the newest snapshot and replays only the bounded suffix — the
-// restart-time-versus-log-length trade-off E17 measures, proven correct by
-// crash injection at every boundary including mid-checkpoint crashes.
+// restart-time-versus-log-length trade-off, proven correct by crash
+// injection at every boundary including mid-checkpoint crashes.
 //
-// The durable log itself is segmented (wal.SegmentedBackend, the default
-// through txn.NewDurableEngine): records append to a size-bounded active
+// The durable log itself is segmented (wal.SegmentedBackend, what
+// txn.NewDurableEngine builds): records append to a size-bounded active
 // segment file, rotation seals whole segments (a flush batch never spans
 // one, so only the final segment can be torn by a crash — a torn earlier
 // segment is corruption), and truncation unlinks dead segments below the
 // frontier instead of rewriting the survivor — wal.TruncateStats proves
-// zero bytes rewritten, with a retention policy holding back the newest
-// dead segments. Restart exploits the same structure in parallel
+// zero bytes rewritten. Restart exploits the same structure in parallel
 // (recovery.RestartAllWithConfig): the winner scan fans out one goroutine
 // per segment and pass 2 hashes objects over a worker pool, with the
 // recovered state, winner set, appended records, and stats bit-identical
-// at every parallelism — E18 measures the truncation bill and the replay
-// distribution across backend × segment size × parallelism.
+// at every parallelism.
 //
 // Two logging disciplines share those seams (txn.Options.LogDiscipline).
 // The default is undo logging — UIP's recovery half, everything above.
@@ -108,7 +101,7 @@
 // discipline (re-branded past every checkpoint frontier so truncation
 // cannot erase it), and every seam — registration, restart, the
 // record-kind audit, checkpoint agreement — rejects a mixed-discipline
-// handoff loudly. E19 measures the trade: fewer log bytes per commit and
+// handoff loudly. The trade is fewer log bytes per commit and
 // winners-only replay, paid for with dependency sets on commit records.
 //
 // # Observability
@@ -125,9 +118,9 @@
 // single-sequence-point accounting (wal.Log.Stats), checkpoint progress,
 // phase histograms, trace statistics, and — when a restart ran — the
 // recovery.RestartStats into one JSON document. Every hook is
-// nil-receiver-safe and the disabled path allocates nothing (E21 proves 0
-// allocs/op by testing.AllocsPerRun and byte-identical workload results
-// with sampling on), and obs itself never reads the wall clock or
+// nil-receiver-safe and the disabled path allocates nothing (0 allocs/op
+// by testing.AllocsPerRun; sampling on leaves workload results
+// byte-identical), and obs itself never reads the wall clock or
 // math/rand — callers pass duration deltas, so the package sits inside
 // detreplay's determinism scope.
 //
@@ -150,20 +143,11 @@
 // justification in its summary, so silence stays auditable, and CI's
 // lint job fails on any unsuppressed diagnostic.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper plus the engine scaling sweep (shards × zipf skew × operation
-// mix, including read-mostly and pinned-open long-read variants), the
-// group-commit flush sweep (flusher dwell × sync latency), the
-// lock-release-policy sweep (policy × sync latency × contention skew),
-// the checkpointed-restart sweep (restart cost × log length), the
-// segmented-restart sweep (backend × segment size × restart
-// parallelism), the logging-discipline sweep (undo vs REDO-only ×
-// backend), the commit-pipeline sweep (sharded/CoW vs
-// sequential/locked, by lock-acquisition counts), and the observability
-// sweep (disabled-path allocations, byte-identical sampled replay, trace
-// and histogram coverage); `ccbench -experiment
-// scaling,flush,release,checkpoint,restart,redo,pipeline,obs -json`
-// writes them to BENCH_engine.json, and `-trace`/`-obs-snapshot` export
-// the Chrome trace and the unified snapshot. See EXPERIMENTS.md for the
-// methodology and the 1-vCPU measurement caveats.
+// The benchmarks in bench_test.go regenerate every table and figure of
+// the paper, and cmd/ccbench prints the paper-artifact experiments.
+// Engine performance — throughput, commit latency, allocations, and a
+// per-layer breakdown across recovery method × conflict relation ×
+// logging discipline — is measured by bench/ (run `bash bench/run.sh`;
+// BENCHMARK.json declares its workloads and bounds). See EXPERIMENTS.md
+// for the methodology and the recorded results.
 package repro

@@ -1,8 +1,8 @@
 // Package checkpoint defines the fuzzy-checkpoint artifact and its durable
 // stores: the bounded-restart half of the recovery story. The durable log
 // otherwise grows without bound and restart cost is proportional to run
-// length rather than to the recovery discipline — exactly the coupling the
-// restart-time-versus-log-length experiment (E17) measures.
+// length rather than to the recovery discipline — the coupling
+// checkpoints break.
 //
 // A Snapshot is taken fuzzily — object by object, without stopping the
 // world — by the transaction engine (see txn.Engine.Checkpoint): for every

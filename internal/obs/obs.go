@@ -1,6 +1,6 @@
 // Package obs is the engine's observability layer: phase-latency
 // histograms, sampled transaction-lifecycle tracing, and the unified
-// introspection snapshot every sweep and exporter reads.
+// introspection snapshot every harness and exporter reads.
 //
 // The package is a leaf — it imports only the standard library, and the
 // engine packages (internal/txn, internal/wal, internal/checkpoint)
@@ -18,9 +18,9 @@
 //   - every hook is safe on a nil *Observer and costs one predicted
 //     branch there. The engine holds a possibly-nil observer and calls
 //     hooks unconditionally on cold paths, or nil-gates first on hot
-//     paths to also skip the clock read. E21 proves the disabled path
-//     allocates nothing with testing.AllocsPerRun — a counter proof,
-//     not a timing claim.
+//     paths to also skip the clock read. TestNilObserverHooksAllocFree
+//     proves the disabled path allocates nothing with
+//     testing.AllocsPerRun — a counter proof, not a timing claim.
 package obs
 
 import "time"

@@ -113,8 +113,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 // TestNilObserverHooksAllocFree is the disabled-path proof: every hook
 // on a nil Observer, and the enabled histogram record path, allocate
-// nothing. E21 re-runs the same measurement through the sweep so the
-// number lands in BENCH_engine.json.
+// nothing.
 func TestNilObserverHooksAllocFree(t *testing.T) {
 	var o *Observer
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -252,13 +251,12 @@ func TestSnapshotWriters(t *testing.T) {
 	tt.Finish()
 	sampled, events, _ := o.Trace().Stats()
 	s := Snapshot{
-		Policy:   "release-early-tracked",
-		Pipeline: "sharded",
-		Shards:   8,
-		Engine:   EngineCounters{Begins: 10, Commits: 9, Aborts: 1, CommitHoldNS: 900, MeanCommitHoldNS: 100},
-		WAL:      WALStats{Flushes: 3, Records: 42, DurableLSN: 42},
-		Phases:   o.Phases(),
-		Trace:    &TraceStats{Sampled: sampled, Events: events, Kinds: len(o.Trace().KindCounts())},
+		Policy: "release-early-tracked",
+		Shards: 8,
+		Engine: EngineCounters{Begins: 10, Commits: 9, Aborts: 1, CommitHoldNS: 900, MeanCommitHoldNS: 100},
+		WAL:    WALStats{Flushes: 3, Records: 42, DurableLSN: 42},
+		Phases: o.Phases(),
+		Trace:  &TraceStats{Sampled: sampled, Events: events, Kinds: len(o.Trace().KindCounts())},
 	}
 	var jbuf bytes.Buffer
 	if err := s.WriteJSON(&jbuf); err != nil {

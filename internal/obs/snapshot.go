@@ -10,15 +10,12 @@ import (
 // say about itself — configuration labels, lifecycle counters, WAL
 // accounting, checkpoint state, phase histograms, trace statistics, and
 // (when a restart ran) the recovery stats — in one JSON-encodable
-// struct. txn.Engine.ObsSnapshot assembles it; the sweeps in
-// internal/sim and the exporters read it instead of hand-harvesting
-// individual counters.
+// struct. txn.Engine.ObsSnapshot assembles it; harnesses and exporters
+// read it instead of hand-harvesting individual counters.
 type Snapshot struct {
-	// Policy, Pipeline, and Discipline label the engine configuration
-	// the numbers were measured under, so a snapshot is self-describing
-	// (the per-policy CommitHold surfacing E16/E20 used to recompute).
+	// Policy and Discipline label the engine configuration the numbers
+	// were measured under, so a snapshot is self-describing.
 	Policy     string `json:"policy"`
-	Pipeline   string `json:"pipeline"`
 	Discipline string `json:"discipline,omitempty"`
 	Shards     int    `json:"shards"`
 
@@ -39,7 +36,7 @@ type Snapshot struct {
 }
 
 // EngineCounters mirrors txn.Metrics at one read point, plus the
-// derived per-commit hold mean the sweeps used to compute externally.
+// derived per-commit hold mean.
 type EngineCounters struct {
 	Begins             int64 `json:"begins"`
 	Commits            int64 `json:"commits"`
@@ -53,10 +50,14 @@ type EngineCounters struct {
 	DependencyStalls   int64 `json:"dependency_stalls"`
 	DurabilityAborts   int64 `json:"durability_aborts"`
 	CommitHoldNS       int64 `json:"commit_hold_ns"`
-	RegistryLockAcqs   int64 `json:"registry_lock_acqs"`
+	// RegistryLockAcqs is structurally zero: the registry hit path is
+	// one atomic load of a copy-on-write map and takes no lock, so
+	// nothing increments it. It stays in the document because bench/
+	// reports it as stripe.registry_lock_acqs.
+	RegistryLockAcqs int64 `json:"registry_lock_acqs"`
 	// MeanCommitHoldNS is CommitHoldNS / Commits — the per-policy
-	// commit-hold figure, surfaced here so sweeps read it instead of
-	// recomputing.
+	// commit-hold figure, surfaced here so readers need not recompute
+	// it.
 	MeanCommitHoldNS float64 `json:"mean_commit_hold_ns"`
 }
 
@@ -74,7 +75,6 @@ type WALStats struct {
 	Discipline            string `json:"discipline,omitempty"`
 	TruncBytesRewritten   int64  `json:"trunc_bytes_rewritten"`
 	TruncSegmentsUnlinked int    `json:"trunc_segments_unlinked"`
-	TruncSegmentsRetained int    `json:"trunc_segments_retained"`
 	Err                   string `json:"err,omitempty"`
 }
 
@@ -111,7 +111,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	p("engine.policy %s\n", s.Policy)
-	p("engine.pipeline %s\n", s.Pipeline)
 	if s.Discipline != "" {
 		p("engine.discipline %s\n", s.Discipline)
 	}

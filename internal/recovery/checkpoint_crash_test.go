@@ -277,53 +277,45 @@ func TestCheckpointCrashSweepOracle(t *testing.T) {
 	}
 	seeded := 0
 	skippedTotal := 0
-	stride := 1
-	const maxPoints = 16
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			run := ckptCrashRun{
-				walPath: filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k)),
-				ckptDir: filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k)),
-				crashAt: k, seed: int64(100 + k),
+	points := sweep(t, batches, 16, 16, func(t *testing.T, k int) {
+		run := ckptCrashRun{
+			walPath: filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k)),
+			ckptDir: filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k)),
+			crashAt: k, seed: int64(100 + k),
+		}
+		runCheckpointedBanking(t, run)
+		durable, err := wal.ReadFileLog(run.walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, recs, snap, stats := restartAllCkptOf(t, run.walPath, run.ckptDir, k, objs)
+		for _, obj := range objs {
+			want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
+			if vals[obj] != want {
+				t.Errorf("object %s: checkpointed restart state %s, oracle %s (snapshot %v, %d durable records)",
+					obj, vals[obj], want, snap != nil, len(durable))
 			}
-			runCheckpointedBanking(t, run)
-			durable, err := wal.ReadFileLog(run.walPath)
-			if err != nil {
-				t.Fatal(err)
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		if snap != nil {
+			seeded++
+			wantReplay, wantSkip := expectedReplaySplit(durable, objs, snap)
+			if stats.Replayed != wantReplay || stats.Skipped != wantSkip {
+				t.Errorf("replay accounting: replayed %d skipped %d, want %d/%d — restart did not replay exactly the post-marker suffixes",
+					stats.Replayed, stats.Skipped, wantReplay, wantSkip)
 			}
-			vals, recs, snap, stats := restartAllCkptOf(t, run.walPath, run.ckptDir, k, objs)
-			for _, obj := range objs {
-				want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
-				if vals[obj] != want {
-					t.Errorf("object %s: checkpointed restart state %s, oracle %s (snapshot %v, %d durable records)",
-						obj, vals[obj], want, snap != nil, len(durable))
-				}
-				assertLosersTerminated(t, recs, obj, k)
+			skippedTotal += stats.Skipped
+			if stats.SeededObjects != len(snap.Objects) {
+				t.Errorf("seeded %d objects, snapshot carries %d", stats.SeededObjects, len(snap.Objects))
 			}
-			if snap != nil {
-				seeded++
-				wantReplay, wantSkip := expectedReplaySplit(durable, objs, snap)
-				if stats.Replayed != wantReplay || stats.Skipped != wantSkip {
-					t.Errorf("replay accounting: replayed %d skipped %d, want %d/%d — restart did not replay exactly the post-marker suffixes",
-						stats.Replayed, stats.Skipped, wantReplay, wantSkip)
-				}
-				skippedTotal += stats.Skipped
-				if stats.SeededObjects != len(snap.Objects) {
-					t.Errorf("seeded %d objects, snapshot carries %d", stats.SeededObjects, len(snap.Objects))
-				}
+		}
+		again, _, _, _ := restartAllCkptOf(t, run.walPath, run.ckptDir, k, objs)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("object %s: second checkpointed restart diverged: %s vs %s", obj, again[obj], v)
 			}
-			again, _, _, _ := restartAllCkptOf(t, run.walPath, run.ckptDir, k, objs)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("object %s: second checkpointed restart diverged: %s vs %s", obj, again[obj], v)
-				}
-			}
-		})
-	}
+		}
+	})
 	if seeded == 0 {
 		t.Error("no injection point restarted from a durable checkpoint; the sweep is not exercising seeding")
 	}
@@ -331,7 +323,7 @@ func TestCheckpointCrashSweepOracle(t *testing.T) {
 		t.Error("no injection point skipped prefix records; checkpoints never bounded the replay")
 	}
 	t.Logf("sweep: %d/%d points restarted from a checkpoint, %d prefix records skipped in total",
-		seeded, batches/stride+1, skippedTotal)
+		seeded, points, skippedTotal)
 }
 
 // TestCheckpointTransferCrashSweepTruncated: the fan-out transfer crash
@@ -420,58 +412,50 @@ func TestCheckpointTransferCrashSweepTruncated(t *testing.T) {
 	}
 
 	seeded, truncatedPoints := 0, 0
-	stride := 1
-	const maxPoints = 16
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			walPath := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
-			runOne(t, walPath, ckptDir, k, int64(1000+k))
-			durable, err := wal.ReadFileLog(walPath)
+	sweep(t, batches, 48, 16, func(t *testing.T, k int) {
+		walPath := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
+		runOne(t, walPath, ckptDir, k, int64(1000+k))
+		durable, err := wal.ReadFileLog(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, recs, snap, stats := restartAllCkptOf(t, walPath, ckptDir, k, objs)
+		sum := 0
+		for _, obj := range objs {
+			bal, err := strconv.Atoi(vals[obj])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
 			}
-			vals, recs, snap, stats := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-			sum := 0
-			for _, obj := range objs {
-				bal, err := strconv.Atoi(vals[obj])
-				if err != nil {
-					t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-				}
-				sum += bal
-				assertLosersTerminated(t, recs, obj, k)
-			}
-			if sum != total {
-				t.Errorf("crash point %d: recovered total %d, want %d — checkpointed restart observed half a transfer (snapshot %v, %d retained records)",
-					k, sum, total, snap != nil, len(durable))
-			}
-			if snap != nil {
-				seeded++
-				if len(durable) > 0 && durable[0].LSN > 1 {
-					truncatedPoints++
-					if durable[0].LSN > snap.Frontier {
-						t.Errorf("retained log starts at %d, past the snapshot frontier %d — truncation outran its checkpoint",
-							durable[0].LSN, snap.Frontier)
-					}
-				}
-				wantReplay, wantSkip := expectedReplaySplit(durable, objs, snap)
-				if stats.Replayed != wantReplay || stats.Skipped != wantSkip {
-					t.Errorf("replay accounting: replayed %d skipped %d, want %d/%d",
-						stats.Replayed, stats.Skipped, wantReplay, wantSkip)
+			sum += bal
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		if sum != total {
+			t.Errorf("crash point %d: recovered total %d, want %d — checkpointed restart observed half a transfer (snapshot %v, %d retained records)",
+				k, sum, total, snap != nil, len(durable))
+		}
+		if snap != nil {
+			seeded++
+			if len(durable) > 0 && durable[0].LSN > 1 {
+				truncatedPoints++
+				if durable[0].LSN > snap.Frontier {
+					t.Errorf("retained log starts at %d, past the snapshot frontier %d — truncation outran its checkpoint",
+						durable[0].LSN, snap.Frontier)
 				}
 			}
-			again, _, _, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
+			wantReplay, wantSkip := expectedReplaySplit(durable, objs, snap)
+			if stats.Replayed != wantReplay || stats.Skipped != wantSkip {
+				t.Errorf("replay accounting: replayed %d skipped %d, want %d/%d",
+					stats.Replayed, stats.Skipped, wantReplay, wantSkip)
 			}
-		})
-	}
+		}
+		again, _, _, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
+			}
+		}
+	})
 	if seeded == 0 {
 		t.Error("no injection point restarted from a durable checkpoint")
 	}

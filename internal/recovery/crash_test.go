@@ -143,6 +143,40 @@ func runCrashWorkloadPolicy(t *testing.T, path string, crashAt int, seed int64, 
 	return max(batches, int(e.WAL().Flushes())), e
 }
 
+// sweep runs point(t, k) at a crash sweep's injection points and returns
+// how many it ran. Every batch boundary from 0 through span is its own
+// subtest, "crash-at-batch-NN". The span is fixed per sweep rather than
+// derived from the calibration run's batch count, which varies with
+// scheduling, so those subtests are the same on every run. A point past a
+// run's last boundary never fires, and restart then sees the complete log.
+// Boundaries past span (batches > span) are swept inside the one subtest
+// "crash-past-span" at stride ceil(batches/maxPoints). A sweep that crashed
+// every boundary up to maxPoints batches and strided ceil(batches/maxPoints)
+// beyond keeps at least that density with span >= maxPoints.
+func sweep(t *testing.T, batches, span, maxPoints int, point func(t *testing.T, k int)) int {
+	t.Helper()
+	n := 0
+	for k := 0; k <= span; k++ {
+		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) { point(t, k) })
+		n++
+	}
+	tail := max(1, (batches+maxPoints-1)/maxPoints)
+	t.Run("crash-past-span", func(t *testing.T) {
+		cur := -1
+		defer func() {
+			if t.Failed() {
+				t.Logf("failed at crash point %d", cur)
+			}
+		}()
+		for k := span + tail; k <= batches && !t.Failed(); k += tail {
+			cur = k
+			point(t, k)
+			n++
+		}
+	})
+	return n
+}
+
 // durableWinners is the oracle's own pass 1: the set of transactions whose
 // transaction-level commit record survived in the durable prefix. It is
 // deliberately independent of recovery.Winners (same semantics, separate
@@ -276,58 +310,51 @@ func TestCrashInjectionSweep(t *testing.T) {
 		}
 	}
 
-	// Sweep every boundary (strided if the run produced many). losersSeen
-	// counts injection points whose durable prefix contains updates of a
-	// transaction with no terminator — a genuine in-flight loser — so the
-	// sweep cannot silently degenerate into clean-shutdown cases only.
+	// Sweep every boundary through 28, strided past that (see sweep).
+	// losersSeen counts injection points whose durable prefix contains
+	// updates of a transaction with no terminator — a genuine in-flight
+	// loser — so the sweep cannot silently degenerate into clean-shutdown
+	// cases only.
 	// commitSplits counts the sharper case: a durable per-object CommitRec
 	// without the transaction-level commit record, i.e. the crash fell
 	// inside the commit protocol itself (rare at one boundary, logged for
 	// visibility; the transfer sweep constructs it deterministically).
 	losersSeen := 0
 	commitSplits := 0
-	stride := 1
-	const maxPoints = 28
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			_, e := runCrashWorkload(t, path, k, int64(100+k))
-			if err := history.WellFormed(e.History()); err != nil {
-				t.Fatalf("live history malformed: %v", err)
+	sweep(t, batches, 28, 28, func(t *testing.T, k int) {
+		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		_, e := runCrashWorkload(t, path, k, int64(100+k))
+		if err := history.WellFormed(e.History()); err != nil {
+			t.Fatalf("live history malformed: %v", err)
+		}
+		durable, err := wal.ReadFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countInFlight(durable) > 0 {
+			losersSeen++
+		}
+		commitSplits += countCommitSplit(durable)
+		vals, recs := restartAll(t, path, k)
+		for i := 0; i < crashObjects; i++ {
+			obj := crashObjID(i)
+			want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
+			if vals[obj] != want {
+				t.Errorf("object %s: restarted state %s, oracle %s (durable prefix %d records)",
+					obj, vals[obj], want, len(durable))
 			}
-			durable, err := wal.ReadFileLog(path)
-			if err != nil {
-				t.Fatal(err)
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		// Stability: the restart appended its compensation and abort
+		// records durably, so a second restart finds no losers and
+		// reproduces the same state.
+		again, _ := restartAll(t, path, k)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-			if countInFlight(durable) > 0 {
-				losersSeen++
-			}
-			commitSplits += countCommitSplit(durable)
-			vals, recs := restartAll(t, path, k)
-			for i := 0; i < crashObjects; i++ {
-				obj := crashObjID(i)
-				want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
-				if vals[obj] != want {
-					t.Errorf("object %s: restarted state %s, oracle %s (durable prefix %d records)",
-						obj, vals[obj], want, len(durable))
-				}
-				assertLosersTerminated(t, recs, obj, k)
-			}
-			// Stability: the restart appended its compensation and abort
-			// records durably, so a second restart finds no losers and
-			// reproduces the same state.
-			again, _ := restartAll(t, path, k)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
-			}
-		})
-	}
+		}
+	})
 	if losersSeen == 0 {
 		t.Error("no injection point produced an in-flight loser; the sweep is not exercising undo")
 	}

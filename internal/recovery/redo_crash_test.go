@@ -237,62 +237,54 @@ func TestRedoCrashInjectionSweep(t *testing.T) {
 
 	losersSeen := 0
 	depsSeen := 0
-	stride := 1
-	const maxPoints = 28
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			_, e := runRedoBankingWorkload(t, path, k, int64(100+k))
-			if err := history.WellFormed(e.History()); err != nil {
-				t.Fatalf("live history malformed: %v", err)
+	sweep(t, batches, 28, 28, func(t *testing.T, k int) {
+		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		_, e := runRedoBankingWorkload(t, path, k, int64(100+k))
+		if err := history.WellFormed(e.History()); err != nil {
+			t.Fatalf("live history malformed: %v", err)
+		}
+		durable, err := wal.ReadFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRedoLogClean(t, durable, k)
+		if countRedoInFlight(durable) > 0 {
+			losersSeen++
+		}
+		for _, r := range durable {
+			if r.Kind == wal.TxnCommitRec && len(r.Deps) > 0 {
+				depsSeen++
+				break
 			}
-			durable, err := wal.ReadFileLog(path)
-			if err != nil {
-				t.Fatal(err)
+		}
+		vals, recs, stats := restartRedoAllOf(t, path, k, crashObjectIDs())
+		for i := 0; i < crashObjects; i++ {
+			obj := crashObjID(i)
+			want := strconv.Itoa(expectedRedoBalance(durable, obj, crashInitialBalance))
+			if vals[obj] != want {
+				t.Errorf("object %s: restarted state %s, oracle %s (durable prefix %d records)",
+					obj, vals[obj], want, len(durable))
 			}
-			assertRedoLogClean(t, durable, k)
-			if countRedoInFlight(durable) > 0 {
-				losersSeen++
+		}
+		// No undo pass, no tail: the restart leaves the durable log
+		// exactly as the crash left it.
+		if stats.Undone != 0 {
+			t.Errorf("crash point %d: redo-only restart undid %d records without a checkpoint", k, stats.Undone)
+		}
+		if len(recs) != len(durable) {
+			t.Errorf("crash point %d: restart grew the log from %d to %d records — redo-only restart must append nothing",
+				k, len(durable), len(recs))
+		}
+		again, recsAgain, _ := restartRedoAllOf(t, path, k, crashObjectIDs())
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-			for _, r := range durable {
-				if r.Kind == wal.TxnCommitRec && len(r.Deps) > 0 {
-					depsSeen++
-					break
-				}
-			}
-			vals, recs, stats := restartRedoAllOf(t, path, k, crashObjectIDs())
-			for i := 0; i < crashObjects; i++ {
-				obj := crashObjID(i)
-				want := strconv.Itoa(expectedRedoBalance(durable, obj, crashInitialBalance))
-				if vals[obj] != want {
-					t.Errorf("object %s: restarted state %s, oracle %s (durable prefix %d records)",
-						obj, vals[obj], want, len(durable))
-				}
-			}
-			// No undo pass, no tail: the restart leaves the durable log
-			// exactly as the crash left it.
-			if stats.Undone != 0 {
-				t.Errorf("crash point %d: redo-only restart undid %d records without a checkpoint", k, stats.Undone)
-			}
-			if len(recs) != len(durable) {
-				t.Errorf("crash point %d: restart grew the log from %d to %d records — redo-only restart must append nothing",
-					k, len(durable), len(recs))
-			}
-			again, recsAgain, _ := restartRedoAllOf(t, path, k, crashObjectIDs())
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
-			}
-			if len(recsAgain) != len(durable) {
-				t.Errorf("crash point %d: second restart grew the log", k)
-			}
-		})
-	}
+		}
+		if len(recsAgain) != len(durable) {
+			t.Errorf("crash point %d: second restart grew the log", k)
+		}
+	})
 	if losersSeen == 0 {
 		t.Error("no injection point produced an in-flight loser; the sweep is not exercising loser skipping")
 	}
@@ -398,59 +390,51 @@ func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 	}
 
 	seeded, truncatedPoints := 0, 0
-	stride := 1
-	const maxPoints = 16
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			walPath := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
-			runOne(t, walPath, ckptDir, k, int64(1000+k))
-			durable, err := wal.ReadFileLog(walPath)
+	sweep(t, batches, 28, 16, func(t *testing.T, k int) {
+		walPath := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
+		runOne(t, walPath, ckptDir, k, int64(1000+k))
+		durable, err := wal.ReadFileLog(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRedoLogClean(t, durable, k)
+		vals, recs, snap, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
+		sum := 0
+		for _, obj := range objs {
+			bal, err := strconv.Atoi(vals[obj])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
 			}
-			assertRedoLogClean(t, durable, k)
-			vals, recs, snap, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-			sum := 0
-			for _, obj := range objs {
-				bal, err := strconv.Atoi(vals[obj])
-				if err != nil {
-					t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-				}
-				sum += bal
+			sum += bal
+		}
+		if sum != total {
+			t.Errorf("crash point %d: recovered total %d, want %d — redo-only restart observed half a transfer (snapshot %v, %d retained records)",
+				k, sum, total, snap != nil, len(durable))
+		}
+		if len(recs) != len(durable) {
+			t.Errorf("crash point %d: restart grew the log from %d to %d records", k, len(durable), len(recs))
+		}
+		if snap != nil {
+			seeded++
+			if snap.Discipline != wal.DisciplineRedo {
+				t.Errorf("crash point %d: snapshot discipline %q, want %q", k, snap.Discipline, wal.DisciplineRedo)
 			}
-			if sum != total {
-				t.Errorf("crash point %d: recovered total %d, want %d — redo-only restart observed half a transfer (snapshot %v, %d retained records)",
-					k, sum, total, snap != nil, len(durable))
-			}
-			if len(recs) != len(durable) {
-				t.Errorf("crash point %d: restart grew the log from %d to %d records", k, len(durable), len(recs))
-			}
-			if snap != nil {
-				seeded++
-				if snap.Discipline != wal.DisciplineRedo {
-					t.Errorf("crash point %d: snapshot discipline %q, want %q", k, snap.Discipline, wal.DisciplineRedo)
-				}
-				if len(durable) > 0 && durable[0].LSN > 1 {
-					truncatedPoints++
-					if durable[0].LSN > snap.Frontier {
-						t.Errorf("retained log starts at %d, past the snapshot frontier %d",
-							durable[0].LSN, snap.Frontier)
-					}
+			if len(durable) > 0 && durable[0].LSN > 1 {
+				truncatedPoints++
+				if durable[0].LSN > snap.Frontier {
+					t.Errorf("retained log starts at %d, past the snapshot frontier %d",
+						durable[0].LSN, snap.Frontier)
 				}
 			}
-			again, _, _, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
+		}
+		again, _, _, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-		})
-	}
+		}
+	})
 	if seeded == 0 {
 		t.Error("no injection point restarted from a durable checkpoint")
 	}

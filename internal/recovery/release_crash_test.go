@@ -34,37 +34,29 @@ func TestReleaseAfterAckCrashSweep(t *testing.T) {
 		t.Fatalf("workload produced only %d batches; sweep needs more boundaries", batches)
 	}
 	verifyLiveHistory(t, e)
-	stride := 1
-	const maxPoints = 12
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			runCrashWorkloadPolicy(t, path, k, int64(300+k), txn.ReleaseAfterAck)
-			durable, err := wal.ReadFileLog(path)
-			if err != nil {
-				t.Fatal(err)
+	sweep(t, batches, 18, 12, func(t *testing.T, k int) {
+		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		runCrashWorkloadPolicy(t, path, k, int64(300+k), txn.ReleaseAfterAck)
+		durable, err := wal.ReadFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, recs := restartAll(t, path, k)
+		for i := 0; i < crashObjects; i++ {
+			obj := crashObjID(i)
+			want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
+			if vals[obj] != want {
+				t.Errorf("object %s: restarted state %s, oracle %s", obj, vals[obj], want)
 			}
-			vals, recs := restartAll(t, path, k)
-			for i := 0; i < crashObjects; i++ {
-				obj := crashObjID(i)
-				want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
-				if vals[obj] != want {
-					t.Errorf("object %s: restarted state %s, oracle %s", obj, vals[obj], want)
-				}
-				assertLosersTerminated(t, recs, obj, k)
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		again, _ := restartAll(t, path, k)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-			again, _ := restartAll(t, path, k)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // failAfterBackend delegates to an inner file backend for the first

@@ -14,8 +14,8 @@ import (
 )
 
 // WorkerStats counts the pass-2 work one restart worker performed — the
-// per-worker distribution E18 reports to show replay actually spreading
-// across the pool.
+// per-worker distribution that shows replay actually spreading across the
+// pool.
 type WorkerStats struct {
 	// Objects is the number of objects hashed to this worker.
 	Objects int `json:"objects"`
@@ -26,9 +26,7 @@ type WorkerStats struct {
 	Undone   int `json:"undone"`
 }
 
-// RestartStats counts the work one restart performed — the dependent
-// variable of the restart-time-versus-log-length experiment (E17) and of
-// the parallel-restart experiment (E18). Without a checkpoint, Replayed
+// RestartStats counts the work one restart performed. Without a checkpoint, Replayed
 // grows with the whole log; with one, it is bounded by the suffix past the
 // checkpoint frontier. The aggregate counters are identical for any
 // parallelism (object assignment only moves work between workers); only
@@ -258,7 +256,7 @@ func RestartAll(objs []history.ObjectID, machineFor func(history.ObjectID) adt.M
 // Restart parallelism defaults to GOMAXPROCS; use RestartAllWithConfig to
 // pin it. The returned stats separate bounded work (Replayed) from skipped
 // prefix records, report the seeding volume, and carry the per-worker and
-// per-pass breakdown of E18.
+// per-pass breakdown.
 func RestartAllWithCheckpoint(objs []history.ObjectID, machineFor func(history.ObjectID) adt.Machine,
 	log *wal.Log, ckpt *checkpoint.Snapshot) (map[history.ObjectID]*UndoLog, RestartStats, error) {
 	return RestartAllWithConfig(objs, machineFor, log, ckpt, RestartConfig{})

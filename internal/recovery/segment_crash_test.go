@@ -147,47 +147,39 @@ func TestTransferCrashSweepSegmented(t *testing.T) {
 	}
 
 	losersSeen := 0
-	stride := 1
-	const maxPoints = 16
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			wdir := filepath.Join(dir, fmt.Sprintf("crash%02d", k))
-			runTransferCrashWorkloadSegmented(t, wdir, k, int64(1000+k))
-			durable := readSegmentedLog(t, wdir)
-			if countInFlight(durable) > 0 {
-				losersSeen++
+	sweep(t, batches, 24, 16, func(t *testing.T, k int) {
+		wdir := filepath.Join(dir, fmt.Sprintf("crash%02d", k))
+		runTransferCrashWorkloadSegmented(t, wdir, k, int64(1000+k))
+		durable := readSegmentedLog(t, wdir)
+		if countInFlight(durable) > 0 {
+			losersSeen++
+		}
+		vals, recs, _ := restartSegmentedOf(t, wdir, k, objs, 0)
+		sum := 0
+		for _, obj := range objs {
+			want := strconv.Itoa(expectedBalance(durable, obj, cfg.InitialBalance))
+			if vals[obj] != want {
+				t.Errorf("account %s: restarted state %s, oracle %s (durable prefix %d records)",
+					obj, vals[obj], want, len(durable))
 			}
-			vals, recs, _ := restartSegmentedOf(t, wdir, k, objs, 0)
-			sum := 0
-			for _, obj := range objs {
-				want := strconv.Itoa(expectedBalance(durable, obj, cfg.InitialBalance))
-				if vals[obj] != want {
-					t.Errorf("account %s: restarted state %s, oracle %s (durable prefix %d records)",
-						obj, vals[obj], want, len(durable))
-				}
-				bal, err := strconv.Atoi(vals[obj])
-				if err != nil {
-					t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-				}
-				sum += bal
-				assertLosersTerminated(t, recs, obj, k)
+			bal, err := strconv.Atoi(vals[obj])
+			if err != nil {
+				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
 			}
-			if sum != total {
-				t.Errorf("crash point %d: recovered total %d, want %d — restart observed half a transfer",
-					k, sum, total)
+			sum += bal
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		if sum != total {
+			t.Errorf("crash point %d: recovered total %d, want %d — restart observed half a transfer",
+				k, sum, total)
+		}
+		again, _, _ := restartSegmentedOf(t, wdir, k, objs, 0)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-			again, _, _ := restartSegmentedOf(t, wdir, k, objs, 0)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
-			}
-		})
-	}
+		}
+	})
 	if losersSeen == 0 {
 		t.Error("no injection point produced an in-flight loser; the sweep is not crashing inside transfers")
 	}
@@ -317,50 +309,42 @@ func TestCheckpointTransferCrashSweepSegmented(t *testing.T) {
 	}
 
 	seeded, truncatedPoints := 0, 0
-	stride := 1
-	const maxPoints = 12
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			walDir := filepath.Join(dir, fmt.Sprintf("crash%02d", k))
-			ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
-			runCheckpointedTransferSegmented(t, walDir, ckptDir, k, int64(1000+k))
-			durable := readSegmentedLog(t, walDir)
-			vals, recs, snap, _ := restartSegmentedCkptOf(t, walDir, ckptDir, k, objs, 0)
-			sum := 0
-			for _, obj := range objs {
-				bal, err := strconv.Atoi(vals[obj])
-				if err != nil {
-					t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-				}
-				sum += bal
-				assertLosersTerminated(t, recs, obj, k)
+	sweep(t, batches, 30, 12, func(t *testing.T, k int) {
+		walDir := filepath.Join(dir, fmt.Sprintf("crash%02d", k))
+		ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
+		runCheckpointedTransferSegmented(t, walDir, ckptDir, k, int64(1000+k))
+		durable := readSegmentedLog(t, walDir)
+		vals, recs, snap, _ := restartSegmentedCkptOf(t, walDir, ckptDir, k, objs, 0)
+		sum := 0
+		for _, obj := range objs {
+			bal, err := strconv.Atoi(vals[obj])
+			if err != nil {
+				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
 			}
-			if sum != total {
-				t.Errorf("crash point %d: recovered total %d, want %d (snapshot %v, %d retained records)",
-					k, sum, total, snap != nil, len(durable))
-			}
-			if snap != nil {
-				seeded++
-				if len(durable) > 0 && durable[0].LSN > 1 {
-					truncatedPoints++
-					if durable[0].LSN > snap.Frontier {
-						t.Errorf("retained log starts at %d, past the snapshot frontier %d — truncation outran its checkpoint",
-							durable[0].LSN, snap.Frontier)
-					}
+			sum += bal
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		if sum != total {
+			t.Errorf("crash point %d: recovered total %d, want %d (snapshot %v, %d retained records)",
+				k, sum, total, snap != nil, len(durable))
+		}
+		if snap != nil {
+			seeded++
+			if len(durable) > 0 && durable[0].LSN > 1 {
+				truncatedPoints++
+				if durable[0].LSN > snap.Frontier {
+					t.Errorf("retained log starts at %d, past the snapshot frontier %d — truncation outran its checkpoint",
+						durable[0].LSN, snap.Frontier)
 				}
 			}
-			again, _, _, _ := restartSegmentedCkptOf(t, walDir, ckptDir, k, objs, 0)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
+		}
+		again, _, _, _ := restartSegmentedCkptOf(t, walDir, ckptDir, k, objs, 0)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-		})
-	}
+		}
+	})
 	if seeded == 0 {
 		t.Error("no injection point restarted from a durable checkpoint")
 	}

@@ -137,53 +137,45 @@ func TestTransferCrashSweep(t *testing.T) {
 	losersSeen := 0
 	commitSplits := 0
 	midComps := 0
-	stride := 1
-	const maxPoints = 24
-	if batches > maxPoints {
-		stride = (batches + maxPoints - 1) / maxPoints
-	}
-	for k := 0; k <= batches; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-batch-%02d", k), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-			runTransferCrashWorkload(t, path, k, int64(1000+k))
-			durable, err := wal.ReadFileLog(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if countInFlight(durable) > 0 {
-				losersSeen++
-			}
-			commitSplits += countCommitSplit(durable)
-			midComps += countMidCompensation(durable)
+	sweep(t, batches, 28, 24, func(t *testing.T, k int) {
+		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
+		runTransferCrashWorkload(t, path, k, int64(1000+k))
+		durable, err := wal.ReadFileLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countInFlight(durable) > 0 {
+			losersSeen++
+		}
+		commitSplits += countCommitSplit(durable)
+		midComps += countMidCompensation(durable)
 
-			vals, recs := restartAllOf(t, path, k, objs)
-			sum := 0
-			for _, obj := range objs {
-				want := strconv.Itoa(expectedBalance(durable, obj, cfg.InitialBalance))
-				if vals[obj] != want {
-					t.Errorf("account %s: restarted state %s, oracle %s (durable prefix %d records)",
-						obj, vals[obj], want, len(durable))
-				}
-				bal, err := strconv.Atoi(vals[obj])
-				if err != nil {
-					t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-				}
-				sum += bal
-				assertLosersTerminated(t, recs, obj, k)
+		vals, recs := restartAllOf(t, path, k, objs)
+		sum := 0
+		for _, obj := range objs {
+			want := strconv.Itoa(expectedBalance(durable, obj, cfg.InitialBalance))
+			if vals[obj] != want {
+				t.Errorf("account %s: restarted state %s, oracle %s (durable prefix %d records)",
+					obj, vals[obj], want, len(durable))
 			}
-			if sum != total {
-				t.Errorf("crash point %d: recovered total %d, want %d — restart observed half a transfer",
-					k, sum, total)
+			bal, err := strconv.Atoi(vals[obj])
+			if err != nil {
+				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
 			}
-			again, _ := restartAllOf(t, path, k, objs)
-			for obj, v := range vals {
-				if again[obj] != v {
-					t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-				}
+			sum += bal
+			assertLosersTerminated(t, recs, obj, k)
+		}
+		if sum != total {
+			t.Errorf("crash point %d: recovered total %d, want %d — restart observed half a transfer",
+				k, sum, total)
+		}
+		again, _ := restartAllOf(t, path, k, objs)
+		for obj, v := range vals {
+			if again[obj] != v {
+				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
 			}
-		})
-	}
+		}
+	})
 	if losersSeen == 0 {
 		t.Error("no injection point produced an in-flight loser; the sweep is not crashing inside transfers")
 	}

@@ -1,16 +1,15 @@
 package txn
 
 // Durable-engine construction: the boilerplate every durable deployment of
-// the engine repeats — create a WAL backend (segmented by default), wrap
-// it in an asynchronous group-committing log, open a file checkpoint
-// store, and hand both to NewEngine — gathered behind one options struct.
-// The restart experiment (E18) and the examples build engines through
-// this; the tests that need to reach inside (crash hooks, custom crash
-// points) keep assembling the pieces by hand.
+// the engine repeats — create a segmented WAL backend, wrap it in an
+// asynchronous group-committing log, open a file checkpoint store, and
+// hand both to NewEngine — gathered behind one options struct.
+// The benchmark builds its durable engines through this; the tests that
+// need to reach inside (crash hooks, custom crash points) keep assembling
+// the pieces by hand.
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -20,20 +19,12 @@ import (
 
 // DurabilityOptions configures NewDurableEngine's storage layout.
 type DurabilityOptions struct {
-	// Dir is the root directory (created if absent): segment files (or the
-	// single log file) live in Dir/wal, checkpoint snapshots in Dir/ckpt.
+	// Dir is the root directory (created if absent): segment files live
+	// in Dir/wal, checkpoint snapshots in Dir/ckpt.
 	Dir string
-	// SingleFile selects the legacy single-file backend
-	// (wal.FileBackend, rewrite-based truncation) instead of the
-	// segmented backend — the baseline arm of the truncation-cost
-	// comparison.
-	SingleFile bool
 	// SegmentBytes is the segmented backend's rotation threshold (0 =
-	// wal.DefaultSegmentBytes). Ignored with SingleFile.
+	// wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// Retention holds back the newest dead segments from truncation's
-	// unlink pass. Ignored with SingleFile.
-	Retention wal.Retention
 	// BatchInterval and MaxBatch are the asynchronous flusher's dwell and
 	// batch-size cap (see wal.Config).
 	BatchInterval time.Duration
@@ -46,39 +37,23 @@ type DurabilityOptions struct {
 // WALDir returns the write-ahead-log directory under d.Dir.
 func (d DurabilityOptions) WALDir() string { return filepath.Join(d.Dir, "wal") }
 
-// WALPath returns the single-file backend's log path under d.Dir.
-func (d DurabilityOptions) WALPath() string { return filepath.Join(d.WALDir(), "engine.wal") }
-
 // CheckpointDir returns the checkpoint-store directory under d.Dir.
 func (d DurabilityOptions) CheckpointDir() string { return filepath.Join(d.Dir, "ckpt") }
 
 // SegmentConfig returns the wal.SegmentConfig d describes.
 func (d DurabilityOptions) SegmentConfig() wal.SegmentConfig {
-	return wal.SegmentConfig{MaxSegmentBytes: d.SegmentBytes, Retention: d.Retention}
+	return wal.SegmentConfig{MaxSegmentBytes: d.SegmentBytes}
 }
 
-// NewDurableEngine builds a fully durable engine: a fresh WAL backend in
-// d.Dir (segmented unless d.SingleFile), an asynchronous group-committed
-// log over it, and a file checkpoint store. Any WAL or Checkpoint already
+// NewDurableEngine builds a fully durable engine: a fresh segmented WAL
+// backend in d.Dir, an asynchronous group-committed log over it, and a
+// file checkpoint store. Any WAL or Checkpoint already
 // present in opts is overridden; the engine owns the log (Engine.Close
 // closes it, sealing the backend).
 func NewDurableEngine(opts Options, d DurabilityOptions) (*Engine, error) {
-	var backend wal.Backend
-	if d.SingleFile {
-		if err := os.MkdirAll(d.WALDir(), 0o755); err != nil {
-			return nil, fmt.Errorf("txn: durable engine: %w", err)
-		}
-		fb, err := wal.CreateFileBackend(d.WALPath())
-		if err != nil {
-			return nil, fmt.Errorf("txn: durable engine: %w", err)
-		}
-		backend = fb
-	} else {
-		sb, err := wal.CreateSegmentedBackend(d.WALDir(), d.SegmentConfig())
-		if err != nil {
-			return nil, fmt.Errorf("txn: durable engine: %w", err)
-		}
-		backend = sb
+	backend, err := wal.CreateSegmentedBackend(d.WALDir(), d.SegmentConfig())
+	if err != nil {
+		return nil, fmt.Errorf("txn: durable engine: %w", err)
 	}
 	log, err := wal.Open(wal.Config{
 		Async:         true,

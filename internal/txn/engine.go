@@ -106,7 +106,7 @@ const (
 	// releases only after the backend acknowledges the batch. Dependents
 	// can never observe unsynced state, closing the durability hole
 	// trivially — at the cost of lock hold times that include the flusher
-	// dwell and the sync latency (measured by the ccbench release sweep).
+	// dwell and the sync latency.
 	ReleaseAfterAck
 	// releaseEarlyUnsafe is the legacy discipline before dependency
 	// tracking: release early, flush, and report a backend failure only
@@ -184,12 +184,6 @@ type Metrics struct {
 	// difference is the measured concurrency cost of holding locks to the
 	// ack.
 	CommitHoldNS atomic.Int64
-	// RegistryLockAcqs counts lock acquisitions performed on the object
-	// lookup path. The copy-on-write registry performs none — the counter
-	// stays at zero however many operations run, which is the pipeline
-	// sweep's machine-independent proof that the read path is lock-free.
-	// Only the LegacyLockedRegistry arm increments it (once per lookup).
-	RegistryLockAcqs atomic.Int64
 	// Checkpoints counts completed fuzzy checkpoints (snapshot durably
 	// saved); failed or crash-aborted attempts are not counted.
 	Checkpoints atomic.Int64
@@ -234,51 +228,12 @@ type Options struct {
 	// checkpointer goroutine the engine owns (stopped by Engine.Close).
 	// See CheckpointOptions.
 	Checkpoint *CheckpointOptions
-	// CommitPipeline selects the shape of Txn.Commit's phase-2 sweep. The
-	// zero value is PipelineSharded: participants grouped per registry
-	// shard, per-object commit records staged through the WAL's batch
-	// accessor, locks released shard-by-shard in commit-LSN order.
-	// PipelineSequential keeps the legacy per-object sweep — the "before"
-	// arm of the pipeline experiment.
-	CommitPipeline CommitPipeline
-	// LegacyLockedRegistry routes object lookups through the per-shard
-	// read-write lock the registry used before the copy-on-write map —
-	// the "before" arm of the pipeline experiment's lock-acquisition
-	// comparison (see Metrics.RegistryLockAcqs). Never set it outside a
-	// benchmark.
-	LegacyLockedRegistry bool
 	// Obs, when non-nil, attaches the observability hub: phase latency
 	// histograms on every commit, sampled lifecycle tracing, and flusher
 	// instrumentation on the engine's WAL. Nil (the default) leaves every
 	// hook a nil-receiver no-op — the hot path pays no allocation and no
-	// atomic for it (see the obs experiment's disabled-path proof).
+	// atomic for it (obs.TestNilObserverHooksAllocFree pins this).
 	Obs *obs.Observer
-}
-
-// CommitPipeline selects how Txn.Commit sweeps its participants; see
-// Options.CommitPipeline.
-type CommitPipeline int
-
-const (
-	// PipelineSharded (the default) groups commit work per registry
-	// shard: each shard's per-object commit records are staged in one
-	// WAL stripe acquisition (wal.Log.AppendBatchAsync), chains are
-	// discharged per shard under the narrowed checkpoint gate, and locks
-	// release shard-by-shard in commit-LSN order using the stage-ticket
-	// total order.
-	PipelineSharded CommitPipeline = iota
-	// PipelineSequential is the legacy shape: a per-object sweep in
-	// object-ID order staging one record per object under the checkpoint
-	// gate, with unordered lock release.
-	PipelineSequential
-)
-
-// String implements fmt.Stringer.
-func (p CommitPipeline) String() string {
-	if p == PipelineSequential {
-		return "sequential"
-	}
-	return "sharded"
 }
 
 // normalizeShards rounds n up to a power of two within
@@ -345,13 +300,7 @@ type engineShard struct {
 	// immutable snapshot through one atomic pointer — zero lock
 	// acquisitions on the hit path — and Register publishes a copied
 	// successor under the CowMap's internal writer mutex.
-	objects stripe.CowMap[history.ObjectID, *managedObject]
-	// legacyMu reproduces the pre-CoW read-locked registry when
-	// Options.LegacyLockedRegistry is set: lookup takes the read side per
-	// hit and Register the write side. It exists only as the honest
-	// "before" arm of the pipeline sweep's lock-acquisition comparison;
-	// with the option clear it is never touched by lookup.
-	legacyMu sync.RWMutex
+	objects  stripe.CowMap[history.ObjectID, *managedObject]
 	recorder *history.Recorder
 
 	// Commit-LSN-ordered release state. A committing transaction enrolls
@@ -543,20 +492,9 @@ func (e *Engine) shardOf(id history.ObjectID) *engineShard {
 
 // lookup finds a registered object. The hit path performs zero lock
 // acquisitions: one atomic pointer load into the shard's copy-on-write
-// map, then a read of an immutable snapshot (Metrics.RegistryLockAcqs
-// stays at zero to prove it). With Options.LegacyLockedRegistry set, the
-// pre-CoW read lock is taken instead — the "before" arm the pipeline
-// sweep's acquisition counter compares against.
+// map, then a read of an immutable snapshot.
 func (e *Engine) lookup(id history.ObjectID) (*managedObject, bool) {
-	sh := e.shardOf(id)
-	if e.opts.LegacyLockedRegistry {
-		sh.legacyMu.RLock()
-		e.Metrics.RegistryLockAcqs.Add(1)
-		mo, ok := sh.objects.Get(id)
-		sh.legacyMu.RUnlock()
-		return mo, ok
-	}
-	return sh.objects.Get(id)
+	return e.shardOf(id).objects.Get(id)
 }
 
 // Register creates an object backed by the machine of ty, locked by rel,
@@ -599,11 +537,7 @@ func (e *Engine) Register(id history.ObjectID, ty adt.Type, rel commute.Relation
 	}
 	mo.cond = sync.NewCond(&mo.mu)
 	// Registration is the cold path: the CowMap serializes writers
-	// internally and copies the whole stripe. The legacy write lock is
-	// taken unconditionally so the LegacyLockedRegistry arm's readers are
-	// genuinely excluded, exactly as the pre-CoW registry excluded them.
-	sh.legacyMu.Lock()
-	defer sh.legacyMu.Unlock()
+	// internally and copies the whole stripe.
 	if !sh.objects.Insert(id, mo) {
 		return fmt.Errorf("txn: object %q already registered", id)
 	}
@@ -943,7 +877,6 @@ func (t *Txn) Commit() error {
 	}
 	e := t.eng
 	pol := e.opts.ReleasePolicy
-	sharded := e.opts.CommitPipeline == PipelineSharded
 	o := t.obs
 	start := time.Now()
 	hold := func() {
@@ -952,17 +885,11 @@ func (t *Txn) Commit() error {
 		o.RecordCommitHold(d)
 	}
 	// The sweep (and terminate's already-committed bookkeeping) follows
-	// shard-grouped order under the sharded pipeline, plain object-ID
-	// order under the sequential one; objs is always the flat sweep order.
-	var groups []commitGroup
+	// shard-grouped order; objs is the flat sweep order.
+	groups := t.shardGroups()
 	var objs []history.ObjectID
-	if sharded {
-		groups = t.shardGroups()
-		for _, g := range groups {
-			objs = append(objs, g.objs...)
-		}
-	} else {
-		objs = t.sortedTouched()
+	for _, g := range groups {
+		objs = append(objs, g.objs...)
 	}
 	// Phase 1: prepare — verify every participant is still registered. A
 	// failure here terminates cleanly: nothing has committed yet, so every
@@ -991,9 +918,9 @@ func (t *Txn) Commit() error {
 					t.id, ErrDurability, ErrAborted, err))
 		}
 	}
-	// Sharded pipeline, staging phase: every shard's per-object commit
-	// records are staged up front — one WAL stripe acquisition per shard
-	// through the batch accessor — outside the checkpoint gate. Staging
+	// Staging phase: every shard's per-object commit records are staged
+	// up front — one WAL stripe acquisition per shard through the batch
+	// accessor — outside the checkpoint gate. Staging
 	// discharges nothing: a fuzzy capture interleaving here still sees
 	// every undo chain intact (the transaction is captured as in-flight),
 	// and restart decides winners by the transaction-level record alone
@@ -1005,7 +932,7 @@ func (t *Txn) Commit() error {
 	// staging below plus the transaction-level record) for the WAL-stage
 	// histogram.
 	var stageNS int64
-	if sharded && t.wroteWAL {
+	if t.wroteWAL {
 		var stage0 time.Time
 		if o != nil {
 			stage0 = time.Now()
@@ -1034,10 +961,9 @@ func (t *Txn) Commit() error {
 		}
 	}
 	// Phase 2a: commit at each object while holding its locks. The
-	// per-object CommitRec staged by an undo-log store (batched above
-	// under the sharded pipeline, staged inline by store.Commit under the
-	// sequential one) is a redo hint; the commit decision itself is the
-	// transaction-level record below. A mid-sweep failure terminates:
+	// per-object CommitRec staged by an undo-log store (batched above) is
+	// a redo hint; the commit decision itself is the transaction-level
+	// record below. A mid-sweep failure terminates:
 	// already-committed participants keep their terminal Commit event, the
 	// rest are aborted, and no transaction-level commit record is staged —
 	// restart sees a loser.
@@ -1075,7 +1001,7 @@ func (t *Txn) Commit() error {
 				fmt.Errorf("txn %s: commit: object %q vanished", t.id, obj))
 		}
 		mo.mu.Lock()
-		if bc, isBatch := mo.store.(recovery.BatchCommitter); sharded && isBatch {
+		if bc, isBatch := mo.store.(recovery.BatchCommitter); isBatch {
 			// Records already staged above; the discharge cannot fail.
 			bc.CommitStaged(t.id)
 		} else if err := mo.store.Commit(t.id); err != nil {
@@ -1094,7 +1020,7 @@ func (t *Txn) Commit() error {
 	// this transaction is guaranteed to observe the enrollment, because
 	// its own (larger) ticket cannot be assigned before this enrollment —
 	// enroll happens-before our staging in the same total stamp order.
-	enrolled := sharded && t.wroteWAL && pol != releaseEarlyUnsafe
+	enrolled := t.wroteWAL && pol != releaseEarlyUnsafe
 	if enrolled {
 		for _, g := range groups {
 			g.sh.enrollRelease(t.id)

@@ -38,10 +38,9 @@ func (e *Engine) Observer() *obs.Observer { return e.obsv }
 // configuration labels, every lifecycle counter, the WAL's coherent
 // accounting (one wal.Log.Stats sequence point — no torn cross-field
 // reads), checkpoint progress, and — when an observer is attached — the
-// phase histograms and trace statistics. This is the one read point the
-// sweeps and exporters use instead of harvesting counters piecemeal;
-// in particular it surfaces the per-policy mean commit hold that E16
-// and E20 used to recompute externally.
+// phase histograms and trace statistics. This is the one read point
+// harnesses and exporters use instead of harvesting counters piecemeal;
+// in particular it surfaces the per-policy mean commit hold.
 func (e *Engine) ObsSnapshot() obs.Snapshot {
 	m := &e.Metrics
 	disc := e.opts.LogDiscipline
@@ -50,7 +49,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 	}
 	s := obs.Snapshot{
 		Policy:     e.opts.ReleasePolicy.String(),
-		Pipeline:   e.opts.CommitPipeline.String(),
 		Discipline: disc,
 		Shards:     len(e.shards),
 		Engine: obs.EngineCounters{
@@ -66,7 +64,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 			DependencyStalls:   m.DependencyStalls.Load(),
 			DurabilityAborts:   m.DurabilityAborts.Load(),
 			CommitHoldNS:       m.CommitHoldNS.Load(),
-			RegistryLockAcqs:   m.RegistryLockAcqs.Load(),
 		},
 		Checkpoint: obs.CheckpointStats{
 			Completed:        m.Checkpoints.Load(),
@@ -88,7 +85,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		Discipline:            ws.Discipline,
 		TruncBytesRewritten:   ws.Truncate.BytesRewritten,
 		TruncSegmentsUnlinked: ws.Truncate.SegmentsUnlinked,
-		TruncSegmentsRetained: ws.Truncate.SegmentsRetained,
 	}
 	if ws.Err != nil {
 		s.WAL.Err = ws.Err.Error()

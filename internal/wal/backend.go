@@ -346,10 +346,9 @@ func (b *FileBackend) Close() error {
 // response, undo, deps — with tabs/newlines/backslashes escaped inside
 // string fields. The undo field is "-" for nil or "e" + the escaped
 // EncodedUndo string; the deps field is "-" for none or "d" + the escaped
-// JSON array of dependency TxnIDs. Nine-field lines (written before the
-// deps field existed) still decode, with nil Deps. The format is
-// append-only and self-delimiting, so a crash mid-write leaves at most one
-// torn final line, which the scanner discards.
+// JSON array of dependency TxnIDs. The format is append-only and
+// self-delimiting, so a crash mid-write leaves at most one torn final
+// line, which the scanner discards.
 
 var fileEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n")
 var fileUnescaper = strings.NewReplacer("\\\\", "\\", "\\t", "\t", "\\n", "\n")
@@ -386,8 +385,8 @@ func encodeRecord(r Record) (string, error) {
 
 func decodeRecord(line string) (Record, error) {
 	fields := strings.Split(line, "\t")
-	if len(fields) != 9 && len(fields) != 10 {
-		return Record{}, fmt.Errorf("wal: record has %d fields, want 9 or 10", len(fields))
+	if len(fields) != 10 {
+		return Record{}, fmt.Errorf("wal: record has %d fields, want 10", len(fields))
 	}
 	lsn, err := strconv.ParseUint(fields[0], 10, 64)
 	if err != nil {
@@ -422,16 +421,14 @@ func decodeRecord(line string) (Record, error) {
 	default:
 		return Record{}, fmt.Errorf("wal: bad undo field %q", undo)
 	}
-	if len(fields) == 10 {
-		switch deps := fields[9]; {
-		case deps == "-":
-		case strings.HasPrefix(deps, "d"):
-			if err := json.Unmarshal([]byte(fileUnescaper.Replace(deps[1:])), &r.Deps); err != nil {
-				return Record{}, fmt.Errorf("wal: bad deps field %q: %w", deps, err)
-			}
-		default:
-			return Record{}, fmt.Errorf("wal: bad deps field %q", deps)
+	switch deps := fields[9]; {
+	case deps == "-":
+	case strings.HasPrefix(deps, "d"):
+		if err := json.Unmarshal([]byte(fileUnescaper.Replace(deps[1:])), &r.Deps); err != nil {
+			return Record{}, fmt.Errorf("wal: bad deps field %q: %w", deps, err)
 		}
+	default:
+		return Record{}, fmt.Errorf("wal: bad deps field %q", deps)
 	}
 	return r, nil
 }

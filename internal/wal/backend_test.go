@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +135,28 @@ func TestFileBackendRejectsMidFileCorruption(t *testing.T) {
 	}
 	if _, err := OpenFileBackend(path); err == nil {
 		t.Fatal("OpenFileBackend accepted mid-file corruption")
+	}
+}
+
+// TestFileBackendRejectsNineFieldRecord: every record line carries all ten
+// fields. A nine-field line (the deps field missing) followed by a valid
+// line is corruption, not an older format to accept.
+func TestFileBackendRejectsNineFieldRecord(t *testing.T) {
+	first, err := encodeRecord(Record{LSN: 1, Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := encodeRecord(Record{LSN: 2, Kind: CommitRec, Txn: "A", Obj: "X", PrevLSN: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nine := first[:strings.LastIndex(first, "\t")] + "\n"
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, []byte(nine+second), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileBackend(path); err == nil {
+		t.Fatal("OpenFileBackend accepted a nine-field record before a valid one")
 	}
 }
 

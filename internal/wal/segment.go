@@ -13,11 +13,8 @@ package wal
 // The payoff is truncation cost. FileBackend.TruncateBefore rewrites the
 // whole surviving suffix — O(log bytes) per checkpoint; the segmented
 // backend instead unlinks whole segments strictly below the truncation
-// point — O(dead segments), zero data bytes rewritten (asserted by
-// TruncateStats in the E18 sweep). A retention policy (keep-last-N /
-// keep-bytes) can hold back the newest dead segments from the unlink pass
-// for diagnostics or shipping; retained dead segments remain a valid log
-// prefix and simply replay again on reopen.
+// point — O(dead segments), zero data bytes rewritten (TruncateStats
+// reports both).
 //
 // Crash repair is per-segment: only the final (active) segment may carry a
 // torn tail, which reopen truncates away exactly as the single-file
@@ -55,39 +52,18 @@ const (
 // rewrite; always 0 for the segmented backend), SegmentsUnlinked counts
 // whole segment files deleted, and WallNS is the wall-clock spent inside
 // the backend call. Log.TruncateStats accumulates these across a log's
-// lifetime so the E18 sweep can compare the two backends' truncation cost
-// directly.
+// lifetime.
 type TruncateStats struct {
 	BytesRewritten   int64 `json:"bytes_rewritten"`
 	SegmentsUnlinked int   `json:"segments_unlinked"`
-	// SegmentsRetained is the number of dead segments the retention policy
-	// held back from the most recent unlink pass (a census, not a sum).
-	SegmentsRetained int   `json:"segments_retained,omitempty"`
 	WallNS           int64 `json:"wall_ns"`
 }
 
-// Add accumulates o into s (SegmentsRetained takes the latest census).
+// Add accumulates o into s.
 func (s *TruncateStats) Add(o TruncateStats) {
 	s.BytesRewritten += o.BytesRewritten
 	s.SegmentsUnlinked += o.SegmentsUnlinked
-	s.SegmentsRetained = o.SegmentsRetained
 	s.WallNS += o.WallNS
-}
-
-// Retention holds back the newest dead segments from truncation's unlink
-// pass. A dead segment is one wholly below the truncation point; retention
-// keeps the newest KeepSegments of them, plus as many newer ones as fit in
-// KeepBytes. The zero value retains nothing — every dead segment is
-// unlinked. Retained segments stay part of the replayable log prefix.
-type Retention struct {
-	KeepSegments int
-	KeepBytes    int64
-}
-
-// retains reports whether a dead segment at reverse index i (0 = newest
-// dead) with cumulative newest-first byte total cum is held back.
-func (r Retention) retains(i int, cum int64) bool {
-	return i < r.KeepSegments || (r.KeepBytes > 0 && cum <= r.KeepBytes)
 }
 
 // SegmentConfig parameterizes a segmented backend.
@@ -97,8 +73,6 @@ type SegmentConfig struct {
 	// DefaultSegmentBytes. Batches are never split, so a segment can
 	// exceed the threshold by up to one batch.
 	MaxSegmentBytes int64
-	// Retention holds back the newest dead segments from unlinking.
-	Retention Retention
 }
 
 func (c SegmentConfig) maxBytes() int64 {
@@ -296,9 +270,7 @@ func (b *SegmentedBackend) Syncs() int64 { return b.syncs.Load() }
 
 // DurableBytes returns the exact number of encoded log bytes across every
 // live segment file — the ground truth the Log.Bytes accounting is
-// asserted against. Dead segments held back by the retention policy still
-// count (they are still on disk and still replay), so the assertion holds
-// only under zero retention.
+// asserted against.
 func (b *SegmentedBackend) DurableBytes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -440,11 +412,9 @@ func (b *SegmentedBackend) AlignTruncate(lsn LSN) LSN {
 // then fsyncing the directory. No data byte is ever rewritten: the
 // boundary segment containing lsn (and everything after it) is left
 // untouched, which is why Log.TruncateBefore aligns its in-memory
-// truncation to AlignTruncate first. The retention policy holds back the
-// newest dead segments; they remain valid replayable prefix. Crash
-// atomicity is trivial: each unlink is atomic, a crash mid-pass leaves a
-// shorter prefix of segments removed, and reopen scans whatever tile of
-// segments survives.
+// truncation to AlignTruncate first. Crash atomicity is trivial: each
+// unlink is atomic, a crash mid-pass leaves a shorter prefix of segments
+// removed, and reopen scans whatever tile of segments survives.
 func (b *SegmentedBackend) TruncateBefore(lsn LSN) (TruncateStats, error) {
 	start := time.Now()
 	b.mu.Lock()
@@ -469,35 +439,18 @@ func (b *SegmentedBackend) TruncateBefore(lsn LSN) (TruncateStats, error) {
 		stats.WallNS = time.Since(start).Nanoseconds()
 		return stats, nil
 	}
-	// Retention walks the dead set newest-first; everything it does not
-	// hold back is unlinked.
-	retained := 0
-	var cum int64
-	unlinkBelow := 0 // sealed[:unlinkBelow] are removed
-	for i := dead - 1; i >= 0; i-- {
-		cum += b.sealed[i].Bytes
-		if b.cfg.Retention.retains(dead-1-i, cum) {
-			retained++
-			continue
-		}
-		unlinkBelow = i + 1
-		break
-	}
-	for i := 0; i < unlinkBelow; i++ {
+	for i := 0; i < dead; i++ {
 		if err := os.Remove(b.sealed[i].Path); err != nil {
 			stats.WallNS = time.Since(start).Nanoseconds()
 			return stats, fmt.Errorf("wal: unlink segment %s: %w", b.sealed[i].Path, err)
 		}
 		stats.SegmentsUnlinked++
 	}
-	if unlinkBelow > 0 {
-		b.sealed = append(b.sealed[:0:0], b.sealed[unlinkBelow:]...)
-		if err := syncDir(b.dir); err != nil {
-			stats.WallNS = time.Since(start).Nanoseconds()
-			return stats, fmt.Errorf("wal: truncate %s: directory sync: %w", b.dir, err)
-		}
+	b.sealed = append(b.sealed[:0:0], b.sealed[dead:]...)
+	if err := syncDir(b.dir); err != nil {
+		stats.WallNS = time.Since(start).Nanoseconds()
+		return stats, fmt.Errorf("wal: truncate %s: directory sync: %w", b.dir, err)
 	}
-	stats.SegmentsRetained = retained
 	stats.WallNS = time.Since(start).Nanoseconds()
 	return stats, nil
 }

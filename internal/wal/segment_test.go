@@ -3,9 +3,8 @@ package wal
 // Segmented-backend tests: rotation at the byte threshold with batches
 // never split across segments, reopen scanning segments in LSN order with
 // final-segment-only torn-tail repair, unlink-based truncation with zero
-// data bytes rewritten, retention holding back dead segments, and the
-// alignment contract that keeps the in-memory log and the segment files in
-// exact agreement.
+// data bytes rewritten, and the alignment contract that keeps the
+// in-memory log and the segment files in exact agreement.
 
 import (
 	"os"
@@ -185,56 +184,6 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	snap := l2.Snapshot()
 	if len(snap) == 0 || snap[0].LSN != base+1 || snap[len(snap)-1].LSN != n {
 		t.Fatalf("reopened suffix spans %v, want %d..%d", snap, base+1, n)
-	}
-}
-
-// TestSegmentedRetentionKeepsDeadSegments: KeepSegments holds back the
-// newest dead segments from the unlink pass, and they remain a valid
-// replayable prefix on reopen (base is lower, records intact).
-func TestSegmentedRetentionKeepsDeadSegments(t *testing.T) {
-	dir := t.TempDir()
-	cfg := SegmentConfig{MaxSegmentBytes: 32, Retention: Retention{KeepSegments: 1}}
-	b, err := CreateSegmentedBackend(dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := Open(Config{Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		l.Append(segRec("T1", "x", "op"))
-	}
-	noRet, err := CreateSegmentedBackend(t.TempDir(), tinySegConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	noRet.Close()
-	if _, err := l.TruncateBefore(6); err != nil {
-		t.Fatal(err)
-	}
-	stats := l.TruncateStats()
-	if stats.SegmentsRetained != 1 {
-		t.Fatalf("SegmentsRetained = %d, want 1", stats.SegmentsRetained)
-	}
-	// The retained dead segment is still on disk, below the in-memory base.
-	base := l.Base()
-	segs := b.Segments()
-	if segs[0].FirstLSN > base {
-		t.Fatalf("no retained segment below base %d: %+v", base, segs)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen replays the retained prefix too — a lower base, same tail.
-	l2, _ := openSegLog(t, dir, cfg)
-	defer l2.Close()
-	if got := l2.Base(); got >= base {
-		t.Fatalf("reopened base = %d, want below %d (retained segments replay)", got, base)
-	}
-	snap := l2.Snapshot()
-	if snap[len(snap)-1].LSN != 8 {
-		t.Fatalf("reopened tail LSN = %d, want 8", snap[len(snap)-1].LSN)
 	}
 }
 

@@ -284,7 +284,7 @@ type Log struct {
 	records []Record
 	base    LSN
 	// bytes approximates the encoded size of the retained records (the
-	// log-length accounting the checkpoint sweeps report); maintained by
+	// log-length accounting Stats reports); maintained by
 	// flushOnce and TruncateBefore.
 	bytes  int64
 	lastOf map[history.TxnID]LSN
@@ -346,8 +346,8 @@ type Log struct {
 	flushes atomic.Int64
 	flushed atomic.Int64
 	// stripeAcqs counts staging-stripe lock acquisitions by appenders
-	// (stage and AppendBatchAsync; the flusher's drain is excluded) — the
-	// machine-independent synchronization cost the pipeline sweep reports.
+	// (stage and AppendBatchAsync; the flusher's drain is excluded) — a
+	// machine-independent synchronization cost.
 	stripeAcqs atomic.Int64
 
 	// obsv is the optional observability hub the flusher reports batch
@@ -600,8 +600,7 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 // acquisitions performed by appenders since Open (the flusher's drain is
 // excluded). Batch staging exists to shrink this number: N records staged
 // through AppendBatchAsync cost one acquisition where N AppendAsync calls
-// cost N. The pipeline experiment reports the delta as its
-// machine-independent synchronization signal.
+// cost N.
 func (l *Log) StripeAcquisitions() int64 { return l.stripeAcqs.Load() }
 
 // Append stages a record, flushes, and returns the assigned LSN — the
@@ -691,8 +690,8 @@ func (l *Log) flusher() {
 		}
 		if l.batchInterval > 0 {
 			// The dwell — wake to sequencing — is a phase of every commit's
-			// barrier latency; the observer's histogram is how E15's
-			// dwell-vs-batch-size trade-off becomes visible per flush.
+			// barrier latency; the observer's histogram makes the
+			// dwell-vs-batch-size trade-off visible per flush.
 			o := l.obsv.Load()
 			var dwell0 time.Time
 			if o != nil {
@@ -1149,8 +1148,7 @@ func (l *Log) AlignTruncate(lsn LSN) LSN {
 }
 
 // TruncateStats returns the accumulated backend truncation cost across
-// every TruncateBefore since Open — the rewrite-bytes-vs-unlinked-segments
-// comparison the restart experiment reports.
+// every TruncateBefore since Open: bytes rewritten and segments unlinked.
 func (l *Log) TruncateStats() TruncateStats {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
