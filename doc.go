@@ -80,8 +80,8 @@
 // segment file, rotation seals whole segments (a flush batch never spans
 // one, so only the final segment can be torn by a crash — a torn earlier
 // segment is corruption), and truncation unlinks dead segments below the
-// frontier instead of rewriting the survivor — wal.TruncateStats proves
-// zero bytes rewritten. Restart exploits the same structure in parallel
+// frontier instead of rewriting the survivor — wal.TruncateStats counts
+// the segments unlinked. Restart exploits the same structure in parallel
 // (recovery.RestartAllWithConfig): the winner scan fans out one goroutine
 // per segment and pass 2 hashes objects over a worker pool, with the
 // recovered state, winner set, appended records, and stats bit-identical

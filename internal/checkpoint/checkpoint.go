@@ -103,7 +103,7 @@ type Snapshot struct {
 	// TruncatedBefore is the truncation point the engine actually realized
 	// after this checkpoint — Frontier clamped to the durable watermark and
 	// aligned down to the backend's truncation boundary (a segment start,
-	// for the segmented backend; see wal.TruncateAligner). Zero when
+	// for the segmented backend; see wal.Truncator). Zero when
 	// truncation was disabled or nothing was reclaimed. Diagnostics: the
 	// reopened log's base always equals the newest snapshot's aligned
 	// point, never the raw frontier.

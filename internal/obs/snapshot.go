@@ -65,14 +65,17 @@ type EngineCounters struct {
 // converts). All fields are read under the log's single sequence point,
 // so no cross-field tearing.
 type WALStats struct {
-	Flushes               int64  `json:"flushes"`
-	FlushedRecords        int64  `json:"flushed_records"`
-	StripeAcquisitions    int64  `json:"stripe_acquisitions"`
-	DurableLSN            uint64 `json:"durable_lsn"`
-	Records               int    `json:"records"`
-	Bytes                 int64  `json:"bytes"`
-	Base                  uint64 `json:"base"`
-	Discipline            string `json:"discipline,omitempty"`
+	Flushes            int64  `json:"flushes"`
+	FlushedRecords     int64  `json:"flushed_records"`
+	StripeAcquisitions int64  `json:"stripe_acquisitions"`
+	DurableLSN         uint64 `json:"durable_lsn"`
+	Records            int    `json:"records"`
+	Bytes              int64  `json:"bytes"`
+	Base               uint64 `json:"base"`
+	Discipline         string `json:"discipline,omitempty"`
+	// TruncBytesRewritten is structurally zero: the WAL truncates by
+	// unlinking whole segments and never rewrites a byte. It remains only
+	// because the benchmark's checkpoint.bytes_rewritten metric reads it.
 	TruncBytesRewritten   int64  `json:"trunc_bytes_rewritten"`
 	TruncSegmentsUnlinked int    `json:"trunc_segments_unlinked"`
 	Err                   string `json:"err,omitempty"`

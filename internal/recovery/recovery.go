@@ -157,7 +157,7 @@ func (u *UndoLog) Peek(txn history.TxnID, inv spec.Invocation) (spec.Response, e
 // in-memory chain keeps the raw before-image token (live abort needs no
 // round trip); the staged WAL record carries the token in its durable
 // EncodedUndo form when the machine provides a codec, so the same record
-// stream works against in-memory and file backends alike, and Restart
+// stream works against in-memory and durable backends alike, and Restart
 // decodes uniformly.
 func (u *UndoLog) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, error) {
 	var before any

@@ -5,10 +5,9 @@ package recovery_test
 // checkpoint_crash_test.go re-run with txn.Options.LogDiscipline set to
 // wal.DisciplineRedo. The durable log now carries logical operation
 // records with no undo payload plus dependency-carrying transaction-level
-// commit records, and restart is the winners-only forward replay of
-// recovery.RestartRedoOnly — no undo pass, nothing appended. The sweeps
-// prove, at every batch boundary (including boundaries inside live
-// checkpoints with truncation on):
+// commit records, and restart is the winners-only forward replay — no
+// undo pass, nothing appended. The sweeps prove, at every batch boundary
+// (including boundaries inside live checkpoints with truncation on):
 //
 //   - restart equals the independent committed-winners oracle over the
 //     durable RedoRecs (losers contribute nothing without ever being
@@ -23,129 +22,18 @@ package recovery_test
 //     redo-only engine or restart, and vice versa — is rejected loudly.
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
 	"repro/internal/history"
 	"repro/internal/recovery"
-	"repro/internal/sim"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
-
-// runRedoBankingWorkload is the banking crash workload of crash_test.go
-// under the redo-only discipline: same clients, same mix of commits and
-// voluntary aborts, a file-backed async WAL crashed from batch crashAt
-// onward (negative = never).
-func runRedoBankingWorkload(t *testing.T, path string, crashAt int, seed int64) (int, *txn.Engine) {
-	t.Helper()
-	backend, err := wal.CreateFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp wal.CrashPoint
-	if crashAt >= 0 {
-		cp = func(batch int, _ []wal.Record) bool { return batch >= crashAt }
-	}
-	log, err := wal.Open(wal.Config{
-		Async:         true,
-		BatchInterval: 100 * time.Microsecond,
-		Backend:       backend,
-		CrashPoint:    cp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba := adt.BankAccount{InitialBalance: crashInitialBalance, MaxBalance: 1 << 20,
-		Amounts: []int{1, 2, 3}}
-	rel := adt.DefaultBankAccount().NRBC()
-	e := txn.NewEngine(txn.Options{RecordHistory: true, Shards: 4, WAL: log,
-		LogDiscipline: wal.DisciplineRedo})
-	for i := 0; i < crashObjects; i++ {
-		e.MustRegister(crashObjID(i), ba, rel, txn.UndoLogRecovery)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < crashWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*6151))
-			for i := 0; i < crashTxnsPerWorker; i++ {
-				tx := e.Begin()
-				failed := false
-				for op := 0; op < crashOpsPerTxn; op++ {
-					obj := crashObjID(rng.Intn(crashObjects))
-					amount := 1 + rng.Intn(3)
-					var err error
-					switch rng.Intn(3) {
-					case 0:
-						_, err = tx.Invoke(obj, adt.Deposit(amount))
-					case 1:
-						_, err = tx.Invoke(obj, adt.Withdraw(amount))
-					default:
-						_, err = tx.Invoke(obj, adt.Balance())
-					}
-					if err != nil {
-						if !errors.Is(err, txn.ErrAborted) {
-							_ = tx.Abort()
-						}
-						failed = true
-						break
-					}
-					runtime.Gosched()
-				}
-				if failed {
-					continue
-				}
-				if rng.Intn(5) == 0 {
-					_ = tx.Abort()
-				} else if err := tx.Commit(); err != nil {
-					t.Errorf("commit: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	batches := int(e.WAL().Flushes())
-	if err := e.Close(); err != nil {
-		t.Fatalf("engine close: %v", err)
-	}
-	return max(batches, int(e.WAL().Flushes())), e
-}
-
-// expectedRedoBalance is the independent committed-winners oracle for a
-// redo-only log: the balance implied by the durable RedoRecs of
-// transactions whose TxnCommitRec survived. Structurally the twin of
-// expectedBalance, reading the redo-discipline record kind.
-func expectedRedoBalance(recs []wal.Record, obj history.ObjectID, initial int) int {
-	winners := durableWinners(recs)
-	bal := initial
-	for _, r := range recs {
-		if r.Obj != obj || r.Kind != wal.RedoRec || !winners[r.Txn] {
-			continue
-		}
-		amount, _ := strconv.Atoi(r.Op.Inv.Args)
-		switch {
-		case r.Op.Inv.Name == "deposit":
-			bal += amount
-		case r.Op.Inv.Name == "withdraw" && r.Op.Res == "ok":
-			bal -= amount
-		}
-	}
-	return bal
-}
 
 // countRedoInFlight returns the number of transactions with durable
 // RedoRecs but no durable TxnCommitRec — the losers whose operations the
@@ -166,47 +54,14 @@ func countRedoInFlight(recs []wal.Record) int {
 // assertRedoLogClean fails if the durable log contains any undo-discipline
 // record kind — a redo-only engine must never stage per-object commit,
 // compensation, or abort records, live or during abort processing.
-func assertRedoLogClean(t *testing.T, recs []wal.Record, point int) {
+func assertRedoLogClean(t *testing.T, recs []wal.Record) {
 	t.Helper()
 	for _, r := range recs {
 		switch r.Kind {
 		case wal.Update, wal.CommitRec, wal.CompensationRec, wal.AbortRec:
-			t.Fatalf("crash point %d: undo-discipline %s record at LSN %d in a redo-only log",
-				point, r.Kind, r.LSN)
+			t.Fatalf("undo-discipline %s record at LSN %d in a redo-only log", r.Kind, r.LSN)
 		}
 	}
-}
-
-// restartRedoAllOf re-opens the durable log at path and restarts each
-// listed object through the exported redo-only entry point.
-func restartRedoAllOf(t *testing.T, path string, point int,
-	objs []history.ObjectID) (map[history.ObjectID]string, []wal.Record, recovery.RestartStats) {
-	t.Helper()
-	backend, err := wal.OpenFileBackend(path)
-	if err != nil {
-		t.Fatalf("crash point %d: reopen: %v", point, err)
-	}
-	log, err := wal.Open(wal.Config{Backend: backend})
-	if err != nil {
-		t.Fatalf("crash point %d: replay: %v", point, err)
-	}
-	stores, stats, err := recovery.RestartRedoOnly(objs,
-		func(history.ObjectID) adt.Machine { return crashMachine() }, log, nil, recovery.RestartConfig{})
-	if err != nil {
-		t.Fatalf("crash point %d: redo-only restart: %v", point, err)
-	}
-	vals := map[history.ObjectID]string{}
-	for obj, st := range stores {
-		if !st.RedoOnly() {
-			t.Fatalf("crash point %d: restarted store %s is not redo-only", point, obj)
-		}
-		vals[obj] = st.CommittedValue().Encode()
-	}
-	recs := log.Snapshot()
-	if err := log.Close(); err != nil {
-		t.Fatalf("crash point %d: close restarted log: %v", point, err)
-	}
-	return vals, recs, stats
 }
 
 // TestRedoCrashInjectionSweep: the banking crash sweep under the redo-only
@@ -217,37 +72,20 @@ func restartRedoAllOf(t *testing.T, path string, point int,
 // byte-identical log.
 func TestRedoCrashInjectionSweep(t *testing.T) {
 	dir := t.TempDir()
-
-	calPath := filepath.Join(dir, "cal.wal")
-	batches, e := runRedoBankingWorkload(t, calPath, -1, 1)
-	if batches < 5 {
-		t.Fatalf("workload produced only %d batches; sweep needs more boundaries", batches)
-	}
+	base := crashRun{walDir: filepath.Join(dir, "cal"), crashAt: -1, seed: 1, discipline: wal.DisciplineRedo}
+	cal := runBankingCrash(t, base)
+	calibrate(t, base, cal, 5)
 	// The live history is discipline-independent: same well-formedness,
 	// same abstract-model acceptance, same dynamic atomicity.
-	verifyLiveHistory(t, e)
-	vals, _, _ := restartRedoAllOf(t, calPath, -1, crashObjectIDs())
-	for i := 0; i < crashObjects; i++ {
-		obj := crashObjID(i)
-		store, _ := e.Object(obj)
-		if got, want := vals[obj], store.CommittedValue().Encode(); got != want {
-			t.Fatalf("no-crash restart of %s: state %s, live state %s", obj, got, want)
-		}
-	}
+	checkCalibration(t, base, cal.e)
 
 	losersSeen := 0
 	depsSeen := 0
-	sweep(t, batches, 28, 28, func(t *testing.T, k int) {
-		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-		_, e := runRedoBankingWorkload(t, path, k, int64(100+k))
-		if err := history.WellFormed(e.History()); err != nil {
-			t.Fatalf("live history malformed: %v", err)
-		}
-		durable, err := wal.ReadFileLog(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRedoLogClean(t, durable, k)
+	sweep(t, cal.batches, 28, 28, func(t *testing.T, k int) {
+		run := base.point(dir, k, int64(100+k))
+		runBankingCrash(t, run)
+		durable := readDurable(t, run.walDir)
+		assertRedoLogClean(t, durable)
 		if countRedoInFlight(durable) > 0 {
 			losersSeen++
 		}
@@ -257,32 +95,16 @@ func TestRedoCrashInjectionSweep(t *testing.T) {
 				break
 			}
 		}
-		vals, recs, stats := restartRedoAllOf(t, path, k, crashObjectIDs())
-		for i := 0; i < crashObjects; i++ {
-			obj := crashObjID(i)
-			want := strconv.Itoa(expectedRedoBalance(durable, obj, crashInitialBalance))
-			if vals[obj] != want {
-				t.Errorf("object %s: restarted state %s, oracle %s (durable prefix %d records)",
-					obj, vals[obj], want, len(durable))
-			}
-		}
+		r, again := restartStable(t, run.walDir, "", crashObjectIDs())
+		checkOracle(t, durable, r, crashObjectIDs())
 		// No undo pass, no tail: the restart leaves the durable log
 		// exactly as the crash left it.
-		if stats.Undone != 0 {
-			t.Errorf("crash point %d: redo-only restart undid %d records without a checkpoint", k, stats.Undone)
+		if r.stats.Undone != 0 {
+			t.Errorf("redo-only restart undid %d records without a checkpoint", r.stats.Undone)
 		}
-		if len(recs) != len(durable) {
-			t.Errorf("crash point %d: restart grew the log from %d to %d records — redo-only restart must append nothing",
-				k, len(durable), len(recs))
-		}
-		again, recsAgain, _ := restartRedoAllOf(t, path, k, crashObjectIDs())
-		for obj, v := range vals {
-			if again[obj] != v {
-				t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
-			}
-		}
-		if len(recsAgain) != len(durable) {
-			t.Errorf("crash point %d: second restart grew the log", k)
+		if len(r.recs) != len(durable) || len(again.recs) != len(durable) {
+			t.Errorf("restarts grew the log from %d to %d then %d records — redo-only restart must append nothing",
+				len(durable), len(r.recs), len(again.recs))
 		}
 	})
 	if losersSeen == 0 {
@@ -294,145 +116,44 @@ func TestRedoCrashInjectionSweep(t *testing.T) {
 	t.Logf("sweep saw %d loser boundaries, %d points with durable dependency sets", losersSeen, depsSeen)
 }
 
-func crashObjectIDs() []history.ObjectID {
-	objs := make([]history.ObjectID, crashObjects)
-	for i := range objs {
-		objs[i] = crashObjID(i)
-	}
-	return objs
-}
-
 // TestRedoCheckpointTransferCrashSweepTruncated: the fan-out transfer
 // crash sweep with live fuzzy checkpointing and log truncation enabled,
 // under the redo-only discipline — restart sees only the snapshot plus the
-// retained suffix, and the suffix's discipline marker (re-staged by every
-// checkpoint just past the frontier) must survive truncation so the
+// retained segments, and the suffix's discipline marker (re-staged by
+// every checkpoint just past the frontier) must survive truncation so the
 // reopened log still declares its discipline. Conservation is the oracle;
-// restart goes through RestartAllWithCheckpoint, proving the
-// discipline-dispatch wiring, and must append nothing at every boundary.
+// restart dispatches on the reopened log's discipline and must append
+// nothing at every boundary.
 func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 	dir := t.TempDir()
 	cfg := transferCrashConfig(1)
-	cfg.Discipline = wal.DisciplineRedo
 	objs := transferObjects(cfg)
 	total := cfg.Accounts * cfg.InitialBalance
-
-	runOne := func(t *testing.T, walPath, ckptDir string, crashAt int, seed int64) int {
-		t.Helper()
-		backend, err := wal.CreateFileBackend(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var crashed atomic.Bool
-		var cp wal.CrashPoint
-		if crashAt >= 0 {
-			cp = func(batch int, _ []wal.Record) bool {
-				if batch >= crashAt {
-					crashed.Store(true)
-				}
-				return crashed.Load()
-			}
-		}
-		log, err := wal.Open(wal.Config{Async: true, Backend: backend, CrashPoint: cp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := checkpoint.OpenFileStore(ckptDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store.SetCrashHook(func(*checkpoint.Snapshot) bool { return crashed.Load() })
-		ba := cfg.BankAccount()
-		e := txn.NewEngine(txn.Options{
-			RecordHistory: cfg.Record,
-			Shards:        cfg.Shards,
-			WAL:           log,
-			LogDiscipline: wal.DisciplineRedo,
-			Checkpoint:    &txn.CheckpointOptions{Store: store},
-		})
-		for i := 0; i < cfg.Accounts; i++ {
-			e.MustRegister(sim.TransferAccountID(i), ba, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
-		}
-		c := cfg
-		c.Seed = seed
-		done := make(chan struct{})
-		var ckptWG sync.WaitGroup
-		ckptWG.Add(1)
-		go func() {
-			defer ckptWG.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if _, err := e.Checkpoint(); err != nil && !errors.Is(err, wal.ErrClosed) {
-					t.Errorf("live checkpoint: %v", err)
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
-		sim.RunTransfers(e, c)
-		close(done)
-		ckptWG.Wait()
-		batches := int(e.WAL().Flushes())
-		if err := e.Close(); err != nil {
-			t.Fatalf("engine close: %v", err)
-		}
-		return max(batches, int(e.WAL().Flushes()))
-	}
-
-	calWal := filepath.Join(dir, "cal.wal")
-	batches := runOne(t, calWal, filepath.Join(dir, "cal.ckpt"), -1, 1)
-	if batches < 5 {
-		t.Fatalf("workload produced only %d batches; sweep needs more boundaries", batches)
-	}
+	base := crashRun{walDir: filepath.Join(dir, "cal"), ckptDir: filepath.Join(dir, "cal.ckpt"), truncate: true,
+		segBytes: segCrashBytes, crashAt: -1, seed: 1, discipline: wal.DisciplineRedo}
+	cal := runTransferCrash(t, base)
+	calibrate(t, base, cal, 5)
 
 	seeded, truncatedPoints := 0, 0
-	sweep(t, batches, 28, 16, func(t *testing.T, k int) {
-		walPath := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-		ckptDir := filepath.Join(dir, fmt.Sprintf("crash%02d.ckpt", k))
-		runOne(t, walPath, ckptDir, k, int64(1000+k))
-		durable, err := wal.ReadFileLog(walPath)
-		if err != nil {
-			t.Fatal(err)
+	sweep(t, cal.batches, 28, 16, func(t *testing.T, k int) {
+		run := base.point(dir, k, int64(1000+k))
+		runTransferCrash(t, run)
+		durable := readDurable(t, run.walDir)
+		assertRedoLogClean(t, durable)
+		r, _ := restartStable(t, run.walDir, run.ckptDir, objs)
+		checkConserved(t, r, objs, total)
+		if len(r.recs) != len(durable) {
+			t.Errorf("restart grew the log from %d to %d records", len(durable), len(r.recs))
 		}
-		assertRedoLogClean(t, durable, k)
-		vals, recs, snap, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-		sum := 0
-		for _, obj := range objs {
-			bal, err := strconv.Atoi(vals[obj])
-			if err != nil {
-				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-			}
-			sum += bal
+		if r.snap == nil {
+			return
 		}
-		if sum != total {
-			t.Errorf("crash point %d: recovered total %d, want %d — redo-only restart observed half a transfer (snapshot %v, %d retained records)",
-				k, sum, total, snap != nil, len(durable))
+		seeded++
+		if r.snap.Discipline != wal.DisciplineRedo {
+			t.Errorf("snapshot discipline %q, want %q", r.snap.Discipline, wal.DisciplineRedo)
 		}
-		if len(recs) != len(durable) {
-			t.Errorf("crash point %d: restart grew the log from %d to %d records", k, len(durable), len(recs))
-		}
-		if snap != nil {
-			seeded++
-			if snap.Discipline != wal.DisciplineRedo {
-				t.Errorf("crash point %d: snapshot discipline %q, want %q", k, snap.Discipline, wal.DisciplineRedo)
-			}
-			if len(durable) > 0 && durable[0].LSN > 1 {
-				truncatedPoints++
-				if durable[0].LSN > snap.Frontier {
-					t.Errorf("retained log starts at %d, past the snapshot frontier %d",
-						durable[0].LSN, snap.Frontier)
-				}
-			}
-		}
-		again, _, _, _ := restartAllCkptOf(t, walPath, ckptDir, k, objs)
-		for obj, v := range vals {
-			if again[obj] != v {
-				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-			}
+		if truncatedBy(t, durable, r.snap) {
+			truncatedPoints++
 		}
 	})
 	if seeded == 0 {
@@ -449,15 +170,8 @@ func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 // dependency-carrying TxnCommitRec is not. The winners-only replay must
 // skip both legs — no undo needed, because nothing was redone.
 func TestRedoCommitSplitDeterministic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "split.wal")
-	backend, err := wal.CreateFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(wal.Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
+	walDir := filepath.Join(t.TempDir(), "split")
+	log := createLog(t, walDir, 0, nil)
 	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 	src := recovery.NewRedoOnlyLog("xfer00", crashMachine(), log)
 	dst := recovery.NewRedoOnlyLog("xfer01", crashMachine(), log)
@@ -480,19 +194,19 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	vals, recs, stats := restartRedoAllOf(t, path, 0, objs)
+	r := restartDurable(t, walDir, "", objs, 0)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
-		if vals[obj] != want {
+		if r.vals[obj] != want {
 			t.Errorf("account %s: restarted state %s, want %s (the loser's legs must never be redone)",
-				obj, vals[obj], want)
+				obj, r.vals[obj], want)
 		}
 	}
-	if stats.Replayed != 0 || stats.Undone != 0 {
-		t.Errorf("restart replayed %d and undid %d records; a pure loser log needs neither", stats.Replayed, stats.Undone)
+	if r.stats.Replayed != 0 || r.stats.Undone != 0 {
+		t.Errorf("restart replayed %d and undid %d records; a pure loser log needs neither", r.stats.Replayed, r.stats.Undone)
 	}
-	if len(recs) != 3 {
-		t.Errorf("restart changed the log: %d records, want 3 (marker + two redo records)", len(recs))
+	if len(r.recs) != 3 {
+		t.Errorf("restart changed the log: %d records, want 3 (marker + two redo records)", len(r.recs))
 	}
 }
 
@@ -523,17 +237,12 @@ func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 // TestMixedDisciplineRejected: every seam that could silently recover one
 // discipline's artifacts under the other must refuse instead.
 func TestMixedDisciplineRejected(t *testing.T) {
-	mkUndoLog := func(t *testing.T, path string) {
+	// mkLog leaves a one-transaction log of the given discipline on disk
+	// and returns it re-opened.
+	mkLog := func(t *testing.T, discipline string) *wal.Log {
 		t.Helper()
-		backend, err := wal.CreateFileBackend(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, err := wal.Open(wal.Config{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := txn.NewEngine(txn.Options{WAL: log})
+		dir := t.TempDir()
+		e := txn.NewEngine(txn.Options{WAL: createLog(t, dir, 0, nil), LogDiscipline: discipline})
 		e.MustRegister("X", adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
 		tx := e.Begin()
 		if _, err := tx.Invoke("X", adt.Deposit(5)); err != nil {
@@ -545,47 +254,11 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	mkRedoLog := func(t *testing.T, path string) {
-		t.Helper()
-		backend, err := wal.CreateFileBackend(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, err := wal.Open(wal.Config{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := txn.NewEngine(txn.Options{WAL: log, LogDiscipline: wal.DisciplineRedo})
-		e.MustRegister("X", adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
-		tx := e.Begin()
-		if _, err := tx.Invoke("X", adt.Deposit(5)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reopen := func(t *testing.T, path string) *wal.Log {
-		t.Helper()
-		backend, err := wal.OpenFileBackend(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, err := wal.Open(wal.Config{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return log
+		return reopenLog(t, dir)
 	}
 
 	t.Run("redo-engine-over-undo-log", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "undo.wal")
-		mkUndoLog(t, path)
-		log := reopen(t, path)
+		log := mkLog(t, "")
 		defer log.Close()
 		e := txn.NewEngine(txn.Options{WAL: log, LogDiscipline: wal.DisciplineRedo})
 		if err := e.Register("X", adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery); err == nil {
@@ -593,9 +266,7 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		}
 	})
 	t.Run("undo-engine-over-redo-log", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "redo.wal")
-		mkRedoLog(t, path)
-		log := reopen(t, path)
+		log := mkLog(t, wal.DisciplineRedo)
 		defer log.Close()
 		e := txn.NewEngine(txn.Options{WAL: log})
 		if err := e.Register("X", adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery); err == nil {
@@ -603,9 +274,7 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		}
 	})
 	t.Run("redo-restart-of-undo-log", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "undo.wal")
-		mkUndoLog(t, path)
-		log := reopen(t, path)
+		log := mkLog(t, "")
 		defer log.Close()
 		if _, _, err := recovery.RestartRedoOnly([]history.ObjectID{"X"},
 			func(history.ObjectID) adt.Machine { return crashMachine() }, log, nil,
@@ -614,9 +283,7 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		}
 	})
 	t.Run("undo-restart-of-redo-log", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "redo.wal")
-		mkRedoLog(t, path)
-		log := reopen(t, path)
+		log := mkLog(t, wal.DisciplineRedo)
 		defer log.Close()
 		if _, err := recovery.Restart("X", crashMachine(), log); err == nil {
 			t.Fatal("single-object undo restart accepted a redo-only log")

@@ -9,7 +9,6 @@ package recovery_test
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -28,43 +27,25 @@ import (
 // observable.
 func TestReleaseAfterAckCrashSweep(t *testing.T) {
 	dir := t.TempDir()
-	calPath := filepath.Join(dir, "cal.wal")
-	batches, e := runCrashWorkloadPolicy(t, calPath, -1, 11, txn.ReleaseAfterAck)
-	if batches < 3 {
-		t.Fatalf("workload produced only %d batches; sweep needs more boundaries", batches)
-	}
-	verifyLiveHistory(t, e)
-	sweep(t, batches, 18, 12, func(t *testing.T, k int) {
-		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-		runCrashWorkloadPolicy(t, path, k, int64(300+k), txn.ReleaseAfterAck)
-		durable, err := wal.ReadFileLog(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals, recs := restartAll(t, path, k)
-		for i := 0; i < crashObjects; i++ {
-			obj := crashObjID(i)
-			want := strconv.Itoa(expectedBalance(durable, obj, crashInitialBalance))
-			if vals[obj] != want {
-				t.Errorf("object %s: restarted state %s, oracle %s", obj, vals[obj], want)
-			}
-			assertLosersTerminated(t, recs, obj, k)
-		}
-		again, _ := restartAll(t, path, k)
-		for obj, v := range vals {
-			if again[obj] != v {
-				t.Errorf("object %s: second restart diverged: %s vs %s", obj, again[obj], v)
-			}
-		}
+	base := crashRun{walDir: filepath.Join(dir, "cal"), crashAt: -1, seed: 11, policy: txn.ReleaseAfterAck}
+	cal := runBankingCrash(t, base)
+	calibrate(t, base, cal, 3)
+	checkCalibration(t, base, cal.e)
+	sweep(t, cal.batches, 18, 12, func(t *testing.T, k int) {
+		run := base.point(dir, k, int64(300+k))
+		runBankingCrash(t, run)
+		durable := readDurable(t, run.walDir)
+		r, _ := restartStable(t, run.walDir, "", crashObjectIDs())
+		checkOracle(t, durable, r, crashObjectIDs())
 	})
 }
 
-// failAfterBackend delegates to an inner file backend for the first
+// failAfterBackend delegates to an inner segmented backend for the first
 // okSyncs batches, then fails every later sync without writing — a log
 // device that dies mid-run. The durable prefix is exactly the batches
 // acknowledged before the death.
 type failAfterBackend struct {
-	inner   *wal.FileBackend
+	inner   *wal.SegmentedBackend
 	okSyncs int
 	calls   int
 	err     error
@@ -80,8 +61,8 @@ func (b *failAfterBackend) Sync(recs []wal.Record) error {
 func (b *failAfterBackend) Close() error { return b.inner.Close() }
 
 // TestNoAckedCommitOnUnsyncedLoser is the acceptance experiment for the
-// release policies, against a real file backend that dies after its first
-// batch:
+// release policies, against a real segmented backend that dies after its
+// first batch:
 //
 //   - T1 commits while the device lives → clean ack.
 //   - T2 commits into the dead device → ErrDurability, never a clean ack.
@@ -89,15 +70,15 @@ func (b *failAfterBackend) Close() error { return b.inner.Close() }
 //     abort path (ErrDurability+ErrAborted): no acknowledged commit ever
 //     reads from an unsynced loser.
 //
-// The log file is then re-opened and restarted: the recovered state must
+// The log is then re-opened and restarted: the recovered state must
 // contain exactly the cleanly acknowledged transactions — what the
 // application was told survives agrees with what restart reconstructs —
 // under both ReleaseEarlyTracked and ReleaseAfterAck.
 func TestNoAckedCommitOnUnsyncedLoser(t *testing.T) {
 	for _, pol := range []txn.ReleasePolicy{txn.ReleaseEarlyTracked, txn.ReleaseAfterAck} {
 		t.Run(pol.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "dying.wal")
-			inner, err := wal.CreateFileBackend(path)
+			walDir := filepath.Join(t.TempDir(), "dying")
+			inner, err := wal.CreateSegmentedBackend(walDir, wal.SegmentConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,12 +133,12 @@ func TestNoAckedCommitOnUnsyncedLoser(t *testing.T) {
 
 			// Restart from the durable file: exactly the acknowledged
 			// transaction survives.
-			vals, recs := restartAllOf(t, path, 0, []history.ObjectID{"X"})
+			r := restartDurable(t, walDir, "", []history.ObjectID{"X"}, 0)
 			want := strconv.Itoa(crashInitialBalance + 5)
-			if vals["X"] != want {
-				t.Errorf("restarted state %s, want %s (exactly the cleanly acked T1)", vals["X"], want)
+			if r.vals["X"] != want {
+				t.Errorf("restarted state %s, want %s (exactly the cleanly acked T1)", r.vals["X"], want)
 			}
-			winners := durableWinners(recs)
+			winners := durableWinners(r.recs)
 			if !winners[t1.ID()] {
 				t.Errorf("cleanly acked %s is not a durable winner", t1.ID())
 			}
@@ -166,7 +147,7 @@ func TestNoAckedCommitOnUnsyncedLoser(t *testing.T) {
 					t.Errorf("%s was never cleanly acked but restarted as a winner", tx.ID())
 				}
 			}
-			assertLosersTerminated(t, recs, "X", 0)
+			assertLosersTerminated(t, r.recs, "X")
 		})
 	}
 }

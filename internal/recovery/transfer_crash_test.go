@@ -1,17 +1,19 @@
 package recovery_test
 
-// Transfer crash sweep: the multi-object transfer workload (withdraw at
-// one account, deposit at another, one transaction) runs on a file-backed
-// asynchronous WAL crashed at every batch boundary. Transaction atomicity
-// is observable as money conservation, so this sweep is the direct test of
-// transaction-atomic restart: at every crash boundary — between the two
-// legs' updates, between per-object commit records, or between them and
-// the transaction-level commit record — the recovered accounts must sum to
-// exactly the initial total. Half a transfer surviving restart is the bug
-// the presumed-abort protocol exists to make impossible.
+// Transfer crash sweeps: the multi-object transfer workload (withdraw at
+// one account, deposit at the others, one transaction) crashed at every
+// batch boundary, once on one unbounded segment and once on tiny rotating
+// segments, so crash points also land at and around rotation boundaries —
+// a batch acknowledged against a just-created segment file whose dirent
+// must be durable. Transaction atomicity is observable as money
+// conservation, so these sweeps are the direct test of transaction-atomic
+// restart: at every crash boundary — between the legs' updates, between
+// per-object commit records, or between them and the transaction-level
+// commit record — the recovered accounts must sum to exactly the initial
+// total. Half a transfer surviving restart is the bug the presumed-abort
+// protocol exists to make impossible.
 
 import (
-	"fmt"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/history"
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -49,41 +52,23 @@ func transferObjects(cfg sim.TransferConfig) []history.ObjectID {
 	return objs
 }
 
-// runTransferCrashWorkload drives the transfer workload against a
-// file-backed async WAL that stops persisting at batch crashAt
-// (crashAt < 0 = never crash), returning the number of batch boundaries.
-func runTransferCrashWorkload(t *testing.T, path string, crashAt int, seed int64) int {
+// runTransferCrash drives the transfer workload under the harness.
+func runTransferCrash(t *testing.T, run crashRun) crashResult {
 	t.Helper()
-	cfg := transferCrashConfig(seed)
-	backend, err := wal.CreateFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp wal.CrashPoint
-	if crashAt >= 0 {
-		cp = func(batch int, _ []wal.Record) bool { return batch >= crashAt }
-	}
+	cfg := transferCrashConfig(run.seed)
 	// Zero dwell: the flusher sequences eagerly, so batches are small and
-	// boundaries fall inside transfers (between the two legs' updates and
+	// boundaries fall inside transfers (between the legs' updates and
 	// between commit processing and the transaction-level commit record),
-	// which is exactly what this sweep needs to crash into.
-	log, err := wal.Open(wal.Config{
-		Async:      true,
-		Backend:    backend,
-		CrashPoint: cp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := sim.NewTransferEngine(cfg, log)
+	// which is exactly what these sweeps need to crash into.
+	e, finish := startCrashEngine(t, run, 0,
+		txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, func(e *txn.Engine) {
+			ba := cfg.BankAccount()
+			for i := 0; i < cfg.Accounts; i++ {
+				e.MustRegister(sim.TransferAccountID(i), ba, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
+			}
+		})
 	sim.RunTransfers(e, cfg)
-	if err := e.Close(); err != nil {
-		t.Fatalf("engine close: %v", err)
-	}
-	if err := history.WellFormed(e.History()); err != nil {
-		t.Fatalf("live history malformed: %v", err)
-	}
-	return int(e.WAL().Flushes())
+	return finish()
 }
 
 // countMidCompensation returns the number of (transaction, object) pairs
@@ -113,68 +98,45 @@ func countMidCompensation(recs []wal.Record) int {
 	return n
 }
 
-// TestTransferCrashSweep crashes the flusher at every staged/flushed
-// boundary of the transfer workload and proves, per injection point, that
-// restart on the re-opened file (1) recovers every account to the
-// transaction-granularity oracle balance, (2) conserves the total — no
-// boundary ever recovers half a transfer, (3) terminates every loser, and
-// (4) is a fixed point under a second restart. The winner set is decided
-// by durable TxnCommitRecs alone (presumed abort): a transaction with
-// per-object CommitRecs but no transaction-level record contributes
-// nothing anywhere.
-func TestTransferCrashSweep(t *testing.T) {
+// The transfer crash sweep, once on one unbounded segment and once on
+// 512-byte segments that rotate every few batches.
+func TestTransferCrashSweep(t *testing.T) { transferCrashSweep(t, 0, 28, 24) }
+
+func TestTransferCrashSweepSegmented(t *testing.T) { transferCrashSweep(t, segCrashBytes, 24, 16) }
+
+// transferCrashSweep crashes the flusher at every staged/flushed boundary
+// of the transfer workload on segments of segBytes and proves, per
+// injection point, that restart of the re-opened segments (1) recovers
+// every account to the transaction-granularity oracle balance, (2)
+// conserves the total — no boundary ever recovers half a transfer, (3)
+// terminates every loser, and (4) is a fixed point under a second restart.
+// The winner set is decided by durable TxnCommitRecs alone (presumed
+// abort): a transaction with per-object CommitRecs but no
+// transaction-level record contributes nothing anywhere.
+func transferCrashSweep(t *testing.T, segBytes int64, span, maxPoints int) {
 	dir := t.TempDir()
 	cfg := transferCrashConfig(1)
 	objs := transferObjects(cfg)
 	total := cfg.Accounts * cfg.InitialBalance
-
-	calPath := filepath.Join(dir, "cal.wal")
-	batches := runTransferCrashWorkload(t, calPath, -1, 1)
-	if batches < 5 {
-		t.Fatalf("workload produced only %d batches; sweep needs more boundaries", batches)
-	}
+	base := crashRun{walDir: filepath.Join(dir, "cal"), segBytes: segBytes, crashAt: -1, seed: 1}
+	cal := runTransferCrash(t, base)
+	calibrate(t, base, cal, 5)
 
 	losersSeen := 0
 	commitSplits := 0
 	midComps := 0
-	sweep(t, batches, 28, 24, func(t *testing.T, k int) {
-		path := filepath.Join(dir, fmt.Sprintf("crash%02d.wal", k))
-		runTransferCrashWorkload(t, path, k, int64(1000+k))
-		durable, err := wal.ReadFileLog(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sweep(t, cal.batches, span, maxPoints, func(t *testing.T, k int) {
+		run := base.point(dir, k, int64(1000+k))
+		runTransferCrash(t, run)
+		durable := readDurable(t, run.walDir)
 		if countInFlight(durable) > 0 {
 			losersSeen++
 		}
 		commitSplits += countCommitSplit(durable)
 		midComps += countMidCompensation(durable)
-
-		vals, recs := restartAllOf(t, path, k, objs)
-		sum := 0
-		for _, obj := range objs {
-			want := strconv.Itoa(expectedBalance(durable, obj, cfg.InitialBalance))
-			if vals[obj] != want {
-				t.Errorf("account %s: restarted state %s, oracle %s (durable prefix %d records)",
-					obj, vals[obj], want, len(durable))
-			}
-			bal, err := strconv.Atoi(vals[obj])
-			if err != nil {
-				t.Fatalf("account %s: unparsable state %q", obj, vals[obj])
-			}
-			sum += bal
-			assertLosersTerminated(t, recs, obj, k)
-		}
-		if sum != total {
-			t.Errorf("crash point %d: recovered total %d, want %d — restart observed half a transfer",
-				k, sum, total)
-		}
-		again, _ := restartAllOf(t, path, k, objs)
-		for obj, v := range vals {
-			if again[obj] != v {
-				t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-			}
-		}
+		r, _ := restartStable(t, run.walDir, "", objs)
+		checkOracle(t, durable, r, objs)
+		checkConserved(t, r, objs, total)
 	})
 	if losersSeen == 0 {
 		t.Error("no injection point produced an in-flight loser; the sweep is not crashing inside transfers")
@@ -189,15 +151,8 @@ func TestTransferCrashSweep(t *testing.T) {
 // records of a transfer but before its transaction-level commit record.
 // Restart must treat the transfer as a loser at both accounts.
 func TestTransferCommitSplitDeterministic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "split.wal")
-	backend, err := wal.CreateFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(wal.Config{Backend: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
+	walDir := filepath.Join(t.TempDir(), "split")
+	log := createLog(t, walDir, 0, nil)
 	src := recovery.NewUndoLog("xfer00", crashMachine(), log)
 	dst := recovery.NewUndoLog("xfer01", crashMachine(), log)
 	if _, err := src.Apply("T", adt.Withdraw(2)); err != nil {
@@ -220,19 +175,13 @@ func TestTransferCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	vals, recs := restartAllOf(t, path, 0, objs)
+	r, _ := restartStable(t, walDir, "", objs)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
-		if vals[obj] != want {
+		if r.vals[obj] != want {
 			t.Errorf("account %s: restarted state %s, want %s (presumed abort must undo the transfer)",
-				obj, vals[obj], want)
+				obj, r.vals[obj], want)
 		}
-		assertLosersTerminated(t, recs, obj, 0)
-	}
-	again, _ := restartAllOf(t, path, 0, objs)
-	for obj, v := range vals {
-		if again[obj] != v {
-			t.Errorf("account %s: second restart diverged: %s vs %s", obj, again[obj], v)
-		}
+		assertLosersTerminated(t, r.recs, obj)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // failure — with its locks released and the transaction terminated — not
 // an unspecified race outcome.
 func TestEngineCloseIsIdempotentAndTyped(t *testing.T) {
-	log, err := wal.Open(wal.Config{Async: true, Backend: wal.NewLatencyBackend(0, nil)})
+	log, err := wal.Open(wal.Config{Async: true, Backend: wal.NewLatencyBackend(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestEngineCloseRacesInFlightTxns(t *testing.T) {
 				log, err := wal.Open(wal.Config{
 					Async:         true,
 					BatchInterval: 50 * time.Microsecond,
-					Backend:       wal.NewLatencyBackend(20*time.Microsecond, nil),
+					Backend:       wal.NewLatencyBackend(20 * time.Microsecond),
 				})
 				if err != nil {
 					t.Fatal(err)

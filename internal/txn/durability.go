@@ -11,7 +11,6 @@ package txn
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/wal"
@@ -25,13 +24,6 @@ type DurabilityOptions struct {
 	// SegmentBytes is the segmented backend's rotation threshold (0 =
 	// wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// BatchInterval and MaxBatch are the asynchronous flusher's dwell and
-	// batch-size cap (see wal.Config).
-	BatchInterval time.Duration
-	MaxBatch      int
-	// CheckpointEvery, when positive, runs the engine's background
-	// checkpointer on that interval.
-	CheckpointEvery time.Duration
 }
 
 // WALDir returns the write-ahead-log directory under d.Dir.
@@ -55,12 +47,7 @@ func NewDurableEngine(opts Options, d DurabilityOptions) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("txn: durable engine: %w", err)
 	}
-	log, err := wal.Open(wal.Config{
-		Async:         true,
-		Backend:       backend,
-		BatchInterval: d.BatchInterval,
-		MaxBatch:      d.MaxBatch,
-	})
+	log, err := wal.Open(wal.Config{Async: true, Backend: backend})
 	if err != nil {
 		backend.Close()
 		return nil, fmt.Errorf("txn: durable engine: %w", err)
@@ -73,6 +60,6 @@ func NewDurableEngine(opts Options, d DurabilityOptions) (*Engine, error) {
 		return nil, fmt.Errorf("txn: durable engine: %w", err)
 	}
 	opts.WAL = log
-	opts.Checkpoint = &CheckpointOptions{Store: store, Every: d.CheckpointEvery}
+	opts.Checkpoint = &CheckpointOptions{Store: store}
 	return NewEngine(opts), nil
 }

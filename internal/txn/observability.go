@@ -83,7 +83,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		Bytes:                 ws.Bytes,
 		Base:                  uint64(ws.Base),
 		Discipline:            ws.Discipline,
-		TruncBytesRewritten:   ws.Truncate.BytesRewritten,
 		TruncSegmentsUnlinked: ws.Truncate.SegmentsUnlinked,
 	}
 	if ws.Err != nil {

@@ -107,7 +107,7 @@ func TestObsSamplingLeavesStateIdentical(t *testing.T) {
 // a JSON round trip.
 func TestObsSnapshotDurableRestart(t *testing.T) {
 	o := obs.New(obs.Options{Epoch: time.Now(), SampleRate: 1, TraceSeed: 1})
-	d := DurabilityOptions{Dir: t.TempDir(), BatchInterval: 50 * time.Microsecond}
+	d := DurabilityOptions{Dir: t.TempDir()}
 	e, err := NewDurableEngine(Options{Shards: 4, Obs: o}, d)
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,22 @@ import (
 	"repro/internal/history"
 )
 
-// TestFileBackendRoundTrip: records synced to a file backend come back
+// readSegments returns the records a re-opened segment directory replays.
+func readSegments(t *testing.T, dir string) []Record {
+	t.Helper()
+	b, err := OpenSegmentedBackend(dir, SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	return b.Replay()
+}
+
+// TestFileBackendRoundTrip: records synced to a segment file come back
 // byte-identical through a re-open, including awkward field contents.
 func TestFileBackendRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	b, err := CreateFileBackend(path)
+	dir := t.TempDir()
+	b, err := CreateSegmentedBackend(dir, SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +54,7 @@ func TestFileBackendRoundTrip(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := OpenFileBackend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rb.Close()
-	got := rb.Replay()
+	got := readSegments(t, dir)
 	if len(got) != len(recs) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(recs))
 	}
@@ -62,8 +68,7 @@ func TestFileBackendRoundTrip(t *testing.T) {
 // TestFileBackendRejectsOpaqueUndo: a raw (non-EncodedUndo) token cannot
 // be made durable; the error names the fix.
 func TestFileBackendRejectsOpaqueUndo(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	b, err := CreateFileBackend(path)
+	b, err := CreateSegmentedBackend(t.TempDir(), SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +80,13 @@ func TestFileBackendRejectsOpaqueUndo(t *testing.T) {
 	}
 }
 
-// TestFileBackendTornTail: a crash mid-write leaves a partial final line;
-// re-opening discards it, keeps every whole record, and appends cleanly
-// after the truncation point.
+// TestFileBackendTornTail: a crash mid-write leaves a partial final line in
+// the (only) segment; re-opening discards it, keeps every whole record, and
+// appends cleanly after the truncation point.
 func TestFileBackendTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	b, err := CreateFileBackend(path)
+	dir := t.TempDir()
+	path := filepath.Join(dir, segName(1))
+	b, err := CreateSegmentedBackend(dir, SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func TestFileBackendTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	rb, err := OpenFileBackend(path)
+	rb, err := OpenSegmentedBackend(dir, SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +123,20 @@ func TestFileBackendTornTail(t *testing.T) {
 	if err := rb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[2].Kind != CommitRec {
+	if recs := readSegments(t, dir); len(recs) != 3 || recs[2].Kind != CommitRec {
 		t.Fatalf("after repair log = %+v", recs)
 	}
 }
 
-// TestFileBackendRejectsMidFileCorruption: garbage before the final line is
-// corruption, not a torn tail.
+// TestFileBackendRejectsMidFileCorruption: garbage before a segment's
+// final line is corruption, not a torn tail.
 func TestFileBackendRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	if err := os.WriteFile(path, []byte("garbage line\n1\t1\tA\tX\t0\t\t\t\t-\n"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte("garbage line\n1\t1\tA\tX\t0\t\t\t\t-\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileBackend(path); err == nil {
-		t.Fatal("OpenFileBackend accepted mid-file corruption")
+	if _, err := OpenSegmentedBackend(dir, SegmentConfig{}); err == nil {
+		t.Fatal("OpenSegmentedBackend accepted mid-file corruption")
 	}
 }
 
@@ -151,21 +153,21 @@ func TestFileBackendRejectsNineFieldRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	nine := first[:strings.LastIndex(first, "\t")] + "\n"
-	path := filepath.Join(t.TempDir(), "wal.log")
-	if err := os.WriteFile(path, []byte(nine+second), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte(nine+second), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileBackend(path); err == nil {
-		t.Fatal("OpenFileBackend accepted a nine-field record before a valid one")
+	if _, err := OpenSegmentedBackend(dir, SegmentConfig{}); err == nil {
+		t.Fatal("OpenSegmentedBackend accepted a nine-field record before a valid one")
 	}
 }
 
-// TestOpenReplaysFileBackend: wal.Open over a re-opened file backend
-// reconstructs the committed region — LSNs, chains, and contents — and new
-// appends continue the durable log.
+// TestOpenReplaysFileBackend: wal.Open over a re-opened one-segment
+// backend reconstructs the committed region — LSNs, chains, and contents —
+// and new appends continue the durable log.
 func TestOpenReplaysFileBackend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	b, err := CreateFileBackend(path)
+	dir := t.TempDir()
+	b, err := CreateSegmentedBackend(dir, SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb, err := OpenFileBackend(path)
+	rb, err := OpenSegmentedBackend(dir, SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,18 +206,14 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
+	if recs := readSegments(t, dir); len(recs) != 3 {
 		t.Fatalf("durable log has %d records, want 3", len(recs))
 	}
 }
 
 // TestLatencyBackendDelays: syncs take at least the configured latency.
 func TestLatencyBackendDelays(t *testing.T) {
-	b := NewLatencyBackend(5*time.Millisecond, nil)
+	b := NewLatencyBackend(5 * time.Millisecond)
 	start := time.Now()
 	if err := b.Sync([]Record{{LSN: 1}}); err != nil {
 		t.Fatal(err)

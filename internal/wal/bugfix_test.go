@@ -13,7 +13,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -112,7 +111,8 @@ func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 
 // TestBytesMatchesDurableEncoding: the live Bytes() accounting must equal
 // the backend's appended-byte count AND the on-disk file size, through
-// appends and truncation, for both durable backends. Before the fix the
+// appends and truncation, with one unbounded segment ("file") and with
+// rotating segments ("segmented"). Before the fix the
 // accounting used per-record size estimates that drift from the real
 // encoding.
 func TestBytesMatchesDurableEncoding(t *testing.T) {
@@ -136,8 +136,7 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 	}
 
 	t.Run("file", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wal.log")
-		fb, err := CreateFileBackend(path)
+		fb, err := CreateSegmentedBackend(t.TempDir(), SegmentConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +151,11 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 			}
 		}
 		check := func(stage string) {
-			st, err := os.Stat(path)
+			segs := fb.Segments()
+			if len(segs) != 1 {
+				t.Fatalf("%s: %d segments, want the one unbounded segment", stage, len(segs))
+			}
+			st, err := os.Stat(segs[0].Path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,8 +18,8 @@ func TestClosedLogTypedErrors(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sync", Config{Backend: NewLatencyBackend(0, nil)}},
-		{"async", Config{Async: true, Backend: NewLatencyBackend(0, nil)}},
+		{"sync", Config{Backend: NewLatencyBackend(0)}},
+		{"async", Config{Async: true, Backend: NewLatencyBackend(0)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			l, err := Open(mode.cfg)
@@ -73,7 +73,7 @@ func TestClosedLogTypedErrors(t *testing.T) {
 // acknowledgements continue while nothing reaches the device.
 func TestDurableWatermark(t *testing.T) {
 	t.Run("advances-per-batch", func(t *testing.T) {
-		b := NewLatencyBackend(0, nil)
+		b := NewLatencyBackend(0)
 		l, err := Open(Config{Backend: b})
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDurableWatermark(t *testing.T) {
 	})
 
 	t.Run("advances-under-simulated-crash", func(t *testing.T) {
-		b := NewLatencyBackend(0, nil)
+		b := NewLatencyBackend(0)
 		l, err := Open(Config{
 			Backend:    b,
 			CrashPoint: func(batch int, _ []Record) bool { return true },
@@ -158,7 +158,7 @@ func (b *syncFailBackend) Close() error        { return nil }
 // append or flush reports ErrClosed. Run with -race.
 func TestFlushRacingCloseIsTyped(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		l, err := Open(Config{Async: true, Backend: NewLatencyBackend(0, nil)})
+		l, err := Open(Config{Async: true, Backend: NewLatencyBackend(0)})
 		if err != nil {
 			t.Fatal(err)
 		}

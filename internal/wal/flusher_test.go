@@ -14,7 +14,7 @@ import (
 // TestAsyncFlushIsCommitBarrier: in async mode, Flush returns only after
 // everything staged before the call is sequenced and synced to the backend.
 func TestAsyncFlushIsCommitBarrier(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
+	b := NewLatencyBackend(0)
 	l, err := Open(Config{Async: true, Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestAsyncAppendReturnsLSN(t *testing.T) {
 // TestAsyncBackgroundFlush: records staged with AppendAsync and never
 // explicitly flushed are still made durable by the background flusher.
 func TestAsyncBackgroundFlush(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
+	b := NewLatencyBackend(0)
 	l, err := Open(Config{Async: true, BatchInterval: time.Millisecond, Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestAsyncBackgroundFlush(t *testing.T) {
 // committers' records land in shared batches — the mean batch size exceeds
 // one record even though every appender flushes.
 func TestAsyncBatchIntervalGroupsCommits(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
+	b := NewLatencyBackend(0)
 	l, err := Open(Config{Async: true, BatchInterval: 2 * time.Millisecond, Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -98,34 +98,10 @@ func TestAsyncBatchIntervalGroupsCommits(t *testing.T) {
 	}
 }
 
-// TestAsyncMaxBatchCutsDwellShort: a full batch is sequenced without
-// waiting out a long dwell interval.
-func TestAsyncMaxBatchCutsDwellShort(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
-	l, err := Open(Config{Async: true, BatchInterval: time.Minute, MaxBatch: 4, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 4; i++ {
-			l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-		}
-		l.Flush()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Flush did not return: MaxBatch failed to cut the dwell short")
-	}
-}
-
 // TestCloseDrainsStagedRecords: Close sequences and syncs whatever is
 // staged before stopping the flusher.
 func TestCloseDrainsStagedRecords(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
+	b := NewLatencyBackend(0)
 	l, err := Open(Config{Async: true, BatchInterval: time.Minute, Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +122,7 @@ func TestCloseDrainsStagedRecords(t *testing.T) {
 // reach the backend, while in-memory sequencing and acknowledgements
 // continue — the simulation contract the crash-injection harness relies on.
 func TestCrashPointDropsTail(t *testing.T) {
-	b := NewLatencyBackend(0, nil)
+	b := NewLatencyBackend(0)
 	l, err := Open(Config{
 		Backend:    b,
 		CrashPoint: func(batch int, _ []Record) bool { return batch >= 2 },

@@ -1,29 +1,26 @@
 package wal
 
 // The segmented file backend: the durable log as a directory of rotated,
-// size-bounded segment files instead of one append-only file. Each
-// sequenced batch is appended (and fsynced) wholly into the active
-// segment; when the active segment has reached the configured byte
-// threshold the next batch rotates into a fresh segment named by its first
-// LSN (wal-<firstLSN>.seg, zero-padded so lexical and numeric order
-// agree). Because batches never split across segments and LSNs are
-// contiguous, segment names tile the log exactly: segment i covers
-// [firstLSN(i), firstLSN(i+1)).
+// size-bounded segment files. Each sequenced batch is appended (and
+// fsynced) wholly into the active segment; when the active segment has
+// reached the configured byte threshold the next batch rotates into a
+// fresh segment named by its first LSN (wal-<firstLSN>.seg, zero-padded
+// so lexical and numeric order agree). Because batches never split across
+// segments and LSNs are contiguous, segment names tile the log exactly:
+// segment i covers [firstLSN(i), firstLSN(i+1)).
 //
-// The payoff is truncation cost. FileBackend.TruncateBefore rewrites the
-// whole surviving suffix — O(log bytes) per checkpoint; the segmented
-// backend instead unlinks whole segments strictly below the truncation
-// point — O(dead segments), zero data bytes rewritten (TruncateStats
-// reports both).
+// The payoff is truncation cost: truncation unlinks whole segments
+// strictly below the truncation point — O(dead segments), no data byte
+// ever rewritten. A log that never truncates needs no rotation at all; a
+// threshold larger than the log keeps it in one segment file.
 //
 // Crash repair is per-segment: only the final (active) segment may carry a
-// torn tail, which reopen truncates away exactly as the single-file
-// backend does. A torn or non-contiguous NON-final segment cannot be
-// produced by any crash of this writer (later segments exist only because
-// earlier ones were fsynced complete) and is rejected as corruption rather
-// than silently repaired. The segment boundaries double as the fan-out
-// units of parallel restart: recovery partitions its pass-1 winner scan by
-// SegmentStarts.
+// torn tail, which reopen truncates away. A torn or non-contiguous
+// NON-final segment cannot be produced by any crash of this writer (later
+// segments exist only because earlier ones were fsynced complete) and is
+// rejected as corruption rather than silently repaired. The segment
+// boundaries double as the fan-out units of parallel restart: recovery
+// partitions its pass-1 winner scan by SegmentStarts.
 
 import (
 	"fmt"
@@ -46,22 +43,17 @@ const (
 	segSuffix = ".seg"
 )
 
-// TruncateStats describes the storage cost of backend truncation — the
-// quantity the segmented backend exists to drive to zero. BytesRewritten
-// counts data bytes copied to a new file (the single-file backend's
-// rewrite; always 0 for the segmented backend), SegmentsUnlinked counts
-// whole segment files deleted, and WallNS is the wall-clock spent inside
-// the backend call. Log.TruncateStats accumulates these across a log's
-// lifetime.
+// TruncateStats describes the storage cost of backend truncation:
+// SegmentsUnlinked counts whole segment files deleted, and WallNS is the
+// wall-clock spent inside the backend call. Log.TruncateStats accumulates
+// these across a log's lifetime.
 type TruncateStats struct {
-	BytesRewritten   int64 `json:"bytes_rewritten"`
 	SegmentsUnlinked int   `json:"segments_unlinked"`
 	WallNS           int64 `json:"wall_ns"`
 }
 
 // Add accumulates o into s.
 func (s *TruncateStats) Add(o TruncateStats) {
-	s.BytesRewritten += o.BytesRewritten
 	s.SegmentsUnlinked += o.SegmentsUnlinked
 	s.WallNS += o.WallNS
 }
@@ -97,18 +89,9 @@ type Segmenter interface {
 	SegmentStarts() []LSN
 }
 
-// TruncateAligner is implemented by backends that can only truncate at
-// certain boundaries. AlignTruncate returns the greatest truncation point
-// at or below lsn the backend can realize exactly; Log.TruncateBefore
-// aligns its in-memory truncation to it so the retained in-memory log and
-// the durable log stay identical.
-type TruncateAligner interface {
-	AlignTruncate(lsn LSN) LSN
-}
-
 // SegmentedBackend implements Backend over a directory of rotated segment
 // files. See the file comment for the design; it additionally implements
-// Replayer, Truncator, Segmenter, and TruncateAligner.
+// Replayer, Truncator, and Segmenter.
 type SegmentedBackend struct {
 	mu  sync.Mutex
 	dir string
@@ -126,11 +109,10 @@ type SegmentedBackend struct {
 }
 
 var (
-	_ Backend         = (*SegmentedBackend)(nil)
-	_ Replayer        = (*SegmentedBackend)(nil)
-	_ Truncator       = (*SegmentedBackend)(nil)
-	_ Segmenter       = (*SegmentedBackend)(nil)
-	_ TruncateAligner = (*SegmentedBackend)(nil)
+	_ Backend   = (*SegmentedBackend)(nil)
+	_ Replayer  = (*SegmentedBackend)(nil)
+	_ Truncator = (*SegmentedBackend)(nil)
+	_ Segmenter = (*SegmentedBackend)(nil)
 )
 
 func segName(first LSN) string {
@@ -384,7 +366,7 @@ func (b *SegmentedBackend) Sync(records []Record) error {
 	return nil
 }
 
-// AlignTruncate implements TruncateAligner: the greatest segment boundary
+// AlignTruncate implements Truncator: the greatest segment boundary
 // at or below lsn — the point TruncateBefore can realize exactly by
 // unlinking whole segments. With no segments (empty backend) lsn is
 // returned unchanged (truncation is a no-op anyway).

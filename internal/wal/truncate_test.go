@@ -1,15 +1,13 @@
 package wal
 
 // Truncation tests: TruncateBefore drops the prefix from memory and from
-// the file backend (atomically, via rewrite + rename), reopen replays only
+// the segmented backend (by unlinking whole segments), reopen replays only
 // the surviving suffix with LSNs preserved, PrevLSN chains that cross the
 // truncation base are accepted, and — the watermark regression — a lagging
 // or dead flusher bounds how far truncation may reach.
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/history"
@@ -89,13 +87,15 @@ func TestTruncateChainAcrossBase(t *testing.T) {
 	}
 }
 
-// TestTruncateFileBackendReopen: the file backend rewrites its prefix
-// atomically, a reopened backend replays only the suffix with original
-// LSNs (wal.Open fixes the base from the first surviving record), and
-// cross-base PrevLSN chains pass replay validation.
+// TestTruncateFileBackendReopen: with one segment per single-record batch
+// the backend truncates exactly at the requested point, a reopened backend
+// replays only the suffix with original LSNs (wal.Open fixes the base from
+// the first surviving record), and cross-base PrevLSN chains pass replay
+// validation.
 func TestTruncateFileBackendReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trunc.wal")
-	backend, err := CreateFileBackend(path)
+	dir := t.TempDir()
+	cfg := SegmentConfig{MaxSegmentBytes: 1}
+	backend, err := CreateSegmentedBackend(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,8 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".truncating"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temporary truncation file left behind: %v", err)
-	}
 
-	re, err := OpenFileBackend(path)
+	re, err := OpenSegmentedBackend(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,21 +25,21 @@
 //     owns sequencing. Flush becomes a commit barrier: the caller registers
 //     a waiter, wakes the flusher, and sleeps until the batch containing
 //     everything staged before the call has been sequenced and handed to
-//     the durability backend. The flusher dwells up to BatchInterval after
-//     waking (cut short when MaxBatch records are pending), so the
-//     batch-size-versus-commit-latency trade-off of group commit becomes a
-//     measurable configuration rather than an accident of scheduling.
+//     the durability backend. The flusher dwells BatchInterval after
+//     waking, so the batch-size-versus-commit-latency trade-off of group
+//     commit becomes a measurable configuration rather than an accident of
+//     scheduling.
 //
 // In both modes LSN order is consistent with per-object and per-transaction
 // execution order even across transactions in one batch — the invariant the
 // Restart redo pass replays by. Each batch is moreover a consistent cut of
 // the staging buffers (the drain holds every stripe lock at once), so a
 // batch boundary — the unit of crash loss — never separates a record from
-// a causally earlier one. After sequencing, each batch is handed to
-// the configured Backend (an in-memory no-op by default; see backend.go for
-// the fsync-simulating and file backends); commit acknowledgement happens
-// only after the backend's Sync returns, so an acked commit is durable to
-// whatever degree the backend provides.
+// a causally earlier one. After sequencing, each batch is handed to the
+// configured Backend (an in-memory no-op by default; see backend.go for the
+// fsync-simulating backend and segment.go for the durable one); commit
+// acknowledgement happens only after the backend's Sync returns, so an
+// acked commit is durable to whatever degree the backend provides.
 //
 // The log also exposes its durability frontier: AppendAsync returns a
 // stage Ticket, the durable watermark (DurableLSN, IsDurable) tracks the
@@ -257,9 +257,6 @@ type Config struct {
 	// waking before it sequences, letting concurrent committers' records
 	// accumulate into one batch. Zero sequences immediately.
 	BatchInterval time.Duration
-	// MaxBatch cuts the dwell short once this many records are staged
-	// (0 = no cap).
-	MaxBatch int
 	// CrashPoint, when non-nil, is the crash-injection hook (tests only).
 	CrashPoint CrashPoint
 }
@@ -326,15 +323,11 @@ type Log struct {
 	closing     atomic.Bool
 	backendGone bool
 
-	// Asynchronous-mode state. pending counts staged-but-unsequenced
-	// records for the MaxBatch trigger; wake and full nudge the flusher;
-	// waiters are the commit barriers acked after the next sequence+sync.
+	// Asynchronous-mode state. wake nudges the flusher; waiters are the
+	// commit barriers acked after the next sequence+sync.
 	async         bool
 	batchInterval time.Duration
-	maxBatch      int
-	pending       atomic.Int64
 	wake          chan struct{}
-	full          chan struct{}
 	quit          chan struct{}
 	flusherDone   chan struct{}
 	waitMu        sync.Mutex
@@ -379,7 +372,7 @@ func NewStriped(n int) *Log {
 }
 
 // Open builds a log per cfg. If the backend implements Replayer (a
-// re-opened file backend), its surviving records are loaded into the
+// re-opened segmented backend), its surviving records are loaded into the
 // committed region first — LSN continuity and PrevLSN chains are verified —
 // so new appends continue the durable log and recovery.Restart can replay
 // it. In Async mode the caller owns the log and must Close it.
@@ -402,7 +395,7 @@ func Open(cfg Config) (*Log, error) {
 	}
 	if rp, ok := cfg.Backend.(Replayer); ok && rp != nil {
 		for _, r := range rp.Replay() {
-			// A previously truncated file starts past LSN 1: the first
+			// A previously truncated log starts past LSN 1: the first
 			// surviving record fixes the base, and continuity is required
 			// from there.
 			if len(l.records) == 0 {
@@ -429,16 +422,14 @@ func Open(cfg Config) (*Log, error) {
 			}
 			l.lastOf[r.Txn] = r.LSN
 		}
-		// Replayed records came from the durable file; the watermark starts
+		// Replayed records came from the durable log; the watermark starts
 		// past them.
 		l.durableLSN = l.base + LSN(len(l.records))
 	}
 	if cfg.Async {
 		l.async = true
 		l.batchInterval = cfg.BatchInterval
-		l.maxBatch = cfg.MaxBatch
 		l.wake = make(chan struct{}, 1)
-		l.full = make(chan struct{}, 1)
 		l.quit = make(chan struct{})
 		l.flusherDone = make(chan struct{})
 		go l.flusher()
@@ -516,12 +507,6 @@ func (l *Log) stage(r Record) (*stagedRec, error) {
 	st.staged = append(st.staged, s)
 	st.mu.Unlock()
 	if l.async {
-		if n := l.pending.Add(1); l.maxBatch > 0 && n >= int64(l.maxBatch) {
-			select {
-			case l.full <- struct{}{}:
-			default:
-			}
-		}
 		select {
 		case l.wake <- struct{}{}:
 		default:
@@ -582,12 +567,6 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 	st.staged = append(st.staged, staged...)
 	st.mu.Unlock()
 	if l.async {
-		if n := l.pending.Add(int64(len(recs))); l.maxBatch > 0 && n >= int64(l.maxBatch) {
-			select {
-			case l.full <- struct{}{}:
-			default:
-			}
-		}
 		select {
 		case l.wake <- struct{}{}:
 		default:
@@ -701,8 +680,6 @@ func (l *Log) flusher() {
 			quitting := false
 			select {
 			case <-t.C:
-			case <-l.full:
-				t.Stop()
 			case <-l.quit:
 				t.Stop()
 				quitting = true
@@ -727,16 +704,6 @@ func (l *Log) flusher() {
 // are acked by the next round.
 func (l *Log) flushOnce() {
 	l.flushMu.Lock()
-	if l.async {
-		// Drop any MaxBatch token deposited for records this round is
-		// about to drain; a stale token would cut a later round's dwell
-		// short for a near-empty batch. A token re-earned by records
-		// staged after this drain is redeposited by their stage calls.
-		select {
-		case <-l.full:
-		default:
-		}
-	}
 	l.waitMu.Lock()
 	ws := l.waiters
 	l.waiters = nil
@@ -764,9 +731,6 @@ func (l *Log) flushOnce() {
 		st.mu.Unlock()
 	}
 	if len(batch) > 0 {
-		if l.async {
-			l.pending.Add(-int64(len(batch)))
-		}
 		sort.Slice(batch, func(i, j int) bool { return batch[i].stamp < batch[j].stamp })
 		// The flat batch copy feeds only the crash hook and the backend;
 		// skip the allocation on the default in-memory configuration to
@@ -1078,32 +1042,32 @@ func (l *Log) Snapshot() []Record {
 // discarded. LSNs are not renumbered; Base advances instead.
 //
 // On a log whose backend has died, or under a simulated crash
-// (CrashPoint), only the in-memory prefix is dropped — a dead machine
-// cannot rewrite its file, and the sticky-error/crash contracts already
-// freeze or fake the watermark accordingly.
+// (CrashPoint), only the in-memory prefix is dropped, unaligned — a dead
+// machine cannot unlink its segments, and the sticky-error/crash contracts
+// already freeze or fake the watermark accordingly.
 //
-// A backend that can only truncate at certain boundaries (the segmented
-// backend truncates at segment starts) implements TruncateAligner; the
-// requested point is aligned down to the backend's boundary before
+// Otherwise the requested point is aligned down to the Truncator's
+// boundary (the segmented backend truncates at segment starts) before
 // anything is dropped, so the retained in-memory log and the durable log
 // stay byte-for-byte in agreement and a reopen replays exactly what the
 // live log retained.
 func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 	// flushMu orders the truncation against batch sequencing (no new LSNs
-	// are assigned mid-truncate) and serializes the backend rewrite against
+	// are assigned mid-truncate) and serializes the backend unlink against
 	// Sync, matching flushOnce's flushMu → mu order.
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
-	skipBackend := l.crashed || l.dead || l.backendGone
+	tr, _ := l.backend.(Truncator)
+	if l.crashed || l.dead || l.backendGone {
+		tr = nil
+	}
 	l.mu.Lock()
 	if maxPoint := l.durableLSN + 1; lsn > maxPoint {
 		lsn = maxPoint
 	}
 	l.mu.Unlock()
-	if !skipBackend {
-		if al, ok := l.backend.(TruncateAligner); ok {
-			lsn = al.AlignTruncate(lsn)
-		}
+	if tr != nil {
+		lsn = tr.AlignTruncate(lsn)
 	}
 	l.mu.Lock()
 	if lsn <= l.base+1 {
@@ -1118,13 +1082,11 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 	l.records = append([]Record(nil), l.records[n:]...)
 	l.base = lsn - 1
 	l.mu.Unlock()
-	if !skipBackend {
-		if tr, ok := l.backend.(Truncator); ok {
-			stats, err := tr.TruncateBefore(lsn)
-			l.truncStats.Add(stats)
-			if err != nil {
-				return n, fmt.Errorf("wal: truncate backend before %d: %w", lsn, err)
-			}
+	if tr != nil {
+		stats, err := tr.TruncateBefore(lsn)
+		l.truncStats.Add(stats)
+		if err != nil {
+			return n, fmt.Errorf("wal: truncate backend before %d: %w", lsn, err)
 		}
 	}
 	return n, nil
@@ -1141,14 +1103,14 @@ func (l *Log) AlignTruncate(lsn LSN) LSN {
 		lsn = maxPoint
 	}
 	l.mu.Unlock()
-	if al, ok := l.backend.(TruncateAligner); ok {
-		return al.AlignTruncate(lsn)
+	if tr, ok := l.backend.(Truncator); ok {
+		return tr.AlignTruncate(lsn)
 	}
 	return lsn
 }
 
 // TruncateStats returns the accumulated backend truncation cost across
-// every TruncateBefore since Open: bytes rewritten and segments unlinked.
+// every TruncateBefore since Open: segments unlinked and wall time.
 func (l *Log) TruncateStats() TruncateStats {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -1168,8 +1130,8 @@ func (l *Log) SegmentBounds() []LSN {
 	return nil
 }
 
-// recordSize returns a record's exact durable encoding size — the bytes a
-// file or segmented backend appends for it — so the Bytes accounting
+// recordSize returns a record's exact durable encoding size — the bytes the
+// segmented backend appends for it — so the Bytes accounting
 // matches the on-disk log byte for byte. Records whose undo tokens exist
 // only in memory (raw tokens never staged for a durable backend) cannot be
 // encoded; those fall back to the estimate.
