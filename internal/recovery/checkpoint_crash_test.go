@@ -103,7 +103,7 @@ func TestCheckpointCrashSweepOracle(t *testing.T) {
 		run := base.point(dir, k, int64(100+k))
 		runBankingCrash(t, run)
 		durable := readDurable(t, run.walDir)
-		r, _ := restartStable(t, run.walDir, run.ckptDir, objs)
+		r, _ := restartStable(t, run.walDir, run.ckptDir, viaDispatch, objs)
 		checkOracle(t, durable, r, objs)
 		if r.snap == nil {
 			return
@@ -159,7 +159,7 @@ func ckptTransferCrashSweep(t *testing.T, segBytes int64, span, maxPoints int) {
 		run := base.point(dir, k, int64(1000+k))
 		runTransferCrash(t, run)
 		durable := readDurable(t, run.walDir)
-		r, _ := restartStable(t, run.walDir, run.ckptDir, objs)
+		r, _ := restartStable(t, run.walDir, run.ckptDir, viaDispatch, objs)
 		checkConserved(t, r, objs, total)
 		if r.snap == nil {
 			return
@@ -244,7 +244,7 @@ func TestCheckpointMidCrashPreviousAuthoritative(t *testing.T) {
 		t.Fatalf("durable log starts at %d, past the surviving checkpoint's frontier %d — "+
 			"the dying machine's truncation reached the disk", durable[0].LSN, snap1.Frontier)
 	}
-	r, _ := restartStable(t, walDir, ckptDir, []history.ObjectID{"X"})
+	r, _ := restartStable(t, walDir, ckptDir, viaDispatch, []history.ObjectID{"X"})
 	if r.snap == nil || r.snap.ID != snap1.ID {
 		t.Fatalf("authoritative snapshot = %+v, want the pre-crash %s", r.snap, snap1.ID)
 	}
@@ -351,7 +351,7 @@ func TestCheckpointCompletionTruncationGap(t *testing.T) {
 		t.Fatalf("log was truncated (first LSN %d); the gap test needs the full log", durable[0].LSN)
 	}
 	objs := []history.ObjectID{"X", "Y"}
-	r := restartDurable(t, walDir, ckptDir, objs, 0)
+	r := restartDurable(t, walDir, ckptDir, viaDispatch, objs, 0)
 	if r.snap == nil {
 		t.Fatal("no snapshot survived")
 	}
@@ -364,7 +364,7 @@ func TestCheckpointCompletionTruncationGap(t *testing.T) {
 	}
 	// And the plain full-log restart agrees — the snapshot changed the
 	// cost, not the answer.
-	plain := restartDurable(t, walDir, "", objs, 0)
+	plain := restartDurable(t, walDir, "", viaDispatch, objs, 0)
 	for obj, v := range r.vals {
 		if plain.vals[obj] != v {
 			t.Errorf("object %s: seeded %s vs full-log %s", obj, v, plain.vals[obj])

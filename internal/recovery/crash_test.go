@@ -275,7 +275,11 @@ func calibrate(t *testing.T, run crashRun, res crashResult, minBatches int) {
 func checkCalibration(t *testing.T, run crashRun, e *txn.Engine) {
 	t.Helper()
 	verifyLiveHistory(t, e)
-	r := restartDurable(t, run.walDir, "", crashObjectIDs(), 0)
+	entry := viaDispatch
+	if run.discipline == wal.DisciplineRedo {
+		entry = viaRedoOnly
+	}
+	r := restartDurable(t, run.walDir, "", entry, crashObjectIDs(), 0)
 	for _, obj := range crashObjectIDs() {
 		store, _ := e.Object(obj)
 		if got, want := r.vals[obj], store.CommittedValue().Encode(); got != want {
@@ -371,12 +375,27 @@ type restarted struct {
 	stats recovery.RestartStats
 }
 
+// restartEntry is the recovery entry point a restart goes through.
+type restartEntry int
+
+const (
+	// viaDispatch restarts through recovery.RestartAllWithConfig, which
+	// picks the protocol from the log's discipline marker: stores come back
+	// redo-only iff the log carries the redo marker.
+	viaDispatch restartEntry = iota
+	// viaRedoOnly restarts through recovery.RestartRedoOnly, the entry of an
+	// engine that knows it ran redo-only: it refuses a non-empty log without
+	// the redo marker, and every store comes back redo-only, the empty
+	// log's included.
+	viaRedoOnly
+)
+
 // restartDurable models the post-crash process: reopen the segment
 // directory, load the newest complete snapshot from ckptDir (none when
 // ckptDir is empty), and restart every listed object against the banking
-// machine at the given parallelism (0: GOMAXPROCS). Stores restarted from
-// a log carrying the redo-only marker must be redo-only, and only those.
-func restartDurable(t *testing.T, walDir, ckptDir string, objs []history.ObjectID, parallelism int) restarted {
+// machine through entry at the given parallelism (0: GOMAXPROCS).
+func restartDurable(t *testing.T, walDir, ckptDir string, entry restartEntry,
+	objs []history.ObjectID, parallelism int) restarted {
 	t.Helper()
 	log := reopenLog(t, walDir)
 	var r restarted
@@ -389,8 +408,11 @@ func restartDurable(t *testing.T, walDir, ckptDir string, objs []history.ObjectI
 			t.Fatalf("load checkpoint: %v", err)
 		}
 	}
-	redo := log.Discipline() == wal.DisciplineRedo
-	stores, stats, err := recovery.RestartAllWithConfig(objs,
+	restart, redo := recovery.RestartAllWithConfig, log.Discipline() == wal.DisciplineRedo
+	if entry == viaRedoOnly {
+		restart, redo = recovery.RestartRedoOnly, true
+	}
+	stores, stats, err := restart(objs,
 		func(history.ObjectID) adt.Machine { return crashMachine() }, log, r.snap,
 		recovery.RestartConfig{Parallelism: parallelism})
 	if err != nil {
@@ -400,7 +422,8 @@ func restartDurable(t *testing.T, walDir, ckptDir string, objs []history.ObjectI
 	r.vals = map[history.ObjectID]string{}
 	for obj, st := range stores {
 		if st.RedoOnly() != redo {
-			t.Fatalf("restarted store %s: redo-only %v over a log with discipline %q", obj, st.RedoOnly(), log.Discipline())
+			t.Fatalf("restarted store %s: redo-only %v, want %v (log discipline %q)",
+				obj, st.RedoOnly(), redo, log.Discipline())
 		}
 		r.vals[obj] = st.CommittedValue().Encode()
 	}
@@ -411,13 +434,14 @@ func restartDurable(t *testing.T, walDir, ckptDir string, objs []history.ObjectI
 	return r
 }
 
-// restartStable restarts a durable image twice and checks that the second
-// restart reproduces the first: the first appended its compensation and
-// abort records durably, so the second finds no losers.
-func restartStable(t *testing.T, walDir, ckptDir string, objs []history.ObjectID) (first, again restarted) {
+// restartStable restarts a durable image twice through entry and checks
+// that the second restart reproduces the first: the first appended its
+// compensation and abort records durably, so the second finds no losers.
+func restartStable(t *testing.T, walDir, ckptDir string, entry restartEntry,
+	objs []history.ObjectID) (first, again restarted) {
 	t.Helper()
-	first = restartDurable(t, walDir, ckptDir, objs, 0)
-	again = restartDurable(t, walDir, ckptDir, objs, 0)
+	first = restartDurable(t, walDir, ckptDir, entry, objs, 0)
+	again = restartDurable(t, walDir, ckptDir, entry, objs, 0)
 	for obj, v := range first.vals {
 		if again.vals[obj] != v {
 			t.Errorf("object %s: second restart diverged: %s vs %s", obj, again.vals[obj], v)
@@ -561,7 +585,7 @@ func TestCrashInjectionSweep(t *testing.T) {
 			losersSeen++
 		}
 		commitSplits += countCommitSplit(durable)
-		r, _ := restartStable(t, run.walDir, "", crashObjectIDs())
+		r, _ := restartStable(t, run.walDir, "", viaDispatch, crashObjectIDs())
 		checkOracle(t, durable, r, crashObjectIDs())
 	})
 	if losersSeen == 0 {
@@ -611,7 +635,7 @@ func TestCrashMidAbortCompensation(t *testing.T) {
 		}
 
 		want := strconv.Itoa(crashInitialBalance + 3)
-		r, _ := restartStable(t, walDir, "", []history.ObjectID{"X"})
+		r, _ := restartStable(t, walDir, "", viaDispatch, []history.ObjectID{"X"})
 		if r.vals["X"] != want {
 			t.Errorf("%d durable CLRs: restarted state %s, want %s (loser fully undone)", clrs, r.vals["X"], want)
 		}

@@ -20,6 +20,10 @@ package recovery_test
 //     set (checked inside restart on untruncated logs);
 //   - a mixed-discipline handoff — an undo-mode log reopened by a
 //     redo-only engine or restart, and vice versa — is rejected loudly.
+//
+// The banking sweep restarts through recovery.RestartRedoOnly; the
+// checkpointed transfer sweep through RestartAllWithConfig's dispatch on
+// the reopened log's discipline marker.
 
 import (
 	"path/filepath"
@@ -69,7 +73,9 @@ func assertRedoLogClean(t *testing.T, recs []wal.Record) {
 // oracle over the durable RedoRecs, the log contains no undo-discipline
 // records and gains none from restart, loser records are skipped rather
 // than undone, and a second restart reproduces the same state from the
-// byte-identical log.
+// byte-identical log. Restart goes through recovery.RestartRedoOnly, and
+// every restarted store must be redo-only — at crash-at-batch-00, where
+// nothing reached disk, that is the empty log's path.
 func TestRedoCrashInjectionSweep(t *testing.T) {
 	dir := t.TempDir()
 	base := crashRun{walDir: filepath.Join(dir, "cal"), crashAt: -1, seed: 1, discipline: wal.DisciplineRedo}
@@ -95,7 +101,7 @@ func TestRedoCrashInjectionSweep(t *testing.T) {
 				break
 			}
 		}
-		r, again := restartStable(t, run.walDir, "", crashObjectIDs())
+		r, again := restartStable(t, run.walDir, "", viaRedoOnly, crashObjectIDs())
 		checkOracle(t, durable, r, crashObjectIDs())
 		// No undo pass, no tail: the restart leaves the durable log
 		// exactly as the crash left it.
@@ -140,7 +146,7 @@ func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 		runTransferCrash(t, run)
 		durable := readDurable(t, run.walDir)
 		assertRedoLogClean(t, durable)
-		r, _ := restartStable(t, run.walDir, run.ckptDir, objs)
+		r, _ := restartStable(t, run.walDir, run.ckptDir, viaDispatch, objs)
 		checkConserved(t, r, objs, total)
 		if len(r.recs) != len(durable) {
 			t.Errorf("restart grew the log from %d to %d records", len(durable), len(r.recs))
@@ -194,7 +200,7 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	r := restartDurable(t, walDir, "", objs, 0)
+	r := restartDurable(t, walDir, "", viaRedoOnly, objs, 0)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
 		if r.vals[obj] != want {

@@ -35,7 +35,7 @@ func TestReleaseAfterAckCrashSweep(t *testing.T) {
 		run := base.point(dir, k, int64(300+k))
 		runBankingCrash(t, run)
 		durable := readDurable(t, run.walDir)
-		r, _ := restartStable(t, run.walDir, "", crashObjectIDs())
+		r, _ := restartStable(t, run.walDir, "", viaDispatch, crashObjectIDs())
 		checkOracle(t, durable, r, crashObjectIDs())
 	})
 }
@@ -133,7 +133,7 @@ func TestNoAckedCommitOnUnsyncedLoser(t *testing.T) {
 
 			// Restart from the durable file: exactly the acknowledged
 			// transaction survives.
-			r := restartDurable(t, walDir, "", []history.ObjectID{"X"}, 0)
+			r := restartDurable(t, walDir, "", viaDispatch, []history.ObjectID{"X"}, 0)
 			want := strconv.Itoa(crashInitialBalance + 5)
 			if r.vals["X"] != want {
 				t.Errorf("restarted state %s, want %s (exactly the cleanly acked T1)", r.vals["X"], want)

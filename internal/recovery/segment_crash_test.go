@@ -71,7 +71,7 @@ func TestParallelRestartEquivalence(t *testing.T) {
 		if got := readDurable(t, vdir); !reflect.DeepEqual(got, durable) {
 			t.Fatalf("variant %s: cloned artifacts differ from source", name)
 		}
-		results[name] = restartDurable(t, vdir, run.ckptDir, objs, p)
+		results[name] = restartDurable(t, vdir, run.ckptDir, viaDispatch, objs, p)
 	}
 
 	seq, par := results["seq"], results["par8"]

@@ -61,12 +61,7 @@ func runTransferCrash(t *testing.T, run crashRun) crashResult {
 	// between commit processing and the transaction-level commit record),
 	// which is exactly what these sweeps need to crash into.
 	e, finish := startCrashEngine(t, run, 0,
-		txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, func(e *txn.Engine) {
-			ba := cfg.BankAccount()
-			for i := 0; i < cfg.Accounts; i++ {
-				e.MustRegister(sim.TransferAccountID(i), ba, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
-			}
-		})
+		txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, cfg.Register)
 	sim.RunTransfers(e, cfg)
 	return finish()
 }
@@ -134,7 +129,7 @@ func transferCrashSweep(t *testing.T, segBytes int64, span, maxPoints int) {
 		}
 		commitSplits += countCommitSplit(durable)
 		midComps += countMidCompensation(durable)
-		r, _ := restartStable(t, run.walDir, "", objs)
+		r, _ := restartStable(t, run.walDir, "", viaDispatch, objs)
 		checkOracle(t, durable, r, objs)
 		checkConserved(t, r, objs, total)
 	})
@@ -175,7 +170,7 @@ func TestTransferCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	r, _ := restartStable(t, walDir, "", objs)
+	r, _ := restartStable(t, walDir, "", viaDispatch, objs)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
 		if r.vals[obj] != want {

@@ -52,9 +52,6 @@ type TransferConfig struct {
 	Seed int64
 	// Record enables history recording (verification runs only).
 	Record bool
-	// Discipline is passed to txn.Options.LogDiscipline: empty for undo
-	// logging, wal.DisciplineRedo for REDO-only dependency logging.
-	Discipline string
 }
 
 // DefaultTransferConfig is 6 hot accounts under 5 workers with a fifth of
@@ -87,16 +84,20 @@ func (cfg TransferConfig) BankAccount() adt.BankAccount {
 	return adt.BankAccount{InitialBalance: cfg.InitialBalance, MaxBalance: 1 << 20, Amounts: amounts}
 }
 
-// NewTransferEngine builds an engine with cfg.Accounts undo-log (UIP/NRBC)
-// bank accounts sharing log (nil selects the default in-memory WAL).
+// NewTransferEngine builds an engine with the workload's accounts (see
+// Register) sharing log (nil selects the default in-memory WAL).
 func NewTransferEngine(cfg TransferConfig, log *wal.Log) *txn.Engine {
+	e := txn.NewEngine(txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards, WAL: log})
+	cfg.Register(e)
+	return e
+}
+
+// Register registers cfg.Accounts undo-log (UIP/NRBC) bank accounts on e.
+func (cfg TransferConfig) Register(e *txn.Engine) {
 	ba := cfg.BankAccount()
-	e := txn.NewEngine(txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards, WAL: log,
-		LogDiscipline: cfg.Discipline})
 	for i := 0; i < cfg.Accounts; i++ {
 		e.MustRegister(TransferAccountID(i), ba, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
 	}
-	return e
 }
 
 // RunTransfers drives the transfer workload against e until every worker

@@ -110,11 +110,12 @@ func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 }
 
 // TestBytesMatchesDurableEncoding: the live Bytes() accounting must equal
-// the backend's appended-byte count AND the on-disk file size, through
-// appends and truncation, with one unbounded segment ("file") and with
-// rotating segments ("segmented"). Before the fix the
-// accounting used per-record size estimates that drift from the real
-// encoding.
+// the backend's appended-byte count AND the on-disk size. With one
+// unbounded segment ("file") truncation has no segment boundary to align
+// to, so it must drop and unlink nothing and leave the accounting as it
+// was; with rotating segments ("segmented") the equality must also hold
+// after truncation unlinks segments. Before the fix the accounting used
+// per-record size estimates that drift from the real encoding.
 func TestBytesMatchesDurableEncoding(t *testing.T) {
 	records := func(n int) []Record {
 		var out []Record
@@ -167,8 +168,16 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 			}
 		}
 		check("after appends")
-		if _, err := l.TruncateBefore(9); err != nil {
-			t.Fatal(err)
+		// The only segment starts at LSN 1, so a truncation request
+		// aligns down to it: nothing dropped, nothing unlinked.
+		if n, err := l.TruncateBefore(9); err != nil || n != 0 {
+			t.Fatalf("truncate: n=%d err=%v, want nothing dropped", n, err)
+		}
+		if got := l.Base(); got != 0 {
+			t.Fatalf("base %d after truncating the one unbounded segment, want 0", got)
+		}
+		if got := l.TruncateStats().SegmentsUnlinked; got != 0 {
+			t.Fatalf("truncation unlinked %d segments of the one unbounded segment", got)
 		}
 		check("after truncation")
 	})
