@@ -20,6 +20,7 @@ package adt
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/commute"
 	"repro/internal/spec"
@@ -87,8 +88,15 @@ func IsRead(t Type, op spec.Operation) bool {
 
 // mustInt parses an integer argument, panicking on malformed input:
 // invocation arguments are produced by this package's own constructors, so
-// a parse failure is a bug, not an input error.
+// a parse failure is a bug, not an input error. The accepted grammar is
+// fmt.Sscanf's "%d" (leading space, trailing junk); strconv.Atoi parses
+// the canonical form those constructors emit without allocating, and every
+// string it accepts scans to the same value under "%d", so Sscanf runs
+// only for the rest.
 func mustInt(s string) int {
+	if n, err := strconv.Atoi(s); err == nil {
+		return n
+	}
 	var n int
 	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
 		panic(fmt.Sprintf("adt: malformed integer argument %q: %v", s, err))

@@ -12,6 +12,7 @@ package locking
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -83,8 +84,9 @@ func (t *Table) Holders() []history.TxnID {
 	return out
 }
 
-// ErrDeadlock is returned (wrapped) when granting a wait would close a
-// cycle in the waits-for graph; the requester is chosen as the victim.
+// ErrDeadlock is returned (wrapped) to the victim of a waits-for cycle:
+// the cycle's youngest member — the one with the greatest Waiter.Prio —
+// so the oldest transaction in a deadlock always survives.
 type ErrDeadlock struct {
 	Victim history.TxnID
 	Cycle  []history.TxnID
@@ -95,6 +97,22 @@ func (e *ErrDeadlock) Error() string {
 	return fmt.Sprintf("locking: deadlock: victim %s, cycle %v", e.Victim, e.Cycle)
 }
 
+// Waker rouses a waiting transaction so it observes that a cycle closed by
+// another requester chose it as the deadlock victim. The engine passes the
+// object whose condition variable the transaction sleeps on.
+type Waker interface {
+	Wake()
+}
+
+// Waiter is a transaction declaring a wait. Prio orders deadlock victims
+// (the engine passes the Begin sequence, so greater is younger); Wake is
+// how a later requester whose cycle picks this waiter rouses it.
+type Waiter struct {
+	ID   history.TxnID
+	Prio int64
+	Wake Waker
+}
+
 // Detector is a global waits-for deadlock detector shared by all objects
 // of an engine. It is safe for concurrent use. The edge store is striped by
 // waiter so that the per-shard engine hot path (declare a wait, clear waits
@@ -102,7 +120,9 @@ func (e *ErrDeadlock) Error() string {
 // detection — the rare path — holds every stripe lock (acquired in index
 // order) and runs the DFS over the live maps, so it sees one instantaneous
 // cut of the graph and exactly one victim is chosen per cycle, just as
-// with a single-lock detector.
+// with a single-lock detector. A waiter's entry — its edges, priority and
+// wake hook — exists only while it waits, so declaring priorities costs
+// nothing per transaction.
 type Detector struct {
 	stripes []*detectorStripe
 	mask    uint32
@@ -110,7 +130,16 @@ type Detector struct {
 
 type detectorStripe struct {
 	mu    sync.Mutex
-	waits map[history.TxnID]map[history.TxnID]bool
+	waits map[history.TxnID]waitEntry
+}
+
+// waitEntry is one waiting transaction. holders are its outgoing edges;
+// wound is set (and holders dropped) when another requester's cycle chose
+// it as the victim, until the waiter collects it.
+type waitEntry struct {
+	Waiter
+	holders []history.TxnID
+	wound   *ErrDeadlock
 }
 
 // defaultDetectorStripes balances stripe-lock spread against snapshot cost.
@@ -125,7 +154,7 @@ func NewDetectorStriped(n int) *Detector {
 	p := stripe.RoundPow2(n, stripe.MaxStripes)
 	d := &Detector{stripes: make([]*detectorStripe, p), mask: uint32(p - 1)}
 	for i := range d.stripes {
-		d.stripes[i] = &detectorStripe{waits: make(map[history.TxnID]map[history.TxnID]bool)}
+		d.stripes[i] = &detectorStripe{waits: make(map[history.TxnID]waitEntry)}
 	}
 	return d
 }
@@ -134,62 +163,107 @@ func (d *Detector) stripeOf(t history.TxnID) *detectorStripe {
 	return d.stripes[stripe.FNV32a(string(t))&d.mask]
 }
 
-// AddWaits records that waiter is blocked on holders and checks for a
-// cycle. If the new edges close a cycle, the edges are rolled back and an
-// *ErrDeadlock naming waiter as victim is returned.
-func (d *Detector) AddWaits(waiter history.TxnID, holders []history.TxnID) error {
-	st := d.stripeOf(waiter)
+// AddWaits records that w is blocked on holders (the detector keeps the
+// slice) and checks for a cycle through w. If one closes, its youngest
+// member is the victim:
+//
+//   - w itself (it is ready to run, not yet asleep): its edges are rolled
+//     back and an *ErrDeadlock naming it is returned;
+//   - another, waiting member: its edges are dropped, it is marked
+//     wounded, and its Waker is returned with a nil error. The caller
+//     must call Wake after releasing any latch it holds, then re-evaluate
+//     its request; w keeps its edges and keeps waiting.
+//
+// A w that was itself wounded since its last ClearWaits gets its wound
+// back as the error.
+func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
+	st := d.stripeOf(w.ID)
 	st.mu.Lock()
-	m := st.waits[waiter]
-	if m == nil {
-		m = make(map[history.TxnID]bool)
-		st.waits[waiter] = m
+	e, ok := st.waits[w.ID]
+	if ok && e.wound != nil {
+		delete(st.waits, w.ID)
+		st.mu.Unlock()
+		return nil, e.wound
 	}
-	for _, h := range holders {
-		m[h] = true
+	if !ok {
+		e.holders = holders
+	} else {
+		for _, h := range holders {
+			if !slices.Contains(e.holders, h) {
+				e.holders = append(e.holders, h)
+			}
+		}
 	}
+	e.Waiter = w
+	st.waits[w.ID] = e
 	st.mu.Unlock()
 	// Detection under every stripe lock, acquired in index order (the
 	// single-stripe paths take only one lock, so no ordering cycle). The
 	// DFS therefore sees one instantaneous cut of the live graph — locking
 	// stripes one at a time could assemble a phantom cycle from edges that
-	// never overlapped in time and abort an innocent victim — and victim
-	// edge removal is atomic with detection, so a racing detection cannot
-	// see the already-broken cycle and pick a second victim.
+	// never overlapped in time and abort an innocent victim — and the
+	// victim's edge removal is atomic with detection, so a racing detection
+	// cannot see the already-broken cycle and pick a second victim.
 	for _, s := range d.stripes {
 		s.mu.Lock()
 	}
-	cycle := findCycleFrom(d.edgesLocked, waiter)
-	if cycle != nil {
-		delete(st.waits, waiter)
+	var wake Waker
+	var err error
+	if own := st.waits[w.ID]; own.wound != nil {
+		// Wounded by a racing detection between the two lock sections.
+		delete(st.waits, w.ID)
+		err = own.wound
+	} else if cycle := findCycleFrom(d.edgesLocked, w.ID); cycle != nil {
+		victim := cycle[0] // w: the DFS starts there
+		prio := w.Prio
+		for _, t := range cycle[1:] {
+			if p := d.stripeOf(t).waits[t].Prio; p > prio {
+				victim, prio = t, p
+			}
+		}
+		dl := &ErrDeadlock{Victim: victim, Cycle: cycle}
+		if victim == w.ID {
+			delete(st.waits, w.ID)
+			err = dl
+		} else {
+			vs := d.stripeOf(victim)
+			ve := vs.waits[victim]
+			ve.holders, ve.wound = nil, dl
+			vs.waits[victim] = ve
+			wake = ve.Wake
+		}
 	}
 	for _, s := range d.stripes {
 		s.mu.Unlock()
 	}
-	if cycle != nil {
-		return &ErrDeadlock{Victim: waiter, Cycle: cycle}
+	return wake, err
+}
+
+// edgesLocked returns the live outgoing edges of t. Caller holds every
+// stripe lock.
+func (d *Detector) edgesLocked(t history.TxnID) []history.TxnID {
+	return d.stripeOf(t).waits[t].holders
+}
+
+// ClearWaits removes waiter's entry (called after it wakes, and at commit
+// or abort). If a cycle chose waiter as its victim while it slept, the
+// wound is returned: the waiter must abort. Touches only the waiter's
+// stripe.
+func (d *Detector) ClearWaits(waiter history.TxnID) error {
+	st := d.stripeOf(waiter)
+	st.mu.Lock()
+	wound := st.waits[waiter].wound
+	delete(st.waits, waiter)
+	st.mu.Unlock()
+	if wound != nil {
+		return wound
 	}
 	return nil
 }
 
-// edgesLocked returns the live outgoing-edge set of t. Caller holds every
-// stripe lock.
-func (d *Detector) edgesLocked(t history.TxnID) map[history.TxnID]bool {
-	return d.stripeOf(t).waits[t]
-}
-
-// ClearWaits removes all outgoing edges of waiter (called after it wakes or
-// aborts). Touches only the waiter's stripe.
-func (d *Detector) ClearWaits(waiter history.TxnID) {
-	st := d.stripeOf(waiter)
-	st.mu.Lock()
-	delete(st.waits, waiter)
-	st.mu.Unlock()
-}
-
 // findCycleFrom performs a DFS from start over the graph exposed by edges
-// and returns a cycle through start if one exists.
-func findCycleFrom(edges func(history.TxnID) map[history.TxnID]bool, start history.TxnID) []history.TxnID {
+// and returns a cycle through start (start first) if one exists.
+func findCycleFrom(edges func(history.TxnID) []history.TxnID, start history.TxnID) []history.TxnID {
 	var path []history.TxnID
 	onPath := make(map[history.TxnID]bool)
 	visited := make(map[history.TxnID]bool)
@@ -205,12 +279,8 @@ func findCycleFrom(edges func(history.TxnID) map[history.TxnID]bool, start histo
 		onPath[t] = true
 		path = append(path, t)
 		// Deterministic iteration for reproducible cycles.
-		out := edges(t)
-		next := make([]history.TxnID, 0, len(out))
-		for n := range out {
-			next = append(next, n)
-		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		next := slices.Clone(edges(t))
+		slices.Sort(next)
 		for _, n := range next {
 			if n == start {
 				return append([]history.TxnID(nil), path...)

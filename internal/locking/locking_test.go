@@ -74,12 +74,27 @@ func TestTableMultipleConflictingHolders(t *testing.T) {
 	}
 }
 
+// addWaits declares a wait for a test transaction whose age is its name:
+// Begin order is alphabetical, so "A" is the oldest and the youngest
+// member of a cycle is the alphabetically greatest.
+func addWaits(d *Detector, id history.TxnID, holders []history.TxnID) error {
+	_, err := d.AddWaits(Waiter{ID: id, Prio: age(id)}, holders)
+	return err
+}
+
+func age(id history.TxnID) int64 { return int64(id[0]) }
+
+// wakeCounter is a Waker that counts its calls.
+type wakeCounter struct{ n int }
+
+func (w *wakeCounter) Wake() { w.n++ }
+
 func TestDetectorNoCycle(t *testing.T) {
 	d := NewDetector()
-	if err := d.AddWaits("A", []history.TxnID{"B"}); err != nil {
+	if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddWaits("B", []history.TxnID{"C"}); err != nil {
+	if err := addWaits(d, "B", []history.TxnID{"C"}); err != nil {
 		t.Fatal(err)
 	}
 	if d.WaitCount() != 2 {
@@ -87,47 +102,105 @@ func TestDetectorNoCycle(t *testing.T) {
 	}
 }
 
+// TestDetectorDirectCycle: a two-transaction cycle aborts its youngest
+// member, B, whichever of the two closes it.
 func TestDetectorDirectCycle(t *testing.T) {
-	d := NewDetector()
-	if err := d.AddWaits("A", []history.TxnID{"B"}); err != nil {
-		t.Fatal(err)
-	}
-	err := d.AddWaits("B", []history.TxnID{"A"})
-	var dl *ErrDeadlock
-	if !errors.As(err, &dl) {
-		t.Fatalf("expected ErrDeadlock, got %v", err)
-	}
-	if dl.Victim != "B" {
-		t.Errorf("victim = %s, want the requester B", dl.Victim)
-	}
-	// The victim's edges were rolled back; A still waits.
-	if d.WaitCount() != 1 {
-		t.Errorf("WaitCount after rollback = %d, want 1", d.WaitCount())
-	}
+	t.Run("younger-requester", func(t *testing.T) {
+		// B is ready to run when its request closes the cycle: it gets the
+		// error and its edges are rolled back; A still waits.
+		d := NewDetector()
+		if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
+			t.Fatal(err)
+		}
+		err := addWaits(d, "B", []history.TxnID{"A"})
+		var dl *ErrDeadlock
+		if !errors.As(err, &dl) {
+			t.Fatalf("expected ErrDeadlock, got %v", err)
+		}
+		if dl.Victim != "B" {
+			t.Errorf("victim = %s, want the youngest, B", dl.Victim)
+		}
+		if d.WaitCount() != 1 {
+			t.Errorf("WaitCount after rollback = %d, want 1", d.WaitCount())
+		}
+	})
+	t.Run("older-requester", func(t *testing.T) {
+		// B is asleep when A's request closes the cycle: A survives and
+		// keeps waiting, B is wounded — its edges dropped, its Waker handed
+		// back to A — and collects the wound when it wakes.
+		d := NewDetector()
+		wb := &wakeCounter{}
+		if _, err := d.AddWaits(Waiter{ID: "B", Prio: age("B"), Wake: wb}, []history.TxnID{"A"}); err != nil {
+			t.Fatal(err)
+		}
+		wake, err := d.AddWaits(Waiter{ID: "A", Prio: age("A")}, []history.TxnID{"B"})
+		if err != nil {
+			t.Fatalf("the older requester was victimized: %v", err)
+		}
+		if wake != wb {
+			t.Fatalf("AddWaits handed back waker %v, want the victim's", wake)
+		}
+		// The cycle is broken: A re-declaring its wait finds none.
+		if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
+			t.Fatalf("cycle not broken by the wound: %v", err)
+		}
+		var dl *ErrDeadlock
+		if err := d.ClearWaits("B"); !errors.As(err, &dl) || dl.Victim != "B" {
+			t.Fatalf("ClearWaits(B) = %v, want the wound naming B", err)
+		}
+		if d.WaitCount() != 1 {
+			t.Errorf("WaitCount after the victim cleared = %d, want 1 (A)", d.WaitCount())
+		}
+		if err := d.ClearWaits("A"); err != nil {
+			t.Errorf("ClearWaits(A) = %v, want nil: A survived", err)
+		}
+	})
+	t.Run("wounded-waiter-redeclares", func(t *testing.T) {
+		// A wounded waiter that declares a wait again before clearing (it
+		// raced the wound between its own two lock sections) gets the
+		// wound back as its error.
+		d := NewDetector()
+		if err := addWaits(d, "B", []history.TxnID{"A"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
+			t.Fatal(err)
+		}
+		var dl *ErrDeadlock
+		if err := addWaits(d, "B", []history.TxnID{"A"}); !errors.As(err, &dl) || dl.Victim != "B" {
+			t.Fatalf("re-declared wait = %v, want the wound naming B", err)
+		}
+		if err := d.ClearWaits("B"); err != nil {
+			t.Fatalf("wound delivered twice: %v", err)
+		}
+	})
 }
 
 func TestDetectorTransitiveCycle(t *testing.T) {
 	d := NewDetector()
-	if err := d.AddWaits("A", []history.TxnID{"B"}); err != nil {
+	if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddWaits("B", []history.TxnID{"C"}); err != nil {
+	if err := addWaits(d, "B", []history.TxnID{"C"}); err != nil {
 		t.Fatal(err)
 	}
-	err := d.AddWaits("C", []history.TxnID{"A"})
+	err := addWaits(d, "C", []history.TxnID{"A"})
 	var dl *ErrDeadlock
 	if !errors.As(err, &dl) {
 		t.Fatalf("expected transitive deadlock, got %v", err)
+	}
+	if dl.Victim != "C" || len(dl.Cycle) != 3 {
+		t.Errorf("victim %s of cycle %v, want the youngest, C, of all three", dl.Victim, dl.Cycle)
 	}
 }
 
 func TestDetectorClearBreaksCycles(t *testing.T) {
 	d := NewDetector()
-	if err := d.AddWaits("A", []history.TxnID{"B"}); err != nil {
+	if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
 		t.Fatal(err)
 	}
-	d.ClearWaits("A")
-	if err := d.AddWaits("B", []history.TxnID{"A"}); err != nil {
+	_ = d.ClearWaits("A")
+	if err := addWaits(d, "B", []history.TxnID{"A"}); err != nil {
 		t.Fatalf("no cycle after clear: %v", err)
 	}
 }
@@ -136,7 +209,7 @@ func TestDetectorSelfWaitImpossibleByConstruction(t *testing.T) {
 	// Lock tables never report the requester itself, but the detector must
 	// still catch a direct self-edge defensively.
 	d := NewDetector()
-	err := d.AddWaits("A", []history.TxnID{"A"})
+	err := addWaits(d, "A", []history.TxnID{"A"})
 	var dl *ErrDeadlock
 	if !errors.As(err, &dl) {
 		t.Fatalf("self-wait should be a cycle, got %v", err)
@@ -158,11 +231,11 @@ func TestAsymmetricRelationNoFalseDeadlock(t *testing.T) {
 	if len(hA) != 1 || hA[0] != "B" {
 		t.Fatalf("A's withdrawal should conflict with B's deposit: %v", hA)
 	}
-	if err := d.AddWaits("A", hA); err != nil {
+	if err := addWaits(d, "A", hA); err != nil {
 		t.Fatal(err)
 	}
 	hB := tab.Conflicting(adt.WithdrawOk(1), "B")
-	if err := d.AddWaits("B", hB); err == nil {
+	if err := addWaits(d, "B", hB); err == nil {
 		t.Fatal("expected deadlock: mutual withdraw-after-deposit")
 	}
 }
@@ -180,11 +253,11 @@ func TestDetectorStripedConcurrency(t *testing.T) {
 			waiter := history.TxnID(fmt.Sprintf("W%02d", g))
 			holder := history.TxnID(fmt.Sprintf("H%02d", g))
 			for i := 0; i < 200; i++ {
-				if err := d.AddWaits(waiter, []history.TxnID{holder}); err != nil {
+				if err := addWaits(d, waiter, []history.TxnID{holder}); err != nil {
 					t.Errorf("unexpected deadlock: %v", err)
 					return
 				}
-				d.ClearWaits(waiter)
+				_ = d.ClearWaits(waiter)
 			}
 		}(g)
 	}
@@ -195,33 +268,35 @@ func TestDetectorStripedConcurrency(t *testing.T) {
 }
 
 // TestDetectorStripedSingleVictim: with edges crossing stripes, closing a
-// cycle still yields exactly one victim even when both closers race.
+// cycle still yields exactly one victim — the youngest, B — even when both
+// closers race, whether B learns it from its own AddWaits or as a wound
+// collected by ClearWaits.
 func TestDetectorStripedSingleVictim(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		d := NewDetectorStriped(8)
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
 		wg.Add(2)
-		go func() { defer wg.Done(); errs[0] = d.AddWaits("A", []history.TxnID{"B"}) }()
-		go func() { defer wg.Done(); errs[1] = d.AddWaits("B", []history.TxnID{"A"}) }()
+		go func() { defer wg.Done(); errs[0] = addWaits(d, "A", []history.TxnID{"B"}) }()
+		go func() { defer wg.Done(); errs[1] = addWaits(d, "B", []history.TxnID{"A"}) }()
 		wg.Wait()
-		victims := 0
-		for _, err := range errs {
+		victims := map[history.TxnID]bool{}
+		for _, err := range append(errs, d.ClearWaits("A"), d.ClearWaits("B")) {
 			if err != nil {
 				var dl *ErrDeadlock
 				if !errors.As(err, &dl) {
 					t.Fatalf("unexpected error: %v", err)
 				}
-				victims++
+				victims[dl.Victim] = true
 			}
 		}
-		// Both edges present means the cycle existed; the serialized check
-		// must have broken it by removing exactly one waiter's edges.
-		if victims > 1 {
-			t.Fatalf("trial %d: %d victims for one cycle", trial, victims)
+		// Both edges were declared, so the cycle existed; the serialized
+		// check must have broken it by choosing exactly one victim.
+		if len(victims) != 1 || !victims["B"] {
+			t.Fatalf("trial %d: victims %v, want exactly the youngest, B", trial, victims)
 		}
-		if victims == 1 && d.WaitCount() != 1 {
-			t.Fatalf("trial %d: victim edges not removed, count=%d", trial, d.WaitCount())
+		if n := d.WaitCount(); n != 0 {
+			t.Fatalf("trial %d: %d entries left after both cleared", trial, n)
 		}
 	}
 }

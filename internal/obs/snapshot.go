@@ -70,9 +70,11 @@ type WALStats struct {
 	StripeAcquisitions int64  `json:"stripe_acquisitions"`
 	DurableLSN         uint64 `json:"durable_lsn"`
 	Records            int    `json:"records"`
-	Bytes              int64  `json:"bytes"`
-	Base               uint64 `json:"base"`
-	Discipline         string `json:"discipline,omitempty"`
+	// Bytes is the retained records' encoded size: exact with a durable
+	// backend, the log's size estimate without one (see wal.Stats).
+	Bytes      int64  `json:"bytes"`
+	Base       uint64 `json:"base"`
+	Discipline string `json:"discipline,omitempty"`
 	// TruncBytesRewritten is structurally zero: the WAL truncates by
 	// unlinking whole segments and never rewrites a byte. It remains only
 	// because the benchmark's checkpoint.bytes_rewritten metric reads it.

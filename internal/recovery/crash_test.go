@@ -360,7 +360,7 @@ func readDurable(t *testing.T, dir string) []wal.Record {
 	if err != nil {
 		t.Fatalf("read %s: %v", dir, err)
 	}
-	recs := b.Replay()
+	recs, _ := b.Replay()
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,12 @@ type failAfterBackend struct {
 	err     error
 }
 
-func (b *failAfterBackend) Sync(recs []wal.Record) error {
+func (b *failAfterBackend) Sync(recs []wal.Record, frame []byte) error {
 	b.calls++
 	if b.calls > b.okSyncs {
 		return b.err
 	}
-	return b.inner.Sync(recs)
+	return b.inner.Sync(recs, frame)
 }
 func (b *failAfterBackend) Close() error { return b.inner.Close() }
 

@@ -84,7 +84,7 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	id := history.TxnID(fmt.Sprintf("CKPT%04d", e.ckptSeq.Add(1)))
+	id := seqID("CKPT", e.ckptSeq.Add(1))
 
 	// The begin marker fixes the frontier before any capture and before
 	// any registry read: every record restart could need stamps after it.

@@ -593,7 +593,10 @@ const (
 
 // Txn is a transaction handle. A Txn is used by a single goroutine.
 type Txn struct {
-	id      history.TxnID
+	id history.TxnID
+	// seq is the Begin sequence the id is built from: the transaction's
+	// age, by which a deadlock's youngest member is its victim.
+	seq     int64
 	eng     *Engine
 	state   atomic.Int32
 	touched map[history.ObjectID]bool
@@ -628,9 +631,9 @@ type Txn struct {
 // Begin starts a transaction.
 func (e *Engine) Begin() *Txn {
 	seq := e.txnSeq.Add(1)
-	id := history.TxnID(fmt.Sprintf("T%04d", seq))
+	id := seqID("T", seq)
 	e.Metrics.Begins.Add(1)
-	t := &Txn{id: id, eng: e, touched: make(map[history.ObjectID]bool)}
+	t := &Txn{id: id, seq: seq, eng: e, touched: make(map[history.ObjectID]bool)}
 	if o := e.obsv; o != nil {
 		t.obs = o
 		t.begin = time.Now()
@@ -643,14 +646,29 @@ func (e *Engine) Begin() *Txn {
 	return t
 }
 
+// seqID names the n-th transaction or checkpoint: prefix followed by n
+// (n >= 0) zero-padded to at least four digits — fmt's "%s%04d" — with
+// one allocation, the string itself.
+func seqID(prefix string, n int64) history.TxnID {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for w := int64(1000); w > 1 && n < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return history.TxnID(strconv.AppendInt(b, n, 10))
+}
+
 // ID returns the transaction identifier.
 func (t *Txn) ID() history.TxnID { return t.id }
 
 // Invoke executes one operation on an object, blocking while conflicting
-// locks are held. On deadlock the transaction is chosen as victim, fully
-// aborted, and an error wrapping both *locking.ErrDeadlock and ErrAborted
-// is returned. On adt.ErrNotEnabled (partial invocation) the transaction
-// stays active and the caller may retry, invoke something else, or abort.
+// locks are held. A waits-for cycle aborts its youngest member (latest
+// Begin), so the oldest transaction in a deadlock survives. If that is
+// this transaction — whether its own request closed the cycle or another
+// requester's did while it waited — it is fully aborted and an error
+// wrapping both *locking.ErrDeadlock and ErrAborted is returned. On
+// adt.ErrNotEnabled (partial invocation) the transaction stays active and
+// the caller may retry, invoke something else, or abort.
 func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, error) {
 	if txnState(t.state.Load()) != active {
 		return "", fmt.Errorf("txn %s: invoke %s: %w", t.id, inv, ErrNotActive)
@@ -732,18 +750,24 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 			return res, nil
 		}
 		// Conflict: declare the wait, check for deadlock, and sleep.
-		if err := e.detector.AddWaits(t.id, holders); err != nil {
+		wake, err := e.detector.AddWaits(locking.Waiter{ID: t.id, Prio: t.seq, Wake: mo}, holders)
+		if err != nil {
 			mo.mu.Unlock()
-			e.Metrics.Deadlocks.Add(1)
-			if t.trace != nil {
-				t.trace.Instant("deadlock", time.Since(t.obs.Epoch).Nanoseconds(),
-					map[string]string{"obj": string(obj)})
+			return "", t.deadlockAbort(obj, err)
+		}
+		if wake != nil {
+			// The cycle this request closed chose a younger member that is
+			// asleep: it is wounded and must be woken to abort itself. Its
+			// latch is taken only after this one is released (latches never
+			// nest), so the request is re-evaluated from the top.
+			mo.mu.Unlock()
+			wake.Wake()
+			mo.mu.Lock()
+			if err := e.detector.ClearWaits(t.id); err != nil {
+				mo.mu.Unlock()
+				return "", t.deadlockAbort(obj, err)
 			}
-			abortErr := t.Abort()
-			if abortErr != nil && !errors.Is(abortErr, ErrNotActive) {
-				return "", fmt.Errorf("txn %s: deadlock victim abort failed: %w", t.id, abortErr)
-			}
-			return "", fmt.Errorf("txn %s: %w: %w", t.id, err, ErrAborted)
+			continue
 		}
 		if t.obs != nil && !blocked {
 			waitStart = time.Now()
@@ -752,8 +776,37 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 		blocked = true
 		e.Metrics.BlockEvents.Add(1)
 		mo.cond.Wait()
-		e.detector.ClearWaits(t.id)
+		// A cycle closed by another requester while this transaction slept
+		// may have chosen it as the victim; it aborts itself here, on its
+		// own goroutine.
+		if err := e.detector.ClearWaits(t.id); err != nil {
+			mo.mu.Unlock()
+			return "", t.deadlockAbort(obj, err)
+		}
 	}
+}
+
+// deadlockAbort aborts the transaction as the victim of the deadlock
+// cause reports, returning the error Invoke surfaces: cause (an
+// *locking.ErrDeadlock) joined with ErrAborted. The caller holds no latch.
+func (t *Txn) deadlockAbort(obj history.ObjectID, cause error) error {
+	t.eng.Metrics.Deadlocks.Add(1)
+	if t.trace != nil {
+		t.trace.Instant("deadlock", time.Since(t.obs.Epoch).Nanoseconds(),
+			map[string]string{"obj": string(obj)})
+	}
+	if err := t.Abort(); err != nil && !errors.Is(err, ErrNotActive) {
+		return fmt.Errorf("txn %s: deadlock victim abort failed: %w", t.id, err)
+	}
+	return fmt.Errorf("txn %s: %w: %w", t.id, cause, ErrAborted)
+}
+
+// Wake implements locking.Waker: it rouses every transaction sleeping on
+// the object, so a deadlock victim among them sees its wound.
+func (mo *managedObject) Wake() {
+	mo.mu.Lock()
+	mo.cond.Broadcast()
+	mo.mu.Unlock()
 }
 
 func (t *Txn) touch(mo *managedObject) {
@@ -790,7 +843,7 @@ func (t *Txn) releaseLocks(commit wal.Ticket) {
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	e.detector.ClearWaits(t.id)
+	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 }
 
 // terminate abandons a commit that can no longer complete: every
@@ -825,7 +878,7 @@ func (t *Txn) terminate(objs []history.ObjectID, committed int, cause error) err
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	e.detector.ClearWaits(t.id)
+	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 	if t.wroteWAL {
 		// Push the staged compensation records. A flush failure here means
 		// the terminated transaction's undo trail may not be durable; the
@@ -1216,7 +1269,7 @@ func (t *Txn) Abort() error {
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	e.detector.ClearWaits(t.id)
+	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 	if t.wroteWAL {
 		ferr := e.log.Flush()
 		if ferr == nil {
@@ -1305,5 +1358,5 @@ func (t *Txn) releaseLocksOrdered(groups []commitGroup, commit wal.Ticket) {
 		}
 		g.sh.finishRelease(t.id)
 	}
-	e.detector.ClearWaits(t.id)
+	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 }

@@ -123,7 +123,7 @@ type gatedBackend struct {
 
 func newGatedBackend() *gatedBackend { return &gatedBackend{gate: make(chan struct{})} }
 
-func (b *gatedBackend) Sync([]wal.Record) error {
+func (b *gatedBackend) Sync([]wal.Record, []byte) error {
 	<-b.gate
 	b.syncs.Add(1)
 	return nil

@@ -16,20 +16,26 @@ import (
 )
 
 // Backend is the durability seam beneath the group-commit flusher: Sync is
-// called once per sequenced batch, with records in LSN order, and must not
-// return until the batch is as durable as the backend provides. Commit
-// acknowledgements are withheld until Sync returns. Sync is never called
-// concurrently (the flush lock serializes batches).
+// called once per sequenced batch, with records in LSN order and frame
+// holding their durable encoding (the lines appendRecord writes, in the
+// same order), and must not return until the batch is as durable as the
+// backend provides. The log encodes each batch exactly once, outside its
+// record lock; a backend that stores bytes writes frame as is, and one that
+// does not ignores it. Commit acknowledgements are withheld until Sync
+// returns. Sync is never called concurrently (the flush lock serializes
+// batches), and records and frame are valid only during the call: the log
+// reuses their storage for the next batch.
 type Backend interface {
-	Sync(records []Record) error
+	Sync(records []Record, frame []byte) error
 	Close() error
 }
 
 // Replayer is implemented by backends that can hand back the records that
-// survived a previous incarnation (a re-opened segmented backend). Open loads
-// replayed records into the committed region before accepting new appends.
+// survived a previous incarnation (a re-opened segmented backend), each with
+// its encoded size in bytes. Open loads replayed records into the committed
+// region before accepting new appends, and counts their bytes from sizes.
 type Replayer interface {
-	Replay() []Record
+	Replay() (records []Record, sizes []int64)
 }
 
 // Truncator is implemented by backends that can discard a durable prefix
@@ -60,8 +66,8 @@ var Discard Backend = discard{}
 
 type discard struct{}
 
-func (discard) Sync([]Record) error { return nil }
-func (discard) Close() error        { return nil }
+func (discard) Sync([]Record, []byte) error { return nil }
+func (discard) Close() error                { return nil }
 
 // LatencyBackend simulates a storage device with a fixed per-sync latency
 // (an fsync cost model). It makes the group-commit trade-off measurable:
@@ -77,8 +83,8 @@ func NewLatencyBackend(delay time.Duration) *LatencyBackend {
 	return &LatencyBackend{delay: delay}
 }
 
-// Sync implements Backend.
-func (b *LatencyBackend) Sync(records []Record) error {
+// Sync implements Backend; the frame is not stored.
+func (b *LatencyBackend) Sync(records []Record, _ []byte) error {
 	if b.delay > 0 {
 		time.Sleep(b.delay)
 	}
@@ -119,45 +125,142 @@ func syncDir(dir string) error {
 // JSON array of dependency TxnIDs. The format is append-only and
 // self-delimiting, so a crash mid-write leaves at most one torn final
 // line, which the scanner discards.
+//
+// appendRecord writes that format with strconv appends and run-copying
+// escapes, so encoding a record into a buffer with room allocates nothing.
+// The golden-byte tests pin its output to the format byte for byte.
 
-var fileEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n")
 var fileUnescaper = strings.NewReplacer("\\\\", "\\", "\\t", "\t", "\\n", "\n")
 
-func encodeRecord(r Record) (string, error) {
-	var undo string
-	switch u := r.Undo.(type) {
-	case nil:
-		undo = "-"
-	case EncodedUndo:
-		undo = "e" + fileEscaper.Replace(string(u))
+// unescapeField inverts appendEscaped. A field with no backslash — almost
+// every field — is returned as is, without a copy.
+func unescapeField(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
+	return fileUnescaper.Replace(s)
+}
+
+// appendRecord appends r's durable encoding — one whole line — to dst. A
+// record whose undo token is not an EncodedUndo cannot be made durable; the
+// error names the fix, and dst is returned unchanged.
+func appendRecord(dst []byte, r Record) ([]byte, error) {
+	switch r.Undo.(type) {
+	case nil, EncodedUndo:
 	default:
-		return "", fmt.Errorf("wal: durable backend cannot encode undo token of type %T at LSN %d "+
+		return dst, fmt.Errorf("wal: durable backend cannot encode undo token of type %T at LSN %d "+
 			"(stage it as wal.EncodedUndo; see adt.UndoTokenCodec)", r.Undo, r.LSN)
 	}
-	deps := "-"
-	if len(r.Deps) > 0 {
-		js, err := json.Marshal(r.Deps)
-		if err != nil {
-			return "", fmt.Errorf("wal: encode deps at LSN %d: %w", r.LSN, err)
-		}
-		deps = "d" + fileEscaper.Replace(string(js))
+	start := len(dst)
+	dst = strconv.AppendUint(dst, uint64(r.LSN), 10)
+	dst = append(dst, '\t')
+	dst = strconv.AppendInt(dst, int64(r.Kind), 10)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, string(r.Txn))
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, string(r.Obj))
+	dst = append(dst, '\t')
+	dst = strconv.AppendUint(dst, uint64(r.PrevLSN), 10)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, r.Op.Inv.Name)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, r.Op.Inv.Args)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, string(r.Op.Res))
+	dst = append(dst, '\t')
+	if u, ok := r.Undo.(EncodedUndo); ok {
+		dst = append(dst, 'e')
+		dst = appendEscaped(dst, string(u))
+	} else {
+		dst = append(dst, '-')
 	}
-	return fmt.Sprintf("%d\t%d\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%s\n",
-		r.LSN, int(r.Kind),
-		fileEscaper.Replace(string(r.Txn)),
-		fileEscaper.Replace(string(r.Obj)),
-		r.PrevLSN,
-		fileEscaper.Replace(r.Op.Inv.Name),
-		fileEscaper.Replace(r.Op.Inv.Args),
-		fileEscaper.Replace(string(r.Op.Res)),
-		undo, deps), nil
+	dst = append(dst, '\t')
+	dst, err := appendDeps(dst, r.Deps)
+	if err != nil {
+		return dst[:start], fmt.Errorf("wal: encode deps at LSN %d: %w", r.LSN, err)
+	}
+	return append(dst, '\n'), nil
+}
+
+// appendEscaped appends s with backslashes, tabs, and newlines escaped,
+// copying each run between them unchanged.
+func appendEscaped(dst []byte, s string) []byte {
+	run := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '\\':
+			esc = `\\`
+		case '\t':
+			esc = `\t`
+		case '\n':
+			esc = `\n`
+		default:
+			continue
+		}
+		dst = append(dst, s[run:i]...)
+		dst = append(dst, esc...)
+		run = i + 1
+	}
+	return append(dst, s[run:]...)
+}
+
+// appendDeps appends the deps field: "-" for none, else "d" + the escaped
+// JSON array of the IDs. IDs made only of bytes encoding/json emits
+// verbatim are appended by hand; any other byte (a quote, a backslash, a
+// control or HTML-sensitive character, non-ASCII) sends the whole array
+// through json.Marshal, so the bytes are json.Marshal's in every case.
+func appendDeps(dst []byte, deps []history.TxnID) ([]byte, error) {
+	if len(deps) == 0 {
+		return append(dst, '-'), nil
+	}
+	dst = append(dst, 'd')
+	for _, d := range deps {
+		if !jsonVerbatim(string(d)) {
+			js, err := json.Marshal(deps)
+			if err != nil {
+				return dst, err
+			}
+			return appendEscaped(dst, string(js)), nil
+		}
+	}
+	dst = append(dst, '[')
+	for i, d := range deps {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '"')
+		dst = append(dst, d...)
+		dst = append(dst, '"')
+	}
+	return append(dst, ']'), nil
+}
+
+// jsonVerbatim reports whether json.Marshal encodes s as itself between
+// quotes: printable ASCII other than '"', '\\', '<', '>' and '&'. Such a
+// string also holds no byte the line format escapes.
+func jsonVerbatim(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e:
+			return false
+		case c == '"' || c == '\\' || c == '<' || c == '>' || c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 func decodeRecord(line string) (Record, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) != 10 {
-		return Record{}, fmt.Errorf("wal: record has %d fields, want 10", len(fields))
+	if n := strings.Count(line, "\t") + 1; n != 10 {
+		return Record{}, fmt.Errorf("wal: record has %d fields, want 10", n)
 	}
+	var fields [10]string
+	for i := range fields[:9] {
+		tab := strings.IndexByte(line, '\t')
+		fields[i], line = line[:tab], line[tab+1:]
+	}
+	fields[9] = line
 	lsn, err := strconv.ParseUint(fields[0], 10, 64)
 	if err != nil {
 		return Record{}, fmt.Errorf("wal: bad LSN %q", fields[0])
@@ -173,76 +276,82 @@ func decodeRecord(line string) (Record, error) {
 	r := Record{
 		LSN:     LSN(lsn),
 		Kind:    RecordKind(kind),
-		Txn:     history.TxnID(fileUnescaper.Replace(fields[2])),
-		Obj:     history.ObjectID(fileUnescaper.Replace(fields[3])),
+		Txn:     history.TxnID(unescapeField(fields[2])),
+		Obj:     history.ObjectID(unescapeField(fields[3])),
 		PrevLSN: LSN(prev),
 		Op: spec.Operation{
 			Inv: spec.Invocation{
-				Name: fileUnescaper.Replace(fields[5]),
-				Args: fileUnescaper.Replace(fields[6]),
+				Name: unescapeField(fields[5]),
+				Args: unescapeField(fields[6]),
 			},
-			Res: spec.Response(fileUnescaper.Replace(fields[7])),
+			Res: spec.Response(unescapeField(fields[7])),
 		},
 	}
 	switch undo := fields[8]; {
 	case undo == "-":
 	case strings.HasPrefix(undo, "e"):
-		r.Undo = EncodedUndo(fileUnescaper.Replace(undo[1:]))
+		r.Undo = EncodedUndo(unescapeField(undo[1:]))
 	default:
 		return Record{}, fmt.Errorf("wal: bad undo field %q", undo)
 	}
 	switch deps := fields[9]; {
 	case deps == "-":
 	case strings.HasPrefix(deps, "d"):
-		if err := json.Unmarshal([]byte(fileUnescaper.Replace(deps[1:])), &r.Deps); err != nil {
+		// Unmarshal into a local, so that r does not escape to the heap.
+		var ids []history.TxnID
+		if err := json.Unmarshal([]byte(unescapeField(deps[1:])), &ids); err != nil {
 			return Record{}, fmt.Errorf("wal: bad deps field %q: %w", deps, err)
 		}
+		r.Deps = ids
 	default:
 		return Record{}, fmt.Errorf("wal: bad deps field %q", deps)
 	}
 	return r, nil
 }
 
-// scanFileLog reads records from the start of f, returning them with the
-// byte offset of the end of the last whole record. A torn tail — a final
-// line missing its newline or failing to decode — is discarded; a
-// malformed line with further lines after it is corruption and errors.
-func scanFileLog(f *os.File) ([]Record, int64, error) {
+// scanFileLog reads records from the start of f, returning them with each
+// record's encoded size (its line length, newline included) and the byte
+// offset of the end of the last whole record. A torn tail — a final line
+// missing its newline or failing to decode — is discarded; a malformed
+// line with further lines after it is corruption and errors.
+func scanFileLog(f *os.File) ([]Record, []int64, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	br := bufio.NewReader(f)
 	var recs []Record
+	var sizes []int64
 	var clean int64
 	for {
 		line, err := br.ReadString('\n')
 		if err == io.EOF {
 			// line (if any) has no terminator: torn tail, discard.
-			return recs, clean, nil
+			return recs, sizes, clean, nil
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("wal: scan log file: %w", err)
+			return nil, nil, 0, fmt.Errorf("wal: scan log file: %w", err)
 		}
 		r, derr := decodeRecord(strings.TrimSuffix(line, "\n"))
 		if derr != nil {
 			// Only acceptable as the very last line (torn by a crash
 			// mid-write that still got the newline out); peek ahead.
 			if _, perr := br.ReadByte(); perr == io.EOF {
-				return recs, clean, nil
+				return recs, sizes, clean, nil
 			}
-			return nil, 0, fmt.Errorf("wal: corrupt log record before offset %d: %w",
+			return nil, nil, 0, fmt.Errorf("wal: corrupt log record before offset %d: %w",
 				clean+int64(len(line)), derr)
 		}
 		// A truncated log starts past LSN 1 (the first surviving record
 		// names the base); from there LSNs must be contiguous.
 		if r.LSN == 0 {
-			return nil, 0, fmt.Errorf("wal: log file record with nil LSN")
+			return nil, nil, 0, fmt.Errorf("wal: log file record with nil LSN")
 		}
 		if len(recs) > 0 && r.LSN != recs[len(recs)-1].LSN+1 {
-			return nil, 0, fmt.Errorf("wal: log file LSN %d out of sequence (want %d)",
+			return nil, nil, 0, fmt.Errorf("wal: log file LSN %d out of sequence (want %d)",
 				r.LSN, recs[len(recs)-1].LSN+1)
 		}
 		recs = append(recs, r)
+		sizes = append(sizes, int64(len(line)))
 		clean += int64(len(line))
 	}
 }

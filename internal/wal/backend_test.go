@@ -20,7 +20,21 @@ func readSegments(t *testing.T, dir string) []Record {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	return b.Replay()
+	recs, _ := b.Replay()
+	return recs
+}
+
+// syncEncoded hands recs to b the way the log's flusher does: encoded once
+// into one frame.
+func syncEncoded(b Backend, recs []Record) error {
+	var frame []byte
+	for _, r := range recs {
+		var err error
+		if frame, err = appendRecord(frame, r); err != nil {
+			return err
+		}
+	}
+	return b.Sync(recs, frame)
 }
 
 // TestFileBackendRoundTrip: records synced to a segment file come back
@@ -48,7 +62,7 @@ func TestFileBackendRoundTrip(t *testing.T) {
 		{LSN: 8, Kind: TxnCommitRec, Txn: "T3", PrevLSN: 7, Deps: []history.TxnID{"T1", "T\t2", `d"ep\`}},
 		{LSN: 9, Kind: DisciplineRec, Op: DisciplineMarker(DisciplineRedo).Op},
 	}
-	if err := b.Sync(recs); err != nil {
+	if err := syncEncoded(b, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {
@@ -66,17 +80,43 @@ func TestFileBackendRoundTrip(t *testing.T) {
 }
 
 // TestFileBackendRejectsOpaqueUndo: a raw (non-EncodedUndo) token cannot
-// be made durable; the error names the fix.
+// be made durable; the error names the fix. The log encodes each batch
+// before handing it to the backend, so a batch holding such a record fails
+// atomically: no byte of it is written — not even its encodable records —
+// the failure is sticky in Err, and the watermark does not cover it.
 func TestFileBackendRejectsOpaqueUndo(t *testing.T) {
+	if _, err := appendRecord(nil, Record{LSN: 1, Kind: Update, Txn: "A", Obj: "X",
+		Op: adt.DepositOk(1), Undo: struct{ x int }{1}}); err == nil {
+		t.Fatal("appendRecord accepted an opaque undo token")
+	}
 	b, err := CreateSegmentedBackend(t.TempDir(), SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	err = b.Sync([]Record{{LSN: 1, Kind: Update, Txn: "A", Obj: "X",
-		Op: adt.DepositOk(1), Undo: struct{ x int }{1}}})
-	if err == nil {
-		t.Fatal("Sync accepted an opaque undo token")
+	l, err := Open(Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X",
+		Op: adt.DepositOk(2), Undo: struct{ x int }{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Err(); err == nil || !strings.Contains(err.Error(), "EncodedUndo") {
+		t.Fatalf("Err() = %v, want the sticky encode failure naming wal.EncodedUndo", err)
+	}
+	if l.IsDurable(tk) || l.DurableLSN() != 0 {
+		t.Fatalf("unencodable batch acknowledged: durable LSN %d", l.DurableLSN())
+	}
+	if n := b.DurableBytes(); n != 0 || b.Syncs() != 0 {
+		t.Fatalf("backend wrote %d bytes in %d syncs of an unencodable batch", n, b.Syncs())
 	}
 }
 
@@ -90,7 +130,7 @@ func TestFileBackendTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Sync([]Record{
+	if err := syncEncoded(b, []Record{
 		{LSN: 1, Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)},
 		{LSN: 2, Kind: Update, Txn: "A", Obj: "X", PrevLSN: 1, Op: adt.DepositOk(2)},
 	}); err != nil {
@@ -113,11 +153,11 @@ func TestFileBackendTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rb.Replay()); got != 2 {
-		t.Fatalf("replayed %d records, want 2 (torn tail discarded)", got)
+	if got, _ := rb.Replay(); len(got) != 2 {
+		t.Fatalf("replayed %d records, want 2 (torn tail discarded)", len(got))
 	}
 	// The truncation leaves the file appendable at the record boundary.
-	if err := rb.Sync([]Record{{LSN: 3, Kind: CommitRec, Txn: "A", Obj: "X", PrevLSN: 2}}); err != nil {
+	if err := syncEncoded(rb, []Record{{LSN: 3, Kind: CommitRec, Txn: "A", Obj: "X", PrevLSN: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rb.Close(); err != nil {
@@ -144,17 +184,17 @@ func TestFileBackendRejectsMidFileCorruption(t *testing.T) {
 // fields. A nine-field line (the deps field missing) followed by a valid
 // line is corruption, not an older format to accept.
 func TestFileBackendRejectsNineFieldRecord(t *testing.T) {
-	first, err := encodeRecord(Record{LSN: 1, Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	first, err := appendRecord(nil, Record{LSN: 1, Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := encodeRecord(Record{LSN: 2, Kind: CommitRec, Txn: "A", Obj: "X", PrevLSN: 1})
+	second, err := appendRecord(nil, Record{LSN: 2, Kind: CommitRec, Txn: "A", Obj: "X", PrevLSN: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nine := first[:strings.LastIndex(first, "\t")] + "\n"
+	nine := string(first[:strings.LastIndex(string(first), "\t")]) + "\n"
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte(nine+second), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), []byte(nine+string(second)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenSegmentedBackend(dir, SegmentConfig{}); err == nil {
@@ -215,7 +255,7 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 func TestLatencyBackendDelays(t *testing.T) {
 	b := NewLatencyBackend(5 * time.Millisecond)
 	start := time.Now()
-	if err := b.Sync([]Record{{LSN: 1}}); err != nil {
+	if err := b.Sync([]Record{{LSN: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {

@@ -58,7 +58,7 @@ type gateBackend struct {
 	gate    chan struct{}
 }
 
-func (b *gateBackend) Sync([]Record) error {
+func (b *gateBackend) Sync([]Record, []byte) error {
 	select {
 	case b.entered <- struct{}{}:
 	default:

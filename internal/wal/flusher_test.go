@@ -151,7 +151,7 @@ type onceFailingBackend struct {
 	batches [][]Record
 }
 
-func (b *onceFailingBackend) Sync(recs []Record) error {
+func (b *onceFailingBackend) Sync(recs []Record, _ []byte) error {
 	b.calls++
 	if b.calls == 2 {
 		return fmt.Errorf("transient device error")

@@ -102,6 +102,7 @@ type SegmentedBackend struct {
 	active *os.File
 	actInf SegmentInfo
 	replay []Record
+	sizes  []int64 // encoded size of each replay record
 	closed bool
 
 	syncs     atomic.Int64
@@ -189,7 +190,7 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %s: %w", infos[i].Path, err)
 		}
-		recs, clean, err := scanFileLog(f)
+		recs, sizes, clean, err := scanFileLog(f)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: scan segment %s: %w", infos[i].Path, err)
@@ -219,6 +220,7 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 				infos[i].Path, recs[0].LSN, b.replay[len(b.replay)-1].LSN+1)
 		}
 		b.replay = append(b.replay, recs...)
+		b.sizes = append(b.sizes, sizes...)
 		if final {
 			// Repair the (only legally tearable) tail and keep the handle
 			// as the active segment.
@@ -244,8 +246,8 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 func (b *SegmentedBackend) Dir() string { return b.dir }
 
 // Replay implements Replayer: the records that survived the crash, across
-// all segments, in LSN order.
-func (b *SegmentedBackend) Replay() []Record { return b.replay }
+// all segments, in LSN order, with the line length each was scanned from.
+func (b *SegmentedBackend) Replay() ([]Record, []int64) { return b.replay, b.sizes }
 
 // Syncs returns the number of batches fsynced.
 func (b *SegmentedBackend) Syncs() int64 { return b.syncs.Load() }
@@ -327,11 +329,10 @@ func (b *SegmentedBackend) rotateLocked(first LSN) error {
 }
 
 // Sync implements Backend: rotate if the active segment is full (or absent),
-// then encode the whole batch, append it to the active segment in one
-// write, and fsync. A batch is never split across segments, so segment
-// names tile the LSN space and a crash tears at most the final segment's
-// tail.
-func (b *SegmentedBackend) Sync(records []Record) error {
+// then append the batch's encoded frame to the active segment in one write,
+// and fsync. A batch is never split across segments, so segment names tile
+// the LSN space and a crash tears at most the final segment's tail.
+func (b *SegmentedBackend) Sync(records []Record, frame []byte) error {
 	if len(records) == 0 {
 		return nil
 	}
@@ -340,28 +341,18 @@ func (b *SegmentedBackend) Sync(records []Record) error {
 	if b.closed {
 		return fmt.Errorf("wal: sync on closed segmented backend %s", b.dir)
 	}
-	// Encode before any byte is written or any rotation happens, so an
-	// unencodable record rejects the batch atomically.
-	var batch strings.Builder
-	for _, r := range records {
-		line, err := encodeRecord(r)
-		if err != nil {
-			return err
-		}
-		batch.WriteString(line)
-	}
 	if b.active == nil || b.actInf.Bytes >= b.cfg.maxBytes() {
 		if err := b.rotateLocked(records[0].LSN); err != nil {
 			return err
 		}
 	}
-	if _, err := b.active.WriteString(batch.String()); err != nil {
+	if _, err := b.active.Write(frame); err != nil {
 		return fmt.Errorf("wal: write %s: %w", b.actInf.Path, err)
 	}
 	if err := b.active.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync %s: %w", b.actInf.Path, err)
 	}
-	b.actInf.Bytes += int64(batch.Len())
+	b.actInf.Bytes += int64(len(frame))
 	b.syncs.Add(1)
 	return nil
 }

@@ -193,7 +193,7 @@ type failingBackend struct {
 	failAfter int
 }
 
-func (b *failingBackend) Sync(records []Record) error {
+func (b *failingBackend) Sync([]Record, []byte) error {
 	b.syncs++
 	if b.syncs > b.failAfter {
 		return errors.New("device died")

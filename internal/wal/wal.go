@@ -59,10 +59,11 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,7 +239,8 @@ type stripe struct {
 // later one silently never reach the backend, while in-memory sequencing
 // and commit acknowledgements continue — modelling a machine that dies
 // with the log tail still in volatile buffers, without hanging the live
-// workload that is generating the log.
+// workload that is generating the log. records is valid only during the
+// call (the log reuses its storage).
 type CrashPoint func(batch int, records []Record) bool
 
 // Config parameterizes Open.
@@ -280,9 +282,12 @@ type Log struct {
 	// frontiers, PrevLSN chains) stay meaningful.
 	records []Record
 	base    LSN
-	// bytes approximates the encoded size of the retained records (the
-	// log-length accounting Stats reports); maintained by
-	// flushOnce and TruncateBefore.
+	// sizes[i] is records[i]'s encoded size: with a backend, the exact
+	// bytes of its line (its share of the flushed frame, or the line a
+	// replay scanned); without one, approxRecordSize. bytes is their sum —
+	// the log-length accounting Stats reports — so truncation subtracts
+	// sizes and never re-encodes.
+	sizes  []int64
 	bytes  int64
 	lastOf map[history.TxnID]LSN
 	// discipline is the logging discipline the log carries, set by the
@@ -293,6 +298,14 @@ type Log struct {
 	// truncStats accumulates the backend truncation cost across the log's
 	// lifetime (under flushMu, like the backend calls that produce it).
 	truncStats TruncateStats
+
+	// Flush buffers, reused batch to batch under flushMu: the drained
+	// batch, its flat record copy for the crash hook and the backend, and
+	// its encoded frame with each record's share of it.
+	batchBuf  []*stagedRec
+	recsBuf   []Record
+	frame     []byte
+	frameLens []int64
 
 	// The durable watermark (under mu): the stage ticket and LSN of the
 	// last record the backend acknowledged. Because batches are consistent
@@ -382,11 +395,15 @@ func Open(cfg Config) (*Log, error) {
 		n = runtime.GOMAXPROCS(0)
 	}
 	p := stripepkg.RoundPow2(n, stripepkg.MaxStripes)
+	backend := cfg.Backend
+	if backend == Discard {
+		backend = nil // the same no-op, minus encoding batches nobody reads
+	}
 	l := &Log{
 		stripes: make([]*stripe, p),
 		mask:    uint32(p - 1),
 		lastOf:  make(map[history.TxnID]LSN),
-		backend: cfg.Backend,
+		backend: backend,
 		crash:   cfg.CrashPoint,
 	}
 	l.durableCond = sync.NewCond(&l.mu)
@@ -394,7 +411,11 @@ func Open(cfg Config) (*Log, error) {
 		l.stripes[i] = &stripe{}
 	}
 	if rp, ok := cfg.Backend.(Replayer); ok && rp != nil {
-		for _, r := range rp.Replay() {
+		recs, sizes := rp.Replay()
+		if len(sizes) != len(recs) {
+			return nil, fmt.Errorf("wal: replay: %d sizes for %d records", len(sizes), len(recs))
+		}
+		for i, r := range recs {
 			// A previously truncated log starts past LSN 1: the first
 			// surviving record fixes the base, and continuity is required
 			// from there.
@@ -416,7 +437,8 @@ func Open(cfg Config) (*Log, error) {
 				}
 			}
 			l.records = append(l.records, r)
-			l.bytes += recordSize(r)
+			l.sizes = append(l.sizes, sizes[i])
+			l.bytes += sizes[i]
 			if r.Kind == DisciplineRec && l.discipline == "" {
 				l.discipline = r.Op.Inv.Args
 			}
@@ -551,7 +573,7 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 			return 0, fmt.Errorf("wal: append batch: mixed transactions (%s vs %s)", recs[0].Txn, r.Txn)
 		}
 	}
-	staged := make([]*stagedRec, len(recs))
+	staged := make([]stagedRec, len(recs))
 	st.mu.Lock()
 	l.stripeAcqs.Add(1)
 	if l.closing.Load() {
@@ -560,11 +582,10 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 	}
 	var last int64
 	for i, r := range recs {
-		s := &stagedRec{rec: r, stamp: l.stampSeq.Add(1)}
-		staged[i] = s
-		last = s.stamp
+		last = l.stampSeq.Add(1)
+		staged[i] = stagedRec{rec: r, stamp: last}
+		st.staged = append(st.staged, &staged[i])
 	}
-	st.staged = append(st.staged, staged...)
 	st.mu.Unlock()
 	if l.async {
 		select {
@@ -699,9 +720,9 @@ func (l *Log) flusher() {
 // flushOnce performs one sequencing round: snapshot the commit barriers,
 // drain every staging stripe, sort the batch by stage stamp, assign it one
 // contiguous LSN range (chaining each record to its transaction's previous
-// record), hand the batch to the backend, and acknowledge the snapshotted
-// barriers. Barriers registered after the snapshot have a wake pending and
-// are acked by the next round.
+// record), encode it once, hand the frame to the backend, and acknowledge
+// the snapshotted barriers. Barriers registered after the snapshot have a
+// wake pending and are acked by the next round.
 func (l *Log) flushOnce() {
 	l.flushMu.Lock()
 	l.waitMu.Lock()
@@ -717,47 +738,58 @@ func (l *Log) flushOnce() {
 	// one in another stripe, which is what makes the durable winner set of
 	// crash recovery closed under read-from (a committed reader's
 	// TxnCommitRec can never be durable without the commit it read from).
-	var batch []*stagedRec
+	batch := l.batchBuf[:0]
 	for _, st := range l.stripes {
 		st.mu.Lock()
 	}
 	for _, st := range l.stripes {
 		if len(st.staged) > 0 {
 			batch = append(batch, st.staged...)
-			st.staged = nil
+			// Keep the stripe's buffer for its next records, unless an
+			// outsized burst grew it.
+			clear(st.staged)
+			st.staged = st.staged[:0]
+			if cap(st.staged) > maxRetainedBatch {
+				st.staged = nil
+			}
 		}
 	}
 	for _, st := range l.stripes {
 		st.mu.Unlock()
 	}
 	if len(batch) > 0 {
-		sort.Slice(batch, func(i, j int) bool { return batch[i].stamp < batch[j].stamp })
+		slices.SortFunc(batch, func(a, b *stagedRec) int { return cmp.Compare(a.stamp, b.stamp) })
 		// The flat batch copy feeds only the crash hook and the backend;
-		// skip the allocation on the default in-memory configuration to
-		// keep the commit flush path lean.
-		var recs []Record
-		if l.crash != nil || l.backend != nil {
-			recs = make([]Record, len(batch))
-		}
+		// the default in-memory configuration skips it.
+		flat := l.crash != nil || l.backend != nil
+		recs := l.recsBuf[:0]
 		l.mu.Lock()
-		next := l.base + LSN(len(l.records))
+		first := len(l.records)
+		next := l.base + LSN(first)
 		for i, s := range batch {
 			s.rec.LSN = next + LSN(i) + 1
 			s.rec.PrevLSN = l.lastOf[s.rec.Txn]
 			l.lastOf[s.rec.Txn] = s.rec.LSN
 			l.records = append(l.records, s.rec)
-			l.bytes += recordSize(s.rec)
+			l.sizes = append(l.sizes, 0) // counted with the watermark below
 			if s.rec.Kind == DisciplineRec && l.discipline == "" {
 				l.discipline = s.rec.Op.Inv.Args
 			}
 			s.lsn = s.rec.LSN
-			if recs != nil {
-				recs[i] = s.rec
+			if flat {
+				recs = append(recs, s.rec)
 			}
 		}
 		l.mu.Unlock()
 		if !l.crashed && l.crash != nil && l.crash(int(l.flushes.Load()), recs) {
 			l.crashed = true
+		}
+		// Encode the batch once, outside mu (only flushMu, which every
+		// backend call is serialized by anyway): the frame is both what
+		// the backend writes and what Bytes counts.
+		var encErr error
+		if l.backend != nil {
+			encErr = l.encodeFrame(recs)
 		}
 		// Decide the batch's durability outcome and move the watermark (or
 		// the sticky error) under mu, then wake durability barriers. A
@@ -771,13 +803,18 @@ func (l *Log) flushOnce() {
 		case l.crashed:
 		case l.dead:
 			lost = true // frozen since the first sync failure
+		case encErr != nil:
+			// An unencodable record fails the whole batch before any byte
+			// reaches the backend.
+			l.dead = true
+			syncFailed = encErr
 		case l.backend != nil:
 			o := l.obsv.Load()
 			var sync0 time.Time
 			if o != nil {
 				sync0 = time.Now()
 			}
-			err := l.backend.Sync(recs)
+			err := l.backend.Sync(recs, l.frame)
 			if o != nil {
 				o.RecordFlushSync(time.Since(sync0).Nanoseconds())
 			}
@@ -787,6 +824,14 @@ func (l *Log) flushOnce() {
 			}
 		}
 		l.mu.Lock()
+		for i, s := range batch {
+			size := approxRecordSize(s.rec)
+			if l.backend != nil && encErr == nil {
+				size = l.frameLens[i]
+			}
+			l.sizes[first+i] = size
+			l.bytes += size
+		}
 		if syncFailed != nil && l.syncErr == nil {
 			l.syncErr = syncFailed
 		}
@@ -803,11 +848,39 @@ func (l *Log) flushOnce() {
 		l.flushes.Add(1)
 		l.flushed.Add(int64(len(batch)))
 		l.obsv.Load().RecordFlushBatch(int64(len(batch)))
+		clear(recs)
+		l.recsBuf = recs[:0]
+	}
+	clear(batch)
+	l.batchBuf = batch[:0]
+	if len(batch) > maxRetainedBatch {
+		// An outsized batch (a Close drain after a stall) does not pin its
+		// buffers for the log's lifetime.
+		l.batchBuf, l.recsBuf, l.frame, l.frameLens = nil, nil, nil, nil
 	}
 	l.flushMu.Unlock()
 	for _, w := range ws {
 		close(w)
 	}
+}
+
+// maxRetainedBatch bounds the batch size whose flush buffers are kept for
+// reuse.
+const maxRetainedBatch = 4096
+
+// encodeFrame encodes recs into the reused frame buffer, recording each
+// record's encoded length. Caller holds flushMu.
+func (l *Log) encodeFrame(recs []Record) error {
+	l.frame, l.frameLens = l.frame[:0], l.frameLens[:0]
+	for i := range recs {
+		n := len(l.frame)
+		var err error
+		if l.frame, err = appendRecord(l.frame, recs[i]); err != nil {
+			return err
+		}
+		l.frameLens = append(l.frameLens, int64(len(l.frame)-n))
+	}
+	return nil
 }
 
 // DurableLSN returns the durable watermark: every record at or below this
@@ -890,6 +963,11 @@ func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 // take their own lock, so a caller reading several of them can observe
 // torn cross-field states — Records from before a truncation and Base
 // from after it. Stats reads everything under one sequence point.
+//
+// Bytes is the encoded size of the retained records, as Log.Bytes
+// reports it: exact — the bytes handed to the backend, or scanned back
+// from it at Open — when the log has a backend, and the approxRecordSize
+// estimate when it has none (nothing is encoded then).
 type Stats struct {
 	Flushes            int64         `json:"flushes"`
 	FlushedRecords     int64         `json:"flushed_records"`
@@ -966,10 +1044,13 @@ func (l *Log) Len() int {
 // Len; the pair Records/Bytes names the measurement intent.
 func (l *Log) Records() int { return l.Len() }
 
-// Bytes returns the approximate encoded size of the retained records —
-// the log-length axis of the restart-cost experiment, maintained
-// incrementally so truncation's effect is visible without re-encoding the
-// log. Staged records are flushed first.
+// Bytes returns the encoded size of the retained records — the log-length
+// axis of the restart-cost experiment, maintained incrementally so
+// truncation's effect is visible without re-encoding the log. With a
+// backend it is exact: the sum of the frame bytes each batch was handed to
+// the backend as (or scanned back from it at Open), so it equals the
+// segments' size on disk. A log with no backend encodes nothing and counts
+// the approxRecordSize estimate instead. Staged records are flushed first.
 func (l *Log) Bytes() int64 {
 	l.sequenceStaged()
 	l.mu.Lock()
@@ -1075,11 +1156,12 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 		return 0, nil
 	}
 	n := int(lsn - 1 - l.base)
-	for _, r := range l.records[:n] {
-		l.bytes -= recordSize(r)
+	for _, size := range l.sizes[:n] {
+		l.bytes -= size
 	}
 	// Copy the suffix so the truncated prefix's backing array is released.
 	l.records = append([]Record(nil), l.records[n:]...)
+	l.sizes = append([]int64(nil), l.sizes[n:]...)
 	l.base = lsn - 1
 	l.mu.Unlock()
 	if tr != nil {
@@ -1130,20 +1212,9 @@ func (l *Log) SegmentBounds() []LSN {
 	return nil
 }
 
-// recordSize returns a record's exact durable encoding size — the bytes the
-// segmented backend appends for it — so the Bytes accounting
-// matches the on-disk log byte for byte. Records whose undo tokens exist
-// only in memory (raw tokens never staged for a durable backend) cannot be
-// encoded; those fall back to the estimate.
-func recordSize(r Record) int64 {
-	if line, err := encodeRecord(r); err == nil {
-		return int64(len(line))
-	}
-	return approxRecordSize(r)
-}
-
 // approxRecordSize estimates a record's encoded size (fixed framing plus
-// its string payloads) for records recordSize cannot encode exactly.
+// its string payloads) without encoding it: the size a log with no backend
+// counts, and the fallback for a batch that failed to encode.
 func approxRecordSize(r Record) int64 {
 	n := 24 + len(r.Txn) + len(r.Obj) + len(r.Op.Inv.Name) + len(r.Op.Inv.Args) + len(r.Op.Res)
 	if enc, ok := r.Undo.(EncodedUndo); ok {
