@@ -27,28 +27,27 @@
 // consistent cut and assigns contiguous LSN ranges per batch, and in
 // asynchronous mode commits are barrier-acknowledged only after the batch
 // reaches a pluggable durability backend — in-memory, fsync-simulating, or
-// a real append-only file that recovery.Restart replays after a crash.
+// the segmented files (wal.SegmentedBackend) that
+// recovery.RestartAllWithConfig replays after a crash.
 //
 // Crash restart is transaction-atomic: Txn.Commit stages a single
 // transaction-level commit record (wal.TxnCommitRec) after per-object
-// commit processing and before releasing locks, and recovery.Restart runs
-// a two-pass presumed-abort protocol — transactions without a durable
-// TxnCommitRec are losers at every object, however many per-object commit
-// records survived. The crash-injection suites in internal/recovery prove,
+// commit processing and before releasing locks, and
+// recovery.RestartAllWithConfig runs a two-pass presumed-abort protocol —
+// transactions without a durable TxnCommitRec are losers at every object,
+// however many per-object commit records survived. The crash-injection suites in internal/recovery prove,
 // at every flush boundary, that exactly the transaction-granularity
 // winners survive and that multi-object transfers are never recovered by
 // halves. See internal/txn, internal/history, internal/wal, and
 // internal/recovery.
 //
-// Lock release is commit-LSN ordered (txn.Options.ReleasePolicy): either
-// locks are held across the durability barrier (ReleaseAfterAck), or —
-// the default — they release early and every managed object publishes its
-// last committed writer's WAL stage ticket, so a dependent's own barrier
-// waits until the durable watermark covers its read-from set
-// (ReleaseEarlyTracked) and a dead backend cascades termination through
-// the abort path instead of acknowledging commits the log will never
-// contain. Either way, no acknowledged commit ever reads from an unsynced
-// loser.
+// Locks release early, before the durability barrier, in commit-LSN
+// order. Every managed object publishes its last committed writer's WAL
+// stage ticket, so a dependent's own barrier waits until the durable
+// watermark covers its read-from set, and a dead backend cascades
+// termination through the abort path instead of acknowledging commits the
+// log will never contain. So no acknowledged commit ever reads from an
+// unsynced loser, and no lock is held across a sync.
 //
 // Txn.Commit's phase-2 sweep is itself sharded: participants are
 // grouped per registry shard, each shard's per-object commit records are
@@ -70,7 +69,7 @@
 // temp-then-rename, torn checkpoints ignored on reopen) only after the
 // durable watermark covers its last marker, and the log is then truncated
 // before the checkpoint frontier (wal.TruncateBefore, clamped to the
-// watermark). recovery.RestartAllWithCheckpoint seeds object state from
+// watermark). recovery.RestartAllWithConfig seeds object state from
 // the newest snapshot and replays only the bounded suffix — the
 // restart-time-versus-log-length trade-off, proven correct by crash
 // injection at every boundary including mid-checkpoint crashes.

@@ -251,7 +251,6 @@ func TestSnapshotWriters(t *testing.T) {
 	tt.Finish()
 	sampled, events, _ := o.Trace().Stats()
 	s := Snapshot{
-		Policy: "release-early-tracked",
 		Shards: 8,
 		Engine: EngineCounters{Begins: 10, Commits: 9, Aborts: 1, CommitHoldNS: 900, MeanCommitHoldNS: 100},
 		WAL:    WALStats{Flushes: 3, Records: 42, DurableLSN: 42},
@@ -275,7 +274,7 @@ func TestSnapshotWriters(t *testing.T) {
 	}
 	text := tbuf.String()
 	for _, want := range []string{
-		"engine.policy release-early-tracked",
+		"engine.shards 8",
 		"engine.commits 9",
 		"wal.durable_lsn 42",
 		"phase.lock_wait_ns count=1",

@@ -13,9 +13,8 @@ import (
 // struct. txn.Engine.ObsSnapshot assembles it; harnesses and exporters
 // read it instead of hand-harvesting individual counters.
 type Snapshot struct {
-	// Policy and Discipline label the engine configuration the numbers
+	// Discipline and Shards label the engine configuration the numbers
 	// were measured under, so a snapshot is self-describing.
-	Policy     string `json:"policy"`
 	Discipline string `json:"discipline,omitempty"`
 	Shards     int    `json:"shards"`
 
@@ -55,9 +54,9 @@ type EngineCounters struct {
 	// nothing increments it. It stays in the document because bench/
 	// reports it as stripe.registry_lock_acqs.
 	RegistryLockAcqs int64 `json:"registry_lock_acqs"`
-	// MeanCommitHoldNS is CommitHoldNS / Commits — the per-policy
-	// commit-hold figure, surfaced here so readers need not recompute
-	// it.
+	// MeanCommitHoldNS is CommitHoldNS / Commits — the mean lock hold
+	// of the commit protocol, surfaced here so readers need not
+	// recompute it.
 	MeanCommitHoldNS float64 `json:"mean_commit_hold_ns"`
 }
 
@@ -115,7 +114,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	p("engine.policy %s\n", s.Policy)
 	if s.Discipline != "" {
 		p("engine.discipline %s\n", s.Discipline)
 	}

@@ -31,7 +31,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
 	"repro/internal/history"
-	"repro/internal/recovery"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -291,8 +290,7 @@ func TestTruncatedLogRequiresSnapshot(t *testing.T) {
 	if relog.Base() == 0 {
 		t.Fatal("log was not truncated; the guard is not exercised")
 	}
-	if _, err := recovery.RestartAll([]history.ObjectID{"X"},
-		func(history.ObjectID) adt.Machine { return crashMachine() }, relog); err == nil {
+	if err := restartErr(relog, nil); err == nil {
 		t.Fatal("restart of a truncated log without its snapshot must fail")
 	}
 }

@@ -86,7 +86,6 @@ type crashRun struct {
 	crashAt    int
 	seed       int64
 	discipline string
-	policy     txn.ReleasePolicy
 }
 
 // point returns r retargeted at crash point k under dir with its own seed:
@@ -137,7 +136,7 @@ func startCrashEngine(t *testing.T, run crashRun, dwell time.Duration, opts txn.
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.WAL, opts.ReleasePolicy, opts.LogDiscipline = log, run.policy, run.discipline
+	opts.WAL, opts.LogDiscipline = log, run.discipline
 	if run.ckptDir != "" {
 		store, err := checkpoint.OpenFileStore(run.ckptDir)
 		if err != nil {
@@ -432,6 +431,15 @@ func restartDurable(t *testing.T, walDir, ckptDir string, entry restartEntry,
 		t.Fatalf("close restarted log: %v", err)
 	}
 	return r
+}
+
+// restartErr restarts object X of log — seeded from ckpt when non-nil —
+// over the banking machine and returns only the error: the check for logs
+// restart must reject.
+func restartErr(log *wal.Log, ckpt *checkpoint.Snapshot) error {
+	_, _, err := recovery.RestartAllWithConfig([]history.ObjectID{"X"},
+		func(history.ObjectID) adt.Machine { return crashMachine() }, log, ckpt, recovery.RestartConfig{})
+	return err
 }
 
 // restartStable restarts a durable image twice through entry and checks

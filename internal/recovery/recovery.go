@@ -206,9 +206,10 @@ func (u *UndoLog) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, 
 
 // Commit implements Store: update-in-place commits are cheap — drop the
 // undo chain and log the per-object commit record. That record is a redo
-// hint for Restart, not the commit decision: the transaction durably
+// hint for restart, not the commit decision: the transaction durably
 // commits only when the engine's transaction-level wal.TxnCommitRec
-// reaches the backend (recovery is presumed-abort; see Restart).
+// reaches the backend (recovery is presumed-abort; see
+// RestartAllWithConfig).
 func (u *UndoLog) Commit(txn history.TxnID) error {
 	// REDO-only: no per-object record at all — the transaction-level
 	// TxnCommitRec is the commit point and restart has no pending table to

@@ -288,13 +288,6 @@ func TestMixedDisciplineRejected(t *testing.T) {
 			t.Fatal("RestartRedoOnly accepted a log with no redo marker")
 		}
 	})
-	t.Run("undo-restart-of-redo-log", func(t *testing.T) {
-		log := mkLog(t, wal.DisciplineRedo)
-		defer log.Close()
-		if _, err := recovery.Restart("X", crashMachine(), log); err == nil {
-			t.Fatal("single-object undo restart accepted a redo-only log")
-		}
-	})
 	t.Run("mixed-record-kinds", func(t *testing.T) {
 		// A marked redo log polluted with an undo-mode Update record (and
 		// the dual: an unmarked log containing a RedoRec) — torn handoffs
@@ -302,14 +295,12 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		polluted := wal.New()
 		polluted.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 		polluted.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
-		if _, err := recovery.RestartAll([]history.ObjectID{"X"},
-			func(history.ObjectID) adt.Machine { return crashMachine() }, polluted); err == nil {
+		if err := restartErr(polluted, nil); err == nil {
 			t.Fatal("restart accepted an Update record in a redo-only log")
 		}
 		unmarked := wal.New()
 		unmarked.Append(wal.Record{Kind: wal.RedoRec, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
-		if _, err := recovery.RestartAll([]history.ObjectID{"X"},
-			func(history.ObjectID) adt.Machine { return crashMachine() }, unmarked); err == nil {
+		if err := restartErr(unmarked, nil); err == nil {
 			t.Fatal("restart accepted a RedoRec in a log with no discipline marker")
 		}
 	})
@@ -318,8 +309,7 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		log.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1),
 			Undo: wal.EncodedUndo("")})
 		snap := &checkpoint.Snapshot{ID: "CKPT0001", Frontier: 1, Discipline: wal.DisciplineRedo}
-		if _, _, err := recovery.RestartAllWithCheckpoint([]history.ObjectID{"X"},
-			func(history.ObjectID) adt.Machine { return crashMachine() }, log, snap); err == nil {
+		if err := restartErr(log, snap); err == nil {
 			t.Fatal("restart accepted a redo-discipline checkpoint over an undo-mode log")
 		}
 	})

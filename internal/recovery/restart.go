@@ -161,9 +161,19 @@ func winnersParallel(snap []wal.Record, bounds []wal.LSN, p int) (map[history.Tx
 	return merged, len(starts)
 }
 
-// Restart reconstructs an UndoLog store for object obj from its write-ahead
-// log after a crash, as a two-pass presumed-abort protocol in the style of
-// ARIES-lineage restart:
+// appendTail writes the compensation and abort records a restart's undo
+// phase produced. Restart workers never touch the log themselves; their
+// tails are appended here, in object order, so the records land in the
+// same sequence regardless of parallelism.
+func appendTail(log *wal.Log, tail []wal.Record) {
+	for _, r := range tail {
+		log.Append(r)
+	}
+}
+
+// RestartAllWithConfig reconstructs an UndoLog store for every listed
+// object of one shared write-ahead log after a crash, as a two-pass
+// presumed-abort protocol in the style of ARIES-lineage restart:
 //
 //  1. Outcomes (pass 1): scan the whole durable log for transaction-level
 //     commit records (wal.TxnCommitRec). A transaction is a winner iff its
@@ -175,103 +185,54 @@ func winnersParallel(snap []wal.Record, bounds []wal.LSN, p int) (map[history.Tx
 //     TxnCommitRec) makes the whole transaction a loser at every object,
 //     never half of one.
 //
-//  2. Redo + undo (pass 2): replay every Update record for obj in LSN
-//     order against the machine, checking that each operation reproduces
-//     its logged response (the machine is a deterministic refinement, so
-//     divergence means a corrupt log or mismatched machine). Compensation
-//     records re-apply the undo they logged. A per-object CommitRec is a
-//     redo hint only: it discharges a winner's pending undo records, but
-//     for a loser it is ignored, so the loser's updates stay undoable.
-//     Losers' un-compensated updates are then undone newest-first, exactly
-//     as live abort processing would have done, and compensation plus
-//     abort records are appended so the log ends in a state equivalent to
-//     "every loser aborted".
+//  2. Redo + undo (pass 2): replay every Update record for each object in
+//     LSN order against a fresh machine from machineFor, checking that each
+//     operation reproduces its logged response (the machine is a
+//     deterministic refinement, so divergence means a corrupt log or
+//     mismatched machine). Compensation records re-apply the undo they
+//     logged. A per-object CommitRec is a redo hint only: it discharges a
+//     winner's pending undo records, but for a loser it is ignored, so the
+//     loser's updates stay undoable. Losers' un-compensated updates are
+//     then undone newest-first, exactly as live abort processing would
+//     have done, and compensation plus abort records are appended so the
+//     log ends in a state equivalent to "every loser aborted".
 //
 // The paper deliberately leaves crash recovery out of scope (Section 1);
-// Restart is the natural engineering extension the paper's abort-recovery
+// restart is the natural engineering extension the paper's abort-recovery
 // analysis anticipates: because undo is logical (operation-level), the
 // reconstructed state is exactly the one obtained by aborting the losers,
 // and the correctness argument is Theorem 9's. The presumed-abort outcome
 // rule is the commit protocol the paper's model assumes delegated to the
 // log: the transaction-level record is the atomic commit point for all
-// objects at once.
+// objects at once. The returned stores own the same log and are ready for
+// new transactions.
 //
-// The returned store owns the same log and is ready for new transactions.
-// A truncated log (checkpointing ran) cannot be restarted without its
-// snapshot — use RestartAllWithCheckpoint.
-func Restart(obj history.ObjectID, m adt.Machine, log *wal.Log) (*UndoLog, error) {
-	if base := log.Base(); base > 0 {
-		return nil, fmt.Errorf("recovery: restart %s: log truncated to base %d but no checkpoint snapshot supplied",
-			obj, base)
-	}
-	if d := log.Discipline(); d == wal.DisciplineRedo {
-		return nil, fmt.Errorf("recovery: restart %s: log carries the redo-only discipline marker; use RestartRedoOnly",
-			obj)
-	}
-	snap := log.Snapshot()
-	var stats RestartStats
-	st, tail, err := restartWith(obj, m, log, snap, Winners(snap), nil, &stats)
-	if err != nil {
-		return nil, err
-	}
-	appendTail(log, tail)
-	return st, nil
-}
-
-// appendTail writes the compensation and abort records a restart's undo
-// phase produced. Restart workers never touch the log themselves; their
-// tails are appended here, in object order, so the records land in the
-// same sequence regardless of parallelism.
-func appendTail(log *wal.Log, tail []wal.Record) {
-	for _, r := range tail {
-		log.Append(r)
-	}
-}
-
-// RestartAll restarts every listed object of one shared log, scanning the
-// log and computing the winner set once (pass 1 is per-log, not
-// per-object). machineFor supplies a fresh machine per object. The
-// compensation and abort records the undo phases produce are appended in
-// the given object order, so the resulting log is deterministic — and
-// identical at every parallelism (see RestartConfig).
-func RestartAll(objs []history.ObjectID, machineFor func(history.ObjectID) adt.Machine,
-	log *wal.Log) (map[history.ObjectID]*UndoLog, error) {
-	out, _, err := RestartAllWithCheckpoint(objs, machineFor, log, nil)
-	return out, err
-}
-
-// RestartAllWithCheckpoint is RestartAll seeded from a fuzzy checkpoint:
-// each object covered by the snapshot starts from its captured state with
-// its in-flight transaction table reconstructed, and pass 2 replays only
-// the records past that object's marker — the bounded-suffix restart the
+// A non-nil ckpt seeds the restart from a fuzzy checkpoint: each object
+// covered by the snapshot starts from its captured state with its
+// in-flight transaction table reconstructed, and pass 2 replays only the
+// records past that object's marker — the bounded-suffix restart the
 // checkpoint exists for. Objects the snapshot does not cover (registered
 // after the checkpoint's shard walk) replay in full from the retained log.
-// A nil snapshot is a plain full-log restart. The winner scan (pass 1)
-// runs over the retained log, which by the checkpoint contract contains
-// every decision record restart can need: any transaction pending at a
-// capture, or starting after one, stages its transaction-level commit
-// record past the checkpoint frontier, and any transaction wholly decided
-// before the frontier is already folded into the captured states.
+// The winner scan runs over the retained log, which by the checkpoint
+// contract contains every decision record restart can need: any
+// transaction pending at a capture, or starting after one, stages its
+// transaction-level commit record past the checkpoint frontier, and any
+// transaction wholly decided before the frontier is already folded into
+// the captured states. A truncated log cannot be restarted without its
+// snapshot.
 //
-// Restart parallelism defaults to GOMAXPROCS; use RestartAllWithConfig to
-// pin it. The returned stats separate bounded work (Replayed) from skipped
-// prefix records, report the seeding volume, and carry the per-worker and
-// per-pass breakdown.
-func RestartAllWithCheckpoint(objs []history.ObjectID, machineFor func(history.ObjectID) adt.Machine,
-	log *wal.Log, ckpt *checkpoint.Snapshot) (map[history.ObjectID]*UndoLog, RestartStats, error) {
-	return RestartAllWithConfig(objs, machineFor, log, ckpt, RestartConfig{})
-}
-
-// RestartAllWithConfig is the fully parameterized restart. Pass 1's winner
-// scan fans out one goroutine per durable log segment (see
+// Pass 1's winner scan fans out one goroutine per durable log segment (see
 // wal.Log.SegmentBounds; unsegmented backends scan in even chunks), and
-// pass 2 runs a pool of cfg.Parallelism workers, each object hashed to one
-// worker — an object's records replay on exactly one goroutine, in LSN
-// order, so per-object ordering needs no synchronization at all (the same
-// argument that makes the live engine's sharded registry safe). Undo-phase
-// appends are collected per object and written after the pool joins, in
-// object order: the recovered state, winner set, appended records, and
-// aggregate stats are bit-identical at every parallelism.
+// pass 2 runs a pool of cfg.Parallelism workers (default GOMAXPROCS), each
+// object hashed to one worker — an object's records replay on exactly one
+// goroutine, in LSN order, so per-object ordering needs no synchronization
+// at all (the same argument that makes the live engine's sharded registry
+// safe). Undo-phase appends are collected per object and written after the
+// pool joins, in object order: the recovered state, winner set, appended
+// records, and aggregate stats are bit-identical at every parallelism. The
+// returned stats separate bounded work (Replayed) from skipped prefix
+// records, report the seeding volume, and carry the per-worker and
+// per-pass breakdown.
 //
 // The logging discipline is detected from the log itself: a log carrying
 // the redo-only discipline marker (see wal.DisciplineMarker) restarts via
@@ -418,7 +379,7 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	return out, stats, nil
 }
 
-// restartWith is pass 2 of Restart against a pre-scanned log snapshot and
+// restartWith is pass 2 of the undo restart against a pre-scanned log snapshot and
 // winner set (so multi-object callers can share pass 1), optionally seeded
 // from one object's checkpoint capture. It never appends to the log
 // itself — the undo phase's compensation and abort records are returned as

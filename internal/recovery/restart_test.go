@@ -17,6 +17,18 @@ func logTxnCommit(log *wal.Log, txn history.TxnID) {
 	log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: txn})
 }
 
+// restart is the crash restart every test here runs: a full-log
+// RestartAllWithConfig of objs, each over a fresh machine from mk.
+func restart(t *testing.T, log *wal.Log, mk func() adt.Machine, objs ...history.ObjectID) map[history.ObjectID]*UndoLog {
+	t.Helper()
+	stores, _, err := RestartAllWithConfig(objs,
+		func(history.ObjectID) adt.Machine { return mk() }, log, nil, RestartConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stores
+}
+
 // TestRestartCleanLog: restart after only committed work reproduces the
 // committed state.
 func TestRestartCleanLog(t *testing.T) {
@@ -29,10 +41,7 @@ func TestRestartCleanLog(t *testing.T) {
 	}
 	logTxnCommit(log, "A")
 	// Crash: discard u; rebuild from the log.
-	r, err := Restart("BA", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "3" {
 		t.Fatalf("restart state = %s, want 3", got)
 	}
@@ -55,10 +64,7 @@ func TestRestartUndoesLoser(t *testing.T) {
 	}
 	logTxnCommit(log, "C")
 
-	r, err := Restart("BA", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "7" {
 		t.Fatalf("restart state = %s, want 7 (5 + 2, loser's 3 undone)", got)
 	}
@@ -112,14 +118,8 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	}
 	// No logTxnCommit(log, "T"): the crash point.
 
-	rx, err := Restart("X", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ry, err := Restart("Y", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	rx, ry := rs["X"], rs["Y"]
 	if got := rx.CommittedValue().Encode(); got != "10" {
 		t.Fatalf("X after restart = %s, want 10 (transfer presumed aborted)", got)
 	}
@@ -128,10 +128,7 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	}
 	// A second restart is a fixed point: T is now terminated by abort
 	// records, and the state does not move.
-	rx2, err := Restart("X", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rx2 := restart(t, log, adt.DefaultBankAccount().Machine, "X")["X"]
 	if got := rx2.CommittedValue().Encode(); got != "10" {
 		t.Fatalf("X after second restart = %s, want 10", got)
 	}
@@ -154,14 +151,8 @@ func TestRestartWinnerSurvivesWithCommitHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	logTxnCommit(log, "T")
-	rx, err := Restart("X", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ry, err := Restart("Y", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	rx, ry := rs["X"], rs["Y"]
 	if rx.CommittedValue().Encode() != "6" || ry.CommittedValue().Encode() != "7" {
 		t.Fatalf("winner states = %s, %s; want 6, 7",
 			rx.CommittedValue().Encode(), ry.CommittedValue().Encode())
@@ -180,10 +171,7 @@ func TestRestartAfterPartialAbort(t *testing.T) {
 	// as live abort would before crashing mid-walk.
 	log.Append(wal.Record{Kind: wal.CompensationRec, Txn: "A", Obj: "BA", Op: adt.DepositOk(3)})
 
-	r, err := Restart("BA", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "0" {
 		t.Fatalf("restart state = %s, want 0 (both deposits undone, one via CLR)", got)
 	}
@@ -201,14 +189,8 @@ func TestRestartIdempotent(t *testing.T) {
 	logTxnCommit(log, "A")
 	mustApplyR(t, u, "B", adt.Withdraw(2)) // loser
 
-	r1, err := Restart("BA", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Restart("BA", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
+	r2 := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if r1.CommittedValue().Encode() != r2.CommittedValue().Encode() {
 		t.Fatalf("restart not idempotent: %s vs %s",
 			r1.CommittedValue().Encode(), r2.CommittedValue().Encode())
@@ -230,18 +212,15 @@ func TestRestartBeforeImageMachine(t *testing.T) {
 	logTxnCommit(log, "A")
 	mustApplyR(t, u, "B", adt.Put("x", "2")) // loser overwrites x
 
-	r, err := Restart("KV", adt.DefaultKVStore().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t, log, adt.DefaultKVStore().Machine, "KV")["KV"]
 	if got := r.CommittedValue().Encode(); got != "<x=1>" {
 		t.Fatalf("restart state = %s, want <x=1>", got)
 	}
 }
 
 // TestRestartMultiObjectLog: the shared log interleaves records of several
-// objects; restart filters correctly, and pass 1 (the winner scan) is
-// shared semantics across the per-object restarts.
+// objects; restart filters each object's records correctly, with one
+// winner scan (pass 1) shared by every object.
 func TestRestartMultiObjectLog(t *testing.T) {
 	log := wal.New()
 	u1 := NewUndoLog("X", adt.DefaultBankAccount().Machine(), log)
@@ -255,14 +234,8 @@ func TestRestartMultiObjectLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	logTxnCommit(log, "A")
-	r1, err := Restart("X", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Restart("Y", adt.DefaultBankAccount().Machine(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	r1, r2 := rs["X"], rs["Y"]
 	if r1.CommittedValue().Encode() != "5" || r2.CommittedValue().Encode() != "7" {
 		t.Fatalf("restart states = %s, %s", r1.CommittedValue().Encode(), r2.CommittedValue().Encode())
 	}

@@ -8,7 +8,7 @@ package txn
 // records exactly into captured and replayable), waiting for the WAL's
 // durable watermark to cover the last marker, saving the snapshot through
 // the configured checkpoint.Store, and finally truncating the durable log
-// before the checkpoint frontier. recovery.RestartAllWithCheckpoint is the
+// before the checkpoint frontier. recovery.RestartAllWithConfig is the
 // consumer: it seeds object state from the snapshot and replays only the
 // bounded suffix.
 //
@@ -58,11 +58,6 @@ import (
 type CheckpointOptions struct {
 	// Store is where completed snapshots are saved (required).
 	Store checkpoint.Store
-	// Every, when positive, runs a background goroutine taking a
-	// checkpoint on that interval; the engine owns it and Engine.Close
-	// stops it. Zero means checkpoints are taken only by explicit
-	// Engine.Checkpoint calls.
-	Every time.Duration
 	// DisableTruncation keeps the durable log intact after a checkpoint —
 	// for the oracle tests, which compare a checkpoint-seeded restart
 	// against the full-log committed-winners oracle.
@@ -240,22 +235,4 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 		}
 	}
 	return snap, nil
-}
-
-// checkpointLoop is the engine-owned background checkpointer. Errors are
-// tolerated (a closed log during shutdown, a temporarily failed save); the
-// next tick retries, and manual Checkpoint calls surface errors to
-// callers who care.
-func (e *Engine) checkpointLoop(every time.Duration) {
-	defer close(e.ckptDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.ckptQuit:
-			return
-		case <-t.C:
-			_, _ = e.Checkpoint()
-		}
-	}
 }

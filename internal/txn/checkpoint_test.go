@@ -26,7 +26,7 @@ func ckptObjID(i int) history.ObjectID {
 	return history.ObjectID(fmt.Sprintf("ck%02d", i))
 }
 
-func newCkptEngine(t *testing.T, store checkpoint.Store, every time.Duration, objects int) *txn.Engine {
+func newCkptEngine(t *testing.T, store checkpoint.Store, objects int) *txn.Engine {
 	t.Helper()
 	log, err := wal.Open(wal.Config{Async: true, BatchInterval: 50 * time.Microsecond})
 	if err != nil {
@@ -36,7 +36,7 @@ func newCkptEngine(t *testing.T, store checkpoint.Store, every time.Duration, ob
 		RecordHistory: true,
 		Shards:        4,
 		WAL:           log,
-		Checkpoint:    &txn.CheckpointOptions{Store: store, Every: every},
+		Checkpoint:    &txn.CheckpointOptions{Store: store},
 	})
 	ba := adt.BankAccount{InitialBalance: 100, MaxBalance: 1 << 20, Amounts: []int{1, 2, 3}}
 	rel := adt.DefaultBankAccount().NRBC()
@@ -96,7 +96,7 @@ func runCkptWorkers(e *txn.Engine, workers, txns, objects int, seed int64) {
 func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 	const objects = 6
 	store := checkpoint.NewMemStore()
-	e := newCkptEngine(t, store, 0, objects)
+	e := newCkptEngine(t, store, objects)
 	defer e.Close()
 
 	var wg sync.WaitGroup
@@ -157,32 +157,6 @@ func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 	}
 }
 
-// TestCheckpointIntervalGoroutine: the engine-owned background
-// checkpointer takes checkpoints on its own and is stopped by Close
-// (idempotent, no goroutine leak under -race).
-func TestCheckpointIntervalGoroutine(t *testing.T) {
-	const objects = 4
-	store := checkpoint.NewMemStore()
-	e := newCkptEngine(t, store, 200*time.Microsecond, objects)
-	runCkptWorkers(e, 3, 40, objects, 11)
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Metrics.Checkpoints.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if e.Metrics.Checkpoints.Load() == 0 {
-		t.Fatal("background checkpointer took no checkpoint")
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal("second Close not idempotent:", err)
-	}
-	if s, err := store.Latest(); err != nil || s == nil {
-		t.Fatalf("no snapshot saved: %v, %v", s, err)
-	}
-}
-
 // TestCheckpointFailureModes: no configured store, and a closed engine,
 // both fail loudly without side effects.
 func TestCheckpointFailureModes(t *testing.T) {
@@ -192,7 +166,7 @@ func TestCheckpointFailureModes(t *testing.T) {
 	}
 
 	store := checkpoint.NewMemStore()
-	e2 := newCkptEngine(t, store, 0, 2)
+	e2 := newCkptEngine(t, store, 2)
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func (b *failingBackend) Close() error                    { return nil }
 // the success counter never double-books an errored call. A *dependent*
 // transaction that read the unsynced state is terminated through the
 // abort path instead (ErrDurability+ErrAborted, booked in
-// Metrics.DurabilityAborts) — the ReleaseEarlyTracked cascade.
+// Metrics.DurabilityAborts) — the dependency-tracking cascade.
 func TestCommitSurfacesBackendFailure(t *testing.T) {
 	devErr := errors.New("log device gone")
 	for _, mode := range []struct {

@@ -25,11 +25,14 @@
 // its acknowledgement — commits are durable to whatever degree the
 // configured wal.Backend provides (see package wal).
 //
-// Lock release is ordered against durability by Options.ReleasePolicy:
-// ReleaseAfterAck holds locks across the barrier, while the default
-// ReleaseEarlyTracked releases early and tracks commit-ticket
-// dependencies so that no transaction is ever cleanly acknowledged on
-// top of state whose log never synced (see ReleasePolicy).
+// Commit releases locks early — once the transaction-level commit record
+// is staged, before the durability barrier — and tracks commit-ticket
+// dependencies: every object remembers the ticket of its last committed
+// writer, a transaction's barrier also waits for the durability of
+// everything it read from, and a dead backend terminates the dependent
+// through the abort path. So early release keeps group-commit
+// concurrency, yet no transaction is ever cleanly acknowledged on top of
+// state whose log never synced (see Txn.Commit).
 //
 // The engine realizes exactly the parameters of I(X, Spec, View, Conflict):
 // pairing an UndoLog store with an NRBC-containing relation yields a
@@ -78,58 +81,6 @@ func (k RecoveryKind) String() string {
 	return "intentions(DU)"
 }
 
-// ReleasePolicy selects the lock-release discipline of Txn.Commit relative
-// to the durability barrier — the recovery-constrains-concurrency knob this
-// repository exists to measure. Both shipped policies guarantee that no
-// acknowledged commit ever reads from a commit whose log records failed to
-// sync: either because the state was never visible before its ack
-// (ReleaseAfterAck), or because the reader's own barrier is ordered after
-// its read-from set's durability and a sticky backend failure terminates
-// the reader through the abort path (ReleaseEarlyTracked).
-type ReleasePolicy int
-
-const (
-	// ReleaseEarlyTracked (the default) releases locks as soon as the
-	// transaction-level commit record is staged, before the durability
-	// barrier — classic early lock release, preserving group-commit
-	// concurrency. Each managed object remembers the stage ticket of its
-	// last committed writer; a transaction accumulates the maximum ticket
-	// over everything it touched and its own commit barrier additionally
-	// waits until the WAL's durable watermark covers that dependency.
-	// When the backend has failed, a dependent on an unsynced commit is
-	// terminated through the abort path (its effects are undone and the
-	// error wraps both ErrDurability and ErrAborted) instead of being
-	// committed in memory on top of state the durable log will never
-	// contain.
-	ReleaseEarlyTracked ReleasePolicy = iota
-	// ReleaseAfterAck holds every lock across the flush barrier and
-	// releases only after the backend acknowledges the batch. Dependents
-	// can never observe unsynced state, closing the durability hole
-	// trivially — at the cost of lock hold times that include the flusher
-	// dwell and the sync latency.
-	ReleaseAfterAck
-	// releaseEarlyUnsafe is the legacy discipline before dependency
-	// tracking: release early, flush, and report a backend failure only
-	// after the fact, leaving the dependent committed in memory on top of
-	// an unsynced loser. It exists so the regression tests can demonstrate
-	// the hole the exported policies close; it is not selectable by
-	// clients.
-	releaseEarlyUnsafe
-)
-
-// String implements fmt.Stringer.
-func (p ReleasePolicy) String() string {
-	switch p {
-	case ReleaseEarlyTracked:
-		return "release-early-tracked"
-	case ReleaseAfterAck:
-		return "release-after-ack"
-	case releaseEarlyUnsafe:
-		return "release-early-unsafe"
-	}
-	return fmt.Sprintf("ReleasePolicy(%d)", int(p))
-}
-
 // ErrAborted is wrapped by operations on a transaction that has been
 // aborted (by the user or as a deadlock victim).
 var ErrAborted = errors.New("txn: transaction aborted")
@@ -175,14 +126,13 @@ type Metrics struct {
 	DependencyStalls atomic.Int64
 	// DurabilityAborts counts transactions terminated through the abort
 	// path because they depended on a commit the failed WAL backend never
-	// persisted (the ErrDurability+ErrAborted cascade of
-	// ReleaseEarlyTracked/ReleaseAfterAck). Not counted in Aborts.
+	// persisted (the ErrDurability+ErrAborted cascade of dependency
+	// tracking). Not counted in Aborts.
 	DurabilityAborts atomic.Int64
 	// CommitHoldNS accumulates nanoseconds between Commit entry and lock
-	// release — the lock hold time of the commit protocol itself. Under
-	// ReleaseAfterAck it includes the durability barrier; the per-policy
-	// difference is the measured concurrency cost of holding locks to the
-	// ack.
+	// release — the lock hold time of the commit protocol itself. Locks
+	// are released before the durability barrier, so it excludes the
+	// flush and sync wait.
 	CommitHoldNS atomic.Int64
 	// Checkpoints counts completed fuzzy checkpoints (snapshot durably
 	// saved); failed or crash-aborted attempts are not counted.
@@ -206,9 +156,6 @@ type Options struct {
 	// synchronous in-memory log (wal.New). The engine takes ownership:
 	// Engine.Close closes it.
 	WAL *wal.Log
-	// ReleasePolicy selects when Txn.Commit releases its locks relative to
-	// the durability barrier. The zero value is ReleaseEarlyTracked.
-	ReleasePolicy ReleasePolicy
 	// LogDiscipline selects the logging discipline of the engine's undo-log
 	// objects. The zero value (or wal.DisciplineUndo) is the default undo
 	// logging: before-image/inverse records for every update, per-object
@@ -223,10 +170,8 @@ type Options struct {
 	// log whose marker contradicts this option, so artifacts written under
 	// one discipline can never be silently recovered under the other.
 	LogDiscipline string
-	// Checkpoint, when non-nil, enables fuzzy checkpointing: manual
-	// Engine.Checkpoint calls and, with Every set, a background
-	// checkpointer goroutine the engine owns (stopped by Engine.Close).
-	// See CheckpointOptions.
+	// Checkpoint, when non-nil, enables fuzzy checkpointing through
+	// Engine.Checkpoint. See CheckpointOptions.
 	Checkpoint *CheckpointOptions
 	// Obs, when non-nil, attaches the observability hub: phase latency
 	// histograms on every commit, sampled lifecycle tracing, and flusher
@@ -270,10 +215,8 @@ type Engine struct {
 	// snapshot can ever bake in an unsynced, undecided transaction.
 	ckptGate sync.RWMutex
 	// ckptMu serializes whole checkpoints; ckptSeq numbers them.
-	ckptMu   sync.Mutex
-	ckptSeq  atomic.Int64
-	ckptQuit chan struct{}
-	ckptDone chan struct{}
+	ckptMu  sync.Mutex
+	ckptSeq atomic.Int64
 
 	closeOnce sync.Once
 	closeErr  error
@@ -448,11 +391,6 @@ func NewEngine(opts Options) *Engine {
 			e.initErr = fmt.Errorf("txn: branding redo-only log: %w", err)
 		}
 	}
-	if opts.Checkpoint != nil && opts.Checkpoint.Store != nil && opts.Checkpoint.Every > 0 {
-		e.ckptQuit = make(chan struct{})
-		e.ckptDone = make(chan struct{})
-		go e.checkpointLoop(opts.Checkpoint.Every)
-	}
 	return e
 }
 
@@ -463,20 +401,15 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // objects; inspectable in tests).
 func (e *Engine) WAL() *wal.Log { return e.log }
 
-// Close shuts down the engine: the background checkpointer (if any) is
-// stopped first, then the write-ahead log — staged records are sequenced
-// and synced, the flusher (if asynchronous) is stopped, and the durability
-// backend is closed. It returns the first backend sync failure, if any.
+// Close shuts down the engine by closing its write-ahead log: staged
+// records are sequenced and synced, the flusher (if asynchronous) is
+// stopped, and the durability backend is closed. It returns the first backend sync failure, if any.
 // Close is idempotent (a second call returns the same result) and safe to
 // race with in-flight Commit/Abort calls: a transaction that loses the
 // race observes a typed failure wrapping wal.ErrClosed instead of an
 // unspecified outcome, with its locks released.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
-		if e.ckptQuit != nil {
-			close(e.ckptQuit)
-			<-e.ckptDone
-		}
 		e.closeErr = e.log.Close()
 	})
 	return e.closeErr
@@ -608,7 +541,7 @@ type Txn struct {
 	// dep is the maximum commit ticket over every object this transaction
 	// touched: the durability point of its read-from set. The commit
 	// barrier waits for the WAL's durable watermark to cover it (see
-	// ReleaseEarlyTracked).
+	// Commit).
 	dep wal.Ticket
 	// depTxns (redo-only discipline) is the identity of the read-from set:
 	// the last committed writer of every object this transaction touched.
@@ -895,12 +828,11 @@ func (t *Txn) terminate(objs []history.ObjectID, committed int, cause error) err
 // Commit commits the transaction at every touched object using a two-phase
 // sweep: prepare (validate) all objects, then commit at each while still
 // holding its locks, stage the transaction-level commit record, and
-// release locks per the engine's ReleasePolicy — either before the
-// durability barrier with the commit ticket published to every touched
-// object (ReleaseEarlyTracked), or only after the backend acknowledges the
-// batch (ReleaseAfterAck). With the single-process engine the prepare
-// phase cannot fail after successful operations, but the structure mirrors
-// the atomic-commitment protocols the paper's model assumes.
+// release locks before the durability barrier, publishing the commit
+// ticket to every touched object (early lock release). With the
+// single-process engine the prepare phase cannot fail after successful
+// operations, but the structure mirrors the atomic-commitment protocols
+// the paper's model assumes.
 //
 // The wal.TxnCommitRec staged between the per-object sweep and the lock
 // release is the transaction's single durable commit point: restart is
@@ -929,7 +861,6 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn %s: commit: %w", t.id, ErrNotActive)
 	}
 	e := t.eng
-	pol := e.opts.ReleasePolicy
 	o := t.obs
 	start := time.Now()
 	hold := func() {
@@ -960,7 +891,7 @@ func (t *Txn) Commit() error {
 	// already failed, that dependency can never become durable —
 	// terminate through the abort path instead of committing in memory on
 	// top of an unsynced loser.
-	if pol != releaseEarlyUnsafe && t.dep > 0 && !e.log.IsDurable(t.dep) {
+	if t.dep > 0 && !e.log.IsDurable(t.dep) {
 		e.Metrics.DependencyStalls.Add(1)
 		t.stalled = true
 		if err := e.log.Err(); err != nil {
@@ -1073,7 +1004,7 @@ func (t *Txn) Commit() error {
 	// this transaction is guaranteed to observe the enrollment, because
 	// its own (larger) ticket cannot be assigned before this enrollment —
 	// enroll happens-before our staging in the same total stamp order.
-	enrolled := t.wroteWAL && pol != releaseEarlyUnsafe
+	enrolled := t.wroteWAL
 	if enrolled {
 		for _, g := range groups {
 			g.sh.enrollRelease(t.id)
@@ -1137,34 +1068,34 @@ func (t *Txn) Commit() error {
 		}
 	}
 	ungate()
-	// barrier makes the commit durable: flush the group-commit batch,
+	// Phase 2b: release locks and wake waiters before the barrier (early
+	// release), publishing the commit ticket so dependents inherit this
+	// commit's durability point.
+	if enrolled {
+		t.releaseLocksOrdered(groups, ticket)
+	} else {
+		t.releaseLocks(ticket)
+	}
+	hold()
+	// The barrier makes the commit durable: flush the group-commit batch,
 	// surface any sticky backend failure, and wait until the durable
 	// watermark covers both this transaction's own commit record and its
 	// dependency ticket. With consistent-cut batches the dependency is
 	// sequenced no later than the transaction's own records, so the wait
 	// degenerates to a check — unless the backend failed, in which case it
 	// returns the sticky error instead of acknowledging.
-	barrier := func() error {
-		if !t.wroteWAL && t.dep == 0 {
-			return nil
-		}
+	if t.wroteWAL || t.dep > 0 {
 		var b0 time.Time
 		if o != nil {
 			b0 = time.Now()
 		}
-		err := func() error {
-			if err := e.log.Flush(); err != nil {
-				return err
-			}
-			if err := e.log.Err(); err != nil {
-				return err
-			}
-			dep := t.dep
-			if ticket > dep {
-				dep = ticket
-			}
-			return e.log.WaitDurable(dep)
-		}()
+		err := e.log.Flush()
+		if err == nil {
+			err = e.log.Err()
+		}
+		if err == nil {
+			err = e.log.WaitDurable(max(t.dep, ticket))
+		}
 		if o != nil {
 			d := time.Since(b0).Nanoseconds()
 			o.RecordBarrierWait(d, t.stalled)
@@ -1173,58 +1104,15 @@ func (t *Txn) Commit() error {
 				t.trace.Span("barrier", end-d, end, nil)
 			}
 		}
-		return err
-	}
-	if pol == ReleaseAfterAck {
-		// Hold every lock across the barrier: no other transaction can
-		// observe this commit's state before it is durable.
-		err := barrier()
-		if enrolled {
-			t.releaseLocksOrdered(groups, ticket)
-		} else {
-			t.releaseLocks(ticket)
-		}
-		hold()
 		if err != nil {
+			// The transaction is committed in memory (locks are released,
+			// effects visible) but the durable log is behind: fail loudly
+			// rather than ack a commit the backend never persisted.
 			e.Metrics.DurabilityFailures.Add(1)
 			t.obsEnd("durability-failure")
 			return fmt.Errorf("txn %s: committed in memory but WAL backend failed: %w: %w",
 				t.id, ErrDurability, err)
 		}
-		e.Metrics.Commits.Add(1)
-		t.obsEnd("commit")
-		return nil
-	}
-	// Phase 2b: release locks and wake waiters before the barrier (early
-	// release). The tracked policy publishes the commit ticket so
-	// dependents inherit this commit's durability point; the legacy unsafe
-	// policy publishes nothing — dependents commit blind.
-	if pol == releaseEarlyUnsafe {
-		t.releaseLocks(0)
-	} else if enrolled {
-		t.releaseLocksOrdered(groups, ticket)
-	} else {
-		t.releaseLocks(ticket)
-	}
-	hold()
-	var err error
-	if pol == releaseEarlyUnsafe {
-		if t.wroteWAL {
-			if err = e.log.Flush(); err == nil {
-				err = e.log.Err()
-			}
-		}
-	} else {
-		err = barrier()
-	}
-	if err != nil {
-		// The transaction is committed in memory (locks are released,
-		// effects visible) but the durable log is behind: fail loudly
-		// rather than ack a commit the backend never persisted.
-		e.Metrics.DurabilityFailures.Add(1)
-		t.obsEnd("durability-failure")
-		return fmt.Errorf("txn %s: committed in memory but WAL backend failed: %w: %w",
-			t.id, ErrDurability, err)
 	}
 	e.Metrics.Commits.Add(1)
 	t.obsEnd("commit")

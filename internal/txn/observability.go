@@ -40,7 +40,7 @@ func (e *Engine) Observer() *obs.Observer { return e.obsv }
 // reads), checkpoint progress, and — when an observer is attached — the
 // phase histograms and trace statistics. This is the one read point
 // harnesses and exporters use instead of harvesting counters piecemeal;
-// in particular it surfaces the per-policy mean commit hold.
+// in particular it surfaces the mean commit hold.
 func (e *Engine) ObsSnapshot() obs.Snapshot {
 	m := &e.Metrics
 	disc := e.opts.LogDiscipline
@@ -48,7 +48,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 		disc = wal.DisciplineUndo
 	}
 	s := obs.Snapshot{
-		Policy:     e.opts.ReleasePolicy.String(),
 		Discipline: disc,
 		Shards:     len(e.shards),
 		Engine: obs.EngineCounters{

@@ -195,8 +195,8 @@ func TestObsSnapshotDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := recovery.RestartAllWithCheckpoint(objs,
-		func(history.ObjectID) adt.Machine { return ba.Machine() }, relog, ckpt)
+	_, stats, err := recovery.RestartAllWithConfig(objs,
+		func(history.ObjectID) adt.Machine { return ba.Machine() }, relog, ckpt, recovery.RestartConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

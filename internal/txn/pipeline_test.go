@@ -3,9 +3,9 @@ package txn
 // Tests of the copy-on-write registry and the sharded, commit-LSN-ordered
 // commit pipeline: registration mid-traffic never loses an object or
 // tears a lookup, the per-shard ordered-release protocol releases in
-// commit-ticket order deterministically, every release policy × logging
-// discipline commits the same literal balances, and one commit's staged
-// records are exactly the expected multiset with the commit decision last.
+// commit-ticket order deterministically, both logging disciplines commit
+// the same literal balances, and one commit's staged records are exactly
+// the expected multiset with the commit decision last.
 
 import (
 	"fmt"
@@ -227,53 +227,51 @@ func TestShardedCommitReleasesInTicketOrderEndToEnd(t *testing.T) {
 }
 
 // TestReleaseDisciplineMatrix runs one deterministic workload — five
-// three-object deposit transactions and an aborted deposit — under every
-// release policy × logging discipline and checks the committed balances
-// against their literal values: 1+2+3+4+5 = 15 on every object, the
-// aborted deposit leaving no trace.
+// three-object deposit transactions and an aborted deposit — under both
+// logging disciplines and checks the committed balances against their
+// literal values: 1+2+3+4+5 = 15 on every object, the aborted deposit
+// leaving no trace.
 func TestReleaseDisciplineMatrix(t *testing.T) {
-	for _, pol := range []ReleasePolicy{ReleaseEarlyTracked, ReleaseAfterAck} {
-		for _, disc := range []string{wal.DisciplineUndo, wal.DisciplineRedo} {
-			t.Run(fmt.Sprintf("%v/%s", pol, disc), func(t *testing.T) {
-				e := NewEngine(Options{
-					RecordHistory: true, Shards: 2,
-					ReleasePolicy: pol, LogDiscipline: disc,
-				})
-				defer e.Close()
-				ba := adt.DefaultBankAccount()
-				objs := []history.ObjectID{"p", "q", "r"}
-				for _, o := range objs {
-					e.MustRegister(o, ba, ba.NRBC(), UndoLogRecovery)
-				}
-				for round := 1; round <= 5; round++ {
-					tx := e.Begin()
-					for _, o := range objs {
-						if _, err := tx.Invoke(o, adt.Deposit(round)); err != nil {
-							t.Fatalf("deposit: %v", err)
-						}
-					}
-					if err := tx.Commit(); err != nil {
-						t.Fatalf("commit: %v", err)
-					}
-				}
-				ab := e.Begin()
-				if _, err := ab.Invoke("p", adt.Deposit(3)); err != nil {
-					t.Fatalf("deposit: %v", err)
-				}
-				if err := ab.Abort(); err != nil {
-					t.Fatalf("abort: %v", err)
-				}
-				for _, o := range objs {
-					store, _ := e.Object(o)
-					if got := store.CommittedValue().Encode(); got != "15" {
-						t.Errorf("%s: committed balance %s, want 15", o, got)
-					}
-				}
-				if err := history.WellFormed(e.History()); err != nil {
-					t.Fatalf("history not well-formed: %v", err)
-				}
+	for _, disc := range []string{wal.DisciplineUndo, wal.DisciplineRedo} {
+		t.Run(disc, func(t *testing.T) {
+			e := NewEngine(Options{
+				RecordHistory: true, Shards: 2,
+				LogDiscipline: disc,
 			})
-		}
+			defer e.Close()
+			ba := adt.DefaultBankAccount()
+			objs := []history.ObjectID{"p", "q", "r"}
+			for _, o := range objs {
+				e.MustRegister(o, ba, ba.NRBC(), UndoLogRecovery)
+			}
+			for round := 1; round <= 5; round++ {
+				tx := e.Begin()
+				for _, o := range objs {
+					if _, err := tx.Invoke(o, adt.Deposit(round)); err != nil {
+						t.Fatalf("deposit: %v", err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatalf("commit: %v", err)
+				}
+			}
+			ab := e.Begin()
+			if _, err := ab.Invoke("p", adt.Deposit(3)); err != nil {
+				t.Fatalf("deposit: %v", err)
+			}
+			if err := ab.Abort(); err != nil {
+				t.Fatalf("abort: %v", err)
+			}
+			for _, o := range objs {
+				store, _ := e.Object(o)
+				if got := store.CommittedValue().Encode(); got != "15" {
+					t.Errorf("%s: committed balance %s, want 15", o, got)
+				}
+			}
+			if err := history.WellFormed(e.History()); err != nil {
+				t.Fatalf("history not well-formed: %v", err)
+			}
+		})
 	}
 }
 

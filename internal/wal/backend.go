@@ -57,17 +57,8 @@ type Truncator interface {
 // EncodedUndo is an undo token in its durable string form. Producers that
 // need their tokens to survive a durable-backend round trip stage records
 // with EncodedUndo (see adt.UndoTokenCodec and recovery.UndoLog);
-// recovery.Restart hands the string back to the machine's decoder.
+// restart hands the string back to the machine's decoder.
 type EncodedUndo string
-
-// Discard is the in-memory backend: batches are sequenced but never leave
-// process memory — the log's historical behavior, and the default.
-var Discard Backend = discard{}
-
-type discard struct{}
-
-func (discard) Sync([]Record, []byte) error { return nil }
-func (discard) Close() error                { return nil }
 
 // LatencyBackend simulates a storage device with a fixed per-sync latency
 // (an fsync cost model). It makes the group-commit trade-off measurable:

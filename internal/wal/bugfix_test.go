@@ -26,7 +26,7 @@ import (
 // rather than sleeping on a watermark nothing will ever advance. Before
 // the fix this test timed out (the barrier hung forever).
 func TestWaitDurableSyncSelfSequences(t *testing.T) {
-	l, err := Open(Config{Backend: Discard})
+	l, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

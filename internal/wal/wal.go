@@ -3,7 +3,7 @@
 // records with monotonically increasing LSNs and per-transaction backward
 // chains, supporting the abort-time backward walk that operation-logging
 // recovery performs, and — through the Backend seam — durable storage that
-// recovery.Restart can replay after a crash.
+// recovery.RestartAllWithConfig can replay after a crash.
 //
 // Appends are staged: AppendAsync publishes a record to a per-stripe
 // staging buffer (striped by transaction, so one transaction's records stay
@@ -53,9 +53,9 @@
 // The paper deliberately abstracts recovery to the View function; this
 // package is the executable substrate beneath the UIP abstraction — what
 // System R-style recovery managers actually maintain. The log supports
-// transaction abort and, via a durable backend plus recovery.Restart,
-// crash restart (the engineering extension the paper's Section 1 leaves
-// out of scope).
+// transaction abort and, via a durable backend plus
+// recovery.RestartAllWithConfig, crash restart (the engineering extension
+// the paper's Section 1 leaves out of scope).
 package wal
 
 import (
@@ -199,8 +199,8 @@ type Record struct {
 	// Undo is the opaque undo token captured before applying the operation
 	// (nil when the machine's logical inverse needs no token). Tokens that
 	// must survive a durable backend round trip are staged in their
-	// EncodedUndo form (see backend.go); recovery.Restart decodes them with
-	// the machine's codec.
+	// EncodedUndo form (see backend.go); restart decodes them with the
+	// machine's codec.
 	Undo any
 	// Deps is the transaction's commit-order dependency set, carried on
 	// TxnCommitRec under the redo-only discipline: the committed writers
@@ -249,7 +249,8 @@ type Config struct {
 	// two; 0 selects a default derived from GOMAXPROCS).
 	Stripes int
 	// Backend is the durability seam each sequenced batch is handed to.
-	// Nil means in-memory only (equivalent to Discard).
+	// Nil means in-memory only: batches are sequenced but never leave
+	// process memory.
 	Backend Backend
 	// Async runs a dedicated flusher goroutine that owns sequencing;
 	// Flush becomes a commit barrier acknowledged after the backend sync.
@@ -387,23 +388,19 @@ func NewStriped(n int) *Log {
 // Open builds a log per cfg. If the backend implements Replayer (a
 // re-opened segmented backend), its surviving records are loaded into the
 // committed region first — LSN continuity and PrevLSN chains are verified —
-// so new appends continue the durable log and recovery.Restart can replay
-// it. In Async mode the caller owns the log and must Close it.
+// so new appends continue the durable log and restart can replay it. In
+// Async mode the caller owns the log and must Close it.
 func Open(cfg Config) (*Log, error) {
 	n := cfg.Stripes
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	p := stripepkg.RoundPow2(n, stripepkg.MaxStripes)
-	backend := cfg.Backend
-	if backend == Discard {
-		backend = nil // the same no-op, minus encoding batches nobody reads
-	}
 	l := &Log{
 		stripes: make([]*stripe, p),
 		mask:    uint32(p - 1),
 		lastOf:  make(map[history.TxnID]LSN),
-		backend: backend,
+		backend: cfg.Backend,
 		crash:   cfg.CrashPoint,
 	}
 	l.durableCond = sync.NewCond(&l.mu)
