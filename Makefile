@@ -39,9 +39,11 @@ cclint-vet:
 	$(GO) build -o bin/cclint ./cmd/cclint
 	$(GO) vet -vettool=$(CURDIR)/bin/cclint ./...
 
-# A short traced run of the gating benchmark on its checkpointing
-# workload (CI's bench-smoke job): exits 0 only if the ledger oracle holds,
-# and writes bench/out/trace-wide-ckpt.json, a Chrome trace-event file
-# loadable in chrome://tracing or Perfetto.
+# Short runs of the gating benchmark (CI's bench-smoke job): a traced run
+# of its checkpointing workload, which writes bench/out/trace-wide-ckpt.json
+# (a Chrome trace-event file loadable in chrome://tracing or Perfetto), and
+# an untraced run of the in-memory workload. Each exits 0 only if its
+# ledger oracle holds.
 bench-smoke:
 	bash bench/run.sh --workload wide-ckpt --seconds 2 --trace 1
+	bash bench/run.sh --workload hot-uip --seconds 2

@@ -26,9 +26,13 @@
 // per-transaction-stripe buffers, sequencing drains every stripe under a
 // consistent cut and assigns contiguous LSN ranges per batch, and in
 // asynchronous mode commits are barrier-acknowledged only after the batch
-// reaches a pluggable durability backend — in-memory, fsync-simulating, or
-// the segmented files (wal.SegmentedBackend) that
-// recovery.RestartAllWithConfig replays after a crash.
+// reaches a pluggable durability backend — fsync-simulating, or the
+// segmented files (wal.SegmentedBackend) that
+// recovery.RestartAllWithConfig replays after a crash. An engine built
+// without a log gets wal.New(), a sink with no backend: it stamps and
+// counts each record and keeps none, because an in-memory engine has
+// nothing to restart from and live abort walks each store's own undo
+// chain. Checkpointing and restart refuse such a log.
 //
 // Crash restart is transaction-atomic: Txn.Commit stages a single
 // transaction-level commit record (wal.TxnCommitRec) after per-object

@@ -64,5 +64,5 @@ func main() {
 		log.Fatalf("history not dynamic atomic: %v", viol)
 	}
 	fmt.Printf("recorded %d events; history is dynamic atomic\n", len(h))
-	fmt.Printf("write-ahead log holds %d records\n", engine.WAL().Len())
+	fmt.Printf("write-ahead log written: %d records\n", engine.WAL().FlushedRecords())
 }

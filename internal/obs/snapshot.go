@@ -69,8 +69,9 @@ type WALStats struct {
 	StripeAcquisitions int64  `json:"stripe_acquisitions"`
 	DurableLSN         uint64 `json:"durable_lsn"`
 	Records            int    `json:"records"`
-	// Bytes is the retained records' encoded size: exact with a durable
-	// backend, the log's size estimate without one (see wal.Stats).
+	// Bytes is the retained records' encoded size, as handed to the
+	// backend; 0 for a log with no backend, which retains nothing (see
+	// wal.Stats).
 	Bytes      int64  `json:"bytes"`
 	Base       uint64 `json:"base"`
 	Discipline string `json:"discipline,omitempty"`

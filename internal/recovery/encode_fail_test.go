@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/spec"
-	"repro/internal/wal"
 )
 
 // badCodecMachine wraps the register machine with an undo-token codec that
@@ -34,7 +33,7 @@ func (badCodecMachine) DecodeUndoToken(string) (any, error) { return nil, errNoE
 // update and crash restart diverges.
 func TestApplyEncodeFailureIsAtomic(t *testing.T) {
 	m := badCodecMachine{Machine: adt.DefaultRegister().Machine()}
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("R", m, log)
 	if _, err := u.Apply("A", adt.WriteReg("1")); !errors.Is(err, errNoEncode) {
 		t.Fatalf("Apply = %v, want the encode failure", err)

@@ -61,20 +61,22 @@ type Store interface {
 // letting the engine's sharded commit pipeline stage many objects' commit
 // records under one WAL stripe acquisition (wal.Log.AppendBatchAsync)
 // before discharging any of them. The contract mirrors Commit's ordering
-// discipline exactly: the caller stages every record CommitRecords
-// returns, then — and only then — calls CommitStaged, so a staging
+// discipline exactly: the caller stages every record AppendCommitRecords
+// appends, then — and only then — calls CommitStaged, so a staging
 // failure leaves the store untouched and the transaction still cleanly
 // abortable. A store that does not implement the interface (the
 // deferred-update intentions store, whose commit applies the intent list
 // and can fail) is committed through plain Commit instead.
 type BatchCommitter interface {
-	// CommitRecords returns the records Commit would stage for txn (nil
-	// when the discipline stages nothing per object, as under REDO-only
-	// logging). It must not read or write any state guarded by the object
-	// latch — the pipeline calls it before latching.
-	CommitRecords(txn history.TxnID) []wal.Record
+	// AppendCommitRecords appends the records Commit would stage for txn
+	// to dst and returns the extended slice (dst itself when the
+	// discipline stages nothing per object, as under REDO-only logging).
+	// It must not read or write any state guarded by the object latch —
+	// the pipeline calls it before latching.
+	AppendCommitRecords(dst []wal.Record, txn history.TxnID) []wal.Record
 	// CommitStaged makes txn's effects permanent, assuming the caller
-	// already staged every record CommitRecords returned. It cannot fail.
+	// already staged every record AppendCommitRecords appended. It cannot
+	// fail.
 	CommitStaged(txn history.TxnID)
 }
 
@@ -228,15 +230,16 @@ func (u *UndoLog) Commit(txn history.TxnID) error {
 	return nil
 }
 
-// CommitRecords implements BatchCommitter: the per-object commit record
-// Commit would stage (nil under the REDO-only discipline, which stages no
-// per-object commit record at all). It reads only immutable fields, so
-// the engine's pipeline may call it without the object latch.
-func (u *UndoLog) CommitRecords(txn history.TxnID) []wal.Record {
+// AppendCommitRecords implements BatchCommitter: it appends the
+// per-object commit record Commit would stage (nothing under the REDO-only
+// discipline, which stages no per-object commit record at all). It reads
+// only immutable fields, so the engine's pipeline may call it without the
+// object latch.
+func (u *UndoLog) AppendCommitRecords(dst []wal.Record, txn history.TxnID) []wal.Record {
 	if u.redoOnly {
-		return nil
+		return dst
 	}
-	return []wal.Record{{Kind: wal.CommitRec, Txn: txn, Obj: u.obj}}
+	return append(dst, wal.Record{Kind: wal.CommitRec, Txn: txn, Obj: u.obj})
 }
 
 // CommitStaged implements BatchCommitter: the in-memory half of Commit —

@@ -88,7 +88,7 @@ func TestUndoLogUIPVisibility(t *testing.T) {
 }
 
 func TestUndoLogWALRecords(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 	if _, err := u.Apply("A", adt.Deposit(5)); err != nil {
 		t.Fatal(err)

@@ -221,7 +221,8 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 // consistent-cut batching makes it impossible for the engine to produce —
 // and restart must refuse to replay it.
 func TestRedoDependencyClosureViolationRejected(t *testing.T) {
-	log := wal.New()
+	log := createLog(t, t.TempDir(), 0, nil)
+	defer log.Close()
 	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 	u := recovery.NewRedoOnlyLog("X", crashMachine(), log)
 	if _, err := u.Apply("T2", adt.Deposit(5)); err != nil {
@@ -292,20 +293,23 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		// A marked redo log polluted with an undo-mode Update record (and
 		// the dual: an unmarked log containing a RedoRec) — torn handoffs
 		// the per-kind audit catches even when the marker check passes.
-		polluted := wal.New()
+		polluted := createLog(t, t.TempDir(), 0, nil)
+		defer polluted.Close()
 		polluted.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 		polluted.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
 		if err := restartErr(polluted, nil); err == nil {
 			t.Fatal("restart accepted an Update record in a redo-only log")
 		}
-		unmarked := wal.New()
+		unmarked := createLog(t, t.TempDir(), 0, nil)
+		defer unmarked.Close()
 		unmarked.Append(wal.Record{Kind: wal.RedoRec, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
 		if err := restartErr(unmarked, nil); err == nil {
 			t.Fatal("restart accepted a RedoRec in a log with no discipline marker")
 		}
 	})
 	t.Run("checkpoint-discipline-mismatch", func(t *testing.T) {
-		log := wal.New()
+		log := createLog(t, t.TempDir(), 0, nil)
+		defer log.Close()
 		log.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1),
 			Undo: wal.EncodedUndo("")})
 		snap := &checkpoint.Snapshot{ID: "CKPT0001", Frontier: 1, Discipline: wal.DisciplineRedo}

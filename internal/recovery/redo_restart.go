@@ -129,11 +129,12 @@ func checkDepClosure(snap []wal.Record, winners map[history.TxnID]bool) error {
 
 // restartRedoWith is pass 2 of the redo-only restart for one object:
 // winners-only forward replay, optionally seeded from the object's
-// checkpoint capture. It never appends to the log and returns no tail —
+// checkpoint capture; idxs are the snapshot indices of obj's records,
+// ascending. It never appends to the log and returns no tail —
 // a redo-only restart leaves the durable log exactly as the crash left it,
 // which makes the second-restart fixed point trivial.
 func restartRedoWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
-	snap []wal.Record, winners map[history.TxnID]bool,
+	snap []wal.Record, idxs []int, winners map[history.TxnID]bool,
 	seed *checkpoint.ObjectSnapshot, stats *RestartStats) (*UndoLog, error) {
 	state := m.Init()
 	bi, hasBI := m.(adt.BeforeImageUndoer)
@@ -186,10 +187,8 @@ func restartRedoWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 	}
 
 	// Forward replay: winners' RedoRecs past the marker, in LSN order.
-	for _, rec := range snap {
-		if rec.Obj != obj {
-			continue
-		}
+	for _, i := range idxs {
+		rec := &snap[i]
 		if rec.LSN <= markerLSN {
 			stats.Skipped++
 			continue

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -8,6 +10,18 @@ import (
 	"repro/internal/spec"
 	"repro/internal/wal"
 )
+
+// backedLog opens a synchronous log over a zero-latency backend: a log
+// that sequences and retains its records, as restart needs. A log with no
+// backend (wal.New) is a sink and retains nothing.
+func backedLog(t testing.TB) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
 
 // logTxnCommit stages the transaction-level commit record the way
 // txn.Commit does after the per-object commit sweep. Restart is
@@ -32,7 +46,7 @@ func restart(t *testing.T, log *wal.Log, mk func() adt.Machine, objs ...history.
 // TestRestartCleanLog: restart after only committed work reproduces the
 // committed state.
 func TestRestartCleanLog(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 	mustApplyR(t, u, "A", adt.Deposit(5))
 	mustApplyR(t, u, "A", adt.Withdraw(2))
@@ -50,7 +64,7 @@ func TestRestartCleanLog(t *testing.T) {
 // TestRestartUndoesLoser: an in-flight transaction at the crash is rolled
 // back during restart, preserving concurrent committed work.
 func TestRestartUndoesLoser(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 	mustApplyR(t, u, "A", adt.Deposit(5))
 	if err := u.Commit("A"); err != nil {
@@ -92,7 +106,7 @@ func TestRestartUndoesLoser(t *testing.T) {
 // existed, this durable prefix (the crash falling after the per-object
 // commit sweep but before the commit point) recovered half-committed.
 func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	m := adt.DefaultBankAccount().Machine()
 	ux := NewUndoLog("X", m, log)
 	uy := NewUndoLog("Y", m, log)
@@ -138,7 +152,7 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 // the per-object CommitRecs act as redo hints and the transaction's
 // effects survive at every object.
 func TestRestartWinnerSurvivesWithCommitHints(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	m := adt.DefaultBankAccount().Machine()
 	ux := NewUndoLog("X", m, log)
 	uy := NewUndoLog("Y", m, log)
@@ -162,7 +176,7 @@ func TestRestartWinnerSurvivesWithCommitHints(t *testing.T) {
 // TestRestartAfterPartialAbort: a crash in the middle of abort processing
 // (some compensation records written) resumes the undo correctly.
 func TestRestartAfterPartialAbort(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	m := adt.DefaultBankAccount().Machine()
 	u := NewUndoLog("BA", m, log)
 	mustApplyR(t, u, "A", adt.Deposit(5))
@@ -180,7 +194,7 @@ func TestRestartAfterPartialAbort(t *testing.T) {
 // TestRestartIdempotent: restarting twice from the same log yields the same
 // state — the second restart sees the losers already aborted.
 func TestRestartIdempotent(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 	mustApplyR(t, u, "A", adt.Deposit(5))
 	if err := u.Commit("A"); err != nil {
@@ -203,7 +217,7 @@ func TestRestartIdempotent(t *testing.T) {
 // TestRestartBeforeImageMachine: restart replays before-image undo tokens
 // from the log for machines that need them (KV store).
 func TestRestartBeforeImageMachine(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u := NewUndoLog("KV", adt.DefaultKVStore().Machine(), log)
 	mustApplyR(t, u, "A", adt.Put("x", "1"))
 	if err := u.Commit("A"); err != nil {
@@ -222,7 +236,7 @@ func TestRestartBeforeImageMachine(t *testing.T) {
 // objects; restart filters each object's records correctly, with one
 // winner scan (pass 1) shared by every object.
 func TestRestartMultiObjectLog(t *testing.T) {
-	log := wal.New()
+	log := backedLog(t)
 	u1 := NewUndoLog("X", adt.DefaultBankAccount().Machine(), log)
 	u2 := NewUndoLog("Y", adt.DefaultBankAccount().Machine(), log)
 	mustApplyR(t, u1, "A", adt.Deposit(5))
@@ -245,5 +259,75 @@ func mustApplyR(t *testing.T, u *UndoLog, txn history.TxnID, inv spec.Invocation
 	t.Helper()
 	if _, err := u.Apply(txn, inv); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestartRefusesSinkLog: a log with no backend retains no records, so
+// restarting from it would "restore" every object to its initial state.
+// Both entry points refuse it instead — under either discipline marker.
+func TestRestartRefusesSinkLog(t *testing.T) {
+	machineFor := func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() }
+	objs := []history.ObjectID{"BA"}
+	for _, discipline := range []string{wal.DisciplineUndo, wal.DisciplineRedo} {
+		t.Run(discipline, func(t *testing.T) {
+			log := wal.New()
+			if discipline == wal.DisciplineRedo {
+				log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
+			}
+			u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
+			mustApplyR(t, u, "A", adt.Deposit(5))
+			if err := u.Commit("A"); err != nil {
+				t.Fatal(err)
+			}
+			logTxnCommit(log, "A")
+			if _, _, err := RestartAllWithConfig(objs, machineFor, log, nil, RestartConfig{}); err == nil ||
+				!strings.Contains(err.Error(), "no backend") {
+				t.Fatalf("RestartAllWithConfig over a sink = %v, want the no-backend error", err)
+			}
+			if _, _, err := RestartRedoOnly(objs, machineFor, log, nil, RestartConfig{}); err == nil ||
+				!strings.Contains(err.Error(), "no backend") {
+				t.Fatalf("RestartRedoOnly over a sink = %v, want the no-backend error", err)
+			}
+		})
+	}
+}
+
+// BenchmarkRestart restarts one fixed log — 8,192 single-deposit winners,
+// three records each — spread over 64, 512 and 4,096 objects, on one
+// worker. Pass 2 visits each object's own records only, so the cost per
+// record must not grow with the object count.
+func BenchmarkRestart(b *testing.B) {
+	const txns = 8192
+	for _, objects := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
+			log := backedLog(b)
+			defer log.Close()
+			objs := make([]history.ObjectID, objects)
+			stores := make([]*UndoLog, objects)
+			for i := range objs {
+				objs[i] = history.ObjectID(fmt.Sprintf("acct%04d", i))
+				stores[i] = NewUndoLog(objs[i], adt.DefaultBankAccount().Machine(), log)
+			}
+			for i := 0; i < txns; i++ {
+				txn := history.TxnID(fmt.Sprintf("T%05d", i))
+				u := stores[i%objects]
+				if _, err := u.Apply(txn, adt.Deposit(1)); err != nil {
+					b.Fatal(err)
+				}
+				if err := u.Commit(txn); err != nil {
+					b.Fatal(err)
+				}
+				logTxnCommit(log, txn)
+			}
+			records := log.Len()
+			machineFor := func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := RestartAllWithConfig(objs, machineFor, log, nil, RestartConfig{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
 	}
 }

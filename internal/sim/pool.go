@@ -156,7 +156,9 @@ type RecoveryCostResult struct {
 	Undos         int64
 	CommitApplies int64
 	Replays       int64
-	WALRecords    int
+	// WALRecords counts the records the run appended to the engine's log
+	// (which, in memory, retains none of them).
+	WALRecords int
 }
 
 // RunRecoveryCost runs a single-account workload with voluntary aborts and
@@ -174,7 +176,7 @@ func RunRecoveryCost(s Scheduler, cfg RecoveryCostConfig) RecoveryCostResult {
 		Seed:           cfg.Seed,
 	}
 	res, e := RunBanking(s, bcfg)
-	out := RecoveryCostResult{Result: res, WALRecords: e.WAL().Len()}
+	out := RecoveryCostResult{Result: res, WALRecords: int(e.WAL().FlushedRecords())}
 	if store, ok := e.Object(acctID(0)); ok {
 		switch st := store.(type) {
 		case *recovery.UndoLog:

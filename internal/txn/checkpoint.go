@@ -70,12 +70,16 @@ type CheckpointOptions struct {
 // exclusions are per-object latch holds and, around each capture, the
 // commit protocol's decision window (see the package comment above).
 // Checkpoint fails — taking no checkpoint and truncating nothing — if the
-// log is closed, the WAL backend has failed (durability of the capture
-// cannot be established), or a captured machine cannot round-trip its
-// state.
+// log has no backend (it retains no records, so no marker could be
+// resolved and nothing could ever be restarted), the log is closed, the
+// WAL backend has failed (durability of the capture cannot be
+// established), or a captured machine cannot round-trip its state.
 func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 	if e.opts.Checkpoint == nil || e.opts.Checkpoint.Store == nil {
 		return nil, fmt.Errorf("txn: checkpoint: engine has no checkpoint store configured")
+	}
+	if !e.log.Durable() {
+		return nil, fmt.Errorf("txn: checkpoint: engine's WAL has no backend and retains no records")
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()

@@ -91,7 +91,7 @@ func (s *failingStore) Commit(txn history.TxnID) error {
 // transaction is a loser everywhere.
 func TestCommitMidSweepFailureTerminates(t *testing.T) {
 	ba := adt.DefaultBankAccount()
-	e := NewEngine(Options{RecordHistory: true})
+	e := NewEngine(Options{RecordHistory: true, WAL: backedWAL(t)})
 	e.MustRegister("A", ba, ba.NRBC(), UndoLogRecovery)
 	e.MustRegister("B", ba, ba.NRBC(), UndoLogRecovery)
 

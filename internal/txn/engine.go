@@ -43,10 +43,11 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -152,8 +153,10 @@ type Options struct {
 	Shards int
 	// WAL, when non-nil, is the shared write-ahead log the engine's
 	// undo-log objects stage into — typically a wal.Open'd log with an
-	// asynchronous flusher and a durable backend. Nil selects a
-	// synchronous in-memory log (wal.New). The engine takes ownership:
+	// asynchronous flusher and a durable backend. Nil selects wal.New(), a
+	// sink that stamps and counts records but retains none: live abort
+	// needs only the stores' own undo chains, and such an engine can be
+	// neither checkpointed nor restarted. The engine takes ownership:
 	// Engine.Close closes it.
 	WAL *wal.Log
 	// LogDiscipline selects the logging discipline of the engine's undo-log
@@ -420,7 +423,12 @@ func (e *Engine) redoOnly() bool { return e.opts.LogDiscipline == wal.Discipline
 
 // shardOf returns the shard owning id.
 func (e *Engine) shardOf(id history.ObjectID) *engineShard {
-	return e.shards[stripe.FNV32a(string(id))&e.mask]
+	return e.shards[e.shardIndex(id)]
+}
+
+// shardIndex returns the index of the shard owning id.
+func (e *Engine) shardIndex(id history.ObjectID) uint32 {
+	return stripe.FNV32a(string(id)) & e.mask
 }
 
 // lookup finds a registered object. The hit path performs zero lock
@@ -870,11 +878,7 @@ func (t *Txn) Commit() error {
 	}
 	// The sweep (and terminate's already-committed bookkeeping) follows
 	// shard-grouped order; objs is the flat sweep order.
-	groups := t.shardGroups()
-	var objs []history.ObjectID
-	for _, g := range groups {
-		objs = append(objs, g.objs...)
-	}
+	groups, objs := t.shardGroups()
 	// Phase 1: prepare — verify every participant is still registered. A
 	// failure here terminates cleanly: nothing has committed yet, so every
 	// participant is aborted and the transaction leaves no effects behind.
@@ -921,8 +925,11 @@ func (t *Txn) Commit() error {
 		if o != nil {
 			stage0 = time.Now()
 		}
+		// One record buffer serves every shard's batch: AppendBatchAsync
+		// copies what it stages.
+		recs := make([]wal.Record, 0, len(objs))
 		for _, g := range groups {
-			var recs []wal.Record
+			recs = recs[:0]
 			for _, obj := range g.objs {
 				mo, ok := e.lookup(obj)
 				if !ok {
@@ -931,7 +938,7 @@ func (t *Txn) Commit() error {
 						fmt.Errorf("txn %s: commit: object %q vanished", t.id, obj))
 				}
 				if bc, ok := mo.store.(recovery.BatchCommitter); ok {
-					recs = append(recs, bc.CommitRecords(t.id)...)
+					recs = bc.AppendCommitRecords(recs, t.id)
 				}
 			}
 			if _, err := e.log.AppendBatchAsync(recs); err != nil {
@@ -1024,7 +1031,7 @@ func (t *Txn) Commit() error {
 			for d := range t.depTxns {
 				deps = append(deps, d)
 			}
-			sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+			slices.Sort(deps)
 			rec.Deps = deps
 		}
 		var stage0 time.Time
@@ -1179,8 +1186,8 @@ func (t *Txn) Abort() error {
 }
 
 func (t *Txn) sortedTouched() []history.ObjectID {
-	objs := append([]history.ObjectID(nil), t.order...)
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	objs := slices.Clone(t.order)
+	slices.Sort(objs)
 	return objs
 }
 
@@ -1193,27 +1200,33 @@ type commitGroup struct {
 	objs []history.ObjectID
 }
 
-// shardGroups partitions the touched set by registry shard, groups in
-// ascending shard-index order and objects in ascending ID order within
-// each group — the deterministic sweep order of the sharded commit
-// pipeline.
-func (t *Txn) shardGroups() []commitGroup {
+// shardGroups returns the deterministic sweep order of the sharded commit
+// pipeline: objs is the touched set sorted by registry-shard index, then
+// by object ID, and groups cuts it into one contiguous run per shard, in
+// ascending shard-index order.
+func (t *Txn) shardGroups() (groups []commitGroup, objs []history.ObjectID) {
 	e := t.eng
-	byShard := make(map[uint32][]history.ObjectID)
-	for _, obj := range t.sortedTouched() {
-		i := stripe.FNV32a(string(obj)) & e.mask
-		byShard[i] = append(byShard[i], obj)
+	objs = slices.Clone(t.order)
+	slices.SortFunc(objs, func(a, b history.ObjectID) int {
+		return cmp.Or(cmp.Compare(e.shardIndex(a), e.shardIndex(b)), cmp.Compare(a, b))
+	})
+	n := 0
+	for i, obj := range objs {
+		if i == 0 || e.shardIndex(obj) != e.shardIndex(objs[i-1]) {
+			n++
+		}
 	}
-	idxs := make([]uint32, 0, len(byShard))
-	for i := range byShard {
-		idxs = append(idxs, i)
+	groups = make([]commitGroup, 0, n)
+	for lo := 0; lo < len(objs); {
+		i := e.shardIndex(objs[lo])
+		hi := lo + 1
+		for hi < len(objs) && e.shardIndex(objs[hi]) == i {
+			hi++
+		}
+		groups = append(groups, commitGroup{sh: e.shards[i], objs: objs[lo:hi]})
+		lo = hi
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
-	groups := make([]commitGroup, 0, len(idxs))
-	for _, i := range idxs {
-		groups = append(groups, commitGroup{sh: e.shards[i], objs: byShard[i]})
-	}
-	return groups
+	return groups, objs
 }
 
 // releaseLocksOrdered releases the transaction's locks shard by shard in

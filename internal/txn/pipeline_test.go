@@ -281,7 +281,7 @@ func TestReleaseDisciplineMatrix(t *testing.T) {
 // transaction-level commit record last — the property restart's
 // presumed-abort protocol replays by.
 func TestBatchStagedCommitRecords(t *testing.T) {
-	e := NewEngine(Options{RecordHistory: true, Shards: 2})
+	e := NewEngine(Options{RecordHistory: true, Shards: 2, WAL: backedWAL(t)})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	objs := []history.ObjectID{"p", "q", "r", "s"}

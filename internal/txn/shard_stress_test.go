@@ -117,7 +117,7 @@ func TestShardedEngineStressRace(t *testing.T) {
 	const workers = 10
 	const txnsPerWorker = 8
 
-	e := NewEngine(Options{RecordHistory: true, Shards: 8})
+	e := NewEngine(Options{RecordHistory: true, Shards: 8, WAL: backedWAL(t)})
 	ids := make([]history.ObjectID, objects)
 	rels := map[history.ObjectID]commute.Relation{}
 	views := map[history.ObjectID]core.View{}

@@ -1,0 +1,99 @@
+package txn
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/adt"
+	"repro/internal/checkpoint"
+	"repro/internal/wal"
+)
+
+// backedWAL opens a synchronous log over a zero-latency backend, for the
+// engine tests that read the log back or restart from it: an engine's
+// default log (wal.New) is a sink and retains no records.
+func backedWAL(t testing.TB) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// newTransferEngine builds an in-memory engine with two undo-logged
+// accounts, A and B, under NRBC locking.
+func newTransferEngine() *Engine {
+	e := NewEngine(Options{})
+	ba := adt.BankAccount{InitialBalance: 1 << 20, MaxBalance: 1 << 30, Amounts: []int{1}}
+	e.MustRegister("A", ba, ba.NRBC(), UndoLogRecovery)
+	e.MustRegister("B", ba, ba.NRBC(), UndoLogRecovery)
+	return e
+}
+
+// transfer moves one unit from A to B in one transaction.
+func transfer(t testing.TB, e *Engine) {
+	tx := e.Begin()
+	if _, err := tx.Invoke("A", adt.Withdraw(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Invoke("B", adt.Deposit(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInMemoryEngineKeepsNoLogHistory: an in-memory engine appends five
+// records per two-object transfer (two updates, two per-object commit
+// records, the transaction-level commit record) and retains none of them
+// — without a checkpoint, a retaining log would hold all 5·N.
+func TestInMemoryEngineKeepsNoLogHistory(t *testing.T) {
+	const n = 10_000
+	e := newTransferEngine()
+	defer e.Close()
+	for i := 0; i < n; i++ {
+		transfer(t, e)
+	}
+	s := e.WAL().Stats()
+	if s.Records != 0 || s.Bytes != 0 {
+		t.Fatalf("in-memory log retains %d records (%d bytes) after %d commits, want 0", s.Records, s.Bytes, n)
+	}
+	if s.FlushedRecords != 5*n {
+		t.Fatalf("in-memory log counted %d appended records, want %d", s.FlushedRecords, 5*n)
+	}
+}
+
+// TestInMemoryTransferAllocs pins the allocation count of one in-memory
+// undo-logged two-object transfer: Begin, two Invokes, Commit.
+func TestInMemoryTransferAllocs(t *testing.T) {
+	const pinned = 19
+	e := newTransferEngine()
+	defer e.Close()
+	allocs := testing.AllocsPerRun(200, func() { transfer(t, e) })
+	if allocs > pinned {
+		t.Fatalf("one in-memory transfer: %v allocs, want at most %d", allocs, pinned)
+	}
+}
+
+// TestCheckpointRefusesSinkLog: an engine whose log has no backend retains
+// no records to checkpoint against, and Checkpoint says so at once instead
+// of failing late on a marker it cannot find.
+func TestCheckpointRefusesSinkLog(t *testing.T) {
+	store := checkpoint.NewMemStore()
+	e := NewEngine(Options{Checkpoint: &CheckpointOptions{Store: store}})
+	defer e.Close()
+	ba := adt.DefaultBankAccount()
+	e.MustRegister("A", ba, ba.NRBC(), UndoLogRecovery)
+	snap, err := e.Checkpoint()
+	if err == nil || !strings.Contains(err.Error(), "no backend") {
+		t.Fatalf("Checkpoint over a sink log = (%v, %v), want the no-backend error", snap, err)
+	}
+	if got, err := store.Latest(); got != nil || err != nil {
+		t.Fatalf("store holds %v (%v) after a refused checkpoint", got, err)
+	}
+	if got := e.WAL().FlushedRecords(); got != 0 {
+		t.Fatalf("refused checkpoint appended %d records", got)
+	}
+}

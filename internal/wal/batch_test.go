@@ -11,7 +11,7 @@ import (
 // consecutive stamps, the returned ticket is the last record's stamp, and
 // sequencing preserves the in-batch order.
 func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	pre, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
 // TestAppendBatchAsyncEmptyAndMixed: an empty batch is a no-op returning
 // the zero ticket; a mixed-transaction batch stages nothing and errors.
 func TestAppendBatchAsyncEmptyAndMixed(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	tk, err := l.AppendBatchAsync(nil)
 	if err != nil || tk != 0 {
 		t.Fatalf("empty batch = %d, %v; want 0, nil", tk, err)
@@ -73,7 +73,7 @@ func TestAppendBatchAsyncEmptyAndMixed(t *testing.T) {
 // TestAppendBatchAsyncClosed: a batch racing Close is rejected whole with
 // ErrClosed — never a partial stage.
 func TestAppendBatchAsyncClosed(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAppendBatchAsyncClosed(t *testing.T) {
 // TestStripeAcquisitionCounting: N AppendAsync calls cost N acquisitions,
 // one AppendBatchAsync of N records costs 1.
 func TestStripeAcquisitionCounting(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	if got := l.StripeAcquisitions(); got != 0 {
 		t.Fatalf("fresh log has %d acquisitions", got)
 	}
@@ -119,7 +119,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 // TestAppendBatchAsyncConsistentCut: records staged in one batch call are
 // never split across flush batches — a flush drain sees all or none.
 func TestAppendBatchAsyncConsistentCut(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	const n = 8
 	batch := make([]Record, n)
 	for i := range batch {

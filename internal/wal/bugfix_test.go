@@ -7,7 +7,7 @@ package wal
 //  2. the read accessors called Flush() and discarded its error, so on a
 //     closing log (where Flush returns ErrClosed without sequencing) they
 //     could serve a view missing records staged just before Close began;
-//  3. Bytes() was built on approxRecordSize estimates that drift from the
+//  3. Bytes() was built on per-record size estimates that drifted from the
 //     real durable encoding, so the live accounting disagreed with the
 //     on-disk file sizes.
 
@@ -26,10 +26,7 @@ import (
 // rather than sleeping on a watermark nothing will ever advance. Before
 // the fix this test timed out (the barrier hung forever).
 func TestWaitDurableSyncSelfSequences(t *testing.T) {
-	l, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := backedLog(t, 0)
 	defer l.Close()
 	tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	if err != nil {

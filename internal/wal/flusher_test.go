@@ -34,7 +34,7 @@ func TestAsyncFlushIsCommitBarrier(t *testing.T) {
 // TestAsyncAppendReturnsLSN: the synchronous Append path works in async
 // mode — the barrier publishes the flusher's LSN assignment.
 func TestAsyncAppendReturnsLSN(t *testing.T) {
-	l, err := Open(Config{Async: true})
+	l, err := Open(Config{Async: true, Backend: NewLatencyBackend(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"sync", Config{Stripes: 4}},
-		{"async", Config{Stripes: 4, Async: true}},
-		{"async-dwell", Config{Stripes: 4, Async: true, BatchInterval: 200 * time.Microsecond}},
+		{"sync", Config{Stripes: 4, Backend: NewLatencyBackend(0)}},
+		{"async", Config{Stripes: 4, Async: true, Backend: NewLatencyBackend(0)}},
+		{"async-dwell", Config{Stripes: 4, Async: true, BatchInterval: 200 * time.Microsecond, Backend: NewLatencyBackend(0)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			l, err := Open(mode.cfg)

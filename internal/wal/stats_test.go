@@ -13,7 +13,7 @@ import (
 // field equals its individual accessor — the consolidation changed the
 // read protocol, not the numbers.
 func TestStatsMatchesAccessors(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Kind: Update, Txn: history.TxnID(fmt.Sprintf("T%d", i)), Obj: "X", Op: adt.DepositOk(1)})
 	}
@@ -56,16 +56,16 @@ func TestStatsMatchesAccessors(t *testing.T) {
 	}
 }
 
-// TestStatsCoherentUnderConcurrency is the torn-read proof. On a log
-// without a backend the invariant DurableLSN == Base + Records holds at
-// every sequence point (everything sequenced is durable, LSNs are never
-// renumbered). Reading Base and Records through the individual accessors
+// TestStatsCoherentUnderConcurrency is the torn-read proof. On a
+// synchronous log over a zero-latency backend the invariant DurableLSN ==
+// Base + Records holds at every sequence point (every sequenced batch is
+// synced before the flush lock is released, LSNs are never renumbered). Reading Base and Records through the individual accessors
 // while appenders and a truncator run can violate it — each accessor
 // locks separately, so a truncation can land between the two reads.
 // Stats reads all fields under one sequence point, so the invariant
 // must hold in every snapshot it returns.
 func TestStatsCoherentUnderConcurrency(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {

@@ -5,6 +5,15 @@
 // recovery performs, and — through the Backend seam — durable storage that
 // recovery.RestartAllWithConfig can replay after a crash.
 //
+// A log opened with no Backend (New, or Open with Backend unset) is a
+// sink: it stamps and counts every appended record and keeps none of them.
+// An in-memory engine has no device to restart from, and live abort walks
+// each store's own undo chain, so nothing would ever read those records
+// back; Flush, IsDurable and WaitDurable return at once, and the read
+// accessors (Len, Snapshot, Get, TxnChain, ...) see an empty log. Durable
+// reports which kind a log is. Everything below describes a log with a
+// backend.
+//
 // Appends are staged: AppendAsync publishes a record to a per-stripe
 // staging buffer (striped by transaction, so one transaction's records stay
 // FIFO) without touching the committed region of the log. Every staged
@@ -15,7 +24,7 @@
 // while fixing up each transaction's backward PrevLSN chain — happens in
 // one of two modes:
 //
-//   - Synchronous (New, NewStriped, or Open with Async unset): Flush
+//   - Synchronous (Open with Async unset): Flush
 //     sequences inline on the calling goroutine, exactly classic group
 //     commit — while one committer holds the flush lock, other committers'
 //     records pile into the staging buffers and are sequenced by the next
@@ -36,8 +45,8 @@
 // the staging buffers (the drain holds every stripe lock at once), so a
 // batch boundary — the unit of crash loss — never separates a record from
 // a causally earlier one. After sequencing, each batch is handed to the
-// configured Backend (an in-memory no-op by default; see backend.go for the
-// fsync-simulating backend and segment.go for the durable one); commit
+// configured Backend (see backend.go for the fsync-simulating backend and
+// segment.go for the durable one); commit
 // acknowledgement happens only after the backend's Sync returns, so an
 // acked commit is durable to whatever degree the backend provides.
 //
@@ -249,8 +258,9 @@ type Config struct {
 	// two; 0 selects a default derived from GOMAXPROCS).
 	Stripes int
 	// Backend is the durability seam each sequenced batch is handed to.
-	// Nil means in-memory only: batches are sequenced but never leave
-	// process memory.
+	// Nil makes the log a sink: appended records are stamped and counted
+	// (FlushedRecords) but never staged, sequenced or retained, and every
+	// other field is ignored.
 	Backend Backend
 	// Async runs a dedicated flusher goroutine that owns sequencing;
 	// Flush becomes a commit barrier acknowledged after the backend sync.
@@ -283,11 +293,11 @@ type Log struct {
 	// frontiers, PrevLSN chains) stay meaningful.
 	records []Record
 	base    LSN
-	// sizes[i] is records[i]'s encoded size: with a backend, the exact
-	// bytes of its line (its share of the flushed frame, or the line a
-	// replay scanned); without one, approxRecordSize. bytes is their sum —
-	// the log-length accounting Stats reports — so truncation subtracts
-	// sizes and never re-encodes.
+	// sizes[i] is records[i]'s encoded size: the exact bytes of its line
+	// (its share of the flushed frame, or the line a replay scanned; 0 for
+	// a batch that failed to encode). bytes is their sum — the log-length
+	// accounting Stats reports — so truncation subtracts sizes and never
+	// re-encodes.
 	sizes  []int64
 	bytes  int64
 	lastOf map[history.TxnID]LSN
@@ -369,27 +379,27 @@ type Log struct {
 // Safe to call while the flusher runs; a nil observer detaches.
 func (l *Log) SetObserver(o *obs.Observer) { l.obsv.Store(o) }
 
-// New builds an empty synchronous in-memory log with a stripe count derived
-// from GOMAXPROCS.
+// New builds a sink: a log with no backend, which stamps and counts each
+// appended record and retains none (see the package comment).
 func New() *Log {
-	return NewStriped(runtime.GOMAXPROCS(0))
-}
-
-// NewStriped builds an empty synchronous in-memory log with n staging
-// stripes (rounded up to a power of two, at least 1).
-func NewStriped(n int) *Log {
-	l, err := Open(Config{Stripes: n})
+	l, err := Open(Config{})
 	if err != nil {
 		panic(err) // unreachable: no backend, so nothing to replay
 	}
 	return l
 }
 
+// Durable reports whether the log has a backend. A log without one is a
+// sink that retains no records, so nothing can be checkpointed from it or
+// restarted from it.
+func (l *Log) Durable() bool { return l.backend != nil }
+
 // Open builds a log per cfg. If the backend implements Replayer (a
 // re-opened segmented backend), its surviving records are loaded into the
 // committed region first — LSN continuity and PrevLSN chains are verified —
 // so new appends continue the durable log and restart can replay it. In
-// Async mode the caller owns the log and must Close it.
+// Async mode the caller owns the log and must Close it. With no backend the
+// log is a sink (see Config.Backend) and runs no flusher.
 func Open(cfg Config) (*Log, error) {
 	n := cfg.Stripes
 	if n <= 0 {
@@ -445,7 +455,7 @@ func Open(cfg Config) (*Log, error) {
 		// past them.
 		l.durableLSN = l.base + LSN(len(l.records))
 	}
-	if cfg.Async {
+	if cfg.Async && cfg.Backend != nil {
 		l.async = true
 		l.batchInterval = cfg.BatchInterval
 		l.wake = make(chan struct{}, 1)
@@ -538,8 +548,17 @@ func (l *Log) stage(r Record) (*stagedRec, error) {
 // record's stage ticket. The record is sequenced by the next flush (a
 // committing transaction's group-commit barrier, any reader, or the
 // background flusher). This is the engine's hot path: no log-wide lock.
-// On a closed log nothing is staged and the error wraps ErrClosed.
+// On a closed log nothing is staged and the error wraps ErrClosed. A sink
+// only stamps and counts the record.
 func (l *Log) AppendAsync(r Record) (Ticket, error) {
+	if l.backend == nil {
+		if l.closing.Load() {
+			return 0, fmt.Errorf("wal: append %s for %s: %w", r.Kind, r.Txn, ErrClosed)
+		}
+		l.sinkDiscipline(r)
+		l.flushed.Add(1)
+		return Ticket(l.stampSeq.Add(1)), nil
+	}
 	s, err := l.stage(r)
 	if err != nil {
 		return 0, err
@@ -559,17 +578,28 @@ func (l *Log) AppendAsync(r Record) (Ticket, error) {
 // stripes, and their relative stamp order would then be an accident);
 // such a call stages nothing and reports an error. An empty batch returns
 // the zero ticket. On a closed log nothing is staged and the error wraps
-// ErrClosed.
+// ErrClosed. A sink takes the batch's stamps and counts its records; the
+// caller may reuse recs once the call returns, on any log.
 func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
-	st := l.stripeOf(recs[0].Txn)
 	for _, r := range recs[1:] {
 		if r.Txn != recs[0].Txn {
 			return 0, fmt.Errorf("wal: append batch: mixed transactions (%s vs %s)", recs[0].Txn, r.Txn)
 		}
 	}
+	if l.backend == nil {
+		if l.closing.Load() {
+			return 0, fmt.Errorf("wal: append batch of %d for %s: %w", len(recs), recs[0].Txn, ErrClosed)
+		}
+		for _, r := range recs {
+			l.sinkDiscipline(r)
+		}
+		l.flushed.Add(int64(len(recs)))
+		return Ticket(l.stampSeq.Add(int64(len(recs)))), nil
+	}
+	st := l.stripeOf(recs[0].Txn)
 	staged := make([]stagedRec, len(recs))
 	st.mu.Lock()
 	l.stripeAcqs.Add(1)
@@ -593,6 +623,19 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 	return Ticket(last), nil
 }
 
+// sinkDiscipline records the discipline a marker appended to a sink
+// declares — the one thing a sink remembers of its records.
+func (l *Log) sinkDiscipline(r Record) {
+	if r.Kind != DisciplineRec {
+		return
+	}
+	l.mu.Lock()
+	if l.discipline == "" {
+		l.discipline = r.Op.Inv.Args
+	}
+	l.mu.Unlock()
+}
+
 // StripeAcquisitions returns the number of staging-stripe lock
 // acquisitions performed by appenders since Open (the flusher's drain is
 // excluded). Batch staging exists to shrink this number: N records staged
@@ -605,8 +648,17 @@ func (l *Log) StripeAcquisitions() int64 { return l.stripeAcqs.Load() }
 // The LSN read is safe even when a different goroutine's flusher sequenced
 // the record: Flush only returns after an acknowledgement that
 // happens-after the assignment (see stagedRec). On a closed log nothing is
-// staged and the nil LSN is returned.
+// staged and the nil LSN is returned; so it is on a sink, which assigns no
+// LSNs.
 func (l *Log) Append(r Record) LSN {
+	if l.backend == nil {
+		// The record is stamped and counted, or refused by a closed log;
+		// either way there is no LSN to return.
+		if _, err := l.AppendAsync(r); err != nil {
+			return 0
+		}
+		return 0
+	}
 	s, err := l.stage(r)
 	if err != nil {
 		return 0
@@ -632,10 +684,14 @@ func (l *Log) Append(r Record) LSN {
 // recorded and exposed by Err, which durability-requiring callers must
 // check after Flush (txn.Commit does). Flush on a closed log returns an
 // error wrapping ErrClosed; everything staged before Close was already
-// drained by Close itself.
+// drained by Close itself. On a sink there is nothing to sequence and Flush
+// returns at once.
 func (l *Log) Flush() error {
 	if l.closing.Load() {
 		return fmt.Errorf("wal: flush: %w", ErrClosed)
+	}
+	if l.backend == nil {
+		return nil
 	}
 	if !l.async {
 		l.flushOnce()
@@ -756,9 +812,8 @@ func (l *Log) flushOnce() {
 	}
 	if len(batch) > 0 {
 		slices.SortFunc(batch, func(a, b *stagedRec) int { return cmp.Compare(a.stamp, b.stamp) })
-		// The flat batch copy feeds only the crash hook and the backend;
-		// the default in-memory configuration skips it.
-		flat := l.crash != nil || l.backend != nil
+		// Only a log with a backend stages, so a batch always has one: the
+		// flat copy feeds the crash hook and the backend.
 		recs := l.recsBuf[:0]
 		l.mu.Lock()
 		first := len(l.records)
@@ -773,9 +828,7 @@ func (l *Log) flushOnce() {
 				l.discipline = s.rec.Op.Inv.Args
 			}
 			s.lsn = s.rec.LSN
-			if flat {
-				recs = append(recs, s.rec)
-			}
+			recs = append(recs, s.rec)
 		}
 		l.mu.Unlock()
 		if !l.crashed && l.crash != nil && l.crash(int(l.flushes.Load()), recs) {
@@ -784,10 +837,7 @@ func (l *Log) flushOnce() {
 		// Encode the batch once, outside mu (only flushMu, which every
 		// backend call is serialized by anyway): the frame is both what
 		// the backend writes and what Bytes counts.
-		var encErr error
-		if l.backend != nil {
-			encErr = l.encodeFrame(recs)
-		}
+		encErr := l.encodeFrame(recs)
 		// Decide the batch's durability outcome and move the watermark (or
 		// the sticky error) under mu, then wake durability barriers. A
 		// simulated crash keeps advancing the watermark — the contract of
@@ -805,7 +855,7 @@ func (l *Log) flushOnce() {
 			// reaches the backend.
 			l.dead = true
 			syncFailed = encErr
-		case l.backend != nil:
+		default:
 			o := l.obsv.Load()
 			var sync0 time.Time
 			if o != nil {
@@ -821,13 +871,13 @@ func (l *Log) flushOnce() {
 			}
 		}
 		l.mu.Lock()
-		for i, s := range batch {
-			size := approxRecordSize(s.rec)
-			if l.backend != nil && encErr == nil {
-				size = l.frameLens[i]
+		if encErr == nil {
+			// An unencodable batch hands no byte to the backend and counts
+			// none.
+			for i, size := range l.frameLens {
+				l.sizes[first+i] = size
+				l.bytes += size
 			}
-			l.sizes[first+i] = size
-			l.bytes += size
 		}
 		if syncFailed != nil && l.syncErr == nil {
 			l.syncErr = syncFailed
@@ -881,8 +931,8 @@ func (l *Log) encodeFrame(recs []Record) error {
 }
 
 // DurableLSN returns the durable watermark: every record at or below this
-// LSN has been acknowledged by the backend (everything, for a log without
-// one). The in-memory log may be ahead of it after a sync failure — see
+// LSN has been acknowledged by the backend (0 on a sink, which assigns no
+// LSNs). The in-memory log may be ahead of it after a sync failure — see
 // Err.
 func (l *Log) DurableLSN() LSN {
 	l.mu.Lock()
@@ -891,9 +941,10 @@ func (l *Log) DurableLSN() LSN {
 }
 
 // IsDurable reports whether the record behind ticket t has reached the
-// durability backend. The zero ticket is always durable.
+// durability backend. The zero ticket is always durable, and so is every
+// ticket of a sink: its records are as durable as they will ever be.
 func (l *Log) IsDurable(t Ticket) bool {
-	if t <= 0 {
+	if t <= 0 || l.backend == nil {
 		return true
 	}
 	l.mu.Lock()
@@ -911,8 +962,9 @@ func (l *Log) IsDurable(t Ticket) bool {
 // nudged, and in synchronous mode the caller sequences whatever is staged
 // before waiting — nothing else would, so a caller that had not flushed
 // first used to block forever on a watermark that could never advance.
+// On a sink it returns at once: every ticket is durable there.
 func (l *Log) WaitDurable(t Ticket) error {
-	if t <= 0 {
+	if t <= 0 || l.backend == nil {
 		return nil
 	}
 	if l.async {
@@ -952,7 +1004,8 @@ func (l *Log) Discipline() string {
 func (l *Log) Flushes() int64 { return l.flushes.Load() }
 
 // FlushedRecords returns the total records sequenced by flush batches
-// (FlushedRecords/Flushes is the mean group-commit batch size).
+// (FlushedRecords/Flushes is the mean group-commit batch size) — on a
+// sink, which sequences nothing, the total records appended.
 func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 
 // Stats is a coherent snapshot of every accounting figure the log
@@ -962,9 +1015,10 @@ func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 // from after it. Stats reads everything under one sequence point.
 //
 // Bytes is the encoded size of the retained records, as Log.Bytes
-// reports it: exact — the bytes handed to the backend, or scanned back
-// from it at Open — when the log has a backend, and the approxRecordSize
-// estimate when it has none (nothing is encoded then).
+// reports it: the bytes handed to the backend, or scanned back from it at
+// Open. A sink retains and encodes nothing, so only its FlushedRecords
+// (every appended record) and Discipline move; the rest stay 0, the
+// watermark included — IsDurable holds for every ticket of a sink anyway.
 type Stats struct {
 	Flushes            int64         `json:"flushes"`
 	FlushedRecords     int64         `json:"flushed_records"`
@@ -1043,11 +1097,10 @@ func (l *Log) Records() int { return l.Len() }
 
 // Bytes returns the encoded size of the retained records — the log-length
 // axis of the restart-cost experiment, maintained incrementally so
-// truncation's effect is visible without re-encoding the log. With a
-// backend it is exact: the sum of the frame bytes each batch was handed to
-// the backend as (or scanned back from it at Open), so it equals the
-// segments' size on disk. A log with no backend encodes nothing and counts
-// the approxRecordSize estimate instead. Staged records are flushed first.
+// truncation's effect is visible without re-encoding the log. It is exact:
+// the sum of the frame bytes each batch was handed to the backend as (or
+// scanned back from it at Open), so it equals the segments' size on disk.
+// A sink retains nothing and reports 0. Staged records are flushed first.
 func (l *Log) Bytes() int64 {
 	l.sequenceStaged()
 	l.mu.Lock()
@@ -1207,18 +1260,4 @@ func (l *Log) SegmentBounds() []LSN {
 		return sg.SegmentStarts()
 	}
 	return nil
-}
-
-// approxRecordSize estimates a record's encoded size (fixed framing plus
-// its string payloads) without encoding it: the size a log with no backend
-// counts, and the fallback for a batch that failed to encode.
-func approxRecordSize(r Record) int64 {
-	n := 24 + len(r.Txn) + len(r.Obj) + len(r.Op.Inv.Name) + len(r.Op.Inv.Args) + len(r.Op.Res)
-	if enc, ok := r.Undo.(EncodedUndo); ok {
-		n += len(enc)
-	}
-	for _, d := range r.Deps {
-		n += len(d) + 3
-	}
-	return int64(n)
 }

@@ -9,8 +9,21 @@ import (
 	"repro/internal/history"
 )
 
+// backedLog opens a synchronous log with n staging stripes (0 = the
+// GOMAXPROCS default) over a zero-latency backend: a log that sequences and
+// retains its records, for the tests that read them back. A log with no
+// backend is a sink and retains nothing.
+func backedLog(t testing.TB, stripes int) *Log {
+	t.Helper()
+	l, err := Open(Config{Stripes: stripes, Backend: NewLatencyBackend(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestAppendAssignsMonotonicLSNs(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	a := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	b := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
 	if a != 1 || b != 2 {
@@ -22,7 +35,7 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 }
 
 func TestTxnChainNewestFirst(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(9)})
 	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
@@ -40,7 +53,7 @@ func TestTxnChainNewestFirst(t *testing.T) {
 }
 
 func TestGetAndLastLSN(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	if _, ok := l.Get(1); ok {
 		t.Error("Get on empty log should fail")
 	}
@@ -61,7 +74,7 @@ func TestGetAndLastLSN(t *testing.T) {
 }
 
 func TestConcurrentAppends(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	const n = 50
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -103,7 +116,7 @@ func TestConcurrentAppends(t *testing.T) {
 // unit of durability loss and must not separate a commit record from a
 // causally later one.
 func TestFlushBatchIsConsistentCut(t *testing.T) {
-	l := NewStriped(8)
+	l := backedLog(t, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -153,7 +166,7 @@ func TestRecordKindString(t *testing.T) {
 }
 
 func TestAppendAsyncStagesUntilFlush(t *testing.T) {
-	l := New()
+	l := backedLog(t, 0)
 	l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(2)})
 	l.AppendAsync(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
@@ -185,7 +198,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
-	l := NewStriped(4)
+	l := backedLog(t, 4)
 	const gs = 8
 	const per = 40
 	var wg sync.WaitGroup
