@@ -22,17 +22,20 @@
 // records events into its own buffer stamped from one global atomic
 // sequence, and Engine.History() merges the buffers back into the single
 // totally ordered history the checkers replay. The write-ahead log is
-// group-committed with an optional dedicated flusher: updates stage into
-// per-transaction-stripe buffers, sequencing drains every stripe under a
-// consistent cut and assigns contiguous LSN ranges per batch, and in
-// asynchronous mode commits are barrier-acknowledged only after the batch
-// reaches a pluggable durability backend — fsync-simulating, or the
-// segmented files (wal.SegmentedBackend) that
-// recovery.RestartAllWithConfig replays after a crash. An engine built
-// without a log gets wal.New(), a sink with no backend: it stamps and
-// counts each record and keeps none, because an in-memory engine has
-// nothing to restart from and live abort walks each store's own undo
-// chain. Checkpointing and restart refuse such a log.
+// group-committed in overlapping rounds: updates stage into
+// per-transaction-stripe buffers; a round drains every stripe under a
+// consistent cut, assigns the batch a contiguous LSN range and writes it
+// to a pluggable durability backend — fsync-simulating, or the segmented
+// files (wal.SegmentedBackend) that recovery.RestartAllWithConfig replays
+// after a crash — then syncs it outside the flush lock, so the next round
+// is written and synced while this one's sync still runs. Rounds complete
+// in order, and a commit barrier is acknowledged only once its round and
+// every earlier one are durable; a barrier whose records are not in the
+// round in flight starts its own round instead of waiting that sync out.
+// An engine built without a log gets wal.New(), a sink with no backend: it
+// stamps and counts each record and keeps none, because an in-memory
+// engine has nothing to restart from and live abort walks each store's own
+// undo chain. Checkpointing and restart refuse such a log.
 //
 // Crash restart is transaction-atomic: Txn.Commit stages a single
 // transaction-level commit record (wal.TxnCommitRec) after per-object

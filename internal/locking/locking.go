@@ -13,7 +13,6 @@ package locking
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/commute"
@@ -55,7 +54,7 @@ func (t *Table) Conflicting(requested spec.Operation, self history.TxnID) []hist
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -80,7 +79,7 @@ func (t *Table) Holders() []history.TxnID {
 	for txn := range t.held {
 		out = append(out, txn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

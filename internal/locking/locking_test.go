@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/history"
+	"repro/internal/spec"
 )
 
 func nrbcTable() *Table {
@@ -27,6 +28,34 @@ func TestTableGrantAndConflict(t *testing.T) {
 	tab2.Add("A", adt.WithdrawOk(3))
 	if holders := tab2.Conflicting(adt.DepositOk(5), "B"); len(holders) != 0 {
 		t.Fatalf("deposit should not conflict with held withdrawal: %v", holders)
+	}
+}
+
+// TestTableConflictingAllocs pins the cost of a lock request to its
+// result: the uncontended request — the engine's hot path — allocates
+// nothing, and one conflicting holder costs only the returned slice (the
+// sort takes no reflection-built swapper).
+func TestTableConflictingAllocs(t *testing.T) {
+	tab := nrbcTable()
+	tab.Add("A", adt.WithdrawOk(3))
+	tab.Add("B", adt.DepositOk(1))
+	for _, c := range []struct {
+		name string
+		req  spec.Operation
+		want int
+		max  float64
+	}{
+		{"no conflicting holder", adt.DepositOk(5), 0, 0},
+		{"one conflicting holder", adt.WithdrawOk(5), 1, 1},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := tab.Conflicting(c.req, "C"); len(got) != c.want {
+				t.Fatalf("%s: holders %v", c.name, got)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("Conflicting with %s: %v allocs, want at most %v", c.name, allocs, c.max)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // failAfterBackend delegates to an inner segmented backend for the first
-// okSyncs batches, then fails every later sync without writing — a log
+// okSyncs batches, then fails every later batch without writing — a log
 // device that dies mid-run. The durable prefix is exactly the batches
 // acknowledged before the death.
 type failAfterBackend struct {
@@ -28,13 +28,14 @@ type failAfterBackend struct {
 	err     error
 }
 
-func (b *failAfterBackend) Sync(recs []wal.Record, frame []byte) error {
+func (b *failAfterBackend) Write(recs []wal.Record, frame []byte) error {
 	b.calls++
 	if b.calls > b.okSyncs {
 		return b.err
 	}
-	return b.inner.Sync(recs, frame)
+	return b.inner.Write(recs, frame)
 }
+func (b *failAfterBackend) Sync() error  { return b.inner.Sync() }
 func (b *failAfterBackend) Close() error { return b.inner.Close() }
 
 // TestNoAckedCommitOnUnsyncedLoser is the acceptance experiment for early

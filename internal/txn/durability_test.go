@@ -11,8 +11,9 @@ import (
 // failingBackend refuses every sync — a dead log device.
 type failingBackend struct{ err error }
 
-func (b *failingBackend) Sync([]wal.Record, []byte) error { return b.err }
-func (b *failingBackend) Close() error                    { return nil }
+func (b *failingBackend) Write([]wal.Record, []byte) error { return nil }
+func (b *failingBackend) Sync() error                      { return b.err }
+func (b *failingBackend) Close() error                     { return nil }
 
 // TestCommitSurfacesBackendFailure: when the WAL backend cannot persist
 // the group-commit batch, Commit must return an error rather than ack a

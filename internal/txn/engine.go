@@ -18,12 +18,13 @@
 // into the single totally ordered history the post-hoc checkers replay, so
 // scaling the hot path costs the verification story nothing. The shared
 // write-ahead log is group-committed: undo-log objects stage records
-// lock-free of the log and Txn.Commit/Abort issue a flush barrier, which
-// assigns the batch one contiguous LSN range. With an asynchronous log
-// (Options.WAL built by wal.Open with Async set), sequencing and backend
-// syncs run on a dedicated flusher goroutine and Commit merely waits for
-// its acknowledgement — commits are durable to whatever degree the
-// configured wal.Backend provides (see package wal).
+// lock-free of the log and Txn.Commit/Abort issue a barrier, which waits
+// for the flush round holding their records or starts one; a round assigns
+// its batch one contiguous LSN range, and rounds overlap their backend
+// syncs. With an asynchronous log (Options.WAL built by wal.Open with
+// Async set), a dedicated flusher goroutine also starts rounds — commits
+// are durable to whatever degree the configured wal.Backend provides (see
+// package wal).
 //
 // Commit releases locks early — once the transaction-level commit record
 // is staged, before the durability barrier — and tracks commit-ticket
@@ -1084,25 +1085,19 @@ func (t *Txn) Commit() error {
 		t.releaseLocks(ticket)
 	}
 	hold()
-	// The barrier makes the commit durable: flush the group-commit batch,
-	// surface any sticky backend failure, and wait until the durable
+	// The barrier makes the commit durable: wait until the durable
 	// watermark covers both this transaction's own commit record and its
-	// dependency ticket. With consistent-cut batches the dependency is
-	// sequenced no later than the transaction's own records, so the wait
-	// degenerates to a check — unless the backend failed, in which case it
-	// returns the sticky error instead of acknowledging.
+	// dependency ticket, sequencing a group-commit round if none in flight
+	// holds them. With consistent-cut batches the dependency is sequenced
+	// no later than the transaction's own records, so one wait covers
+	// both; if a round up to theirs failed it returns the sticky error
+	// instead of acknowledging.
 	if t.wroteWAL || t.dep > 0 {
 		var b0 time.Time
 		if o != nil {
 			b0 = time.Now()
 		}
-		err := e.log.Flush()
-		if err == nil {
-			err = e.log.Err()
-		}
-		if err == nil {
-			err = e.log.WaitDurable(max(t.dep, ticket))
-		}
+		err := e.log.WaitDurable(max(t.dep, ticket))
 		if o != nil {
 			d := time.Since(b0).Nanoseconds()
 			o.RecordBarrierWait(d, t.stalled)

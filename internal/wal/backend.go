@@ -15,18 +15,34 @@ import (
 	"repro/internal/spec"
 )
 
-// Backend is the durability seam beneath the group-commit flusher: Sync is
-// called once per sequenced batch, with records in LSN order and frame
-// holding their durable encoding (the lines appendRecord writes, in the
-// same order), and must not return until the batch is as durable as the
-// backend provides. The log encodes each batch exactly once, outside its
-// record lock; a backend that stores bytes writes frame as is, and one that
-// does not ignores it. Commit acknowledgements are withheld until Sync
-// returns. Sync is never called concurrently (the flush lock serializes
-// batches), and records and frame are valid only during the call: the log
-// reuses their storage for the next batch.
+// Backend is the durability seam beneath the group-commit flusher. Each
+// flush round hands it one sequenced batch in two steps:
+//
+//   - Write appends the batch, with records in LSN order and frame holding
+//     their durable encoding (the lines appendRecord writes, in the same
+//     order). Writes are serialized by the log's flush lock and arrive in
+//     LSN order; records and frame are valid only during the call (the log
+//     reuses their storage for the next round). A backend that stores bytes
+//     writes frame as is, and one that does not ignores it. A written batch
+//     need not be durable yet.
+//   - Sync makes durable every batch whose Write returned before Sync was
+//     called. It runs outside the flush lock, so it may overlap later
+//     Writes and other Syncs: round k+1 is written and synced while round
+//     k's Sync is still running.
+//
+// The log acknowledges a round only after its Sync and every earlier
+// round's have returned nil, and applies round outcomes strictly in round
+// order, so a backend need not order the completions of overlapping Syncs.
+// It must, however, not let one Sync swallow another's failure: Linux
+// reports a write-back error once per open file description, so
+// overlapping fsyncs through one description could hand round k's error to
+// round k+1 and return nil for round k (the segmented backend gives each
+// running fsync its own description). After any failure — of Write, Sync
+// or sealing — the backend must keep failing the Syncs of batches it
+// cannot vouch for.
 type Backend interface {
-	Sync(records []Record, frame []byte) error
+	Write(records []Record, frame []byte) error
+	Sync() error
 	Close() error
 }
 
@@ -61,12 +77,14 @@ type Truncator interface {
 type EncodedUndo string
 
 // LatencyBackend simulates a storage device with a fixed per-sync latency
-// (an fsync cost model). It makes the group-commit trade-off measurable:
-// batch interval buys fewer, larger syncs at the price of commit latency.
+// (an fsync cost model). Overlapping Syncs each take the full delay at the
+// same time, like fsyncs queued on a device that serves them in parallel,
+// so the cost of a commit is its round's sync and not its predecessors'.
 type LatencyBackend struct {
-	delay time.Duration
-	syncs atomic.Int64
-	recs  atomic.Int64
+	delay   time.Duration
+	syncs   atomic.Int64
+	recs    atomic.Int64
+	pending atomic.Int64 // records written and not yet covered by a Sync
 }
 
 // NewLatencyBackend builds a latency-simulating backend.
@@ -74,13 +92,21 @@ func NewLatencyBackend(delay time.Duration) *LatencyBackend {
 	return &LatencyBackend{delay: delay}
 }
 
-// Sync implements Backend; the frame is not stored.
-func (b *LatencyBackend) Sync(records []Record, _ []byte) error {
+// Write implements Backend; the frame is not stored.
+func (b *LatencyBackend) Write(records []Record, _ []byte) error {
+	b.pending.Add(int64(len(records)))
+	return nil
+}
+
+// Sync implements Backend: it covers every record written before the call
+// and takes the configured delay.
+func (b *LatencyBackend) Sync() error {
+	n := b.pending.Swap(0)
 	if b.delay > 0 {
 		time.Sleep(b.delay)
 	}
 	b.syncs.Add(1)
-	b.recs.Add(int64(len(records)))
+	b.recs.Add(n)
 	return nil
 }
 

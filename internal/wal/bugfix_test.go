@@ -55,7 +55,9 @@ type gateBackend struct {
 	gate    chan struct{}
 }
 
-func (b *gateBackend) Sync([]Record, []byte) error {
+func (b *gateBackend) Write([]Record, []byte) error { return nil }
+
+func (b *gateBackend) Sync() error {
 	select {
 	case b.entered <- struct{}{}:
 	default:

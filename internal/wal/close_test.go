@@ -150,8 +150,9 @@ func TestDurableWatermark(t *testing.T) {
 // syncFailBackend fails every Sync with a fixed error.
 type syncFailBackend struct{ err error }
 
-func (b *syncFailBackend) Sync([]Record, []byte) error { return b.err }
-func (b *syncFailBackend) Close() error                { return nil }
+func (b *syncFailBackend) Write([]Record, []byte) error { return nil }
+func (b *syncFailBackend) Sync() error                  { return b.err }
+func (b *syncFailBackend) Close() error                 { return nil }
 
 // TestFlushRacingCloseIsTyped hammers Flush/AppendAsync against Close: no
 // call may hang or panic, and once Close has returned, every subsequent

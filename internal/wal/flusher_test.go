@@ -145,18 +145,29 @@ func TestCrashPointDropsTail(t *testing.T) {
 }
 
 // onceFailingBackend fails exactly one Sync (the second), then recovers —
-// a transient device error.
+// a transient device error. writes and calls count Write and Sync calls;
+// pending holds the batches written since the last good Sync, which
+// persists them to batches.
 type onceFailingBackend struct {
+	writes  int
 	calls   int
+	pending [][]Record
 	batches [][]Record
 }
 
-func (b *onceFailingBackend) Sync(recs []Record, _ []byte) error {
+func (b *onceFailingBackend) Write(recs []Record, _ []byte) error {
+	b.writes++
+	b.pending = append(b.pending, append([]Record(nil), recs...))
+	return nil
+}
+
+func (b *onceFailingBackend) Sync() error {
 	b.calls++
 	if b.calls == 2 {
 		return fmt.Errorf("transient device error")
 	}
-	b.batches = append(b.batches, append([]Record(nil), recs...))
+	b.batches = append(b.batches, b.pending...)
+	b.pending = nil
 	return nil
 }
 func (b *onceFailingBackend) Close() error { return nil }
@@ -179,6 +190,9 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 	}
 	if b.calls != 2 {
 		t.Fatalf("backend saw %d Sync calls, want 2 (no writes after the failure)", b.calls)
+	}
+	if b.writes != 2 {
+		t.Fatalf("backend saw %d Write calls, want 2 (no writes after the failure)", b.writes)
 	}
 	if len(b.batches) != 1 {
 		t.Fatalf("backend persisted %d batches, want only the pre-failure prefix", len(b.batches))

@@ -14,6 +14,19 @@ package wal
 // ever rewritten. A log that never truncates needs no rotation at all; a
 // threshold larger than the log keeps it in one segment file.
 //
+// A batch is written under the log's flush lock and fsynced outside it,
+// so fsyncs of the active segment may overlap each other and the next
+// batch's write. Overlapping fsyncs go through distinct open file
+// descriptions of the segment, all opened before its first write: Linux
+// reports a write-back error once per file description, so two fsyncs
+// sharing one could hand a failure of one batch's pages to the other
+// batch's fsync and let the first return nil. With one description per
+// running fsync, each sees every error since its description's previous
+// fsync, and that fsync recorded any error it saw before releasing the
+// description. Sealing a segment — on rotation or Close — waits for every
+// fsync running against it, then fsyncs and closes it: a batch whose own
+// fsync had not started by then is covered by the seal's.
+//
 // Crash repair is per-segment: only the final (active) segment may carry a
 // torn tail, which reopen truncates away. A torn or non-contiguous
 // NON-final segment cannot be produced by any crash of this writer (later
@@ -37,6 +50,11 @@ import (
 // DefaultSegmentBytes is the rotation threshold when SegmentConfig leaves
 // MaxSegmentBytes zero.
 const DefaultSegmentBytes = 4 << 20
+
+// segSyncFiles is the number of open file descriptions of the active
+// segment that fsyncs run through, and so the number of fsyncs that can
+// overlap; a further Sync waits for one to come free.
+const segSyncFiles = 4
 
 const (
 	segPrefix = "wal-"
@@ -89,6 +107,22 @@ type Segmenter interface {
 	SegmentStarts() []LSN
 }
 
+// segFile is what the backend does with an open segment file.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// openSegFile opens a segment file on the real file system.
+func openSegFile(path string, flag int) (segFile, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // SegmentedBackend implements Backend over a directory of rotated segment
 // files. See the file comment for the design; it additionally implements
 // Replayer, Truncator, and Segmenter.
@@ -96,14 +130,30 @@ type SegmentedBackend struct {
 	mu  sync.Mutex
 	dir string
 	cfg SegmentConfig
+	// open opens segment files (openSegFile; a test substitutes a model
+	// of a device's write-back error reporting).
+	open func(path string, flag int) (segFile, error)
 	// sealed are the rotated (read-only) segments, ascending FirstLSN;
-	// active is the open tail segment (nil until the first batch).
+	// active is the open tail segment (nil until the first batch), written
+	// through this handle.
 	sealed []SegmentInfo
-	active *os.File
+	active segFile
 	actInf SegmentInfo
 	replay []Record
 	sizes  []int64 // encoded size of each replay record
 	closed bool
+	// syncFiles are the active segment's file descriptions that no fsync
+	// is using (active among them); syncing counts the fsyncs running
+	// outside mu. idle is signalled whenever an fsync finishes: a seal
+	// waits for syncing to reach zero, a Sync for a free description.
+	syncFiles []segFile
+	syncing   int
+	idle      sync.Cond
+	// err is the first failed fsync or seal. Once set, every Sync fails
+	// with it: no batch written before the failure can be vouched for, and
+	// a later successful fsync does not prove the earlier pages reached
+	// the disk.
+	err error
 
 	syncs     atomic.Int64
 	rotations atomic.Int64
@@ -150,7 +200,36 @@ func CreateSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, e
 			}
 		}
 	}
-	return &SegmentedBackend{dir: dir, cfg: cfg}, nil
+	return newSegmentedBackend(dir, cfg), nil
+}
+
+func newSegmentedBackend(dir string, cfg SegmentConfig) *SegmentedBackend {
+	b := &SegmentedBackend{dir: dir, cfg: cfg, open: openSegFile}
+	b.idle.L = &b.mu
+	return b
+}
+
+// activate makes f, just opened on the segment at path and not yet
+// written, the active segment, and opens the rest of its sync file
+// descriptions. They exist before the segment's first write, so each
+// reports every write-back error of the segment's pages.
+func (b *SegmentedBackend) activate(f segFile, path string, info SegmentInfo) error {
+	files := append(b.syncFiles[:0], f)
+	for len(files) < segSyncFiles {
+		g, err := b.open(path, os.O_WRONLY)
+		if err != nil {
+			for _, h := range files[1:] {
+				h.Close()
+			}
+			clear(files)
+			b.syncFiles = files[:0]
+			return fmt.Errorf("wal: open segment %s for sync: %w", path, err)
+		}
+		files = append(files, g)
+	}
+	b.syncFiles = files
+	b.active, b.actInf = f, info
+	return nil
 }
 
 // OpenSegmentedBackend re-opens an existing segmented log after a crash:
@@ -183,7 +262,7 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 			return nil, fmt.Errorf("wal: segmented backend %s: duplicate segment first LSN %d", dir, infos[i].FirstLSN)
 		}
 	}
-	b := &SegmentedBackend{dir: dir, cfg: cfg}
+	b := newSegmentedBackend(dir, cfg)
 	for i := range infos {
 		final := i == len(infos)-1
 		f, err := os.OpenFile(infos[i].Path, os.O_RDWR, 0o644)
@@ -232,8 +311,10 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 				f.Close()
 				return nil, fmt.Errorf("wal: seek %s: %w", infos[i].Path, err)
 			}
-			b.active = f
-			b.actInf = SegmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean}
+			if err := b.activate(f, infos[i].Path, SegmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean}); err != nil {
+				f.Close()
+				return nil, err
+			}
 		} else {
 			f.Close()
 			b.sealed = append(b.sealed, SegmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean})
@@ -297,24 +378,47 @@ func (b *SegmentedBackend) SegmentStarts() []LSN {
 	return out
 }
 
+// sealLocked waits for every fsync running against the active segment,
+// then fsyncs and closes it, moving it to the sealed list. A failure is
+// sticky (see err): the batches written into the segment since its last
+// completed fsync are lost with it.
+func (b *SegmentedBackend) sealLocked() error {
+	for b.syncing > 0 {
+		b.idle.Wait()
+	}
+	err := b.active.Sync()
+	for _, f := range b.syncFiles {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	clear(b.syncFiles)
+	b.syncFiles = b.syncFiles[:0]
+	b.sealed = append(b.sealed, b.actInf)
+	b.active, b.actInf = nil, SegmentInfo{}
+	if err != nil {
+		err = fmt.Errorf("wal: seal segment %s: %w", b.sealed[len(b.sealed)-1].Path, err)
+		if b.err == nil {
+			b.err = err
+		}
+		return err
+	}
+	return nil
+}
+
 // rotateLocked seals the active segment (if any) and opens a fresh one
 // whose name is the first LSN it will hold. The new dirent is made durable
 // before any batch is acknowledged against it: without the directory fsync
 // a crash could lose the whole new segment — acknowledged commits with it.
 func (b *SegmentedBackend) rotateLocked(first LSN) error {
 	if b.active != nil {
-		if err := b.active.Sync(); err != nil {
-			return fmt.Errorf("wal: seal segment %s: %w", b.actInf.Path, err)
+		if err := b.sealLocked(); err != nil {
+			return err
 		}
-		if err := b.active.Close(); err != nil {
-			return fmt.Errorf("wal: seal segment %s: %w", b.actInf.Path, err)
-		}
-		b.sealed = append(b.sealed, b.actInf)
-		b.active = nil
 		b.rotations.Add(1)
 	}
 	path := filepath.Join(b.dir, segName(first))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := b.open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL)
 	if err != nil {
 		return fmt.Errorf("wal: create segment %s: %w", path, err)
 	}
@@ -323,38 +427,85 @@ func (b *SegmentedBackend) rotateLocked(first LSN) error {
 		os.Remove(path)
 		return fmt.Errorf("wal: create segment %s: directory sync: %w", path, err)
 	}
-	b.active = f
-	b.actInf = SegmentInfo{Path: path, FirstLSN: first}
+	if err := b.activate(f, path, SegmentInfo{Path: path, FirstLSN: first}); err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
 	return nil
 }
 
-// Sync implements Backend: rotate if the active segment is full (or absent),
-// then append the batch's encoded frame to the active segment in one write,
-// and fsync. A batch is never split across segments, so segment names tile
+// Write implements Backend: rotate if the active segment is full (or
+// absent), then append the batch's encoded frame to the active segment in
+// one write. A batch is never split across segments, so segment names tile
 // the LSN space and a crash tears at most the final segment's tail.
-func (b *SegmentedBackend) Sync(records []Record, frame []byte) error {
+func (b *SegmentedBackend) Write(records []Record, frame []byte) error {
 	if len(records) == 0 {
 		return nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return fmt.Errorf("wal: sync on closed segmented backend %s", b.dir)
+		return fmt.Errorf("wal: write on closed segmented backend %s", b.dir)
+	}
+	if b.err != nil {
+		return b.err
 	}
 	if b.active == nil || b.actInf.Bytes >= b.cfg.maxBytes() {
 		if err := b.rotateLocked(records[0].LSN); err != nil {
 			return err
 		}
+		// A Sync may have failed while the seal waited for it.
+		if b.err != nil {
+			return b.err
+		}
 	}
 	if _, err := b.active.Write(frame); err != nil {
 		return fmt.Errorf("wal: write %s: %w", b.actInf.Path, err)
 	}
-	if err := b.active.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", b.actInf.Path, err)
-	}
 	b.actInf.Bytes += int64(len(frame))
-	b.syncs.Add(1)
 	return nil
+}
+
+// Sync implements Backend by fsyncing the active segment outside mu, so it
+// overlaps other Syncs and the next Write. Each running fsync holds its
+// own file description of the segment (see the file comment), so it
+// reports every write-back error since that description's previous fsync,
+// and that fsync, which finished before this one began, left any error it
+// saw in err. Batches written into an older segment were covered by that
+// segment's seal, which completed before the rotating Write returned.
+func (b *SegmentedBackend) Sync() error {
+	b.mu.Lock()
+	for b.err == nil && b.active != nil && len(b.syncFiles) == 0 {
+		b.idle.Wait()
+	}
+	if b.err != nil || b.active == nil {
+		defer b.mu.Unlock()
+		return b.err
+	}
+	f := b.syncFiles[len(b.syncFiles)-1]
+	b.syncFiles = b.syncFiles[:len(b.syncFiles)-1]
+	path := b.actInf.Path
+	b.syncing++
+	b.mu.Unlock()
+	err := f.Sync()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err != nil {
+		err = fmt.Errorf("wal: fsync %s: %w", path, err)
+		if b.err == nil {
+			b.err = err
+		}
+	}
+	// The description goes back only with its error recorded.
+	b.syncFiles = append(b.syncFiles, f)
+	b.syncing--
+	b.idle.Broadcast()
+	if err != nil {
+		return err
+	}
+	b.syncs.Add(1)
+	return b.err
 }
 
 // AlignTruncate implements Truncator: the greatest segment boundary
@@ -402,7 +553,7 @@ func (b *SegmentedBackend) TruncateBefore(lsn LSN) (TruncateStats, error) {
 		if i+1 < len(b.sealed) {
 			return b.sealed[i+1].FirstLSN
 		}
-		return b.actInf.FirstLSN // active exists whenever sealed is non-empty
+		return b.actInf.FirstLSN // 0 once Close or a failed seal left no active segment
 	}
 	dead := 0
 	for dead < len(b.sealed) && nextFirst(dead) != 0 && nextFirst(dead) <= lsn {
@@ -428,7 +579,8 @@ func (b *SegmentedBackend) TruncateBefore(lsn LSN) (TruncateStats, error) {
 	return stats, nil
 }
 
-// Close implements Backend. Idempotent.
+// Close implements Backend: it seals the active segment, after the fsyncs
+// running against it finish. Idempotent.
 func (b *SegmentedBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -439,9 +591,5 @@ func (b *SegmentedBackend) Close() error {
 	if b.active == nil {
 		return nil
 	}
-	if err := b.active.Sync(); err != nil {
-		b.active.Close()
-		return err
-	}
-	return b.active.Close()
+	return b.sealLocked()
 }

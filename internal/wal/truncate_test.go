@@ -193,7 +193,9 @@ type failingBackend struct {
 	failAfter int
 }
 
-func (b *failingBackend) Sync([]Record, []byte) error {
+func (b *failingBackend) Write([]Record, []byte) error { return nil }
+
+func (b *failingBackend) Sync() error {
 	b.syncs++
 	if b.syncs > b.failAfter {
 		return errors.New("device died")

@@ -21,34 +21,40 @@
 // stages while holding the object latch, stamp order agrees with each
 // object's true execution order. Sequencing — draining every stripe,
 // sorting the batch by stamp, and assigning it one contiguous LSN range
-// while fixing up each transaction's backward PrevLSN chain — happens in
-// one of two modes:
+// while fixing up each transaction's backward PrevLSN chain — is the first
+// half of a flush round. Under the flush lock a round sequences its batch,
+// encodes it and writes it to the Backend, in LSN order; outside the lock
+// the round's Backend.Sync makes the batch durable, so round k+1 can be
+// sequenced, written and synced while round k's sync still runs.
+// Rounds complete strictly in round order: a round's completion moves the
+// durable watermark, records any failure as the sticky error, and wakes
+// its barriers, and if round k fails every later round fails with it, even
+// one whose own sync succeeded — a later sync does not prove round k's
+// bytes reached the device.
 //
-//   - Synchronous (Open with Async unset): Flush
-//     sequences inline on the calling goroutine, exactly classic group
-//     commit — while one committer holds the flush lock, other committers'
-//     records pile into the staging buffers and are sequenced by the next
-//     holder in one batch.
+// A barrier (Flush, WaitDurable) waits if its records are already in a
+// round in flight, and otherwise starts a round itself, with one
+// exception: in asynchronous mode (Open with Async set) a barrier that
+// finds no round in flight hands off to a dedicated flusher goroutine,
+// which dwells BatchInterval after waking, so the batch-size-versus-commit-
+// latency trade-off of group commit stays a measurable configuration.
+// Staging also nudges that flusher, so records are made durable even if
+// nobody waits for them. In synchronous mode (Async unset) there is no
+// flusher and barriers always lead — classic group commit, where the
+// records staged while one round is written pile into the next. A commit
+// therefore never waits out the sync of a round that does not hold its
+// records; rounds in flight are bounded by the number of barriers.
 //
-//   - Asynchronous (Open with Async set): a dedicated flusher goroutine
-//     owns sequencing. Flush becomes a commit barrier: the caller registers
-//     a waiter, wakes the flusher, and sleeps until the batch containing
-//     everything staged before the call has been sequenced and handed to
-//     the durability backend. The flusher dwells BatchInterval after
-//     waking, so the batch-size-versus-commit-latency trade-off of group
-//     commit becomes a measurable configuration rather than an accident of
-//     scheduling.
-//
-// In both modes LSN order is consistent with per-object and per-transaction
-// execution order even across transactions in one batch — the invariant the
-// Restart redo pass replays by. Each batch is moreover a consistent cut of
-// the staging buffers (the drain holds every stripe lock at once), so a
-// batch boundary — the unit of crash loss — never separates a record from
-// a causally earlier one. After sequencing, each batch is handed to the
-// configured Backend (see backend.go for the fsync-simulating backend and
-// segment.go for the durable one); commit
-// acknowledgement happens only after the backend's Sync returns, so an
-// acked commit is durable to whatever degree the backend provides.
+// LSN order is consistent with per-object and per-transaction execution
+// order even across transactions in one batch — the invariant the Restart
+// redo pass replays by. Each batch is moreover a consistent cut of the
+// staging buffers (the drain holds every stripe lock at once), so a batch
+// boundary — the unit of crash loss — never separates a record from a
+// causally earlier one, and the durable prefix is always a ticket prefix.
+// See backend.go for the Backend contract and the fsync-simulating
+// backend, and segment.go for the durable one. A commit is acknowledged
+// only after its round's Sync and every earlier round's have returned, so
+// an acked commit is durable to whatever degree the backend provides.
 //
 // The log also exposes its durability frontier: AppendAsync returns a
 // stage Ticket, the durable watermark (DurableLSN, IsDurable) tracks the
@@ -221,13 +227,12 @@ type Record struct {
 }
 
 // stagedRec is a staged record awaiting LSN assignment. lsn is written by
-// whichever goroutine sequences the batch and published to the appender by
-// the flush acknowledgement: in synchronous mode the appender's own Flush
-// acquires the flush lock the sequencer held while writing; in asynchronous
-// mode the flusher closes the appender's barrier channel after writing.
-// Either edge establishes the happens-before an appender needs to read lsn
-// after Flush returns, even when a different goroutine sequenced the
-// record. stamp is the stage-time sequence the sequencer sorts by.
+// whichever goroutine sequences the batch, under the record lock, and
+// published to the appender by its barrier, which observes the round's
+// completion under the same lock — the happens-before an appender needs
+// to read lsn after Flush returns, even when a different goroutine
+// sequenced the record. stamp is the stage-time sequence the sequencer
+// sorts by.
 type stagedRec struct {
 	rec   Record
 	stamp int64
@@ -262,9 +267,9 @@ type Config struct {
 	// (FlushedRecords) but never staged, sequenced or retained, and every
 	// other field is ignored.
 	Backend Backend
-	// Async runs a dedicated flusher goroutine that owns sequencing;
-	// Flush becomes a commit barrier acknowledged after the backend sync.
-	// The owner must Close the log to stop the flusher.
+	// Async runs a dedicated flusher goroutine that starts a round when
+	// records are staged, and that a barrier finding no round in flight
+	// hands off to. The owner must Close the log to stop the flusher.
 	Async bool
 	// BatchInterval is how long the asynchronous flusher dwells after
 	// waking before it sequences, letting concurrent committers' records
@@ -283,7 +288,8 @@ type Log struct {
 	// stampSeq orders records by stage time across all stripes.
 	stampSeq atomic.Int64
 
-	// flushMu serializes batch sequencing; mu guards the committed region.
+	// flushMu serializes the sequence-and-write half of flush rounds; mu
+	// guards the committed region and the rounds in flight.
 	flushMu sync.Mutex
 	mu      sync.Mutex
 	// records holds the retained suffix of the log: records[i] has LSN
@@ -305,7 +311,7 @@ type Log struct {
 	// first DisciplineRec sequenced or replayed ("" = no marker = implicit
 	// undo logging). Under mu.
 	discipline string
-	syncErr    error // first backend failure, under mu
+	syncErr    error // first failed round's error, applied in round order, under mu
 	// truncStats accumulates the backend truncation cost across the log's
 	// lifetime (under flushMu, like the backend calls that produce it).
 	truncStats TruncateStats
@@ -319,26 +325,38 @@ type Log struct {
 	frameLens []int64
 
 	// The durable watermark (under mu): the stage ticket and LSN of the
-	// last record the backend acknowledged. Because batches are consistent
-	// cuts sequenced in order, everything at or below the watermark is
-	// durable. The watermark freezes when the backend dies or the log is
-	// closed with records still staged; under a simulated crash it keeps
-	// advancing (acknowledgements continue — the machine has not noticed it
-	// is dead). durableCond is broadcast whenever the watermark or the
-	// error state moves, waking WaitDurable barriers.
+	// last record of the last round that completed durably. Because batches
+	// are consistent cuts completed in order, everything at or below the
+	// watermark is durable. The watermark freezes when a round fails or the
+	// log is closed with records still staged; under a simulated crash it
+	// keeps advancing (acknowledgements continue — the machine has not
+	// noticed it is dead). durableCond is broadcast whenever rounds
+	// complete, waking barriers.
 	durableTicket int64
 	durableLSN    LSN
 	durableCond   *sync.Cond
+	// Rounds (under mu): rounds holds those sequenced and not yet
+	// completed, oldest first. seqTicket is the last ticket sequenced into
+	// any round and doneTicket the last ticket of a completed one (durable
+	// or failed); a barrier for ticket t waits while seqTicket >= t >
+	// doneTicket. handoffs counts the barriers waiting for the flusher to
+	// start a round: a round's registration wakes them, so one whose
+	// records missed it leads the next.
+	rounds     []round
+	seqTicket  int64
+	doneTicket int64
+	handoffs   int
 
 	backend Backend
 	crash   CrashPoint
 	crashed bool // under flushMu
-	// dead stops handing batches to the backend after the first Sync
-	// failure (under flushMu): appending later batches after a hole would
-	// turn the cleanly-synced prefix into an unreplayable file, whereas
-	// stopping leaves a durable prefix Restart can still recover. The
-	// failure itself stays sticky in syncErr.
-	dead bool
+	// dead stops handing batches to the backend once any round has
+	// failed — set the moment the failure is seen, ahead of the round's
+	// in-order completion: appending later batches after a hole would turn
+	// the cleanly-synced prefix into an unreplayable file, whereas stopping
+	// leaves a durable prefix Restart can still recover. The failure
+	// itself becomes sticky in syncErr.
+	dead atomic.Bool
 	// closing is set at the start of Close, before the final drain; stage
 	// checks it under the stripe lock, so a record either lands in the
 	// final batch or its AppendAsync reports ErrClosed — never a silent
@@ -347,15 +365,12 @@ type Log struct {
 	closing     atomic.Bool
 	backendGone bool
 
-	// Asynchronous-mode state. wake nudges the flusher; waiters are the
-	// commit barriers acked after the next sequence+sync.
+	// Asynchronous-mode state. wake nudges the flusher.
 	async         bool
 	batchInterval time.Duration
 	wake          chan struct{}
 	quit          chan struct{}
 	flusherDone   chan struct{}
-	waitMu        sync.Mutex
-	waiters       []chan struct{}
 	closeOnce     sync.Once
 	closeErr      error
 
@@ -367,8 +382,8 @@ type Log struct {
 	// machine-independent synchronization cost.
 	stripeAcqs atomic.Int64
 
-	// obsv is the optional observability hub the flusher reports batch
-	// sizes, dwell, and sync durations into. Attached after Open (the
+	// obsv is the optional observability hub flush rounds report batch
+	// sizes, dwell, and write-plus-sync durations into. Attached after Open (the
 	// flusher may already be running) through an atomic pointer so the
 	// hand-off needs no lock; nil means disabled and every hook is a
 	// nil-receiver no-op.
@@ -466,8 +481,9 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// Close stops the flusher (sequencing and syncing whatever is staged) and
-// closes the backend. It returns the first backend sync error, if any.
+// Close stops the flusher, sequences and syncs whatever is staged, waits
+// for every round in flight, and closes the backend. It returns the first
+// failed round's error, if any.
 // Close is idempotent and safe to race with appenders and flushers: closing
 // is published before the final drain, so a concurrent AppendAsync either
 // lands in the final durable batch or returns ErrClosed, a concurrent Flush
@@ -481,17 +497,19 @@ func (l *Log) Close() error {
 			<-l.flusherDone
 		}
 		// Drain anything staged after the flusher's final pass (or
-		// everything, in synchronous mode) before reading the error state.
+		// everything, in synchronous mode), and let every round in flight
+		// complete, before reading the error state.
 		l.flushOnce()
 		l.flushMu.Lock()
-		l.backendGone = true
-		l.flushMu.Unlock()
 		l.mu.Lock()
+		l.awaitIdle()
+		l.backendGone = true
 		l.closeErr = l.syncErr
 		// Wake any durability barrier that is still waiting: the watermark
 		// will never advance again.
 		l.durableCond.Broadcast()
 		l.mu.Unlock()
+		l.flushMu.Unlock()
 		if l.backend != nil {
 			if err := l.backend.Close(); l.closeErr == nil {
 				l.closeErr = err
@@ -501,8 +519,9 @@ func (l *Log) Close() error {
 	return l.closeErr
 }
 
-// Err returns the first backend sync failure observed, if any. A non-nil
-// result means the in-memory log is ahead of the durable log.
+// Err returns the first failed round's error, once that round has
+// completed, if any. A non-nil result means the in-memory log is ahead of
+// the durable log.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -673,19 +692,16 @@ func (l *Log) Append(r Record) LSN {
 	return s.lsn
 }
 
-// Flush guarantees that every record staged before the call is sequenced
-// and handed to the durability backend when it returns. In synchronous
-// mode the caller sequences inline (group-committing whatever other
-// committers have staged meanwhile). In asynchronous mode the caller
-// registers a commit barrier and sleeps until the flusher's
-// acknowledgement, which happens only after the backend sync — so a
-// committed transaction is durable when Flush returns. A failed backend
-// sync does not block the ack (the in-memory log stays usable); it is
-// recorded and exposed by Err, which durability-requiring callers must
-// check after Flush (txn.Commit does). Flush on a closed log returns an
-// error wrapping ErrClosed; everything staged before Close was already
-// drained by Close itself. On a sink there is nothing to sequence and Flush
-// returns at once.
+// Flush guarantees that every record staged before the call has been
+// sequenced, written and synced — or its round has failed — when it
+// returns: it is a commit barrier for everything staged so far (see the
+// package comment for when a barrier waits, leads a round, or hands off to
+// the flusher). A failed backend round does not block the barrier (the
+// in-memory log stays usable); it is recorded and exposed by Err, which
+// durability-requiring callers must check, or they use WaitDurable, which
+// reports it. Flush on a closed log returns an error wrapping ErrClosed;
+// everything staged before Close was already drained by Close itself. On a
+// sink there is nothing to sequence and Flush returns at once.
 func (l *Log) Flush() error {
 	if l.closing.Load() {
 		return fmt.Errorf("wal: flush: %w", ErrClosed)
@@ -693,45 +709,64 @@ func (l *Log) Flush() error {
 	if l.backend == nil {
 		return nil
 	}
-	if !l.async {
-		l.flushOnce()
-		return nil
+	t := l.stampSeq.Load()
+	l.mu.Lock()
+	for l.doneTicket < t {
+		l.barrierStep(t)
 	}
-	w := make(chan struct{})
-	l.waitMu.Lock()
-	l.waiters = append(l.waiters, w)
-	l.waitMu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-	select {
-	case <-w:
-	case <-l.flusherDone:
-		// The flusher exited (Close raced with this barrier); sequence
-		// directly. flushOnce acks every registered waiter exactly once,
-		// and skips the backend if Close already released it (any records
-		// sequenced that late surface as an ErrClosed-wrapped Err).
-		l.flushOnce()
-	}
+	l.mu.Unlock()
 	return nil
+}
+
+// barrierStep moves a barrier for ticket t one step, with mu held (it is
+// released while the step waits or leads): if t is already in a round in
+// flight — or was never issued — wait for the next round to complete; if
+// no round is in flight and a flusher runs, hand off to it; otherwise
+// (another round's sync is running, or there is no flusher, or the log is
+// closing) sequence a round on the calling goroutine at once.
+func (l *Log) barrierStep(t int64) {
+	switch {
+	case l.seqTicket >= t || t > l.stampSeq.Load():
+		l.durableCond.Wait()
+	case l.async && len(l.rounds) == 0 && !l.closing.Load():
+		select {
+		case l.wake <- struct{}{}:
+		default:
+		}
+		l.handoffs++
+		l.durableCond.Wait()
+		l.handoffs--
+	default:
+		l.mu.Unlock()
+		l.flushOnce()
+		l.mu.Lock()
+	}
+}
+
+// awaitIdle waits, with mu held, until no round is in flight. Callers hold
+// flushMu too, so no new round can start: the watermark and the error
+// state are then final for everything sequenced.
+func (l *Log) awaitIdle() {
+	for len(l.rounds) > 0 {
+		l.durableCond.Wait()
+	}
 }
 
 // sequenceStaged guarantees every record staged before the call has been
 // sequenced when it returns, even on a closing log. It is what the read
-// accessors (Get, Snapshot, SegmentBounds, ...) and sync-mode WaitDurable
-// use in place of a bare Flush: Flush on a closing log returns ErrClosed
-// WITHOUT sequencing, so a reader that discarded the error could serve a
-// view missing records staged just before Close began. On that error the
-// caller joins the sequencer directly — flushMu orders the call against
-// Close's final drain — which is the same fallback Append uses.
+// accessors (Get, Snapshot, SegmentBounds, ...) use in place of a bare
+// Flush: Flush on a closing log returns ErrClosed WITHOUT sequencing, so a
+// reader that discarded the error could serve a view missing records
+// staged just before Close began. On that error the caller joins the
+// sequencer directly — flushMu orders the call against Close's final
+// drain — which is the same fallback Append uses.
 func (l *Log) sequenceStaged() {
 	if err := l.Flush(); err != nil {
 		l.flushOnce()
 	}
 }
 
-// flusher is the dedicated sequencing goroutine of an asynchronous log.
+// flusher is the dedicated round-starting goroutine of an asynchronous log.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
 	for {
@@ -770,18 +805,25 @@ func (l *Log) flusher() {
 	}
 }
 
-// flushOnce performs one sequencing round: snapshot the commit barriers,
-// drain every staging stripe, sort the batch by stage stamp, assign it one
-// contiguous LSN range (chaining each record to its transaction's previous
-// record), encode it once, hand the frame to the backend, and acknowledge
-// the snapshotted barriers. Barriers registered after the snapshot have a
-// wake pending and are acked by the next round.
+// round is one flush round between its sequencing and its completion,
+// named by its ticket.
+type round struct {
+	ticket int64 // stamp of the batch's last record
+	lsn    LSN   // the batch's last LSN
+	done   bool
+	err    error // the round's own failure: encode, write, sync, or closed backend
+}
+
+// flushOnce runs one flush round on the calling goroutine. Under flushMu
+// it drains every staging stripe, sorts the batch by stage stamp, assigns
+// it one contiguous LSN range (chaining each record to its transaction's
+// previous record), registers the round, encodes the batch once and writes
+// the frame to the backend. Outside flushMu it syncs the backend, then
+// completes the round (see completeRound) — which applies only once every
+// earlier round has completed, so flushOnce may return before its round's
+// effects are visible. An empty drain runs no round.
 func (l *Log) flushOnce() {
 	l.flushMu.Lock()
-	l.waitMu.Lock()
-	ws := l.waiters
-	l.waiters = nil
-	l.waitMu.Unlock()
 	// Drain every stripe while holding all stripe locks at once, so the
 	// batch is a consistent cut of the staging buffers: every record staged
 	// before the drain is in this batch, and every record staged after it
@@ -810,104 +852,148 @@ func (l *Log) flushOnce() {
 	for _, st := range l.stripes {
 		st.mu.Unlock()
 	}
-	if len(batch) > 0 {
-		slices.SortFunc(batch, func(a, b *stagedRec) int { return cmp.Compare(a.stamp, b.stamp) })
-		// Only a log with a backend stages, so a batch always has one: the
-		// flat copy feeds the crash hook and the backend.
-		recs := l.recsBuf[:0]
-		l.mu.Lock()
-		first := len(l.records)
-		next := l.base + LSN(first)
-		for i, s := range batch {
-			s.rec.LSN = next + LSN(i) + 1
-			s.rec.PrevLSN = l.lastOf[s.rec.Txn]
-			l.lastOf[s.rec.Txn] = s.rec.LSN
-			l.records = append(l.records, s.rec)
-			l.sizes = append(l.sizes, 0) // counted with the watermark below
-			if s.rec.Kind == DisciplineRec && l.discipline == "" {
-				l.discipline = s.rec.Op.Inv.Args
-			}
-			s.lsn = s.rec.LSN
-			recs = append(recs, s.rec)
-		}
-		l.mu.Unlock()
-		if !l.crashed && l.crash != nil && l.crash(int(l.flushes.Load()), recs) {
-			l.crashed = true
-		}
-		// Encode the batch once, outside mu (only flushMu, which every
-		// backend call is serialized by anyway): the frame is both what
-		// the backend writes and what Bytes counts.
-		encErr := l.encodeFrame(recs)
-		// Decide the batch's durability outcome and move the watermark (or
-		// the sticky error) under mu, then wake durability barriers. A
-		// simulated crash keeps advancing the watermark — the contract of
-		// CrashPoint is that the dying machine's acknowledgements continue.
-		var syncFailed error
-		lost := false
-		switch {
-		case l.backendGone:
-			lost = true // sequenced after Close released the backend
-		case l.crashed:
-		case l.dead:
-			lost = true // frozen since the first sync failure
-		case encErr != nil:
-			// An unencodable record fails the whole batch before any byte
-			// reaches the backend.
-			l.dead = true
-			syncFailed = encErr
-		default:
-			o := l.obsv.Load()
-			var sync0 time.Time
-			if o != nil {
-				sync0 = time.Now()
-			}
-			err := l.backend.Sync(recs, l.frame)
-			if o != nil {
-				o.RecordFlushSync(time.Since(sync0).Nanoseconds())
-			}
-			if err != nil {
-				l.dead = true
-				syncFailed = err
-			}
-		}
-		l.mu.Lock()
-		if encErr == nil {
-			// An unencodable batch hands no byte to the backend and counts
-			// none.
-			for i, size := range l.frameLens {
-				l.sizes[first+i] = size
-				l.bytes += size
-			}
-		}
-		if syncFailed != nil && l.syncErr == nil {
-			l.syncErr = syncFailed
-		}
-		if l.backendGone && l.syncErr == nil {
-			l.syncErr = fmt.Errorf("wal: %d records sequenced after close never reached the backend: %w",
-				len(batch), ErrClosed)
-		}
-		if !lost && syncFailed == nil {
-			l.durableTicket = batch[len(batch)-1].stamp
-			l.durableLSN = batch[len(batch)-1].rec.LSN
-		}
-		l.durableCond.Broadcast()
-		l.mu.Unlock()
-		l.flushes.Add(1)
-		l.flushed.Add(int64(len(batch)))
-		l.obsv.Load().RecordFlushBatch(int64(len(batch)))
-		clear(recs)
-		l.recsBuf = recs[:0]
+	if len(batch) == 0 {
+		l.batchBuf = batch
+		l.flushMu.Unlock()
+		return
 	}
+	n := len(batch)
+	slices.SortFunc(batch, func(a, b *stagedRec) int { return cmp.Compare(a.stamp, b.stamp) })
+	// Only a log with a backend stages, so a batch always has one: the
+	// flat copy feeds the crash hook and the backend.
+	recs := l.recsBuf[:0]
+	l.mu.Lock()
+	first := len(l.records)
+	next := l.base + LSN(first)
+	for i, s := range batch {
+		s.rec.LSN = next + LSN(i) + 1
+		s.rec.PrevLSN = l.lastOf[s.rec.Txn]
+		l.lastOf[s.rec.Txn] = s.rec.LSN
+		l.records = append(l.records, s.rec)
+		l.sizes = append(l.sizes, 0) // counted once the batch is encoded
+		if s.rec.Kind == DisciplineRec && l.discipline == "" {
+			l.discipline = s.rec.Op.Inv.Args
+		}
+		s.lsn = s.rec.LSN
+		recs = append(recs, s.rec)
+	}
+	ticket := batch[n-1].stamp
+	l.seqTicket = ticket
+	l.rounds = append(l.rounds, round{ticket: ticket, lsn: batch[n-1].rec.LSN})
+	if l.handoffs > 0 {
+		// A barrier that handed off to the flusher learns whether its
+		// records made this round; if not, it leads the next.
+		l.durableCond.Broadcast()
+	}
+	l.mu.Unlock()
+	index := l.flushes.Add(1) - 1
+	l.flushed.Add(int64(n))
+	o := l.obsv.Load()
+	o.RecordFlushBatch(int64(n))
+	if !l.crashed && l.crash != nil && l.crash(int(index), recs) {
+		l.crashed = true
+	}
+	// Encode the batch once, outside mu (only flushMu, which serializes
+	// every backend write anyway): the frame is both what the backend
+	// writes and what Bytes counts. An unencodable batch hands no byte to
+	// the backend and counts none.
+	encErr := l.encodeFrame(recs)
+	if encErr == nil {
+		l.mu.Lock()
+		for i, size := range l.frameLens {
+			l.sizes[first+i] = size
+			l.bytes += size
+		}
+		l.mu.Unlock()
+	}
+	// Decide what reaches the backend. A simulated crash acknowledges
+	// without writing — the contract of CrashPoint is that the dying
+	// machine's acknowledgements continue. A dead log writes nothing: the
+	// earlier round that failed completes first and fails this one.
+	var err error
+	var write0 time.Time
+	var writeNS int64
+	synced := false
+	switch {
+	case l.backendGone:
+		err = fmt.Errorf("wal: %d records sequenced after close never reached the backend: %w", n, ErrClosed)
+	case l.crashed, l.dead.Load():
+	case encErr != nil:
+		err = encErr
+	default:
+		if o != nil {
+			write0 = time.Now()
+		}
+		err = l.backend.Write(recs, l.frame)
+		if o != nil {
+			writeNS = time.Since(write0).Nanoseconds()
+		}
+		synced = err == nil
+	}
+	if err != nil {
+		// Before the next round may write: a batch after this one's hole
+		// would make the file unreplayable.
+		l.dead.Store(true)
+	}
+	clear(recs)
+	l.recsBuf = recs[:0]
 	clear(batch)
 	l.batchBuf = batch[:0]
-	if len(batch) > maxRetainedBatch {
+	if n > maxRetainedBatch {
 		// An outsized batch (a Close drain after a stall) does not pin its
 		// buffers for the log's lifetime.
 		l.batchBuf, l.recsBuf, l.frame, l.frameLens = nil, nil, nil, nil
 	}
 	l.flushMu.Unlock()
-	for _, w := range ws {
-		close(w)
+	if synced {
+		var sync0 time.Time
+		if o != nil {
+			sync0 = time.Now()
+		}
+		err = l.backend.Sync()
+		if o != nil {
+			o.RecordFlushSync(writeNS + time.Since(sync0).Nanoseconds())
+		}
+	}
+	l.completeRound(ticket, err)
+}
+
+// completeRound records the outcome of the round named by ticket, then
+// applies every completed round at the head of the queue, strictly in
+// round order: the first failure becomes the sticky error, a round moves
+// the watermark only if no round up to and including it has failed, and
+// barriers are woken.
+func (l *Log) completeRound(ticket int64, err error) {
+	if err != nil {
+		l.dead.Store(true)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.rounds {
+		if l.rounds[i].ticket == ticket {
+			l.rounds[i].done, l.rounds[i].err = true, err
+			break
+		}
+	}
+	applied := 0
+	for _, r := range l.rounds {
+		if !r.done {
+			break
+		}
+		if r.err != nil && l.syncErr == nil {
+			l.syncErr = r.err
+		}
+		if l.syncErr == nil {
+			l.durableTicket, l.durableLSN = r.ticket, r.lsn
+		}
+		l.doneTicket = r.ticket
+		applied++
+	}
+	if applied > 0 {
+		rest := copy(l.rounds, l.rounds[applied:])
+		clear(l.rounds[rest:])
+		l.rounds = l.rounds[:rest]
+		l.durableCond.Broadcast()
 	}
 }
 
@@ -952,39 +1038,34 @@ func (l *Log) IsDurable(t Ticket) bool {
 	return Ticket(l.durableTicket) >= t
 }
 
-// WaitDurable blocks until the record behind ticket t is durable, the
-// backend has failed (returning the sticky sync error — the watermark will
-// never cover t), or the log is closed (returning an ErrClosed-wrapped
-// error). It is the dependency barrier of commit-LSN-ordered lock release:
-// a transaction that read from an early-released commit passes that
-// commit's ticket here and is acknowledged only once its read-from set is
-// durable. The call self-sequences: in asynchronous mode the flusher is
-// nudged, and in synchronous mode the caller sequences whatever is staged
-// before waiting — nothing else would, so a caller that had not flushed
-// first used to block forever on a watermark that could never advance.
-// On a sink it returns at once: every ticket is durable there.
+// WaitDurable blocks until the record behind ticket t is durable, a round
+// up to and including t's has failed (returning the sticky error — the
+// watermark will never cover t), or the log is closed without t durable
+// (returning an ErrClosed-wrapped error). It is the commit barrier, and the
+// dependency barrier of commit-LSN-ordered lock release: a transaction
+// that read from an early-released commit passes max(its own ticket, that
+// commit's) here and is acknowledged only once its read-from set is
+// durable. A durable ticket returns at once; otherwise the call follows
+// the barrier rule of Flush — it waits for the round in flight that holds
+// t, or leads or hands off a round that will. On a sink it returns at
+// once: every ticket is durable there.
 func (l *Log) WaitDurable(t Ticket) error {
 	if t <= 0 || l.backend == nil {
 		return nil
 	}
-	if l.async {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	} else {
-		l.sequenceStaged()
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for Ticket(l.durableTicket) < t {
-		if l.syncErr != nil {
+		switch {
+		case l.syncErr != nil:
 			return l.syncErr
-		}
-		if l.closing.Load() {
+		case Ticket(l.doneTicket) >= t, l.closing.Load() && int64(t) > l.stampSeq.Load():
+			// t's round completed without the watermark covering it (it
+			// was sequenced after Close released the backend), or t was
+			// never issued and never will be.
 			return fmt.Errorf("wal: wait durable: %w", ErrClosed)
 		}
-		l.durableCond.Wait()
+		l.barrierStep(int64(t))
 	}
 	return nil
 }
@@ -1035,21 +1116,23 @@ type Stats struct {
 
 // Stats returns the log's accounting under a single sequence point:
 // staged records are sequenced first, then every field is read while
-// holding flushMu and mu (the flushOnce / TruncateBefore lock order),
-// so no flush or truncation can interleave between fields. On a
-// quiesced log each field equals its individual accessor.
+// holding flushMu and mu (the flushOnce / TruncateBefore lock order) with
+// no round in flight, so no flush, completion or truncation can
+// interleave between fields. On a quiesced log each field equals its
+// individual accessor.
 func (l *Log) Stats() Stats {
 	l.sequenceStaged()
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.awaitIdle()
 	s := Stats{
 		Flushes:            l.flushes.Load(),
 		FlushedRecords:     l.flushed.Load(),
 		StripeAcquisitions: l.stripeAcqs.Load(),
 		Truncate:           l.truncStats,
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	s.DurableTicket = Ticket(l.durableTicket)
 	s.DurableLSN = l.durableLSN
 	s.Records = len(l.records)
@@ -1185,14 +1268,16 @@ func (l *Log) Snapshot() []Record {
 func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 	// flushMu orders the truncation against batch sequencing (no new LSNs
 	// are assigned mid-truncate) and serializes the backend unlink against
-	// Sync, matching flushOnce's flushMu → mu order.
+	// Write, matching flushOnce's flushMu → mu order; waiting out the
+	// rounds in flight fixes the watermark and the failure state.
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	l.awaitIdle()
 	tr, _ := l.backend.(Truncator)
-	if l.crashed || l.dead || l.backendGone {
+	if l.crashed || l.dead.Load() || l.backendGone {
 		tr = nil
 	}
-	l.mu.Lock()
 	if maxPoint := l.durableLSN + 1; lsn > maxPoint {
 		lsn = maxPoint
 	}
