@@ -116,7 +116,7 @@
 // by txn.Options.Obs: lock-free sharded power-of-two-bucket histograms
 // over every commit phase (lock wait, WAL staging, barrier wait with the
 // dependency-stall subset, commit-protocol lock hold, end-to-end latency,
-// flusher batch size/dwell/sync, checkpoint capture/save), sampled
+// flush-round batch size and sync, checkpoint capture/save), sampled
 // transaction-lifecycle tracing (deterministic splitmix64 sampling by
 // transaction sequence number, exported as Chrome trace-event JSON
 // loadable in chrome://tracing or Perfetto), and a unified introspection

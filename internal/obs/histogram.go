@@ -177,7 +177,6 @@ type PhaseSnapshot struct {
 	CommitHold  HistogramSnapshot `json:"commit_hold_ns"`
 	TxnE2E      HistogramSnapshot `json:"txn_e2e_ns"`
 	FlushBatch  HistogramSnapshot `json:"flush_batch_records"`
-	FlushDwell  HistogramSnapshot `json:"flush_dwell_ns"`
 	FlushSync   HistogramSnapshot `json:"flush_sync_ns"`
 	CkptCapture HistogramSnapshot `json:"ckpt_capture_ns"`
 	CkptSave    HistogramSnapshot `json:"ckpt_save_ns"`

@@ -59,14 +59,13 @@ type Observer struct {
 	// Per-transaction phase histograms (nanoseconds).
 	LockWait    Histogram // time blocked waiting for a conflicting lock
 	WALStage    Histogram // staging commit records into WAL stripes
-	BarrierWait Histogram // the commit flush barrier (dwell + sync)
+	BarrierWait Histogram // the commit flush barrier (wait for or lead a round, through its sync)
 	StallWait   Histogram // barrier waits of dependency-stalled commits
 	CommitHold  Histogram // lock hold inside Commit (mirrors CommitHoldNS)
 	TxnE2E      Histogram // begin-to-terminal end-to-end latency
 
-	// Flusher histograms (batch size is a count, not nanoseconds).
+	// Flush-round histograms (batch size is a count, not nanoseconds).
 	FlushBatch Histogram // records per durable flush batch
-	FlushDwell Histogram // flusher dwell before a timed flush
 	FlushSync  Histogram // backend sync duration per flush
 
 	// Checkpoint histograms.
@@ -140,14 +139,6 @@ func (o *Observer) RecordFlushBatch(n int64) {
 	o.FlushBatch.Record(n)
 }
 
-// RecordFlushDwell records one flusher dwell duration.
-func (o *Observer) RecordFlushDwell(ns int64) {
-	if o == nil {
-		return
-	}
-	o.FlushDwell.Record(ns)
-}
-
 // RecordFlushSync records one backend sync duration.
 func (o *Observer) RecordFlushSync(ns int64) {
 	if o == nil {
@@ -214,7 +205,6 @@ func (o *Observer) Phases() *PhaseSnapshot {
 		CommitHold:  o.CommitHold.Snapshot(),
 		TxnE2E:      o.TxnE2E.Snapshot(),
 		FlushBatch:  o.FlushBatch.Snapshot(),
-		FlushDwell:  o.FlushDwell.Snapshot(),
 		FlushSync:   o.FlushSync.Snapshot(),
 		CkptCapture: o.CkptCapture.Snapshot(),
 		CkptSave:    o.CkptSave.Snapshot(),

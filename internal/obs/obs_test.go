@@ -123,7 +123,6 @@ func TestNilObserverHooksAllocFree(t *testing.T) {
 		o.RecordCommitHold(1)
 		o.RecordTxnEnd(1)
 		o.RecordFlushBatch(1)
-		o.RecordFlushDwell(1)
 		o.RecordFlushSync(1)
 		o.RecordCheckpoint(1, 1)
 		if o.SampleTxn(1) != nil {

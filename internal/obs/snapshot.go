@@ -162,7 +162,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		hist("commit_hold_ns", ph.CommitHold)
 		hist("txn_e2e_ns", ph.TxnE2E)
 		hist("flush_batch_records", ph.FlushBatch)
-		hist("flush_dwell_ns", ph.FlushDwell)
 		hist("flush_sync_ns", ph.FlushSync)
 		hist("ckpt_capture_ns", ph.CkptCapture)
 		hist("ckpt_save_ns", ph.CkptSave)

@@ -2,7 +2,7 @@ package recovery_test
 
 // The crash-injection harness every crash suite in this package shares. A
 // workload (banking below, transfer in transfer_crash_test.go) runs on an
-// engine whose asynchronous WAL sits on a real segmented backend, with a
+// engine whose WAL sits on a real segmented backend, with a
 // wal.CrashPoint dropping every batch from injection point k onward —
 // modelling a machine that dies with the log tail still in volatile
 // buffers. With checkpointing on, a driver goroutine takes fuzzy
@@ -29,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/atomicity"
@@ -108,11 +107,11 @@ type crashResult struct {
 }
 
 // startCrashEngine builds the engine run describes — a fresh segmented
-// backend under an asynchronous log with the given flusher dwell and the
-// crash point, plus the checkpoint store when run checkpoints — registers
+// backend under a log with the crash point, whose commit barriers lead the
+// flush rounds, plus the checkpoint store when run checkpoints — registers
 // its objects, and starts the checkpoint driver. The returned finish stops
 // the driver, closes the engine, checks its live history, and reports.
-func startCrashEngine(t *testing.T, run crashRun, dwell time.Duration, opts txn.Options,
+func startCrashEngine(t *testing.T, run crashRun, opts txn.Options,
 	register func(*txn.Engine)) (*txn.Engine, func() crashResult) {
 	t.Helper()
 	backend, err := wal.CreateSegmentedBackend(run.walDir, wal.SegmentConfig{MaxSegmentBytes: run.segBytes})
@@ -132,7 +131,7 @@ func startCrashEngine(t *testing.T, run crashRun, dwell time.Duration, opts txn.
 			return crashed.Load()
 		}
 	}
-	log, err := wal.Open(wal.Config{Async: true, BatchInterval: dwell, Backend: backend, CrashPoint: cp})
+	log, err := wal.Open(wal.Config{Backend: backend, CrashPoint: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +196,11 @@ func startCrashEngine(t *testing.T, run crashRun, dwell time.Duration, opts txn.
 // voluntarily.
 func runBankingCrash(t *testing.T, run crashRun) crashResult {
 	t.Helper()
-	e, finish := startCrashEngine(t, run, 100*time.Microsecond,
-		txn.Options{RecordHistory: true, Shards: 4}, func(e *txn.Engine) {
-			for i := 0; i < crashObjects; i++ {
-				e.MustRegister(crashObjID(i), crashBank, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
-			}
-		})
+	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: true, Shards: 4}, func(e *txn.Engine) {
+		for i := 0; i < crashObjects; i++ {
+			e.MustRegister(crashObjID(i), crashBank, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
+		}
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < crashWorkers; w++ {
 		wg.Add(1)
@@ -561,9 +559,9 @@ func assertLosersTerminated(t *testing.T, recs []wal.Record, obj history.ObjectI
 	}
 }
 
-// TestCrashInjectionSweep crashes the flusher at every staged/flushed
-// boundary of the banking workload and proves, per injection point, that
-// restart of the re-opened segment (1) reproduces exactly the
+// TestCrashInjectionSweep crashes the log at every flush-round boundary
+// of the banking workload and proves, per injection point, that restart
+// of the re-opened segment (1) reproduces exactly the
 // committed-winners state the durable prefix implies, (2) leaves no
 // transaction in flight, and (3) is stable: a second crash-free
 // reopen-and-restart reproduces the same state from the repaired log.

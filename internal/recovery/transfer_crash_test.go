@@ -56,12 +56,12 @@ func transferObjects(cfg sim.TransferConfig) []history.ObjectID {
 func runTransferCrash(t *testing.T, run crashRun) crashResult {
 	t.Helper()
 	cfg := transferCrashConfig(run.seed)
-	// Zero dwell: the flusher sequences eagerly, so batches are small and
-	// boundaries fall inside transfers (between the legs' updates and
-	// between commit processing and the transaction-level commit record),
-	// which is exactly what these sweeps need to crash into.
-	e, finish := startCrashEngine(t, run, 0,
-		txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, cfg.Register)
+	// Every barrier leads a round as soon as none holds its records, so
+	// batches are small and boundaries fall inside transfers (between the
+	// legs' updates and between commit processing and the
+	// transaction-level commit record), which is exactly what these sweeps
+	// need to crash into.
+	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, cfg.Register)
 	sim.RunTransfers(e, cfg)
 	return finish()
 }
@@ -99,8 +99,8 @@ func TestTransferCrashSweep(t *testing.T) { transferCrashSweep(t, 0, 28, 24) }
 
 func TestTransferCrashSweepSegmented(t *testing.T) { transferCrashSweep(t, segCrashBytes, 24, 16) }
 
-// transferCrashSweep crashes the flusher at every staged/flushed boundary
-// of the transfer workload on segments of segBytes and proves, per
+// transferCrashSweep crashes the log at every flush-round boundary of the
+// transfer workload on segments of segBytes and proves, per
 // injection point, that restart of the re-opened segments (1) recovers
 // every account to the transaction-granularity oracle balance, (2)
 // conserves the total — no boundary ever recovers half a transfer, (3)

@@ -28,7 +28,8 @@ func ckptObjID(i int) history.ObjectID {
 
 func newCkptEngine(t *testing.T, store checkpoint.Store, objects int) *txn.Engine {
 	t.Helper()
-	log, err := wal.Open(wal.Config{Async: true, BatchInterval: 50 * time.Microsecond, Backend: wal.NewLatencyBackend(0)})
+	// A 50µs sync keeps rounds in flight while checkpoints capture.
+	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(50 * time.Microsecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

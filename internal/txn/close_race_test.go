@@ -17,7 +17,7 @@ import (
 // failure — with its locks released and the transaction terminated — not
 // an unspecified race outcome.
 func TestEngineCloseIsIdempotentAndTyped(t *testing.T) {
-	log, err := wal.Open(wal.Config{Async: true, Backend: wal.NewLatencyBackend(0)})
+	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,8 @@ func TestEngineCloseRacesInFlightTxns(t *testing.T) {
 
 func engineCloseRacesInFlightTxns(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		log, err := wal.Open(wal.Config{
-			Async:         true,
-			BatchInterval: 50 * time.Microsecond,
-			Backend:       wal.NewLatencyBackend(20 * time.Microsecond),
-		})
+		// Each sync takes 70µs, so rounds are in flight when Close lands.
+		log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(70 * time.Microsecond)})
 		if err != nil {
 			t.Fatal(err)
 		}

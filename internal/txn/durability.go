@@ -1,8 +1,8 @@
 package txn
 
 // Durable-engine construction: the boilerplate every durable deployment of
-// the engine repeats — create a segmented WAL backend, wrap it in an
-// asynchronous group-committing log, open a file checkpoint store, and
+// the engine repeats — create a segmented WAL backend, wrap it in a
+// group-committing log, open a file checkpoint store, and
 // hand both to NewEngine — gathered behind one options struct.
 // The benchmark builds its durable engines through this; the tests that
 // need to reach inside (crash hooks, custom crash points) keep assembling
@@ -38,16 +38,16 @@ func (d DurabilityOptions) SegmentConfig() wal.SegmentConfig {
 }
 
 // NewDurableEngine builds a fully durable engine: a fresh segmented WAL
-// backend in d.Dir, an asynchronous group-committed log over it, and a
-// file checkpoint store. Any WAL or Checkpoint already
-// present in opts is overridden; the engine owns the log (Engine.Close
-// closes it, sealing the backend).
+// backend in d.Dir, a group-committed log over it, and a file checkpoint
+// store. Any WAL or Checkpoint already present in opts is overridden; the
+// engine owns the log (Engine.Close closes it, sealing the backend). The
+// engine starts no goroutine: commit barriers run the flush rounds.
 func NewDurableEngine(opts Options, d DurabilityOptions) (*Engine, error) {
 	backend, err := wal.CreateSegmentedBackend(d.WALDir(), d.SegmentConfig())
 	if err != nil {
 		return nil, fmt.Errorf("txn: durable engine: %w", err)
 	}
-	log, err := wal.Open(wal.Config{Async: true, Backend: backend})
+	log, err := wal.Open(wal.Config{Backend: backend})
 	if err != nil {
 		backend.Close()
 		return nil, fmt.Errorf("txn: durable engine: %w", err)

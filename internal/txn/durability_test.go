@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/adt"
@@ -17,7 +18,7 @@ func (b *failingBackend) Close() error                     { return nil }
 
 // TestCommitSurfacesBackendFailure: when the WAL backend cannot persist
 // the group-commit batch, Commit must return an error rather than ack a
-// commit that never became durable — in both flush modes. The error wraps
+// commit that never became durable. The error wraps
 // ErrDurability (the commit took effect in memory; the durable log is
 // behind) and is booked in Metrics.DurabilityFailures, not Commits, so
 // the success counter never double-books an errored call. A *dependent*
@@ -26,66 +27,59 @@ func (b *failingBackend) Close() error                     { return nil }
 // Metrics.DurabilityAborts) — the dependency-tracking cascade.
 func TestCommitSurfacesBackendFailure(t *testing.T) {
 	devErr := errors.New("log device gone")
-	for _, mode := range []struct {
-		name string
-		cfg  wal.Config
-	}{
-		{"sync", wal.Config{Backend: &failingBackend{err: devErr}}},
-		{"async", wal.Config{Async: true, Backend: &failingBackend{err: devErr}}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			log, err := wal.Open(mode.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ba := adt.DefaultBankAccount()
-			e := NewEngine(Options{WAL: log})
-			e.MustRegister("X", ba, ba.NRBC(), UndoLogRecovery)
-			tx := e.Begin()
-			if _, err := tx.Invoke("X", adt.Deposit(3)); err != nil {
-				t.Fatal(err)
-			}
-			err = tx.Commit()
-			if !errors.Is(err, devErr) {
-				t.Fatalf("Commit = %v, want the backend failure surfaced", err)
-			}
-			if !errors.Is(err, ErrDurability) {
-				t.Fatalf("Commit = %v, want ErrDurability (committed in memory, log behind)", err)
-			}
-			// The in-memory engine remains consistent: effects applied,
-			// locks released, a new transaction can read the state.
-			tx2 := e.Begin()
-			res, err := tx2.Invoke("X", adt.Balance())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != "3" {
-				t.Fatalf("balance after failed-durability commit = %q, want 3", res)
-			}
-			// tx2 read from tx1, whose commit the backend never persisted:
-			// its commit must cascade into an in-memory abort, not pile a
-			// second unsyncable commit on top of the first.
-			err = tx2.Commit()
-			if !errors.Is(err, devErr) || !errors.Is(err, ErrDurability) {
-				t.Fatalf("dependent Commit = %v, want the sticky backend failure as ErrDurability", err)
-			}
-			if !errors.Is(err, ErrAborted) {
-				t.Fatalf("dependent Commit = %v, want ErrAborted (terminated via the abort path)", err)
-			}
-			if got := e.Metrics.DurabilityFailures.Load(); got != 1 {
-				t.Errorf("DurabilityFailures = %d, want 1 (only the original failure)", got)
-			}
-			if got := e.Metrics.DurabilityAborts.Load(); got != 1 {
-				t.Errorf("DurabilityAborts = %d, want 1 (the cascaded dependent)", got)
-			}
-			if got := e.Metrics.Commits.Load(); got != 0 {
-				t.Errorf("Commits = %d, want 0 (durability failures must not double-book)", got)
-			}
-			if err := e.Close(); !errors.Is(err, devErr) {
-				t.Fatalf("Close = %v, want the backend failure", err)
-			}
-		})
-	}
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		log, err := wal.Open(wal.Config{Backend: &failingBackend{err: devErr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ba := adt.DefaultBankAccount()
+		e := NewEngine(Options{WAL: log})
+		e.MustRegister("X", ba, ba.NRBC(), UndoLogRecovery)
+		tx := e.Begin()
+		if _, err := tx.Invoke("X", adt.Deposit(3)); err != nil {
+			t.Fatal(err)
+		}
+		err = tx.Commit()
+		if !errors.Is(err, devErr) {
+			t.Fatalf("Commit = %v, want the backend failure surfaced", err)
+		}
+		if !errors.Is(err, ErrDurability) {
+			t.Fatalf("Commit = %v, want ErrDurability (committed in memory, log behind)", err)
+		}
+		// The in-memory engine remains consistent: effects applied,
+		// locks released, a new transaction can read the state.
+		tx2 := e.Begin()
+		res, err := tx2.Invoke("X", adt.Balance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != "3" {
+			t.Fatalf("balance after failed-durability commit = %q, want 3", res)
+		}
+		// tx2 read from tx1, whose commit the backend never persisted:
+		// its commit must cascade into an in-memory abort, not pile a
+		// second unsyncable commit on top of the first.
+		err = tx2.Commit()
+		if !errors.Is(err, devErr) || !errors.Is(err, ErrDurability) {
+			t.Fatalf("dependent Commit = %v, want the sticky backend failure as ErrDurability", err)
+		}
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("dependent Commit = %v, want ErrAborted (terminated via the abort path)", err)
+		}
+		if got := e.Metrics.DurabilityFailures.Load(); got != 1 {
+			t.Errorf("DurabilityFailures = %d, want 1 (only the original failure)", got)
+		}
+		if got := e.Metrics.DurabilityAborts.Load(); got != 1 {
+			t.Errorf("DurabilityAborts = %d, want 1 (the cascaded dependent)", got)
+		}
+		if got := e.Metrics.Commits.Load(); got != 0 {
+			t.Errorf("Commits = %d, want 0 (durability failures must not double-book)", got)
+		}
+		if err := e.Close(); !errors.Is(err, devErr) {
+			t.Fatalf("Close = %v, want the backend failure", err)
+		}
+	})
 }
 
 // TestAbortSurfacesBackendFailure: the compensation-record flush of Abort
@@ -118,5 +112,32 @@ func TestAbortSurfacesBackendFailure(t *testing.T) {
 	res, err := tx2.Invoke("X", adt.Balance())
 	if err != nil || res != "0" {
 		t.Fatalf("balance after failed-durability abort = %q (%v), want 0", res, err)
+	}
+}
+
+// TestDurableEngineStartsNoGoroutine: a durable engine runs every flush
+// round on the goroutine of the barrier that leads it, so building one and
+// committing through it leaves the goroutine count where it was.
+func TestDurableEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, err := NewDurableEngine(Options{}, DurabilityOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ba := adt.DefaultBankAccount()
+	e.MustRegister("X", ba, ba.NRBC(), UndoLogRecovery)
+	tx := e.Begin()
+	if _, err := tx.Invoke("X", adt.Deposit(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if e.WAL().Flushes() == 0 {
+		t.Fatal("the commit ran no flush round")
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d after NewDurableEngine and a commit, want no new one", before, after)
 	}
 }

@@ -21,10 +21,9 @@
 // lock-free of the log and Txn.Commit/Abort issue a barrier, which waits
 // for the flush round holding their records or starts one; a round assigns
 // its batch one contiguous LSN range, and rounds overlap their backend
-// syncs. With an asynchronous log (Options.WAL built by wal.Open with
-// Async set), a dedicated flusher goroutine also starts rounds — commits
-// are durable to whatever degree the configured wal.Backend provides (see
-// package wal).
+// syncs. No background goroutine starts rounds: barriers alone do, and
+// commits are durable to whatever degree the configured wal.Backend
+// provides (see package wal).
 //
 // Commit releases locks early — once the transaction-level commit record
 // is staged, before the durability barrier — and tracks commit-ticket
@@ -153,8 +152,8 @@ type Options struct {
 	// of two. Zero selects a default derived from GOMAXPROCS.
 	Shards int
 	// WAL, when non-nil, is the shared write-ahead log the engine's
-	// undo-log objects stage into — typically a wal.Open'd log with an
-	// asynchronous flusher and a durable backend. Nil selects wal.New(), a
+	// undo-log objects stage into — typically a wal.Open'd log with a
+	// durable backend. Nil selects wal.New(), a
 	// sink that stamps and counts records but retains none: live abort
 	// needs only the stores' own undo chains, and such an engine can be
 	// neither checkpointed nor restarted. The engine takes ownership:
@@ -178,7 +177,7 @@ type Options struct {
 	// Engine.Checkpoint. See CheckpointOptions.
 	Checkpoint *CheckpointOptions
 	// Obs, when non-nil, attaches the observability hub: phase latency
-	// histograms on every commit, sampled lifecycle tracing, and flusher
+	// histograms on every commit, sampled lifecycle tracing, and flush-round
 	// instrumentation on the engine's WAL. Nil (the default) leaves every
 	// hook a nil-receiver no-op — the hot path pays no allocation and no
 	// atomic for it (obs.TestNilObserverHooksAllocFree pins this).
@@ -406,8 +405,9 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) WAL() *wal.Log { return e.log }
 
 // Close shuts down the engine by closing its write-ahead log: staged
-// records are sequenced and synced, the flusher (if asynchronous) is
-// stopped, and the durability backend is closed. It returns the first backend sync failure, if any.
+// records are sequenced and synced, every round in flight completes, and
+// the durability backend is closed. It returns the first backend sync
+// failure, if any.
 // Close is idempotent (a second call returns the same result) and safe to
 // race with in-flight Commit/Abort calls: a transaction that loses the
 // race observes a typed failure wrapping wal.ErrClosed instead of an

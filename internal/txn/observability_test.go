@@ -99,8 +99,9 @@ func TestObsSamplingLeavesStateIdentical(t *testing.T) {
 }
 
 // TestObsSnapshotDurableRestart builds a durable engine with full
-// sampling, runs two concurrent workers over the asynchronous flusher,
-// takes one checkpoint, and checks the unified snapshot: engine counters,
+// sampling, runs two concurrent workers whose commit barriers lead the
+// flush rounds, takes one checkpoint, and checks the unified snapshot:
+// engine counters,
 // WAL flushes, checkpoint progress, phase histograms, and trace stats
 // whose events load as Chrome trace JSON. A crash restart of the durable
 // artifacts then folds its stats into the document, which must survive

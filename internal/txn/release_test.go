@@ -11,10 +11,10 @@ import (
 )
 
 // newReleaseEngine builds a one-account engine over a WAL with the given
-// backend (asynchronous when async is set).
-func newReleaseEngine(t *testing.T, b wal.Backend, async bool) *Engine {
+// backend.
+func newReleaseEngine(t *testing.T, b wal.Backend) *Engine {
 	t.Helper()
-	log, err := wal.Open(wal.Config{Async: async, Backend: b})
+	log, err := wal.Open(wal.Config{Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDependentOnUnsyncedLoser(t *testing.T) {
 
 func dependentOnUnsyncedLoser(t *testing.T) {
 	devErr := errors.New("log device gone")
-	e := newReleaseEngine(t, &failingBackend{err: devErr}, false)
+	e := newReleaseEngine(t, &failingBackend{err: devErr})
 
 	// T1 commits; the backend refuses the batch. T1 is committed in memory
 	// with the durable log behind — the unsynced loser.
@@ -115,12 +115,12 @@ func (b *gatedBackend) Close() error { return nil }
 // TestEarlyReleaseStallsDependentBehindBarrier pins the concurrency
 // semantics of early lock release with a backend whose acknowledgement the
 // test controls: a conflicting reader proceeds while the committer's
-// barrier is still waiting, its own commit then stalls behind the inherited
+// barrier is held inside the round it leads, its own commit then stalls behind the inherited
 // dependency ticket, and that commit completes once the batch is
 // acknowledged.
 func TestEarlyReleaseStallsDependentBehindBarrier(t *testing.T) {
 	b := newGatedBackend()
-	e := newReleaseEngine(t, b, true)
+	e := newReleaseEngine(t, b)
 
 	t1 := e.Begin()
 	if _, err := t1.Invoke("X", adt.Deposit(3)); err != nil {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/wal"
 )
 
-// backedWAL opens a synchronous log over a zero-latency backend, for the
+// backedWAL opens a log over a zero-latency backend, for the
 // engine tests that read the log back or restart from it: an engine's
 // default log (wal.New) is a sink and retains no records.
 func backedWAL(t testing.TB) *wal.Log {
@@ -31,13 +31,19 @@ func newTransferEngine() *Engine {
 	return e
 }
 
+// The transfer's invocations are built once, as bench/ builds its
+// scripts: building one formats its argument through fmt, whose printer
+// pool drops items under -race, so a per-call build would count allocations
+// that are neither the engine's nor stable.
+var withdraw1, deposit1 = adt.Withdraw(1), adt.Deposit(1)
+
 // transfer moves one unit from A to B in one transaction.
 func transfer(t testing.TB, e *Engine) {
 	tx := e.Begin()
-	if _, err := tx.Invoke("A", adt.Withdraw(1)); err != nil {
+	if _, err := tx.Invoke("A", withdraw1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Invoke("B", adt.Deposit(1)); err != nil {
+	if _, err := tx.Invoke("B", deposit1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -66,9 +72,10 @@ func TestInMemoryEngineKeepsNoLogHistory(t *testing.T) {
 }
 
 // TestInMemoryTransferAllocs pins the allocation count of one in-memory
-// undo-logged two-object transfer: Begin, two Invokes, Commit.
+// undo-logged two-object transfer: Begin, two Invokes, Commit. The count
+// is the same with and without -race.
 func TestInMemoryTransferAllocs(t *testing.T) {
-	const pinned = 19
+	const pinned = 17
 	e := newTransferEngine()
 	defer e.Close()
 	allocs := testing.AllocsPerRun(200, func() { transfer(t, e) })

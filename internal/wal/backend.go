@@ -15,7 +15,7 @@ import (
 	"repro/internal/spec"
 )
 
-// Backend is the durability seam beneath the group-commit flusher. Each
+// Backend is the durability seam beneath group-commit flush rounds. Each
 // flush round hands it one sequenced batch in two steps:
 //
 //   - Write appends the batch, with records in LSN order and frame holding

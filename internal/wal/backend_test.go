@@ -24,7 +24,7 @@ func readSegments(t *testing.T, dir string) []Record {
 	return recs
 }
 
-// syncEncoded hands recs to b the way the log's flusher does: encoded once
+// syncEncoded hands recs to b the way a flush round does: encoded once
 // into one frame.
 func syncEncoded(b Backend, recs []Record) error {
 	var frame []byte

@@ -2,8 +2,8 @@ package wal
 
 // Regression tests for three WAL bugs fixed together:
 //
-//  1. sync-mode WaitDurable blocked forever unless the caller had flushed
-//     first (nothing else sequences in synchronous mode);
+//  1. WaitDurable blocked forever unless the caller had flushed first
+//     (nothing but a barrier sequences staged records);
 //  2. the read accessors called Flush() and discarded its error, so on a
 //     closing log (where Flush returns ErrClosed without sequencing) they
 //     could serve a view missing records staged just before Close began;
@@ -21,8 +21,8 @@ import (
 	"repro/internal/history"
 )
 
-// TestWaitDurableSyncSelfSequences: in synchronous mode, WaitDurable on a
-// ticket the caller never flushed must sequence the staged records itself
+// TestWaitDurableSyncSelfSequences: WaitDurable on a ticket the caller
+// never flushed must sequence the staged records itself
 // rather than sleeping on a watermark nothing will ever advance. Before
 // the fix this test timed out (the barrier hung forever).
 func TestWaitDurableSyncSelfSequences(t *testing.T) {
@@ -40,24 +40,23 @@ func TestWaitDurableSyncSelfSequences(t *testing.T) {
 			t.Fatalf("WaitDurable: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("sync-mode WaitDurable hung: nothing sequenced the staged record")
+		t.Fatal("WaitDurable hung: nothing sequenced the staged record")
 	}
 	if !l.IsDurable(tk) {
 		t.Fatal("ticket not durable after WaitDurable returned")
 	}
 }
 
-// gateBackend blocks every Sync until the gate channel is closed and
-// signals each entry, so a test can hold the flusher inside a sync while
-// it races readers against Close.
+// gateBackend blocks every Write until the gate channel is closed and
+// signals each entry. Write runs under the flush lock, so a barrier held
+// there keeps every other round — Close's final drain included — from
+// sequencing, while the test races readers against Close.
 type gateBackend struct {
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (b *gateBackend) Write([]Record, []byte) error { return nil }
-
-func (b *gateBackend) Sync() error {
+func (b *gateBackend) Write([]Record, []byte) error {
 	select {
 	case b.entered <- struct{}{}:
 	default:
@@ -65,6 +64,8 @@ func (b *gateBackend) Sync() error {
 	<-b.gate
 	return nil
 }
+
+func (b *gateBackend) Sync() error  { return nil }
 func (b *gateBackend) Close() error { return nil }
 
 // TestSnapshotSequencesOnClosingLog: a reader that loses the race with
@@ -74,15 +75,19 @@ func (b *gateBackend) Close() error { return nil }
 // Close's drain was about to sequence.
 func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 	b := &gateBackend{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	l, err := Open(Config{Async: true, Backend: b})
+	l, err := Open(Config{Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)}); err != nil {
+	tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold the flusher inside Sync(batch{R1}) — it owns flushMu for the
-	// whole round — then stage a second record it has not yet seen.
+	// A barrier leads round {R1} and is held inside its Write — it owns
+	// the flush lock — then a second record is staged that no round has
+	// seen, and Close's drain queues behind the held round.
+	barrier := make(chan error, 1)
+	go func() { barrier <- l.WaitDurable(tk) }()
 	<-b.entered
 	if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); err != nil {
 		t.Fatal(err)
@@ -105,6 +110,9 @@ func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 	}
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := <-barrier; err != nil {
+		t.Fatalf("barrier on R1: %v", err)
 	}
 }
 

@@ -12,58 +12,51 @@ import (
 // TestClosedLogTypedErrors pins the post-Close contract: AppendAsync and
 // Flush return ErrClosed-wrapped errors, Append returns the nil LSN
 // without staging, WaitDurable on an unreachable ticket reports ErrClosed,
-// and a second Close returns the same result — in both flush modes.
+// and a second Close returns the same result.
 func TestClosedLogTypedErrors(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sync", Config{Backend: NewLatencyBackend(0)}},
-		{"async", Config{Async: true, Backend: NewLatencyBackend(0)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			l, err := Open(mode.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-			if err != nil || tk <= 0 {
-				t.Fatalf("AppendAsync = (%d, %v) on an open log", tk, err)
-			}
-			first := l.Close()
-			if first != nil {
-				t.Fatalf("Close = %v", first)
-			}
-			if second := l.Close(); second != first {
-				t.Fatalf("second Close = %v, want %v (idempotent)", second, first)
-			}
-			// The pre-close record was drained and made durable by Close.
-			if !l.IsDurable(tk) {
-				t.Error("record staged before Close not durable after Close")
-			}
-			if got := l.Len(); got != 1 {
-				t.Fatalf("Len = %d after Close, want 1", got)
-			}
-			if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("AppendAsync after Close = %v, want ErrClosed", err)
-			}
-			if err := l.Flush(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Flush after Close = %v, want ErrClosed", err)
-			}
-			if lsn := l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); lsn != 0 {
-				t.Fatalf("Append after Close = %d, want the nil LSN", lsn)
-			}
-			if got := l.Len(); got != 1 {
-				t.Fatalf("Len = %d after post-close appends, want 1 (nothing staged)", got)
-			}
-			if err := l.WaitDurable(tk + 100); !errors.Is(err, ErrClosed) {
-				t.Fatalf("WaitDurable(unreachable) after Close = %v, want ErrClosed", err)
-			}
-			if err := l.WaitDurable(0); err != nil {
-				t.Fatalf("WaitDurable(0) = %v, want nil (zero ticket is always durable)", err)
-			}
-		})
-	}
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		l, err := Open(Config{Backend: NewLatencyBackend(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+		if err != nil || tk <= 0 {
+			t.Fatalf("AppendAsync = (%d, %v) on an open log", tk, err)
+		}
+		first := l.Close()
+		if first != nil {
+			t.Fatalf("Close = %v", first)
+		}
+		if second := l.Close(); second != first {
+			t.Fatalf("second Close = %v, want %v (idempotent)", second, first)
+		}
+		// The pre-close record was drained and made durable by Close.
+		if !l.IsDurable(tk) {
+			t.Error("record staged before Close not durable after Close")
+		}
+		if got := l.Len(); got != 1 {
+			t.Fatalf("Len = %d after Close, want 1", got)
+		}
+		if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("AppendAsync after Close = %v, want ErrClosed", err)
+		}
+		if err := l.Flush(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Flush after Close = %v, want ErrClosed", err)
+		}
+		if lsn := l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); lsn != 0 {
+			t.Fatalf("Append after Close = %d, want the nil LSN", lsn)
+		}
+		if got := l.Len(); got != 1 {
+			t.Fatalf("Len = %d after post-close appends, want 1 (nothing staged)", got)
+		}
+		if err := l.WaitDurable(tk + 100); !errors.Is(err, ErrClosed) {
+			t.Fatalf("WaitDurable(unreachable) after Close = %v, want ErrClosed", err)
+		}
+		if err := l.WaitDurable(0); err != nil {
+			t.Fatalf("WaitDurable(0) = %v, want nil (zero ticket is always durable)", err)
+		}
+	})
 }
 
 // TestDurableWatermark tracks the watermark across the backend outcomes:
@@ -159,7 +152,7 @@ func (b *syncFailBackend) Close() error                 { return nil }
 // append or flush reports ErrClosed. Run with -race.
 func TestFlushRacingCloseIsTyped(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		l, err := Open(Config{Async: true, Backend: NewLatencyBackend(0)})
+		l, err := Open(Config{Backend: NewLatencyBackend(0)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,13 +59,6 @@ func (b *heldBackend) awaitEntry(t *testing.T, what string) int {
 	}
 }
 
-// overlapModes are the two ways a log runs rounds: barriers only, or a
-// flusher that staging nudges and idle barriers hand off to.
-var overlapModes = []struct {
-	name  string
-	async bool
-}{{"sync", false}, {"async", true}}
-
 // twoRounds stages one record, lets a barrier start round 0 and holds its
 // Sync, then stages a second record whose barrier must lead round 1 while
 // round 0's Sync is still held. It returns the two barriers' results.
@@ -120,31 +113,31 @@ func recv(t *testing.T, done chan error, what string) error {
 // synced while the earlier round's sync is still blocked — and its
 // acknowledgement still waits for the earlier round to complete.
 func TestOverlapRoundWritesAndSyncsWhileEarlierSyncBlocked(t *testing.T) {
-	for _, m := range overlapModes {
-		t.Run(m.name, func(t *testing.T) {
-			b := newHeldBackend(2)
-			l, err := Open(Config{Async: m.async, Backend: b})
-			if err != nil {
-				t.Fatal(err)
+	// The subtest names the one flush mode: barriers lead every round.
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		b := newHeldBackend(2)
+		l, err := Open(Config{Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		first, second := twoRounds(t, l, b)
+		b.results[1] <- nil
+		quiet(t, second, "round 1's barrier")
+		if got := l.DurableLSN(); got != 0 {
+			t.Fatalf("DurableLSN = %d with round 0 in flight, want 0", got)
+		}
+		b.results[0] <- nil
+		for _, done := range []chan error{first, second} {
+			if err := recv(t, done, "barrier"); err != nil {
+				t.Fatalf("barrier: %v", err)
 			}
-			defer l.Close()
-			first, second := twoRounds(t, l, b)
-			b.results[1] <- nil
-			quiet(t, second, "round 1's barrier")
-			if got := l.DurableLSN(); got != 0 {
-				t.Fatalf("DurableLSN = %d with round 0 in flight, want 0", got)
-			}
-			b.results[0] <- nil
-			for _, done := range []chan error{first, second} {
-				if err := recv(t, done, "barrier"); err != nil {
-					t.Fatalf("barrier: %v", err)
-				}
-			}
-			if got := l.DurableLSN(); got != 2 {
-				t.Fatalf("DurableLSN = %d after both rounds, want 2", got)
-			}
-		})
-	}
+		}
+		if got := l.DurableLSN(); got != 2 {
+			t.Fatalf("DurableLSN = %d after both rounds, want 2", got)
+		}
+	})
 }
 
 // TestOverlapEarlierFailureFailsLaterRound: round 0's sync fails after
@@ -152,41 +145,41 @@ func TestOverlapRoundWritesAndSyncsWhileEarlierSyncBlocked(t *testing.T) {
 // stays where it was, and no later write reaches the backend — a later
 // sync does not prove round 0's bytes reached the device.
 func TestOverlapEarlierFailureFailsLaterRound(t *testing.T) {
-	for _, m := range overlapModes {
-		t.Run(m.name, func(t *testing.T) {
-			devErr := errors.New("device lost round 0")
-			b := newHeldBackend(2)
-			l, err := Open(Config{Async: m.async, Backend: b})
-			if err != nil {
-				t.Fatal(err)
+	// The subtest names the one flush mode: barriers lead every round.
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		devErr := errors.New("device lost round 0")
+		b := newHeldBackend(2)
+		l, err := Open(Config{Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := twoRounds(t, l, b)
+		b.results[1] <- nil
+		quiet(t, second, "round 1's barrier")
+		b.results[0] <- devErr
+		for _, done := range []chan error{first, second} {
+			if err := recv(t, done, "barrier"); !errors.Is(err, devErr) {
+				t.Fatalf("barrier = %v, want round 0's error", err)
 			}
-			first, second := twoRounds(t, l, b)
-			b.results[1] <- nil
-			quiet(t, second, "round 1's barrier")
-			b.results[0] <- devErr
-			for _, done := range []chan error{first, second} {
-				if err := recv(t, done, "barrier"); !errors.Is(err, devErr) {
-					t.Fatalf("barrier = %v, want round 0's error", err)
-				}
-			}
-			if got := l.DurableLSN(); got != 0 {
-				t.Fatalf("DurableLSN = %d after round 0 failed, want 0", got)
-			}
-			tk, err := l.AppendAsync(Record{Kind: Update, Txn: "C", Obj: "X", Op: adt.DepositOk(1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l.WaitDurable(tk); !errors.Is(err, devErr) {
-				t.Fatalf("later barrier = %v, want the sticky error", err)
-			}
-			if err := l.Close(); !errors.Is(err, devErr) {
-				t.Fatalf("Close = %v, want the sticky error", err)
-			}
-			if w := b.writes.Load(); w != 2 {
-				t.Fatalf("backend saw %d writes, want 2: nothing may follow the failed round", w)
-			}
-		})
-	}
+		}
+		if got := l.DurableLSN(); got != 0 {
+			t.Fatalf("DurableLSN = %d after round 0 failed, want 0", got)
+		}
+		tk, err := l.AppendAsync(Record{Kind: Update, Txn: "C", Obj: "X", Op: adt.DepositOk(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WaitDurable(tk); !errors.Is(err, devErr) {
+			t.Fatalf("later barrier = %v, want the sticky error", err)
+		}
+		if err := l.Close(); !errors.Is(err, devErr) {
+			t.Fatalf("Close = %v, want the sticky error", err)
+		}
+		if w := b.writes.Load(); w != 2 {
+			t.Fatalf("backend saw %d writes, want 2: nothing may follow the failed round", w)
+		}
+	})
 }
 
 // TestOverlapRotationUnderConcurrentCommits: eight committers on 64-byte
@@ -201,7 +194,7 @@ func TestOverlapRotationUnderConcurrentCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(Config{Async: true, Backend: b})
+	l, err := Open(Config{Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,42 +406,29 @@ func TestOverlapSyncsEachSeeSharedWritebackError(t *testing.T) {
 // is already durable returns without sequencing anything — in particular
 // not another transaction's partially staged records.
 func TestWaitDurableOnDurableTicketStartsNoRound(t *testing.T) {
-	for _, m := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sync", Config{Backend: NewLatencyBackend(0)}},
-		// A long dwell keeps the staging nudge from starting a round on
-		// its own, so only the barrier could.
-		{"async", Config{Async: true, BatchInterval: time.Minute, Backend: NewLatencyBackend(0)}},
-	} {
-		t.Run(m.name, func(t *testing.T) {
-			l, err := Open(m.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.cfg.Async {
-				// Lead the round directly rather than wait out the dwell.
-				l.flushOnce()
-			}
-			if err := l.WaitDurable(tk); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(1)}); err != nil {
-				t.Fatal(err)
-			}
-			before := l.Flushes()
-			if err := l.WaitDurable(tk); err != nil {
-				t.Fatal(err)
-			}
-			if got := l.Flushes(); got != before {
-				t.Fatalf("WaitDurable on a durable ticket ran %d rounds, want 0", got-before)
-			}
-		})
-	}
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		l, err := Open(Config{Backend: NewLatencyBackend(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WaitDurable(tk); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(1)}); err != nil {
+			t.Fatal(err)
+		}
+		before := l.Flushes()
+		if err := l.WaitDurable(tk); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Flushes(); got != before {
+			t.Fatalf("WaitDurable on a durable ticket ran %d rounds, want 0", got-before)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/adt"
 )
@@ -11,93 +10,85 @@ import (
 // TestSinkStampsAndRetainsNothing pins the contract of a log with no
 // backend: appends keep their checks and return consecutive stamps, the
 // records are counted and a discipline marker is remembered, but nothing
-// is sequenced or retained, and no barrier ever waits — also when the
-// configuration asks for an asynchronous flusher with a long dwell.
+// is sequenced or retained, and no barrier ever waits.
 func TestSinkStampsAndRetainsNothing(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"sync", Config{}},
-		{"async", Config{Async: true, BatchInterval: time.Minute}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			l, err := Open(mode.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l.Durable() {
-				t.Fatal("a log with no backend reports Durable")
-			}
-			tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-			if err != nil || tk != 1 {
-				t.Fatalf("AppendAsync = (%d, %v), want (1, nil)", tk, err)
-			}
-			tk, err = l.AppendBatchAsync([]Record{
-				{Kind: CommitRec, Txn: "A", Obj: "X"},
-				{Kind: CommitRec, Txn: "A", Obj: "Y"},
-			})
-			if err != nil || tk != 3 {
-				t.Fatalf("AppendBatchAsync = (%d, %v), want (3, nil): the last of two consecutive stamps", tk, err)
-			}
-			if _, err := l.AppendBatchAsync([]Record{
-				{Kind: CommitRec, Txn: "A", Obj: "X"},
-				{Kind: CommitRec, Txn: "B", Obj: "Y"},
-			}); err == nil || errors.Is(err, ErrClosed) {
-				t.Fatalf("mixed-transaction batch: err = %v, want the mixed-transaction error", err)
-			}
-			if tk, err = l.AppendAsync(DisciplineMarker(DisciplineRedo)); err != nil || tk != 4 {
-				t.Fatalf("marker AppendAsync = (%d, %v), want (4, nil)", tk, err)
-			}
-			if got := l.Discipline(); got != DisciplineRedo {
-				t.Fatalf("Discipline = %q, want %q", got, DisciplineRedo)
-			}
-			if lsn := l.Append(Record{Kind: AbortRec, Txn: "B", Obj: "X"}); lsn != 0 {
-				t.Fatalf("Append = %d, want the nil LSN (a sink assigns none)", lsn)
-			}
-			if err := l.Flush(); err != nil {
-				t.Fatalf("Flush = %v", err)
-			}
-			if !l.IsDurable(5) {
-				t.Fatal("a sink's ticket is not durable")
-			}
-			if err := l.WaitDurable(5); err != nil {
-				t.Fatalf("WaitDurable = %v", err)
-			}
-			s := l.Stats()
-			want := Stats{FlushedRecords: 5, Discipline: DisciplineRedo}
-			if s != want {
-				t.Fatalf("Stats = %+v, want %+v", s, want)
-			}
-			if n := l.Len(); n != 0 {
-				t.Fatalf("Len = %d, want 0", n)
-			}
-			if recs := l.Snapshot(); len(recs) != 0 {
-				t.Fatalf("Snapshot = %v, want empty", recs)
-			}
-			if r, ok := l.Get(1); ok {
-				t.Fatalf("Get(1) = %v, want absent", r)
-			}
-			if chain := l.TxnChain("A"); len(chain) != 0 {
-				t.Fatalf("TxnChain(A) = %v, want empty", chain)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatalf("Close = %v", err)
-			}
-			if _, err := l.AppendAsync(Record{Kind: Update, Txn: "C", Obj: "X"}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("AppendAsync after Close = %v, want ErrClosed", err)
-			}
-			if _, err := l.AppendBatchAsync([]Record{{Kind: CommitRec, Txn: "C", Obj: "X"}}); !errors.Is(err, ErrClosed) {
-				t.Fatalf("AppendBatchAsync after Close = %v, want ErrClosed", err)
-			}
-			if err := l.Flush(); !errors.Is(err, ErrClosed) {
-				t.Fatalf("Flush after Close = %v, want ErrClosed", err)
-			}
-			if got := l.FlushedRecords(); got != 5 {
-				t.Fatalf("FlushedRecords after rejected appends = %d, want 5", got)
-			}
+	// The subtest names the one flush mode: barriers lead every round.
+	t.Run("sync", func(t *testing.T) {
+		l, err := Open(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Durable() {
+			t.Fatal("a log with no backend reports Durable")
+		}
+		tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+		if err != nil || tk != 1 {
+			t.Fatalf("AppendAsync = (%d, %v), want (1, nil)", tk, err)
+		}
+		tk, err = l.AppendBatchAsync([]Record{
+			{Kind: CommitRec, Txn: "A", Obj: "X"},
+			{Kind: CommitRec, Txn: "A", Obj: "Y"},
 		})
-	}
+		if err != nil || tk != 3 {
+			t.Fatalf("AppendBatchAsync = (%d, %v), want (3, nil): the last of two consecutive stamps", tk, err)
+		}
+		if _, err := l.AppendBatchAsync([]Record{
+			{Kind: CommitRec, Txn: "A", Obj: "X"},
+			{Kind: CommitRec, Txn: "B", Obj: "Y"},
+		}); err == nil || errors.Is(err, ErrClosed) {
+			t.Fatalf("mixed-transaction batch: err = %v, want the mixed-transaction error", err)
+		}
+		if tk, err = l.AppendAsync(DisciplineMarker(DisciplineRedo)); err != nil || tk != 4 {
+			t.Fatalf("marker AppendAsync = (%d, %v), want (4, nil)", tk, err)
+		}
+		if got := l.Discipline(); got != DisciplineRedo {
+			t.Fatalf("Discipline = %q, want %q", got, DisciplineRedo)
+		}
+		if lsn := l.Append(Record{Kind: AbortRec, Txn: "B", Obj: "X"}); lsn != 0 {
+			t.Fatalf("Append = %d, want the nil LSN (a sink assigns none)", lsn)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatalf("Flush = %v", err)
+		}
+		if !l.IsDurable(5) {
+			t.Fatal("a sink's ticket is not durable")
+		}
+		if err := l.WaitDurable(5); err != nil {
+			t.Fatalf("WaitDurable = %v", err)
+		}
+		s := l.Stats()
+		want := Stats{FlushedRecords: 5, Discipline: DisciplineRedo}
+		if s != want {
+			t.Fatalf("Stats = %+v, want %+v", s, want)
+		}
+		if n := l.Len(); n != 0 {
+			t.Fatalf("Len = %d, want 0", n)
+		}
+		if recs := l.Snapshot(); len(recs) != 0 {
+			t.Fatalf("Snapshot = %v, want empty", recs)
+		}
+		if r, ok := l.Get(1); ok {
+			t.Fatalf("Get(1) = %v, want absent", r)
+		}
+		if chain := l.TxnChain("A"); len(chain) != 0 {
+			t.Fatalf("TxnChain(A) = %v, want empty", chain)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close = %v", err)
+		}
+		if _, err := l.AppendAsync(Record{Kind: Update, Txn: "C", Obj: "X"}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("AppendAsync after Close = %v, want ErrClosed", err)
+		}
+		if _, err := l.AppendBatchAsync([]Record{{Kind: CommitRec, Txn: "C", Obj: "X"}}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("AppendBatchAsync after Close = %v, want ErrClosed", err)
+		}
+		if err := l.Flush(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Flush after Close = %v, want ErrClosed", err)
+		}
+		if got := l.FlushedRecords(); got != 5 {
+			t.Fatalf("FlushedRecords after rejected appends = %d, want 5", got)
+		}
+	})
 }
 
 // TestSinkAppendFlushAllocFree: the in-memory engine's per-record log cost

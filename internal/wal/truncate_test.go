@@ -3,8 +3,9 @@ package wal
 // Truncation tests: TruncateBefore drops the prefix from memory and from
 // the segmented backend (by unlinking whole segments), reopen replays only
 // the surviving suffix with LSNs preserved, PrevLSN chains that cross the
-// truncation base are accepted, and — the watermark regression — a lagging
-// or dead flusher bounds how far truncation may reach.
+// truncation base are accepted, and — the watermark regression — a log
+// whose durable watermark lags or froze bounds how far truncation may
+// reach.
 
 import (
 	"errors"
@@ -143,7 +144,7 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 	}
 }
 
-// TestTruncateClampsToDurableWatermark is the lagging-flusher regression:
+// TestTruncateClampsToDurableWatermark is the lagging-watermark regression:
 // a backend that dies after its first sync freezes the watermark while the
 // in-memory log keeps sequencing, and truncation must clamp to the
 // watermark instead of discarding the only durable copy of unsynced

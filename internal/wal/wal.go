@@ -33,17 +33,13 @@
 // bytes reached the device.
 //
 // A barrier (Flush, WaitDurable) waits if its records are already in a
-// round in flight, and otherwise starts a round itself, with one
-// exception: in asynchronous mode (Open with Async set) a barrier that
-// finds no round in flight hands off to a dedicated flusher goroutine,
-// which dwells BatchInterval after waking, so the batch-size-versus-commit-
-// latency trade-off of group commit stays a measurable configuration.
-// Staging also nudges that flusher, so records are made durable even if
-// nobody waits for them. In synchronous mode (Async unset) there is no
-// flusher and barriers always lead — classic group commit, where the
-// records staged while one round is written pile into the next. A commit
-// therefore never waits out the sync of a round that does not hold its
-// records; rounds in flight are bounded by the number of barriers.
+// round in flight, and otherwise leads a round itself on its own goroutine:
+// classic group commit, where the records staged while one round is
+// written pile into the next. There is no background flusher — a record
+// staged with no barrier behind it stays staged until the next barrier, a
+// reader, or Close sequences it. A commit therefore never waits out the
+// sync of a round that does not hold its records, and rounds in flight are
+// bounded by the number of barriers.
 //
 // LSN order is consistent with per-object and per-transaction execution
 // order even across transactions in one batch — the invariant the Restart
@@ -267,14 +263,6 @@ type Config struct {
 	// (FlushedRecords) but never staged, sequenced or retained, and every
 	// other field is ignored.
 	Backend Backend
-	// Async runs a dedicated flusher goroutine that starts a round when
-	// records are staged, and that a barrier finding no round in flight
-	// hands off to. The owner must Close the log to stop the flusher.
-	Async bool
-	// BatchInterval is how long the asynchronous flusher dwells after
-	// waking before it sequences, letting concurrent committers' records
-	// accumulate into one batch. Zero sequences immediately.
-	BatchInterval time.Duration
 	// CrashPoint, when non-nil, is the crash-injection hook (tests only).
 	CrashPoint CrashPoint
 }
@@ -339,13 +327,10 @@ type Log struct {
 	// completed, oldest first. seqTicket is the last ticket sequenced into
 	// any round and doneTicket the last ticket of a completed one (durable
 	// or failed); a barrier for ticket t waits while seqTicket >= t >
-	// doneTicket. handoffs counts the barriers waiting for the flusher to
-	// start a round: a round's registration wakes them, so one whose
-	// records missed it leads the next.
+	// doneTicket.
 	rounds     []round
 	seqTicket  int64
 	doneTicket int64
-	handoffs   int
 
 	backend Backend
 	crash   CrashPoint
@@ -364,34 +349,28 @@ type Log struct {
 	// straggler flush sequences in memory without touching it.
 	closing     atomic.Bool
 	backendGone bool
-
-	// Asynchronous-mode state. wake nudges the flusher.
-	async         bool
-	batchInterval time.Duration
-	wake          chan struct{}
-	quit          chan struct{}
-	flusherDone   chan struct{}
-	closeOnce     sync.Once
-	closeErr      error
+	// closeOnce makes Close idempotent; closeErr is what every call returns.
+	closeOnce sync.Once
+	closeErr  error
 
 	// Batch diagnostics for the scaling benchmarks.
 	flushes atomic.Int64
 	flushed atomic.Int64
 	// stripeAcqs counts staging-stripe lock acquisitions by appenders
-	// (stage and AppendBatchAsync; the flusher's drain is excluded) — a
+	// (stage and AppendBatchAsync; a flush round's drain is excluded) — a
 	// machine-independent synchronization cost.
 	stripeAcqs atomic.Int64
 
 	// obsv is the optional observability hub flush rounds report batch
-	// sizes, dwell, and write-plus-sync durations into. Attached after Open (the
-	// flusher may already be running) through an atomic pointer so the
-	// hand-off needs no lock; nil means disabled and every hook is a
+	// sizes and write-plus-sync durations into. Attached after Open (a
+	// round may already be running) through an atomic pointer so the
+	// attachment needs no lock; nil means disabled and every hook is a
 	// nil-receiver no-op.
 	obsv atomic.Pointer[obs.Observer]
 }
 
-// SetObserver attaches the observability hub the flusher records into.
-// Safe to call while the flusher runs; a nil observer detaches.
+// SetObserver attaches the observability hub flush rounds record into.
+// Safe to call while a round runs; a nil observer detaches.
 func (l *Log) SetObserver(o *obs.Observer) { l.obsv.Store(o) }
 
 // New builds a sink: a log with no backend, which stamps and counts each
@@ -412,9 +391,10 @@ func (l *Log) Durable() bool { return l.backend != nil }
 // Open builds a log per cfg. If the backend implements Replayer (a
 // re-opened segmented backend), its surviving records are loaded into the
 // committed region first — LSN continuity and PrevLSN chains are verified —
-// so new appends continue the durable log and restart can replay it. In
-// Async mode the caller owns the log and must Close it. With no backend the
-// log is a sink (see Config.Backend) and runs no flusher.
+// so new appends continue the durable log and restart can replay it. With
+// no backend the log is a sink (see Config.Backend). Open starts no
+// goroutine: every flush round runs on the goroutine of the barrier, reader
+// or Close that leads it.
 func Open(cfg Config) (*Log, error) {
 	n := cfg.Stripes
 	if n <= 0 {
@@ -470,21 +450,13 @@ func Open(cfg Config) (*Log, error) {
 		// past them.
 		l.durableLSN = l.base + LSN(len(l.records))
 	}
-	if cfg.Async && cfg.Backend != nil {
-		l.async = true
-		l.batchInterval = cfg.BatchInterval
-		l.wake = make(chan struct{}, 1)
-		l.quit = make(chan struct{})
-		l.flusherDone = make(chan struct{})
-		go l.flusher()
-	}
 	return l, nil
 }
 
-// Close stops the flusher, sequences and syncs whatever is staged, waits
-// for every round in flight, and closes the backend. It returns the first
-// failed round's error, if any.
-// Close is idempotent and safe to race with appenders and flushers: closing
+// Close sequences and syncs whatever is staged, waits for every round in
+// flight, and closes the backend. It returns the first failed round's
+// error, if any.
+// Close is idempotent and safe to race with appenders and barriers: closing
 // is published before the final drain, so a concurrent AppendAsync either
 // lands in the final durable batch or returns ErrClosed, a concurrent Flush
 // returns ErrClosed, and a WaitDurable barrier that can no longer be
@@ -492,13 +464,8 @@ func Open(cfg Config) (*Log, error) {
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
 		l.closing.Store(true)
-		if l.async {
-			close(l.quit)
-			<-l.flusherDone
-		}
-		// Drain anything staged after the flusher's final pass (or
-		// everything, in synchronous mode), and let every round in flight
-		// complete, before reading the error state.
+		// Drain everything staged, and let every round in flight complete,
+		// before reading the error state.
 		l.flushOnce()
 		l.flushMu.Lock()
 		l.mu.Lock()
@@ -535,9 +502,7 @@ func (l *Log) stripeOf(txn history.TxnID) *stripe {
 // stage publishes r to its transaction's staging stripe. The stamp is
 // taken under the stripe lock so that a transaction's records (always in
 // one stripe) carry strictly increasing stamps, and callers staging under
-// an object latch get stamps in the object's execution order. In
-// asynchronous mode staging also nudges the flusher, so records are
-// eventually sequenced and made durable even if no committer ever flushes.
+// an object latch get stamps in the object's execution order.
 // The closing check happens under the stripe lock too: Close's final drain
 // holds every stripe lock after publishing the flag, so a record either
 // joins the final batch or is rejected with ErrClosed — never staged and
@@ -554,20 +519,13 @@ func (l *Log) stage(r Record) (*stagedRec, error) {
 	s.stamp = l.stampSeq.Add(1)
 	st.staged = append(st.staged, s)
 	st.mu.Unlock()
-	if l.async {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	}
 	return s, nil
 }
 
 // AppendAsync stages a record without waiting for its LSN and returns the
-// record's stage ticket. The record is sequenced by the next flush (a
-// committing transaction's group-commit barrier, any reader, or the
-// background flusher). This is the engine's hot path: no log-wide lock.
-// On a closed log nothing is staged and the error wraps ErrClosed. A sink
+// record's stage ticket. The record is sequenced by the next flush round
+// (led by a committing transaction's group-commit barrier, any reader, or
+// Close). This is the engine's hot path: no log-wide lock. On a closed log nothing is staged and the error wraps ErrClosed. A sink
 // only stamps and counts the record.
 func (l *Log) AppendAsync(r Record) (Ticket, error) {
 	if l.backend == nil {
@@ -633,12 +591,6 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 		st.staged = append(st.staged, &staged[i])
 	}
 	st.mu.Unlock()
-	if l.async {
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-	}
 	return Ticket(last), nil
 }
 
@@ -656,7 +608,7 @@ func (l *Log) sinkDiscipline(r Record) {
 }
 
 // StripeAcquisitions returns the number of staging-stripe lock
-// acquisitions performed by appenders since Open (the flusher's drain is
+// acquisitions performed by appenders since Open (a flush round's drain is
 // excluded). Batch staging exists to shrink this number: N records staged
 // through AppendBatchAsync cost one acquisition where N AppendAsync calls
 // cost N.
@@ -664,7 +616,7 @@ func (l *Log) StripeAcquisitions() int64 { return l.stripeAcqs.Load() }
 
 // Append stages a record, flushes, and returns the assigned LSN — the
 // synchronous path, equivalent to a group commit of whatever is staged.
-// The LSN read is safe even when a different goroutine's flusher sequenced
+// The LSN read is safe even when a different goroutine's round sequenced
 // the record: Flush only returns after an acknowledgement that
 // happens-after the assignment (see stagedRec). On a closed log nothing is
 // staged and the nil LSN is returned; so it is on a sink, which assigns no
@@ -695,9 +647,9 @@ func (l *Log) Append(r Record) LSN {
 // Flush guarantees that every record staged before the call has been
 // sequenced, written and synced — or its round has failed — when it
 // returns: it is a commit barrier for everything staged so far (see the
-// package comment for when a barrier waits, leads a round, or hands off to
-// the flusher). A failed backend round does not block the barrier (the
-// in-memory log stays usable); it is recorded and exposed by Err, which
+// package comment for when a barrier waits and when it leads a round). A
+// failed backend round does not block the barrier (the in-memory log stays
+// usable); it is recorded and exposed by Err, which
 // durability-requiring callers must check, or they use WaitDurable, which
 // reports it. Flush on a closed log returns an error wrapping ErrClosed;
 // everything staged before Close was already drained by Close itself. On a
@@ -720,27 +672,16 @@ func (l *Log) Flush() error {
 
 // barrierStep moves a barrier for ticket t one step, with mu held (it is
 // released while the step waits or leads): if t is already in a round in
-// flight — or was never issued — wait for the next round to complete; if
-// no round is in flight and a flusher runs, hand off to it; otherwise
-// (another round's sync is running, or there is no flusher, or the log is
-// closing) sequence a round on the calling goroutine at once.
+// flight — or was never issued — wait for the next round to complete;
+// otherwise sequence a round on the calling goroutine at once.
 func (l *Log) barrierStep(t int64) {
-	switch {
-	case l.seqTicket >= t || t > l.stampSeq.Load():
+	if l.seqTicket >= t || t > l.stampSeq.Load() {
 		l.durableCond.Wait()
-	case l.async && len(l.rounds) == 0 && !l.closing.Load():
-		select {
-		case l.wake <- struct{}{}:
-		default:
-		}
-		l.handoffs++
-		l.durableCond.Wait()
-		l.handoffs--
-	default:
-		l.mu.Unlock()
-		l.flushOnce()
-		l.mu.Lock()
+		return
 	}
+	l.mu.Unlock()
+	l.flushOnce()
+	l.mu.Lock()
 }
 
 // awaitIdle waits, with mu held, until no round is in flight. Callers hold
@@ -762,45 +703,6 @@ func (l *Log) awaitIdle() {
 // drain — which is the same fallback Append uses.
 func (l *Log) sequenceStaged() {
 	if err := l.Flush(); err != nil {
-		l.flushOnce()
-	}
-}
-
-// flusher is the dedicated round-starting goroutine of an asynchronous log.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	for {
-		select {
-		case <-l.quit:
-			l.flushOnce()
-			return
-		case <-l.wake:
-		}
-		if l.batchInterval > 0 {
-			// The dwell — wake to sequencing — is a phase of every commit's
-			// barrier latency; the observer's histogram makes the
-			// dwell-vs-batch-size trade-off visible per flush.
-			o := l.obsv.Load()
-			var dwell0 time.Time
-			if o != nil {
-				dwell0 = time.Now()
-			}
-			t := time.NewTimer(l.batchInterval)
-			quitting := false
-			select {
-			case <-t.C:
-			case <-l.quit:
-				t.Stop()
-				quitting = true
-			}
-			if o != nil {
-				o.RecordFlushDwell(time.Since(dwell0).Nanoseconds())
-			}
-			if quitting {
-				l.flushOnce()
-				return
-			}
-		}
 		l.flushOnce()
 	}
 }
@@ -880,11 +782,6 @@ func (l *Log) flushOnce() {
 	ticket := batch[n-1].stamp
 	l.seqTicket = ticket
 	l.rounds = append(l.rounds, round{ticket: ticket, lsn: batch[n-1].rec.LSN})
-	if l.handoffs > 0 {
-		// A barrier that handed off to the flusher learns whether its
-		// records made this round; if not, it leads the next.
-		l.durableCond.Broadcast()
-	}
 	l.mu.Unlock()
 	index := l.flushes.Add(1) - 1
 	l.flushed.Add(int64(n))
@@ -1047,7 +944,7 @@ func (l *Log) IsDurable(t Ticket) bool {
 // commit's) here and is acknowledged only once its read-from set is
 // durable. A durable ticket returns at once; otherwise the call follows
 // the barrier rule of Flush — it waits for the round in flight that holds
-// t, or leads or hands off a round that will. On a sink it returns at
+// t, or leads a round that will. On a sink it returns at
 // once: every ticket is durable there.
 func (l *Log) WaitDurable(t Ticket) error {
 	if t <= 0 || l.backend == nil {
@@ -1251,7 +1148,7 @@ func (l *Log) Snapshot() []Record {
 // durable storage — the log-reclamation half of fuzzy checkpointing. The
 // requested point is clamped to the durable watermark plus one: truncation
 // never crosses the watermark, because records past it exist only in
-// memory (a lagging or failed flusher) and dropping their durable prefix
+// memory (a round in flight or failed) and dropping their durable prefix
 // would leave the file unreplayable. It returns the number of records
 // discarded. LSNs are not renumbered; Base advances instead.
 //

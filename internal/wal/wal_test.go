@@ -110,7 +110,7 @@ func TestConcurrentAppends(t *testing.T) {
 // TestFlushBatchIsConsistentCut: a record staged after another one (here:
 // later in program order, landing in a different stripe) must never be
 // sequenced into an earlier batch — it must receive a larger LSN even with
-// a rival flusher racing the two stage calls. This is the stamp-prefix
+// a rival barrier racing the two stage calls. This is the stamp-prefix
 // (consistent cut) property of the batch drain; crash recovery's
 // presumed-abort argument relies on it, because a batch boundary is the
 // unit of durability loss and must not separate a commit record from a
