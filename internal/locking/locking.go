@@ -27,6 +27,10 @@ import (
 type Table struct {
 	rel  commute.Relation
 	held map[history.TxnID][]spec.Operation
+	// spare is the op slice of a released holder, cleared, which the next
+	// new holder takes over: a steady stream of transactions reuses one
+	// slice instead of growing a fresh one each.
+	spare []spec.Operation
 }
 
 // NewTable builds an empty lock table for the relation.
@@ -60,17 +64,26 @@ func (t *Table) Conflicting(requested spec.Operation, self history.TxnID) []hist
 
 // Add records that txn now holds op.
 func (t *Table) Add(txn history.TxnID, op spec.Operation) {
-	t.held[txn] = append(t.held[txn], op)
+	ops, ok := t.held[txn]
+	if !ok {
+		ops, t.spare = t.spare, nil
+	}
+	t.held[txn] = append(ops, op)
 }
 
-// Release drops every lock held by txn, returning the released operations.
-func (t *Table) Release(txn history.TxnID) []spec.Operation {
+// Release drops every lock held by txn. Its op slice, cleared, becomes
+// the table's spare unless the spare has more room.
+func (t *Table) Release(txn history.TxnID) {
 	ops := t.held[txn]
 	delete(t.held, txn)
-	return ops
+	if cap(ops) > cap(t.spare) {
+		clear(ops)
+		t.spare = ops[:0]
+	}
 }
 
-// Held returns the operations txn currently holds (nil if none).
+// Held returns the operations txn currently holds (nil if none). The
+// slice is the table's own and valid only until txn's locks are released.
 func (t *Table) Held(txn history.TxnID) []spec.Operation { return t.held[txn] }
 
 // Holders returns all transactions currently holding locks, sorted.
@@ -125,6 +138,11 @@ type Waiter struct {
 type Detector struct {
 	stripes []*detectorStripe
 	mask    uint32
+	// path and visited are findCycleFrom's scratch, reused by every
+	// detection and touched only under every stripe lock, so a wait that
+	// closes no cycle allocates nothing.
+	path    []dfsFrame
+	visited map[history.TxnID]struct{}
 }
 
 type detectorStripe struct {
@@ -132,26 +150,34 @@ type detectorStripe struct {
 	waits map[history.TxnID]waitEntry
 }
 
-// waitEntry is one waiting transaction. holders are its outgoing edges;
-// wound is set (and holders dropped) when another requester's cycle chose
-// it as the victim, until the waiter collects it.
+// waitEntry is one waiting transaction. holders are its outgoing edges,
+// kept sorted so the DFS visits them in a reproducible order; wound is
+// set (and holders dropped) when another requester's cycle chose it as
+// the victim, until the waiter collects it.
 type waitEntry struct {
 	Waiter
 	holders []history.TxnID
 	wound   *ErrDeadlock
 }
 
-// defaultDetectorStripes balances stripe-lock spread against snapshot cost.
-const defaultDetectorStripes = 8
+// dfsFrame is one transaction on the DFS path and the index of the next
+// of its edges to follow.
+type dfsFrame struct {
+	id   history.TxnID
+	next int
+}
 
-// NewDetector builds an empty detector with the default stripe count.
-func NewDetector() *Detector { return NewDetectorStriped(defaultDetectorStripes) }
+// detectorStripes balances stripe-lock spread against snapshot cost.
+const detectorStripes = 8
 
-// NewDetectorStriped builds an empty detector with n stripes (rounded up
-// to a power of two, at least 1).
-func NewDetectorStriped(n int) *Detector {
-	p := stripe.RoundPow2(n, stripe.MaxStripes)
-	d := &Detector{stripes: make([]*detectorStripe, p), mask: uint32(p - 1)}
+// NewDetector builds an empty detector.
+func NewDetector() *Detector {
+	d := &Detector{
+		stripes: make([]*detectorStripe, detectorStripes),
+		mask:    detectorStripes - 1,
+		path:    make([]dfsFrame, 0, 8),
+		visited: make(map[history.TxnID]struct{}, 8),
+	}
 	for i := range d.stripes {
 		d.stripes[i] = &detectorStripe{waits: make(map[history.TxnID]waitEntry)}
 	}
@@ -163,8 +189,8 @@ func (d *Detector) stripeOf(t history.TxnID) *detectorStripe {
 }
 
 // AddWaits records that w is blocked on holders (the detector keeps the
-// slice) and checks for a cycle through w. If one closes, its youngest
-// member is the victim:
+// slice and sorts it in place) and checks for a cycle through w. If one
+// closes, its youngest member is the victim:
 //
 //   - w itself (it is ready to run, not yet asleep): its edges are rolled
 //     back and an *ErrDeadlock naming it is returned;
@@ -185,11 +211,12 @@ func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
 		return nil, e.wound
 	}
 	if !ok {
+		slices.Sort(holders)
 		e.holders = holders
 	} else {
 		for _, h := range holders {
-			if !slices.Contains(e.holders, h) {
-				e.holders = append(e.holders, h)
+			if i, found := slices.BinarySearch(e.holders, h); !found {
+				e.holders = slices.Insert(e.holders, i, h)
 			}
 		}
 	}
@@ -212,7 +239,7 @@ func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
 		// Wounded by a racing detection between the two lock sections.
 		delete(st.waits, w.ID)
 		err = own.wound
-	} else if cycle := findCycleFrom(d.edgesLocked, w.ID); cycle != nil {
+	} else if cycle := d.findCycleFrom(w.ID); cycle != nil {
 		victim := cycle[0] // w: the DFS starts there
 		prio := w.Prio
 		for _, t := range cycle[1:] {
@@ -238,12 +265,6 @@ func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
 	return wake, err
 }
 
-// edgesLocked returns the live outgoing edges of t. Caller holds every
-// stripe lock.
-func (d *Detector) edgesLocked(t history.TxnID) []history.TxnID {
-	return d.stripeOf(t).waits[t].holders
-}
-
 // ClearWaits removes waiter's entry (called after it wakes, and at commit
 // or abort). If a cycle chose waiter as its victim while it slept, the
 // wound is returned: the waiter must abort. Touches only the waiter's
@@ -260,39 +281,40 @@ func (d *Detector) ClearWaits(waiter history.TxnID) error {
 	return nil
 }
 
-// findCycleFrom performs a DFS from start over the graph exposed by edges
-// and returns a cycle through start (start first) if one exists.
-func findCycleFrom(edges func(history.TxnID) []history.TxnID, start history.TxnID) []history.TxnID {
-	var path []history.TxnID
-	onPath := make(map[history.TxnID]bool)
-	visited := make(map[history.TxnID]bool)
-	var dfs func(t history.TxnID) []history.TxnID
-	dfs = func(t history.TxnID) []history.TxnID {
-		if onPath[t] && t == start {
-			return append([]history.TxnID(nil), path...)
+// findCycleFrom runs a DFS from start over the live waits-for edges and
+// returns a cycle through start (start first) if one exists. Edges are
+// followed in sorted order, so the cycle found is reproducible. Only the
+// returned cycle is allocated; the path and visited set are the
+// detector's scratch. Caller holds every stripe lock.
+func (d *Detector) findCycleFrom(start history.TxnID) []history.TxnID {
+	defer func() {
+		d.path = d.path[:0]
+		clear(d.visited)
+	}()
+	d.path = append(d.path, dfsFrame{id: start})
+	d.visited[start] = struct{}{}
+	for len(d.path) > 0 {
+		top := &d.path[len(d.path)-1]
+		edges := d.stripeOf(top.id).waits[top.id].holders
+		if top.next == len(edges) {
+			d.path = d.path[:len(d.path)-1]
+			continue
 		}
-		if visited[t] {
-			return nil
-		}
-		visited[t] = true
-		onPath[t] = true
-		path = append(path, t)
-		// Deterministic iteration for reproducible cycles.
-		next := slices.Clone(edges(t))
-		slices.Sort(next)
-		for _, n := range next {
-			if n == start {
-				return append([]history.TxnID(nil), path...)
+		n := edges[top.next]
+		top.next++
+		if n == start {
+			cycle := make([]history.TxnID, len(d.path))
+			for i, f := range d.path {
+				cycle[i] = f.id
 			}
-			if c := dfs(n); c != nil {
-				return c
-			}
+			return cycle
 		}
-		path = path[:len(path)-1]
-		onPath[t] = false
-		return nil
+		if _, seen := d.visited[n]; !seen {
+			d.visited[n] = struct{}{}
+			d.path = append(d.path, dfsFrame{id: n})
+		}
 	}
-	return dfs(start)
+	return nil
 }
 
 // WaitCount returns the number of transactions currently waiting

@@ -71,10 +71,10 @@ func TestTableRelease(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("A", adt.DepositOk(5))
 	tab.Add("A", adt.DepositOk(2))
-	ops := tab.Release("A")
-	if len(ops) != 2 {
-		t.Fatalf("released %v", ops)
+	if ops := tab.Held("A"); len(ops) != 2 {
+		t.Fatalf("held before release: %v", ops)
 	}
+	tab.Release("A")
 	if holders := tab.Conflicting(adt.WithdrawOk(3), "B"); len(holders) != 0 {
 		t.Fatalf("after release no conflicts: %v", holders)
 	}
@@ -205,6 +205,29 @@ func TestDetectorDirectCycle(t *testing.T) {
 	})
 }
 
+// TestDetectorWaitAllocFree pins the cost of a wait that closes no cycle:
+// A declaring a wait on B, which waits on C, and clearing it again — the
+// DFS walks the two-node chain A, B — allocates nothing. The holder slice
+// is the caller's, kept by the detector.
+func TestDetectorWaitAllocFree(t *testing.T) {
+	d := NewDetector()
+	if err := addWaits(d, "B", []history.TxnID{"C"}); err != nil {
+		t.Fatal(err)
+	}
+	a, onB := Waiter{ID: "A", Prio: age("A")}, []history.TxnID{"B"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := d.AddWaits(a, onB); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ClearWaits("A"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a wait with no cycle: %v allocs, want 0", allocs)
+	}
+}
+
 func TestDetectorTransitiveCycle(t *testing.T) {
 	d := NewDetector()
 	if err := addWaits(d, "A", []history.TxnID{"B"}); err != nil {
@@ -269,11 +292,11 @@ func TestAsymmetricRelationNoFalseDeadlock(t *testing.T) {
 	}
 }
 
-// TestDetectorStripedConcurrency hammers a striped detector from many
+// TestDetectorStripedConcurrency hammers the striped detector from many
 // goroutines with disjoint wait edges (no cycles): every add/clear must
 // stay on its stripe without races, and the count drains to zero.
 func TestDetectorStripedConcurrency(t *testing.T) {
-	d := NewDetectorStriped(4)
+	d := NewDetector()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -302,7 +325,7 @@ func TestDetectorStripedConcurrency(t *testing.T) {
 // collected by ClearWaits.
 func TestDetectorStripedSingleVictim(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
-		d := NewDetectorStriped(8)
+		d := NewDetector()
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
 		wg.Add(2)

@@ -111,6 +111,10 @@ type UndoLog struct {
 	redoOnly bool
 	// chain holds, per active transaction, the undo records in apply order.
 	chain map[history.TxnID][]undoRec
+	// spare is a discharged transaction's chain, cleared so no before
+	// token stays reachable, which the next transaction to start a chain
+	// takes over. Like chain, it is touched only under the object latch.
+	spare []undoRec
 	stats Stats
 }
 
@@ -201,7 +205,11 @@ func (u *UndoLog) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, 
 		return "", fmt.Errorf("recovery: logging %s: %w", op, err)
 	}
 	u.current = next
-	u.chain[txn] = append(u.chain[txn], undoRec{op: op, before: before})
+	recs, ok := u.chain[txn]
+	if !ok {
+		recs, u.spare = u.spare, nil
+	}
+	u.chain[txn] = append(recs, undoRec{op: op, before: before})
 	u.stats.Applies++
 	return res, nil
 }
@@ -217,7 +225,7 @@ func (u *UndoLog) Commit(txn history.TxnID) error {
 	// TxnCommitRec is the commit point and restart has no pending table to
 	// discharge (winners replay in full, losers never replay).
 	if u.redoOnly {
-		delete(u.chain, txn)
+		u.discharge(txn, u.chain[txn])
 		return nil
 	}
 	// Stage before dropping the chain: if the log is closed the commit
@@ -226,7 +234,7 @@ func (u *UndoLog) Commit(txn history.TxnID) error {
 	if _, err := u.log.AppendAsync(wal.Record{Kind: wal.CommitRec, Txn: txn, Obj: u.obj}); err != nil {
 		return fmt.Errorf("recovery: logging commit of %s: %w", txn, err)
 	}
-	delete(u.chain, txn)
+	u.discharge(txn, u.chain[txn])
 	return nil
 }
 
@@ -246,7 +254,18 @@ func (u *UndoLog) AppendCommitRecords(dst []wal.Record, txn history.TxnID) []wal
 // drop the undo chain — with the staging half already performed by the
 // caller (see BatchCommitter for the ordering contract this relies on).
 func (u *UndoLog) CommitStaged(txn history.TxnID) {
+	u.discharge(txn, u.chain[txn])
+}
+
+// discharge drops txn's undo chain, whose records as applied are recs,
+// and keeps the slice, cleared, as the spare the next chain reuses,
+// unless the spare has more room.
+func (u *UndoLog) discharge(txn history.TxnID, recs []undoRec) {
 	delete(u.chain, txn)
+	if cap(recs) > cap(u.spare) {
+		clear(recs)
+		u.spare = recs[:0]
+	}
 }
 
 // Abort implements Store: walk the undo chain backward applying logical
@@ -278,9 +297,12 @@ func (u *UndoLog) Abort(txn history.TxnID) error {
 		}
 		u.current = next
 		u.chain[txn] = recs[:i]
+		// Undone: cleared at once, so whatever path ends the walk, the
+		// slice holds nothing past its length when it becomes the spare.
+		recs[i] = undoRec{}
 		u.stats.Undos++
 	}
-	delete(u.chain, txn)
+	u.discharge(txn, recs)
 	if u.redoOnly {
 		return nil
 	}

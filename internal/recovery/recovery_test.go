@@ -126,6 +126,49 @@ func TestUndoLogBeforeImageMachine(t *testing.T) {
 	}
 }
 
+// TestUndoLogSpareHoldsNoTokens: a discharged undo chain is kept for the
+// next transaction's reuse, cleared first, so no before token it held
+// stays reachable — after a commit and after an abort alike.
+func TestUndoLogSpareHoldsNoTokens(t *testing.T) {
+	u := NewUndoLog("KV", adt.DefaultKVStore().Machine(), wal.New())
+	checkSpare := func(after string) {
+		t.Helper()
+		for i, r := range u.spare[:cap(u.spare)] {
+			if r.before != nil || r.op != (spec.Operation{}) {
+				t.Fatalf("after %s: spare record %d still holds %v", after, i, r)
+			}
+		}
+	}
+	for _, k := range []string{"x", "y", "z"} {
+		if _, err := u.Apply("A", adt.Put(k, "1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Commit("A"); err != nil {
+		t.Fatal(err)
+	}
+	if cap(u.spare) < 3 {
+		t.Fatalf("spare cap %d after a three-record chain, want at least 3", cap(u.spare))
+	}
+	checkSpare("commit")
+	committed := u.CommittedValue().Encode()
+	for _, k := range []string{"x", "y"} {
+		if _, err := u.Apply("B", adt.Put(k, "2")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u.spare != nil {
+		t.Fatal("B's chain did not take over the spare")
+	}
+	if err := u.Abort("B"); err != nil {
+		t.Fatal(err)
+	}
+	checkSpare("abort")
+	if got := u.CommittedValue().Encode(); got != committed {
+		t.Fatalf("state after B's abort = %s, want %s", got, committed)
+	}
+}
+
 func TestIntentionsDUVisibility(t *testing.T) {
 	n := newIntentBA()
 	if _, err := n.Apply("A", adt.Deposit(5)); err != nil {

@@ -27,7 +27,6 @@ func TestCommitPrepareFailureReleasesLocks(t *testing.T) {
 	}
 	// Sabotage the participant set: an object that was never registered,
 	// so the prepare sweep fails after the deposit's lock is held.
-	tx.touched["ghost"] = true
 	tx.order = append(tx.order, "ghost")
 	err := tx.Commit()
 	if err == nil || !strings.Contains(err.Error(), "ghost") {

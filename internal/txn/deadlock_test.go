@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -55,7 +56,8 @@ func waitForWaiters(t *testing.T, e *Engine, n int) {
 	}
 }
 
-// checkVictim asserts err is the deadlock abort of victim.
+// checkVictim asserts err is the deadlock abort of victim, and that it
+// reads as it always has: "txn <victim>: <cause>: <ErrAborted>".
 func checkVictim(t *testing.T, err error, victim history.TxnID) {
 	t.Helper()
 	var dl *locking.ErrDeadlock
@@ -64,6 +66,9 @@ func checkVictim(t *testing.T, err error, victim history.TxnID) {
 	}
 	if dl.Victim != victim {
 		t.Fatalf("victim %s, want the youngest, %s", dl.Victim, victim)
+	}
+	if got, want := err.Error(), fmt.Sprintf("txn %s: %v: %v", victim, dl, ErrAborted); got != want {
+		t.Fatalf("err.Error() = %q, want %q", got, want)
 	}
 }
 
@@ -127,6 +132,48 @@ func TestDeadlockYoungerRequesterDies(t *testing.T) {
 				t.Fatalf("the older waiter was victimized: %v", err)
 			}
 			checkSurvivor(t, e, older)
+		})
+	}
+}
+
+// TestDeadlockVictimAllocs pins what a deadlock victim allocates, from the
+// request that closes the cycle through its abort to the error Invoke
+// returns. Most of it is the KV relation's first check of the two Puts
+// (its memo is cold in a fresh engine); the rest is the conflict list, the
+// cycle with its *locking.ErrDeadlock, the returned error, and the first
+// use of a fresh engine's detector stripe and history buffer. The
+// older transaction is parked on Y first; at GOMAXPROCS 1 it runs again
+// only after the victim's Invoke has returned, so the count is the
+// victim's alone. The least count over a few trials is taken, so a stray
+// preemption that lets the older transaction run early cannot fail it.
+func TestDeadlockVictimAllocs(t *testing.T) {
+	pinned := map[RecoveryKind]uint64{UndoLogRecovery: 37, IntentionsRecovery: 27}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	getY, getX := adt.Put("x", "0"), adt.Put("x", "1")
+	for _, kind := range []RecoveryKind{UndoLogRecovery, IntentionsRecovery} {
+		t.Run(fmt.Sprint(kind), func(t *testing.T) {
+			least := uint64(math.MaxUint64)
+			for trial := 0; trial < 10; trial++ {
+				e, older, younger := deadlockEngine(t, kind)
+				done := make(chan error, 1)
+				go func() {
+					_, err := older.Invoke("Y", getY)
+					done <- err
+				}()
+				waitForWaiters(t, e, 1)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := younger.Invoke("X", getX)
+				runtime.ReadMemStats(&after)
+				checkVictim(t, err, younger.ID())
+				if err := <-done; err != nil {
+					t.Fatalf("the older waiter was victimized: %v", err)
+				}
+				least = min(least, after.Mallocs-before.Mallocs)
+			}
+			if least > pinned[kind] {
+				t.Fatalf("the victim's Invoke made %d allocations, want at most %d", least, pinned[kind])
+			}
 		})
 	}
 }

@@ -21,13 +21,18 @@ func backedWAL(t testing.TB) *wal.Log {
 	return log
 }
 
-// newTransferEngine builds an in-memory engine with two undo-logged
-// accounts, A and B, under NRBC locking.
-func newTransferEngine() *Engine {
+// newTransferEngine builds an in-memory engine with two accounts, A and
+// B: undo-logged under NRBC locking (UIP), or with intentions lists under
+// NFC locking (DU).
+func newTransferEngine(kind RecoveryKind) *Engine {
 	e := NewEngine(Options{})
 	ba := adt.BankAccount{InitialBalance: 1 << 20, MaxBalance: 1 << 30, Amounts: []int{1}}
-	e.MustRegister("A", ba, ba.NRBC(), UndoLogRecovery)
-	e.MustRegister("B", ba, ba.NRBC(), UndoLogRecovery)
+	rel := ba.NRBC()
+	if kind == IntentionsRecovery {
+		rel = ba.NFC()
+	}
+	e.MustRegister("A", ba, rel, kind)
+	e.MustRegister("B", ba, rel, kind)
 	return e
 }
 
@@ -57,7 +62,7 @@ func transfer(t testing.TB, e *Engine) {
 // — without a checkpoint, a retaining log would hold all 5·N.
 func TestInMemoryEngineKeepsNoLogHistory(t *testing.T) {
 	const n = 10_000
-	e := newTransferEngine()
+	e := newTransferEngine(UndoLogRecovery)
 	defer e.Close()
 	for i := 0; i < n; i++ {
 		transfer(t, e)
@@ -75,12 +80,22 @@ func TestInMemoryEngineKeepsNoLogHistory(t *testing.T) {
 // undo-logged two-object transfer: Begin, two Invokes, Commit. The count
 // is the same with and without -race.
 func TestInMemoryTransferAllocs(t *testing.T) {
-	const pinned = 17
-	e := newTransferEngine()
+	checkTransferAllocs(t, UndoLogRecovery, 7)
+}
+
+// TestInMemoryTransferAllocsDU is TestInMemoryTransferAllocs's
+// deferred-update twin: intentions lists under NFC locking.
+func TestInMemoryTransferAllocsDU(t *testing.T) {
+	checkTransferAllocs(t, IntentionsRecovery, 12)
+}
+
+func checkTransferAllocs(t *testing.T, kind RecoveryKind, pinned float64) {
+	t.Helper()
+	e := newTransferEngine(kind)
 	defer e.Close()
 	allocs := testing.AllocsPerRun(200, func() { transfer(t, e) })
 	if allocs > pinned {
-		t.Fatalf("one in-memory transfer: %v allocs, want at most %d", allocs, pinned)
+		t.Fatalf("one in-memory %v transfer: %v allocs, want at most %v", kind, allocs, pinned)
 	}
 }
 
