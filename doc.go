@@ -99,15 +99,14 @@
 // bargain over the same update-in-place execution: the durable log
 // carries logical operation records with no undo payload (wal.RedoRec)
 // plus each winner's commit-order dependency set on its TxnCommitRec,
-// aborts log nothing, and restart (recovery.RestartRedoOnly, dispatched
-// automatically by RestartAllWithConfig from the log's own discipline
-// marker) replays only the winners-only projection forward — no undo
-// pass, nothing appended, sound by Theorem 9's equieffectiveness under
-// an NRBC-containing conflict relation. A log's first record brands its
-// discipline (re-branded past every checkpoint frontier so truncation
-// cannot erase it), and every seam — registration, restart, the
-// record-kind audit, checkpoint agreement — rejects a mixed-discipline
-// handoff loudly. The trade is fewer log bytes per commit and
+// aborts log nothing, and restart (recovery.RestartAllWithConfig,
+// dispatching on the log's own discipline marker) replays the winners-only
+// projection forward — no undo pass, nothing appended, sound by Theorem
+// 9's equieffectiveness under an NRBC-containing conflict relation. A
+// log's first record brands its discipline (re-branded past every
+// checkpoint frontier so truncation cannot erase it), and every seam —
+// registration, restart, the record-kind audit, checkpoint agreement —
+// rejects a mixed-discipline handoff loudly. The trade is fewer log bytes per commit and
 // winners-only replay, paid for with dependency sets on commit records.
 //
 // # Observability

@@ -116,58 +116,13 @@ type Snapshot struct {
 	Objects    []ObjectSnapshot `json:"objects"`
 }
 
-// Object returns the capture for obj, or nil if the snapshot does not
-// cover it (an object registered after the checkpoint's shard walk, which
-// restart replays in full from the retained log).
-func (s *Snapshot) Object(obj history.ObjectID) *ObjectSnapshot {
-	if s == nil {
-		return nil
-	}
-	for i := range s.Objects {
-		if s.Objects[i].Obj == obj {
-			return &s.Objects[i]
-		}
-	}
-	return nil
-}
-
-// Store is the durability seam for snapshots. Save must be atomic: a
-// reader (Latest, possibly in a different process after a crash) observes
-// either the previous snapshot or the complete new one, never a torn mix.
+// Store is the durability seam the engine saves snapshots through. Save
+// must be atomic: a reader (FileStore.Latest, possibly in a different
+// process after a crash) observes either the previous snapshot or the
+// complete new one, never a torn mix.
 type Store interface {
 	// Save persists s as the newest snapshot, assigning s.Seq.
 	Save(s *Snapshot) error
-	// Latest returns the newest complete snapshot, or nil if none exists.
-	Latest() (*Snapshot, error)
-}
-
-// MemStore is the in-memory store: snapshots survive nothing, which is
-// exactly right for sweeps that only need bounded in-memory replay and for
-// tests of the capture protocol itself.
-type MemStore struct {
-	mu     sync.Mutex
-	latest *Snapshot
-	seq    int
-}
-
-// NewMemStore builds an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-// Save implements Store.
-func (m *MemStore) Save(s *Snapshot) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seq++
-	s.Seq = m.seq
-	m.latest = s
-	return nil
-}
-
-// Latest implements Store.
-func (m *MemStore) Latest() (*Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.latest, nil
 }
 
 // CrashHook simulates a machine dying before a checkpoint reaches durable
@@ -220,9 +175,6 @@ func (f *FileStore) SetCrashHook(h CrashHook) {
 	defer f.mu.Unlock()
 	f.crash = h
 }
-
-// Dir returns the store directory.
-func (f *FileStore) Dir() string { return f.dir }
 
 // sequences lists the sequence numbers of the snapshot files present,
 // ascending. Callers hold f.mu or have exclusive access.
@@ -322,8 +274,8 @@ func (f *FileStore) Save(s *Snapshot) error {
 	return nil
 }
 
-// Latest implements Store: the newest snapshot file that parses
-// completely. Torn or unparsable files are skipped — a checkpoint the
+// Latest returns the newest snapshot whose file parses completely, or nil
+// if none exists. Torn or unparsable files are skipped — a checkpoint the
 // crash interrupted never becomes authoritative.
 func (f *FileStore) Latest() (*Snapshot, error) {
 	f.mu.Lock()

@@ -130,24 +130,3 @@ func TestCrashHookDropsSave(t *testing.T) {
 		t.Fatalf("Latest = %+v, %v; want the pre-crash CKPT0001", got, err)
 	}
 }
-
-// TestMemStore: the in-memory store keeps only the newest snapshot.
-func TestMemStore(t *testing.T) {
-	ms := NewMemStore()
-	if s, err := ms.Latest(); err != nil || s != nil {
-		t.Fatalf("empty MemStore Latest = %v, %v", s, err)
-	}
-	if err := ms.Save(sampleSnapshot("CKPT0001", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.Save(sampleSnapshot("CKPT0002", 20)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ms.Latest()
-	if err != nil || s == nil || s.ID != "CKPT0002" || s.Seq != 2 {
-		t.Fatalf("Latest = %+v, %v", s, err)
-	}
-	if s.Object("acct0") == nil || s.Object("missing") != nil {
-		t.Fatal("Object lookup wrong")
-	}
-}

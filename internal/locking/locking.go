@@ -38,9 +38,6 @@ func NewTable(rel commute.Relation) *Table {
 	return &Table{rel: rel, held: make(map[history.TxnID][]spec.Operation)}
 }
 
-// Relation returns the table's conflict relation.
-func (t *Table) Relation() commute.Relation { return t.rel }
-
 // Conflicting returns the transactions (other than self) holding an
 // operation that the requested operation conflicts with, in sorted order.
 // The requested operation is the first argument of the relation, matching
@@ -80,20 +77,6 @@ func (t *Table) Release(txn history.TxnID) {
 		clear(ops)
 		t.spare = ops[:0]
 	}
-}
-
-// Held returns the operations txn currently holds (nil if none). The
-// slice is the table's own and valid only until txn's locks are released.
-func (t *Table) Held(txn history.TxnID) []spec.Operation { return t.held[txn] }
-
-// Holders returns all transactions currently holding locks, sorted.
-func (t *Table) Holders() []history.TxnID {
-	out := make([]history.TxnID, 0, len(t.held))
-	for txn := range t.held {
-		out = append(out, txn)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // ErrDeadlock is returned (wrapped) to the victim of a waits-for cycle:

@@ -71,14 +71,14 @@ func TestTableRelease(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("A", adt.DepositOk(5))
 	tab.Add("A", adt.DepositOk(2))
-	if ops := tab.Held("A"); len(ops) != 2 {
+	if ops := tab.held["A"]; len(ops) != 2 {
 		t.Fatalf("held before release: %v", ops)
 	}
 	tab.Release("A")
 	if holders := tab.Conflicting(adt.WithdrawOk(3), "B"); len(holders) != 0 {
 		t.Fatalf("after release no conflicts: %v", holders)
 	}
-	if tab.Held("A") != nil {
+	if tab.held["A"] != nil {
 		t.Error("held ops should be cleared")
 	}
 }
@@ -87,9 +87,8 @@ func TestTableHolders(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("B", adt.DepositOk(1))
 	tab.Add("A", adt.DepositOk(1))
-	hs := tab.Holders()
-	if len(hs) != 2 || hs[0] != "A" || hs[1] != "B" {
-		t.Fatalf("Holders = %v", hs)
+	if len(tab.held) != 2 || len(tab.held["A"]) != 1 || len(tab.held["B"]) != 1 {
+		t.Fatalf("holders = %v, want A and B with one lock each", tab.held)
 	}
 }
 

@@ -182,9 +182,10 @@ func startCrashEngine(t *testing.T, run crashRun, opts txn.Options,
 			t.Fatalf("live history malformed: %v", err)
 		}
 		// Close sequenced any remaining staged records as one final batch.
+		st := e.WAL().Stats()
 		return crashResult{
-			batches:  int(e.WAL().Flushes()),
-			segments: len(backend.Segments()) + e.WAL().TruncateStats().SegmentsUnlinked,
+			batches:  int(st.Flushes),
+			segments: len(e.WAL().SegmentBounds()) + st.Truncate.SegmentsUnlinked,
 			e:        e,
 		}
 	}
@@ -272,11 +273,7 @@ func calibrate(t *testing.T, run crashRun, res crashResult, minBatches int) {
 func checkCalibration(t *testing.T, run crashRun, e *txn.Engine) {
 	t.Helper()
 	verifyLiveHistory(t, e)
-	entry := viaDispatch
-	if run.discipline == wal.DisciplineRedo {
-		entry = viaRedoOnly
-	}
-	r := restartDurable(t, run.walDir, "", entry, crashObjectIDs(), 0)
+	r := restartDurable(t, run.walDir, "", crashObjectIDs(), 0)
 	for _, obj := range crashObjectIDs() {
 		store, _ := e.Object(obj)
 		if got, want := r.vals[obj], store.CommittedValue().Encode(); got != want {
@@ -372,26 +369,12 @@ type restarted struct {
 	stats recovery.RestartStats
 }
 
-// restartEntry is the recovery entry point a restart goes through.
-type restartEntry int
-
-const (
-	// viaDispatch restarts through recovery.RestartAllWithConfig, which
-	// picks the protocol from the log's discipline marker: stores come back
-	// redo-only iff the log carries the redo marker.
-	viaDispatch restartEntry = iota
-	// viaRedoOnly restarts through recovery.RestartRedoOnly, the entry of an
-	// engine that knows it ran redo-only: it refuses a non-empty log without
-	// the redo marker, and every store comes back redo-only, the empty
-	// log's included.
-	viaRedoOnly
-)
-
 // restartDurable models the post-crash process: reopen the segment
 // directory, load the newest complete snapshot from ckptDir (none when
 // ckptDir is empty), and restart every listed object against the banking
-// machine through entry at the given parallelism (0: GOMAXPROCS).
-func restartDurable(t *testing.T, walDir, ckptDir string, entry restartEntry,
+// machine at the given parallelism (0: GOMAXPROCS). Every store must come
+// back redo-only iff the log carries the redo marker.
+func restartDurable(t *testing.T, walDir, ckptDir string,
 	objs []history.ObjectID, parallelism int) restarted {
 	t.Helper()
 	log := reopenLog(t, walDir)
@@ -405,11 +388,8 @@ func restartDurable(t *testing.T, walDir, ckptDir string, entry restartEntry,
 			t.Fatalf("load checkpoint: %v", err)
 		}
 	}
-	restart, redo := recovery.RestartAllWithConfig, log.Discipline() == wal.DisciplineRedo
-	if entry == viaRedoOnly {
-		restart, redo = recovery.RestartRedoOnly, true
-	}
-	stores, stats, err := restart(objs,
+	redo := log.Discipline() == wal.DisciplineRedo
+	stores, stats, err := recovery.RestartAllWithConfig(objs,
 		func(history.ObjectID) adt.Machine { return crashMachine() }, log, r.snap,
 		recovery.RestartConfig{Parallelism: parallelism})
 	if err != nil {
@@ -440,14 +420,14 @@ func restartErr(log *wal.Log, ckpt *checkpoint.Snapshot) error {
 	return err
 }
 
-// restartStable restarts a durable image twice through entry and checks
-// that the second restart reproduces the first: the first appended its
-// compensation and abort records durably, so the second finds no losers.
-func restartStable(t *testing.T, walDir, ckptDir string, entry restartEntry,
+// restartStable restarts a durable image twice and checks that the second
+// restart reproduces the first: the first appended its compensation and
+// abort records durably, so the second finds no losers.
+func restartStable(t *testing.T, walDir, ckptDir string,
 	objs []history.ObjectID) (first, again restarted) {
 	t.Helper()
-	first = restartDurable(t, walDir, ckptDir, entry, objs, 0)
-	again = restartDurable(t, walDir, ckptDir, entry, objs, 0)
+	first = restartDurable(t, walDir, ckptDir, objs, 0)
+	again = restartDurable(t, walDir, ckptDir, objs, 0)
 	for obj, v := range first.vals {
 		if again.vals[obj] != v {
 			t.Errorf("object %s: second restart diverged: %s vs %s", obj, again.vals[obj], v)
@@ -591,7 +571,7 @@ func TestCrashInjectionSweep(t *testing.T) {
 			losersSeen++
 		}
 		commitSplits += countCommitSplit(durable)
-		r, _ := restartStable(t, run.walDir, "", viaDispatch, crashObjectIDs())
+		r, _ := restartStable(t, run.walDir, "", crashObjectIDs())
 		checkOracle(t, durable, r, crashObjectIDs())
 	})
 	if losersSeen == 0 {
@@ -641,7 +621,7 @@ func TestCrashMidAbortCompensation(t *testing.T) {
 		}
 
 		want := strconv.Itoa(crashInitialBalance + 3)
-		r, _ := restartStable(t, walDir, "", viaDispatch, []history.ObjectID{"X"})
+		r, _ := restartStable(t, walDir, "", []history.ObjectID{"X"})
 		if r.vals["X"] != want {
 			t.Errorf("%d durable CLRs: restarted state %s, want %s (loser fully undone)", clrs, r.vals["X"], want)
 		}

@@ -44,8 +44,8 @@ func TestApplyEncodeFailureIsAtomic(t *testing.T) {
 	if len(u.chain["A"]) != 0 {
 		t.Fatalf("undo chain grew by failed Apply: %v", u.chain["A"])
 	}
-	if log.Len() != 0 {
-		t.Fatalf("failed Apply staged %d log records", log.Len())
+	if n := log.Records(); n != 0 {
+		t.Fatalf("failed Apply staged %d log records", n)
 	}
 	// The transaction can still abort cleanly (nothing to undo) and the
 	// store keeps working for operations that need no token.

@@ -52,8 +52,6 @@ type Store interface {
 	// updaters to be meaningful; callers use it quiescently (tests, end of
 	// run).
 	CommittedValue() adt.Value
-	// Kind names the recovery discipline ("undo-log" or "intentions").
-	Kind() string
 }
 
 // BatchCommitter is implemented by stores whose per-object commit
@@ -101,7 +99,7 @@ type Stats struct {
 //     and commit and abort stage nothing per object. Live abort still
 //     undoes in memory (the in-memory chain keeps raw before tokens), but
 //     the durable log never learns how to undo anything: at restart,
-//     losers are simply never redone (RestartRedoOnly), which is what
+//     losers are simply never redone (see redo_restart.go), which is what
 //     makes the discipline sound and what shrinks the log.
 type UndoLog struct {
 	obj      history.ObjectID
@@ -139,18 +137,13 @@ func NewUndoLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog {
 // logging discipline: updates stage logical wal.RedoRec records with no
 // undo payload, and commit/abort stage no per-object records at all — the
 // transaction-level TxnCommitRec (with its dependency set) is the only
-// commit-path record. The log must be restarted with RestartRedoOnly.
+// commit-path record. RestartAllWithConfig restarts such a log by its
+// discipline marker, which the engine stages as the log's first record.
 func NewRedoOnlyLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog {
 	u := NewUndoLog(obj, m, log)
 	u.redoOnly = true
 	return u
 }
-
-// RedoOnly reports whether the store logs under the REDO-only discipline.
-func (u *UndoLog) RedoOnly() bool { return u.redoOnly }
-
-// Kind implements Store.
-func (u *UndoLog) Kind() string { return "undo-log" }
 
 // Peek implements Store: the response is computed against the single
 // current state (the UIP view).
@@ -392,9 +385,6 @@ func NewIntentions(obj history.ObjectID, m adt.Machine) *Intentions {
 		intents: make(map[history.TxnID]*intentList),
 	}
 }
-
-// Kind implements Store.
-func (n *Intentions) Kind() string { return "intentions" }
 
 // workspace returns txn's private view: base plus its own intentions, using
 // the cached value when the base has not advanced (the private-workspace

@@ -288,12 +288,3 @@ func TestUndoLogPartialInvocation(t *testing.T) {
 		t.Fatalf("after abort the resource is back: %v %v", res, err)
 	}
 }
-
-func TestStoreKinds(t *testing.T) {
-	if newUndoBA().Kind() != "undo-log" {
-		t.Error("undo-log kind")
-	}
-	if newIntentBA().Kind() != "intentions" {
-		t.Error("intentions kind")
-	}
-}

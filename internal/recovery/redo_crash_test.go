@@ -19,10 +19,10 @@ package recovery_test
 //   - every winner's durable dependency set is closed under the winner
 //     set (checked inside restart on untruncated logs);
 //   - a mixed-discipline handoff — an undo-mode log reopened by a
-//     redo-only engine or restart, and vice versa — is rejected loudly.
+//     redo-only engine, and vice versa, or a log whose records contradict
+//     its marker — is rejected loudly.
 //
-// The banking sweep restarts through recovery.RestartRedoOnly; the
-// checkpointed transfer sweep through RestartAllWithConfig's dispatch on
+// Every sweep restarts through RestartAllWithConfig, which dispatches on
 // the reopened log's discipline marker.
 
 import (
@@ -73,9 +73,9 @@ func assertRedoLogClean(t *testing.T, recs []wal.Record) {
 // oracle over the durable RedoRecs, the log contains no undo-discipline
 // records and gains none from restart, loser records are skipped rather
 // than undone, and a second restart reproduces the same state from the
-// byte-identical log. Restart goes through recovery.RestartRedoOnly, and
-// every restarted store must be redo-only — at crash-at-batch-00, where
-// nothing reached disk, that is the empty log's path.
+// byte-identical log. Every restarted store must be redo-only exactly when
+// the durable log carries the marker: at crash-at-batch-00, where nothing
+// reached disk, the empty log restarts as an unmarked one.
 func TestRedoCrashInjectionSweep(t *testing.T) {
 	dir := t.TempDir()
 	base := crashRun{walDir: filepath.Join(dir, "cal"), crashAt: -1, seed: 1, discipline: wal.DisciplineRedo}
@@ -101,7 +101,7 @@ func TestRedoCrashInjectionSweep(t *testing.T) {
 				break
 			}
 		}
-		r, again := restartStable(t, run.walDir, "", viaRedoOnly, crashObjectIDs())
+		r, again := restartStable(t, run.walDir, "", crashObjectIDs())
 		checkOracle(t, durable, r, crashObjectIDs())
 		// No undo pass, no tail: the restart leaves the durable log
 		// exactly as the crash left it.
@@ -146,7 +146,7 @@ func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 		runTransferCrash(t, run)
 		durable := readDurable(t, run.walDir)
 		assertRedoLogClean(t, durable)
-		r, _ := restartStable(t, run.walDir, run.ckptDir, viaDispatch, objs)
+		r, _ := restartStable(t, run.walDir, run.ckptDir, objs)
 		checkConserved(t, r, objs, total)
 		if len(r.recs) != len(durable) {
 			t.Errorf("restart grew the log from %d to %d records", len(durable), len(r.recs))
@@ -200,7 +200,7 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	r := restartDurable(t, walDir, "", viaRedoOnly, objs, 0)
+	r := restartDurable(t, walDir, "", objs, 0)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
 		if r.vals[obj] != want {
@@ -234,8 +234,7 @@ func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 	// T2 claims to have read from T1, whose commit record never became
 	// durable.
 	log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: "T2", Deps: []history.TxnID{"T1"}})
-	_, _, err := recovery.RestartRedoOnly([]history.ObjectID{"X"},
-		func(history.ObjectID) adt.Machine { return crashMachine() }, log, nil, recovery.RestartConfig{})
+	err := restartErr(log, nil)
 	if err == nil || !strings.Contains(err.Error(), "dependency closure") {
 		t.Fatalf("restart accepted a winner with an undurable dependency: %v", err)
 	}
@@ -278,15 +277,6 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		e := txn.NewEngine(txn.Options{WAL: log})
 		if err := e.Register("X", adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery); err == nil {
 			t.Fatal("undo-logging engine registered over a redo-only log")
-		}
-	})
-	t.Run("redo-restart-of-undo-log", func(t *testing.T) {
-		log := mkLog(t, "")
-		defer log.Close()
-		if _, _, err := recovery.RestartRedoOnly([]history.ObjectID{"X"},
-			func(history.ObjectID) adt.Machine { return crashMachine() }, log, nil,
-			recovery.RestartConfig{}); err == nil {
-			t.Fatal("RestartRedoOnly accepted a log with no redo marker")
 		}
 	})
 	t.Run("mixed-record-kinds", func(t *testing.T) {

@@ -47,39 +47,6 @@ import (
 	"repro/internal/wal"
 )
 
-// RestartRedoOnly restarts every listed object of one shared redo-only
-// log, exactly as RestartAllWithConfig does for a log carrying the
-// redo-discipline marker — but refuses a log that does not carry it, so a
-// caller that knows its engine ran redo-only cannot silently fall back to
-// the undo protocol on the wrong artifacts. The returned stores continue
-// under the redo-only discipline.
-func RestartRedoOnly(objs []history.ObjectID, machineFor func(history.ObjectID) adt.Machine,
-	log *wal.Log, ckpt *checkpoint.Snapshot, cfg RestartConfig) (map[history.ObjectID]*UndoLog, RestartStats, error) {
-	if d := log.Discipline(); d != wal.DisciplineRedo {
-		// A completely empty log is discipline-neutral: the redo engine
-		// stages its marker as the very first record, and batches are
-		// stamp-prefixes, so ANY non-empty durable prefix contains the
-		// marker — absence plus emptiness just means the machine died
-		// before a single batch reached the backend, and restart is the
-		// initial state. A non-empty unmarked log, by contrast, was written
-		// by an undo-mode engine.
-		if !(d == "" && log.Len() == 0 && log.Base() == 0) {
-			return nil, RestartStats{}, fmt.Errorf(
-				"recovery: redo-only restart of a log with discipline %q (no redo marker — was it written by an undo-mode engine?)", d)
-		}
-	}
-	stores, stats, err := RestartAllWithConfig(objs, machineFor, log, ckpt, cfg)
-	if err != nil {
-		return nil, stats, err
-	}
-	// Already true on the marked path; on the empty-log path this converts
-	// the fresh stores to the discipline the caller asked to continue under.
-	for _, st := range stores {
-		st.redoOnly = true
-	}
-	return stores, stats, nil
-}
-
 // checkLogDiscipline rejects a log whose record kinds contradict its
 // discipline marker before any replay happens — the mixed-discipline
 // handoff (an undo-mode log reopened by a redo-only engine, or vice versa)

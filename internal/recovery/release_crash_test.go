@@ -114,7 +114,7 @@ func noAckedCommitOnUnsyncedLoser(t *testing.T) {
 
 	// Restart from the durable file: exactly the acknowledged
 	// transaction survives.
-	r := restartDurable(t, walDir, "", viaDispatch, []history.ObjectID{"X"}, 0)
+	r := restartDurable(t, walDir, "", []history.ObjectID{"X"}, 0)
 	want := strconv.Itoa(crashInitialBalance + 5)
 	if r.vals["X"] != want {
 		t.Errorf("restarted state %s, want %s (exactly the cleanly acked T1)", r.vals["X"], want)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/history"
 	"repro/internal/recovery"
-	"repro/internal/sim"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -33,8 +32,8 @@ import (
 // sweep spans three objects, so crash boundaries can separate any pair of
 // legs, any pair of per-object commit records, or the last of them from
 // the transaction-level commit record.
-func transferCrashConfig(seed int64) sim.TransferConfig {
-	cfg := sim.DefaultTransferConfig()
+func transferCrashConfig(seed int64) transferConfig {
+	cfg := defaultTransferConfig()
 	cfg.InitialBalance = crashInitialBalance
 	cfg.MaxAmount = 3
 	cfg.TxnsPerWorker = 12
@@ -44,10 +43,10 @@ func transferCrashConfig(seed int64) sim.TransferConfig {
 	return cfg
 }
 
-func transferObjects(cfg sim.TransferConfig) []history.ObjectID {
+func transferObjects(cfg transferConfig) []history.ObjectID {
 	objs := make([]history.ObjectID, cfg.Accounts)
 	for i := range objs {
-		objs[i] = sim.TransferAccountID(i)
+		objs[i] = transferAccountID(i)
 	}
 	return objs
 }
@@ -62,7 +61,7 @@ func runTransferCrash(t *testing.T, run crashRun) crashResult {
 	// transaction-level commit record), which is exactly what these sweeps
 	// need to crash into.
 	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, cfg.Register)
-	sim.RunTransfers(e, cfg)
+	runTransfers(e, cfg)
 	return finish()
 }
 
@@ -129,7 +128,7 @@ func transferCrashSweep(t *testing.T, segBytes int64, span, maxPoints int) {
 		}
 		commitSplits += countCommitSplit(durable)
 		midComps += countMidCompensation(durable)
-		r, _ := restartStable(t, run.walDir, "", viaDispatch, objs)
+		r, _ := restartStable(t, run.walDir, "", objs)
 		checkOracle(t, durable, r, objs)
 		checkConserved(t, r, objs, total)
 	})
@@ -170,7 +169,7 @@ func TestTransferCommitSplitDeterministic(t *testing.T) {
 	}
 
 	objs := []history.ObjectID{"xfer00", "xfer01"}
-	r, _ := restartStable(t, walDir, "", viaDispatch, objs)
+	r, _ := restartStable(t, walDir, "", objs)
 	want := strconv.Itoa(crashInitialBalance)
 	for _, obj := range objs {
 		if r.vals[obj] != want {

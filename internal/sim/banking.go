@@ -148,19 +148,3 @@ func RunBanking(s Scheduler, cfg BankingConfig) (Result, *txn.Engine) {
 	wg.Wait()
 	return collect(s, "banking", e, time.Since(start)), e
 }
-
-// BankingSweep runs the banking workload for each scheduler at each
-// contention level (number of accounts) and returns the result matrix
-// keyed by accounts then scheduler order.
-func BankingSweep(base BankingConfig, accountCounts []int, scheds []Scheduler) map[int][]Result {
-	out := make(map[int][]Result)
-	for _, n := range accountCounts {
-		cfg := base
-		cfg.Accounts = n
-		for _, s := range scheds {
-			r, _ := RunBanking(s, cfg)
-			out[n] = append(out[n], r)
-		}
-	}
-	return out
-}

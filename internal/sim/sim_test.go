@@ -440,35 +440,6 @@ func TestRecoveryCostProfile(t *testing.T) {
 	}
 }
 
-// TestBankingSweepShape: the sweep produces one row per scheduler per
-// contention level and conserves transactions (commits + aborts = begun)
-// at every point. Contention *shape* claims live in the focused
-// trade-off tests, which pin the theory-grounded direction.
-func TestBankingSweepShape(t *testing.T) {
-	base := smallBanking()
-	base.Record = false
-	base.TxnsPerWorker = 30
-	base.ThinkIters = 1500
-	levels := []int{1, 4}
-	scheds := []Scheduler{UIPNRBC, DUNFC}
-	out := BankingSweep(base, levels, scheds)
-	if len(out) != len(levels) {
-		t.Fatalf("sweep levels = %d", len(out))
-	}
-	for _, n := range levels {
-		rows := out[n]
-		if len(rows) != len(scheds) {
-			t.Fatalf("accounts=%d: rows = %d", n, len(rows))
-		}
-		for _, r := range rows {
-			if r.Commits+r.Aborts != r.Txns {
-				t.Errorf("accounts=%d %s: %d txns but %d commits + %d aborts",
-					n, r.Scheduler, r.Txns, r.Commits, r.Aborts)
-			}
-		}
-	}
-}
-
 // TestSchedulerStrings pins the display names used in reports.
 func TestSchedulerStrings(t *testing.T) {
 	want := map[Scheduler]string{

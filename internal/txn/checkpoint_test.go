@@ -20,6 +20,7 @@ import (
 	"repro/internal/history"
 	"repro/internal/txn"
 	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 )
 
 func ckptObjID(i int) history.ObjectID {
@@ -29,7 +30,7 @@ func ckptObjID(i int) history.ObjectID {
 func newCkptEngine(t *testing.T, store checkpoint.Store, objects int) *txn.Engine {
 	t.Helper()
 	// A 50µs sync keeps rounds in flight while checkpoints capture.
-	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(50 * time.Microsecond)})
+	log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(50 * time.Microsecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,10 @@ func runCkptWorkers(e *txn.Engine, workers, txns, objects int, seed int64) {
 // engine still verifying and committing afterwards.
 func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 	const objects = 6
-	store := checkpoint.NewMemStore()
+	store, err := checkpoint.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := newCkptEngine(t, store, objects)
 	defer e.Close()
 
@@ -107,7 +111,6 @@ func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 		runCkptWorkers(e, 4, 30, objects, 7)
 	}()
 	var snap *checkpoint.Snapshot
-	var err error
 	for i := 0; i < 3; i++ {
 		snap, err = e.Checkpoint()
 		if err != nil {
@@ -166,7 +169,10 @@ func TestCheckpointFailureModes(t *testing.T) {
 		t.Fatal("checkpoint without a store must fail")
 	}
 
-	store := checkpoint.NewMemStore()
+	store, err := checkpoint.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	e2 := newCkptEngine(t, store, 2)
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)

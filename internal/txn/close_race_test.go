@@ -10,6 +10,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/history"
 	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 )
 
 // TestEngineCloseIsIdempotentAndTyped: Engine.Close is safe to call twice,
@@ -17,7 +18,7 @@ import (
 // failure — with its locks released and the transaction terminated — not
 // an unspecified race outcome.
 func TestEngineCloseIsIdempotentAndTyped(t *testing.T) {
-	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(0)})
+	log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestEngineCloseRacesInFlightTxns(t *testing.T) {
 func engineCloseRacesInFlightTxns(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		// Each sync takes 70µs, so rounds are in flight when Close lands.
-		log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(70 * time.Microsecond)})
+		log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(70 * time.Microsecond)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func TestDurableEngineStartsNoGoroutine(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if e.WAL().Flushes() == 0 {
+	if e.WAL().DurableLSN() == 0 {
 		t.Fatal("the commit ran no flush round")
 	}
 	if after := runtime.NumGoroutine(); after > before {

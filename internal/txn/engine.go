@@ -165,10 +165,11 @@ type Options struct {
 	// purely in memory and log nothing, and each transaction-level commit
 	// record carries the set of committed writers the transaction read from
 	// (see wal.Record.Deps) — restart replays only winners, in dependency
-	// order, with no undo pass (recovery.RestartRedoOnly). The engine
-	// stamps a discipline marker into a fresh log and Register rejects a
-	// log whose marker contradicts this option, so artifacts written under
-	// one discipline can never be silently recovered under the other.
+	// order, with no undo pass. The engine stamps a discipline marker into
+	// a fresh log, from which recovery.RestartAllWithConfig picks the
+	// protocol, and Register rejects a log whose marker contradicts this
+	// option, so artifacts written under one discipline can never be
+	// silently recovered under the other.
 	LogDiscipline string
 	// Checkpoint, when non-nil, enables fuzzy checkpointing through
 	// Engine.Checkpoint. See CheckpointOptions.
@@ -313,7 +314,7 @@ func NewEngine(opts Options) *Engine {
 		sh.relCond = sync.NewCond(&sh.relMu)
 		e.shards[i] = sh
 	}
-	if e.redoOnly() && log.Discipline() == "" && log.Len() == 0 && log.Base() == 0 {
+	if e.redoOnly() && log.Discipline() == "" && log.Records() == 0 && log.Base() == 0 {
 		// Brand the fresh log with the discipline marker as its first record
 		// so restart (and any later engine) detects the discipline from the
 		// log alone. A non-empty unmarked log is NOT branded — it was

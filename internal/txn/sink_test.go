@@ -7,6 +7,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
 	"repro/internal/wal"
+	"repro/internal/wal/waltest"
 )
 
 // backedWAL opens a log over a zero-latency backend, for the
@@ -14,7 +15,7 @@ import (
 // default log (wal.New) is a sink and retains no records.
 func backedWAL(t testing.TB) *wal.Log {
 	t.Helper()
-	log, err := wal.Open(wal.Config{Backend: wal.NewLatencyBackend(0)})
+	log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,10 @@ func checkTransferAllocs(t *testing.T, kind RecoveryKind, pinned float64) {
 // no records to checkpoint against, and Checkpoint says so at once instead
 // of failing late on a marker it cannot find.
 func TestCheckpointRefusesSinkLog(t *testing.T) {
-	store := checkpoint.NewMemStore()
+	store, err := checkpoint.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := NewEngine(Options{Checkpoint: &CheckpointOptions{Store: store}})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()

@@ -8,8 +8,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/history"
 	"repro/internal/spec"
@@ -48,8 +46,9 @@ type Backend interface {
 
 // Replayer is implemented by backends that can hand back the records that
 // survived a previous incarnation (a re-opened segmented backend), each with
-// its encoded size in bytes. Open loads replayed records into the committed
-// region before accepting new appends, and counts their bytes from sizes.
+// its encoded size in bytes. Replay hands the slices over: the backend keeps
+// no reference, and Open adopts them as the committed region before
+// accepting new appends, counting their bytes from sizes.
 type Replayer interface {
 	Replay() (records []Record, sizes []int64)
 }
@@ -75,50 +74,6 @@ type Truncator interface {
 // with EncodedUndo (see adt.UndoTokenCodec and recovery.UndoLog);
 // restart hands the string back to the machine's decoder.
 type EncodedUndo string
-
-// LatencyBackend simulates a storage device with a fixed per-sync latency
-// (an fsync cost model). Overlapping Syncs each take the full delay at the
-// same time, like fsyncs queued on a device that serves them in parallel,
-// so the cost of a commit is its round's sync and not its predecessors'.
-type LatencyBackend struct {
-	delay   time.Duration
-	syncs   atomic.Int64
-	recs    atomic.Int64
-	pending atomic.Int64 // records written and not yet covered by a Sync
-}
-
-// NewLatencyBackend builds a latency-simulating backend.
-func NewLatencyBackend(delay time.Duration) *LatencyBackend {
-	return &LatencyBackend{delay: delay}
-}
-
-// Write implements Backend; the frame is not stored.
-func (b *LatencyBackend) Write(records []Record, _ []byte) error {
-	b.pending.Add(int64(len(records)))
-	return nil
-}
-
-// Sync implements Backend: it covers every record written before the call
-// and takes the configured delay.
-func (b *LatencyBackend) Sync() error {
-	n := b.pending.Swap(0)
-	if b.delay > 0 {
-		time.Sleep(b.delay)
-	}
-	b.syncs.Add(1)
-	b.recs.Add(n)
-	return nil
-}
-
-// Close implements Backend.
-func (b *LatencyBackend) Close() error { return nil }
-
-// Syncs returns the number of Sync calls served.
-func (b *LatencyBackend) Syncs() int64 { return b.syncs.Load() }
-
-// SyncedRecords returns the total records synced (SyncedRecords/Syncs is
-// the mean durable batch size).
-func (b *LatencyBackend) SyncedRecords() int64 { return b.recs.Load() }
 
 // syncDir fsyncs a directory, making a file creation or removal inside it
 // durable.

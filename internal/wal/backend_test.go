@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/history"
@@ -118,8 +117,8 @@ func TestFileBackendRejectsOpaqueUndo(t *testing.T) {
 	if l.IsDurable(tk) || l.DurableLSN() != 0 {
 		t.Fatalf("unencodable batch acknowledged: durable LSN %d", l.DurableLSN())
 	}
-	if n := b.DurableBytes(); n != 0 || b.Syncs() != 0 {
-		t.Fatalf("backend wrote %d bytes in %d syncs of an unencodable batch", n, b.Syncs())
+	if segs := segmentsOf(b); len(segs) != 0 {
+		t.Fatalf("backend created segments %+v for an unencodable batch", segs)
 	}
 }
 
@@ -232,11 +231,11 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rl.Len() != 2 {
-		t.Fatalf("replayed Len = %d, want 2", rl.Len())
+	if rl.Records() != 2 {
+		t.Fatalf("replayed Records = %d, want 2", rl.Records())
 	}
-	if rl.LastLSN("A") != 2 {
-		t.Fatalf("LastLSN(A) = %d, want 2", rl.LastLSN("A"))
+	if lastLSN(rl, "A") != 2 {
+		t.Fatalf("chain head of A = %d, want 2", lastLSN(rl, "A"))
 	}
 	lsn := rl.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(1)})
 	if lsn != 3 {
@@ -251,20 +250,5 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	}
 	if recs := readSegments(t, dir); len(recs) != 3 {
 		t.Fatalf("durable log has %d records, want 3", len(recs))
-	}
-}
-
-// TestLatencyBackendDelays: syncs take at least the configured latency.
-func TestLatencyBackendDelays(t *testing.T) {
-	b := NewLatencyBackend(5 * time.Millisecond)
-	start := time.Now()
-	if err := syncEncoded(b, []Record{{LSN: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 5*time.Millisecond {
-		t.Fatalf("sync returned after %v, want >= 5ms", d)
-	}
-	if b.Syncs() != 1 || b.SyncedRecords() != 1 {
-		t.Fatalf("counters = %d syncs / %d records", b.Syncs(), b.SyncedRecords())
 	}
 }

@@ -65,8 +65,8 @@ func TestAppendBatchAsyncEmptyAndMixed(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed-transaction batch accepted")
 	}
-	if l.Len() != 0 {
-		t.Fatalf("mixed batch staged %d records, want 0", l.Len())
+	if l.Records() != 0 {
+		t.Fatalf("mixed batch staged %d records, want 0", l.Records())
 	}
 }
 
@@ -84,8 +84,8 @@ func TestAppendBatchAsyncClosed(t *testing.T) {
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch on closed log: err = %v, want ErrClosed", err)
 	}
-	if l.Len() != 0 {
-		t.Fatalf("closed log retains %d records, want 0", l.Len())
+	if l.Records() != 0 {
+		t.Fatalf("closed log retains %d records, want 0", l.Records())
 	}
 }
 
@@ -93,7 +93,7 @@ func TestAppendBatchAsyncClosed(t *testing.T) {
 // one AppendBatchAsync of N records costs 1.
 func TestStripeAcquisitionCounting(t *testing.T) {
 	l := backedLog(t, 0)
-	if got := l.StripeAcquisitions(); got != 0 {
+	if got := l.stripeAcqs.Load(); got != 0 {
 		t.Fatalf("fresh log has %d acquisitions", got)
 	}
 	for i := 0; i < 5; i++ {
@@ -101,7 +101,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.StripeAcquisitions(); got != 5 {
+	if got := l.stripeAcqs.Load(); got != 5 {
 		t.Fatalf("after 5 AppendAsync: %d acquisitions, want 5", got)
 	}
 	batch := make([]Record, 5)
@@ -111,7 +111,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 	if _, err := l.AppendBatchAsync(batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.StripeAcquisitions(); got != 6 {
+	if got := l.stripeAcqs.Load(); got != 6 {
 		t.Fatalf("after 5-record batch: %d acquisitions, want 6", got)
 	}
 }
@@ -131,8 +131,8 @@ func TestAppendBatchAsyncConsistentCut(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Flushes() != 1 {
-		t.Fatalf("flushes = %d, want 1", l.Flushes())
+	if l.flushes.Load() != 1 {
+		t.Fatalf("flushes = %d, want 1", l.flushes.Load())
 	}
 	if l.FlushedRecords() != n {
 		t.Fatalf("flushed records = %d, want %d", l.FlushedRecords(), n)

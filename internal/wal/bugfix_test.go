@@ -12,7 +12,6 @@ package wal
 //     on-disk file sizes.
 
 import (
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -116,8 +115,8 @@ func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 	}
 }
 
-// TestBytesMatchesDurableEncoding: the live Bytes() accounting must equal
-// the backend's appended-byte count AND the on-disk size. With one
+// TestBytesMatchesDurableEncoding: the live Stats().Bytes accounting must
+// equal the size of the segment files on disk. With one
 // unbounded segment ("file") truncation has no segment boundary to align
 // to, so it must drop and unlink nothing and leave the accounting as it
 // was; with rotating segments ("segmented") the equality must also hold
@@ -144,7 +143,8 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 	}
 
 	t.Run("file", func(t *testing.T) {
-		fb, err := CreateSegmentedBackend(t.TempDir(), SegmentConfig{})
+		dir := t.TempDir()
+		fb, err := CreateSegmentedBackend(dir, SegmentConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,19 +159,11 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 			}
 		}
 		check := func(stage string) {
-			segs := fb.Segments()
-			if len(segs) != 1 {
+			if segs := segmentsOf(fb); len(segs) != 1 {
 				t.Fatalf("%s: %d segments, want the one unbounded segment", stage, len(segs))
 			}
-			st, err := os.Stat(segs[0].Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := l.Bytes(), fb.DurableBytes(); got != want {
-				t.Fatalf("%s: Bytes()=%d, backend DurableBytes()=%d", stage, got, want)
-			}
-			if got, want := fb.DurableBytes(), st.Size(); got != want {
-				t.Fatalf("%s: backend DurableBytes()=%d, on-disk size=%d", stage, got, want)
+			if got, want := l.Stats().Bytes, segmentFileBytes(t, dir); got != want {
+				t.Fatalf("%s: Stats().Bytes=%d, on-disk size=%d", stage, got, want)
 			}
 		}
 		check("after appends")
@@ -183,7 +175,7 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 		if got := l.Base(); got != 0 {
 			t.Fatalf("base %d after truncating the one unbounded segment, want 0", got)
 		}
-		if got := l.TruncateStats().SegmentsUnlinked; got != 0 {
+		if got := l.Stats().Truncate.SegmentsUnlinked; got != 0 {
 			t.Fatalf("truncation unlinked %d segments of the one unbounded segment", got)
 		}
 		check("after truncation")
@@ -205,38 +197,20 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 				t.Fatal("append failed")
 			}
 		}
-		diskBytes := func() int64 {
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var n int64
-			for _, e := range ents {
-				if _, ok := parseSegName(e.Name()); !ok {
-					continue
-				}
-				info, err := e.Info()
-				if err != nil {
-					t.Fatal(err)
-				}
-				n += info.Size()
-			}
-			return n
-		}
 		check := func(stage string) {
-			if got, want := l.Bytes(), sb.DurableBytes(); got != want {
-				t.Fatalf("%s: Bytes()=%d, backend DurableBytes()=%d", stage, got, want)
-			}
-			if got, want := sb.DurableBytes(), diskBytes(); got != want {
-				t.Fatalf("%s: backend DurableBytes()=%d, on-disk segment bytes=%d", stage, got, want)
+			if got, want := l.Stats().Bytes, segmentFileBytes(t, dir); got != want {
+				t.Fatalf("%s: Stats().Bytes=%d, on-disk segment bytes=%d", stage, got, want)
 			}
 		}
-		if sb.Rotations() == 0 {
+		if segs := segmentsOf(sb); len(segs) < 2 {
 			t.Fatal("workload did not rotate segments; raise the record count")
 		}
 		check("after appends")
 		if _, err := l.TruncateBefore(l.AlignTruncate(13)); err != nil {
 			t.Fatal(err)
+		}
+		if l.Stats().Truncate.SegmentsUnlinked == 0 {
+			t.Fatal("truncation unlinked no segment; lower the truncation point's alignment")
 		}
 		check("after truncation")
 	})

@@ -16,7 +16,7 @@ import (
 func TestClosedLogTypedErrors(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
-		l, err := Open(Config{Backend: NewLatencyBackend(0)})
+		l, err := Open(Config{Backend: &countingBackend{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,8 +35,8 @@ func TestClosedLogTypedErrors(t *testing.T) {
 		if !l.IsDurable(tk) {
 			t.Error("record staged before Close not durable after Close")
 		}
-		if got := l.Len(); got != 1 {
-			t.Fatalf("Len = %d after Close, want 1", got)
+		if got := l.Records(); got != 1 {
+			t.Fatalf("Records = %d after Close, want 1", got)
 		}
 		if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("AppendAsync after Close = %v, want ErrClosed", err)
@@ -47,8 +47,8 @@ func TestClosedLogTypedErrors(t *testing.T) {
 		if lsn := l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); lsn != 0 {
 			t.Fatalf("Append after Close = %d, want the nil LSN", lsn)
 		}
-		if got := l.Len(); got != 1 {
-			t.Fatalf("Len = %d after post-close appends, want 1 (nothing staged)", got)
+		if got := l.Records(); got != 1 {
+			t.Fatalf("Records = %d after post-close appends, want 1 (nothing staged)", got)
 		}
 		if err := l.WaitDurable(tk + 100); !errors.Is(err, ErrClosed) {
 			t.Fatalf("WaitDurable(unreachable) after Close = %v, want ErrClosed", err)
@@ -66,7 +66,7 @@ func TestClosedLogTypedErrors(t *testing.T) {
 // acknowledgements continue while nothing reaches the device.
 func TestDurableWatermark(t *testing.T) {
 	t.Run("advances-per-batch", func(t *testing.T) {
-		b := NewLatencyBackend(0)
+		b := &countingBackend{}
 		l, err := Open(Config{Backend: b})
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestDurableWatermark(t *testing.T) {
 	})
 
 	t.Run("advances-under-simulated-crash", func(t *testing.T) {
-		b := NewLatencyBackend(0)
+		b := &countingBackend{}
 		l, err := Open(Config{
 			Backend:    b,
 			CrashPoint: func(batch int, _ []Record) bool { return true },
@@ -128,7 +128,7 @@ func TestDurableWatermark(t *testing.T) {
 		defer l.Close()
 		tk, _ := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 		l.Flush()
-		if b.Syncs() != 0 {
+		if b.syncs.Load() != 0 {
 			t.Fatal("crashed log reached the backend")
 		}
 		if !l.IsDurable(tk) {
@@ -152,7 +152,7 @@ func (b *syncFailBackend) Close() error                 { return nil }
 // append or flush reports ErrClosed. Run with -race.
 func TestFlushRacingCloseIsTyped(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		l, err := Open(Config{Backend: NewLatencyBackend(0)})
+		l, err := Open(Config{Backend: &countingBackend{}})
 		if err != nil {
 			t.Fatal(err)
 		}

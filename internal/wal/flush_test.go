@@ -14,7 +14,7 @@ import (
 // staged with AppendAsync before the call is sequenced and synced to the
 // backend.
 func TestAsyncFlushIsCommitBarrier(t *testing.T) {
-	b := NewLatencyBackend(0)
+	b := &countingBackend{}
 	l, err := Open(Config{Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -23,18 +23,18 @@ func TestAsyncFlushIsCommitBarrier(t *testing.T) {
 	l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	l.AppendAsync(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
 	l.Flush()
-	if b.SyncedRecords() < 2 {
-		t.Fatalf("after Flush ack only %d records synced, want >= 2", b.SyncedRecords())
+	if b.recs.Load() < 2 {
+		t.Fatalf("after Flush ack only %d records synced, want >= 2", b.recs.Load())
 	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	if l.Records() != 2 {
+		t.Fatalf("Records = %d", l.Records())
 	}
 }
 
 // TestAsyncAppendReturnsLSN: Append — stage, then a barrier — returns the
 // LSN the barrier's round assigned.
 func TestAsyncAppendReturnsLSN(t *testing.T) {
-	l, err := Open(Config{Backend: NewLatencyBackend(0)})
+	l, err := Open(Config{Backend: &countingBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAsyncAppendReturnsLSN(t *testing.T) {
 // TestCloseDrainsStagedRecords: Close sequences and syncs whatever is
 // staged, even a record no barrier ever asked to make durable.
 func TestCloseDrainsStagedRecords(t *testing.T) {
-	b := NewLatencyBackend(0)
+	b := &countingBackend{}
 	l, err := Open(Config{Backend: b})
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestCloseDrainsStagedRecords(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if b.SyncedRecords() != 1 {
-		t.Fatalf("Close left %d records synced, want 1", b.SyncedRecords())
+	if b.recs.Load() != 1 {
+		t.Fatalf("Close left %d records synced, want 1", b.recs.Load())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -70,7 +70,7 @@ func TestCloseDrainsStagedRecords(t *testing.T) {
 // reach the backend, while in-memory sequencing and acknowledgements
 // continue — the simulation contract the crash-injection harness relies on.
 func TestCrashPointDropsTail(t *testing.T) {
-	b := NewLatencyBackend(0)
+	b := &countingBackend{}
 	l, err := Open(Config{
 		Backend:    b,
 		CrashPoint: func(batch int, _ []Record) bool { return batch >= 2 },
@@ -81,13 +81,13 @@ func TestCrashPointDropsTail(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	}
-	if l.Len() != 5 {
-		t.Fatalf("in-memory Len = %d, want 5 (sequencing must continue past the crash)", l.Len())
+	if l.Records() != 5 {
+		t.Fatalf("in-memory Records = %d, want 5 (sequencing must continue past the crash)", l.Records())
 	}
-	if got := b.SyncedRecords(); got != 2 {
+	if got := b.recs.Load(); got != 2 {
 		t.Fatalf("backend saw %d records, want 2 (batches 0 and 1)", got)
 	}
-	if got := b.Syncs(); got != 2 {
+	if got := b.syncs.Load(); got != 2 {
 		t.Fatalf("backend saw %d syncs, want 2", got)
 	}
 }
@@ -145,8 +145,8 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 	if len(b.batches) != 1 {
 		t.Fatalf("backend persisted %d batches, want only the pre-failure prefix", len(b.batches))
 	}
-	if l.Len() != 4 {
-		t.Fatalf("in-memory Len = %d, want 4 (log stays usable)", l.Len())
+	if l.Records() != 4 {
+		t.Fatalf("in-memory Records = %d, want 4 (log stays usable)", l.Records())
 	}
 	if err := l.Close(); err == nil {
 		t.Fatal("Close must surface the sticky sync failure")
@@ -162,7 +162,7 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
-		l, err := Open(Config{Stripes: 4, Backend: NewLatencyBackend(0)})
+		l, err := Open(Config{Stripes: 4, Backend: &countingBackend{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 					t.Fatalf("goroutine %d: LSNs not increasing (%d after %d)", g, r.lsn, prev)
 				}
 				prev = r.lsn
-				rec, ok := l.Get(r.lsn)
+				rec, ok := recordAt(l, r.lsn)
 				if !ok {
 					t.Fatalf("goroutine %d: no record at returned LSN %d", g, r.lsn)
 				}

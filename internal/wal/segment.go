@@ -43,7 +43,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,8 +62,8 @@ const (
 
 // TruncateStats describes the storage cost of backend truncation:
 // SegmentsUnlinked counts whole segment files deleted, and WallNS is the
-// wall-clock spent inside the backend call. Log.TruncateStats accumulates
-// these across a log's lifetime.
+// wall-clock spent inside the backend call. Log.Stats reports their sum
+// across a log's lifetime (Stats.Truncate).
 type TruncateStats struct {
 	SegmentsUnlinked int   `json:"segments_unlinked"`
 	WallNS           int64 `json:"wall_ns"`
@@ -92,8 +91,8 @@ func (c SegmentConfig) maxBytes() int64 {
 	return DefaultSegmentBytes
 }
 
-// SegmentInfo describes one segment file (diagnostics, tests).
-type SegmentInfo struct {
+// segmentInfo describes one segment file.
+type segmentInfo struct {
 	Path     string
 	FirstLSN LSN
 	Bytes    int64
@@ -136,11 +135,13 @@ type SegmentedBackend struct {
 	// sealed are the rotated (read-only) segments, ascending FirstLSN;
 	// active is the open tail segment (nil until the first batch), written
 	// through this handle.
-	sealed []SegmentInfo
+	sealed []segmentInfo
 	active segFile
-	actInf SegmentInfo
+	actInf segmentInfo
+	// replay and sizes are the records a reopen scanned and each one's
+	// encoded size, until Replay hands them over.
 	replay []Record
-	sizes  []int64 // encoded size of each replay record
+	sizes  []int64
 	closed bool
 	// syncFiles are the active segment's file descriptions that no fsync
 	// is using (active among them); syncing counts the fsyncs running
@@ -154,9 +155,6 @@ type SegmentedBackend struct {
 	// a later successful fsync does not prove the earlier pages reached
 	// the disk.
 	err error
-
-	syncs     atomic.Int64
-	rotations atomic.Int64
 }
 
 var (
@@ -213,7 +211,7 @@ func newSegmentedBackend(dir string, cfg SegmentConfig) *SegmentedBackend {
 // written, the active segment, and opens the rest of its sync file
 // descriptions. They exist before the segment's first write, so each
 // reports every write-back error of the segment's pages.
-func (b *SegmentedBackend) activate(f segFile, path string, info SegmentInfo) error {
+func (b *SegmentedBackend) activate(f segFile, path string, info segmentInfo) error {
 	files := append(b.syncFiles[:0], f)
 	for len(files) < segSyncFiles {
 		g, err := b.open(path, os.O_WRONLY)
@@ -238,8 +236,8 @@ func (b *SegmentedBackend) activate(f segFile, path string, info SegmentInfo) er
 // away, and a torn non-final segment is rejected as corruption — a crash
 // of this writer can only tear the tail of the last segment, because a
 // later segment exists only after its predecessors were fsynced complete.
-// The scanned records are available through Replay; new batches append to
-// the final segment.
+// The scanned records are handed over by Replay; new batches append to the
+// final segment.
 func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open segmented backend %s: %w", dir, err)
@@ -248,13 +246,13 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segmented backend %s: %w", dir, err)
 	}
-	var infos []SegmentInfo
+	var infos []segmentInfo
 	for _, e := range ents {
 		first, ok := parseSegName(e.Name())
 		if !ok {
 			continue
 		}
-		infos = append(infos, SegmentInfo{Path: filepath.Join(dir, e.Name()), FirstLSN: first})
+		infos = append(infos, segmentInfo{Path: filepath.Join(dir, e.Name()), FirstLSN: first})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].FirstLSN < infos[j].FirstLSN })
 	for i := 1; i < len(infos); i++ {
@@ -298,8 +296,12 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 			return nil, fmt.Errorf("wal: segment %s: LSN %d out of sequence across segment boundary (want %d)",
 				infos[i].Path, recs[0].LSN, b.replay[len(b.replay)-1].LSN+1)
 		}
-		b.replay = append(b.replay, recs...)
-		b.sizes = append(b.sizes, sizes...)
+		if b.replay == nil {
+			b.replay, b.sizes = recs, sizes
+		} else {
+			b.replay = append(b.replay, recs...)
+			b.sizes = append(b.sizes, sizes...)
+		}
 		if final {
 			// Repair the (only legally tearable) tail and keep the handle
 			// as the active segment.
@@ -311,57 +313,28 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 				f.Close()
 				return nil, fmt.Errorf("wal: seek %s: %w", infos[i].Path, err)
 			}
-			if err := b.activate(f, infos[i].Path, SegmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean}); err != nil {
+			if err := b.activate(f, infos[i].Path, segmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean}); err != nil {
 				f.Close()
 				return nil, err
 			}
 		} else {
 			f.Close()
-			b.sealed = append(b.sealed, SegmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean})
+			b.sealed = append(b.sealed, segmentInfo{Path: infos[i].Path, FirstLSN: infos[i].FirstLSN, Bytes: clean})
 		}
 	}
 	return b, nil
 }
 
-// Dir returns the segment directory.
-func (b *SegmentedBackend) Dir() string { return b.dir }
-
 // Replay implements Replayer: the records that survived the crash, across
 // all segments, in LSN order, with the line length each was scanned from.
-func (b *SegmentedBackend) Replay() ([]Record, []int64) { return b.replay, b.sizes }
-
-// Syncs returns the number of batches fsynced.
-func (b *SegmentedBackend) Syncs() int64 { return b.syncs.Load() }
-
-// DurableBytes returns the exact number of encoded log bytes across every
-// live segment file — the ground truth the Log.Bytes accounting is
-// asserted against.
-func (b *SegmentedBackend) DurableBytes() int64 {
+// The backend hands them over once and keeps no reference (Open adopts
+// them as the log's committed region); a second call returns nil.
+func (b *SegmentedBackend) Replay() ([]Record, []int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var n int64
-	for _, s := range b.sealed {
-		n += s.Bytes
-	}
-	if b.active != nil {
-		n += b.actInf.Bytes
-	}
-	return n
-}
-
-// Rotations returns the number of segment rotations performed since open.
-func (b *SegmentedBackend) Rotations() int64 { return b.rotations.Load() }
-
-// Segments returns a snapshot of the current segment layout, oldest first
-// (the active segment last).
-func (b *SegmentedBackend) Segments() []SegmentInfo {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := append([]SegmentInfo(nil), b.sealed...)
-	if b.active != nil {
-		out = append(out, b.actInf)
-	}
-	return out
+	recs, sizes := b.replay, b.sizes
+	b.replay, b.sizes = nil, nil
+	return recs, sizes
 }
 
 // SegmentStarts implements Segmenter.
@@ -395,7 +368,7 @@ func (b *SegmentedBackend) sealLocked() error {
 	clear(b.syncFiles)
 	b.syncFiles = b.syncFiles[:0]
 	b.sealed = append(b.sealed, b.actInf)
-	b.active, b.actInf = nil, SegmentInfo{}
+	b.active, b.actInf = nil, segmentInfo{}
 	if err != nil {
 		err = fmt.Errorf("wal: seal segment %s: %w", b.sealed[len(b.sealed)-1].Path, err)
 		if b.err == nil {
@@ -415,7 +388,6 @@ func (b *SegmentedBackend) rotateLocked(first LSN) error {
 		if err := b.sealLocked(); err != nil {
 			return err
 		}
-		b.rotations.Add(1)
 	}
 	path := filepath.Join(b.dir, segName(first))
 	f, err := b.open(path, os.O_RDWR|os.O_CREATE|os.O_EXCL)
@@ -427,7 +399,7 @@ func (b *SegmentedBackend) rotateLocked(first LSN) error {
 		os.Remove(path)
 		return fmt.Errorf("wal: create segment %s: directory sync: %w", path, err)
 	}
-	if err := b.activate(f, path, SegmentInfo{Path: path, FirstLSN: first}); err != nil {
+	if err := b.activate(f, path, segmentInfo{Path: path, FirstLSN: first}); err != nil {
 		f.Close()
 		os.Remove(path)
 		return err
@@ -504,7 +476,6 @@ func (b *SegmentedBackend) Sync() error {
 	if err != nil {
 		return err
 	}
-	b.syncs.Add(1)
 	return b.err
 }
 

@@ -61,14 +61,11 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if s != want {
 			t.Fatalf("Stats = %+v, want %+v", s, want)
 		}
-		if n := l.Len(); n != 0 {
-			t.Fatalf("Len = %d, want 0", n)
+		if n := l.Records(); n != 0 {
+			t.Fatalf("Records = %d, want 0", n)
 		}
 		if recs := l.Snapshot(); len(recs) != 0 {
 			t.Fatalf("Snapshot = %v, want empty", recs)
-		}
-		if r, ok := l.Get(1); ok {
-			t.Fatalf("Get(1) = %v, want absent", r)
 		}
 		if chain := l.TxnChain("A"); len(chain) != 0 {
 			t.Fatalf("TxnChain(A) = %v, want empty", chain)

@@ -10,8 +10,12 @@ import (
 )
 
 // TestStatsMatchesAccessors checks that on a quiesced log every Stats
-// field equals its individual accessor — the consolidation changed the
-// read protocol, not the numbers.
+// field equals the accessor that reads it alone — the single sequence
+// point changes the read protocol, not the numbers — and that the fields
+// with no accessor of their own equal the counters behind them: Bytes the
+// encoding of the retained records, Flushes and StripeAcquisitions their
+// atomics, Truncate the backend's truncation cost (none: the counting
+// device cannot truncate).
 func TestStatsMatchesAccessors(t *testing.T) {
 	l := backedLog(t, 0)
 	for i := 0; i < 10; i++ {
@@ -21,23 +25,17 @@ func TestStatsMatchesAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := l.Stats()
-	if s.Flushes != l.Flushes() {
-		t.Errorf("Flushes: %d vs %d", s.Flushes, l.Flushes())
-	}
 	if s.FlushedRecords != l.FlushedRecords() {
 		t.Errorf("FlushedRecords: %d vs %d", s.FlushedRecords, l.FlushedRecords())
-	}
-	if s.StripeAcquisitions != l.StripeAcquisitions() {
-		t.Errorf("StripeAcquisitions: %d vs %d", s.StripeAcquisitions, l.StripeAcquisitions())
 	}
 	if s.DurableLSN != l.DurableLSN() {
 		t.Errorf("DurableLSN: %d vs %d", s.DurableLSN, l.DurableLSN())
 	}
+	if !l.IsDurable(s.DurableTicket) || l.IsDurable(s.DurableTicket+1) {
+		t.Errorf("DurableTicket %d is not the durable frontier", s.DurableTicket)
+	}
 	if s.Records != l.Records() {
 		t.Errorf("Records: %d vs %d", s.Records, l.Records())
-	}
-	if s.Bytes != l.Bytes() {
-		t.Errorf("Bytes: %d vs %d", s.Bytes, l.Bytes())
 	}
 	if s.Base != l.Base() {
 		t.Errorf("Base: %d vs %d", s.Base, l.Base())
@@ -45,11 +43,27 @@ func TestStatsMatchesAccessors(t *testing.T) {
 	if s.Discipline != l.Discipline() {
 		t.Errorf("Discipline: %q vs %q", s.Discipline, l.Discipline())
 	}
-	if s.Truncate != l.TruncateStats() {
-		t.Errorf("Truncate: %+v vs %+v", s.Truncate, l.TruncateStats())
-	}
 	if s.Err != l.Err() {
 		t.Errorf("Err: %v vs %v", s.Err, l.Err())
+	}
+	var encoded []byte
+	for _, r := range l.Snapshot() {
+		var err error
+		if encoded, err = appendRecord(encoded, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Bytes != int64(len(encoded)) {
+		t.Errorf("Bytes: %d, retained records encode to %d", s.Bytes, len(encoded))
+	}
+	if s.Flushes != l.flushes.Load() || s.Flushes != 10 {
+		t.Errorf("Flushes: %d vs %d, want 10 (one per Append)", s.Flushes, l.flushes.Load())
+	}
+	if s.StripeAcquisitions != l.stripeAcqs.Load() || s.StripeAcquisitions != 10 {
+		t.Errorf("StripeAcquisitions: %d vs %d, want 10", s.StripeAcquisitions, l.stripeAcqs.Load())
+	}
+	if s.Truncate != (TruncateStats{}) {
+		t.Errorf("Truncate: %+v, want none", s.Truncate)
 	}
 	if s.Base != 3 || s.Records != 7 {
 		t.Errorf("after TruncateBefore(4): Base=%d Records=%d, want 3 and 7", s.Base, s.Records)
@@ -59,11 +73,12 @@ func TestStatsMatchesAccessors(t *testing.T) {
 // TestStatsCoherentUnderConcurrency is the torn-read proof. On a
 // synchronous log over a zero-latency backend the invariant DurableLSN ==
 // Base + Records holds at every sequence point (every sequenced batch is
-// synced before the flush lock is released, LSNs are never renumbered). Reading Base and Records through the individual accessors
-// while appenders and a truncator run can violate it — each accessor
-// locks separately, so a truncation can land between the two reads.
-// Stats reads all fields under one sequence point, so the invariant
-// must hold in every snapshot it returns.
+// synced before the flush lock is released, LSNs are never renumbered).
+// Reading Base and Records through the individual accessors while
+// appenders and a truncator run can violate it — each accessor locks
+// separately, so a truncation can land between the two reads. Stats reads
+// all fields under one sequence point, so the invariant must hold in every
+// snapshot it returns.
 func TestStatsCoherentUnderConcurrency(t *testing.T) {
 	l := backedLog(t, 0)
 	stop := make(chan struct{})

@@ -21,18 +21,14 @@ func truncRec(txn history.TxnID, obj history.ObjectID, name string) Record {
 }
 
 // TestTruncateBeforeInMemory checks the in-memory bookkeeping: Base
-// advances, Len/Records shrink, Bytes drops, truncated LSNs vanish from
-// Get, retained LSNs keep their numbers, and SuffixLen counts past any
-// point.
+// advances, Records shrinks, Bytes drops, truncated LSNs vanish from the
+// log, and retained LSNs keep their numbers.
 func TestTruncateBeforeInMemory(t *testing.T) {
 	l := backedLog(t, 2)
 	for i := 0; i < 10; i++ {
 		l.Append(truncRec("T1", "x", "op"))
 	}
-	if got := l.SuffixLen(4); got != 6 {
-		t.Fatalf("SuffixLen(4) = %d, want 6", got)
-	}
-	bytesBefore := l.Bytes()
+	bytesBefore := l.Stats().Bytes
 	n, err := l.TruncateBefore(5)
 	if err != nil {
 		t.Fatal(err)
@@ -46,17 +42,14 @@ func TestTruncateBeforeInMemory(t *testing.T) {
 	if got := l.Records(); got != 6 {
 		t.Fatalf("Records = %d, want 6", got)
 	}
-	if got := l.Bytes(); got >= bytesBefore || got <= 0 {
+	if got := l.Stats().Bytes; got >= bytesBefore || got <= 0 {
 		t.Fatalf("Bytes = %d after truncation, want positive and below %d", got, bytesBefore)
 	}
-	if _, ok := l.Get(4); ok {
+	if _, ok := recordAt(l, 4); ok {
 		t.Fatal("truncated LSN 4 still readable")
 	}
-	if r, ok := l.Get(5); !ok || r.LSN != 5 {
+	if r, ok := recordAt(l, 5); !ok || r.LSN != 5 {
 		t.Fatalf("retained LSN 5: ok=%v rec=%+v", ok, r)
-	}
-	if got := l.SuffixLen(0); got != 6 {
-		t.Fatalf("SuffixLen(0) = %d, want 6 (truncated records are gone)", got)
 	}
 	// Idempotent and monotone: truncating at or below the base is a no-op.
 	if n, err := l.TruncateBefore(3); err != nil || n != 0 {
@@ -183,7 +176,7 @@ func TestTruncateClampsToDurableWatermark(t *testing.T) {
 	if got := l.Base(); got != 3 {
 		t.Fatalf("base = %d, want 3: truncation crossed the durable watermark", got)
 	}
-	if r, ok := l.Get(4); !ok || r.Txn != "T2" {
+	if r, ok := recordAt(l, 4); !ok || r.Txn != "T2" {
 		t.Fatalf("first unsynced record lost: ok=%v rec=%+v", ok, r)
 	}
 }

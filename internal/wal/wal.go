@@ -10,7 +10,7 @@
 // An in-memory engine has no device to restart from, and live abort walks
 // each store's own undo chain, so nothing would ever read those records
 // back; Flush, IsDurable and WaitDurable return at once, and the read
-// accessors (Len, Snapshot, Get, TxnChain, ...) see an empty log. Durable
+// accessors (Records, Snapshot, TxnChain, ...) see an empty log. Durable
 // reports which kind a log is. Everything below describes a log with a
 // backend.
 //
@@ -47,8 +47,8 @@
 // staging buffers (the drain holds every stripe lock at once), so a batch
 // boundary — the unit of crash loss — never separates a record from a
 // causally earlier one, and the durable prefix is always a ticket prefix.
-// See backend.go for the Backend contract and the fsync-simulating
-// backend, and segment.go for the durable one. A commit is acknowledged
+// See backend.go for the Backend contract and segment.go for the durable
+// backend; the test devices live in package waltest. A commit is acknowledged
 // only after its round's Sync and every earlier round's have returned, so
 // an acked commit is durable to whatever degree the backend provides.
 //
@@ -353,7 +353,7 @@ type Log struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// Batch diagnostics for the scaling benchmarks.
+	// Batch diagnostics, reported by Stats.
 	flushes atomic.Int64
 	flushed atomic.Int64
 	// stripeAcqs counts staging-stripe lock acquisitions by appenders
@@ -389,8 +389,8 @@ func New() *Log {
 func (l *Log) Durable() bool { return l.backend != nil }
 
 // Open builds a log per cfg. If the backend implements Replayer (a
-// re-opened segmented backend), its surviving records are loaded into the
-// committed region first — LSN continuity and PrevLSN chains are verified —
+// re-opened segmented backend), its surviving records become the committed
+// region first — LSN continuity and PrevLSN chains are verified in place —
 // so new appends continue the durable log and restart can replay it. With
 // no backend the log is a sink (see Config.Backend). Open starts no
 // goroutine: every flush round runs on the goroutine of the barrier, reader
@@ -417,17 +417,18 @@ func Open(cfg Config) (*Log, error) {
 		if len(sizes) != len(recs) {
 			return nil, fmt.Errorf("wal: replay: %d sizes for %d records", len(sizes), len(recs))
 		}
-		for i, r := range recs {
+		if len(recs) > 0 {
 			// A previously truncated log starts past LSN 1: the first
 			// surviving record fixes the base, and continuity is required
 			// from there.
-			if len(l.records) == 0 {
-				if r.LSN == 0 {
-					return nil, fmt.Errorf("wal: replay: record with nil LSN")
-				}
-				l.base = r.LSN - 1
+			if recs[0].LSN == 0 {
+				return nil, fmt.Errorf("wal: replay: record with nil LSN")
 			}
-			if want := l.base + LSN(len(l.records)) + 1; r.LSN != want {
+			l.base = recs[0].LSN - 1
+		}
+		for i := range recs {
+			r := &recs[i]
+			if want := l.base + LSN(i) + 1; r.LSN != want {
 				return nil, fmt.Errorf("wal: replay: LSN %d out of sequence (want %d)", r.LSN, want)
 			}
 			if r.PrevLSN != l.lastOf[r.Txn] {
@@ -438,14 +439,16 @@ func Open(cfg Config) (*Log, error) {
 						r.LSN, r.Txn, r.PrevLSN, l.lastOf[r.Txn])
 				}
 			}
-			l.records = append(l.records, r)
-			l.sizes = append(l.sizes, sizes[i])
 			l.bytes += sizes[i]
 			if r.Kind == DisciplineRec && l.discipline == "" {
 				l.discipline = r.Op.Inv.Args
 			}
 			l.lastOf[r.Txn] = r.LSN
 		}
+		// The replayed slices become the committed region as they are: the
+		// backend hands them over once and keeps no reference, so the
+		// reopened log holds one copy of its records.
+		l.records, l.sizes = recs, sizes
 		// Replayed records came from the durable log; the watermark starts
 		// past them.
 		l.durableLSN = l.base + LSN(len(l.records))
@@ -525,8 +528,9 @@ func (l *Log) stage(r Record) (*stagedRec, error) {
 // AppendAsync stages a record without waiting for its LSN and returns the
 // record's stage ticket. The record is sequenced by the next flush round
 // (led by a committing transaction's group-commit barrier, any reader, or
-// Close). This is the engine's hot path: no log-wide lock. On a closed log nothing is staged and the error wraps ErrClosed. A sink
-// only stamps and counts the record.
+// Close). This is the engine's hot path: no log-wide lock. On a closed log
+// nothing is staged and the error wraps ErrClosed. A sink only stamps and
+// counts the record.
 func (l *Log) AppendAsync(r Record) (Ticket, error) {
 	if l.backend == nil {
 		if l.closing.Load() {
@@ -607,13 +611,6 @@ func (l *Log) sinkDiscipline(r Record) {
 	l.mu.Unlock()
 }
 
-// StripeAcquisitions returns the number of staging-stripe lock
-// acquisitions performed by appenders since Open (a flush round's drain is
-// excluded). Batch staging exists to shrink this number: N records staged
-// through AppendBatchAsync cost one acquisition where N AppendAsync calls
-// cost N.
-func (l *Log) StripeAcquisitions() int64 { return l.stripeAcqs.Load() }
-
 // Append stages a record, flushes, and returns the assigned LSN — the
 // synchronous path, equivalent to a group commit of whatever is staged.
 // The LSN read is safe even when a different goroutine's round sequenced
@@ -623,11 +620,7 @@ func (l *Log) StripeAcquisitions() int64 { return l.stripeAcqs.Load() }
 // LSNs.
 func (l *Log) Append(r Record) LSN {
 	if l.backend == nil {
-		// The record is stamped and counted, or refused by a closed log;
-		// either way there is no LSN to return.
-		if _, err := l.AppendAsync(r); err != nil {
-			return 0
-		}
+		_, _ = l.AppendAsync(r) //lint:ignore walerr a sink assigns no LSN: Append returns 0 whether the record is counted or a closed log refuses it
 		return 0
 	}
 	s, err := l.stage(r)
@@ -695,7 +688,7 @@ func (l *Log) awaitIdle() {
 
 // sequenceStaged guarantees every record staged before the call has been
 // sequenced when it returns, even on a closing log. It is what the read
-// accessors (Get, Snapshot, SegmentBounds, ...) use in place of a bare
+// accessors (Records, Snapshot, SegmentBounds, ...) use in place of a bare
 // Flush: Flush on a closing log returns ErrClosed WITHOUT sequencing, so a
 // reader that discarded the error could serve a view missing records
 // staged just before Close began. On that error the caller joins the
@@ -978,23 +971,25 @@ func (l *Log) Discipline() string {
 	return l.discipline
 }
 
-// Flushes returns the number of non-empty flush batches sequenced so far.
-func (l *Log) Flushes() int64 { return l.flushes.Load() }
-
 // FlushedRecords returns the total records sequenced by flush batches
-// (FlushedRecords/Flushes is the mean group-commit batch size) — on a
-// sink, which sequences nothing, the total records appended.
+// (over Stats().Flushes, the mean group-commit batch size) — on a sink,
+// which sequences nothing, the total records appended.
 func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 
 // Stats is a coherent snapshot of every accounting figure the log
-// exposes. The individual accessors (Flushes, Records, Base, ...) each
+// exposes. The individual accessors (Records, Base, DurableLSN, ...) each
 // take their own lock, so a caller reading several of them can observe
 // torn cross-field states — Records from before a truncation and Base
 // from after it. Stats reads everything under one sequence point.
 //
-// Bytes is the encoded size of the retained records, as Log.Bytes
-// reports it: the bytes handed to the backend, or scanned back from it at
-// Open. A sink retains and encodes nothing, so only its FlushedRecords
+// Flushes counts the non-empty flush rounds sequenced, and
+// StripeAcquisitions the staging-stripe lock acquisitions of appenders (a
+// round's drain excluded; AppendBatchAsync stages N records under one).
+// Bytes is the exact encoded size of the retained records: the frame bytes
+// each batch was handed to the backend as, or scanned back from it at
+// Open, so it equals the segments' size on disk (a batch that failed to
+// encode counts 0). Truncate accumulates the backend's truncation cost
+// since Open. A sink retains and encodes nothing, so only its FlushedRecords
 // (every appended record) and Discipline move; the rest stay 0, the
 // watermark included — IsDurable holds for every ticket of a sink anyway.
 type Stats struct {
@@ -1040,52 +1035,14 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Get returns the record at the LSN, flushing staged records first. A
-// truncated LSN (at or below Base) is absent.
-func (l *Log) Get(lsn LSN) (Record, bool) {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn <= l.base || lsn > l.base+LSN(len(l.records)) {
-		return Record{}, false
-	}
-	return l.records[lsn-l.base-1], true
-}
-
-// LastLSN returns the most recent LSN written for txn (0 if none),
-// flushing staged records first.
-func (l *Log) LastLSN(txn history.TxnID) LSN {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastOf[txn]
-}
-
-// Len returns the number of retained records (truncated records excluded),
-// flushing staged records first.
-func (l *Log) Len() int {
+// Records is the log-size accounting the checkpoint experiments report:
+// the number of retained records (truncated records excluded), flushing
+// staged records first.
+func (l *Log) Records() int {
 	l.sequenceStaged()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.records)
-}
-
-// Records is the log-size accounting the checkpoint experiments report:
-// the number of retained records, flushing staged records first. It equals
-// Len; the pair Records/Bytes names the measurement intent.
-func (l *Log) Records() int { return l.Len() }
-
-// Bytes returns the encoded size of the retained records — the log-length
-// axis of the restart-cost experiment, maintained incrementally so
-// truncation's effect is visible without re-encoding the log. It is exact:
-// the sum of the frame bytes each batch was handed to the backend as (or
-// scanned back from it at Open), so it equals the segments' size on disk.
-// A sink retains nothing and reports 0. Staged records are flushed first.
-func (l *Log) Bytes() int64 {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
 }
 
 // Base returns the truncation base: every record with LSN at or below it
@@ -1096,23 +1053,6 @@ func (l *Log) Base() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base
-}
-
-// SuffixLen returns the number of retained records with LSN strictly
-// greater than lsn — the suffix a checkpoint-seeded restart replays when
-// lsn is the checkpoint frontier. Staged records are flushed first.
-func (l *Log) SuffixLen(lsn LSN) int {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	high := l.base + LSN(len(l.records))
-	if lsn >= high {
-		return 0
-	}
-	if lsn < l.base {
-		lsn = l.base
-	}
-	return int(high - lsn)
 }
 
 // TxnChain returns txn's records newest-first, following PrevLSN — the
@@ -1221,14 +1161,6 @@ func (l *Log) AlignTruncate(lsn LSN) LSN {
 		return tr.AlignTruncate(lsn)
 	}
 	return lsn
-}
-
-// TruncateStats returns the accumulated backend truncation cost across
-// every TruncateBefore since Open: segments unlinked and wall time.
-func (l *Log) TruncateStats() TruncateStats {
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	return l.truncStats
 }
 
 // SegmentBounds returns the first LSN of each durable segment in ascending

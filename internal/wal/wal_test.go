@@ -15,7 +15,7 @@ import (
 // backend is a sink and retains nothing.
 func backedLog(t testing.TB, stripes int) *Log {
 	t.Helper()
-	l, err := Open(Config{Stripes: stripes, Backend: NewLatencyBackend(0)})
+	l, err := Open(Config{Stripes: stripes, Backend: &countingBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 	if a != 1 || b != 2 {
 		t.Fatalf("LSNs = %d, %d", a, b)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	if l.Records() != 2 {
+		t.Fatalf("Records = %d", l.Records())
 	}
 }
 
@@ -52,24 +52,26 @@ func TestTxnChainNewestFirst(t *testing.T) {
 	}
 }
 
+// TestGetAndLastLSN: the LSN Append returns names the record a reader
+// finds in the Snapshot and at the head of the transaction's chain.
 func TestGetAndLastLSN(t *testing.T) {
 	l := backedLog(t, 0)
-	if _, ok := l.Get(1); ok {
-		t.Error("Get on empty log should fail")
+	if _, ok := recordAt(l, 1); ok {
+		t.Error("an empty log holds no record at LSN 1")
 	}
-	if l.LastLSN("A") != 0 {
-		t.Error("LastLSN of unknown txn should be 0")
+	if lastLSN(l, "A") != 0 {
+		t.Error("an unknown txn has no chain")
 	}
 	lsn := l.Append(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
-	r, ok := l.Get(lsn)
+	r, ok := recordAt(l, lsn)
 	if !ok || r.Kind != CommitRec || r.Txn != "A" {
-		t.Fatalf("Get = %v, %v", r, ok)
+		t.Fatalf("record at LSN %d = %v, %v", lsn, r, ok)
 	}
-	if l.LastLSN("A") != lsn {
-		t.Errorf("LastLSN = %d", l.LastLSN("A"))
+	if lastLSN(l, "A") != lsn {
+		t.Errorf("chain head of A = %d, want %d", lastLSN(l, "A"), lsn)
 	}
-	if _, ok := l.Get(0); ok {
-		t.Error("Get(0) must fail (nil LSN)")
+	if _, ok := recordAt(l, 0); ok {
+		t.Error("a record at the nil LSN")
 	}
 }
 
@@ -88,8 +90,8 @@ func TestConcurrentAppends(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if l.Len() != 4*n {
-		t.Fatalf("Len = %d, want %d", l.Len(), 4*n)
+	if l.Records() != 4*n {
+		t.Fatalf("Records = %d, want %d", l.Records(), 4*n)
 	}
 	// LSNs are dense and unique; every chain has n records.
 	seen := make(map[LSN]bool)
@@ -171,7 +173,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 	l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(2)})
 	l.AppendAsync(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
 	l.Flush()
-	if got := l.Flushes(); got != 1 {
+	if got := l.flushes.Load(); got != 1 {
 		t.Fatalf("Flushes = %d, want 1 batch", got)
 	}
 	if got := l.FlushedRecords(); got != 3 {
@@ -180,7 +182,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 	// The batch got one contiguous LSN range.
 	recs := l.Snapshot()
 	if len(recs) != 3 {
-		t.Fatalf("Len = %d", len(recs))
+		t.Fatalf("Records = %d", len(recs))
 	}
 	for i, r := range recs {
 		if r.LSN != LSN(i+1) {
@@ -214,13 +216,13 @@ func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if l.Len() != gs*per {
-		t.Fatalf("Len = %d, want %d", l.Len(), gs*per)
+	if l.Records() != gs*per {
+		t.Fatalf("Records = %d, want %d", l.Records(), gs*per)
 	}
 	// Group commit: each goroutine flushes once, so there are at most gs
 	// non-empty batches for gs*per records (an empty drain is not counted),
 	// and every record is sequenced exactly once.
-	if f := l.Flushes(); f < 1 || f > int64(gs) {
+	if f := l.flushes.Load(); f < 1 || f > int64(gs) {
 		t.Fatalf("flushes = %d, want 1..%d (batching broken)", f, gs)
 	}
 	if l.FlushedRecords() != int64(gs*per) {
