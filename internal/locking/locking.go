@@ -38,25 +38,27 @@ func NewTable(rel commute.Relation) *Table {
 	return &Table{rel: rel, held: make(map[history.TxnID][]spec.Operation)}
 }
 
-// Conflicting returns the transactions (other than self) holding an
-// operation that the requested operation conflicts with, in sorted order.
-// The requested operation is the first argument of the relation, matching
-// the precondition of Section 4: (requested, held) ∈ Conflict blocks.
-func (t *Table) Conflicting(requested spec.Operation, self history.TxnID) []history.TxnID {
-	var out []history.TxnID
+// Conflicting appends to dst the transactions (other than self) holding
+// an operation that the requested operation conflicts with, in sorted
+// order, and returns the extended slice. The requested operation is the
+// first argument of the relation, matching the precondition of Section 4:
+// (requested, held) ∈ Conflict blocks. A caller that reuses one buffer
+// for every request allocates nothing here.
+func (t *Table) Conflicting(dst []history.TxnID, requested spec.Operation, self history.TxnID) []history.TxnID {
+	n := len(dst)
 	for txn, ops := range t.held {
 		if txn == self {
 			continue
 		}
 		for _, held := range ops {
 			if t.rel.Conflicts(requested, held) {
-				out = append(out, txn)
+				dst = append(dst, txn)
 				break
 			}
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Add records that txn now holds op.
@@ -171,9 +173,12 @@ func (d *Detector) stripeOf(t history.TxnID) *detectorStripe {
 	return d.stripes[stripe.FNV32a(string(t))&d.mask]
 }
 
-// AddWaits records that w is blocked on holders (the detector keeps the
-// slice and sorts it in place) and checks for a cycle through w. If one
-// closes, its youngest member is the victim:
+// AddWaits records that w is blocked on holders and checks for a cycle
+// through w. The detector keeps the slice as w's edges, sorting it and
+// inserting into it in place, so it owns holders' backing array until
+// w's ClearWaits: the caller may reuse that array for its next request
+// only after ClearWaits has returned. If a cycle closes, its youngest
+// member is the victim:
 //
 //   - w itself (it is ready to run, not yet asleep): its edges are rolled
 //     back and an *ErrDeadlock naming it is returned;

@@ -19,26 +19,27 @@ func TestTableGrantAndConflict(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("A", adt.DepositOk(5))
 	// Requested withdrawal conflicts with held deposit (asymmetric NRBC).
-	holders := tab.Conflicting(adt.WithdrawOk(3), "B")
+	holders := tab.Conflicting(nil, adt.WithdrawOk(3), "B")
 	if len(holders) != 1 || holders[0] != "A" {
 		t.Fatalf("holders = %v, want [A]", holders)
 	}
 	// Requested deposit does not conflict with a held withdrawal.
 	tab2 := nrbcTable()
 	tab2.Add("A", adt.WithdrawOk(3))
-	if holders := tab2.Conflicting(adt.DepositOk(5), "B"); len(holders) != 0 {
+	if holders := tab2.Conflicting(nil, adt.DepositOk(5), "B"); len(holders) != 0 {
 		t.Fatalf("deposit should not conflict with held withdrawal: %v", holders)
 	}
 }
 
-// TestTableConflictingAllocs pins the cost of a lock request to its
-// result: the uncontended request — the engine's hot path — allocates
-// nothing, and one conflicting holder costs only the returned slice (the
-// sort takes no reflection-built swapper).
+// TestTableConflictingAllocs pins the cost of a lock request: with the
+// caller's buffer reused, as the engine reuses its transaction's, neither
+// the uncontended request — the engine's hot path — nor one conflicting
+// holder allocates (the sort takes no reflection-built swapper).
 func TestTableConflictingAllocs(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("A", adt.WithdrawOk(3))
 	tab.Add("B", adt.DepositOk(1))
+	buf := make([]history.TxnID, 0, 4)
 	for _, c := range []struct {
 		name string
 		req  spec.Operation
@@ -46,10 +47,10 @@ func TestTableConflictingAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"no conflicting holder", adt.DepositOk(5), 0, 0},
-		{"one conflicting holder", adt.WithdrawOk(5), 1, 1},
+		{"one conflicting holder", adt.WithdrawOk(5), 1, 0},
 	} {
 		allocs := testing.AllocsPerRun(100, func() {
-			if got := tab.Conflicting(c.req, "C"); len(got) != c.want {
+			if got := tab.Conflicting(buf[:0], c.req, "C"); len(got) != c.want {
 				t.Fatalf("%s: holders %v", c.name, got)
 			}
 		})
@@ -62,7 +63,7 @@ func TestTableConflictingAllocs(t *testing.T) {
 func TestTableSelfConflictIgnored(t *testing.T) {
 	tab := nrbcTable()
 	tab.Add("A", adt.DepositOk(5))
-	if holders := tab.Conflicting(adt.WithdrawOk(3), "A"); len(holders) != 0 {
+	if holders := tab.Conflicting(nil, adt.WithdrawOk(3), "A"); len(holders) != 0 {
 		t.Fatalf("a transaction never conflicts with itself: %v", holders)
 	}
 }
@@ -75,7 +76,7 @@ func TestTableRelease(t *testing.T) {
 		t.Fatalf("held before release: %v", ops)
 	}
 	tab.Release("A")
-	if holders := tab.Conflicting(adt.WithdrawOk(3), "B"); len(holders) != 0 {
+	if holders := tab.Conflicting(nil, adt.WithdrawOk(3), "B"); len(holders) != 0 {
 		t.Fatalf("after release no conflicts: %v", holders)
 	}
 	if tab.held["A"] != nil {
@@ -96,7 +97,7 @@ func TestTableMultipleConflictingHolders(t *testing.T) {
 	tab := NewTable(adt.DefaultBankAccount().NFC())
 	tab.Add("A", adt.WithdrawOk(1))
 	tab.Add("B", adt.WithdrawOk(2))
-	holders := tab.Conflicting(adt.WithdrawOk(3), "C")
+	holders := tab.Conflicting(nil, adt.WithdrawOk(3), "C")
 	if len(holders) != 2 || holders[0] != "A" || holders[1] != "B" {
 		t.Fatalf("holders = %v, want [A B]", holders)
 	}
@@ -278,14 +279,14 @@ func TestAsymmetricRelationNoFalseDeadlock(t *testing.T) {
 	d := NewDetector()
 	tab.Add("A", adt.DepositOk(5))
 	tab.Add("B", adt.DepositOk(5))
-	hA := tab.Conflicting(adt.WithdrawOk(1), "A") // A requests, B holds dep
+	hA := tab.Conflicting(nil, adt.WithdrawOk(1), "A") // A requests, B holds dep
 	if len(hA) != 1 || hA[0] != "B" {
 		t.Fatalf("A's withdrawal should conflict with B's deposit: %v", hA)
 	}
 	if err := addWaits(d, "A", hA); err != nil {
 		t.Fatal(err)
 	}
-	hB := tab.Conflicting(adt.WithdrawOk(1), "B")
+	hB := tab.Conflicting(nil, adt.WithdrawOk(1), "B")
 	if err := addWaits(d, "B", hB); err == nil {
 		t.Fatal("expected deadlock: mutual withdraw-after-deposit")
 	}

@@ -596,17 +596,17 @@ func TestCrashMidAbortCompensation(t *testing.T) {
 		log := createLog(t, walDir, 0, nil)
 		u := recovery.NewUndoLog("X", crashMachine(), log)
 		// A committed funder, so the loser's undo runs against real state.
-		if _, err := u.Apply("W", adt.Deposit(3)); err != nil {
+		if _, err := recovery.PeekApply(u, "W", adt.Deposit(3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := u.Commit("W"); err != nil {
 			t.Fatal(err)
 		}
 		log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: "W"})
-		if _, err := u.Apply("L", adt.Deposit(5)); err != nil {
+		if _, err := recovery.PeekApply(u, "L", adt.Deposit(5)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := u.Apply("L", adt.Withdraw(2)); err != nil {
+		if _, err := recovery.PeekApply(u, "L", adt.Withdraw(2)); err != nil {
 			t.Fatal(err)
 		}
 		log.Flush()

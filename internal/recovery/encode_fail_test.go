@@ -35,7 +35,7 @@ func TestApplyEncodeFailureIsAtomic(t *testing.T) {
 	m := badCodecMachine{Machine: adt.DefaultRegister().Machine()}
 	log := backedLog(t)
 	u := NewUndoLog("R", m, log)
-	if _, err := u.Apply("A", adt.WriteReg("1")); !errors.Is(err, errNoEncode) {
+	if _, err := PeekApply(u, "A", adt.WriteReg("1")); !errors.Is(err, errNoEncode) {
 		t.Fatalf("Apply = %v, want the encode failure", err)
 	}
 	if got := u.CommittedValue().Encode(); got != m.Init().Encode() {

@@ -15,6 +15,13 @@
 //     are computed against base-plus-own-intentions, commit applies the
 //     list to the base in commit order, and abort simply discards it.
 //
+// Locking is result-dependent, so the engine must know an operation's
+// response before it can check the lock. Each store therefore splits an
+// operation into Peek, which runs the type's machine once against the
+// transaction's view and returns the response with the next state as a
+// Step, and Apply, which installs that Step once the lock is granted —
+// one machine step per operation, however the store records it.
+//
 // The correspondence validated by tests and used by the engine:
 // UndoLog realizes the UIP view function and requires an NRBC-containing
 // conflict relation (Theorem 9); Intentions realizes DU and requires an
@@ -34,15 +41,23 @@ import (
 
 // Store is the per-object recovery interface the transaction engine drives.
 // Stores are not synchronized; the engine serializes access per object.
+//
+// An operation runs the machine once. Peek computes the response and the
+// next state against the recovery state txn sees and returns them as a
+// Step; the engine checks the lock against Step.Res and, if it is
+// granted, hands the same Step to Apply, which installs it. A Step is
+// valid only under the object latch it was peeked under and only until
+// the store next changes: the engine applies it before releasing the
+// latch, and peeks again after every wait.
 type Store interface {
-	// Peek computes the response inv would receive for txn in the current
-	// recovery state without applying it. It returns adt.ErrNotEnabled for
+	// Peek computes the step inv takes for txn in the current recovery
+	// state without applying it. It returns adt.ErrNotEnabled for
 	// partial invocations with no legal response.
-	Peek(txn history.TxnID, inv spec.Invocation) (spec.Response, error)
-	// Apply executes inv for txn, recording whatever the recovery
-	// discipline needs to commit or abort it later. The returned response
-	// equals what Peek would have returned at the same instant.
-	Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, error)
+	Peek(txn history.TxnID, inv spec.Invocation) (Step, error)
+	// Apply installs step, which Peek returned for txn under the same
+	// latch hold, recording whatever the recovery discipline needs to
+	// commit or abort it later. On error the store is unchanged.
+	Apply(txn history.TxnID, step Step) error
 	// Commit makes txn's effects permanent.
 	Commit(txn history.TxnID) error
 	// Abort erases txn's effects.
@@ -54,27 +69,34 @@ type Store interface {
 	CommittedValue() adt.Value
 }
 
+// Step is one operation as Peek computed it: the response, and — for
+// Apply alone — the invocation and the state the machine moved to.
+type Step struct {
+	Res  spec.Response
+	inv  spec.Invocation
+	next adt.Value
+}
+
 // BatchCommitter is implemented by stores whose per-object commit
 // processing splits into a staging half and an infallible in-memory half,
 // letting the engine's sharded commit pipeline stage many objects' commit
 // records under one WAL stripe acquisition (wal.Log.AppendBatchAsync)
 // before discharging any of them. The contract mirrors Commit's ordering
-// discipline exactly: the caller stages every record AppendCommitRecords
-// appends, then — and only then — calls CommitStaged, so a staging
-// failure leaves the store untouched and the transaction still cleanly
-// abortable. A store that does not implement the interface (the
+// discipline exactly: the caller stages the record CommitRecord returns,
+// then — and only then — calls CommitStaged, so a staging failure leaves
+// the store untouched and the transaction still cleanly abortable. A store that does not implement the interface (the
 // deferred-update intentions store, whose commit applies the intent list
 // and can fail) is committed through plain Commit instead.
 type BatchCommitter interface {
-	// AppendCommitRecords appends the records Commit would stage for txn
-	// to dst and returns the extended slice (dst itself when the
-	// discipline stages nothing per object, as under REDO-only logging).
-	// It must not read or write any state guarded by the object latch —
-	// the pipeline calls it before latching.
-	AppendCommitRecords(dst []wal.Record, txn history.TxnID) []wal.Record
+	// CommitRecord returns the per-object record Commit would stage for
+	// txn, and false when the discipline stages none (REDO-only
+	// logging). It returns the record by value, so the caller's batch
+	// buffer can live on its stack. It must not read or write any state
+	// guarded by the object latch — the pipeline calls it before
+	// latching.
+	CommitRecord(txn history.TxnID) (wal.Record, bool)
 	// CommitStaged makes txn's effects permanent, assuming the caller
-	// already staged every record AppendCommitRecords appended. It cannot
-	// fail.
+	// already staged the record CommitRecord returned. It cannot fail.
 	CommitStaged(txn history.TxnID)
 }
 
@@ -145,23 +167,26 @@ func NewRedoOnlyLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog 
 	return u
 }
 
-// Peek implements Store: the response is computed against the single
-// current state (the UIP view).
-func (u *UndoLog) Peek(txn history.TxnID, inv spec.Invocation) (spec.Response, error) {
-	res, _, err := u.machine.Apply(u.current, inv)
-	return res, err
+// Peek implements Store: the step is computed against the single current
+// state (the UIP view).
+func (u *UndoLog) Peek(txn history.TxnID, inv spec.Invocation) (Step, error) {
+	res, next, err := u.machine.Apply(u.current, inv)
+	if err != nil {
+		return Step{}, err
+	}
+	return Step{Res: res, inv: inv, next: next}, nil
 }
 
-// Apply implements Store: update in place and log the undo record. The
+// Apply implements Store: log the undo record and update in place. The
 // in-memory chain keeps the raw before-image token (live abort needs no
 // round trip); the staged WAL record carries the token in its durable
 // EncodedUndo form when the machine provides a codec, so the same record
 // stream works against in-memory and durable backends alike, and Restart
 // decodes uniformly.
-func (u *UndoLog) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, error) {
+func (u *UndoLog) Apply(txn history.TxnID, step Step) error {
 	var before any
 	if bi, ok := u.machine.(adt.BeforeImageUndoer); ok {
-		before = bi.CaptureBefore(u.current, inv)
+		before = bi.CaptureBefore(u.current, step.inv)
 	}
 	// Encode before mutating anything: an encode failure must leave the
 	// state, the undo chain, and the log untouched, or a later commit or
@@ -180,31 +205,27 @@ func (u *UndoLog) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, 
 			if c, ok := u.machine.(adt.UndoTokenCodec); ok {
 				s, err := c.EncodeUndoToken(before)
 				if err != nil {
-					return "", fmt.Errorf("recovery: encoding undo token for %s: %w", inv, err)
+					return fmt.Errorf("recovery: encoding undo token for %s: %w", step.inv, err)
 				}
 				logged = wal.EncodedUndo(s)
 			}
 		}
 	}
-	res, next, err := u.machine.Apply(u.current, inv)
-	if err != nil {
-		return "", err
-	}
-	op := spec.Op(inv, res)
+	op := spec.Op(step.inv, step.Res)
 	// Stage before mutating: a closed log (a commit racing Engine.Close)
 	// must leave the state and the undo chain untouched, so the caller sees
 	// a typed failure with nothing half-applied.
 	if _, err := u.log.AppendAsync(wal.Record{Kind: kind, Txn: txn, Obj: u.obj, Op: op, Undo: logged}); err != nil {
-		return "", fmt.Errorf("recovery: logging %s: %w", op, err)
+		return fmt.Errorf("recovery: logging %s: %w", op, err)
 	}
-	u.current = next
+	u.current = step.next
 	recs, ok := u.chain[txn]
 	if !ok {
 		recs, u.spare = u.spare, nil
 	}
 	u.chain[txn] = append(recs, undoRec{op: op, before: before})
 	u.stats.Applies++
-	return res, nil
+	return nil
 }
 
 // Commit implements Store: update-in-place commits are cheap — drop the
@@ -231,16 +252,16 @@ func (u *UndoLog) Commit(txn history.TxnID) error {
 	return nil
 }
 
-// AppendCommitRecords implements BatchCommitter: it appends the
-// per-object commit record Commit would stage (nothing under the REDO-only
-// discipline, which stages no per-object commit record at all). It reads
-// only immutable fields, so the engine's pipeline may call it without the
+// CommitRecord implements BatchCommitter: it returns the per-object
+// commit record Commit would stage (none under the REDO-only discipline,
+// which stages no per-object commit record at all). It reads only
+// immutable fields, so the engine's pipeline may call it without the
 // object latch.
-func (u *UndoLog) AppendCommitRecords(dst []wal.Record, txn history.TxnID) []wal.Record {
+func (u *UndoLog) CommitRecord(txn history.TxnID) (wal.Record, bool) {
 	if u.redoOnly {
-		return dst
+		return wal.Record{}, false
 	}
-	return append(dst, wal.Record{Kind: wal.CommitRec, Txn: txn, Obj: u.obj})
+	return wal.Record{Kind: wal.CommitRec, Txn: txn, Obj: u.obj}, true
 }
 
 // CommitStaged implements BatchCommitter: the in-memory half of Commit —
@@ -365,7 +386,12 @@ type Intentions struct {
 	base    adt.Value
 	baseVer uint64
 	intents map[history.TxnID]*intentList
-	stats   Stats
+	// spare is a discharged transaction's intentions list, its ops
+	// cleared and its cache dropped, which the next transaction to start
+	// a list takes over. Like intents, it is touched only under the
+	// object latch.
+	spare *intentList
+	stats Stats
 }
 
 type intentList struct {
@@ -415,43 +441,44 @@ func (n *Intentions) workspace(txn history.TxnID) (adt.Value, error) {
 	return v, nil
 }
 
-// Peek implements Store: the response is computed against base plus the
+// Peek implements Store: the step is computed against base plus the
 // transaction's own intentions (the DU view).
-func (n *Intentions) Peek(txn history.TxnID, inv spec.Invocation) (spec.Response, error) {
+func (n *Intentions) Peek(txn history.TxnID, inv spec.Invocation) (Step, error) {
 	w, err := n.workspace(txn)
 	if err != nil {
-		return "", err
-	}
-	res, _, err := n.machine.Apply(w, inv)
-	return res, err
-}
-
-// Apply implements Store: append to the intentions list.
-func (n *Intentions) Apply(txn history.TxnID, inv spec.Invocation) (spec.Response, error) {
-	w, err := n.workspace(txn)
-	if err != nil {
-		return "", err
+		return Step{}, err
 	}
 	res, next, err := n.machine.Apply(w, inv)
 	if err != nil {
-		return "", err
+		return Step{}, err
 	}
+	return Step{Res: res, inv: inv, next: next}, nil
+}
+
+// Apply implements Store: append to the intentions list, whose workspace
+// is now the state the step moved to.
+func (n *Intentions) Apply(txn history.TxnID, step Step) error {
 	il := n.intents[txn]
 	if il == nil {
-		il = &intentList{}
+		il, n.spare = n.spare, nil
+		if il == nil {
+			il = &intentList{}
+		}
 		n.intents[txn] = il
 	}
-	il.ops = append(il.ops, spec.Op(inv, res))
-	il.cache = next
+	il.ops = append(il.ops, spec.Op(step.inv, step.Res))
+	il.cache = step.next
 	il.cacheVer = n.baseVer
 	il.cacheLen = len(il.ops)
 	n.stats.Applies++
-	return res, nil
+	return nil
 }
 
 // Commit implements Store: apply the intentions list to the base copy.
 // Commit order is the order of Commit calls, which the engine serializes
-// per object — exactly the DU view's Commit-order.
+// per object — exactly the DU view's Commit-order. The list is replayed
+// against the base, not taken from the workspace cache: applying intents
+// at commit is the deferred-update cost the paper's model charges.
 func (n *Intentions) Commit(txn history.TxnID) error {
 	il := n.intents[txn]
 	if il != nil {
@@ -470,15 +497,28 @@ func (n *Intentions) Commit(txn history.TxnID) error {
 		n.base = v
 		n.baseVer++
 	}
-	delete(n.intents, txn)
+	n.discharge(txn, il)
 	return nil
 }
 
 // Abort implements Store: discard the intentions list — deferred-update
 // aborts are free.
 func (n *Intentions) Abort(txn history.TxnID) error {
-	delete(n.intents, txn)
+	n.discharge(txn, n.intents[txn])
 	return nil
+}
+
+// discharge drops txn's intentions list il (nil if it has none) and keeps
+// it, its ops cleared and its cache dropped, as the spare the next list
+// reuses, unless the spare has more room.
+func (n *Intentions) discharge(txn history.TxnID, il *intentList) {
+	delete(n.intents, txn)
+	if il == nil || (n.spare != nil && cap(n.spare.ops) >= cap(il.ops)) {
+		return
+	}
+	clear(il.ops)
+	*il = intentList{ops: il.ops[:0]}
+	n.spare = il
 }
 
 // CommittedValue implements Store: the base copy, always meaningful.

@@ -20,7 +20,7 @@ func newIntentBA() *Intentions {
 
 func TestUndoLogBasicCommit(t *testing.T) {
 	u := newUndoBA()
-	res, err := u.Apply("A", adt.Deposit(5))
+	res, err := PeekApply(u, "A", adt.Deposit(5))
 	if err != nil || res != "ok" {
 		t.Fatalf("apply: %v %v", res, err)
 	}
@@ -36,7 +36,7 @@ func TestUndoLogAbortUndoesInReverse(t *testing.T) {
 	u := newUndoBA()
 	mustApply := func(txn history.TxnID, inv spec.Invocation) {
 		t.Helper()
-		if _, err := u.Apply(txn, inv); err != nil {
+		if _, err := PeekApply(u, txn, inv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,10 +57,10 @@ func TestUndoLogAbortUndoesInReverse(t *testing.T) {
 // undoing A's deposit must not clobber B's concurrent deposit.
 func TestUndoLogConcurrentUpdatersAbort(t *testing.T) {
 	u := newUndoBA()
-	if _, err := u.Apply("A", adt.Deposit(5)); err != nil {
+	if _, err := PeekApply(u, "A", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Apply("B", adt.Deposit(3)); err != nil {
+	if _, err := PeekApply(u, "B", adt.Deposit(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Abort("A"); err != nil {
@@ -78,19 +78,19 @@ func TestUndoLogConcurrentUpdatersAbort(t *testing.T) {
 // update-in-place semantics.
 func TestUndoLogUIPVisibility(t *testing.T) {
 	u := newUndoBA()
-	if _, err := u.Apply("A", adt.Deposit(5)); err != nil {
+	if _, err := PeekApply(u, "A", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Peek("B", adt.Withdraw(3))
-	if err != nil || res != "ok" {
-		t.Fatalf("B should see A's uncommitted deposit: %v %v", res, err)
+	step, err := u.Peek("B", adt.Withdraw(3))
+	if err != nil || step.Res != "ok" {
+		t.Fatalf("B should see A's uncommitted deposit: %v %v", step.Res, err)
 	}
 }
 
 func TestUndoLogWALRecords(t *testing.T) {
 	log := backedLog(t)
 	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
-	if _, err := u.Apply("A", adt.Deposit(5)); err != nil {
+	if _, err := PeekApply(u, "A", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Abort("A"); err != nil {
@@ -109,13 +109,13 @@ func TestUndoLogBeforeImageMachine(t *testing.T) {
 	// The KV machine needs before-image undo; the undo log must capture and
 	// use it.
 	u := NewUndoLog("KV", adt.DefaultKVStore().Machine(), wal.New())
-	if _, err := u.Apply("A", adt.Put("x", "1")); err != nil {
+	if _, err := PeekApply(u, "A", adt.Put("x", "1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Apply("B", adt.Put("x", "2")); err != nil {
+	if _, err := PeekApply(u, "B", adt.Put("x", "2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Abort("B"); err != nil {
@@ -140,7 +140,7 @@ func TestUndoLogSpareHoldsNoTokens(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"x", "y", "z"} {
-		if _, err := u.Apply("A", adt.Put(k, "1")); err != nil {
+		if _, err := PeekApply(u, "A", adt.Put(k, "1")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestUndoLogSpareHoldsNoTokens(t *testing.T) {
 	checkSpare("commit")
 	committed := u.CommittedValue().Encode()
 	for _, k := range []string{"x", "y"} {
-		if _, err := u.Apply("B", adt.Put(k, "2")); err != nil {
+		if _, err := PeekApply(u, "B", adt.Put(k, "2")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,33 +169,83 @@ func TestUndoLogSpareHoldsNoTokens(t *testing.T) {
 	}
 }
 
-func TestIntentionsDUVisibility(t *testing.T) {
-	n := newIntentBA()
-	if _, err := n.Apply("A", adt.Deposit(5)); err != nil {
-		t.Fatal(err)
+// TestIntentionsSpareHoldsNoOps: a discharged intentions list is kept for
+// the next transaction's reuse, its ops cleared and its workspace cache
+// dropped first, so nothing it held stays reachable — after a commit and
+// after an abort alike.
+func TestIntentionsSpareHoldsNoOps(t *testing.T) {
+	n := NewIntentions("KV", adt.DefaultKVStore().Machine())
+	checkSpare := func(after string) {
+		t.Helper()
+		if n.spare == nil {
+			t.Fatalf("after %s: no spare list", after)
+		}
+		if n.spare.cache != nil || len(n.spare.ops) != 0 {
+			t.Fatalf("after %s: spare holds cache %v and %d ops", after, n.spare.cache, len(n.spare.ops))
+		}
+		for i, op := range n.spare.ops[:cap(n.spare.ops)] {
+			if op != (spec.Operation{}) {
+				t.Fatalf("after %s: spare op %d still holds %v", after, i, op)
+			}
+		}
 	}
-	// B does not see A's uncommitted deposit.
-	res, err := n.Peek("B", adt.Withdraw(3))
-	if err != nil || res != "no" {
-		t.Fatalf("B should see the committed balance 0: %v %v", res, err)
-	}
-	// A sees its own intentions.
-	res, err = n.Peek("A", adt.Withdraw(3))
-	if err != nil || res != "ok" {
-		t.Fatalf("A should see its own deposit: %v %v", res, err)
+	for _, k := range []string{"x", "y", "z"} {
+		if _, err := PeekApply(n, "A", adt.Put(k, "1")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := n.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = n.Peek("B", adt.Withdraw(3))
-	if err != nil || res != "ok" {
-		t.Fatalf("after commit B sees the deposit: %v %v", res, err)
+	if cap(n.spare.ops) < 3 {
+		t.Fatalf("spare cap %d after a three-op list, want at least 3", cap(n.spare.ops))
+	}
+	checkSpare("commit")
+	committed := n.CommittedValue().Encode()
+	for _, k := range []string{"x", "y"} {
+		if _, err := PeekApply(n, "B", adt.Put(k, "2")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n.spare != nil {
+		t.Fatal("B's list did not take over the spare")
+	}
+	if err := n.Abort("B"); err != nil {
+		t.Fatal(err)
+	}
+	checkSpare("abort")
+	if got := n.CommittedValue().Encode(); got != committed {
+		t.Fatalf("base after B's abort = %s, want %s", got, committed)
+	}
+}
+
+func TestIntentionsDUVisibility(t *testing.T) {
+	n := newIntentBA()
+	if _, err := PeekApply(n, "A", adt.Deposit(5)); err != nil {
+		t.Fatal(err)
+	}
+	// B does not see A's uncommitted deposit.
+	step, err := n.Peek("B", adt.Withdraw(3))
+	if err != nil || step.Res != "no" {
+		t.Fatalf("B should see the committed balance 0: %v %v", step.Res, err)
+	}
+	// A sees its own intentions.
+	step, err = n.Peek("A", adt.Withdraw(3))
+	if err != nil || step.Res != "ok" {
+		t.Fatalf("A should see its own deposit: %v %v", step.Res, err)
+	}
+	if err := n.Commit("A"); err != nil {
+		t.Fatal(err)
+	}
+	step, err = n.Peek("B", adt.Withdraw(3))
+	if err != nil || step.Res != "ok" {
+		t.Fatalf("after commit B sees the deposit: %v %v", step.Res, err)
 	}
 }
 
 func TestIntentionsAbortIsFree(t *testing.T) {
 	n := newIntentBA()
-	if _, err := n.Apply("A", adt.Deposit(5)); err != nil {
+	if _, err := PeekApply(n, "A", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Abort("A"); err != nil {
@@ -215,10 +265,10 @@ func TestIntentionsCommitOrder(t *testing.T) {
 	// under NFC, so a real engine would never interleave these; the store
 	// itself is order-agnostic and follows Commit calls.
 	n := NewIntentions("Q", adt.DefaultFIFOQueue().Machine())
-	if _, err := n.Apply("A", adt.Enq("a")); err != nil {
+	if _, err := PeekApply(n, "A", adt.Enq("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Apply("B", adt.Enq("b")); err != nil {
+	if _, err := PeekApply(n, "B", adt.Enq("b")); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Commit("B"); err != nil {
@@ -234,19 +284,19 @@ func TestIntentionsCommitOrder(t *testing.T) {
 
 func TestIntentionsWorkspaceRefreshAfterBaseMove(t *testing.T) {
 	n := newIntentBA()
-	if _, err := n.Apply("A", adt.Deposit(2)); err != nil {
+	if _, err := PeekApply(n, "A", adt.Deposit(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Apply("B", adt.Deposit(5)); err != nil {
+	if _, err := PeekApply(n, "B", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Commit("B"); err != nil {
 		t.Fatal(err)
 	}
 	// A's workspace is now base(5) + own deposit(2) = 7.
-	res, err := n.Peek("A", adt.Balance())
-	if err != nil || res != "7" {
-		t.Fatalf("A's balance = %v %v, want 7", res, err)
+	step, err := n.Peek("A", adt.Balance())
+	if err != nil || step.Res != "7" {
+		t.Fatalf("A's balance = %v %v, want 7", step.Res, err)
 	}
 	if n.Stats().Replays == 0 {
 		t.Error("expected replay work after base movement")
@@ -255,7 +305,7 @@ func TestIntentionsWorkspaceRefreshAfterBaseMove(t *testing.T) {
 
 func TestIntentionsPartialInvocation(t *testing.T) {
 	n := NewIntentions("P", adt.ResourcePool{Resources: []int{1}}.Machine())
-	if _, err := n.Apply("A", adt.Alloc()); err != nil {
+	if _, err := PeekApply(n, "A", adt.Alloc()); err != nil {
 		t.Fatal(err)
 	}
 	// A's workspace is empty; alloc is not enabled for A.
@@ -265,15 +315,15 @@ func TestIntentionsPartialInvocation(t *testing.T) {
 	// B's workspace is the base (still full): alloc picks resource 1 —
 	// and would conflict under NFC, which the engine enforces, not the
 	// store.
-	res, err := n.Peek("B", adt.Alloc())
-	if err != nil || res != "1" {
-		t.Fatalf("B's alloc = %v %v", res, err)
+	step, err := n.Peek("B", adt.Alloc())
+	if err != nil || step.Res != "1" {
+		t.Fatalf("B's alloc = %v %v", step.Res, err)
 	}
 }
 
 func TestUndoLogPartialInvocation(t *testing.T) {
 	u := NewUndoLog("P", adt.ResourcePool{Resources: []int{1}}.Machine(), wal.New())
-	if _, err := u.Apply("A", adt.Alloc()); err != nil {
+	if _, err := PeekApply(u, "A", adt.Alloc()); err != nil {
 		t.Fatal(err)
 	}
 	// Update-in-place: the pool is empty for everyone.
@@ -283,8 +333,8 @@ func TestUndoLogPartialInvocation(t *testing.T) {
 	if err := u.Abort("A"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := u.Peek("B", adt.Alloc())
-	if err != nil || res != "1" {
-		t.Fatalf("after abort the resource is back: %v %v", res, err)
+	step, err := u.Peek("B", adt.Alloc())
+	if err != nil || step.Res != "1" {
+		t.Fatalf("after abort the resource is back: %v %v", step.Res, err)
 	}
 }

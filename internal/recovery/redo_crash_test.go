@@ -181,10 +181,10 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 	src := recovery.NewRedoOnlyLog("xfer00", crashMachine(), log)
 	dst := recovery.NewRedoOnlyLog("xfer01", crashMachine(), log)
-	if _, err := src.Apply("T", adt.Withdraw(2)); err != nil {
+	if _, err := recovery.PeekApply(src, "T", adt.Withdraw(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Apply("T", adt.Deposit(2)); err != nil {
+	if _, err := recovery.PeekApply(dst, "T", adt.Deposit(2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Commit("T"); err != nil {
@@ -225,7 +225,7 @@ func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 	defer log.Close()
 	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
 	u := recovery.NewRedoOnlyLog("X", crashMachine(), log)
-	if _, err := u.Apply("T2", adt.Deposit(5)); err != nil {
+	if _, err := recovery.PeekApply(u, "T2", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Commit("T2"); err != nil {

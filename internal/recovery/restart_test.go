@@ -258,7 +258,7 @@ func TestRestartMultiObjectLog(t *testing.T) {
 
 func mustApplyR(t *testing.T, u *UndoLog, txn history.TxnID, inv spec.Invocation) {
 	t.Helper()
-	if _, err := u.Apply(txn, inv); err != nil {
+	if _, err := PeekApply(u, txn, inv); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -308,7 +308,7 @@ func BenchmarkRestart(b *testing.B) {
 			for i := 0; i < txns; i++ {
 				txn := history.TxnID(fmt.Sprintf("T%05d", i))
 				u := stores[i%objects]
-				if _, err := u.Apply(txn, adt.Deposit(1)); err != nil {
+				if _, err := PeekApply(u, txn, adt.Deposit(1)); err != nil {
 					b.Fatal(err)
 				}
 				if err := u.Commit(txn); err != nil {

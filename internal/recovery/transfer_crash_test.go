@@ -149,10 +149,10 @@ func TestTransferCommitSplitDeterministic(t *testing.T) {
 	log := createLog(t, walDir, 0, nil)
 	src := recovery.NewUndoLog("xfer00", crashMachine(), log)
 	dst := recovery.NewUndoLog("xfer01", crashMachine(), log)
-	if _, err := src.Apply("T", adt.Withdraw(2)); err != nil {
+	if _, err := recovery.PeekApply(src, "T", adt.Withdraw(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.Apply("T", adt.Deposit(2)); err != nil {
+	if _, err := recovery.PeekApply(dst, "T", adt.Deposit(2)); err != nil {
 		t.Fatal(err)
 	}
 	// The per-object commit sweep completed at both participants...

@@ -16,11 +16,14 @@ import (
 )
 
 // Invoke executes one operation on an object, blocking while conflicting
-// locks are held. A waits-for cycle aborts its youngest member (latest
-// Begin), so the oldest transaction in a deadlock survives. If that is
-// this transaction — whether its own request closed the cycle or another
-// requester's did while it waited — it is fully aborted and an error
-// wrapping both *locking.ErrDeadlock and ErrAborted is returned. On
+// locks are held. Under the object latch it runs the type's machine once:
+// the store's Peek yields the response and next state, the lock is checked
+// against that response (locking is result-dependent), and the store's
+// Apply installs the same step. A waits-for cycle aborts its youngest
+// member (latest Begin), so the oldest transaction in a deadlock survives.
+// If that is this transaction — whether its own request closed the cycle
+// or another requester's did while it waited — it is fully aborted and an
+// error wrapping both *locking.ErrDeadlock and ErrAborted is returned. On
 // adt.ErrNotEnabled (partial invocation) the transaction stays active and
 // the caller may retry, invoke something else, or abort.
 func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, error) {
@@ -41,7 +44,11 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 	var waitStart time.Time
 	var waitHolder history.TxnID
 	for {
-		res, err := mo.store.Peek(t.id, inv)
+		// One machine step: Peek computes the response the lock is
+		// checked against, and Apply installs that same step. The step is
+		// valid only under this latch hold, so every pass of the loop —
+		// after each wait — peeks afresh.
+		step, err := mo.store.Peek(t.id, inv)
 		if err != nil {
 			mo.mu.Unlock()
 			if errors.Is(err, adt.ErrNotEnabled) {
@@ -53,17 +60,17 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 			}
 			return "", fmt.Errorf("txn %s: peek %s on %s: %w", t.id, inv, obj, err)
 		}
+		res := step.Res
 		op := spec.Op(inv, res)
-		holders := mo.table.Conflicting(op, t.id)
+		// The conflict list is appended into the Txn's own buffer. The
+		// detector keeps it as this transaction's edges until ClearWaits,
+		// which every path back to this line runs first (and a wound drops
+		// the edges), so the buffer is never rewritten while it is shared.
+		holders := mo.table.Conflicting(t.conflictBuf[:0], op, t.id)
 		if len(holders) == 0 {
-			applied, err := mo.store.Apply(t.id, inv)
-			if err != nil {
+			if err := mo.store.Apply(t.id, step); err != nil {
 				mo.mu.Unlock()
 				return "", fmt.Errorf("txn %s: apply %s on %s: %w", t.id, inv, obj, err)
-			}
-			if applied != res {
-				mo.mu.Unlock()
-				return "", fmt.Errorf("txn %s: response changed under latch: %q vs %q", t.id, res, applied)
 			}
 			mo.table.Add(t.id, op)
 			t.touch(mo)

@@ -107,9 +107,11 @@ func (t *Txn) Commit() error {
 		if o != nil {
 			stage0 = time.Now()
 		}
-		// One record buffer serves every shard's batch: AppendBatchAsync
-		// copies what it stages.
-		recs := make([]wal.Record, 0, len(objs))
+		// One record buffer serves every shard's batch. It lives on the
+		// stack: AppendBatchAsync copies what it stages, and records
+		// reach it by value.
+		var recBuf [4]wal.Record
+		recs := recBuf[:0]
 		for _, g := range groups {
 			recs = recs[:0]
 			for _, obj := range g.objs {
@@ -120,7 +122,9 @@ func (t *Txn) Commit() error {
 						fmt.Errorf("txn %s: commit: object %q vanished", t.id, obj))
 				}
 				if bc, ok := mo.store.(recovery.BatchCommitter); ok {
-					recs = bc.AppendCommitRecords(recs, t.id)
+					if r, ok := bc.CommitRecord(t.id); ok {
+						recs = append(recs, r)
+					}
 				}
 			}
 			if _, err := e.log.AppendBatchAsync(recs); err != nil {

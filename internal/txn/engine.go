@@ -480,6 +480,10 @@ type Txn struct {
 	// The two never both run, so they share sortBuf.
 	sortBuf  [4]history.ObjectID
 	groupBuf [4]commitGroup
+	// conflictBuf backs the conflict list of Invoke's lock requests. The
+	// deadlock detector holds it as the transaction's edges while it
+	// waits (see Invoke).
+	conflictBuf [4]history.TxnID
 	// wroteWAL marks that some touched object stages records into the
 	// shared log, so Commit/Abort must flush the group-commit batch.
 	wroteWAL bool

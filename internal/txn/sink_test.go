@@ -1,11 +1,13 @@
 package txn
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
+	"repro/internal/spec"
 	"repro/internal/wal"
 	"repro/internal/wal/waltest"
 )
@@ -81,13 +83,13 @@ func TestInMemoryEngineKeepsNoLogHistory(t *testing.T) {
 // undo-logged two-object transfer: Begin, two Invokes, Commit. The count
 // is the same with and without -race.
 func TestInMemoryTransferAllocs(t *testing.T) {
-	checkTransferAllocs(t, UndoLogRecovery, 7)
+	checkTransferAllocs(t, UndoLogRecovery, 4)
 }
 
 // TestInMemoryTransferAllocsDU is TestInMemoryTransferAllocs's
 // deferred-update twin: intentions lists under NFC locking.
 func TestInMemoryTransferAllocsDU(t *testing.T) {
-	checkTransferAllocs(t, IntentionsRecovery, 12)
+	checkTransferAllocs(t, IntentionsRecovery, 6)
 }
 
 func checkTransferAllocs(t *testing.T, kind RecoveryKind, pinned float64) {
@@ -121,5 +123,59 @@ func TestCheckpointRefusesSinkLog(t *testing.T) {
 	}
 	if got := e.WAL().FlushedRecords(); got != 0 {
 		t.Fatalf("refused checkpoint appended %d records", got)
+	}
+}
+
+// countingMachine counts the machine steps the engine runs.
+type countingMachine struct {
+	adt.Machine
+	applies *int
+}
+
+func (m countingMachine) Apply(v adt.Value, inv spec.Invocation) (spec.Response, adt.Value, error) {
+	*m.applies++
+	return m.Machine.Apply(v, inv)
+}
+
+// countingAccount is a bank account whose runtime machine counts its
+// steps.
+type countingAccount struct {
+	adt.BankAccount
+	applies *int
+}
+
+func (a countingAccount) Machine() adt.Machine {
+	return countingMachine{Machine: a.BankAccount.Machine(), applies: a.applies}
+}
+
+// TestInvokeRunsMachineOnce: an uncontended Invoke runs the object's
+// machine exactly once — the store's Peek computes the step the lock is
+// checked against, and Apply installs that step without running it again.
+func TestInvokeRunsMachineOnce(t *testing.T) {
+	for _, kind := range []RecoveryKind{UndoLogRecovery, IntentionsRecovery} {
+		t.Run(fmt.Sprint(kind), func(t *testing.T) {
+			var applies int
+			ba := countingAccount{BankAccount: adt.DefaultBankAccount(), applies: &applies}
+			rel := ba.NRBC()
+			if kind == IntentionsRecovery {
+				rel = ba.NFC()
+			}
+			e := NewEngine(Options{})
+			defer e.Close()
+			e.MustRegister("A", ba, rel, kind)
+			tx := e.Begin()
+			for i, inv := range []spec.Invocation{deposit1, withdraw1, adt.Balance()} {
+				before := applies
+				if _, err := tx.Invoke("A", inv); err != nil {
+					t.Fatal(err)
+				}
+				if got := applies - before; got != 1 {
+					t.Fatalf("Invoke %d (%s) ran the machine %d times, want 1", i, inv, got)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
