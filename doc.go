@@ -22,9 +22,9 @@
 // records events into its own buffer stamped from one global atomic
 // sequence, and Engine.History() merges the buffers back into the single
 // totally ordered history the checkers replay. The write-ahead log is
-// group-committed in overlapping rounds: updates stage into
-// per-transaction-stripe buffers; a round drains every stripe under a
-// consistent cut, assigns the batch a contiguous LSN range and writes it
+// group-committed in overlapping rounds: updates stage into one queue in
+// ticket order; a round takes the whole queue (a consistent cut by
+// construction), assigns it a contiguous LSN range and writes it
 // to a pluggable durability backend — fsync-simulating, or the segmented
 // files (wal.SegmentedBackend) that recovery.RestartAllWithConfig replays
 // after a crash — then syncs it outside the flush lock, so the next round
@@ -58,7 +58,7 @@
 //
 // Txn.Commit's phase-2 sweep is itself sharded: participants are
 // grouped per registry shard, each shard's per-object commit records are
-// staged through one WAL stripe acquisition (wal.Log.AppendBatchAsync —
+// staged under one WAL staging-queue acquisition (wal.Log.AppendBatchAsync —
 // sound outside the checkpoint gate because restart decides by the
 // transaction-level winner set, never by per-object commit records
 // alone), the gate is held only for the discharge-to-TxnCommitRec

@@ -108,31 +108,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge combines two snapshots (e.g. the same phase across engines)
-// into a new snapshot; the receivers are unchanged.
-func (s HistogramSnapshot) Merge(t HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Count: s.Count + t.Count, Sum: s.Sum + t.Sum}
-	i, j := 0, 0
-	for i < len(s.Buckets) || j < len(t.Buckets) {
-		switch {
-		case j >= len(t.Buckets) || (i < len(s.Buckets) && s.Buckets[i].UpperBound < t.Buckets[j].UpperBound):
-			out.Buckets = append(out.Buckets, s.Buckets[i])
-			i++
-		case i >= len(s.Buckets) || t.Buckets[j].UpperBound < s.Buckets[i].UpperBound:
-			out.Buckets = append(out.Buckets, t.Buckets[j])
-			j++
-		default:
-			out.Buckets = append(out.Buckets, BucketCount{
-				UpperBound: s.Buckets[i].UpperBound,
-				Count:      s.Buckets[i].Count + t.Buckets[j].Count,
-			})
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of the recorded values (0 when
 // empty).
 func (s HistogramSnapshot) Mean() float64 {

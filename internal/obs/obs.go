@@ -58,7 +58,7 @@ type Observer struct {
 
 	// Per-transaction phase histograms (nanoseconds).
 	LockWait    Histogram // time blocked waiting for a conflicting lock
-	WALStage    Histogram // staging commit records into WAL stripes
+	WALStage    Histogram // staging commit records into the WAL's staging queue
 	BarrierWait Histogram // the commit flush barrier (wait for or lead a round, through its sync)
 	StallWait   Histogram // barrier waits of dependency-stalled commits
 	CommitHold  Histogram // lock hold inside Commit (mirrors CommitHoldNS)

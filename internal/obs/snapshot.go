@@ -1,11 +1,5 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
 // Snapshot is the unified introspection view: everything the engine can
 // say about itself — configuration labels, lifecycle counters, WAL
 // accounting, checkpoint state, phase histograms, trace statistics, and
@@ -64,8 +58,10 @@ type EngineCounters struct {
 // converts). All fields are read under the log's single sequence point,
 // so no cross-field tearing.
 type WALStats struct {
-	Flushes            int64  `json:"flushes"`
-	FlushedRecords     int64  `json:"flushed_records"`
+	Flushes        int64 `json:"flushes"`
+	FlushedRecords int64 `json:"flushed_records"`
+	// StripeAcquisitions counts staging-queue lock acquisitions by
+	// appenders (the name predates the single queue).
 	StripeAcquisitions int64  `json:"stripe_acquisitions"`
 	DurableLSN         uint64 `json:"durable_lsn"`
 	Records            int    `json:"records"`
@@ -95,82 +91,4 @@ type TraceStats struct {
 	Events  int   `json:"events"`
 	Dropped int64 `json:"dropped"`
 	Kinds   int   `json:"kinds"`
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// WriteText writes the snapshot in an expvar-style flat text form: one
-// "dotted.path value" line per scalar, histograms as
-// "count mean p50<= p99<=" summaries. The line set is fixed and
-// explicitly ordered — no map iteration feeds output.
-func (s Snapshot) WriteText(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	if s.Discipline != "" {
-		p("engine.discipline %s\n", s.Discipline)
-	}
-	p("engine.shards %d\n", s.Shards)
-	p("engine.begins %d\n", s.Engine.Begins)
-	p("engine.commits %d\n", s.Engine.Commits)
-	p("engine.aborts %d\n", s.Engine.Aborts)
-	p("engine.deadlocks %d\n", s.Engine.Deadlocks)
-	p("engine.operations %d\n", s.Engine.Operations)
-	p("engine.blocked %d\n", s.Engine.Blocked)
-	p("engine.block_events %d\n", s.Engine.BlockEvents)
-	p("engine.not_enabled %d\n", s.Engine.NotEnabled)
-	p("engine.durability_failures %d\n", s.Engine.DurabilityFailures)
-	p("engine.dependency_stalls %d\n", s.Engine.DependencyStalls)
-	p("engine.durability_aborts %d\n", s.Engine.DurabilityAborts)
-	p("engine.commit_hold_ns %d\n", s.Engine.CommitHoldNS)
-	p("engine.mean_commit_hold_ns %.0f\n", s.Engine.MeanCommitHoldNS)
-	p("engine.registry_lock_acqs %d\n", s.Engine.RegistryLockAcqs)
-	p("wal.flushes %d\n", s.WAL.Flushes)
-	p("wal.flushed_records %d\n", s.WAL.FlushedRecords)
-	p("wal.stripe_acquisitions %d\n", s.WAL.StripeAcquisitions)
-	p("wal.durable_lsn %d\n", s.WAL.DurableLSN)
-	p("wal.records %d\n", s.WAL.Records)
-	p("wal.bytes %d\n", s.WAL.Bytes)
-	p("wal.base %d\n", s.WAL.Base)
-	if s.WAL.Discipline != "" {
-		p("wal.discipline %s\n", s.WAL.Discipline)
-	}
-	p("wal.trunc_bytes_rewritten %d\n", s.WAL.TruncBytesRewritten)
-	p("wal.trunc_segments_unlinked %d\n", s.WAL.TruncSegmentsUnlinked)
-	if s.WAL.Err != "" {
-		p("wal.err %s\n", s.WAL.Err)
-	}
-	p("checkpoint.completed %d\n", s.Checkpoint.Completed)
-	p("checkpoint.truncated_records %d\n", s.Checkpoint.TruncatedRecords)
-	if ph := s.Phases; ph != nil {
-		hist := func(name string, h HistogramSnapshot) {
-			p("phase.%s count=%d mean=%.0f p50<=%d p99<=%d\n",
-				name, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99))
-		}
-		hist("lock_wait_ns", ph.LockWait)
-		hist("wal_stage_ns", ph.WALStage)
-		hist("barrier_wait_ns", ph.BarrierWait)
-		hist("stall_wait_ns", ph.StallWait)
-		hist("commit_hold_ns", ph.CommitHold)
-		hist("txn_e2e_ns", ph.TxnE2E)
-		hist("flush_batch_records", ph.FlushBatch)
-		hist("flush_sync_ns", ph.FlushSync)
-		hist("ckpt_capture_ns", ph.CkptCapture)
-		hist("ckpt_save_ns", ph.CkptSave)
-	}
-	if t := s.Trace; t != nil {
-		p("trace.sampled_txns %d\n", t.Sampled)
-		p("trace.events %d\n", t.Events)
-		p("trace.dropped %d\n", t.Dropped)
-		p("trace.kinds %d\n", t.Kinds)
-	}
-	return err
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // DefaultTraceMaxEvents bounds the tracer's memory when no explicit cap
 // is configured: at ~8 events per sampled transaction this retains on
@@ -134,23 +130,6 @@ func (t *Tracer) KindCounts() map[string]int {
 	return kinds
 }
 
-// chromeTrace is the file-level envelope the trace viewers load.
-type chromeTrace struct {
-	TraceEvents     []TraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-}
-
-// WriteJSON writes the collected events as a Chrome trace-event JSON
-// document.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	events := t.Events()
-	if events == nil {
-		events = []TraceEvent{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
 // TxnTrace accumulates one sampled transaction's events. It is owned by
 // the transaction's goroutine (the engine's single-goroutine-per-txn
 // contract) until Finish publishes the batch. All methods are nil-safe:
@@ -160,9 +139,6 @@ type TxnTrace struct {
 	tid    int64
 	events []TraceEvent
 }
-
-// Sampled reports whether events will actually be retained.
-func (tt *TxnTrace) Sampled() bool { return tt != nil }
 
 // Instant records a point event at tsNS (nanoseconds since the
 // observer's epoch).

@@ -1,7 +1,7 @@
 // Package stripe holds the small helpers every striped structure in the
 // engine shares: the string hash that picks a stripe, the power-of-two
 // rounding that sizes the stripe array, and the common stripe-count cap.
-// Centralizing them keeps the txn registry, the WAL staging buffers, and
+// Centralizing them keeps the txn registry, the restart worker count, and
 // the deadlock detector partitioning identically instead of drifting apart
 // copy by copy.
 package stripe

@@ -89,7 +89,7 @@ func (t *Txn) Commit() error {
 		}
 	}
 	// Staging phase: every shard's per-object commit records are staged
-	// up front — one WAL stripe acquisition per shard through the batch
+	// up front — one WAL staging-queue acquisition per shard through the batch
 	// accessor — outside the checkpoint gate. Staging
 	// discharges nothing: a fuzzy capture interleaving here still sees
 	// every undo chain intact (the transaction is captured as in-flight),

@@ -326,9 +326,6 @@ func NewEngine(opts Options) *Engine {
 	return e
 }
 
-// Shards returns the number of registry shards (a power of two).
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // WAL returns the engine's shared write-ahead log (used by undo-log
 // objects; inspectable in tests).
 func (e *Engine) WAL() *wal.Log { return e.log }

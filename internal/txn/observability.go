@@ -31,9 +31,6 @@ func (t *Txn) obsEnd(outcome string) {
 	}
 }
 
-// Observer returns the engine's observability hub (nil when disabled).
-func (e *Engine) Observer() *obs.Observer { return e.obsv }
-
 // ObsSnapshot assembles the unified introspection snapshot: engine
 // configuration labels, every lifecycle counter, the WAL's coherent
 // accounting (one wal.Log.Stats sequence point — no torn cross-field

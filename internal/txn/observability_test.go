@@ -6,7 +6,6 @@ package txn
 // in — carries every section and loads back as JSON.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -164,18 +163,8 @@ func TestObsSnapshotDurableRestart(t *testing.T) {
 	if snap.Trace.Kinds < 5 {
 		t.Errorf("trace has %d event kinds, want >= 5", snap.Trace.Kinds)
 	}
-	var tbuf bytes.Buffer
-	if err := o.Trace().WriteJSON(&tbuf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(tbuf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace JSON does not load: %v", err)
-	}
-	if len(doc.TraceEvents) != snap.Trace.Events {
-		t.Errorf("trace JSON has %d events, snapshot says %d", len(doc.TraceEvents), snap.Trace.Events)
+	if n := len(o.Trace().Events()); n != snap.Trace.Events {
+		t.Errorf("tracer holds %d events, snapshot says %d", n, snap.Trace.Events)
 	}
 
 	// Crash-restart the durable artifacts and fold the restart stats in.
@@ -202,12 +191,12 @@ func TestObsSnapshotDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.Restart = stats
-	var jbuf bytes.Buffer
-	if err := snap.WriteJSON(&jbuf); err != nil {
+	jbuf, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back map[string]json.RawMessage
-	if err := json.Unmarshal(jbuf.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(jbuf, &back); err != nil {
 		t.Fatalf("snapshot JSON does not load: %v", err)
 	}
 	var restart struct {

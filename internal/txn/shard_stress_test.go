@@ -21,11 +21,11 @@ import (
 func TestShardNormalization(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 9: 16, 300: 256}
 	for in, want := range cases {
-		if got := NewEngine(Options{Shards: in}).Shards(); got != want {
+		if got := len(NewEngine(Options{Shards: in}).shards); got != want {
 			t.Errorf("Shards(%d) = %d, want %d", in, got, want)
 		}
 	}
-	if got := NewEngine(Options{}).Shards(); got < 1 || got&(got-1) != 0 {
+	if got := len(NewEngine(Options{}).shards); got < 1 || got&(got-1) != 0 {
 		t.Errorf("default shard count %d not a positive power of two", got)
 	}
 }
@@ -36,8 +36,8 @@ func TestShardNormalization(t *testing.T) {
 func TestShardedRegistryPlacement(t *testing.T) {
 	ba := adt.DefaultBankAccount()
 	e := NewEngine(Options{RecordHistory: true, Shards: 16})
-	if e.Shards() != 16 {
-		t.Fatalf("Shards = %d", e.Shards())
+	if len(e.shards) != 16 {
+		t.Fatalf("shards = %d", len(e.shards))
 	}
 	for i := 0; i < 32; i++ {
 		id := history.ObjectID(string(rune('A'+i%26)) + string(rune('0'+i/26)))

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/adt"
+	"repro/internal/history"
 )
 
 // TestAppendBatchAsyncStampsAndOrder: a batch staged in one call carries
 // consecutive stamps, the returned ticket is the last record's stamp, and
 // sequencing preserves the in-batch order.
 func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	pre, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -51,29 +52,53 @@ func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
 }
 
 // TestAppendBatchAsyncEmptyAndMixed: an empty batch is a no-op returning
-// the zero ticket; a mixed-transaction batch stages nothing and errors.
+// the zero ticket; a batch mixing transactions is staged in order, and each
+// record chains to its own transaction's previous record.
 func TestAppendBatchAsyncEmptyAndMixed(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	tk, err := l.AppendBatchAsync(nil)
 	if err != nil || tk != 0 {
 		t.Fatalf("empty batch = %d, %v; want 0, nil", tk, err)
 	}
-	_, err = l.AppendBatchAsync([]Record{
+	if _, err := l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tk, err = l.AppendBatchAsync([]Record{
 		{Kind: CommitRec, Txn: "A", Obj: "X"},
 		{Kind: CommitRec, Txn: "B", Obj: "Y"},
+		{Kind: CommitRec, Txn: "A", Obj: "Z"},
 	})
-	if err == nil {
-		t.Fatal("mixed-transaction batch accepted")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.Records() != 0 {
-		t.Fatalf("mixed batch staged %d records, want 0", l.Records())
+	if tk != 4 {
+		t.Fatalf("mixed batch ticket = %d, want 4", tk)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		txn  history.TxnID
+		obj  history.ObjectID
+		prev LSN
+	}{{"B", "Y", 0}, {"A", "X", 0}, {"B", "Y", 1}, {"A", "Z", 2}}
+	recs := l.Snapshot()
+	if len(recs) != len(want) {
+		t.Fatalf("log has %d records, want %d", len(recs), len(want))
+	}
+	for i, w := range want {
+		r := recs[i]
+		if r.LSN != LSN(i+1) || r.Txn != w.txn || r.Obj != w.obj || r.PrevLSN != w.prev {
+			t.Fatalf("record %d = LSN %d %s/%s prev %d; want LSN %d %s/%s prev %d",
+				i, r.LSN, r.Txn, r.Obj, r.PrevLSN, i+1, w.txn, w.obj, w.prev)
+		}
 	}
 }
 
 // TestAppendBatchAsyncClosed: a batch racing Close is rejected whole with
 // ErrClosed — never a partial stage.
 func TestAppendBatchAsyncClosed(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +114,11 @@ func TestAppendBatchAsyncClosed(t *testing.T) {
 	}
 }
 
-// TestStripeAcquisitionCounting: N AppendAsync calls cost N acquisitions,
-// one AppendBatchAsync of N records costs 1.
+// TestStripeAcquisitionCounting: N AppendAsync calls cost N staging-queue
+// lock acquisitions, one AppendBatchAsync of N records costs 1.
 func TestStripeAcquisitionCounting(t *testing.T) {
-	l := backedLog(t, 0)
-	if got := l.stripeAcqs.Load(); got != 0 {
+	l := backedLog(t)
+	if got := l.stageAcqs.Load(); got != 0 {
 		t.Fatalf("fresh log has %d acquisitions", got)
 	}
 	for i := 0; i < 5; i++ {
@@ -101,7 +126,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.stripeAcqs.Load(); got != 5 {
+	if got := l.stageAcqs.Load(); got != 5 {
 		t.Fatalf("after 5 AppendAsync: %d acquisitions, want 5", got)
 	}
 	batch := make([]Record, 5)
@@ -111,7 +136,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 	if _, err := l.AppendBatchAsync(batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.stripeAcqs.Load(); got != 6 {
+	if got := l.stageAcqs.Load(); got != 6 {
 		t.Fatalf("after 5-record batch: %d acquisitions, want 6", got)
 	}
 }
@@ -119,7 +144,7 @@ func TestStripeAcquisitionCounting(t *testing.T) {
 // TestAppendBatchAsyncConsistentCut: records staged in one batch call are
 // never split across flush batches — a flush drain sees all or none.
 func TestAppendBatchAsyncConsistentCut(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	const n = 8
 	batch := make([]Record, n)
 	for i := range batch {

@@ -25,7 +25,7 @@ import (
 // rather than sleeping on a watermark nothing will ever advance. Before
 // the fix this test timed out (the barrier hung forever).
 func TestWaitDurableSyncSelfSequences(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	defer l.Close()
 	tk, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	if err != nil {

@@ -33,9 +33,8 @@ func segFlushRound(tb testing.TB, dir string, n int) (*Log, func()) {
 }
 
 // TestSegmentedFlushAllocsPerBatch pins the steady-state flush to no
-// per-record allocation: a 50-record batch costs what a 5-record batch
-// does — the staged batch's one slice — because the frame, the flat record
-// copy and the drained batch reuse the log's flush buffers.
+// allocation at all: staging copies the batch into the staging queue, and
+// the queue, its spare and the frame are the log's reused flush buffers.
 func TestSegmentedFlushAllocsPerBatch(t *testing.T) {
 	allocs := func(n int) float64 {
 		l, round := segFlushRound(t, t.TempDir(), n)
@@ -47,8 +46,37 @@ func TestSegmentedFlushAllocsPerBatch(t *testing.T) {
 		return testing.AllocsPerRun(50, round)
 	}
 	a5, a50 := allocs(5), allocs(50)
-	if a5 > 1 || a50 != a5 {
-		t.Fatalf("allocs per flush round: %v for 5 records, %v for 50; want the same, at most 1", a5, a50)
+	if a5 > 0 || a50 != a5 {
+		t.Fatalf("allocs per flush round: %v for 5 records, %v for 50; want 0", a5, a50)
+	}
+}
+
+// TestStageFlushAllocFree pins the staging path of a durable log: n
+// AppendAsync calls, one AppendBatchAsync and the Flush that sequences
+// them allocate nothing once the log's buffers are sized.
+func TestStageFlushAllocFree(t *testing.T) {
+	l := backedLog(t)
+	defer l.Close()
+	const n = 4
+	rec := benchRecord()
+	batch := []Record{benchRecord(), benchRecord(), benchRecord()}
+	round := func() {
+		for i := 0; i < n; i++ {
+			if _, err := l.AppendAsync(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.AppendBatchAsync(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // sizes the staging queue, its spare and the frame
+	round()
+	if a := testing.AllocsPerRun(100, round); a != 0 {
+		t.Fatalf("allocs per stage-and-flush round of %d records: %v, want 0", n+len(batch), a)
 	}
 }
 

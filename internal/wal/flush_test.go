@@ -153,16 +153,15 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 	}
 }
 
-// TestAppendLSNVisibleAcrossFlushers pins the publication contract of
-// stagedRec.lsn: an Append's returned LSN is the record's true assignment
+// TestAppendLSNVisibleAcrossFlushers: an Append's returned LSN (the log's
+// LSN at Open plus the record's ticket) is the record's true assignment
 // even when a different goroutine's barrier (a concurrent committer)
-// performed the sequencing. Run under -race this is the regression test
-// for the documented happens-before edge (the round's completion under the
-// record lock).
+// performed the sequencing. Run under -race it also checks that the
+// returned record is read back race-free through Snapshot.
 func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
-		l, err := Open(Config{Stripes: 4, Backend: &countingBackend{}})
+		l, err := Open(Config{Backend: &countingBackend{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -184,6 +184,26 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	if len(snap) == 0 || snap[0].LSN != base+1 || snap[len(snap)-1].LSN != n {
 		t.Fatalf("reopened suffix spans %v, want %d..%d", snap, base+1, n)
 	}
+	// Appends continue the sequence past the truncated prefix: a record's
+	// LSN is the reopened log's LSN (n, not the n-base records it holds)
+	// plus its ticket.
+	if lsn := l2.Append(segRec("T2", "y", "op")); lsn != n+1 {
+		t.Fatalf("append after truncated reopen assigned LSN %d, want %d", lsn, n+1)
+	}
+	tk, err := l2.AppendBatchAsync([]Record{segRec("T3", "z", "op"), segRec("T2", "y", "op")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.WaitDurable(tk); err != nil {
+		t.Fatal(err)
+	}
+	if tk != 3 {
+		t.Fatalf("batch ticket = %d, want 3", tk)
+	}
+	r, ok := recordAt(l2, n+LSN(tk))
+	if !ok || r.Txn != "T2" || r.PrevLSN != n+1 {
+		t.Fatalf("record at LSN %d = %+v, %v; want T2's, chained to %d", n+LSN(tk), r, ok, n+1)
+	}
 }
 
 // TestSegmentedTornFinalSegmentRepaired: a torn tail on the final segment

@@ -8,9 +8,10 @@ import (
 )
 
 // TestSinkStampsAndRetainsNothing pins the contract of a log with no
-// backend: appends keep their checks and return consecutive stamps, the
-// records are counted and a discipline marker is remembered, but nothing
-// is sequenced or retained, and no barrier ever waits.
+// backend: appends keep their closing check and return consecutive stamps
+// (a batch may mix transactions), the records are counted and a discipline
+// marker is remembered, but nothing is sequenced or retained, and no
+// barrier ever waits.
 func TestSinkStampsAndRetainsNothing(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
@@ -32,14 +33,15 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if err != nil || tk != 3 {
 			t.Fatalf("AppendBatchAsync = (%d, %v), want (3, nil): the last of two consecutive stamps", tk, err)
 		}
-		if _, err := l.AppendBatchAsync([]Record{
+		tk, err = l.AppendBatchAsync([]Record{
 			{Kind: CommitRec, Txn: "A", Obj: "X"},
 			{Kind: CommitRec, Txn: "B", Obj: "Y"},
-		}); err == nil || errors.Is(err, ErrClosed) {
-			t.Fatalf("mixed-transaction batch: err = %v, want the mixed-transaction error", err)
+		})
+		if err != nil || tk != 5 {
+			t.Fatalf("mixed-transaction AppendBatchAsync = (%d, %v), want (5, nil)", tk, err)
 		}
-		if tk, err = l.AppendAsync(DisciplineMarker(DisciplineRedo)); err != nil || tk != 4 {
-			t.Fatalf("marker AppendAsync = (%d, %v), want (4, nil)", tk, err)
+		if tk, err = l.AppendAsync(DisciplineMarker(DisciplineRedo)); err != nil || tk != 6 {
+			t.Fatalf("marker AppendAsync = (%d, %v), want (6, nil)", tk, err)
 		}
 		if got := l.Discipline(); got != DisciplineRedo {
 			t.Fatalf("Discipline = %q, want %q", got, DisciplineRedo)
@@ -50,14 +52,14 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if err := l.Flush(); err != nil {
 			t.Fatalf("Flush = %v", err)
 		}
-		if !l.IsDurable(5) {
+		if !l.IsDurable(7) {
 			t.Fatal("a sink's ticket is not durable")
 		}
-		if err := l.WaitDurable(5); err != nil {
+		if err := l.WaitDurable(7); err != nil {
 			t.Fatalf("WaitDurable = %v", err)
 		}
 		s := l.Stats()
-		want := Stats{FlushedRecords: 5, Discipline: DisciplineRedo}
+		want := Stats{FlushedRecords: 7, Discipline: DisciplineRedo}
 		if s != want {
 			t.Fatalf("Stats = %+v, want %+v", s, want)
 		}
@@ -82,8 +84,8 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if err := l.Flush(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Flush after Close = %v, want ErrClosed", err)
 		}
-		if got := l.FlushedRecords(); got != 5 {
-			t.Fatalf("FlushedRecords after rejected appends = %d, want 5", got)
+		if got := l.FlushedRecords(); got != 7 {
+			t.Fatalf("FlushedRecords after rejected appends = %d, want 7", got)
 		}
 	})
 }

@@ -17,7 +17,7 @@ import (
 // atomics, Truncate the backend's truncation cost (none: the counting
 // device cannot truncate).
 func TestStatsMatchesAccessors(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	for i := 0; i < 10; i++ {
 		l.Append(Record{Kind: Update, Txn: history.TxnID(fmt.Sprintf("T%d", i)), Obj: "X", Op: adt.DepositOk(1)})
 	}
@@ -59,8 +59,8 @@ func TestStatsMatchesAccessors(t *testing.T) {
 	if s.Flushes != l.flushes.Load() || s.Flushes != 10 {
 		t.Errorf("Flushes: %d vs %d, want 10 (one per Append)", s.Flushes, l.flushes.Load())
 	}
-	if s.StripeAcquisitions != l.stripeAcqs.Load() || s.StripeAcquisitions != 10 {
-		t.Errorf("StripeAcquisitions: %d vs %d, want 10", s.StripeAcquisitions, l.stripeAcqs.Load())
+	if s.StripeAcquisitions != l.stageAcqs.Load() || s.StripeAcquisitions != 10 {
+		t.Errorf("StripeAcquisitions: %d vs %d, want 10", s.StripeAcquisitions, l.stageAcqs.Load())
 	}
 	if s.Truncate != (TruncateStats{}) {
 		t.Errorf("Truncate: %+v, want none", s.Truncate)
@@ -80,7 +80,7 @@ func TestStatsMatchesAccessors(t *testing.T) {
 // all fields under one sequence point, so the invariant must hold in every
 // snapshot it returns.
 func TestStatsCoherentUnderConcurrency(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {

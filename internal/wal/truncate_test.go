@@ -24,7 +24,7 @@ func truncRec(txn history.TxnID, obj history.ObjectID, name string) Record {
 // advances, Records shrinks, Bytes drops, truncated LSNs vanish from the
 // log, and retained LSNs keep their numbers.
 func TestTruncateBeforeInMemory(t *testing.T) {
-	l := backedLog(t, 2)
+	l := backedLog(t)
 	for i := 0; i < 10; i++ {
 		l.Append(truncRec("T1", "x", "op"))
 	}
@@ -65,7 +65,7 @@ func TestTruncateBeforeInMemory(t *testing.T) {
 // truncation point keeps its retained records walkable, with the walk
 // stopping at the base instead of indexing into the dropped prefix.
 func TestTruncateChainAcrossBase(t *testing.T) {
-	l := backedLog(t, 1)
+	l := backedLog(t)
 	l.Append(truncRec("T1", "x", "a")) // LSN 1
 	l.Append(truncRec("T2", "x", "b")) // LSN 2
 	l.Append(truncRec("T1", "x", "c")) // LSN 3, PrevLSN 1

@@ -14,15 +14,16 @@
 // reports which kind a log is. Everything below describes a log with a
 // backend.
 //
-// Appends are staged: AppendAsync publishes a record to a per-stripe
-// staging buffer (striped by transaction, so one transaction's records stay
-// FIFO) without touching the committed region of the log. Every staged
-// record is stamped from one atomic counter; since the recovery manager
-// stages while holding the object latch, stamp order agrees with each
-// object's true execution order. Sequencing — draining every stripe,
-// sorting the batch by stamp, and assigning it one contiguous LSN range
-// while fixing up each transaction's backward PrevLSN chain — is the first
-// half of a flush round. Under the flush lock a round sequences its batch,
+// Appends are staged: AppendAsync and AppendBatchAsync append records to
+// one staging queue without touching the committed region of the log, and
+// take each record's ticket under the queue's lock, so queue order is
+// ticket order. Since the recovery manager stages while holding the object
+// latch, ticket order agrees with each object's true execution order.
+// Sequencing — taking the whole queue and assigning it one contiguous LSN
+// range in queue order while fixing up each transaction's backward PrevLSN
+// chain — is the first half of a flush round. Every staged record is thus
+// sequenced in ticket order, and a record's LSN is the log's LSN at Open
+// plus its ticket. Under the flush lock a round sequences its batch,
 // encodes it and writes it to the Backend, in LSN order; outside the lock
 // the round's Backend.Sync makes the batch durable, so round k+1 can be
 // sequenced, written and synced while round k's sync still runs.
@@ -43,10 +44,10 @@
 //
 // LSN order is consistent with per-object and per-transaction execution
 // order even across transactions in one batch — the invariant the Restart
-// redo pass replays by. Each batch is moreover a consistent cut of the
-// staging buffers (the drain holds every stripe lock at once), so a batch
-// boundary — the unit of crash loss — never separates a record from a
-// causally earlier one, and the durable prefix is always a ticket prefix.
+// redo pass replays by. Each batch is moreover a ticket prefix of what is
+// still staged, by construction (a round drains the queue whole), so a
+// batch boundary — the unit of crash loss — never separates a record from
+// a causally earlier one, and the durable prefix is always a ticket prefix.
 // See backend.go for the Backend contract and segment.go for the durable
 // backend; the test devices live in package waltest. A commit is acknowledged
 // only after its round's Sync and every earlier round's have returned, so
@@ -70,11 +71,8 @@
 package wal
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,7 +80,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/spec"
-	stripepkg "repro/internal/stripe"
 )
 
 // LSN is a log sequence number. LSNs start at 1; 0 is the nil LSN.
@@ -95,14 +92,14 @@ type LSN uint64
 // outcome.
 var ErrClosed = errors.New("wal: log closed")
 
-// Ticket identifies a staged record's position in the global stage order
-// (the stamp the sequencer sorts by). Tickets are totally ordered and
-// consistent with LSN order: because every flush batch is a consistent cut
-// of the staging buffers, the durable prefix of the log is exactly a ticket
-// prefix. A ticket therefore names a durability point before the record's
-// LSN exists — the handle early lock release needs to publish "the commit
-// you just read from" to dependents (see DurableTicket and WaitDurable).
-// The zero Ticket precedes every record and is always durable.
+// Ticket identifies a staged record's position in the log's stage order:
+// the n-th record staged since Open has ticket n. Records are sequenced in
+// ticket order, so a record's LSN is the log's LSN at Open plus its ticket,
+// and the durable prefix of the log is exactly a ticket prefix. A ticket
+// therefore names a durability point before the record is sequenced — the
+// handle early lock release needs to publish "the commit you just read
+// from" to dependents (see DurableTicket and WaitDurable). The zero Ticket
+// precedes every record and is always durable.
 type Ticket int64
 
 // RecordKind distinguishes log record types.
@@ -222,26 +219,6 @@ type Record struct {
 	Deps []history.TxnID
 }
 
-// stagedRec is a staged record awaiting LSN assignment. lsn is written by
-// whichever goroutine sequences the batch, under the record lock, and
-// published to the appender by its barrier, which observes the round's
-// completion under the same lock — the happens-before an appender needs
-// to read lsn after Flush returns, even when a different goroutine
-// sequenced the record. stamp is the stage-time sequence the sequencer
-// sorts by.
-type stagedRec struct {
-	rec   Record
-	stamp int64
-	lsn   LSN
-}
-
-// stripe is one staging buffer. Records of a transaction always land in
-// the same stripe (hash on TxnID), preserving their order.
-type stripe struct {
-	mu     sync.Mutex
-	staged []*stagedRec
-}
-
 // CrashPoint is a test hook invoked after a batch is sequenced and before
 // it is handed to the backend. batch is the zero-based index of non-empty
 // batches since Open, and records is the sequenced batch. Returning true
@@ -255,9 +232,6 @@ type CrashPoint func(batch int, records []Record) bool
 
 // Config parameterizes Open.
 type Config struct {
-	// Stripes is the number of staging stripes (rounded up to a power of
-	// two; 0 selects a default derived from GOMAXPROCS).
-	Stripes int
 	// Backend is the durability seam each sequenced batch is handed to.
 	// Nil makes the log a sink: appended records are stamped and counted
 	// (FlushedRecords) but never staged, sequenced or retained, and every
@@ -270,11 +244,16 @@ type Config struct {
 // Log is an append-only log with group-committed LSN assignment and a
 // pluggable durability backend. It is safe for concurrent use.
 type Log struct {
-	stripes []*stripe
-	mask    uint32
-
-	// stampSeq orders records by stage time across all stripes.
+	// stageMu guards staged, the records staged since the last drain in
+	// ticket order. stampSeq is the last ticket issued; a log with a
+	// backend advances it only under stageMu, together with the append to
+	// staged (a sink, which stages nothing, advances it alone).
+	stageMu  sync.Mutex
+	staged   []Record
 	stampSeq atomic.Int64
+	// lsn0 is the log's LSN at Open: the record with ticket t gets LSN
+	// lsn0+t.
+	lsn0 LSN
 
 	// flushMu serializes the sequence-and-write half of flush rounds; mu
 	// guards the committed region and the rounds in flight.
@@ -304,11 +283,10 @@ type Log struct {
 	// lifetime (under flushMu, like the backend calls that produce it).
 	truncStats TruncateStats
 
-	// Flush buffers, reused batch to batch under flushMu: the drained
-	// batch, its flat record copy for the crash hook and the backend, and
-	// its encoded frame with each record's share of it.
-	batchBuf  []*stagedRec
-	recsBuf   []Record
+	// Flush buffers, reused batch to batch under flushMu: the spare staging
+	// queue a round swaps in for the one it drains, and the batch's encoded
+	// frame with each record's share of it.
+	batchBuf  []Record
 	frame     []byte
 	frameLens []int64
 
@@ -343,10 +321,10 @@ type Log struct {
 	// itself becomes sticky in syncErr.
 	dead atomic.Bool
 	// closing is set at the start of Close, before the final drain; stage
-	// checks it under the stripe lock, so a record either lands in the
-	// final batch or its AppendAsync reports ErrClosed — never a silent
-	// drop. backendGone (under flushMu) marks the backend closed, so a
-	// straggler flush sequences in memory without touching it.
+	// checks it under stageMu, so a record either lands in the final batch
+	// or its AppendAsync reports ErrClosed — never a silent drop.
+	// backendGone (under flushMu) marks the backend closed, so a straggler
+	// flush sequences in memory without touching it.
 	closing     atomic.Bool
 	backendGone bool
 	// closeOnce makes Close idempotent; closeErr is what every call returns.
@@ -356,10 +334,10 @@ type Log struct {
 	// Batch diagnostics, reported by Stats.
 	flushes atomic.Int64
 	flushed atomic.Int64
-	// stripeAcqs counts staging-stripe lock acquisitions by appenders
-	// (stage and AppendBatchAsync; a flush round's drain is excluded) — a
+	// stageAcqs counts staging-queue lock acquisitions by appenders (stage
+	// and AppendBatchAsync; a flush round's drain is excluded) — a
 	// machine-independent synchronization cost.
-	stripeAcqs atomic.Int64
+	stageAcqs atomic.Int64
 
 	// obsv is the optional observability hub flush rounds report batch
 	// sizes and write-plus-sync durations into. Attached after Open (a
@@ -396,22 +374,12 @@ func (l *Log) Durable() bool { return l.backend != nil }
 // goroutine: every flush round runs on the goroutine of the barrier, reader
 // or Close that leads it.
 func Open(cfg Config) (*Log, error) {
-	n := cfg.Stripes
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p := stripepkg.RoundPow2(n, stripepkg.MaxStripes)
 	l := &Log{
-		stripes: make([]*stripe, p),
-		mask:    uint32(p - 1),
 		lastOf:  make(map[history.TxnID]LSN),
 		backend: cfg.Backend,
 		crash:   cfg.CrashPoint,
 	}
 	l.durableCond = sync.NewCond(&l.mu)
-	for i := range l.stripes {
-		l.stripes[i] = &stripe{}
-	}
 	if rp, ok := cfg.Backend.(Replayer); ok && rp != nil {
 		recs, sizes := rp.Replay()
 		if len(sizes) != len(recs) {
@@ -452,6 +420,7 @@ func Open(cfg Config) (*Log, error) {
 		// Replayed records came from the durable log; the watermark starts
 		// past them.
 		l.durableLSN = l.base + LSN(len(l.records))
+		l.lsn0 = l.durableLSN
 	}
 	return l, nil
 }
@@ -498,31 +467,24 @@ func (l *Log) Err() error {
 	return l.syncErr
 }
 
-func (l *Log) stripeOf(txn history.TxnID) *stripe {
-	return l.stripes[stripepkg.FNV32a(string(txn))&l.mask]
-}
-
-// stage publishes r to its transaction's staging stripe. The stamp is
-// taken under the stripe lock so that a transaction's records (always in
-// one stripe) carry strictly increasing stamps, and callers staging under
-// an object latch get stamps in the object's execution order.
-// The closing check happens under the stripe lock too: Close's final drain
-// holds every stripe lock after publishing the flag, so a record either
-// joins the final batch or is rejected with ErrClosed — never staged and
-// silently lost.
-func (l *Log) stage(r Record) (*stagedRec, error) {
-	s := &stagedRec{rec: r}
-	st := l.stripeOf(r.Txn)
-	st.mu.Lock()
-	l.stripeAcqs.Add(1)
+// stage appends r to the staging queue and returns its ticket. The ticket
+// is taken under stageMu with the append, so queue order is ticket order,
+// and callers staging under an object latch get tickets in the object's
+// execution order. The closing check happens under stageMu too: Close
+// publishes the flag before its final drain takes the queue, so a record
+// either joins the final batch or is rejected with ErrClosed — never
+// staged and silently lost.
+func (l *Log) stage(r Record) (Ticket, error) {
+	l.stageMu.Lock()
+	l.stageAcqs.Add(1)
 	if l.closing.Load() {
-		st.mu.Unlock()
-		return nil, fmt.Errorf("wal: append %s for %s: %w", r.Kind, r.Txn, ErrClosed)
+		l.stageMu.Unlock()
+		return 0, fmt.Errorf("wal: append %s for %s: %w", r.Kind, r.Txn, ErrClosed)
 	}
-	s.stamp = l.stampSeq.Add(1)
-	st.staged = append(st.staged, s)
-	st.mu.Unlock()
-	return s, nil
+	l.staged = append(l.staged, r)
+	t := l.stampSeq.Add(1)
+	l.stageMu.Unlock()
+	return Ticket(t), nil
 }
 
 // AppendAsync stages a record without waiting for its LSN and returns the
@@ -540,35 +502,23 @@ func (l *Log) AppendAsync(r Record) (Ticket, error) {
 		l.flushed.Add(1)
 		return Ticket(l.stampSeq.Add(1)), nil
 	}
-	s, err := l.stage(r)
-	if err != nil {
-		return 0, err
-	}
-	return Ticket(s.stamp), nil
+	return l.stage(r)
 }
 
-// AppendBatchAsync stages a batch of records of one transaction under a
-// single stripe-lock acquisition and returns the stage ticket of the LAST
-// record staged. The records receive consecutive stamps taken under the
-// stripe lock, so the batch is contiguous in stage order and the returned
-// ticket covers every record in it — a durability wait on the ticket waits
-// for the whole batch. Consistent-cut semantics are preserved exactly: the
-// batch lands in one stripe atomically, so a flush drain (which holds
-// every stripe lock) either sees all of it or none of it. Records of
-// different transactions may not be mixed (they could hash to different
-// stripes, and their relative stamp order would then be an accident);
-// such a call stages nothing and reports an error. An empty batch returns
-// the zero ticket. On a closed log nothing is staged and the error wraps
-// ErrClosed. A sink takes the batch's stamps and counts its records; the
-// caller may reuse recs once the call returns, on any log.
+// AppendBatchAsync stages a batch of records under a single staging-queue
+// lock acquisition and returns the stage ticket of the LAST record staged.
+// The records receive consecutive tickets, so the batch is contiguous in
+// stage order and the returned ticket covers every record in it — a
+// durability wait on the ticket waits for the whole batch — and a flush
+// round, which drains the queue whole, sees all of it or none of it. The
+// records may belong to different transactions; each is chained to its own
+// transaction's previous record. An empty batch returns the zero ticket.
+// On a closed log nothing is staged and the error wraps ErrClosed. A sink
+// takes the batch's tickets and counts its records; the caller may reuse
+// recs once the call returns, on any log.
 func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 	if len(recs) == 0 {
 		return 0, nil
-	}
-	for _, r := range recs[1:] {
-		if r.Txn != recs[0].Txn {
-			return 0, fmt.Errorf("wal: append batch: mixed transactions (%s vs %s)", recs[0].Txn, r.Txn)
-		}
 	}
 	if l.backend == nil {
 		if l.closing.Load() {
@@ -580,22 +530,16 @@ func (l *Log) AppendBatchAsync(recs []Record) (Ticket, error) {
 		l.flushed.Add(int64(len(recs)))
 		return Ticket(l.stampSeq.Add(int64(len(recs)))), nil
 	}
-	st := l.stripeOf(recs[0].Txn)
-	staged := make([]stagedRec, len(recs))
-	st.mu.Lock()
-	l.stripeAcqs.Add(1)
+	l.stageMu.Lock()
+	l.stageAcqs.Add(1)
 	if l.closing.Load() {
-		st.mu.Unlock()
+		l.stageMu.Unlock()
 		return 0, fmt.Errorf("wal: append batch of %d for %s: %w", len(recs), recs[0].Txn, ErrClosed)
 	}
-	var last int64
-	for i, r := range recs {
-		last = l.stampSeq.Add(1)
-		staged[i] = stagedRec{rec: r, stamp: last}
-		st.staged = append(st.staged, &staged[i])
-	}
-	st.mu.Unlock()
-	return Ticket(last), nil
+	l.staged = append(l.staged, recs...)
+	t := l.stampSeq.Add(int64(len(recs)))
+	l.stageMu.Unlock()
+	return Ticket(t), nil
 }
 
 // sinkDiscipline records the discipline a marker appended to a sink
@@ -613,28 +557,20 @@ func (l *Log) sinkDiscipline(r Record) {
 
 // Append stages a record, flushes, and returns the assigned LSN — the
 // synchronous path, equivalent to a group commit of whatever is staged.
-// The LSN read is safe even when a different goroutine's round sequenced
-// the record: Flush only returns after an acknowledgement that
-// happens-after the assignment (see stagedRec). On a closed log nothing is
-// staged and the nil LSN is returned; so it is on a sink, which assigns no
-// LSNs.
+// The LSN is the log's LSN at Open plus the record's ticket, whichever
+// goroutine's round sequenced it. On a closed log nothing is staged and
+// the nil LSN is returned; so it is on a sink, which assigns no LSNs.
 func (l *Log) Append(r Record) LSN {
 	if l.backend == nil {
 		_, _ = l.AppendAsync(r) //lint:ignore walerr a sink assigns no LSN: Append returns 0 whether the record is counted or a closed log refuses it
 		return 0
 	}
-	s, err := l.stage(r)
+	t, err := l.stage(r)
 	if err != nil {
 		return 0
 	}
-	if err := l.Flush(); err != nil {
-		// The log closed between stage and Flush. The record is (or will
-		// be) sequenced by Close's drain; join the sequencer directly so
-		// the read of s.lsn below is ordered after its assignment rather
-		// than racing it.
-		l.flushOnce()
-	}
-	return s.lsn
+	l.sequenceStaged()
+	return l.lsn0 + LSN(t)
 }
 
 // Flush guarantees that every record staged before the call has been
@@ -693,7 +629,7 @@ func (l *Log) awaitIdle() {
 // reader that discarded the error could serve a view missing records
 // staged just before Close began. On that error the caller joins the
 // sequencer directly — flushMu orders the call against Close's final
-// drain — which is the same fallback Append uses.
+// drain. Append relies on it the same way.
 func (l *Log) sequenceStaged() {
 	if err := l.Flush(); err != nil {
 		l.flushOnce()
@@ -703,91 +639,73 @@ func (l *Log) sequenceStaged() {
 // round is one flush round between its sequencing and its completion,
 // named by its ticket.
 type round struct {
-	ticket int64 // stamp of the batch's last record
+	ticket int64 // ticket of the batch's last record
 	lsn    LSN   // the batch's last LSN
 	done   bool
 	err    error // the round's own failure: encode, write, sync, or closed backend
 }
 
 // flushOnce runs one flush round on the calling goroutine. Under flushMu
-// it drains every staging stripe, sorts the batch by stage stamp, assigns
-// it one contiguous LSN range (chaining each record to its transaction's
-// previous record), registers the round, encodes the batch once and writes
-// the frame to the backend. Outside flushMu it syncs the backend, then
-// completes the round (see completeRound) — which applies only once every
-// earlier round has completed, so flushOnce may return before its round's
-// effects are visible. An empty drain runs no round.
+// it takes the whole staging queue (swapping in the reused batch buffer),
+// assigns the batch one contiguous LSN range in queue order (chaining each
+// record to its transaction's previous record), registers the round,
+// encodes the batch once and writes the frame to the backend. Outside
+// flushMu it syncs the backend, then completes the round (see
+// completeRound) — which applies only once every earlier round has
+// completed, so flushOnce may return before its round's effects are
+// visible. An empty drain runs no round.
 func (l *Log) flushOnce() {
 	l.flushMu.Lock()
-	// Drain every stripe while holding all stripe locks at once, so the
-	// batch is a consistent cut of the staging buffers: every record staged
-	// before the drain is in this batch, and every record staged after it
-	// carries a larger stamp (stamps are taken under the stripe lock). Each
-	// durable batch is therefore a stamp-prefix of the log — a boundary
+	// Take the queue whole: the batch is every record staged before the
+	// drain, and every record staged after it carries a larger ticket. Each
+	// durable batch is therefore a ticket prefix of the log — a boundary
 	// between batches can never separate a record from a causally earlier
-	// one in another stripe, which is what makes the durable winner set of
-	// crash recovery closed under read-from (a committed reader's
-	// TxnCommitRec can never be durable without the commit it read from).
-	batch := l.batchBuf[:0]
-	for _, st := range l.stripes {
-		st.mu.Lock()
-	}
-	for _, st := range l.stripes {
-		if len(st.staged) > 0 {
-			batch = append(batch, st.staged...)
-			// Keep the stripe's buffer for its next records, unless an
-			// outsized burst grew it.
-			clear(st.staged)
-			st.staged = st.staged[:0]
-			if cap(st.staged) > maxRetainedBatch {
-				st.staged = nil
-			}
-		}
-	}
-	for _, st := range l.stripes {
-		st.mu.Unlock()
-	}
-	if len(batch) == 0 {
-		l.batchBuf = batch
+	// one, which is what makes the durable winner set of crash recovery
+	// closed under read-from (a committed reader's TxnCommitRec can never be
+	// durable without the commit it read from).
+	l.stageMu.Lock()
+	if len(l.staged) == 0 {
+		l.stageMu.Unlock()
 		l.flushMu.Unlock()
 		return
 	}
+	batch := l.staged
+	ticket := l.stampSeq.Load()
+	l.staged, l.batchBuf = l.batchBuf, nil
+	l.stageMu.Unlock()
 	n := len(batch)
-	slices.SortFunc(batch, func(a, b *stagedRec) int { return cmp.Compare(a.stamp, b.stamp) })
-	// Only a log with a backend stages, so a batch always has one: the
-	// flat copy feeds the crash hook and the backend.
-	recs := l.recsBuf[:0]
+	// Only a log with a backend stages, so a batch always has one. The
+	// batch is sequenced in place and is itself what the crash hook and the
+	// backend see.
 	l.mu.Lock()
 	first := len(l.records)
 	next := l.base + LSN(first)
-	for i, s := range batch {
-		s.rec.LSN = next + LSN(i) + 1
-		s.rec.PrevLSN = l.lastOf[s.rec.Txn]
-		l.lastOf[s.rec.Txn] = s.rec.LSN
-		l.records = append(l.records, s.rec)
+	for i := range batch {
+		r := &batch[i]
+		r.LSN = next + LSN(i) + 1
+		r.PrevLSN = l.lastOf[r.Txn]
+		l.lastOf[r.Txn] = r.LSN
 		l.sizes = append(l.sizes, 0) // counted once the batch is encoded
-		if s.rec.Kind == DisciplineRec && l.discipline == "" {
-			l.discipline = s.rec.Op.Inv.Args
+		if r.Kind == DisciplineRec && l.discipline == "" {
+			l.discipline = r.Op.Inv.Args
 		}
-		s.lsn = s.rec.LSN
-		recs = append(recs, s.rec)
 	}
-	ticket := batch[n-1].stamp
+	l.records = append(l.records, batch...)
 	l.seqTicket = ticket
-	l.rounds = append(l.rounds, round{ticket: ticket, lsn: batch[n-1].rec.LSN})
+	l.rounds = append(l.rounds, round{ticket: ticket, lsn: batch[n-1].LSN})
 	l.mu.Unlock()
 	index := l.flushes.Add(1) - 1
 	l.flushed.Add(int64(n))
 	o := l.obsv.Load()
 	o.RecordFlushBatch(int64(n))
-	if !l.crashed && l.crash != nil && l.crash(int(index), recs) {
+	if !l.crashed && l.crash != nil && l.crash(int(index), batch) {
 		l.crashed = true
 	}
 	// Encode the batch once, outside mu (only flushMu, which serializes
 	// every backend write anyway): the frame is both what the backend
 	// writes and what Bytes counts. An unencodable batch hands no byte to
 	// the backend and counts none.
-	encErr := l.encodeFrame(recs)
+	encErr := l.encodeFrame(batch)
 	if encErr == nil {
 		l.mu.Lock()
 		for i, size := range l.frameLens {
@@ -814,7 +732,7 @@ func (l *Log) flushOnce() {
 		if o != nil {
 			write0 = time.Now()
 		}
-		err = l.backend.Write(recs, l.frame)
+		err = l.backend.Write(batch, l.frame)
 		if o != nil {
 			writeNS = time.Since(write0).Nanoseconds()
 		}
@@ -825,14 +743,13 @@ func (l *Log) flushOnce() {
 		// would make the file unreplayable.
 		l.dead.Store(true)
 	}
-	clear(recs)
-	l.recsBuf = recs[:0]
+	// The batch becomes the next round's spare queue, holding no payload.
 	clear(batch)
 	l.batchBuf = batch[:0]
 	if n > maxRetainedBatch {
 		// An outsized batch (a Close drain after a stall) does not pin its
 		// buffers for the log's lifetime.
-		l.batchBuf, l.recsBuf, l.frame, l.frameLens = nil, nil, nil, nil
+		l.batchBuf, l.frame, l.frameLens = nil, nil, nil
 	}
 	l.flushMu.Unlock()
 	if synced {
@@ -983,7 +900,7 @@ func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 // from after it. Stats reads everything under one sequence point.
 //
 // Flushes counts the non-empty flush rounds sequenced, and
-// StripeAcquisitions the staging-stripe lock acquisitions of appenders (a
+// StripeAcquisitions the staging-queue lock acquisitions by appenders (a
 // round's drain excluded; AppendBatchAsync stages N records under one).
 // Bytes is the exact encoded size of the retained records: the frame bytes
 // each batch was handed to the backend as, or scanned back from it at
@@ -1022,7 +939,7 @@ func (l *Log) Stats() Stats {
 	s := Stats{
 		Flushes:            l.flushes.Load(),
 		FlushedRecords:     l.flushed.Load(),
-		StripeAcquisitions: l.stripeAcqs.Load(),
+		StripeAcquisitions: l.stageAcqs.Load(),
 		Truncate:           l.truncStats,
 	}
 	s.DurableTicket = Ticket(l.durableTicket)

@@ -9,13 +9,12 @@ import (
 	"repro/internal/history"
 )
 
-// backedLog opens a synchronous log with n staging stripes (0 = the
-// GOMAXPROCS default) over a zero-latency backend: a log that sequences and
-// retains its records, for the tests that read them back. A log with no
+// backedLog opens a log over a zero-latency backend: a log that sequences
+// and retains its records, for the tests that read them back. A log with no
 // backend is a sink and retains nothing.
-func backedLog(t testing.TB, stripes int) *Log {
+func backedLog(t testing.TB) *Log {
 	t.Helper()
-	l, err := Open(Config{Stripes: stripes, Backend: &countingBackend{}})
+	l, err := Open(Config{Backend: &countingBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +22,7 @@ func backedLog(t testing.TB, stripes int) *Log {
 }
 
 func TestAppendAssignsMonotonicLSNs(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	a := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	b := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
 	if a != 1 || b != 2 {
@@ -35,7 +34,7 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 }
 
 func TestTxnChainNewestFirst(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(9)})
 	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
@@ -55,7 +54,7 @@ func TestTxnChainNewestFirst(t *testing.T) {
 // TestGetAndLastLSN: the LSN Append returns names the record a reader
 // finds in the Snapshot and at the head of the transaction's chain.
 func TestGetAndLastLSN(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	if _, ok := recordAt(l, 1); ok {
 		t.Error("an empty log holds no record at LSN 1")
 	}
@@ -76,7 +75,7 @@ func TestGetAndLastLSN(t *testing.T) {
 }
 
 func TestConcurrentAppends(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	const n = 50
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -110,15 +109,15 @@ func TestConcurrentAppends(t *testing.T) {
 }
 
 // TestFlushBatchIsConsistentCut: a record staged after another one (here:
-// later in program order, landing in a different stripe) must never be
-// sequenced into an earlier batch — it must receive a larger LSN even with
-// a rival barrier racing the two stage calls. This is the stamp-prefix
+// later in program order, by another transaction) must never be sequenced
+// into an earlier batch — it must receive a larger LSN even with a rival
+// barrier racing the two stage calls. This is the ticket-prefix
 // (consistent cut) property of the batch drain; crash recovery's
 // presumed-abort argument relies on it, because a batch boundary is the
 // unit of durability loss and must not separate a commit record from a
 // causally later one.
 func TestFlushBatchIsConsistentCut(t *testing.T) {
-	l := backedLog(t, 8)
+	l := backedLog(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -133,24 +132,33 @@ func TestFlushBatchIsConsistentCut(t *testing.T) {
 			}
 		}
 	}()
-	type pair struct{ first, second *stagedRec }
-	var pairs []pair
-	for i := 0; i < 400; i++ {
-		// Distinct txn IDs so the two records of a pair spread over stripes.
-		a, _ := l.stage(Record{Kind: Update, Txn: history.TxnID(fmt.Sprintf("A%03d", i)), Obj: "X", Op: adt.DepositOk(1)})
-		b, _ := l.stage(Record{Kind: TxnCommitRec, Txn: history.TxnID(fmt.Sprintf("B%03d", i))})
-		pairs = append(pairs, pair{a, b})
+	// Each record of a pair belongs to its own transaction.
+	const pairs = 400
+	first := func(i int) history.TxnID { return history.TxnID(fmt.Sprintf("A%03d", i)) }
+	second := func(i int) history.TxnID { return history.TxnID(fmt.Sprintf("B%03d", i)) }
+	for i := 0; i < pairs; i++ {
+		if _, err := l.AppendAsync(Record{Kind: Update, Txn: first(i), Obj: "X", Op: adt.DepositOk(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendAsync(Record{Kind: TxnCommitRec, Txn: second(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
 	l.Flush()
-	for i, p := range pairs {
-		if p.first.lsn == 0 || p.second.lsn == 0 {
-			t.Fatalf("pair %d: record never sequenced (%d, %d)", i, p.first.lsn, p.second.lsn)
+	lsnOf := make(map[history.TxnID]LSN)
+	for _, r := range l.Snapshot() {
+		lsnOf[r.Txn] = r.LSN
+	}
+	for i := 0; i < pairs; i++ {
+		a, b := lsnOf[first(i)], lsnOf[second(i)]
+		if a == 0 || b == 0 {
+			t.Fatalf("pair %d: record never sequenced (%d, %d)", i, a, b)
 		}
-		if p.first.lsn >= p.second.lsn {
+		if a >= b {
 			t.Fatalf("pair %d: staged-earlier record got LSN %d >= %d — batch was not a consistent cut",
-				i, p.first.lsn, p.second.lsn)
+				i, a, b)
 		}
 	}
 }
@@ -168,7 +176,7 @@ func TestRecordKindString(t *testing.T) {
 }
 
 func TestAppendAsyncStagesUntilFlush(t *testing.T) {
-	l := backedLog(t, 0)
+	l := backedLog(t)
 	l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	l.AppendAsync(Record{Kind: Update, Txn: "B", Obj: "Y", Op: adt.DepositOk(2)})
 	l.AppendAsync(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
@@ -200,7 +208,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 }
 
 func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
-	l := backedLog(t, 4)
+	l := backedLog(t)
 	const gs = 8
 	const per = 40
 	var wg sync.WaitGroup
