@@ -48,24 +48,24 @@
 // halves. See internal/txn, internal/history, internal/wal, and
 // internal/recovery.
 //
-// Locks release early, before the durability barrier, in commit-LSN
-// order. Every managed object publishes its last committed writer's WAL
-// stage ticket, so a dependent's own barrier waits until the durable
-// watermark covers its read-from set, and a dead backend cascades
-// termination through the abort path instead of acknowledging commits the
-// log will never contain. So no acknowledged commit ever reads from an
+// Locks release early, before the durability barrier. Every managed
+// object publishes its last committed writer's WAL stage ticket, so a
+// dependent's own barrier waits until the durable watermark covers its
+// read-from set, and a dead backend cascades termination through the
+// abort path instead of acknowledging commits the log will never contain. So no acknowledged commit ever reads from an
 // unsynced loser, and no lock is held across a sync.
 //
-// Txn.Commit's phase-2 sweep is itself sharded: participants are
-// grouped per registry shard, each shard's per-object commit records are
-// staged under one WAL staging-queue acquisition (wal.Log.AppendBatchAsync —
-// sound outside the checkpoint gate because restart decides by the
-// transaction-level winner set, never by per-object commit records
-// alone), the gate is held only for the discharge-to-TxnCommitRec
-// decision window, and locks release shard-by-shard in commit-LSN order:
-// each shard admits its committers strictly by their TxnCommitRec stage
-// tickets (the stamp order the WAL's LSNs refine), so a later commit
-// never exposes its writes in a shard before an earlier one does.
+// Txn.Commit sweeps its participants in object-ID order and stages every
+// per-object commit record under one WAL staging-queue acquisition
+// (wal.Log.AppendBatchAsync — sound outside the checkpoint gate because
+// restart decides by the transaction-level winner set, never by
+// per-object commit records alone); the gate is held only for the
+// discharge-to-TxnCommitRec decision window. Concurrent committers then
+// release their locks in whatever order the schedule gives them, not in
+// ticket order: correctness rests on the conflict relation, the recovery
+// view and the commit point, and durability on the dependency tickets —
+// a dependent's ticket is at least that of every commit it read from,
+// and the durable watermark only advances over a ticket prefix.
 //
 // Restart cost is bounded by fuzzy checkpointing (internal/checkpoint,
 // txn.Engine.Checkpoint): a checkpointer walks the striped registry shard

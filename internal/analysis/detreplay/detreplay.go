@@ -65,12 +65,12 @@ func run(pass *analysis.Pass) error {
 // checkMapOrder flags `for k := range m` (m a map) whose body appends to
 // a slice variable that no later statement in the function passes to a
 // sort call. Appending under map order and sorting afterwards is the
-// discipline the engine uses (restart's loser sweep collects then
-// sortTxnIDs); appending without the sort is the bug.
+// discipline the engine uses (restart's loser sweep collects, then
+// slices.Sort); appending without the sort is the bug.
 func checkMapOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 	// Collect, per function, every slice variable that is an argument of
 	// a call whose callee name contains "sort" (sort.Slice, sort.Strings,
-	// slices.Sort, the engine's sortTxnIDs...).
+	// slices.Sort, a named helper such as sortTxnIDs...).
 	sorted := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -27,6 +27,8 @@ var guardedPackages = []string{
 	"repro/internal/sim",
 	"repro/internal/txn",
 	"repro/internal/obs",
+	"repro/internal/stripe",
+	"repro/internal/history",
 }
 
 // exportAllow lists the exports kept with no non-test use, each with its

@@ -262,7 +262,7 @@ func releaseCall(recv string, s ast.Stmt) (token.Pos, string, bool) {
 		return token.NoPos, "", false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "releaseLocks" && sel.Sel.Name != "releaseLocksOrdered") {
+	if !ok || sel.Sel.Name != "releaseLocks" {
 		return token.NoPos, "", false
 	}
 	id, ok := sel.X.(*ast.Ident)

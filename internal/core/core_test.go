@@ -45,9 +45,11 @@ func TestViewsSection5Example(t *testing.T) {
 func TestUIPExcludesAborted(t *testing.T) {
 	h := history.NewBuilder().
 		Invoke(bankX, "A", adt.Deposit(5)).Respond(bankX, "A", "ok").
-		Abort(bankX, "A").
+		History().
+		Append(history.Event{Kind: history.Abort, Obj: bankX, Txn: "A"})
+	h = append(h, history.NewBuilder().
 		Invoke(bankX, "B", adt.Deposit(2)).Respond(bankX, "B", "ok").
-		History()
+		History()...)
 	got := UIP.F(h, "B")
 	if len(got) != 1 || got[0] != adt.DepositOk(2) {
 		t.Fatalf("UIP after abort = %s", got)

@@ -43,12 +43,6 @@ func (b *Builder) Commit(x ObjectID, a TxnID) *Builder {
 	return b
 }
 
-// Abort appends an abort event.
-func (b *Builder) Abort(x ObjectID, a TxnID) *Builder {
-	b.h = append(b.h, Event{Kind: Abort, Obj: x, Txn: a})
-	return b
-}
-
 // History returns the built history (a copy, so the builder may be reused).
 func (b *Builder) History() History {
 	return b.h.Clone()

@@ -306,29 +306,3 @@ func CommitOrder(h History) []TxnID {
 	}
 	return out
 }
-
-// SerialFailureFree reports whether h is a serial failure-free history:
-// events of different transactions are not interleaved and no transaction
-// aborts.
-func SerialFailureFree(h History) bool {
-	finished := make(map[TxnID]bool)
-	var current TxnID
-	haveCurrent := false
-	for _, e := range h {
-		if e.Kind == Abort {
-			return false
-		}
-		if finished[e.Txn] {
-			return false
-		}
-		if haveCurrent && e.Txn != current {
-			finished[current] = true
-			if finished[e.Txn] {
-				return false
-			}
-		}
-		current = e.Txn
-		haveCurrent = true
-	}
-	return true
-}

@@ -45,13 +45,6 @@ func (r *Recorder) Record(ev Event) int64 {
 	return s
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
 // Snapshot returns a copy of the buffer in stamp order.
 func (r *Recorder) Snapshot() []SeqEvent {
 	r.mu.Lock()

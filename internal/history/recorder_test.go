@@ -18,8 +18,8 @@ func TestRecorderStampsAndMergeOrder(t *testing.T) {
 	b.Record(Event{Kind: Invoke, Obj: "Y", Txn: "B", Inv: spec.Invocation{Name: "i2"}})
 	a.Record(Event{Kind: Respond, Obj: "X", Txn: "A", Res: "r1"})
 	b.Record(Event{Kind: Respond, Obj: "Y", Txn: "B", Res: "r2"})
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatalf("lens = %d, %d", a.Len(), b.Len())
+	if la, lb := len(a.Snapshot()), len(b.Snapshot()); la != 2 || lb != 2 {
+		t.Fatalf("lens = %d, %d", la, lb)
 	}
 	h := Merge(a, b)
 	if len(h) != 4 {
@@ -76,7 +76,7 @@ func TestRecorderConcurrentRace(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for _, r := range recs {
-		total += r.Len()
+		total += len(r.Snapshot())
 	}
 	if total != 8*perG {
 		t.Fatalf("recorded %d events, want %d", total, 8*perG)

@@ -98,12 +98,3 @@ func WellFormed(h History) error {
 	}
 	return nil
 }
-
-// MustWellFormed panics if h is not well-formed. It is intended for
-// constructing test fixtures and example histories.
-func MustWellFormed(h History) History {
-	if err := WellFormed(h); err != nil {
-		panic(err)
-	}
-	return h
-}

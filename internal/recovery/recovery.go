@@ -79,8 +79,8 @@ type Step struct {
 
 // BatchCommitter is implemented by stores whose per-object commit
 // processing splits into a staging half and an infallible in-memory half,
-// letting the engine's sharded commit pipeline stage many objects' commit
-// records under one WAL staging-queue acquisition (wal.Log.AppendBatchAsync)
+// letting the engine's commit stage all its objects' commit records
+// under one WAL staging-queue acquisition (wal.Log.AppendBatchAsync)
 // before discharging any of them. The contract mirrors Commit's ordering
 // discipline exactly: the caller stages the record CommitRecord returns,
 // then — and only then — calls CommitStaged, so a staging failure leaves

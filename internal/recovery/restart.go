@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -577,7 +578,7 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 			losers = append(losers, t)
 		}
 	}
-	sortTxnIDs(losers)
+	slices.Sort(losers)
 	for _, t := range losers {
 		ti := txns[t]
 		for i := len(ti.pending) - 1; i >= 0; i-- {
@@ -598,12 +599,4 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		log:     log,
 		chain:   make(map[history.TxnID][]undoRec),
 	}, tail, nil
-}
-
-func sortTxnIDs(ids []history.TxnID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

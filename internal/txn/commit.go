@@ -4,7 +4,6 @@ package txn
 // record, early lock release and the durability barrier.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -33,6 +32,15 @@ import (
 // its own TxnCommitRec — strictly later, so a durable log prefix can never
 // contain a dependent winner without its predecessor.
 //
+// The order in which committers release their locks is immaterial, and
+// the schedule decides it: two concurrent commits may release in either
+// order of their tickets. Release publishes the ticket to every touched
+// object as a max under the object latch, so a dependent's t.dep is at
+// least the ticket of every commit whose locks it acquired. The durable
+// watermark advances only over a prefix of tickets, so the dependent's
+// WaitDurable(dep) covers every smaller ticket too, whichever committer
+// released first.
+//
 // Commit is the group-commit point: the flush barrier batches this
 // transaction's staged records — and those of every concurrently
 // committing transaction — into one contiguous LSN assignment, returning
@@ -58,9 +66,9 @@ func (t *Txn) Commit() error {
 		e.Metrics.CommitHoldNS.Add(d)
 		o.RecordCommitHold(d)
 	}
-	// The sweep (and terminate's already-committed bookkeeping) follows
-	// shard-grouped order; objs is the flat sweep order.
-	groups, objs := t.shardGroups()
+	// The sweep (and terminate's already-committed bookkeeping) runs in
+	// object-ID order, the order Abort uses.
+	objs := t.sortedTouched()
 	// Phase 1: prepare — verify every participant is still registered. A
 	// failure here terminates cleanly: nothing has committed yet, so every
 	// participant is aborted and the transaction leaves no effects behind.
@@ -88,16 +96,15 @@ func (t *Txn) Commit() error {
 					t.id, ErrDurability, ErrAborted, err))
 		}
 	}
-	// Staging phase: every shard's per-object commit records are staged
-	// up front — one WAL staging-queue acquisition per shard through the batch
-	// accessor — outside the checkpoint gate. Staging
-	// discharges nothing: a fuzzy capture interleaving here still sees
-	// every undo chain intact (the transaction is captured as in-flight),
-	// and restart decides winners by the transaction-level record alone
-	// (per-object CommitRecs are redo hints), so hoisting the staging out
-	// narrows the gate hold to the discharge→decision window below. A
-	// staging failure terminates with nothing committed: every chain is
-	// intact for a clean abort.
+	// Staging phase: every participant's per-object commit record is
+	// staged up front, in one batch (one WAL staging-queue acquisition),
+	// outside the checkpoint gate. Staging discharges nothing: a fuzzy
+	// capture interleaving here still sees every undo chain intact (the
+	// transaction is captured as in-flight), and restart decides winners
+	// by the transaction-level record alone (per-object CommitRecs are
+	// redo hints), so hoisting the staging out narrows the gate hold to
+	// the discharge→decision window below. A staging failure terminates
+	// with nothing committed: every chain is intact for a clean abort.
 	// stageNS accumulates the WAL staging cost of this commit (the batch
 	// staging below plus the transaction-level record) for the WAL-stage
 	// histogram.
@@ -107,31 +114,27 @@ func (t *Txn) Commit() error {
 		if o != nil {
 			stage0 = time.Now()
 		}
-		// One record buffer serves every shard's batch. It lives on the
-		// stack: AppendBatchAsync copies what it stages, and records
-		// reach it by value.
+		// The batch's record buffer lives on the stack: AppendBatchAsync
+		// copies what it stages, and records reach it by value.
 		var recBuf [4]wal.Record
 		recs := recBuf[:0]
-		for _, g := range groups {
-			recs = recs[:0]
-			for _, obj := range g.objs {
-				mo, ok := e.lookup(obj)
-				if !ok {
-					hold()
-					return t.terminate(objs, 0,
-						fmt.Errorf("txn %s: commit: object %q vanished", t.id, obj))
-				}
-				if bc, ok := mo.store.(recovery.BatchCommitter); ok {
-					if r, ok := bc.CommitRecord(t.id); ok {
-						recs = append(recs, r)
-					}
-				}
-			}
-			if _, err := e.log.AppendBatchAsync(recs); err != nil {
+		for _, obj := range objs {
+			mo, ok := e.lookup(obj)
+			if !ok {
 				hold()
 				return t.terminate(objs, 0,
-					fmt.Errorf("txn %s: staging commit records: %w", t.id, err))
+					fmt.Errorf("txn %s: commit: object %q vanished", t.id, obj))
 			}
+			if bc, ok := mo.store.(recovery.BatchCommitter); ok {
+				if r, ok := bc.CommitRecord(t.id); ok {
+					recs = append(recs, r)
+				}
+			}
+		}
+		if _, err := e.log.AppendBatchAsync(recs); err != nil {
+			hold()
+			return t.terminate(objs, 0,
+				fmt.Errorf("txn %s: staging commit records: %w", t.id, err))
 		}
 		if o != nil {
 			stageNS += time.Since(stage0).Nanoseconds()
@@ -192,17 +195,6 @@ func (t *Txn) Commit() error {
 		mo.mu.Unlock()
 		committed++
 	}
-	// Enroll in every touched shard's ordered-release protocol before the
-	// commit ticket exists: a later committer whose release must wait on
-	// this transaction is guaranteed to observe the enrollment, because
-	// its own (larger) ticket cannot be assigned before this enrollment —
-	// enroll happens-before our staging in the same total stamp order.
-	enrolled := t.wroteWAL
-	if enrolled {
-		for _, g := range groups {
-			g.sh.enrollRelease(t.id)
-		}
-	}
 	// The durable commit point, staged exactly once, after every object's
 	// commit processing and before any lock release.
 	var ticket wal.Ticket
@@ -232,12 +224,7 @@ func (t *Txn) Commit() error {
 			// The log closed under us (Commit racing Engine.Close): the
 			// transaction is committed in memory but its commit decision
 			// never reached the log. No ticket will ever exist, so the
-			// enrollments are withdrawn and the locks released unordered.
-			if enrolled {
-				for _, g := range groups {
-					g.sh.withdrawRelease(t.id)
-				}
-			}
+			// locks are released publishing none.
 			ungate()
 			t.releaseLocks(0)
 			hold()
@@ -255,20 +242,11 @@ func (t *Txn) Commit() error {
 			}
 		}
 	}
-	if enrolled {
-		for _, g := range groups {
-			g.sh.resolveRelease(t.id, ticket)
-		}
-	}
 	ungate()
 	// Phase 2b: release locks and wake waiters before the barrier (early
 	// release), publishing the commit ticket so dependents inherit this
 	// commit's durability point.
-	if enrolled {
-		t.releaseLocksOrdered(groups, ticket)
-	} else {
-		t.releaseLocks(ticket)
-	}
+	t.releaseLocks(ticket)
 	hold()
 	// The barrier makes the commit durable: wait until the durable
 	// watermark covers both this transaction's own commit record and its
@@ -304,36 +282,4 @@ func (t *Txn) Commit() error {
 	e.Metrics.Commits.Add(1)
 	t.obsEnd("commit")
 	return nil
-}
-
-// commitGroup is one registry shard's slice of a transaction's touched
-// objects, in ascending object-ID order. Group order is ascending shard
-// index, so every committer walks shards the same way — the property
-// that lets shard-by-shard release pipeline without circular waits.
-type commitGroup struct {
-	sh   *engineShard
-	objs []history.ObjectID
-}
-
-// shardGroups returns the deterministic sweep order of the sharded commit
-// pipeline: objs is the touched set sorted by registry-shard index, then
-// by object ID, and groups cuts it into one contiguous run per shard, in
-// ascending shard-index order. Both are sorted into the Txn's buffers.
-func (t *Txn) shardGroups() (groups []commitGroup, objs []history.ObjectID) {
-	e := t.eng
-	objs = append(t.sortBuf[:0], t.order...)
-	slices.SortFunc(objs, func(a, b history.ObjectID) int {
-		return cmp.Or(cmp.Compare(e.shardIndex(a), e.shardIndex(b)), cmp.Compare(a, b))
-	})
-	groups = t.groupBuf[:0]
-	for lo := 0; lo < len(objs); {
-		i := e.shardIndex(objs[lo])
-		hi := lo + 1
-		for hi < len(objs) && e.shardIndex(objs[hi]) == i {
-			hi++
-		}
-		groups = append(groups, commitGroup{sh: e.shards[i], objs: objs[lo:hi]})
-		lo = hi
-	}
-	return groups, objs
 }

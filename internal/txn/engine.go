@@ -246,22 +246,6 @@ type engineShard struct {
 	// successor under the CowMap's internal writer mutex.
 	objects  stripe.CowMap[history.ObjectID, *managedObject]
 	recorder *history.Recorder
-
-	// Commit-LSN-ordered release state. A committing transaction enrolls
-	// in every shard it touched before staging its transaction-level
-	// commit record, resolves the enrollment with the record's stage
-	// ticket right after, and at release time waits until no other
-	// committer in the shard is enrolled-unresolved or resolved with a
-	// smaller ticket. Global stamp monotonicity makes the protocol
-	// complete: any transaction whose commit LSN precedes this one's had
-	// already enrolled here by the time this one's ticket existed (enroll
-	// happens-before its own staging, which happens-before every larger
-	// stamp), so waiting on the pending set alone observes every
-	// predecessor. relMu guards pending; relCond is broadcast on every
-	// resolve/withdraw/finish.
-	relMu   sync.Mutex
-	relCond *sync.Cond
-	pending map[history.TxnID]wal.Ticket
 }
 
 // managedObject couples the lock table, recovery store, and latch of one
@@ -310,9 +294,7 @@ func NewEngine(opts Options) *Engine {
 		log.SetObserver(opts.Obs)
 	}
 	for i := range e.shards {
-		sh := &engineShard{recorder: history.NewRecorder(&e.evSeq)}
-		sh.relCond = sync.NewCond(&sh.relMu)
-		e.shards[i] = sh
+		e.shards[i] = &engineShard{recorder: history.NewRecorder(&e.evSeq)}
 	}
 	if e.redoOnly() && log.Discipline() == "" && log.Records() == 0 && log.Base() == 0 {
 		// Brand the fresh log with the discipline marker as its first record
@@ -350,12 +332,7 @@ func (e *Engine) redoOnly() bool { return e.opts.LogDiscipline == wal.Discipline
 
 // shardOf returns the shard owning id.
 func (e *Engine) shardOf(id history.ObjectID) *engineShard {
-	return e.shards[e.shardIndex(id)]
-}
-
-// shardIndex returns the index of the shard owning id.
-func (e *Engine) shardIndex(id history.ObjectID) uint32 {
-	return stripe.FNV32a(string(id)) & e.mask
+	return e.shards[stripe.FNV32a(string(id))&e.mask]
 }
 
 // lookup finds a registered object. The hit path performs zero lock
@@ -472,11 +449,9 @@ type Txn struct {
 	// objects a short transaction touches.
 	order    []history.ObjectID
 	orderBuf [4]history.ObjectID
-	// sortBuf and groupBuf back the sweep orders that Commit
-	// (shardGroups) and Abort (sortedTouched) sort the touched set into.
-	// The two never both run, so they share sortBuf.
-	sortBuf  [4]history.ObjectID
-	groupBuf [4]commitGroup
+	// sortBuf backs the object-ID sweep order (sortedTouched) that
+	// Commit and Abort sort the touched set into; the two never both run.
+	sortBuf [4]history.ObjectID
 	// conflictBuf backs the conflict list of Invoke's lock requests. The
 	// deadlock detector holds it as the transaction's edges while it
 	// waits (see Invoke).

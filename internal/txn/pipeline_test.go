@@ -1,17 +1,19 @@
 package txn
 
-// Tests of the copy-on-write registry and the sharded, commit-LSN-ordered
-// commit pipeline: registration mid-traffic never loses an object or
-// tears a lookup, the per-shard ordered-release protocol releases in
-// commit-ticket order deterministically, both logging disciplines commit
-// the same literal balances, and one commit's staged records are exactly
-// the expected multiset with the commit decision last.
+// Tests of the copy-on-write registry and the commit pipeline:
+// registration mid-traffic never loses an object or tears a lookup,
+// concurrent commits that release in whatever order the schedule gives
+// them lose no deposit, both logging disciplines commit the same literal
+// balances, and one commit's staged records are exactly the expected
+// multiset, in one batch, with the commit decision last.
 
 import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/adt"
@@ -106,87 +108,22 @@ func TestCowRegistryRegisterMidTraffic(t *testing.T) {
 	}
 }
 
-// TestOrderedReleaseObservesTicketOrder drives the per-shard release
-// protocol deterministically: with A resolved at a smaller ticket than B,
-// B's release must block until A's completes, whatever the goroutine
-// schedule — the happens-before chain is forced by the protocol itself,
-// not by sleeps.
-func TestOrderedReleaseObservesTicketOrder(t *testing.T) {
-	e := NewEngine(Options{Shards: 1})
-	defer e.Close()
-	sh := e.shards[0]
-	var mu sync.Mutex
-	var order []string
-	release := func(id history.TxnID) {
-		sh.awaitReleaseTurn(id)
-		mu.Lock()
-		order = append(order, string(id))
-		mu.Unlock()
-		sh.finishRelease(id)
-	}
-	sh.enrollRelease("A")
-	sh.enrollRelease("B")
-	sh.resolveRelease("A", 10)
-	sh.resolveRelease("B", 20)
-	done := make(chan struct{})
-	go func() {
-		release("B") // must wait: A is resolved with a smaller ticket
-		close(done)
-	}()
-	release("A") // never blocks: smallest resolved ticket, no unresolved peers
-	<-done
-	if len(order) != 2 || order[0] != "A" || order[1] != "B" {
-		t.Fatalf("release order = %v, want [A B] (commit-LSN order)", order)
-	}
-}
-
-// TestOrderedReleaseBlocksOnUnresolved: an enrolled committer whose
-// ticket is not yet known blocks every release in the shard — its
-// eventual ticket could be smaller than any resolved one's. Once it
-// resolves larger, the smaller-ticketed committer goes first; the
-// ordering assertions hold on every schedule.
-func TestOrderedReleaseBlocksOnUnresolved(t *testing.T) {
-	e := NewEngine(Options{Shards: 1})
-	defer e.Close()
-	sh := e.shards[0]
-	var mu sync.Mutex
-	var order []string
-	release := func(id history.TxnID) {
-		sh.awaitReleaseTurn(id)
-		mu.Lock()
-		order = append(order, string(id))
-		mu.Unlock()
-		sh.finishRelease(id)
-	}
-	sh.enrollRelease("A") // stays unresolved while B tries to release
-	sh.enrollRelease("B")
-	sh.resolveRelease("B", 5)
-	done := make(chan struct{})
-	go func() {
-		release("B") // blocks: A unresolved, then A resolved larger → B first
-		close(done)
-	}()
-	sh.resolveRelease("A", 10)
-	<-done
-	release("A") // blocks until B finished (B's ticket 5 < 10), then proceeds
-	if len(order) != 2 || order[0] != "B" || order[1] != "A" {
-		t.Fatalf("release order = %v, want [B A] (ticket order 5 < 10)", order)
-	}
-}
-
-// TestShardedCommitReleasesInTicketOrderEndToEnd commits transactions on
-// disjoint objects of one shard concurrently and checks, via the commit
-// tickets each object publishes, that the per-shard release pipeline let
-// every commit through (no lost wakeup, no stuck enrollment) and the
-// final pending table is empty.
+// TestShardedCommitReleasesInTicketOrderEndToEnd commits two-object
+// deposit transactions on the objects of one shard concurrently over a
+// durable log. Committers release their locks in whatever order of their
+// tickets the schedule gives them; the test checks that every commit got
+// through (no lost wakeup), that every object's committed balance equals
+// the deposits committed on it, and that the history is well-formed.
 func TestShardedCommitReleasesInTicketOrderEndToEnd(t *testing.T) {
-	e := NewEngine(Options{RecordHistory: true, Shards: 1})
+	e := NewEngine(Options{RecordHistory: true, Shards: 1, WAL: backedWAL(t)})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	const objects, rounds, workers = 6, 10, 6
 	for i := 0; i < objects; i++ {
 		e.MustRegister(history.ObjectID(fmt.Sprintf("o%d", i)), ba, ba.NRBC(), UndoLogRecovery)
 	}
+	// deposits[i] counts the committed deposits on object oi.
+	var deposits [objects]atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -194,12 +131,12 @@ func TestShardedCommitReleasesInTicketOrderEndToEnd(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				tx := e.Begin()
-				// Two objects per txn so shard groups have width.
+				// Two objects per txn, so each commit releases a pair.
 				a := history.ObjectID(fmt.Sprintf("o%d", (w+r)%objects))
 				b := history.ObjectID(fmt.Sprintf("o%d", (w+r+1)%objects))
 				if _, err := tx.Invoke(a, adt.Deposit(1)); err != nil {
 					tx.Abort()
-					continue // deadlock victim: fine, the protocol is what's under test
+					continue // deadlock victim: fine, the release is what's under test
 				}
 				if _, err := tx.Invoke(b, adt.Deposit(1)); err != nil {
 					tx.Abort()
@@ -209,17 +146,19 @@ func TestShardedCommitReleasesInTicketOrderEndToEnd(t *testing.T) {
 					t.Errorf("commit: %v", err)
 					return
 				}
+				deposits[(w+r)%objects].Add(1)
+				deposits[(w+r+1)%objects].Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Every enrollment was cleaned up: no committer is still pending.
-	sh := e.shards[0]
-	sh.relMu.Lock()
-	left := len(sh.pending)
-	sh.relMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d enrollments left pending after quiescence", left)
+	for i := range deposits {
+		obj := history.ObjectID(fmt.Sprintf("o%d", i))
+		store, _ := e.Object(obj)
+		want := strconv.FormatInt(deposits[i].Load(), 10)
+		if got := store.CommittedValue().Encode(); got != want {
+			t.Errorf("%s: committed balance %s, want %s (the committed deposits)", obj, got, want)
+		}
 	}
 	if err := history.WellFormed(e.History()); err != nil {
 		t.Fatalf("history not well-formed: %v", err)
@@ -276,17 +215,25 @@ func TestReleaseDisciplineMatrix(t *testing.T) {
 }
 
 // TestBatchStagedCommitRecords pins the WAL record stream of one
-// four-object undo-logged commit: an update and a per-object commit
-// record for every participant, staged in per-shard batches, and the
-// transaction-level commit record last — the property restart's
-// presumed-abort protocol replays by.
+// four-object undo-logged commit whose objects span both registry
+// shards: an update and a per-object commit record for every
+// participant, and the transaction-level commit record last — the
+// property restart's presumed-abort protocol replays by. Commit takes
+// the staging-queue lock twice: once for the one batch of every
+// participant's commit record, whatever shards they live in, and once
+// for the transaction-level record.
 func TestBatchStagedCommitRecords(t *testing.T) {
 	e := NewEngine(Options{RecordHistory: true, Shards: 2, WAL: backedWAL(t)})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	objs := []history.ObjectID{"p", "q", "r", "s"}
+	shards := map[*engineShard]bool{}
 	for _, o := range objs {
 		e.MustRegister(o, ba, ba.NRBC(), UndoLogRecovery)
+		shards[e.shardOf(o)] = true
+	}
+	if len(shards) != 2 {
+		t.Fatalf("objects %v span %d shards, want both", objs, len(shards))
 	}
 	tx := e.Begin()
 	for _, o := range objs {
@@ -294,8 +241,12 @@ func TestBatchStagedCommitRecords(t *testing.T) {
 			t.Fatalf("deposit: %v", err)
 		}
 	}
+	acqs := e.WAL().Stats().StripeAcquisitions
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
+	}
+	if d := e.WAL().Stats().StripeAcquisitions - acqs; d != 2 {
+		t.Fatalf("Commit took the staging-queue lock %d times, want 2 (one batch + the transaction-level record)", d)
 	}
 	if err := e.WAL().Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

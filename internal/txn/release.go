@@ -1,7 +1,7 @@
 package txn
 
-// The release path: commit-LSN-ordered release per shard, unordered
-// release, termination of a failed commit, and Abort.
+// The release path: Commit's lock release, termination of a failed
+// commit, and Abort.
 
 import (
 	"fmt"
@@ -11,83 +11,14 @@ import (
 	"repro/internal/wal"
 )
 
-// enrollRelease registers txn as a committer of this shard whose commit
-// ticket is not yet known (it has not staged its transaction-level commit
-// record). Unresolved enrollments block every ordered release in the
-// shard: an unresolved committer's eventual ticket may be smaller than
-// any resolved one's only if it enrolled before they staged — exactly the
-// window this blocking covers.
-func (sh *engineShard) enrollRelease(txn history.TxnID) {
-	sh.relMu.Lock()
-	if sh.pending == nil {
-		sh.pending = make(map[history.TxnID]wal.Ticket)
-	}
-	sh.pending[txn] = 0
-	sh.relMu.Unlock()
-}
-
-// resolveRelease publishes txn's commit ticket, unblocking waiters whose
-// turn it establishes.
-func (sh *engineShard) resolveRelease(txn history.TxnID, tk wal.Ticket) {
-	sh.relMu.Lock()
-	sh.pending[txn] = tk
-	sh.relCond.Broadcast()
-	sh.relMu.Unlock()
-}
-
-// withdrawRelease removes an enrollment whose commit failed before a
-// ticket existed (the log closed under the TxnCommitRec staging); the
-// transaction terminates through the unordered release path.
-func (sh *engineShard) withdrawRelease(txn history.TxnID) {
-	sh.relMu.Lock()
-	delete(sh.pending, txn)
-	sh.relCond.Broadcast()
-	sh.relMu.Unlock()
-}
-
-// awaitReleaseTurn blocks until txn is the next committer allowed to
-// release this shard's locks: no other enrollment is unresolved, and no
-// resolved one carries a smaller ticket. Deadlock-free: a committer never
-// waits between enroll and resolve (so unresolved entries always resolve
-// or withdraw), and resolved waiters are totally ordered by ticket — the
-// smallest never blocks.
-func (sh *engineShard) awaitReleaseTurn(txn history.TxnID) {
-	sh.relMu.Lock()
-	for {
-		my := sh.pending[txn]
-		blocked := false
-		for other, tk := range sh.pending {
-			if other != txn && (tk == 0 || tk < my) {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
-			break
-		}
-		sh.relCond.Wait()
-	}
-	sh.relMu.Unlock()
-}
-
-// finishRelease removes txn's enrollment after its locks at this shard
-// are released, passing the turn to the next committer in commit-LSN
-// order.
-func (sh *engineShard) finishRelease(txn history.TxnID) {
-	sh.relMu.Lock()
-	delete(sh.pending, txn)
-	sh.relCond.Broadcast()
-	sh.relMu.Unlock()
-}
-
-// releaseLocks releases every lock the transaction holds at every touched
-// object (waking waiters) and clears its wait edges in the deadlock
-// detector. It runs on every Commit/Abort exit path — success or error —
-// so no path can leak locks or leave stale waits-for edges behind. A
-// non-zero commit ticket is published to each object while its latch is
-// held: a transaction that acquires the released locks afterwards reads
-// the ticket on its next operation and inherits this commit as a
-// durability dependency.
+// releaseLocks is Commit's one lock release: it releases every lock the
+// transaction holds at every touched object (waking waiters) and clears
+// its wait edges in the deadlock detector. A non-zero commit ticket is
+// published to each object as a max while its latch is held: a
+// transaction that acquires the released locks afterwards reads the
+// ticket on its next operation and inherits this commit as a durability
+// dependency. Committers release in whatever order the schedule gives
+// them; see Commit for why that order is immaterial.
 func (t *Txn) releaseLocks(commit wal.Ticket) {
 	e := t.eng
 	for _, obj := range t.order {
@@ -218,37 +149,4 @@ func (t *Txn) sortedTouched() []history.ObjectID {
 	objs := append(t.sortBuf[:0], t.order...)
 	slices.Sort(objs)
 	return objs
-}
-
-// releaseLocksOrdered releases the transaction's locks shard by shard in
-// commit-LSN order: at each touched shard the committer waits until every
-// shard committer with a smaller commit ticket (and every one whose
-// ticket is still unresolved) has released there first, then releases its
-// own locks and passes the turn. Commit tickets are stage stamps —
-// totally ordered and consistent with LSN order — so within every shard,
-// lock release order equals commit-LSN order, while different shards
-// release in parallel (a committer done with shard i moves on while its
-// successor releases i behind it). The commit ticket is published to each
-// object under its latch exactly as releaseLocks does.
-func (t *Txn) releaseLocksOrdered(groups []commitGroup, commit wal.Ticket) {
-	e := t.eng
-	for _, g := range groups {
-		g.sh.awaitReleaseTurn(t.id)
-		for _, obj := range g.objs {
-			mo, ok := e.lookup(obj)
-			if !ok {
-				continue // vanished object: nothing left to release there
-			}
-			mo.mu.Lock()
-			if commit > mo.commitTicket {
-				mo.commitTicket = commit
-				mo.commitWriter = t.id
-			}
-			mo.table.Release(t.id)
-			mo.cond.Broadcast()
-			mo.mu.Unlock()
-		}
-		g.sh.finishRelease(t.id)
-	}
-	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 }

@@ -56,9 +56,9 @@
 // The log also exposes its durability frontier: AppendAsync returns a
 // stage Ticket, the durable watermark (DurableLSN, IsDurable) tracks the
 // last backend-acknowledged batch, and WaitDurable blocks a caller until
-// the watermark covers a ticket — the seam commit-LSN-ordered lock
-// release is built on (a dependent transaction waits for the durability
-// of the commits it read from, not just its own records). Close is
+// the watermark covers a ticket — the seam early lock release is built
+// on (a dependent transaction waits for the durability of the commits it
+// read from, not just its own records). Close is
 // idempotent and publishes a typed ErrClosed to appenders and barriers
 // that lose the shutdown race.
 //
@@ -849,7 +849,7 @@ func (l *Log) IsDurable(t Ticket) bool {
 // up to and including t's has failed (returning the sticky error — the
 // watermark will never cover t), or the log is closed without t durable
 // (returning an ErrClosed-wrapped error). It is the commit barrier, and the
-// dependency barrier of commit-LSN-ordered lock release: a transaction
+// dependency barrier of early lock release: a transaction
 // that read from an early-released commit passes max(its own ticket, that
 // commit's) here and is acknowledged only once its read-from set is
 // durable. A durable ticket returns at once; otherwise the call follows
