@@ -53,7 +53,7 @@ var analyzers = []*analysis.Analyzer{
 // scopes restricts path-sensitive analyzers to the packages whose
 // disciplines they encode; walerr and atomicfield apply everywhere.
 var scopes = analysis.Scope{
-	"locksafe":          {"internal/txn", "internal/stripe", "internal/checkpoint"},
+	"locksafe":          {"internal/txn", "internal/checkpoint"},
 	"stagebeforemutate": {"internal/recovery", "internal/txn"},
 	"detreplay":         {"internal/recovery", "internal/history", "internal/obs"},
 }

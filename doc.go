@@ -14,14 +14,12 @@
 // realizing DU.
 //
 // The engine is built to scale with cores while staying auditable: the
-// object registry is striped over a power-of-two shard array, each shard
-// publishing its object map through an atomic copy-on-write snapshot
-// (stripe.CowMap) — object lookup is a hash plus one atomic load, with
-// zero lock acquisitions on the hit path, while registration copies the
-// map under a writer-only mutex. Each shard
-// records events into its own buffer stamped from one global atomic
-// sequence, and Engine.History() merges the buffers back into the single
-// totally ordered history the checkers replay. The write-ahead log is
+// object registry is one sync.Map, whose lookup takes no lock on the hit
+// path and whose registration does not copy the registry. One recorder
+// appends every event under the object latch, so Engine.History() is
+// the single totally ordered history the checkers replay, and one
+// deadlock detector holds the waits-for graph under one lock, taken only
+// by a transaction that waits. The write-ahead log is
 // group-committed in overlapping rounds: updates stage into one queue in
 // ticket order; a round takes the whole queue (a consistent cut by
 // construction), assigns it a contiguous LSN range and writes it
@@ -68,8 +66,8 @@
 // and the durable watermark only advances over a ticket prefix.
 //
 // Restart cost is bounded by fuzzy checkpointing (internal/checkpoint,
-// txn.Engine.Checkpoint): a checkpointer walks the striped registry shard
-// by shard without stopping the world, capturing each undo-log object's
+// txn.Engine.Checkpoint): a checkpointer walks the registry once
+// without stopping the world, capturing each undo-log object's
 // state and in-flight transaction table under its latch and stamping the
 // capture with a wal.CheckpointRec marker whose LSN splits that object's
 // records into captured-versus-replayable; the snapshot is saved (write-

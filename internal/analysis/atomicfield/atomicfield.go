@@ -1,8 +1,8 @@
 // Package atomicfield forbids mixed atomic/plain access to struct
 // fields.
 //
-// The engine publishes cross-goroutine state through atomics: the global
-// stamp, the durable watermark, commit tickets. A field that is ever
+// The engine publishes cross-goroutine state through atomics: the
+// transaction sequence, the durable watermark, commit tickets. A field that is ever
 // accessed through sync/atomic functions (atomic.LoadInt64(&x.f), ...)
 // participates in a release/acquire protocol, and one plain read or
 // write elsewhere silently breaks it — the race detector only catches
@@ -19,9 +19,9 @@
 // address-taking outside sync/atomic calls.
 //
 // The analyzer also understands the typed atomic.Pointer[T] and the
-// copy-on-write discipline built on it (stripe.CowMap, the engine's
-// lock-free object registry): a value reached through Pointer.Load is a
-// published immutable snapshot, shared with every concurrent reader.
+// copy-on-write discipline built on it: a value reached through
+// Pointer.Load is a published immutable snapshot, shared with every
+// concurrent reader.
 // Writers must copy, mutate the copy, and Store the copy — never mutate
 // the loaded value in place. Within each function body the analyzer
 // tracks pointers (and their dereferenced values) obtained from

@@ -34,15 +34,17 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Standard   bool
-	Incomplete bool
+	DepOnly    bool // listed only as a dependency of a matched package
 }
 
-// List expands patterns ("./...") into packages via the go command,
-// run in dir (the module root). Only the fields the loader needs are
-// decoded; test files are not listed (the disciplines guard engine code,
-// and test helpers deliberately exercise the forbidden shapes).
+// List expands patterns ("./...") into packages via `go list -deps`,
+// run in dir (the module root): the matched packages and everything they
+// import, each listed after its dependencies. Only the fields the loader
+// needs are decoded; test files are not listed (the disciplines guard
+// engine code, and test helpers deliberately exercise the forbidden
+// shapes).
 func List(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+	args := append([]string{"list", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -74,17 +76,22 @@ func NewImporter(fset *token.FileSet) types.ImporterFrom {
 	return importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 }
 
-// Load lists, parses and type-checks the packages matched by patterns.
+// Load lists, parses and type-checks the packages matched by patterns in
+// the module at dir. The module's packages are type-checked once each, in
+// the dependency order go list gives, and import one another from the
+// packages already checked, so imports resolve in dir's module whatever
+// the working directory; only the standard library goes through the
+// source importer. It returns the packages the patterns matched.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	listed, err := List(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := NewImporter(fset)
+	imp := &moduleImporter{std: NewImporter(fset), checked: map[string]*types.Package{}}
 	var out []*Package
 	for _, lp := range listed {
-		if lp.Name == "" || len(lp.GoFiles) == 0 {
+		if lp.Standard || lp.Name == "" || len(lp.GoFiles) == 0 {
 			continue
 		}
 		files := make([]string, len(lp.GoFiles))
@@ -95,9 +102,31 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pkg)
+		imp.checked[lp.ImportPath] = pkg.Types
+		if !lp.DepOnly {
+			out = append(out, pkg)
+		}
 	}
 	return out, nil
+}
+
+// moduleImporter resolves the module's packages from those Load has
+// already type-checked and hands every other import — the standard
+// library — to the source importer.
+type moduleImporter struct {
+	std     types.ImporterFrom
+	checked map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := m.checked[path]; ok {
+		return p, nil
+	}
+	return m.std.ImportFrom(path, dir, mode)
 }
 
 // Check parses and type-checks one package from its file list. The

@@ -31,7 +31,7 @@ func moduleRoot(t *testing.T) string {
 // module-internal imports) — the foundation every analyzer stands on.
 func TestLoadModulePackages(t *testing.T) {
 	root := moduleRoot(t)
-	pkgs, err := Load(root, []string{"./internal/wal", "./internal/stripe"})
+	pkgs, err := Load(root, []string{"./internal/wal", "./internal/spec"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestCheckSharedImporter(t *testing.T) {
 	root := moduleRoot(t)
 	fset := token.NewFileSet()
 	imp := NewImporter(fset)
-	dir := filepath.Join(root, "internal", "stripe")
-	pkg, err := Check(fset, imp, "repro/internal/stripe", dir,
-		[]string{filepath.Join(dir, "stripe.go")})
+	dir := filepath.Join(root, "internal", "spec")
+	pkg, err := Check(fset, imp, "repro/internal/spec", dir,
+		[]string{filepath.Join(dir, "spec.go"), filepath.Join(dir, "automaton.go")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg.Types.Scope().Lookup("FNV32a") == nil {
-		t.Fatal("stripe.FNV32a not found after Check")
+	if pkg.Types.Scope().Lookup("Op") == nil {
+		t.Fatal("spec.Op not found after Check")
 	}
 }

@@ -1,7 +1,7 @@
 // Package locksafe checks that every latch/mutex acquire is paired with
 // a release reachable on all return paths.
 //
-// The engine's latches (managedObject.mu, shard mu, the checkpoint gate)
+// The engine's latches (managedObject.mu, the checkpoint gate)
 // serialize the op path; a single error-exit that forgets its Unlock
 // wedges the object forever — the exact bug PR 3 fixed by hand when
 // Commit/Abort leaked locks on their error exits. locksafe walks each

@@ -1,6 +1,6 @@
 package histfile_test
 
-// The sharded engine's recorded history, saved and re-checked through the
+// The engine's recorded history, saved and re-checked through the
 // same pipeline cmd/histcheck runs on trace files.
 
 import (
@@ -26,15 +26,15 @@ func specsFor(h history.History, sp spec.Enumerable) atomicity.Specs {
 }
 
 // TestShardedTraceHistcheckPipeline drives a small deterministic workload
-// on an 8-shard engine that stays inside the default bank-account window,
-// saves the merged history through histfile, and re-checks the parsed file
+// on an engine that stays inside the default bank-account window,
+// saves the recorded history through histfile, and re-checks the parsed file
 // with exactly the pipeline cmd/histcheck runs: well-formedness, full
 // atomicity, full dynamic atomicity, and per-object acceptance by
 // I(X, Spec, UIP, NRBC). Set SCALING_HIST_OUT to dump the file for a
 // manual `histcheck -view uip` run.
 func TestShardedTraceHistcheckPipeline(t *testing.T) {
 	ba := adt.DefaultBankAccount() // initial balance 0, window 0..12
-	e := txn.NewEngine(txn.Options{RecordHistory: true, Shards: 8})
+	e := txn.NewEngine(txn.Options{RecordHistory: true})
 	objs := []history.ObjectID{"A", "B", "C"}
 	for _, id := range objs {
 		e.MustRegister(id, ba, ba.NRBC(), txn.UndoLogRecovery)

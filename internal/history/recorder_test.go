@@ -1,91 +1,118 @@
 package history
 
 import (
+	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/spec"
 )
 
-func TestRecorderStampsAndMergeOrder(t *testing.T) {
-	var seq atomic.Int64
-	a := NewRecorder(&seq)
-	b := NewRecorder(&seq)
-	// Interleave records across two recorders; stamps must be globally
-	// unique and Merge must restore the interleaved order.
-	a.Record(Event{Kind: Invoke, Obj: "X", Txn: "A", Inv: spec.Invocation{Name: "i1"}})
-	b.Record(Event{Kind: Invoke, Obj: "Y", Txn: "B", Inv: spec.Invocation{Name: "i2"}})
-	a.Record(Event{Kind: Respond, Obj: "X", Txn: "A", Res: "r1"})
-	b.Record(Event{Kind: Respond, Obj: "Y", Txn: "B", Res: "r2"})
-	if la, lb := len(a.Snapshot()), len(b.Snapshot()); la != 2 || lb != 2 {
-		t.Fatalf("lens = %d, %d", la, lb)
+// TestRecorderKeepsRecordOrder: the recorder's history is its events in
+// record order, across objects, and a copy the recorder does not share.
+func TestRecorderKeepsRecordOrder(t *testing.T) {
+	var r Recorder
+	if h := r.History(); len(h) != 0 {
+		t.Fatalf("empty recorder's history = %v", h)
 	}
-	h := Merge(a, b)
-	if len(h) != 4 {
-		t.Fatalf("merged %d events", len(h))
+	want := History{
+		{Kind: Invoke, Obj: "X", Txn: "A", Inv: spec.Invocation{Name: "i1"}},
+		{Kind: Invoke, Obj: "Y", Txn: "B", Inv: spec.Invocation{Name: "i2"}},
+		{Kind: Respond, Obj: "X", Txn: "A", Res: "r1"},
+		{Kind: Respond, Obj: "Y", Txn: "B", Res: "r2"},
 	}
-	wantObjs := []ObjectID{"X", "Y", "X", "Y"}
-	for i, e := range h {
-		if e.Obj != wantObjs[i] {
-			t.Fatalf("merge order wrong at %d: got %s\n%s", i, e.Obj, h)
+	for _, ev := range want {
+		r.Record(ev)
+	}
+	got := r.History()
+	if len(got) != len(want) {
+		t.Fatalf("history has %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %s, want %s", i, got[i], want[i])
 		}
 	}
-	// Per-recorder buffers are stamp-sorted.
-	for _, r := range []*Recorder{a, b} {
-		snap := r.Snapshot()
-		for i := 1; i < len(snap); i++ {
-			if snap[i].Seq <= snap[i-1].Seq {
-				t.Fatalf("buffer not sorted: %v", snap)
-			}
-		}
+	got[0].Obj = "Z"
+	if r.History()[0].Obj != "X" {
+		t.Fatal("History shares its buffer with the recorder")
 	}
 }
 
-func TestMergeEmptyAndNil(t *testing.T) {
-	var seq atomic.Int64
-	if h := Merge(); len(h) != 0 {
-		t.Fatalf("Merge() = %v", h)
-	}
-	if h := Merge(nil, NewRecorder(&seq)); len(h) != 0 {
-		t.Fatalf("Merge(nil, empty) = %v", h)
-	}
-}
-
-// TestRecorderConcurrentRace hammers recorders from many goroutines; under
-// -race this validates the locking, and afterwards the merged history must
-// contain every event with globally unique, totally ordered stamps.
+// TestRecorderConcurrentRace hammers one recorder from many goroutines;
+// under -race this validates the locking, and afterwards the history must
+// hold every event, each goroutine's in its program order.
 func TestRecorderConcurrentRace(t *testing.T) {
-	var seq atomic.Int64
-	recs := make([]*Recorder, 4)
-	for i := range recs {
-		recs[i] = NewRecorder(&seq)
-	}
-	const perG = 200
+	var r Recorder
+	const goroutines, perG = 8, 200
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r := recs[g%len(recs)]
 			for i := 0; i < perG; i++ {
-				r.Record(Event{Kind: Commit, Obj: "X", Txn: TxnID(rune('A' + g))})
+				r.Record(Event{Kind: Commit, Obj: "X", Txn: TxnID(rune('A' + g)), Res: spec.Response(strconv.Itoa(i))})
 			}
 		}(g)
 	}
 	wg.Wait()
-	total := 0
-	for _, r := range recs {
-		total += len(r.Snapshot())
+	h := r.History()
+	if len(h) != goroutines*perG {
+		t.Fatalf("recorded %d events, want %d", len(h), goroutines*perG)
 	}
-	if total != 8*perG {
-		t.Fatalf("recorded %d events, want %d", total, 8*perG)
+	next := map[TxnID]int{}
+	for _, ev := range h {
+		if want := strconv.Itoa(next[ev.Txn]); string(ev.Res) != want {
+			t.Fatalf("%s's event %s out of program order, want %s", ev.Txn, ev.Res, want)
+		}
+		next[ev.Txn]++
 	}
-	h := Merge(recs...)
-	if len(h) != 8*perG {
-		t.Fatalf("merged %d events, want %d", len(h), 8*perG)
+}
+
+// TestRecorderConcurrentInterleavings: one goroutine per transaction
+// replays its event stream into one recorder — the engine's concurrency
+// shape (a transaction is single-goroutine; the recorder is shared).
+// Whatever interleaving the scheduler produces, the history must hold
+// every event, preserve every transaction's program order, and pass the
+// well-formedness check the verification stack starts with.
+func TestRecorderConcurrentInterleavings(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := randomWellFormed(rng, 2+rng.Intn(5), 1+rng.Intn(4), 80)
+		var r Recorder
+		var wg sync.WaitGroup
+		for _, txn := range h.Txns() {
+			wg.Add(1)
+			go func(stream History) {
+				defer wg.Done()
+				for _, ev := range stream {
+					r.Record(ev)
+					runtime.Gosched()
+				}
+			}(h.ProjectTxn(txn))
+		}
+		wg.Wait()
+		got := r.History()
+		if len(got) != len(h) {
+			return false
+		}
+		for _, txn := range h.Txns() {
+			want, have := h.ProjectTxn(txn), got.ProjectTxn(txn)
+			if len(want) != len(have) {
+				return false
+			}
+			for i := range want {
+				if want[i] != have[i] {
+					return false
+				}
+			}
+		}
+		return WellFormed(got) == nil
 	}
-	if got := seq.Load(); got != 8*perG {
-		t.Fatalf("sequence advanced to %d, want %d", got, 8*perG)
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

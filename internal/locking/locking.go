@@ -18,7 +18,6 @@ import (
 	"repro/internal/commute"
 	"repro/internal/history"
 	"repro/internal/spec"
-	"repro/internal/stripe"
 )
 
 // Table tracks the operation locks held at one object under a conflict
@@ -111,28 +110,21 @@ type Waiter struct {
 }
 
 // Detector is a global waits-for deadlock detector shared by all objects
-// of an engine. It is safe for concurrent use. The edge store is striped by
-// waiter so that the per-shard engine hot path (declare a wait, clear waits
-// on wake and at commit/abort) touches only one stripe lock; cycle
-// detection — the rare path — holds every stripe lock (acquired in index
-// order) and runs the DFS over the live maps, so it sees one instantaneous
-// cut of the graph and exactly one victim is chosen per cycle, just as
-// with a single-lock detector. A waiter's entry — its edges, priority and
-// wake hook — exists only while it waits, so declaring priorities costs
-// nothing per transaction.
+// of an engine. It is safe for concurrent use: one mutex guards the whole
+// waits-for graph, so declaring a wait, detecting a cycle through it and
+// choosing the victim are one critical section, the DFS sees one
+// instantaneous cut of the graph, and exactly one victim is chosen per
+// cycle. A waiter's entry — its edges, priority and wake hook — exists
+// only while it waits, so declaring priorities costs nothing per
+// transaction, and a transaction that never waits never takes the lock.
 type Detector struct {
-	stripes []*detectorStripe
-	mask    uint32
-	// path and visited are findCycleFrom's scratch, reused by every
-	// detection and touched only under every stripe lock, so a wait that
-	// closes no cycle allocates nothing.
-	path    []dfsFrame
-	visited map[history.TxnID]struct{}
-}
-
-type detectorStripe struct {
 	mu    sync.Mutex
 	waits map[history.TxnID]waitEntry
+	// path and visited are findCycleFrom's scratch, reused by every
+	// detection under mu, so a wait that closes no cycle allocates
+	// nothing.
+	path    []dfsFrame
+	visited map[history.TxnID]struct{}
 }
 
 // waitEntry is one waiting transaction. holders are its outgoing edges,
@@ -152,25 +144,13 @@ type dfsFrame struct {
 	next int
 }
 
-// detectorStripes balances stripe-lock spread against snapshot cost.
-const detectorStripes = 8
-
 // NewDetector builds an empty detector.
 func NewDetector() *Detector {
-	d := &Detector{
-		stripes: make([]*detectorStripe, detectorStripes),
-		mask:    detectorStripes - 1,
+	return &Detector{
+		waits:   make(map[history.TxnID]waitEntry),
 		path:    make([]dfsFrame, 0, 8),
 		visited: make(map[history.TxnID]struct{}, 8),
 	}
-	for i := range d.stripes {
-		d.stripes[i] = &detectorStripe{waits: make(map[history.TxnID]waitEntry)}
-	}
-	return d
-}
-
-func (d *Detector) stripeOf(t history.TxnID) *detectorStripe {
-	return d.stripes[stripe.FNV32a(string(t))&d.mask]
 }
 
 // AddWaits records that w is blocked on holders and checks for a cycle
@@ -188,14 +168,13 @@ func (d *Detector) stripeOf(t history.TxnID) *detectorStripe {
 //     its request; w keeps its edges and keeps waiting.
 //
 // A w that was itself wounded since its last ClearWaits gets its wound
-// back as the error.
+// back as the error, and its entry is removed.
 func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
-	st := d.stripeOf(w.ID)
-	st.mu.Lock()
-	e, ok := st.waits[w.ID]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.waits[w.ID]
 	if ok && e.wound != nil {
-		delete(st.waits, w.ID)
-		st.mu.Unlock()
+		delete(d.waits, w.ID)
 		return nil, e.wound
 	}
 	if !ok {
@@ -209,60 +188,37 @@ func (d *Detector) AddWaits(w Waiter, holders []history.TxnID) (Waker, error) {
 		}
 	}
 	e.Waiter = w
-	st.waits[w.ID] = e
-	st.mu.Unlock()
-	// Detection under every stripe lock, acquired in index order (the
-	// single-stripe paths take only one lock, so no ordering cycle). The
-	// DFS therefore sees one instantaneous cut of the live graph — locking
-	// stripes one at a time could assemble a phantom cycle from edges that
-	// never overlapped in time and abort an innocent victim — and the
-	// victim's edge removal is atomic with detection, so a racing detection
-	// cannot see the already-broken cycle and pick a second victim.
-	for _, s := range d.stripes {
-		s.mu.Lock()
+	d.waits[w.ID] = e
+	cycle := d.findCycleFrom(w.ID)
+	if cycle == nil {
+		return nil, nil
 	}
-	var wake Waker
-	var err error
-	if own := st.waits[w.ID]; own.wound != nil {
-		// Wounded by a racing detection between the two lock sections.
-		delete(st.waits, w.ID)
-		err = own.wound
-	} else if cycle := d.findCycleFrom(w.ID); cycle != nil {
-		victim := cycle[0] // w: the DFS starts there
-		prio := w.Prio
-		for _, t := range cycle[1:] {
-			if p := d.stripeOf(t).waits[t].Prio; p > prio {
-				victim, prio = t, p
-			}
-		}
-		dl := &ErrDeadlock{Victim: victim, Cycle: cycle}
-		if victim == w.ID {
-			delete(st.waits, w.ID)
-			err = dl
-		} else {
-			vs := d.stripeOf(victim)
-			ve := vs.waits[victim]
-			ve.holders, ve.wound = nil, dl
-			vs.waits[victim] = ve
-			wake = ve.Wake
+	victim := cycle[0] // w: the DFS starts there
+	prio := w.Prio
+	for _, t := range cycle[1:] {
+		if p := d.waits[t].Prio; p > prio {
+			victim, prio = t, p
 		}
 	}
-	for _, s := range d.stripes {
-		s.mu.Unlock()
+	dl := &ErrDeadlock{Victim: victim, Cycle: cycle}
+	if victim == w.ID {
+		delete(d.waits, w.ID)
+		return nil, dl
 	}
-	return wake, err
+	ve := d.waits[victim]
+	ve.holders, ve.wound = nil, dl
+	d.waits[victim] = ve
+	return ve.Wake, nil
 }
 
-// ClearWaits removes waiter's entry (called after it wakes, and at commit
-// or abort). If a cycle chose waiter as its victim while it slept, the
-// wound is returned: the waiter must abort. Touches only the waiter's
-// stripe.
+// ClearWaits removes waiter's entry (called when it wakes). If a cycle
+// chose waiter as its victim while it slept, the wound is returned: the
+// waiter must abort.
 func (d *Detector) ClearWaits(waiter history.TxnID) error {
-	st := d.stripeOf(waiter)
-	st.mu.Lock()
-	wound := st.waits[waiter].wound
-	delete(st.waits, waiter)
-	st.mu.Unlock()
+	d.mu.Lock()
+	wound := d.waits[waiter].wound
+	delete(d.waits, waiter)
+	d.mu.Unlock()
 	if wound != nil {
 		return wound
 	}
@@ -273,7 +229,7 @@ func (d *Detector) ClearWaits(waiter history.TxnID) error {
 // returns a cycle through start (start first) if one exists. Edges are
 // followed in sorted order, so the cycle found is reproducible. Only the
 // returned cycle is allocated; the path and visited set are the
-// detector's scratch. Caller holds every stripe lock.
+// detector's scratch. Caller holds mu.
 func (d *Detector) findCycleFrom(start history.TxnID) []history.TxnID {
 	defer func() {
 		d.path = d.path[:0]
@@ -283,7 +239,7 @@ func (d *Detector) findCycleFrom(start history.TxnID) []history.TxnID {
 	d.visited[start] = struct{}{}
 	for len(d.path) > 0 {
 		top := &d.path[len(d.path)-1]
-		edges := d.stripeOf(top.id).waits[top.id].holders
+		edges := d.waits[top.id].holders
 		if top.next == len(edges) {
 			d.path = d.path[:len(d.path)-1]
 			continue
@@ -308,11 +264,7 @@ func (d *Detector) findCycleFrom(start history.TxnID) []history.TxnID {
 // WaitCount returns the number of transactions currently waiting
 // (diagnostics).
 func (d *Detector) WaitCount() int {
-	n := 0
-	for _, st := range d.stripes {
-		st.mu.Lock()
-		n += len(st.waits)
-		st.mu.Unlock()
-	}
-	return n
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.waits)
 }

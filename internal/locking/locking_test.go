@@ -292,9 +292,10 @@ func TestAsymmetricRelationNoFalseDeadlock(t *testing.T) {
 	}
 }
 
-// TestDetectorStripedConcurrency hammers the striped detector from many
+// TestDetectorStripedConcurrency hammers the detector from many
 // goroutines with disjoint wait edges (no cycles): every add/clear must
-// stay on its stripe without races, and the count drains to zero.
+// run without races under the detector's one lock, and the count drains
+// to zero.
 func TestDetectorStripedConcurrency(t *testing.T) {
 	d := NewDetector()
 	var wg sync.WaitGroup
@@ -319,8 +320,8 @@ func TestDetectorStripedConcurrency(t *testing.T) {
 	}
 }
 
-// TestDetectorStripedSingleVictim: with edges crossing stripes, closing a
-// cycle still yields exactly one victim — the youngest, B — even when both
+// TestDetectorStripedSingleVictim: closing a cycle from two racing
+// requesters yields exactly one victim — the youngest, B — even when both
 // closers race, whether B learns it from its own AddWaits or as a wound
 // collected by ClearWaits.
 func TestDetectorStripedSingleVictim(t *testing.T) {

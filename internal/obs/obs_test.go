@@ -249,11 +249,11 @@ func TestSnapshotWriters(t *testing.T) {
 	tt.Finish()
 	sampled, events, _ := o.Trace().Stats()
 	s := Snapshot{
-		Shards: 8,
-		Engine: EngineCounters{Begins: 10, Commits: 9, Aborts: 1, CommitHoldNS: 900, MeanCommitHoldNS: 100},
-		WAL:    WALStats{Flushes: 3, Records: 42, DurableLSN: 42},
-		Phases: o.Phases(),
-		Trace:  &TraceStats{Sampled: sampled, Events: events, Kinds: len(o.Trace().KindCounts())},
+		Discipline: "undo",
+		Engine:     EngineCounters{Begins: 10, Commits: 9, Aborts: 1, CommitHoldNS: 900, MeanCommitHoldNS: 100},
+		WAL:        WALStats{Flushes: 3, Records: 42, DurableLSN: 42},
+		Phases:     o.Phases(),
+		Trace:      &TraceStats{Sampled: sampled, Events: events, Kinds: len(o.Trace().KindCounts())},
 	}
 	jbuf, err := json.Marshal(s)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestSnapshotWriters(t *testing.T) {
 	if back.Engine.Commits != 9 || back.Phases == nil || back.Phases.LockWait.Count != 1 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-	if back.Shards != 8 || back.WAL.DurableLSN != 42 || back.Trace == nil || back.Trace.Sampled != 1 {
+	if back.Discipline != "undo" || back.WAL.DurableLSN != 42 || back.Trace == nil || back.Trace.Sampled != 1 {
 		t.Fatalf("round trip lost labels, WAL or trace stats: %+v", back)
 	}
 }

@@ -7,10 +7,9 @@ package obs
 // struct. txn.Engine.ObsSnapshot assembles it; harnesses and exporters
 // read it instead of hand-harvesting individual counters.
 type Snapshot struct {
-	// Discipline and Shards label the engine configuration the numbers
-	// were measured under, so a snapshot is self-describing.
+	// Discipline labels the logging discipline the numbers were
+	// measured under, so a snapshot is self-describing.
 	Discipline string `json:"discipline,omitempty"`
-	Shards     int    `json:"shards"`
 
 	Engine     EngineCounters  `json:"engine"`
 	WAL        WALStats        `json:"wal"`
@@ -43,10 +42,10 @@ type EngineCounters struct {
 	DependencyStalls   int64 `json:"dependency_stalls"`
 	DurabilityAborts   int64 `json:"durability_aborts"`
 	CommitHoldNS       int64 `json:"commit_hold_ns"`
-	// RegistryLockAcqs is structurally zero: the registry hit path is
-	// one atomic load of a copy-on-write map and takes no lock, so
-	// nothing increments it. It stays in the document because bench/
-	// reports it as stripe.registry_lock_acqs.
+	// RegistryLockAcqs is structurally zero: the registry lookup is the
+	// sync.Map hit path, no lock, so nothing increments it. It stays in
+	// the document because bench/ reports it as
+	// stripe.registry_lock_acqs.
 	RegistryLockAcqs int64 `json:"registry_lock_acqs"`
 	// MeanCommitHoldNS is CommitHoldNS / Commits — the mean lock hold
 	// of the commit protocol, surfaced here so readers need not

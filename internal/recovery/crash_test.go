@@ -197,7 +197,7 @@ func startCrashEngine(t *testing.T, run crashRun, opts txn.Options,
 // voluntarily.
 func runBankingCrash(t *testing.T, run crashRun) crashResult {
 	t.Helper()
-	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: true, Shards: 4}, func(e *txn.Engine) {
+	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: true}, func(e *txn.Engine) {
 		for i := 0; i < crashObjects; i++ {
 			e.MustRegister(crashObjID(i), crashBank, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
 		}
@@ -690,7 +690,7 @@ func verifyLiveHistory(t *testing.T, e *txn.Engine) {
 	t.Helper()
 	h := e.History()
 	if err := history.WellFormed(h); err != nil {
-		t.Fatalf("merged history not well-formed: %v", err)
+		t.Fatalf("recorded history not well-formed: %v", err)
 	}
 	sp := crashBank.Spec()
 	rel := adt.DefaultBankAccount().NRBC()

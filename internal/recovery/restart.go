@@ -10,7 +10,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
 	"repro/internal/history"
-	stripepkg "repro/internal/stripe"
 	"repro/internal/wal"
 )
 
@@ -18,7 +17,7 @@ import (
 // per-worker distribution that shows replay actually spreading across the
 // pool.
 type WorkerStats struct {
-	// Objects is the number of objects hashed to this worker.
+	// Objects is the number of objects dealt to this worker.
 	Objects int `json:"objects"`
 	// Replayed/Skipped/Undone are this worker's shares of the aggregate
 	// counters (see RestartStats).
@@ -69,10 +68,14 @@ type RestartStats struct {
 	WallNS  int64 `json:"wall_ns"`
 }
 
+// maxRestartWorkers caps the pass-2 worker pool: past it, more workers
+// cannot help.
+const maxRestartWorkers = 256
+
 // RestartConfig parameterizes RestartAllWithConfig.
 type RestartConfig struct {
-	// Parallelism is the pass-2 worker-pool size (rounded up to a power of
-	// two so object assignment can hash; 0 selects GOMAXPROCS). Pass 1
+	// Parallelism is the pass-2 worker-pool size (at most
+	// maxRestartWorkers; 0 selects GOMAXPROCS). Pass 1
 	// fans out one goroutine per durable log segment (or per even chunk,
 	// up to Parallelism, for unsegmented backends). Parallelism 1 is the
 	// fully sequential restart; any value yields an identical recovered
@@ -217,7 +220,8 @@ func appendTail(log *wal.Log, tail []wal.Record) {
 // in-flight transaction table reconstructed, and pass 2 replays only the
 // records past that object's marker — the bounded-suffix restart the
 // checkpoint exists for. Objects the snapshot does not cover (registered
-// after the checkpoint's shard walk) replay in full from the retained log.
+// after the checkpoint's registry walk began) replay in full from the
+// retained log.
 // The winner scan runs over the retained log, which by the checkpoint
 // contract contains every decision record restart can need: any
 // transaction pending at a capture, or starting after one, stages its
@@ -228,11 +232,10 @@ func appendTail(log *wal.Log, tail []wal.Record) {
 //
 // Pass 1's winner scan fans out one goroutine per durable log segment (see
 // wal.Log.SegmentBounds; unsegmented backends scan in even chunks), and
-// pass 2 runs a pool of cfg.Parallelism workers (default GOMAXPROCS), each
-// object hashed to one worker — an object's records replay on exactly one
-// goroutine, in LSN order, so per-object ordering needs no synchronization
-// at all (the same argument that makes the live engine's sharded registry
-// safe). Undo-phase appends are collected per object and written after the
+// pass 2 runs a pool of cfg.Parallelism workers (default GOMAXPROCS), the
+// objects dealt to them round-robin in the caller's order — an object's
+// records replay on exactly one goroutine, in LSN order, so per-object
+// ordering needs no synchronization at all. Undo-phase appends are collected per object and written after the
 // pool joins, in object order: the recovered state, winner set, appended
 // records, and aggregate stats are bit-identical at every parallelism. The
 // returned stats separate bounded work (Replayed) from skipped prefix
@@ -276,7 +279,7 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	p = stripepkg.RoundPow2(p, stripepkg.MaxStripes)
+	p = min(p, maxRestartWorkers)
 
 	// Pass 1: partitioned winner scan over the consistent log snapshot.
 	bounds := log.SegmentBounds()
@@ -307,11 +310,12 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 		}
 	}
 
-	// Pass 2: hash each object to one worker; every worker replays its
-	// objects (in the caller's object order) with a private stats block,
-	// writing results and undo tails into per-object slots. The snapshot is
-	// grouped by object once, so each object's replay visits only its own
-	// records (by index, in LSN order) instead of scanning the whole log.
+	// Pass 2: deal the objects to the workers round-robin; every worker
+	// replays its objects (in the caller's object order) with a private
+	// stats block, writing results and undo tails into per-object slots.
+	// The snapshot is grouped by object once, so each object's replay
+	// visits only its own records (by index, in LSN order) instead of
+	// scanning the whole log.
 	pass2 := time.Now() //lint:ignore detreplay wall-clock stats only (RestartStats timing); never feeds replayed state
 	recsOf := make(map[history.ObjectID][]int, len(objs))
 	for _, obj := range objs {
@@ -323,11 +327,9 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 		}
 	}
 	stats.Parallelism = p
-	mask := uint32(p - 1)
 	buckets := make([][]int, p) // worker -> indices into objs, ascending
-	for i, obj := range objs {
-		w := stripepkg.FNV32a(string(obj)) & mask
-		buckets[w] = append(buckets[w], i)
+	for i := range objs {
+		buckets[i%p] = append(buckets[i%p], i)
 	}
 	stores := make([]*UndoLog, len(objs))
 	tails := make([][]wal.Record, len(objs))

@@ -105,7 +105,7 @@ func TestParallelRestartEquivalence(t *testing.T) {
 		t.Errorf("aggregate stats diverge: seq %v, par %v", agg(seq.stats), agg(par.stats))
 	}
 	// The parallel variant's replay must actually be distributed: more
-	// than one worker touched objects (6 accounts over 8 hash buckets).
+	// than one worker touched objects (6 accounts dealt to 8 workers).
 	busy := 0
 	for _, w := range par.stats.PerWorker {
 		if w.Objects > 0 {
@@ -113,7 +113,7 @@ func TestParallelRestartEquivalence(t *testing.T) {
 		}
 	}
 	if busy < 2 {
-		t.Errorf("parallel restart used %d workers for %d objects; expected the hash to spread them", busy, len(objs))
+		t.Errorf("parallel restart used %d workers for %d objects; expected the round-robin deal to spread them", busy, len(objs))
 	}
 	// Per-worker replay counts must sum to the aggregate.
 	sumReplayed := 0

@@ -60,7 +60,7 @@ func runTransferCrash(t *testing.T, run crashRun) crashResult {
 	// legs' updates and between commit processing and the
 	// transaction-level commit record), which is exactly what these sweeps
 	// need to crash into.
-	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards}, cfg.Register)
+	e, finish := startCrashEngine(t, run, txn.Options{RecordHistory: cfg.Record}, cfg.Register)
 	runTransfers(e, cfg)
 	return finish()
 }

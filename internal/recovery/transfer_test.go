@@ -51,8 +51,6 @@ type transferConfig struct {
 	// AbortPct aborts the transaction voluntarily after both legs,
 	// exercising multi-object compensation under concurrency.
 	AbortPct int
-	// Shards is passed to txn.Options (0 = engine default).
-	Shards int
 	// Seed makes the workload deterministic in structure.
 	Seed int64
 	// Record enables history recording (verification runs only).
@@ -92,7 +90,7 @@ func (cfg transferConfig) BankAccount() adt.BankAccount {
 // newTransferEngine builds an in-memory engine with the workload's accounts
 // (see Register).
 func newTransferEngine(cfg transferConfig) *txn.Engine {
-	e := txn.NewEngine(txn.Options{RecordHistory: cfg.Record, Shards: cfg.Shards})
+	e := txn.NewEngine(txn.Options{RecordHistory: cfg.Record})
 	cfg.Register(e)
 	return e
 }
@@ -198,7 +196,7 @@ func transferTotal(e *txn.Engine, cfg transferConfig) (int, error) {
 
 // TestTransferConservation: the live multi-object transfer workload
 // conserves the total balance — every commit moves money, never creates or
-// destroys it — and the merged history passes the verification stack. The
+// destroys it — and the recorded history passes the verification stack. The
 // restart-side half of the story (conservation at every crash boundary) is
 // the transfer crash sweep in transfer_crash_test.go.
 func TestTransferConservation(t *testing.T) {
@@ -222,7 +220,7 @@ func TestTransferConservation(t *testing.T) {
 	}
 	h := e.History()
 	if err := history.WellFormed(h); err != nil {
-		t.Fatalf("merged history malformed: %v", err)
+		t.Fatalf("recorded history malformed: %v", err)
 	}
 	sp := cfg.BankAccount().Spec()
 	specs := atomicity.Specs{}
@@ -297,7 +295,7 @@ func TestTransferMultiParticipantConservation(t *testing.T) {
 				parts, total, want)
 		}
 		if err := history.WellFormed(e.History()); err != nil {
-			t.Fatalf("participants=%d: merged history malformed: %v", parts, err)
+			t.Fatalf("participants=%d: recorded history malformed: %v", parts, err)
 		}
 	}
 }

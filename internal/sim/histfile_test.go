@@ -16,13 +16,13 @@ import (
 )
 
 // TestScalingHistfileRoundTrip records a concurrent transfer workload on
-// a many-shard engine, renders the merged history through histfile, parses
+// one engine, renders its history through histfile, parses
 // it back, and re-verifies the parsed history: no event lost, still
 // well-formed, still dynamic atomic.
 func TestScalingHistfileRoundTrip(t *testing.T) {
 	const accounts, workers, txnsPerWorker = 6, 4, 5
 	ba := adt.BankAccount{InitialBalance: 1000, MaxBalance: 1 << 20, Amounts: []int{1, 2, 3}}
-	e := txn.NewEngine(txn.Options{RecordHistory: true, Shards: 8})
+	e := txn.NewEngine(txn.Options{RecordHistory: true})
 	for i := 0; i < accounts; i++ {
 		e.MustRegister(acctID(i), ba, adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
 	}

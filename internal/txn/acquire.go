@@ -66,6 +66,9 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 		// detector keeps it as this transaction's edges until ClearWaits,
 		// which every path back to this line runs first (and a wound drops
 		// the edges), so the buffer is never rewritten while it is shared.
+		// Every exit from this loop leaves no detector entry behind: a
+		// failed AddWaits removes its own, and both wake paths below clear
+		// it, so commit and abort never touch the detector.
 		holders := mo.table.Conflicting(t.conflictBuf[:0], op, t.id)
 		if len(holders) == 0 {
 			if err := mo.store.Apply(t.id, step); err != nil {
@@ -92,8 +95,8 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 			// Invocations are recorded only when they complete, so failed
 			// or retried invocations never leave a dangling pending
 			// invocation in the history.
-			e.record(mo, history.Event{Kind: history.Invoke, Obj: obj, Txn: t.id, Inv: inv})
-			e.record(mo, history.Event{Kind: history.Respond, Obj: obj, Txn: t.id, Res: res})
+			e.record(history.Event{Kind: history.Invoke, Obj: obj, Txn: t.id, Inv: inv})
+			e.record(history.Event{Kind: history.Respond, Obj: obj, Txn: t.id, Res: res})
 			mo.mu.Unlock()
 			e.Metrics.Operations.Add(1)
 			if blocked {

@@ -1,7 +1,7 @@
 package txn
 
-// Fuzzy checkpointing: Engine.Checkpoint walks the striped registry shard
-// by shard — never stopping the world — capturing each undo-log object's
+// Fuzzy checkpointing: Engine.Checkpoint walks the registry once — never
+// stopping the world — capturing each undo-log object's
 // update-in-place state and in-flight transaction table under that
 // object's latch, stamping the capture with a wal.CheckpointRec marker
 // staged under the same latch (so the marker's LSN splits the object's
@@ -31,8 +31,8 @@ package txn
 //     records necessarily stamp past the object's marker, hence past the
 //     frontier, hence survive truncation).
 //   - Frontier safety: the begin marker is staged before any capture and
-//     before the shard walk reads any registry, so even an object
-//     registered mid-checkpoint (and therefore absent from the snapshot)
+//     before the walk reads the registry, so even an object registered
+//     mid-checkpoint (and therefore possibly absent from the snapshot)
 //     has all of its records past the frontier and replays in full.
 //   - Completion rule: the snapshot is saved only after WaitDurable covers
 //     the last marker. Everything any captured state reflects is below
@@ -118,45 +118,44 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 		active []checkpoint.ActiveTxn
 	}
 	var caps []capture
-	for _, sh := range e.shards {
-		// Walk an immutable snapshot of the shard's copy-on-write registry
-		// — no registry lock needed; objects registered mid-checkpoint are
-		// simply absent (safe: all their records stamp past the frontier,
-		// so restart replays them in full). Sorted, since Range follows
-		// map order.
-		mos := make([]*managedObject, 0, sh.objects.Len())
-		sh.objects.Range(func(_ history.ObjectID, mo *managedObject) bool {
-			if mo.kind == UndoLogRecovery {
-				mos = append(mos, mo)
-			}
-			return true
-		})
-		sort.Slice(mos, func(i, j int) bool { return mos[i].id < mos[j].id })
-		for _, mo := range mos {
-			// Exclusive gate: no commit sweep is between discharging a
-			// chain at this object and staging its TxnCommitRec while we
-			// look.
-			e.ckptGate.Lock()
-			mo.mu.Lock()
-			var st string
-			var active []checkpoint.ActiveTxn
-			ul, isUndo := mo.store.(*recovery.UndoLog)
-			if isUndo {
-				st, active, err = ul.Capture()
+	// One walk over the registry, sorted once by ID, since Range follows
+	// no fixed order. An object registered while Range runs is safe
+	// whether or not the walk visits it: if visited, it is captured under
+	// ckptGate and its latch like any other object; if not, it was stored
+	// after the walk began, hence after the begin marker was staged, so
+	// the marker precedes every record of it and restart replays it in
+	// full. An object registered before the walk began is always visited.
+	var mos []*managedObject
+	e.objects.Range(func(_, v any) bool {
+		if mo := v.(*managedObject); mo.kind == UndoLogRecovery {
+			mos = append(mos, mo)
+		}
+		return true
+	})
+	sort.Slice(mos, func(i, j int) bool { return mos[i].id < mos[j].id })
+	for _, mo := range mos {
+		// Exclusive gate: no commit sweep is between discharging a chain
+		// at this object and staging its TxnCommitRec while we look.
+		e.ckptGate.Lock()
+		mo.mu.Lock()
+		var st string
+		var active []checkpoint.ActiveTxn
+		ul, isUndo := mo.store.(*recovery.UndoLog)
+		if isUndo {
+			st, active, err = ul.Capture()
+			if err == nil {
+				var tk wal.Ticket
+				tk, err = e.log.AppendAsync(wal.Record{Kind: wal.CheckpointRec, Txn: id, Obj: mo.id})
 				if err == nil {
-					var tk wal.Ticket
-					tk, err = e.log.AppendAsync(wal.Record{Kind: wal.CheckpointRec, Txn: id, Obj: mo.id})
-					if err == nil {
-						lastTk = tk
-						caps = append(caps, capture{obj: mo.id, state: st, active: active})
-					}
+					lastTk = tk
+					caps = append(caps, capture{obj: mo.id, state: st, active: active})
 				}
 			}
-			mo.mu.Unlock()
-			e.ckptGate.Unlock()
-			if err != nil {
-				return nil, fmt.Errorf("txn: checkpoint %s at %s: %w", id, mo.id, err)
-			}
+		}
+		mo.mu.Unlock()
+		e.ckptGate.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("txn: checkpoint %s at %s: %w", id, mo.id, err)
 		}
 	}
 

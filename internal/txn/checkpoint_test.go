@@ -36,7 +36,6 @@ func newCkptEngine(t *testing.T, store checkpoint.Store, objects int) *txn.Engin
 	}
 	e := txn.NewEngine(txn.Options{
 		RecordHistory: true,
-		Shards:        4,
 		WAL:           log,
 		Checkpoint:    &txn.CheckpointOptions{Store: store},
 	})

@@ -82,7 +82,7 @@ func engineCloseRacesInFlightTxns(t *testing.T) {
 			t.Fatal(err)
 		}
 		ba := adt.DefaultBankAccount()
-		e := NewEngine(Options{WAL: log, Shards: 4})
+		e := NewEngine(Options{WAL: log})
 		const objects = 4
 		rel := ba.NRBC()
 		for i := 0; i < objects; i++ {

@@ -191,7 +191,7 @@ func (t *Txn) Commit() error {
 			return t.terminate(objs, committed,
 				fmt.Errorf("txn %s: commit at %s: %w", t.id, obj, err))
 		}
-		e.record(mo, history.Event{Kind: history.Commit, Obj: obj, Txn: t.id})
+		e.record(history.Event{Kind: history.Commit, Obj: obj, Txn: t.id})
 		mo.mu.Unlock()
 		committed++
 	}

@@ -10,13 +10,12 @@
 // recorded in a global history that the atomicity checkers and the
 // abstract model can audit after the fact.
 //
-// The engine is sharded so that throughput scales with cores: the object
-// registry is striped over a power-of-two array of shards, object lookup is
-// a hash on the ObjectID with no engine-wide lock on the operation path,
-// and each shard owns a history.Recorder that stamps events from one global
-// atomic sequence. Engine.History() k-way merges the per-shard buffers back
-// into the single totally ordered history the post-hoc checkers replay, so
-// scaling the hot path costs the verification story nothing. The shared
+// The engine keeps one of each shared structure. The object registry is
+// a sync.Map, whose lookup takes no lock on the hit path. One
+// history.Recorder is appended to under the object latch, so
+// Engine.History() is the single totally ordered history the post-hoc
+// checkers replay. One deadlock detector holds the waits-for graph under
+// one lock, taken only by a transaction that waits. The shared
 // write-ahead log is group-committed: undo-log objects stage records
 // lock-free of the log and Txn.Commit/Abort issue a barrier, which waits
 // for the flush round holding their records or starts one; a round assigns
@@ -45,7 +44,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,7 +55,6 @@ import (
 	"repro/internal/locking"
 	"repro/internal/obs"
 	"repro/internal/recovery"
-	"repro/internal/stripe"
 	"repro/internal/wal"
 )
 
@@ -142,12 +139,9 @@ type Metrics struct {
 
 // Options configures an Engine.
 type Options struct {
-	// RecordHistory enables the per-shard event recorders (required for
+	// RecordHistory enables the engine's event recorder (required for
 	// post-hoc verification; disable only in throughput benchmarks).
 	RecordHistory bool
-	// Shards is the number of registry shards; it is rounded up to a power
-	// of two. Zero selects a default derived from GOMAXPROCS.
-	Shards int
 	// WAL, when non-nil, is the shared write-ahead log the engine's
 	// undo-log objects stage into — typically a wal.Open'd log with a
 	// durable backend. Nil selects wal.New(), a
@@ -182,27 +176,18 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// normalizeShards rounds n up to a power of two within
-// [1, stripe.MaxStripes], defaulting to GOMAXPROCS when n is zero or
-// negative.
-func normalizeShards(n int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return stripe.RoundPow2(n, stripe.MaxStripes)
-}
-
-// Engine manages objects and transactions. The registry and the history
-// recorder are striped across shards; see the package comment.
+// Engine manages objects and transactions.
 type Engine struct {
 	opts     Options
 	detector *locking.Detector
 	log      *wal.Log
 
-	shards []*engineShard
-	mask   uint32
-	txnSeq atomic.Int64
-	evSeq  atomic.Int64
+	// objects is the registry, history.ObjectID → *managedObject. Lookups
+	// take no lock on the hit path; Register inserts with LoadOrStore, so
+	// a duplicate ID is refused exactly once.
+	objects  sync.Map
+	recorder history.Recorder
+	txnSeq   atomic.Int64
 
 	// ckptGate orders fuzzy-checkpoint captures against the commit
 	// protocol's decision window. Txn.Commit holds the read side from its
@@ -237,17 +222,6 @@ type Engine struct {
 	Metrics Metrics
 }
 
-// engineShard owns one stripe of the object registry and the event buffer
-// for the objects that hash into it.
-type engineShard struct {
-	// objects is the copy-on-write registry stripe: lookups load an
-	// immutable snapshot through one atomic pointer — zero lock
-	// acquisitions on the hit path — and Register publishes a copied
-	// successor under the CowMap's internal writer mutex.
-	objects  stripe.CowMap[history.ObjectID, *managedObject]
-	recorder *history.Recorder
-}
-
 // managedObject couples the lock table, recovery store, and latch of one
 // object.
 type managedObject struct {
@@ -258,7 +232,6 @@ type managedObject struct {
 	store recovery.Store
 	rel   commute.Relation
 	kind  RecoveryKind
-	rec   *history.Recorder
 	// commitTicket (under mu) is the WAL stage ticket of the last
 	// committed writer's transaction-level commit record — the durability
 	// point an early-released commit publishes while releasing this
@@ -277,7 +250,6 @@ type managedObject struct {
 
 // NewEngine builds an engine.
 func NewEngine(opts Options) *Engine {
-	n := normalizeShards(opts.Shards)
 	log := opts.WAL
 	if log == nil {
 		log = wal.New()
@@ -286,15 +258,10 @@ func NewEngine(opts Options) *Engine {
 		opts:     opts,
 		detector: locking.NewDetector(),
 		log:      log,
-		shards:   make([]*engineShard, n),
-		mask:     uint32(n - 1),
 		obsv:     opts.Obs,
 	}
 	if opts.Obs != nil {
 		log.SetObserver(opts.Obs)
-	}
-	for i := range e.shards {
-		e.shards[i] = &engineShard{recorder: history.NewRecorder(&e.evSeq)}
 	}
 	if e.redoOnly() && log.Discipline() == "" && log.Records() == 0 && log.Base() == 0 {
 		// Brand the fresh log with the discipline marker as its first record
@@ -330,16 +297,14 @@ func (e *Engine) Close() error {
 // redoOnly reports whether the engine runs the redo-only discipline.
 func (e *Engine) redoOnly() bool { return e.opts.LogDiscipline == wal.DisciplineRedo }
 
-// shardOf returns the shard owning id.
-func (e *Engine) shardOf(id history.ObjectID) *engineShard {
-	return e.shards[stripe.FNV32a(string(id))&e.mask]
-}
-
-// lookup finds a registered object. The hit path performs zero lock
-// acquisitions: one atomic pointer load into the shard's copy-on-write
-// map, then a read of an immutable snapshot.
+// lookup finds a registered object. The hit path of sync.Map's Load
+// takes no lock.
 func (e *Engine) lookup(id history.ObjectID) (*managedObject, bool) {
-	return e.shardOf(id).objects.Get(id)
+	v, ok := e.objects.Load(id)
+	if !ok {
+		return nil, false
+	}
+	return v.(*managedObject), true
 }
 
 // Register creates an object backed by the machine of ty, locked by rel,
@@ -371,19 +336,15 @@ func (e *Engine) Register(id history.ObjectID, ty adt.Type, rel commute.Relation
 	default:
 		return fmt.Errorf("txn: unknown recovery kind %d", int(kind))
 	}
-	sh := e.shardOf(id)
 	mo := &managedObject{
 		id:    id,
 		table: locking.NewTable(rel),
 		store: store,
 		rel:   rel,
 		kind:  kind,
-		rec:   sh.recorder,
 	}
 	mo.cond = sync.NewCond(&mo.mu)
-	// Registration is the cold path: the CowMap serializes writers
-	// internally and copies the whole stripe.
-	if !sh.objects.Insert(id, mo) {
+	if _, dup := e.objects.LoadOrStore(id, mo); dup {
 		return fmt.Errorf("txn: object %q already registered", id)
 	}
 	return nil
@@ -406,25 +367,20 @@ func (e *Engine) Object(id history.ObjectID) (recovery.Store, bool) {
 	return mo.store, true
 }
 
-// History merges the per-shard event buffers into the totally ordered
-// global history. Meaningful mid-run (each shard is snapshotted
-// atomically), definitive once the engine is quiescent.
+// History returns a copy of the recorded history, in record order.
+// Meaningful mid-run (the buffer is copied atomically), definitive once
+// the engine is quiescent.
 func (e *Engine) History() history.History {
-	recs := make([]*history.Recorder, len(e.shards))
-	for i, sh := range e.shards {
-		recs[i] = sh.recorder
-	}
-	return history.Merge(recs...)
+	return e.recorder.History()
 }
 
-// record appends ev to the owning shard's buffer, stamped with the global
-// sequence. Callers hold the object latch, so stamp order agrees with the
-// object's execution order.
-func (e *Engine) record(mo *managedObject, ev history.Event) {
+// record appends ev to the engine's recorder. Callers hold the object
+// latch, so record order agrees with the object's execution order.
+func (e *Engine) record(ev history.Event) {
 	if !e.opts.RecordHistory {
 		return
 	}
-	mo.rec.Record(ev)
+	e.recorder.Record(ev)
 }
 
 // txnState is the lifecycle of a transaction handle.

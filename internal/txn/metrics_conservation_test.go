@@ -33,7 +33,6 @@ func TestMetricsConservation(t *testing.T) {
 		t.Run(disc, func(t *testing.T) {
 			o := obs.New(obs.Options{Epoch: time.Now(), SampleRate: 0.5, TraceSeed: 42})
 			e := NewEngine(Options{
-				Shards:        4,
 				LogDiscipline: disc,
 				Obs:           o,
 			})

@@ -46,7 +46,6 @@ func (e *Engine) ObsSnapshot() obs.Snapshot {
 	}
 	s := obs.Snapshot{
 		Discipline: disc,
-		Shards:     len(e.shards),
 		Engine: obs.EngineCounters{
 			Begins:             m.Begins.Load(),
 			Commits:            m.Commits.Load(),

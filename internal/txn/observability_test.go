@@ -66,7 +66,7 @@ func runBankScript(e *Engine, objs []history.ObjectID, seed int64, txns int) err
 func TestObsSamplingLeavesStateIdentical(t *testing.T) {
 	objs := []history.ObjectID{"a", "b", "c", "d"}
 	run := func(o *obs.Observer) string {
-		e := NewEngine(Options{Shards: 4, Obs: o})
+		e := NewEngine(Options{Obs: o})
 		defer e.Close()
 		ba := adt.BankAccount{InitialBalance: 5, MaxBalance: 12, Amounts: []int{1, 2, 3}}
 		for _, id := range objs {
@@ -108,7 +108,7 @@ func TestObsSamplingLeavesStateIdentical(t *testing.T) {
 func TestObsSnapshotDurableRestart(t *testing.T) {
 	o := obs.New(obs.Options{Epoch: time.Now(), SampleRate: 1, TraceSeed: 1})
 	d := DurabilityOptions{Dir: t.TempDir()}
-	e, err := NewDurableEngine(Options{Shards: 4, Obs: o}, d)
+	e, err := NewDurableEngine(Options{Obs: o}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package txn
 
-// Tests of the copy-on-write registry and the commit pipeline:
+// Tests of the registry and the commit pipeline:
 // registration mid-traffic never loses an object or tears a lookup,
 // concurrent commits that release in whatever order the schedule gives
 // them lose no deposit, both logging disciplines commit the same literal
@@ -26,7 +26,7 @@ import (
 // lose an object or tear a lookup, and traffic against already-registered
 // objects must never observe a miss.
 func TestCowRegistryRegisterMidTraffic(t *testing.T) {
-	e := NewEngine(Options{Shards: 4})
+	e := NewEngine(Options{})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	const base, extra, workers = 4, 64, 4
@@ -109,13 +109,13 @@ func TestCowRegistryRegisterMidTraffic(t *testing.T) {
 }
 
 // TestShardedCommitReleasesInTicketOrderEndToEnd commits two-object
-// deposit transactions on the objects of one shard concurrently over a
-// durable log. Committers release their locks in whatever order of their
-// tickets the schedule gives them; the test checks that every commit got
-// through (no lost wakeup), that every object's committed balance equals
-// the deposits committed on it, and that the history is well-formed.
+// deposit transactions concurrently over a durable log. Committers
+// release their locks in whatever order of their tickets the schedule
+// gives them; the test checks that every commit got through (no lost
+// wakeup), that every object's committed balance equals the deposits
+// committed on it, and that the history is well-formed.
 func TestShardedCommitReleasesInTicketOrderEndToEnd(t *testing.T) {
-	e := NewEngine(Options{RecordHistory: true, Shards: 1, WAL: backedWAL(t)})
+	e := NewEngine(Options{RecordHistory: true, WAL: backedWAL(t)})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	const objects, rounds, workers = 6, 10, 6
@@ -174,7 +174,7 @@ func TestReleaseDisciplineMatrix(t *testing.T) {
 	for _, disc := range []string{wal.DisciplineUndo, wal.DisciplineRedo} {
 		t.Run(disc, func(t *testing.T) {
 			e := NewEngine(Options{
-				RecordHistory: true, Shards: 2,
+				RecordHistory: true,
 				LogDiscipline: disc,
 			})
 			defer e.Close()
@@ -215,25 +215,19 @@ func TestReleaseDisciplineMatrix(t *testing.T) {
 }
 
 // TestBatchStagedCommitRecords pins the WAL record stream of one
-// four-object undo-logged commit whose objects span both registry
-// shards: an update and a per-object commit record for every
-// participant, and the transaction-level commit record last — the
-// property restart's presumed-abort protocol replays by. Commit takes
-// the staging-queue lock twice: once for the one batch of every
-// participant's commit record, whatever shards they live in, and once
-// for the transaction-level record.
+// four-object undo-logged commit: an update and a per-object commit
+// record for every participant, and the transaction-level commit record
+// last — the property restart's presumed-abort protocol replays by.
+// Commit takes the staging-queue lock twice: once for the one batch of
+// every participant's commit record and once for the transaction-level
+// record.
 func TestBatchStagedCommitRecords(t *testing.T) {
-	e := NewEngine(Options{RecordHistory: true, Shards: 2, WAL: backedWAL(t)})
+	e := NewEngine(Options{RecordHistory: true, WAL: backedWAL(t)})
 	defer e.Close()
 	ba := adt.DefaultBankAccount()
 	objs := []history.ObjectID{"p", "q", "r", "s"}
-	shards := map[*engineShard]bool{}
 	for _, o := range objs {
 		e.MustRegister(o, ba, ba.NRBC(), UndoLogRecovery)
-		shards[e.shardOf(o)] = true
-	}
-	if len(shards) != 2 {
-		t.Fatalf("objects %v span %d shards, want both", objs, len(shards))
 	}
 	tx := e.Begin()
 	for _, o := range objs {

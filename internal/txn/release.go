@@ -12,8 +12,9 @@ import (
 )
 
 // releaseLocks is Commit's one lock release: it releases every lock the
-// transaction holds at every touched object (waking waiters) and clears
-// its wait edges in the deadlock detector. A non-zero commit ticket is
+// transaction holds at every touched object, waking waiters. It leaves the
+// deadlock detector alone: every exit from Invoke's wait loop has already
+// removed the transaction's entry there. A non-zero commit ticket is
 // published to each object as a max while its latch is held: a
 // transaction that acquires the released locks afterwards reads the
 // ticket on its next operation and inherits this commit as a durability
@@ -35,14 +36,13 @@ func (t *Txn) releaseLocks(commit wal.Ticket) {
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 }
 
 // terminate abandons a commit that can no longer complete: every
 // participant whose store has not already committed is aborted in memory
 // (its effects undone per its recovery discipline, a terminal Abort event
-// recorded), every lock is released, wait edges are cleared, and any
-// staged compensation records are flushed. The phase-2a sweep commits
+// recorded), every lock is released, and any staged compensation records
+// are flushed. The phase-2a sweep commits
 // participants in objs order, so the first `committed` entries are the
 // ones whose store.Commit already ran — their effects are permanent and
 // they keep their terminal Commit event — and a mid-sweep failure leaves
@@ -61,7 +61,7 @@ func (t *Txn) terminate(objs []history.ObjectID, committed int, cause error) err
 		mo.mu.Lock()
 		if i >= committed {
 			if err := mo.store.Abort(t.id); err == nil {
-				e.record(mo, history.Event{Kind: history.Abort, Obj: obj, Txn: t.id})
+				e.record(history.Event{Kind: history.Abort, Obj: obj, Txn: t.id})
 			}
 			// A failed undo (e.g. a log closed mid-shutdown) still
 			// releases below; the cause already reports the failure.
@@ -70,7 +70,6 @@ func (t *Txn) terminate(objs []history.ObjectID, committed int, cause error) err
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 	if t.wroteWAL {
 		// Push the staged compensation records. A flush failure here means
 		// the terminated transaction's undo trail may not be durable; the
@@ -116,13 +115,12 @@ func (t *Txn) Abort() error {
 				firstErr = fmt.Errorf("txn %s: abort at %s: %w", t.id, obj, err)
 			}
 		} else {
-			e.record(mo, history.Event{Kind: history.Abort, Obj: obj, Txn: t.id})
+			e.record(history.Event{Kind: history.Abort, Obj: obj, Txn: t.id})
 		}
 		mo.table.Release(t.id)
 		mo.cond.Broadcast()
 		mo.mu.Unlock()
 	}
-	_ = e.detector.ClearWaits(t.id) // no wound: a wait is only pending inside Invoke
 	if t.wroteWAL {
 		ferr := e.log.Flush()
 		if ferr == nil {

@@ -17,28 +17,11 @@ import (
 	"repro/internal/spec"
 )
 
-// TestShardNormalization pins the power-of-two rounding of Options.Shards.
-func TestShardNormalization(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 9: 16, 300: 256}
-	for in, want := range cases {
-		if got := len(NewEngine(Options{Shards: in}).shards); got != want {
-			t.Errorf("Shards(%d) = %d, want %d", in, got, want)
-		}
-	}
-	if got := len(NewEngine(Options{}).shards); got < 1 || got&(got-1) != 0 {
-		t.Errorf("default shard count %d not a positive power of two", got)
-	}
-}
-
-// TestShardedRegistryPlacement: objects land on distinct shards of a
-// many-shard engine and remain reachable, and duplicate registration is
-// still rejected within a shard.
+// TestShardedRegistryPlacement: registered objects remain reachable, and
+// duplicate registration is rejected.
 func TestShardedRegistryPlacement(t *testing.T) {
 	ba := adt.DefaultBankAccount()
-	e := NewEngine(Options{RecordHistory: true, Shards: 16})
-	if len(e.shards) != 16 {
-		t.Fatalf("shards = %d", len(e.shards))
-	}
+	e := NewEngine(Options{RecordHistory: true})
 	for i := 0; i < 32; i++ {
 		id := history.ObjectID(string(rune('A'+i%26)) + string(rune('0'+i/26)))
 		if err := e.Register(id, ba, ba.NRBC(), UndoLogRecovery); err != nil {
@@ -54,12 +37,11 @@ func TestShardedRegistryPlacement(t *testing.T) {
 }
 
 // TestShardedDeadlockVictim reruns the deterministic two-object deadlock
-// on a sharded engine: the cycle spans objects on different shards, the
-// striped detector still chooses exactly one victim, and the merged
-// history stays well-formed.
+// with both closers racing: the cycle spans two objects, the detector
+// chooses exactly one victim, and the history stays well-formed.
 func TestShardedDeadlockVictim(t *testing.T) {
 	kv := adt.DefaultKVStore()
-	e := NewEngine(Options{RecordHistory: true, Shards: 8})
+	e := NewEngine(Options{RecordHistory: true})
 	e.MustRegister("X", kv, kv.NFC(), IntentionsRecovery)
 	e.MustRegister("Y", kv, kv.NFC(), IntentionsRecovery)
 	t1 := e.Begin()
@@ -104,12 +86,12 @@ func TestShardedDeadlockVictim(t *testing.T) {
 }
 
 // TestShardedEngineStressRace drives 10 goroutines over 16 objects (half
-// undo-log/NRBC, half intentions/NFC) on an 8-shard engine through
-// commits, voluntary aborts, and any deadlock victims the interleaving
-// produces, then replays the merged per-shard history through the full
-// verification stack: well-formedness, per-object acceptance by the
-// abstract automaton, and sampled dynamic atomicity. Run under -race this
-// is the proof that the sharded refactor preserves the Theorem 9/10
+// undo-log/NRBC, half intentions/NFC) on one engine through commits,
+// voluntary aborts, and any deadlock victims the interleaving produces,
+// then replays the recorded history through the full verification stack:
+// well-formedness, per-object acceptance by the abstract automaton, and
+// sampled dynamic atomicity. Run under -race this is the proof that the
+// concurrent registry, recorder and detector preserve the Theorem 9/10
 // correctness story.
 func TestShardedEngineStressRace(t *testing.T) {
 	ba := adt.DefaultBankAccount()
@@ -117,7 +99,7 @@ func TestShardedEngineStressRace(t *testing.T) {
 	const workers = 10
 	const txnsPerWorker = 8
 
-	e := NewEngine(Options{RecordHistory: true, Shards: 8, WAL: backedWAL(t)})
+	e := NewEngine(Options{RecordHistory: true, WAL: backedWAL(t)})
 	ids := make([]history.ObjectID, objects)
 	rels := map[history.ObjectID]commute.Relation{}
 	views := map[history.ObjectID]core.View{}
@@ -208,13 +190,13 @@ func TestShardedEngineStressRace(t *testing.T) {
 
 	h := e.History()
 	if err := history.WellFormed(h); err != nil {
-		t.Fatalf("merged history not well-formed: %v\n%s", err, h)
+		t.Fatalf("recorded history not well-formed: %v\n%s", err, h)
 	}
 	for id, sp := range objSpecs {
 		proj := h.ProjectObj(id)
 		ok, idx, reason := core.Accepts(id, sp, views[id], rels[id], proj)
 		if !ok {
-			t.Fatalf("object %s: merged history rejected by abstract model at event %d: %s\n%s",
+			t.Fatalf("object %s: recorded history rejected by abstract model at event %d: %s\n%s",
 				id, idx, reason, proj)
 		}
 	}
@@ -228,7 +210,7 @@ func TestShardedEngineStressRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !da {
-		t.Fatalf("merged history not dynamic atomic: %v\n%s", viol, h)
+		t.Fatalf("recorded history not dynamic atomic: %v\n%s", viol, h)
 	}
 
 	// The group-committed log must replay: restart redoes each object's
@@ -255,12 +237,12 @@ func TestShardedEngineStressRace(t *testing.T) {
 	}
 }
 
-// TestMergedHistoryMatchesShardBuffers: the merged history contains every
-// recorded event exactly once, and per-object projections of the merge
-// agree with per-shard recording order.
+// TestMergedHistoryMatchesShardBuffers: the engine's history contains
+// every recorded event exactly once, in program order, and is
+// well-formed.
 func TestMergedHistoryMatchesShardBuffers(t *testing.T) {
 	ba := adt.DefaultBankAccount()
-	e := NewEngine(Options{RecordHistory: true, Shards: 4})
+	e := NewEngine(Options{RecordHistory: true})
 	objs := []history.ObjectID{"p", "q", "r", "s", "tt", "u"}
 	for _, id := range objs {
 		e.MustRegister(id, ba, ba.NRBC(), UndoLogRecovery)
@@ -277,7 +259,7 @@ func TestMergedHistoryMatchesShardBuffers(t *testing.T) {
 	h := e.History()
 	// 2 events per op + 1 commit event per object.
 	if want := 3 * len(objs); len(h) != want {
-		t.Fatalf("merged history has %d events, want %d\n%s", len(h), want, h)
+		t.Fatalf("recorded history has %d events, want %d\n%s", len(h), want, h)
 	}
 	// The transaction's operations appear in program (invoke) order.
 	ops := history.Opseq(h)
