@@ -174,8 +174,9 @@ func clonePends(p []pend) []pend {
 	return append([]pend(nil), p...)
 }
 
-// stagePos finds a wal.Log Append/AppendAsync call directly inside the
-// statement (not inside a nested block — those are walked recursively).
+// stagePos finds a wal.Log AppendAsync/AppendBatchAsync call directly
+// inside the statement (not inside a nested block — those are walked
+// recursively).
 func stagePos(pass *analysis.Pass, s ast.Stmt) (token.Pos, bool) {
 	var pos token.Pos
 	found := false
@@ -203,7 +204,7 @@ func isStage(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	f := analysis.CalleeFunc(pass.TypesInfo, call)
-	return f.Name() == "Append" || f.Name() == "AppendAsync" || f.Name() == "AppendBatchAsync"
+	return f.Name() == "AppendAsync" || f.Name() == "AppendBatchAsync"
 }
 
 // undoLogMutation recognizes direct statements mutating the receiver's

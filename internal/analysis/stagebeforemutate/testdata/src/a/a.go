@@ -24,7 +24,7 @@ func (u *UndoLog) writeThenStage(k string, v int) error {
 // completion record is staged.
 func (u *UndoLog) dropChainThenStage(tid uint64) {
 	delete(u.chain, tid) // want `delete from u\.chain precedes the WAL stage call`
-	u.log.Append(wal.Record{})
+	u.log.AppendAsync(wal.Record{})
 }
 
 type Txn struct {

@@ -1,21 +1,15 @@
 // Package wal is a fixture stub mirroring the engine's wal.Log staging
-// surface (Append / AppendAsync), matched by package and type name.
+// surface (AppendAsync), matched by package and type name.
 package wal
 
 // Record is a stand-in log record.
 type Record struct{ Kind int }
-
-// LSN is a log sequence number.
-type LSN uint64
 
 // Ticket names an asynchronous append awaiting durability.
 type Ticket uint64
 
 // Log mirrors the staging surface of the engine's wal.Log.
 type Log struct{}
-
-// Append stages a record synchronously.
-func (l *Log) Append(r Record) LSN { return 0 }
 
 // AppendAsync stages a record for group commit.
 func (l *Log) AppendAsync(r Record) (Ticket, error) { return 0, nil }

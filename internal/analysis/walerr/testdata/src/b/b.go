@@ -32,7 +32,7 @@ func joined(l *wal.Log, primary error) error {
 	return primary
 }
 
-// appendHasNoError: Append returns only an LSN, so a bare call is fine.
-func appendHasNoError(l *wal.Log) {
-	l.Append(wal.Record{})
+// ticketLSNHasNoError: TicketLSN returns only an LSN, so a bare call is fine.
+func ticketLSNHasNoError(l *wal.Log) {
+	l.TicketLSN(0)
 }

@@ -15,8 +15,8 @@ type Ticket uint64
 // Log mirrors the error-returning surface of the engine's wal.Log.
 type Log struct{}
 
-// Append stages a record; it cannot fail (no error result).
-func (l *Log) Append(r Record) LSN { return 0 }
+// TicketLSN names a ticket's LSN; it cannot fail (no error result).
+func (l *Log) TicketLSN(t Ticket) LSN { return 0 }
 
 // AppendAsync stages a record for group commit.
 func (l *Log) AppendAsync(r Record) (Ticket, error) { return 0, nil }

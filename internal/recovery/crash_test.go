@@ -602,7 +602,7 @@ func TestCrashMidAbortCompensation(t *testing.T) {
 		if err := u.Commit("W"); err != nil {
 			t.Fatal(err)
 		}
-		log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: "W"})
+		recovery.AppendDurable(t, log, wal.Record{Kind: wal.TxnCommitRec, Txn: "W"})
 		if _, err := recovery.PeekApply(u, "L", adt.Deposit(5)); err != nil {
 			t.Fatal(err)
 		}
@@ -614,7 +614,7 @@ func TestCrashMidAbortCompensation(t *testing.T) {
 		// exactly what live abort processing would have made durable.
 		undoOps := []spec.Operation{adt.WithdrawOk(2), adt.DepositOk(5)}
 		for i := 0; i < clrs; i++ {
-			log.Append(wal.Record{Kind: wal.CompensationRec, Txn: "L", Obj: "X", Op: undoOps[i]})
+			recovery.AppendDurable(t, log, wal.Record{Kind: wal.CompensationRec, Txn: "L", Obj: "X", Op: undoOps[i]})
 		}
 		if err := log.Close(); err != nil {
 			t.Fatal(err)

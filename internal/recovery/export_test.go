@@ -1,8 +1,11 @@
 package recovery
 
 import (
+	"testing"
+
 	"repro/internal/history"
 	"repro/internal/spec"
+	"repro/internal/wal"
 )
 
 // RedoOnly reports whether the store logs under the REDO-only discipline,
@@ -21,4 +24,18 @@ func PeekApply(s Store, txn history.TxnID, inv spec.Invocation) (spec.Response, 
 		return "", err
 	}
 	return step.Res, nil
+}
+
+// AppendDurable stages r on log and waits until it is durable, the way a
+// committing transaction does. A refused record or a failed round fails
+// the test.
+func AppendDurable(t testing.TB, log *wal.Log, r wal.Record) {
+	t.Helper()
+	tk, err := log.AppendAsync(r)
+	if err == nil {
+		err = log.WaitDurable(tk)
+	}
+	if err != nil {
+		t.Fatalf("append %s for %s: %v", r.Kind, r.Txn, err)
+	}
 }

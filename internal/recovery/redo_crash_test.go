@@ -178,7 +178,7 @@ func TestRedoCheckpointTransferCrashSweepTruncated(t *testing.T) {
 func TestRedoCommitSplitDeterministic(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "split")
 	log := createLog(t, walDir, 0, nil)
-	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
+	recovery.AppendDurable(t, log, wal.DisciplineMarker(wal.DisciplineRedo))
 	src := recovery.NewRedoOnlyLog("xfer00", crashMachine(), log)
 	dst := recovery.NewRedoOnlyLog("xfer01", crashMachine(), log)
 	if _, err := recovery.PeekApply(src, "T", adt.Withdraw(2)); err != nil {
@@ -223,7 +223,7 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 	log := createLog(t, t.TempDir(), 0, nil)
 	defer log.Close()
-	log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
+	recovery.AppendDurable(t, log, wal.DisciplineMarker(wal.DisciplineRedo))
 	u := recovery.NewRedoOnlyLog("X", crashMachine(), log)
 	if _, err := recovery.PeekApply(u, "T2", adt.Deposit(5)); err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 	}
 	// T2 claims to have read from T1, whose commit record never became
 	// durable.
-	log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: "T2", Deps: []history.TxnID{"T1"}})
+	recovery.AppendDurable(t, log, wal.Record{Kind: wal.TxnCommitRec, Txn: "T2", Deps: []history.TxnID{"T1"}})
 	err := restartErr(log, nil)
 	if err == nil || !strings.Contains(err.Error(), "dependency closure") {
 		t.Fatalf("restart accepted a winner with an undurable dependency: %v", err)
@@ -285,14 +285,14 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		// the per-kind audit catches even when the marker check passes.
 		polluted := createLog(t, t.TempDir(), 0, nil)
 		defer polluted.Close()
-		polluted.Append(wal.DisciplineMarker(wal.DisciplineRedo))
-		polluted.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
+		recovery.AppendDurable(t, polluted, wal.DisciplineMarker(wal.DisciplineRedo))
+		recovery.AppendDurable(t, polluted, wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
 		if err := restartErr(polluted, nil); err == nil {
 			t.Fatal("restart accepted an Update record in a redo-only log")
 		}
 		unmarked := createLog(t, t.TempDir(), 0, nil)
 		defer unmarked.Close()
-		unmarked.Append(wal.Record{Kind: wal.RedoRec, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
+		recovery.AppendDurable(t, unmarked, wal.Record{Kind: wal.RedoRec, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
 		if err := restartErr(unmarked, nil); err == nil {
 			t.Fatal("restart accepted a RedoRec in a log with no discipline marker")
 		}
@@ -300,7 +300,7 @@ func TestMixedDisciplineRejected(t *testing.T) {
 	t.Run("checkpoint-discipline-mismatch", func(t *testing.T) {
 		log := createLog(t, t.TempDir(), 0, nil)
 		defer log.Close()
-		log.Append(wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1),
+		recovery.AppendDurable(t, log, wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1),
 			Undo: wal.EncodedUndo("")})
 		snap := &checkpoint.Snapshot{ID: "CKPT0001", Frontier: 1, Discipline: wal.DisciplineRedo}
 		if err := restartErr(log, snap); err == nil {

@@ -165,16 +165,6 @@ func winnersParallel(snap []wal.Record, bounds []wal.LSN, p int) (map[history.Tx
 	return merged, len(starts)
 }
 
-// appendTail writes the compensation and abort records a restart's undo
-// phase produced. Restart workers never touch the log themselves; their
-// tails are appended here, in object order, so the records land in the
-// same sequence regardless of parallelism.
-func appendTail(log *wal.Log, tail []wal.Record) {
-	for _, r := range tail {
-		log.Append(r)
-	}
-}
-
 // RestartAllWithConfig reconstructs an UndoLog store for every listed
 // object of one shared write-ahead log after a crash, as a two-pass
 // presumed-abort protocol in the style of ARIES-lineage restart:
@@ -235,9 +225,12 @@ func appendTail(log *wal.Log, tail []wal.Record) {
 // pass 2 runs a pool of cfg.Parallelism workers (default GOMAXPROCS), the
 // objects dealt to them round-robin in the caller's order — an object's
 // records replay on exactly one goroutine, in LSN order, so per-object
-// ordering needs no synchronization at all. Undo-phase appends are collected per object and written after the
-// pool joins, in object order: the recovered state, winner set, appended
-// records, and aggregate stats are bit-identical at every parallelism. The
+// ordering needs no synchronization at all. Undo-phase records are
+// collected per object and staged after the pool joins, in object order,
+// as one batch with one durability wait: the recovered state, winner set,
+// appended records, and aggregate stats are bit-identical at every
+// parallelism, and a backend that cannot make the tail durable fails the
+// restart. The
 // returned stats separate bounded work (Replayed) from skipped prefix
 // records, report the seeding volume, and carry the per-worker and
 // per-pass breakdown.
@@ -389,11 +382,22 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 		}
 	}
 
-	// Undo tails are appended only now, in object order: identical log
-	// contents at every parallelism.
+	// Restart workers never touch the log: their undo tails are staged
+	// only now, in object order, as one batch — identical log contents at
+	// every parallelism, made durable by one flush round.
+	var tail []wal.Record
+	for _, t := range tails {
+		tail = append(tail, t...)
+	}
+	tk, err := log.AppendBatchAsync(tail)
+	if err == nil {
+		err = log.WaitDurable(tk)
+	}
+	if err != nil {
+		return nil, stats, fmt.Errorf("recovery: restart: undo tail of %d records: %w", len(tail), err)
+	}
 	out := make(map[history.ObjectID]*UndoLog, len(objs))
 	for i, obj := range objs {
-		appendTail(log, tails[i])
 		out[obj] = stores[i]
 	}
 	stats.WallNS = time.Since(start).Nanoseconds() //lint:ignore detreplay wall-clock stats only (RestartStats timing); never feeds replayed state

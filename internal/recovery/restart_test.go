@@ -1,8 +1,10 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/adt"
@@ -28,8 +30,9 @@ func backedLog(t testing.TB) *wal.Log {
 // txn.Commit does after the per-object commit sweep. Restart is
 // presumed-abort: without this record a transaction is a loser no matter
 // how many per-object CommitRecs reached the log.
-func logTxnCommit(log *wal.Log, txn history.TxnID) {
-	log.Append(wal.Record{Kind: wal.TxnCommitRec, Txn: txn})
+func logTxnCommit(t testing.TB, log *wal.Log, txn history.TxnID) {
+	t.Helper()
+	AppendDurable(t, log, wal.Record{Kind: wal.TxnCommitRec, Txn: txn})
 }
 
 // restart is the crash restart every test here runs: a full-log
@@ -54,7 +57,7 @@ func TestRestartCleanLog(t *testing.T) {
 	if err := u.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "A")
+	logTxnCommit(t, log, "A")
 	// Crash: discard u; rebuild from the log.
 	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "3" {
@@ -71,13 +74,13 @@ func TestRestartUndoesLoser(t *testing.T) {
 	if err := u.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "A")
+	logTxnCommit(t, log, "A")
 	mustApplyR(t, u, "B", adt.Deposit(3)) // loser: never commits
 	mustApplyR(t, u, "C", adt.Deposit(2))
 	if err := u.Commit("C"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "C")
+	logTxnCommit(t, log, "C")
 
 	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "7" {
@@ -94,7 +97,7 @@ func TestRestartUndoesLoser(t *testing.T) {
 	if err := r.Commit("D"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "D")
+	logTxnCommit(t, log, "D")
 	if got := r.CommittedValue().Encode(); got != "8" {
 		t.Fatalf("post-restart state = %s, want 8", got)
 	}
@@ -120,7 +123,7 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	if err := uy.Commit("F"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "F")
+	logTxnCommit(t, log, "F")
 	// A transfer X→Y that got through both per-object commits, but crashed
 	// before its transaction-level commit record was staged.
 	mustApplyR(t, ux, "T", adt.Withdraw(4))
@@ -131,7 +134,7 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	if err := uy.Commit("T"); err != nil {
 		t.Fatal(err)
 	}
-	// No logTxnCommit(log, "T"): the crash point.
+	// No logTxnCommit(t, log, "T"): the crash point.
 
 	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	rx, ry := rs["X"], rs["Y"]
@@ -165,7 +168,7 @@ func TestRestartWinnerSurvivesWithCommitHints(t *testing.T) {
 	if err := uy.Commit("T"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "T")
+	logTxnCommit(t, log, "T")
 	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	rx, ry := rs["X"], rs["Y"]
 	if rx.CommittedValue().Encode() != "6" || ry.CommittedValue().Encode() != "7" {
@@ -184,7 +187,7 @@ func TestRestartAfterPartialAbort(t *testing.T) {
 	mustApplyR(t, u, "A", adt.Deposit(3))
 	// Simulate a partial abort: write the CLR for the newest update only,
 	// as live abort would before crashing mid-walk.
-	log.Append(wal.Record{Kind: wal.CompensationRec, Txn: "A", Obj: "BA", Op: adt.DepositOk(3)})
+	AppendDurable(t, log, wal.Record{Kind: wal.CompensationRec, Txn: "A", Obj: "BA", Op: adt.DepositOk(3)})
 
 	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
 	if got := r.CommittedValue().Encode(); got != "0" {
@@ -201,7 +204,7 @@ func TestRestartIdempotent(t *testing.T) {
 	if err := u.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "A")
+	logTxnCommit(t, log, "A")
 	mustApplyR(t, u, "B", adt.Withdraw(2)) // loser
 
 	r1 := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
@@ -224,7 +227,7 @@ func TestRestartBeforeImageMachine(t *testing.T) {
 	if err := u.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "A")
+	logTxnCommit(t, log, "A")
 	mustApplyR(t, u, "B", adt.Put("x", "2")) // loser overwrites x
 
 	r := restart(t, log, adt.DefaultKVStore().Machine, "KV")["KV"]
@@ -248,7 +251,7 @@ func TestRestartMultiObjectLog(t *testing.T) {
 	if err := u2.Commit("A"); err != nil {
 		t.Fatal(err)
 	}
-	logTxnCommit(log, "A")
+	logTxnCommit(t, log, "A")
 	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	r1, r2 := rs["X"], rs["Y"]
 	if r1.CommittedValue().Encode() != "5" || r2.CommittedValue().Encode() != "7" {
@@ -263,6 +266,85 @@ func mustApplyR(t *testing.T, u *UndoLog, txn history.TxnID, inv spec.Invocation
 	}
 }
 
+// errDevice is what switchBackend fails with.
+var errDevice = errors.New("device died")
+
+// switchBackend is a zero-latency device that stores nothing and whose
+// Write or Sync fails once failWrite or failSync is set: a device that
+// dies between the crash and the restart's undo tail.
+type switchBackend struct {
+	failWrite, failSync atomic.Bool
+}
+
+func (b *switchBackend) Write([]wal.Record, []byte) error {
+	if b.failWrite.Load() {
+		return errDevice
+	}
+	return nil
+}
+
+func (b *switchBackend) Sync() error {
+	if b.failSync.Load() {
+		return errDevice
+	}
+	return nil
+}
+
+func (b *switchBackend) Close() error { return nil }
+
+// TestRestartTailOneRound: restart stages its whole undo tail — here two
+// compensations and an abort record — as one batch that one flush round
+// makes durable, and a device that cannot write or sync the tail fails the
+// restart instead of returning stores whose undo was never logged.
+func TestRestartTailOneRound(t *testing.T) {
+	for _, fail := range []string{"none", "write", "sync"} {
+		t.Run(fail, func(t *testing.T) {
+			b := &switchBackend{}
+			log, err := wal.Open(wal.Config{Backend: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
+			mustApplyR(t, u, "W", adt.Deposit(5))
+			if err := u.Commit("W"); err != nil {
+				t.Fatal(err)
+			}
+			logTxnCommit(t, log, "W")
+			mustApplyR(t, u, "L", adt.Deposit(3))
+			mustApplyR(t, u, "L", adt.Withdraw(2))
+			if err := log.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			b.failWrite.Store(fail == "write")
+			b.failSync.Store(fail == "sync")
+			flushes := log.Stats().Flushes
+			stores, _, err := RestartAllWithConfig([]history.ObjectID{"BA"},
+				func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() },
+				log, nil, RestartConfig{})
+			if fail != "none" {
+				if !errors.Is(err, errDevice) || stores != nil {
+					t.Fatalf("restart over a failing %s = (%v, %v), want no stores and the device error", fail, stores, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := log.Stats().Flushes - flushes; got != 1 {
+				t.Fatalf("restart ran %d flush rounds, want 1 for its whole undo tail", got)
+			}
+			recs := log.Snapshot()
+			tail := recs[len(recs)-3:]
+			if tail[0].Kind != wal.CompensationRec || tail[1].Kind != wal.CompensationRec || tail[2].Kind != wal.AbortRec {
+				t.Fatalf("log ends %v, want two compensations and an abort record", tail)
+			}
+			if got := stores["BA"].CommittedValue().Encode(); got != "5" {
+				t.Fatalf("restart state = %s, want 5 (the loser undone)", got)
+			}
+		})
+	}
+}
+
 // TestRestartRefusesSinkLog: a log with no backend retains no records, so
 // restarting from it would "restore" every object to its initial state.
 // Restart refuses it instead — under either discipline marker.
@@ -273,14 +355,14 @@ func TestRestartRefusesSinkLog(t *testing.T) {
 		t.Run(discipline, func(t *testing.T) {
 			log := wal.New()
 			if discipline == wal.DisciplineRedo {
-				log.Append(wal.DisciplineMarker(wal.DisciplineRedo))
+				AppendDurable(t, log, wal.DisciplineMarker(wal.DisciplineRedo))
 			}
 			u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 			mustApplyR(t, u, "A", adt.Deposit(5))
 			if err := u.Commit("A"); err != nil {
 				t.Fatal(err)
 			}
-			logTxnCommit(log, "A")
+			logTxnCommit(t, log, "A")
 			if _, _, err := RestartAllWithConfig(objs, machineFor, log, nil, RestartConfig{}); err == nil ||
 				!strings.Contains(err.Error(), "no backend") {
 				t.Fatalf("RestartAllWithConfig over a sink = %v, want the no-backend error", err)
@@ -314,7 +396,7 @@ func BenchmarkRestart(b *testing.B) {
 				if err := u.Commit(txn); err != nil {
 					b.Fatal(err)
 				}
-				logTxnCommit(log, txn)
+				logTxnCommit(b, log, txn)
 			}
 			records := log.Records()
 			machineFor := func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() }

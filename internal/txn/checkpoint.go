@@ -6,7 +6,8 @@ package txn
 // object's latch, stamping the capture with a wal.CheckpointRec marker
 // staged under the same latch (so the marker's LSN splits the object's
 // records exactly into captured and replayable), waiting for the WAL's
-// durable watermark to cover the last marker, saving the snapshot through
+// durable watermark to cover the last marker, naming every marker's LSN
+// from the ticket it was staged under, saving the snapshot through
 // the configured checkpoint.Store, and finally truncating the durable log
 // before the checkpoint frontier. recovery.RestartAllWithConfig is the
 // consumer: it seeds object state from the snapshot and replays only the
@@ -43,8 +44,9 @@ package txn
 //     skips the un-truncated prefix per object by marker LSN.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -70,9 +72,9 @@ type CheckpointOptions struct {
 // exclusions are per-object latch holds and, around each capture, the
 // commit protocol's decision window (see the package comment above).
 // Checkpoint fails — taking no checkpoint and truncating nothing — if the
-// log has no backend (it retains no records, so no marker could be
-// resolved and nothing could ever be restarted), the log is closed, the
-// WAL backend has failed (durability of the capture cannot be
+// log has no backend (it assigns no LSNs, so no marker could be named, and
+// retains no records, so nothing could ever be restarted), the log is
+// closed, the WAL backend has failed (durability of the capture cannot be
 // established), or a captured machine cannot round-trip its state.
 func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 	if e.opts.Checkpoint == nil || e.opts.Checkpoint.Store == nil {
@@ -112,12 +114,13 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 	if o != nil {
 		capture0 = time.Now()
 	}
+	// Each capture keeps the ticket of the marker staged with it.
 	type capture struct {
 		obj    history.ObjectID
+		marker wal.Ticket
 		state  string
 		active []checkpoint.ActiveTxn
 	}
-	var caps []capture
 	// One walk over the registry, sorted once by ID, since Range follows
 	// no fixed order. An object registered while Range runs is safe
 	// whether or not the walk visits it: if visited, it is captured under
@@ -125,14 +128,16 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 	// after the walk began, hence after the begin marker was staged, so
 	// the marker precedes every record of it and restart replays it in
 	// full. An object registered before the walk began is always visited.
-	var mos []*managedObject
+	mos := e.ckptWalk[:0]
 	e.objects.Range(func(_, v any) bool {
 		if mo := v.(*managedObject); mo.kind == UndoLogRecovery {
 			mos = append(mos, mo)
 		}
 		return true
 	})
-	sort.Slice(mos, func(i, j int) bool { return mos[i].id < mos[j].id })
+	e.ckptWalk = mos
+	slices.SortFunc(mos, func(a, b *managedObject) int { return cmp.Compare(a.id, b.id) })
+	caps := make([]capture, 0, len(mos))
 	for _, mo := range mos {
 		// Exclusive gate: no commit sweep is between discharging a chain
 		// at this object and staging its TxnCommitRec while we look.
@@ -148,7 +153,7 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 				tk, err = e.log.AppendAsync(wal.Record{Kind: wal.CheckpointRec, Txn: id, Obj: mo.id})
 				if err == nil {
 					lastTk = tk
-					caps = append(caps, capture{obj: mo.id, state: st, active: active})
+					caps = append(caps, capture{obj: mo.id, marker: tk, state: st, active: active})
 				}
 			}
 		}
@@ -166,32 +171,15 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 		save0 = time.Now()
 	}
 
-	// Completion rule: flush and wait until the durable watermark covers
-	// the last marker — and with it, by consistent-cut batching, every
-	// record any capture reflects. A dead backend fails the checkpoint.
-	if err := e.log.Flush(); err != nil {
-		return nil, fmt.Errorf("txn: checkpoint %s: %w", id, err)
-	}
+	// Completion rule: wait until the durable watermark covers the last
+	// marker — and with it, by consistent-cut batching, every record any
+	// capture reflects. A dead backend fails the checkpoint.
 	if err := e.log.WaitDurable(lastTk); err != nil {
 		return nil, fmt.Errorf("txn: checkpoint %s: durability: %w", id, err)
 	}
 
-	// Resolve marker LSNs from the checkpoint's own record chain (all
-	// markers share the checkpoint ID, hence one backward chain): walk
-	// newest-first until the begin marker; entries past it belong to
-	// earlier checkpoints of a reopened log.
-	markers := make(map[history.ObjectID]wal.LSN, len(caps))
-	var frontier wal.LSN
-	for _, r := range e.log.TxnChain(id) {
-		if r.Obj == "" {
-			frontier = r.LSN
-			break
-		}
-		markers[r.Obj] = r.LSN
-	}
-	if frontier == 0 {
-		return nil, fmt.Errorf("txn: checkpoint %s: begin marker not found in log chain", id)
-	}
+	// Every marker's LSN follows from the ticket it was staged under.
+	frontier := e.log.TicketLSN(beginTk)
 	snap := &checkpoint.Snapshot{
 		ID:         string(id),
 		Frontier:   frontier,
@@ -200,12 +188,8 @@ func (e *Engine) Checkpoint() (*checkpoint.Snapshot, error) {
 		Objects:    make([]checkpoint.ObjectSnapshot, 0, len(caps)),
 	}
 	for _, c := range caps {
-		lsn, ok := markers[c.obj]
-		if !ok {
-			return nil, fmt.Errorf("txn: checkpoint %s: marker for %s not found in log chain", id, c.obj)
-		}
 		snap.Objects = append(snap.Objects, checkpoint.ObjectSnapshot{
-			Obj: c.obj, MarkerLSN: lsn, State: c.state, Active: c.active,
+			Obj: c.obj, MarkerLSN: e.log.TicketLSN(c.marker), State: c.state, Active: c.active,
 		})
 	}
 	if !e.opts.Checkpoint.DisableTruncation {

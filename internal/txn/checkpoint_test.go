@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -157,6 +158,97 @@ func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 	}
 	if err := history.WellFormed(e.History()); err != nil {
 		t.Fatalf("history malformed after checkpoints: %v", err)
+	}
+}
+
+// TestCheckpointMarkersOnReopenedLog: on a reopened log a stage ticket
+// counts from the replayed records' end, so every marker LSN a checkpoint
+// takes there names its own CheckpointRec and the frontier its begin
+// marker — not whatever record sits at the bare ticket number, which here
+// is a record of the first engine (whose checkpoint may carry the same ID).
+func TestCheckpointMarkersOnReopenedLog(t *testing.T) {
+	const objects = 3
+	walDir := filepath.Join(t.TempDir(), "wal")
+	store, err := checkpoint.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineOver := func(log *wal.Log) *txn.Engine {
+		e := txn.NewEngine(txn.Options{
+			WAL:        log,
+			Checkpoint: &txn.CheckpointOptions{Store: store, DisableTruncation: true},
+		})
+		for i := 0; i < objects; i++ {
+			e.MustRegister(ckptObjID(i), adt.DefaultBankAccount(), adt.DefaultBankAccount().NRBC(), txn.UndoLogRecovery)
+		}
+		return e
+	}
+	deposit := func(e *txn.Engine, n int) {
+		for i := 0; i < n; i++ {
+			tx := e.Begin()
+			if _, err := tx.Invoke(ckptObjID(i%objects), adt.Deposit(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	backend, err := wal.CreateSegmentedBackend(walDir, wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(wal.Config{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineOver(log)
+	deposit(e, 4)
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := wal.OpenSegmentedBackend(walDir, wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err = wal.Open(wal.Config{Backend: reopened})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn0 := log.DurableLSN()
+	if lsn0 == 0 {
+		t.Fatal("the reopened log replayed no records")
+	}
+	e = engineOver(log)
+	defer e.Close()
+	deposit(e, 1)
+	snap, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := log.Snapshot()
+	at := func(lsn wal.LSN) wal.Record {
+		t.Helper()
+		if lsn <= lsn0 || int(lsn) > len(recs) {
+			t.Fatalf("LSN %d outside the reopened log's new records (%d, %d]", lsn, lsn0, len(recs))
+		}
+		return recs[lsn-1]
+	}
+	if r := at(snap.Frontier); r.Kind != wal.CheckpointRec || r.Txn != history.TxnID(snap.ID) || r.Obj != "" {
+		t.Fatalf("frontier %d names %+v, want %s's begin marker", snap.Frontier, r, snap.ID)
+	}
+	if len(snap.Objects) != objects {
+		t.Fatalf("snapshot covers %d objects, want %d", len(snap.Objects), objects)
+	}
+	for _, os := range snap.Objects {
+		if r := at(os.MarkerLSN); r.Kind != wal.CheckpointRec || r.Txn != history.TxnID(snap.ID) || r.Obj != os.Obj {
+			t.Fatalf("marker LSN %d of %s names %+v, want its CheckpointRec", os.MarkerLSN, os.Obj, r)
+		}
 	}
 }
 

@@ -200,9 +200,12 @@ type Engine struct {
 	// checkpoint's durability wait covers the commit decision too, and no
 	// snapshot can ever bake in an unsynced, undecided transaction.
 	ckptGate sync.RWMutex
-	// ckptMu serializes whole checkpoints; ckptSeq numbers them.
-	ckptMu  sync.Mutex
-	ckptSeq atomic.Int64
+	// ckptMu serializes whole checkpoints; ckptSeq numbers them, and
+	// ckptWalk is the registry walk's slice, reused checkpoint to
+	// checkpoint under ckptMu.
+	ckptMu   sync.Mutex
+	ckptSeq  atomic.Int64
+	ckptWalk []*managedObject
 
 	closeOnce sync.Once
 	closeErr  error

@@ -217,8 +217,8 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(5)})
-	l.Append(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
+	appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(5)})
+	appendDurable(t, l, Record{Kind: CommitRec, Txn: "A", Obj: "X"})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	if lastLSN(rl, "A") != 2 {
 		t.Fatalf("chain head of A = %d, want 2", lastLSN(rl, "A"))
 	}
-	lsn := rl.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(1)})
+	lsn := appendDurable(t, rl, Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(1)})
 	if lsn != 3 {
 		t.Fatalf("post-replay append got LSN %d, want 3", lsn)
 	}
-	chain := rl.TxnChain("A")
+	chain := chainOf(rl, "A")
 	if len(chain) != 2 || chain[0].Kind != CommitRec || chain[0].PrevLSN != 1 {
 		t.Fatalf("replayed chain = %+v", chain)
 	}

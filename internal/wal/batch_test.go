@@ -42,7 +42,7 @@ func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
 		}
 	}
 	// The PrevLSN chain threads through the batch.
-	chain := l.TxnChain("A")
+	chain := chainOf(l, "A")
 	if len(chain) != 4 {
 		t.Fatalf("chain length = %d, want 4", len(chain))
 	}

@@ -154,7 +154,7 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 		}
 		defer l.Close()
 		for _, r := range records(16) {
-			if l.Append(r) == 0 {
+			if appendDurable(t, l, r) == 0 {
 				t.Fatal("append failed")
 			}
 		}
@@ -193,7 +193,7 @@ func TestBytesMatchesDurableEncoding(t *testing.T) {
 		}
 		defer l.Close()
 		for _, r := range records(24) {
-			if l.Append(r) == 0 {
+			if appendDurable(t, l, r) == 0 {
 				t.Fatal("append failed")
 			}
 		}

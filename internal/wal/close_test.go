@@ -10,9 +10,9 @@ import (
 )
 
 // TestClosedLogTypedErrors pins the post-Close contract: AppendAsync and
-// Flush return ErrClosed-wrapped errors, Append returns the nil LSN
-// without staging, WaitDurable on an unreachable ticket reports ErrClosed,
-// and a second Close returns the same result.
+// Flush return ErrClosed-wrapped errors without staging, WaitDurable on an
+// unreachable ticket reports ErrClosed, and a second Close returns the
+// same result.
 func TestClosedLogTypedErrors(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
@@ -43,9 +43,6 @@ func TestClosedLogTypedErrors(t *testing.T) {
 		}
 		if err := l.Flush(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Flush after Close = %v, want ErrClosed", err)
-		}
-		if lsn := l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(2)}); lsn != 0 {
-			t.Fatalf("Append after Close = %d, want the nil LSN", lsn)
 		}
 		if got := l.Records(); got != 1 {
 			t.Fatalf("Records = %d after post-close appends, want 1 (nothing staged)", got)

@@ -42,9 +42,45 @@ func recordAt(l *Log, lsn LSN) (Record, bool) {
 	return Record{}, false
 }
 
+// appendDurable stages r, waits until it is durable and returns its LSN,
+// named by its ticket: the synchronous append the tests build logs with. A
+// refused record or a failed round is reported through t.Errorf (safe from
+// any goroutine) and yields the nil LSN.
+func appendDurable(t testing.TB, l *Log, r Record) LSN {
+	t.Helper()
+	tk, err := l.AppendAsync(r)
+	if err == nil {
+		err = l.WaitDurable(tk)
+	}
+	if err != nil {
+		t.Errorf("append %s for %s: %v", r.Kind, r.Txn, err)
+		return 0
+	}
+	return l.TicketLSN(tk)
+}
+
+// chainOf returns txn's retained records newest-first, as a reader of
+// Snapshot finds them by following PrevLSN back from the transaction's
+// newest record; the walk stops at the truncation base.
+func chainOf(l *Log, txn history.TxnID) []Record {
+	snap := l.Snapshot()
+	var out []Record
+	for i := len(snap) - 1; i >= 0; i-- {
+		if snap[i].Txn != txn {
+			continue
+		}
+		base := snap[0].LSN - 1
+		for lsn := snap[i].LSN; lsn > base; lsn = out[len(out)-1].PrevLSN {
+			out = append(out, snap[lsn-base-1])
+		}
+		break
+	}
+	return out
+}
+
 // lastLSN returns the LSN of txn's newest retained record, 0 if none.
 func lastLSN(l *Log, txn history.TxnID) LSN {
-	if chain := l.TxnChain(txn); len(chain) > 0 {
+	if chain := chainOf(l, txn); len(chain) > 0 {
 		return chain[0].LSN
 	}
 	return 0

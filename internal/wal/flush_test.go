@@ -31,16 +31,16 @@ func TestAsyncFlushIsCommitBarrier(t *testing.T) {
 	}
 }
 
-// TestAsyncAppendReturnsLSN: Append — stage, then a barrier — returns the
-// LSN the barrier's round assigned.
+// TestAsyncAppendReturnsLSN: a staged record's TicketLSN is the LSN the
+// barrier's round assigned it.
 func TestAsyncAppendReturnsLSN(t *testing.T) {
 	l, err := Open(Config{Backend: &countingBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	a := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-	b := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
+	a := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	b := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
 	if a != 1 || b != 2 {
 		t.Fatalf("LSNs = %d, %d", a, b)
 	}
@@ -79,7 +79,7 @@ func TestCrashPointDropsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+		appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
 	}
 	if l.Records() != 5 {
 		t.Fatalf("in-memory Records = %d, want 5 (sequencing must continue past the crash)", l.Records())
@@ -131,7 +131,13 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+		if _, err := l.AppendAsync(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)}); err != nil {
+			t.Fatal(err)
+		}
+		// Flush leads a round for each record, failed backend or not.
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if l.Err() == nil {
 		t.Fatal("sync failure not recorded")
@@ -153,11 +159,11 @@ func TestSyncFailureStopsBackendWrites(t *testing.T) {
 	}
 }
 
-// TestAppendLSNVisibleAcrossFlushers: an Append's returned LSN (the log's
-// LSN at Open plus the record's ticket) is the record's true assignment
-// even when a different goroutine's barrier (a concurrent committer)
-// performed the sequencing. Run under -race it also checks that the
-// returned record is read back race-free through Snapshot.
+// TestAppendLSNVisibleAcrossFlushers: a record's ticket LSN (the log's
+// LSN at Open plus its ticket, from TicketLSN) is the record's true
+// assignment even when a different goroutine's barrier (a concurrent
+// committer) performed the sequencing. Run under -race it also checks that
+// the record is read back race-free through Snapshot.
 func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 	// The subtest names the one flush mode: barriers lead every round.
 	t.Run("sync", func(t *testing.T) {
@@ -169,8 +175,8 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 		const gs = 6
 		const per = 50
 		// A rival barrier races to sequence other goroutines' staged
-		// records, so many Appends observe an LSN they did not assign
-		// themselves.
+		// records, so many appenders read an LSN their own barrier did not
+		// assign.
 		stop := make(chan struct{})
 		var rival sync.WaitGroup
 		rival.Add(1)
@@ -198,7 +204,7 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 				txn := history.TxnID(rune('A' + g))
 				for i := 0; i < per; i++ {
 					tag := fmt.Sprintf("%d.%d", g, i)
-					lsn := l.Append(Record{
+					lsn := appendDurable(t, l, Record{
 						Kind: Update, Txn: txn, Obj: "X",
 						Op: spec.Op(spec.NewInvocation("w", tag), "ok"),
 					})
@@ -213,7 +219,7 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 			var prev LSN
 			for _, r := range rs {
 				if r.lsn == 0 {
-					t.Fatalf("goroutine %d: Append returned the nil LSN for %s", g, r.tag)
+					t.Fatalf("goroutine %d: the nil LSN for %s", g, r.tag)
 				}
 				if r.lsn <= prev {
 					t.Fatalf("goroutine %d: LSNs not increasing (%d after %d)", g, r.lsn, prev)
@@ -221,7 +227,7 @@ func TestAppendLSNVisibleAcrossFlushers(t *testing.T) {
 				prev = r.lsn
 				rec, ok := recordAt(l, r.lsn)
 				if !ok {
-					t.Fatalf("goroutine %d: no record at returned LSN %d", g, r.lsn)
+					t.Fatalf("goroutine %d: no record at ticket LSN %d", g, r.lsn)
 				}
 				if rec.Op.Inv.Args != r.tag {
 					t.Fatalf("goroutine %d: LSN %d holds %s, want args %s",

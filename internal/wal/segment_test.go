@@ -55,7 +55,7 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 	}
 	const n = 6
 	for i := 0; i < n; i++ {
-		if lsn := l.Append(segRec("T1", "x", "op")); lsn != LSN(i+1) {
+		if lsn := appendDurable(t, l, segRec("T1", "x", "op")); lsn != LSN(i+1) {
 			t.Fatalf("append %d assigned LSN %d", i, lsn)
 		}
 	}
@@ -91,7 +91,7 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 		t.Fatalf("backend still holds %d replayed records after Open", len(recs))
 	}
 	// Appends continue the sequence into the re-adopted active segment.
-	if lsn := l2.Append(segRec("T2", "y", "op")); lsn != n+1 {
+	if lsn := appendDurable(t, l2, segRec("T2", "y", "op")); lsn != n+1 {
 		t.Fatalf("append after reopen assigned LSN %d, want %d", lsn, n+1)
 	}
 	if starts := b2.SegmentStarts(); len(starts) != len(segmentsOf(b2)) {
@@ -124,7 +124,7 @@ func TestSegmentedBatchNeverSplit(t *testing.T) {
 		t.Fatalf("one oversized batch split across %d segments: %+v", len(segs), segs)
 	}
 	// The next batch rotates (active is past the threshold).
-	l.Append(segRec("T2", "y", "op"))
+	appendDurable(t, l, segRec("T2", "y", "op"))
 	if segs := segmentsOf(b); len(segs) != 2 || segs[1].FirstLSN != 6 {
 		t.Fatalf("follow-up batch did not rotate to a new segment at LSN 6: %+v", segs)
 	}
@@ -145,7 +145,7 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	}
 	const n = 8
 	for i := 0; i < n; i++ {
-		l.Append(segRec("T1", "x", "op"))
+		appendDurable(t, l, segRec("T1", "x", "op"))
 	}
 	segsBefore := len(segmentsOf(b))
 	if segsBefore < 4 {
@@ -187,7 +187,7 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	// Appends continue the sequence past the truncated prefix: a record's
 	// LSN is the reopened log's LSN (n, not the n-base records it holds)
 	// plus its ticket.
-	if lsn := l2.Append(segRec("T2", "y", "op")); lsn != n+1 {
+	if lsn := appendDurable(t, l2, segRec("T2", "y", "op")); lsn != n+1 {
 		t.Fatalf("append after truncated reopen assigned LSN %d, want %d", lsn, n+1)
 	}
 	tk, err := l2.AppendBatchAsync([]Record{segRec("T3", "z", "op"), segRec("T2", "y", "op")})
@@ -220,7 +220,7 @@ func TestSegmentedTornFinalSegmentRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		l.Append(segRec("T1", "x", "op"))
+		appendDurable(t, l, segRec("T1", "x", "op"))
 	}
 	segs := segmentsOf(b)
 	if err := l.Close(); err != nil {
@@ -267,7 +267,7 @@ func TestSegmentedTornNonFinalSegmentIsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		l.Append(segRec("T1", "x", "op"))
+		appendDurable(t, l, segRec("T1", "x", "op"))
 	}
 	segs := segmentsOf(b)
 	if len(segs) < 2 {
@@ -307,7 +307,7 @@ func TestSegmentedAlignTruncate(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 6; i++ {
-		l.Append(segRec("T1", "x", "op"))
+		appendDurable(t, l, segRec("T1", "x", "op"))
 	}
 	starts := b.SegmentStarts()
 	if len(starts) < 3 {

@@ -46,8 +46,11 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if got := l.Discipline(); got != DisciplineRedo {
 			t.Fatalf("Discipline = %q, want %q", got, DisciplineRedo)
 		}
-		if lsn := l.Append(Record{Kind: AbortRec, Txn: "B", Obj: "X"}); lsn != 0 {
-			t.Fatalf("Append = %d, want the nil LSN (a sink assigns none)", lsn)
+		if tk, err = l.AppendAsync(Record{Kind: AbortRec, Txn: "B", Obj: "X"}); err != nil || tk != 7 {
+			t.Fatalf("AppendAsync = (%d, %v), want (7, nil)", tk, err)
+		}
+		if lsn := l.TicketLSN(tk); lsn != 0 {
+			t.Fatalf("TicketLSN = %d, want the nil LSN (a sink assigns none)", lsn)
 		}
 		if err := l.Flush(); err != nil {
 			t.Fatalf("Flush = %v", err)
@@ -68,9 +71,6 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		}
 		if recs := l.Snapshot(); len(recs) != 0 {
 			t.Fatalf("Snapshot = %v, want empty", recs)
-		}
-		if chain := l.TxnChain("A"); len(chain) != 0 {
-			t.Fatalf("TxnChain(A) = %v, want empty", chain)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close = %v", err)

@@ -19,7 +19,7 @@ import (
 func TestStatsMatchesAccessors(t *testing.T) {
 	l := backedLog(t)
 	for i := 0; i < 10; i++ {
-		l.Append(Record{Kind: Update, Txn: history.TxnID(fmt.Sprintf("T%d", i)), Obj: "X", Op: adt.DepositOk(1)})
+		appendDurable(t, l, Record{Kind: Update, Txn: history.TxnID(fmt.Sprintf("T%d", i)), Obj: "X", Op: adt.DepositOk(1)})
 	}
 	if _, err := l.TruncateBefore(4); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestStatsMatchesAccessors(t *testing.T) {
 		t.Errorf("Bytes: %d, retained records encode to %d", s.Bytes, len(encoded))
 	}
 	if s.Flushes != l.flushes.Load() || s.Flushes != 10 {
-		t.Errorf("Flushes: %d vs %d, want 10 (one per Append)", s.Flushes, l.flushes.Load())
+		t.Errorf("Flushes: %d vs %d, want 10 (one per durable append)", s.Flushes, l.flushes.Load())
 	}
 	if s.StripeAcquisitions != l.stageAcqs.Load() || s.StripeAcquisitions != 10 {
 		t.Errorf("StripeAcquisitions: %d vs %d, want 10", s.StripeAcquisitions, l.stageAcqs.Load())
@@ -94,7 +94,7 @@ func TestStatsCoherentUnderConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				l.Append(Record{Kind: Update, Txn: txn, Obj: "X", Op: adt.DepositOk(1)})
+				appendDurable(t, l, Record{Kind: Update, Txn: txn, Obj: "X", Op: adt.DepositOk(1)})
 			}
 		}(w)
 	}

@@ -9,6 +9,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/history"
@@ -26,7 +27,7 @@ func truncRec(txn history.TxnID, obj history.ObjectID, name string) Record {
 func TestTruncateBeforeInMemory(t *testing.T) {
 	l := backedLog(t)
 	for i := 0; i < 10; i++ {
-		l.Append(truncRec("T1", "x", "op"))
+		appendDurable(t, l, truncRec("T1", "x", "op"))
 	}
 	bytesBefore := l.Stats().Bytes
 	n, err := l.TruncateBefore(5)
@@ -56,7 +57,7 @@ func TestTruncateBeforeInMemory(t *testing.T) {
 		t.Fatalf("re-truncate below base: n=%d err=%v", n, err)
 	}
 	// New appends continue the LSN sequence.
-	if lsn := l.Append(truncRec("T2", "y", "op")); lsn != 11 {
+	if lsn := appendDurable(t, l, truncRec("T2", "y", "op")); lsn != 11 {
 		t.Fatalf("append after truncation assigned LSN %d, want 11", lsn)
 	}
 }
@@ -66,17 +67,17 @@ func TestTruncateBeforeInMemory(t *testing.T) {
 // stopping at the base instead of indexing into the dropped prefix.
 func TestTruncateChainAcrossBase(t *testing.T) {
 	l := backedLog(t)
-	l.Append(truncRec("T1", "x", "a")) // LSN 1
-	l.Append(truncRec("T2", "x", "b")) // LSN 2
-	l.Append(truncRec("T1", "x", "c")) // LSN 3, PrevLSN 1
+	appendDurable(t, l, truncRec("T1", "x", "a")) // LSN 1
+	appendDurable(t, l, truncRec("T2", "x", "b")) // LSN 2
+	appendDurable(t, l, truncRec("T1", "x", "c")) // LSN 3, PrevLSN 1
 	if _, err := l.TruncateBefore(3); err != nil {
 		t.Fatal(err)
 	}
-	chain := l.TxnChain("T1")
+	chain := chainOf(l, "T1")
 	if len(chain) != 1 || chain[0].LSN != 3 || chain[0].PrevLSN != 1 {
 		t.Fatalf("chain = %+v, want the single retained record LSN 3 chaining to truncated 1", chain)
 	}
-	if got := l.TxnChain("T2"); len(got) != 0 {
+	if got := chainOf(l, "T2"); len(got) != 0 {
 		t.Fatalf("fully truncated transaction still has a chain: %+v", got)
 	}
 }
@@ -97,14 +98,14 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(truncRec("T1", "x", "a")) // LSN 1
-	l.Append(truncRec("T2", "y", "b")) // LSN 2
-	l.Append(truncRec("T1", "x", "c")) // LSN 3, chains to 1
-	l.Append(truncRec("T2", "y", "d")) // LSN 4, chains to 2
+	appendDurable(t, l, truncRec("T1", "x", "a")) // LSN 1
+	appendDurable(t, l, truncRec("T2", "y", "b")) // LSN 2
+	appendDurable(t, l, truncRec("T1", "x", "c")) // LSN 3, chains to 1
+	appendDurable(t, l, truncRec("T2", "y", "d")) // LSN 4, chains to 2
 	if n, err := l.TruncateBefore(3); err != nil || n != 2 {
 		t.Fatalf("truncate: n=%d err=%v", n, err)
 	}
-	l.Append(truncRec("T3", "z", "e")) // LSN 5
+	appendDurable(t, l, truncRec("T3", "z", "e")) // LSN 5
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,89 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 		t.Fatalf("reopened durable watermark = %d, want 5", got)
 	}
 	// The replayed log keeps accepting appends with continuous LSNs.
-	if lsn := l2.Append(truncRec("T1", "x", "f")); lsn != 6 {
+	if lsn := appendDurable(t, l2, truncRec("T1", "x", "f")); lsn != 6 {
 		t.Fatalf("append after reopen assigned LSN %d, want 6", lsn)
 	}
-	if chain := l2.TxnChain("T1"); len(chain) != 2 || chain[1].LSN != 3 {
+	if chain := chainOf(l2, "T1"); len(chain) != 2 || chain[1].LSN != 3 {
 		t.Fatalf("T1 chain after reopen = %+v", chain)
+	}
+}
+
+// TestTruncateBoundsChainHeads: the chain-head map holds the transactions
+// logged since the last truncation, not every transaction ever logged. A
+// transaction whose head was truncated away chains its next record to the
+// nil LSN, and the reopened log's chain check accepts every PrevLSN the
+// live log assigned.
+func TestTruncateBoundsChainHeads(t *testing.T) {
+	dir := t.TempDir()
+	cfg := SegmentConfig{MaxSegmentBytes: 1}
+	backend, err := CreateSegmentedBackend(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Config{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := func(l *Log) int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.lastOf)
+	}
+	const commits, every = 60, 10
+	// L stays live across the first truncation, which drops its head.
+	appendDurable(t, l, truncRec("L", "x", "a"))
+	live := 1 // transactions logged since the last truncation
+	for i := 0; i < commits; i++ {
+		txn := history.TxnID(fmt.Sprintf("T%03d", i))
+		appendDurable(t, l, truncRec(txn, "x", "op"))
+		last := appendDurable(t, l, Record{Kind: TxnCommitRec, Txn: txn})
+		live++
+		if got := heads(l); got > live {
+			t.Fatalf("commit %d: %d chain heads, want at most %d", i, got, live)
+		}
+		if (i+1)%every == 0 {
+			// Keep the last commit record: its transaction stays live.
+			if _, err := l.TruncateBefore(last); err != nil {
+				t.Fatal(err)
+			}
+			live = 1
+		}
+		if i == every {
+			lsn := appendDurable(t, l, truncRec("L", "x", "b"))
+			live++
+			if r, ok := recordAt(l, lsn); !ok || r.PrevLSN != 0 {
+				t.Fatalf("L's record after its head was truncated: ok=%v rec=%+v, want PrevLSN 0", ok, r)
+			}
+		}
+	}
+	want := l.Snapshot()
+	wantHeads := heads(l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenSegmentedBackend(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(Config{Backend: re})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	got := l2.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("reopened log holds %d records, live log held %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].LSN != want[i].LSN || got[i].PrevLSN != want[i].PrevLSN {
+			t.Fatalf("record %d: reopened LSN %d PrevLSN %d, live LSN %d PrevLSN %d",
+				i, got[i].LSN, got[i].PrevLSN, want[i].LSN, want[i].PrevLSN)
+		}
+	}
+	if h := heads(l2); h != wantHeads {
+		t.Fatalf("reopened log has %d chain heads, live log had %d", h, wantHeads)
 	}
 }
 

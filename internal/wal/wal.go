@@ -1,18 +1,18 @@
 // Package wal implements a group-committed write-ahead log used by the
 // update-in-place recovery manager: an append-only sequence of typed
-// records with monotonically increasing LSNs and per-transaction backward
-// chains, supporting the abort-time backward walk that operation-logging
-// recovery performs, and — through the Backend seam — durable storage that
-// recovery.RestartAllWithConfig can replay after a crash.
+// records with monotonically increasing LSNs, each chained by PrevLSN to
+// its transaction's previous record, and — through the Backend seam —
+// durable storage that recovery.RestartAllWithConfig can replay after a
+// crash.
 //
 // A log opened with no Backend (New, or Open with Backend unset) is a
 // sink: it stamps and counts every appended record and keeps none of them.
 // An in-memory engine has no device to restart from, and live abort walks
 // each store's own undo chain, so nothing would ever read those records
-// back; Flush, IsDurable and WaitDurable return at once, and the read
-// accessors (Records, Snapshot, TxnChain, ...) see an empty log. Durable
-// reports which kind a log is. Everything below describes a log with a
-// backend.
+// back; Flush, IsDurable and WaitDurable return at once, TicketLSN names
+// no LSN, and the read accessors (Records, Snapshot, ...) see an empty
+// log. Durable reports which kind a log is. Everything below describes a
+// log with a backend.
 //
 // Appends are staged: AppendAsync and AppendBatchAsync append records to
 // one staging queue without touching the committed region of the log, and
@@ -126,10 +126,10 @@ const (
 	// records remain as redo hints only.
 	TxnCommitRec
 	// CheckpointRec marks a fuzzy-checkpoint capture point. Txn carries the
-	// checkpoint's identifier (checkpoints reuse the per-transaction
-	// backward chain so all of one checkpoint's markers are walkable). The
-	// begin marker (Obj empty) is staged before any object is captured and
-	// its LSN is the checkpoint's frontier — the truncation point and the
+	// checkpoint's identifier; the checkpoint names each marker's LSN from
+	// the ticket it was staged under (see Log.TicketLSN). The begin marker
+	// (Obj empty) is staged before any object is captured and its LSN is
+	// the checkpoint's frontier — the truncation point and the
 	// start of the winner scan at a checkpointed restart. Each per-object
 	// marker (Obj set) is staged under that object's latch at the instant
 	// its state is captured, so the marker's LSN splits the object's
@@ -271,8 +271,13 @@ type Log struct {
 	// a batch that failed to encode). bytes is their sum — the log-length
 	// accounting Stats reports — so truncation subtracts sizes and never
 	// re-encodes.
-	sizes  []int64
-	bytes  int64
+	sizes []int64
+	bytes int64
+	// lastOf maps each transaction to the LSN of its newest record, the
+	// PrevLSN its next record chains to. A head at or below the base is
+	// dropped once the backend has truncated past it too (see
+	// TruncateBefore), so the map holds the transactions logged since the
+	// last truncation, not every transaction ever logged.
 	lastOf map[history.TxnID]LSN
 	// discipline is the logging discipline the log carries, set by the
 	// first DisciplineRec sequenced or replayed ("" = no marker = implicit
@@ -555,21 +560,15 @@ func (l *Log) sinkDiscipline(r Record) {
 	l.mu.Unlock()
 }
 
-// Append stages a record, flushes, and returns the assigned LSN — the
-// synchronous path, equivalent to a group commit of whatever is staged.
-// The LSN is the log's LSN at Open plus the record's ticket, whichever
-// goroutine's round sequenced it. On a closed log nothing is staged and
-// the nil LSN is returned; so it is on a sink, which assigns no LSNs.
-func (l *Log) Append(r Record) LSN {
-	if l.backend == nil {
-		_, _ = l.AppendAsync(r) //lint:ignore walerr a sink assigns no LSN: Append returns 0 whether the record is counted or a closed log refuses it
+// TicketLSN returns the LSN of the record staged under ticket t: the log's
+// LSN at Open plus t, whichever goroutine's round sequences it. A caller
+// can thus name a record's LSN as soon as it is staged, and read the
+// record back at that LSN once a barrier has sequenced it. A sink assigns
+// no LSNs and returns the nil LSN, as it does for the zero ticket.
+func (l *Log) TicketLSN(t Ticket) LSN {
+	if t <= 0 || l.backend == nil {
 		return 0
 	}
-	t, err := l.stage(r)
-	if err != nil {
-		return 0
-	}
-	l.sequenceStaged()
 	return l.lsn0 + LSN(t)
 }
 
@@ -629,7 +628,7 @@ func (l *Log) awaitIdle() {
 // reader that discarded the error could serve a view missing records
 // staged just before Close began. On that error the caller joins the
 // sequencer directly — flushMu orders the call against Close's final
-// drain. Append relies on it the same way.
+// drain.
 func (l *Log) sequenceStaged() {
 	if err := l.Flush(); err != nil {
 		l.flushOnce()
@@ -972,24 +971,6 @@ func (l *Log) Base() LSN {
 	return l.base
 }
 
-// TxnChain returns txn's records newest-first, following PrevLSN — the
-// traversal abort processing performs. Staged records are flushed first;
-// a chain that crosses the truncation base stops at the oldest retained
-// record.
-func (l *Log) TxnChain(txn history.TxnID) []Record {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	lsn := l.lastOf[txn]
-	for lsn > l.base {
-		r := l.records[lsn-l.base-1]
-		out = append(out, r)
-		lsn = r.PrevLSN
-	}
-	return out
-}
-
 // Snapshot returns a copy of the retained records in LSN order
 // (diagnostics, tests), flushing staged records first. Truncated records
 // are gone; the first record's LSN is Base+1.
@@ -1059,6 +1040,18 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("wal: truncate backend before %d: %w", lsn, err)
 		}
+		// The durable log lost the prefix too, so a reopened log knows no
+		// chain head at or below the base: forget them here as well, and a
+		// transaction's next record chains to the nil LSN on both sides.
+		// Without the backend's truncation a reopen would still replay
+		// those heads, so the map keeps them.
+		l.mu.Lock()
+		for txn, last := range l.lastOf {
+			if last < lsn {
+				delete(l.lastOf, txn)
+			}
+		}
+		l.mu.Unlock()
 	}
 	return n, nil
 }

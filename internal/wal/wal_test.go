@@ -23,8 +23,8 @@ func backedLog(t testing.TB) *Log {
 
 func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 	l := backedLog(t)
-	a := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-	b := l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
+	a := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	b := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
 	if a != 1 || b != 2 {
 		t.Fatalf("LSNs = %d, %d", a, b)
 	}
@@ -33,25 +33,33 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 	}
 }
 
+// TestTxnChainNewestFirst: each record chains by PrevLSN to its
+// transaction's previous record, so A's chain, walked back from its newest
+// record through Snapshot, is newest-first and skips B's record; every
+// record sits at its ticket LSN.
 func TestTxnChainNewestFirst(t *testing.T) {
 	l := backedLog(t)
-	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
-	l.Append(Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(9)})
-	l.Append(Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
-	l.Append(Record{Kind: Update, Txn: "A", Obj: "Y", Op: adt.DepositOk(3)})
-	chain := l.TxnChain("A")
+	a1 := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(1)})
+	appendDurable(t, l, Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(9)})
+	a2 := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
+	a3 := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "Y", Op: adt.DepositOk(3)})
+	chain := chainOf(l, "A")
 	if len(chain) != 3 {
 		t.Fatalf("chain length = %d", len(chain))
 	}
 	if chain[0].Op != adt.DepositOk(3) || chain[1].Op != adt.DepositOk(2) || chain[2].Op != adt.DepositOk(1) {
 		t.Fatalf("chain order wrong: %v", chain)
 	}
+	if chain[0].LSN != a3 || chain[1].LSN != a2 || chain[2].LSN != a1 {
+		t.Fatalf("chain LSNs %d, %d, %d; ticket LSNs %d, %d, %d",
+			chain[0].LSN, chain[1].LSN, chain[2].LSN, a3, a2, a1)
+	}
 	if chain[2].PrevLSN != 0 {
 		t.Errorf("first record PrevLSN = %d, want 0", chain[2].PrevLSN)
 	}
 }
 
-// TestGetAndLastLSN: the LSN Append returns names the record a reader
+// TestGetAndLastLSN: a durable append's ticket LSN names the record a reader
 // finds in the Snapshot and at the head of the transaction's chain.
 func TestGetAndLastLSN(t *testing.T) {
 	l := backedLog(t)
@@ -61,7 +69,7 @@ func TestGetAndLastLSN(t *testing.T) {
 	if lastLSN(l, "A") != 0 {
 		t.Error("an unknown txn has no chain")
 	}
-	lsn := l.Append(Record{Kind: CommitRec, Txn: "A", Obj: "X"})
+	lsn := appendDurable(t, l, Record{Kind: CommitRec, Txn: "A", Obj: "X"})
 	r, ok := recordAt(l, lsn)
 	if !ok || r.Kind != CommitRec || r.Txn != "A" {
 		t.Fatalf("record at LSN %d = %v, %v", lsn, r, ok)
@@ -84,7 +92,7 @@ func TestConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			txn := history.TxnID(rune('A' + g))
 			for i := 0; i < n; i++ {
-				l.Append(Record{Kind: Update, Txn: txn, Obj: "X", Op: adt.DepositOk(1)})
+				appendDurable(t, l, Record{Kind: Update, Txn: txn, Obj: "X", Op: adt.DepositOk(1)})
 			}
 		}(g)
 	}
@@ -102,7 +110,7 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		txn := history.TxnID(rune('A' + g))
-		if got := len(l.TxnChain(txn)); got != n {
+		if got := len(chainOf(l, txn)); got != n {
 			t.Errorf("chain(%s) = %d, want %d", txn, got, n)
 		}
 	}
@@ -198,7 +206,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 		}
 	}
 	// A's chain: commit -> update, in stage order.
-	chain := l.TxnChain("A")
+	chain := chainOf(l, "A")
 	if len(chain) != 2 || chain[0].Kind != CommitRec || chain[1].Kind != Update {
 		t.Fatalf("chain = %v", chain)
 	}
@@ -246,7 +254,7 @@ func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
 	// Per-transaction chains are complete and in stage order.
 	for g := 0; g < gs; g++ {
 		txn := history.TxnID(rune('A' + g))
-		chain := l.TxnChain(txn)
+		chain := chainOf(l, txn)
 		if len(chain) != per {
 			t.Fatalf("chain(%s) = %d, want %d", txn, len(chain), per)
 		}
