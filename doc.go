@@ -11,7 +11,11 @@
 // and — on the systems side — an executable transaction engine with
 // conflict-relation-driven strict operation locking, an undo-log (WAL)
 // recovery manager realizing UIP, and an intentions-list recovery manager
-// realizing DU.
+// realizing DU. Both change object state in place: an ADT machine's Peek
+// computes the response the lock is checked against without touching the
+// state, and its Apply and Undo then change the one state the store — or
+// a DU transaction's private workspace — owns, so a bank-account step
+// allocates nothing and a set or map update costs O(1), not a copy.
 //
 // The engine is built to scale with cores while staying auditable: the
 // object registry is one sync.Map, whose lookup takes no lock on the hit

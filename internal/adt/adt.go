@@ -9,9 +9,11 @@
 //
 //   - a serial specification (spec.Enumerable) over a bounded, finite
 //     window, consumed by the exact decision procedures in package commute;
-//   - a runtime machine (Machine) executing operations on concrete state
-//     with logical (operation) undo, consumed by the recovery managers and
-//     the transaction engine;
+//   - a runtime machine (Machine) executing operations in place on a
+//     mutable concrete state (Value) with logical (operation) undo,
+//     consumed by the recovery managers and the transaction engine: Peek
+//     computes a response without changing the state, Apply and Undo
+//     change it;
 //   - closed-form analytic conflict relations (NFC, NRBC, read/write),
 //     valid for unbounded parameters, consumed by the engine and
 //     cross-checked against the derived relations in tests.
@@ -26,38 +28,53 @@ import (
 	"repro/internal/spec"
 )
 
-// ErrNotEnabled is returned by Machine.Apply when the invocation is partial
+// ErrNotEnabled is returned by Machine.Peek when the invocation is partial
 // and has no legal response in the current state (e.g. allocating from an
 // empty resource pool).
 var ErrNotEnabled = errors.New("adt: invocation not enabled in current state")
 
-// Value is a runtime object state. Implementations are immutable from the
-// caller's perspective: Apply and Undo return new values.
+// Value is a runtime object state. A value is mutable and has exactly one
+// owner — a recovery store's current or base state, or a transaction's
+// private workspace — which changes it in place through its machine's
+// Apply and Undo. Scalar states are pointers, allocated once by Init,
+// Clone or decoding, so a step boxes nothing.
 type Value interface {
-	// Clone returns a deep copy.
+	// Clone returns a deep copy that shares no storage with the value.
 	Clone() Value
+	// CopyFrom makes the value a deep copy of src, a state of the same
+	// machine, reusing the value's own storage.
+	CopyFrom(src Value)
 	// Encode returns a canonical string encoding (used as spec state and in
 	// logs).
 	Encode() string
 }
 
 // Machine executes operations on runtime states. A Machine is a
-// deterministic refinement of its type's serial specification: Apply picks
+// deterministic refinement of its type's serial specification: Peek picks
 // one legal response (for nondeterministic specs, a documented rule such as
 // "lowest-numbered free resource").
+//
+// A step is split in two, because locking is result-dependent: Peek
+// computes the response and changes nothing, and Apply then performs the
+// operation — the invocation with that response — in place. Given an
+// operation Peek returned for the state, Apply cannot fail.
 type Machine interface {
 	Name() string
-	// Init returns the initial state.
+	// Init returns a fresh initial state, owned by the caller.
 	Init() Value
-	// Apply executes inv on v, returning the response and the new state.
-	// It returns ErrNotEnabled for partial invocations with no legal
+	// Peek returns the response inv gets in v, leaving v unchanged. It
+	// returns ErrNotEnabled for partial invocations with no legal
 	// response.
-	Apply(v Value, inv spec.Invocation) (spec.Response, Value, error)
-	// Undo reverses the state effect of op on v. Ops are undone in reverse
-	// order of application by the aborting transaction; the inverse is
-	// logical (operation-based), which is what makes update-in-place
-	// recovery compatible with concurrent updates.
-	Undo(v Value, op spec.Operation) (Value, error)
+	Peek(v Value, inv spec.Invocation) (spec.Response, error)
+	// Apply performs op on v in place. op is an invocation with the
+	// response Peek gave it in v's current state; Apply trusts that
+	// response and does not compute it again.
+	Apply(v Value, op spec.Operation) error
+	// Undo reverses the state effect of op on v in place. Ops are undone
+	// in reverse order of application by the aborting transaction; the
+	// inverse is logical (operation-based), which is what makes
+	// update-in-place recovery compatible with concurrent updates.
+	Undo(v Value, op spec.Operation) error
 }
 
 // Type groups the artifacts of one abstract data type.
@@ -79,11 +96,14 @@ type Type interface {
 	RW() commute.Relation
 }
 
-// IsRead reports whether the operation is read-only for the given type by
-// consulting the type's RW relation: an operation is a read iff it does not
-// conflict with itself under RW.
-func IsRead(t Type, op spec.Operation) bool {
-	return !t.RW().Conflicts(op, op)
+// stateOf returns v as the state type T of the named machine, or an
+// error if v is another machine's state.
+func stateOf[T Value](v Value, machine string) (T, error) {
+	s, ok := v.(T)
+	if !ok {
+		return s, fmt.Errorf("adt: %s machine applied to %T", machine, v)
+	}
+	return s, nil
 }
 
 // mustInt parses an integer argument, panicking on malformed input:

@@ -244,40 +244,68 @@ func (b BankAccount) RW() commute.Relation {
 // Machine implements Type.
 func (b BankAccount) Machine() Machine { return baMachine{initial: b.InitialBalance} }
 
-// BAValue is the runtime state of a bank account: its balance.
+// BAValue is the runtime state of a bank account: its balance. The
+// machine's states are *BAValue, changed in place.
 type BAValue int
 
 // Clone implements Value.
-func (v BAValue) Clone() Value { return v }
+func (v *BAValue) Clone() Value { c := *v; return &c }
+
+// CopyFrom implements Value.
+func (v *BAValue) CopyFrom(src Value) { *v = *src.(*BAValue) }
 
 // Encode implements Value.
-func (v BAValue) Encode() string { return strconv.Itoa(int(v)) }
+func (v *BAValue) Encode() string { return strconv.Itoa(int(*v)) }
 
 type baMachine struct{ initial int }
 
 func (baMachine) Name() string { return "bank-account" }
 
-func (m baMachine) Init() Value { return BAValue(m.initial) }
+func (m baMachine) Init() Value {
+	v := BAValue(m.initial)
+	return &v
+}
 
-func (m baMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	bal, ok := v.(BAValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: bank-account machine applied to %T", v)
+func (baMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	bal, err := stateOf[*BAValue](v, "bank-account")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "deposit":
-		i := mustInt(inv.Args)
-		return "ok", bal + BAValue(i), nil
+		return "ok", nil
 	case "withdraw":
-		i := mustInt(inv.Args)
-		if int(bal) >= i {
-			return "ok", bal - BAValue(i), nil
+		if int(*bal) >= mustInt(inv.Args) {
+			return "ok", nil
 		}
-		return "no", bal, nil
+		return "no", nil
 	case "balance":
-		return spec.Response(strconv.Itoa(int(bal))), bal, nil
+		return spec.Response(strconv.Itoa(int(*bal))), nil
 	}
-	return "", nil, fmt.Errorf("adt: bank-account: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: bank-account: unknown invocation %s", inv)
+}
+
+func (baMachine) Apply(v Value, op spec.Operation) error { return baShift(v, op, 1) }
+
+func (baMachine) Undo(v Value, op spec.Operation) error { return baShift(v, op, -1) }
+
+// baShift moves the balance by op's effect times sign: 1 applies op, -1
+// undoes it. A failed withdrawal and a balance change nothing.
+func baShift(v Value, op spec.Operation, sign BAValue) error {
+	bal, err := stateOf[*BAValue](v, "bank-account")
+	if err != nil {
+		return err
+	}
+	switch classifyBA(op) {
+	case baDeposit:
+		*bal += sign * BAValue(mustInt(op.Inv.Args))
+	case baWithdrawOk:
+		*bal -= sign * BAValue(mustInt(op.Inv.Args))
+	case baWithdrawNo, baBalance:
+	default:
+		return fmt.Errorf("adt: bank-account: cannot step %s", op)
+	}
+	return nil
 }
 
 // DecodeValue implements ValueCodec: a bank-account state is its balance.
@@ -286,21 +314,6 @@ func (baMachine) DecodeValue(s string) (Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adt: bank-account: bad encoded state %q: %w", s, err)
 	}
-	return BAValue(n), nil
-}
-
-func (m baMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	bal, ok := v.(BAValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: bank-account machine applied to %T", v)
-	}
-	switch classifyBA(op) {
-	case baDeposit:
-		return bal - BAValue(mustInt(op.Inv.Args)), nil
-	case baWithdrawOk:
-		return bal + BAValue(mustInt(op.Inv.Args)), nil
-	case baWithdrawNo, baBalance:
-		return bal, nil
-	}
-	return nil, fmt.Errorf("adt: bank-account: cannot undo %s", op)
+	v := BAValue(n)
+	return &v, nil
 }

@@ -203,21 +203,13 @@ func TestBAResultSensitivity(t *testing.T) {
 func TestBAMachineApply(t *testing.T) {
 	m := DefaultBankAccount().Machine()
 	v := m.Init()
-	res, v, err := m.Apply(v, Deposit(5))
-	if err != nil || res != "ok" {
-		t.Fatalf("deposit: %v %v", res, err)
-	}
-	res, v, err = m.Apply(v, Withdraw(3))
-	if err != nil || res != "ok" {
-		t.Fatalf("withdraw: %v %v", res, err)
-	}
-	res, v, err = m.Apply(v, Balance())
-	if err != nil || res != "2" {
-		t.Fatalf("balance: %v %v", res, err)
-	}
-	res, v, err = m.Apply(v, Withdraw(3))
-	if err != nil || res != "no" {
-		t.Fatalf("overdraw: %v %v", res, err)
+	for _, c := range []struct {
+		inv  spec.Invocation
+		want spec.Response
+	}{{Deposit(5), "ok"}, {Withdraw(3), "ok"}, {Balance(), "2"}, {Withdraw(3), "no"}} {
+		if res := mustStep(t, m, v, c.inv); res != c.want {
+			t.Fatalf("%s = %v, want %v", c.inv, res, c.want)
+		}
 	}
 	if v.Encode() != "2" {
 		t.Errorf("final state = %s, want 2", v.Encode())
@@ -227,19 +219,17 @@ func TestBAMachineApply(t *testing.T) {
 func TestBAMachineUndo(t *testing.T) {
 	m := DefaultBankAccount().Machine()
 	v := m.Init()
-	_, v1, _ := m.Apply(v, Deposit(5))
-	und, err := m.Undo(v1, DepositOk(5))
-	if err != nil || und.Encode() != "0" {
-		t.Fatalf("undo deposit: %v %v", und, err)
+	mustStep(t, m, v, Deposit(5))
+	if err := m.Undo(v, DepositOk(5)); err != nil || v.Encode() != "0" {
+		t.Fatalf("undo deposit: %v %v", v.Encode(), err)
 	}
-	_, v2, _ := m.Apply(v1, Withdraw(2))
-	und2, err := m.Undo(v2, WithdrawOk(2))
-	if err != nil || und2.Encode() != "5" {
-		t.Fatalf("undo withdraw: %v %v", und2, err)
+	mustStep(t, m, v, Deposit(5))
+	mustStep(t, m, v, Withdraw(2))
+	if err := m.Undo(v, WithdrawOk(2)); err != nil || v.Encode() != "5" {
+		t.Fatalf("undo withdraw: %v %v", v.Encode(), err)
 	}
-	und3, err := m.Undo(v2, WithdrawNo(9))
-	if err != nil || und3.Encode() != "3" {
-		t.Fatalf("undo failed withdraw should be a no-op: %v %v", und3, err)
+	if err := m.Undo(v, WithdrawNo(9)); err != nil || v.Encode() != "5" {
+		t.Fatalf("undo failed withdraw should be a no-op: %v %v", v.Encode(), err)
 	}
 }
 
@@ -247,25 +237,10 @@ func TestBAMachineUndo(t *testing.T) {
 // in the window specification (as long as it stays within the window).
 func TestBAMachineRefinesSpec(t *testing.T) {
 	ba := DefaultBankAccount()
-	m := ba.Machine()
-	sp := ba.Spec()
-	v := m.Init()
-	var seq spec.Seq
-	script := []spec.Invocation{
+	checkRefines(t, ba.Machine(), ba.Spec(), []spec.Invocation{
 		Deposit(3), Withdraw(1), Balance(), Deposit(2), Withdraw(9),
 		Balance(), Withdraw(4), Deposit(1), Balance(),
-	}
-	for _, inv := range script {
-		res, next, err := m.Apply(v, inv)
-		if err != nil {
-			t.Fatalf("Apply(%s): %v", inv, err)
-		}
-		seq = append(seq, spec.Op(inv, res))
-		if !sp.Legal(seq) {
-			t.Fatalf("machine produced spec-illegal sequence %s", seq)
-		}
-		v = next
-	}
+	})
 }
 
 // TestStabilityAcrossWindowSizes: growing the window does not change the
@@ -286,6 +261,13 @@ func TestStabilityAcrossWindowSizes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// IsRead reports whether the operation is read-only for the given type by
+// consulting the type's RW relation: an operation is a read iff it does not
+// conflict with itself under RW.
+func IsRead(t Type, op spec.Operation) bool {
+	return !t.RW().Conflicts(op, op)
 }
 
 func TestIsRead(t *testing.T) {

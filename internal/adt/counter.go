@@ -137,14 +137,18 @@ func (t EscrowCounter) Machine() Machine {
 	return ctrMachine{initial: t.Initial, max: t.Max}
 }
 
-// CtrValue is the runtime state of an EscrowCounter.
+// CtrValue is the runtime state of an EscrowCounter. The machine's states
+// are *CtrValue, changed in place.
 type CtrValue int
 
 // Clone implements Value.
-func (v CtrValue) Clone() Value { return v }
+func (v *CtrValue) Clone() Value { c := *v; return &c }
+
+// CopyFrom implements Value.
+func (v *CtrValue) CopyFrom(src Value) { *v = *src.(*CtrValue) }
 
 // Encode implements Value.
-func (v CtrValue) Encode() string { return strconv.Itoa(int(v)) }
+func (v *CtrValue) Encode() string { return strconv.Itoa(int(*v)) }
 
 type ctrMachine struct {
 	initial int
@@ -153,47 +157,57 @@ type ctrMachine struct {
 
 func (ctrMachine) Name() string { return "escrow-counter" }
 
-func (m ctrMachine) Init() Value { return CtrValue(m.initial) }
+func (m ctrMachine) Init() Value {
+	v := CtrValue(m.initial)
+	return &v
+}
 
-func (m ctrMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	c, ok := v.(CtrValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: escrow-counter machine applied to %T", v)
+func (m ctrMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	c, err := stateOf[*CtrValue](v, "escrow-counter")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "inc":
-		i := mustInt(inv.Args)
-		if int(c)+i > m.max {
-			return "no", c, nil
+		if int(*c)+mustInt(inv.Args) > m.max {
+			return "no", nil
 		}
-		return "ok", c + CtrValue(i), nil
+		return "ok", nil
 	case "dec":
-		i := mustInt(inv.Args)
-		if int(c)-i < 0 {
-			return "no", c, nil
+		if int(*c)-mustInt(inv.Args) < 0 {
+			return "no", nil
 		}
-		return "ok", c - CtrValue(i), nil
+		return "ok", nil
 	case "read":
-		return spec.Response(strconv.Itoa(int(c))), c, nil
+		return spec.Response(strconv.Itoa(int(*c))), nil
 	}
-	return "", nil, fmt.Errorf("adt: escrow-counter: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: escrow-counter: unknown invocation %s", inv)
 }
 
-func (m ctrMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	c, ok := v.(CtrValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: escrow-counter machine applied to %T", v)
-	}
-	if op.Res != "ok" {
-		return c, nil
+func (ctrMachine) Apply(v Value, op spec.Operation) error { return ctrShift(v, op, 1) }
+
+func (ctrMachine) Undo(v Value, op spec.Operation) error { return ctrShift(v, op, -1) }
+
+// ctrShift moves the counter by op's effect times sign: 1 applies op, -1
+// undoes it. A refused step and a read change nothing.
+func ctrShift(v Value, op spec.Operation, sign CtrValue) error {
+	c, err := stateOf[*CtrValue](v, "escrow-counter")
+	if err != nil {
+		return err
 	}
 	switch op.Inv.Name {
-	case "inc":
-		return c - CtrValue(mustInt(op.Inv.Args)), nil
-	case "dec":
-		return c + CtrValue(mustInt(op.Inv.Args)), nil
+	case "inc", "dec":
+		if op.Res != "ok" {
+			return nil
+		}
+		i := sign * CtrValue(mustInt(op.Inv.Args))
+		if op.Inv.Name == "dec" {
+			i = -i
+		}
+		*c += i
 	case "read":
-		return c, nil
+	default:
+		return fmt.Errorf("adt: escrow-counter: cannot step %s", op)
 	}
-	return nil, fmt.Errorf("adt: escrow-counter: cannot undo %s", op)
+	return nil
 }

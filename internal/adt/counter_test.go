@@ -108,51 +108,26 @@ func TestCounterInvocationLemmas(t *testing.T) {
 func TestCounterMachine(t *testing.T) {
 	m := DefaultEscrowCounter().Machine()
 	v := m.Init()
-	res, v, err := m.Apply(v, Inc(2))
-	if err != nil || res != "ok" {
-		t.Fatalf("inc: %v %v", res, err)
+	for _, c := range []struct {
+		inv  spec.Invocation
+		want spec.Response
+	}{{Inc(2), "ok"}, {Inc(2), "ok"}, {Inc(1), "no"}, {ReadCtr(), "8"}} {
+		if res := mustStep(t, m, v, c.inv); res != c.want {
+			t.Fatalf("%s = %v, want %v (value %s)", c.inv, res, c.want, v.Encode())
+		}
 	}
-	res, v, _ = m.Apply(v, Inc(2))
-	if res != "ok" {
-		t.Fatalf("second inc: %v", res)
+	if err := m.Undo(v, IncOk(2)); err != nil || v.Encode() != "6" {
+		t.Fatalf("undo inc: %v %v", v.Encode(), err)
 	}
-	res, v, _ = m.Apply(v, Inc(1))
-	if res != "no" {
-		t.Fatalf("inc past ceiling should fail: %v (value %s)", res, v.Encode())
-	}
-	res, v, _ = m.Apply(v, ReadCtr())
-	if res != "8" {
-		t.Fatalf("read: %v", res)
-	}
-	und, err := m.Undo(v, IncOk(2))
-	if err != nil || und.Encode() != "6" {
-		t.Fatalf("undo inc: %v %v", und, err)
-	}
-	und2, err := m.Undo(und, DecNo(9))
-	if err != nil || und2.Encode() != "6" {
-		t.Fatalf("undo failed dec is a no-op: %v %v", und2, err)
+	if err := m.Undo(v, DecNo(9)); err != nil || v.Encode() != "6" {
+		t.Fatalf("undo failed dec is a no-op: %v %v", v.Encode(), err)
 	}
 }
 
 // TestCounterMachineRefinesSpec: machine executions stay legal in the spec.
 func TestCounterMachineRefinesSpec(t *testing.T) {
 	ctr := DefaultEscrowCounter()
-	m := ctr.Machine()
-	sp := ctr.Spec()
-	v := m.Init()
-	var seq spec.Seq
-	script := []spec.Invocation{
+	checkRefines(t, ctr.Machine(), ctr.Spec(), []spec.Invocation{
 		Inc(2), Inc(2), Inc(1), Dec(2), ReadCtr(), Dec(2), Dec(2), Dec(2), ReadCtr(),
-	}
-	for _, inv := range script {
-		res, next, err := m.Apply(v, inv)
-		if err != nil {
-			t.Fatalf("Apply(%s): %v", inv, err)
-		}
-		seq = append(seq, spec.Op(inv, res))
-		if !sp.Legal(seq) {
-			t.Fatalf("machine produced spec-illegal sequence %s", seq)
-		}
-		v = next
-	}
+	})
 }

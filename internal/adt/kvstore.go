@@ -141,16 +141,22 @@ func (t KVStore) RW() commute.Relation {
 // Machine implements Type.
 func (t KVStore) Machine() Machine { return kvMachine{} }
 
-// KVValue is the runtime state of a KVStore.
+// KVValue is the runtime state of a KVStore, changed in place.
 type KVValue map[string]string
 
 // Clone implements Value.
 func (v KVValue) Clone() Value {
 	out := make(KVValue, len(v))
-	for k, val := range v {
-		out[k] = val
-	}
+	out.CopyFrom(v)
 	return out
+}
+
+// CopyFrom implements Value.
+func (v KVValue) CopyFrom(src Value) {
+	clear(v)
+	for k, val := range src.(KVValue) {
+		v[k] = val
+	}
 }
 
 // Encode implements Value.
@@ -162,29 +168,40 @@ func (kvMachine) Name() string { return "kv-store" }
 
 func (kvMachine) Init() Value { return KVValue{} }
 
-func (kvMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	m, ok := v.(KVValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: kv-store machine applied to %T", v)
+func (kvMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	m, err := stateOf[KVValue](v, "kv-store")
+	if err != nil {
+		return "", err
 	}
-	args := inv.ArgList()
 	switch inv.Name {
-	case "put":
-		next := m.Clone().(KVValue)
-		next[args[0]] = args[1]
-		return "ok", next, nil
+	case "put", "del":
+		return "ok", nil
 	case "get":
-		cur, ok := m[args[0]]
+		cur, ok := m[inv.ArgList()[0]]
 		if !ok {
 			cur = "nil"
 		}
-		return spec.Response(cur), m, nil
-	case "del":
-		next := m.Clone().(KVValue)
-		delete(next, args[0])
-		return "ok", next, nil
+		return spec.Response(cur), nil
 	}
-	return "", nil, fmt.Errorf("adt: kv-store: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: kv-store: unknown invocation %s", inv)
+}
+
+func (kvMachine) Apply(v Value, op spec.Operation) error {
+	m, err := stateOf[KVValue](v, "kv-store")
+	if err != nil {
+		return err
+	}
+	switch op.Inv.Name {
+	case "put":
+		args := op.Inv.ArgList()
+		m[args[0]] = args[1]
+	case "del":
+		delete(m, op.Inv.ArgList()[0])
+	case "get":
+	default:
+		return fmt.Errorf("adt: kv-store: cannot apply %s", op)
+	}
+	return nil
 }
 
 // DecodeValue implements ValueCodec: the canonical sorted key=value
@@ -198,20 +215,18 @@ func (kvMachine) DecodeValue(s string) (Value, error) {
 }
 
 // Undo for a KV store is not purely logical: undoing a put requires the
-// overwritten value. The recovery managers therefore record the
-// before-value in the operation's undo record via PutUndo. For the plain
-// Machine interface, Undo of put/del is unsupported and returns an error;
-// the engine pairs KVStore with before-value undo records (see
-// internal/recovery).
-func (kvMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	m, ok := v.(KVValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: kv-store machine applied to %T", v)
+// overwritten value. The recovery managers therefore capture the key's
+// before-image (CaptureBefore) and undo through UndoWithBefore. For the
+// plain Machine interface, Undo of put/del is unsupported and returns an
+// error.
+func (kvMachine) Undo(v Value, op spec.Operation) error {
+	if _, err := stateOf[KVValue](v, "kv-store"); err != nil {
+		return err
 	}
 	if op.Inv.Name == "get" {
-		return m, nil
+		return nil
 	}
-	return nil, fmt.Errorf("adt: kv-store: %s requires before-value undo (use recovery.BeforeValueUndo)", op)
+	return fmt.Errorf("adt: kv-store: %s requires before-value undo", op)
 }
 
 // kvBefore is the before-image of a single key's cell.
@@ -237,26 +252,25 @@ func (kvMachine) CaptureBefore(v Value, inv spec.Invocation) any {
 }
 
 // UndoWithBefore implements BeforeImageUndoer: restores the single affected
-// key's cell, leaving concurrent updates to other keys intact.
-func (kvMachine) UndoWithBefore(v Value, op spec.Operation, before any) (Value, error) {
-	m, ok := v.(KVValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: kv-store machine applied to %T", v)
+// key's cell in place, leaving concurrent updates to other keys intact.
+func (kvMachine) UndoWithBefore(v Value, op spec.Operation, before any) error {
+	m, err := stateOf[KVValue](v, "kv-store")
+	if err != nil {
+		return err
 	}
 	if op.Inv.Name == "get" {
-		return m, nil
+		return nil
 	}
 	b, ok := before.(kvBefore)
 	if !ok {
-		return nil, fmt.Errorf("adt: kv-store: bad before-image %T", before)
+		return fmt.Errorf("adt: kv-store: bad before-image %T", before)
 	}
-	next := m.Clone().(KVValue)
 	if b.present {
-		next[b.key] = b.val
+		m[b.key] = b.val
 	} else {
-		delete(next, b.key)
+		delete(m, b.key)
 	}
-	return next, nil
+	return nil
 }
 
 // kvBeforeWire is the durable rendering of kvBefore.

@@ -166,18 +166,24 @@ func (t ResourcePool) Machine() Machine {
 }
 
 // PoolValue is the runtime state of a ResourcePool: the set of free
-// resources.
+// resources, changed in place.
 type PoolValue map[int]bool
 
 // Clone implements Value.
 func (v PoolValue) Clone() Value {
 	out := make(PoolValue, len(v))
-	for r, f := range v {
+	out.CopyFrom(v)
+	return out
+}
+
+// CopyFrom implements Value.
+func (v PoolValue) CopyFrom(src Value) {
+	clear(v)
+	for r, f := range src.(PoolValue) {
 		if f {
-			out[r] = true
+			v[r] = true
 		}
 	}
-	return out
 }
 
 // Encode implements Value.
@@ -195,34 +201,28 @@ func (m poolMachine) Init() Value {
 	return v
 }
 
-func (m poolMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	free, ok := v.(PoolValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: resource-pool machine applied to %T", v)
+func (m poolMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	free, err := stateOf[PoolValue](v, "resource-pool")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "alloc":
-		var got []int
+		lowest, found := 0, false
 		for r, f := range free {
-			if f {
-				got = append(got, r)
+			if f && (!found || r < lowest) {
+				lowest, found = r, true
 			}
 		}
-		if len(got) == 0 {
-			return "", nil, ErrNotEnabled
+		if !found {
+			return "", ErrNotEnabled
 		}
-		sort.Ints(got)
-		next := free.Clone().(PoolValue)
-		delete(next, got[0])
-		return spec.Response(strconv.Itoa(got[0])), next, nil
+		return spec.Response(strconv.Itoa(lowest)), nil
 	case "release":
-		r := mustInt(inv.Args)
-		if free[r] {
-			return "", nil, fmt.Errorf("adt: resource-pool: release of free resource %d", r)
+		if r := mustInt(inv.Args); free[r] {
+			return "", fmt.Errorf("adt: resource-pool: release of free resource %d", r)
 		}
-		next := free.Clone().(PoolValue)
-		next[r] = true
-		return "ok", next, nil
+		return "ok", nil
 	case "avail":
 		n := 0
 		for _, f := range free {
@@ -230,29 +230,38 @@ func (m poolMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, 
 				n++
 			}
 		}
-		return spec.Response(strconv.Itoa(n)), free, nil
+		return spec.Response(strconv.Itoa(n)), nil
 	}
-	return "", nil, fmt.Errorf("adt: resource-pool: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: resource-pool: unknown invocation %s", inv)
 }
 
-func (m poolMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	free, ok := v.(PoolValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: resource-pool machine applied to %T", v)
+func (poolMachine) Apply(v Value, op spec.Operation) error { return poolStep(v, op, true) }
+
+func (poolMachine) Undo(v Value, op spec.Operation) error { return poolStep(v, op, false) }
+
+// poolStep applies op to the free set in place (forward) or undoes it: an
+// alloc takes its resource out, a release puts its resource back.
+func poolStep(v Value, op spec.Operation, forward bool) error {
+	free, err := stateOf[PoolValue](v, "resource-pool")
+	if err != nil {
+		return err
 	}
+	var r int
 	switch op.Inv.Name {
 	case "alloc":
-		r := mustInt(string(op.Res))
-		next := free.Clone().(PoolValue)
-		next[r] = true
-		return next, nil
+		r = mustInt(string(op.Res))
+		forward = !forward
 	case "release":
-		r := mustInt(op.Inv.Args)
-		next := free.Clone().(PoolValue)
-		delete(next, r)
-		return next, nil
+		r = mustInt(op.Inv.Args)
 	case "avail":
-		return free, nil
+		return nil
+	default:
+		return fmt.Errorf("adt: resource-pool: cannot step %s", op)
 	}
-	return nil, fmt.Errorf("adt: resource-pool: cannot undo %s", op)
+	if forward {
+		free[r] = true
+	} else {
+		delete(free, r)
+	}
+	return nil
 }

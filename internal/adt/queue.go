@@ -136,72 +136,96 @@ func (t FIFOQueue) RW() commute.Relation {
 func (t FIFOQueue) Machine() Machine { return queueMachine{capacity: t.Capacity} }
 
 // QueueValue is the runtime state of a FIFOQueue: front-first contents.
+// The machine's states are *QueueValue, changed in place.
 type QueueValue []string
 
 // Clone implements Value.
-func (v QueueValue) Clone() Value {
-	return QueueValue(append([]string(nil), v...))
+func (v *QueueValue) Clone() Value {
+	c := append(QueueValue(nil), *v...)
+	return &c
 }
 
+// CopyFrom implements Value.
+func (v *QueueValue) CopyFrom(src Value) { *v = append((*v)[:0], *src.(*QueueValue)...) }
+
 // Encode implements Value.
-func (v QueueValue) Encode() string { return encodeQueue(v) }
+func (v *QueueValue) Encode() string { return encodeQueue(*v) }
 
 type queueMachine struct{ capacity int }
 
 func (queueMachine) Name() string { return "fifo-queue" }
 
-func (queueMachine) Init() Value { return QueueValue(nil) }
+func (queueMachine) Init() Value { return new(QueueValue) }
 
-func (m queueMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	q, ok := v.(QueueValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: fifo-queue machine applied to %T", v)
+func (m queueMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	q, err := stateOf[*QueueValue](v, "fifo-queue")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "enq":
-		if len(q) >= m.capacity {
-			return "full", q, nil
+		if len(*q) >= m.capacity {
+			return "full", nil
 		}
-		next := append(append(QueueValue(nil), q...), inv.Args)
-		return "ok", next, nil
+		return "ok", nil
 	case "deq":
-		if len(q) == 0 {
-			return "empty", q, nil
+		if len(*q) == 0 {
+			return "empty", nil
 		}
-		front := q[0]
-		next := append(QueueValue(nil), q[1:]...)
-		return spec.Response(front), next, nil
+		return spec.Response((*q)[0]), nil
 	}
-	return "", nil, fmt.Errorf("adt: fifo-queue: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: fifo-queue: unknown invocation %s", inv)
 }
 
-func (m queueMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	q, ok := v.(QueueValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: fifo-queue machine applied to %T", v)
+func (queueMachine) Apply(v Value, op spec.Operation) error {
+	q, err := stateOf[*QueueValue](v, "fifo-queue")
+	if err != nil {
+		return err
+	}
+	switch {
+	case op.Inv.Name == "enq" && op.Res == "ok":
+		*q = append(*q, op.Inv.Args)
+	case op.Inv.Name == "deq" && op.Res != "empty":
+		if len(*q) == 0 || (*q)[0] != string(op.Res) {
+			return fmt.Errorf("adt: fifo-queue: %s does not match the front of the queue", op)
+		}
+		(*q)[0] = ""
+		*q = (*q)[1:]
+	case op.Inv.Name != "enq" && op.Inv.Name != "deq":
+		return fmt.Errorf("adt: fifo-queue: cannot apply %s", op)
+	}
+	return nil
+}
+
+func (queueMachine) Undo(v Value, op spec.Operation) error {
+	q, err := stateOf[*QueueValue](v, "fifo-queue")
+	if err != nil {
+		return err
 	}
 	switch op.Inv.Name {
 	case "enq":
 		if op.Res != "ok" {
-			return q, nil
+			return nil
 		}
 		// Logical undo: remove the most recent occurrence of the enqueued
 		// element from the tail (it is the transaction's own append).
-		for i := len(q) - 1; i >= 0; i-- {
-			if q[i] == op.Inv.Args {
-				next := append(QueueValue(nil), q[:i]...)
-				next = append(next, q[i+1:]...)
-				return next, nil
+		for i := len(*q) - 1; i >= 0; i-- {
+			if (*q)[i] == op.Inv.Args {
+				*q = append((*q)[:i], (*q)[i+1:]...)
+				return nil
 			}
 		}
-		return nil, fmt.Errorf("adt: fifo-queue: undo enq: element %q not found", op.Inv.Args)
+		return fmt.Errorf("adt: fifo-queue: undo enq: element %q not found", op.Inv.Args)
 	case "deq":
 		if op.Res == "empty" {
-			return q, nil
+			return nil
 		}
 		// Logical undo of a dequeue: push the element back on the front.
-		next := append(QueueValue{string(op.Res)}, q...)
-		return next, nil
+		s := append(*q, "")
+		copy(s[1:], s)
+		s[0] = string(op.Res)
+		*q = s
+		return nil
 	}
-	return nil, fmt.Errorf("adt: fifo-queue: cannot undo %s", op)
+	return fmt.Errorf("adt: fifo-queue: cannot undo %s", op)
 }

@@ -85,65 +85,92 @@ func (t Register) RW() commute.Relation {
 // Machine implements Type.
 func (t Register) Machine() Machine { return regMachine{initial: t.Initial} }
 
-// RegValue is the runtime state of a Register.
+// RegValue is the runtime state of a Register. The machine's states are
+// *RegValue, changed in place; a write's undo token is the overwritten
+// RegValue itself.
 type RegValue string
 
 // Clone implements Value.
-func (v RegValue) Clone() Value { return v }
+func (v *RegValue) Clone() Value { c := *v; return &c }
+
+// CopyFrom implements Value.
+func (v *RegValue) CopyFrom(src Value) { *v = *src.(*RegValue) }
 
 // Encode implements Value.
-func (v RegValue) Encode() string { return string(v) }
+func (v *RegValue) Encode() string { return string(*v) }
 
 type regMachine struct{ initial string }
 
 func (regMachine) Name() string { return "register" }
 
-func (m regMachine) Init() Value { return RegValue(m.initial) }
+func (m regMachine) Init() Value {
+	v := RegValue(m.initial)
+	return &v
+}
 
-func (m regMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	r, ok := v.(RegValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: register machine applied to %T", v)
+func (m regMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	r, err := stateOf[*RegValue](v, "register")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "write":
-		return "ok", RegValue(inv.Args), nil
+		return "ok", nil
 	case "read":
-		return spec.Response(r), r, nil
+		return spec.Response(*r), nil
 	}
-	return "", nil, fmt.Errorf("adt: register: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: register: unknown invocation %s", inv)
 }
 
-func (m regMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	r, ok := v.(RegValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: register machine applied to %T", v)
+func (m regMachine) Apply(v Value, op spec.Operation) error {
+	r, err := stateOf[*RegValue](v, "register")
+	if err != nil {
+		return err
+	}
+	switch op.Inv.Name {
+	case "write":
+		*r = RegValue(op.Inv.Args)
+	case "read":
+	default:
+		return fmt.Errorf("adt: register: cannot apply %s", op)
+	}
+	return nil
+}
+
+func (m regMachine) Undo(v Value, op spec.Operation) error {
+	if _, err := stateOf[*RegValue](v, "register"); err != nil {
+		return err
 	}
 	if op.Inv.Name == "read" {
-		return r, nil
+		return nil
 	}
-	return nil, fmt.Errorf("adt: register: %s requires before-value undo (use recovery.BeforeValueUndo)", op)
+	return fmt.Errorf("adt: register: %s requires before-value undo", op)
 }
 
 // CaptureBefore implements BeforeImageUndoer: a write's undo restores the
 // overwritten value.
 func (m regMachine) CaptureBefore(v Value, inv spec.Invocation) any {
-	if inv.Name == "write" {
-		return v
+	if r, ok := v.(*RegValue); ok && inv.Name == "write" {
+		return *r
 	}
 	return nil
 }
 
 // UndoWithBefore implements BeforeImageUndoer.
-func (m regMachine) UndoWithBefore(v Value, op spec.Operation, before any) (Value, error) {
+func (m regMachine) UndoWithBefore(v Value, op spec.Operation, before any) error {
+	r, err := stateOf[*RegValue](v, "register")
+	if err != nil {
+		return err
+	}
 	if op.Inv.Name == "read" {
-		return v, nil
+		return nil
 	}
 	prev, ok := before.(RegValue)
 	if !ok {
-		return nil, fmt.Errorf("adt: register: bad before-image %T", before)
+		return fmt.Errorf("adt: register: bad before-image %T", before)
 	}
-	return prev, nil
+	*r = prev
+	return nil
 }
 
 // EncodeUndoToken implements UndoTokenCodec: the token is the overwritten

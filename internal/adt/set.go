@@ -205,9 +205,6 @@ func (t IntSet) Spec() spec.Enumerable {
 	}
 }
 
-// Checker builds a commute.Checker over the exact finite spec.
-func (t IntSet) Checker() *commute.Checker { return commute.NewChecker(t.Spec()) }
-
 func sameElem(p, q spec.Operation) bool {
 	return p.Inv.Args == q.Inv.Args
 }
@@ -320,18 +317,24 @@ func (t IntSet) RW() commute.Relation {
 // Machine implements Type.
 func (t IntSet) Machine() Machine { return setMachine{} }
 
-// SetValue is the runtime state of an IntSet.
+// SetValue is the runtime state of an IntSet, changed in place.
 type SetValue map[int]bool
 
 // Clone implements Value.
 func (v SetValue) Clone() Value {
 	out := make(SetValue, len(v))
-	for k, b := range v {
+	out.CopyFrom(v)
+	return out
+}
+
+// CopyFrom implements Value.
+func (v SetValue) CopyFrom(src Value) {
+	clear(v)
+	for k, b := range src.(SetValue) {
 		if b {
-			out[k] = true
+			v[k] = true
 		}
 	}
-	return out
 }
 
 // Encode implements Value.
@@ -343,34 +346,27 @@ func (setMachine) Name() string { return "int-set" }
 
 func (setMachine) Init() Value { return SetValue{} }
 
-func (setMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, error) {
-	s, ok := v.(SetValue)
-	if !ok {
-		return "", nil, fmt.Errorf("adt: int-set machine applied to %T", v)
+func (setMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
+	s, err := stateOf[SetValue](v, "int-set")
+	if err != nil {
+		return "", err
 	}
 	switch inv.Name {
 	case "insert":
-		x := mustInt(inv.Args)
-		if s[x] {
-			return "dup", s, nil
+		if s[mustInt(inv.Args)] {
+			return "dup", nil
 		}
-		next := s.Clone().(SetValue)
-		next[x] = true
-		return "added", next, nil
+		return "added", nil
 	case "remove":
-		x := mustInt(inv.Args)
-		if !s[x] {
-			return "absent", s, nil
+		if !s[mustInt(inv.Args)] {
+			return "absent", nil
 		}
-		next := s.Clone().(SetValue)
-		delete(next, x)
-		return "removed", next, nil
+		return "removed", nil
 	case "member":
-		x := mustInt(inv.Args)
-		if s[x] {
-			return "true", s, nil
+		if s[mustInt(inv.Args)] {
+			return "true", nil
 		}
-		return "false", s, nil
+		return "false", nil
 	case "size":
 		n := 0
 		for _, b := range s {
@@ -378,27 +374,33 @@ func (setMachine) Apply(v Value, inv spec.Invocation) (spec.Response, Value, err
 				n++
 			}
 		}
-		return spec.Response(strconv.Itoa(n)), s, nil
+		return spec.Response(strconv.Itoa(n)), nil
 	}
-	return "", nil, fmt.Errorf("adt: int-set: unknown invocation %s", inv)
+	return "", fmt.Errorf("adt: int-set: unknown invocation %s", inv)
 }
 
-func (setMachine) Undo(v Value, op spec.Operation) (Value, error) {
-	s, ok := v.(SetValue)
-	if !ok {
-		return nil, fmt.Errorf("adt: int-set machine applied to %T", v)
+func (setMachine) Apply(v Value, op spec.Operation) error { return setStep(v, op, true) }
+
+func (setMachine) Undo(v Value, op spec.Operation) error { return setStep(v, op, false) }
+
+// setStep applies op to the set in place (forward) or undoes it: an added
+// insert and a removed remove are the only operations that change it.
+func setStep(v Value, op spec.Operation, forward bool) error {
+	s, err := stateOf[SetValue](v, "int-set")
+	if err != nil {
+		return err
 	}
-	switch classifySet(op) {
-	case setInsAdded:
-		next := s.Clone().(SetValue)
-		delete(next, mustInt(op.Inv.Args))
-		return next, nil
-	case setRemRemoved:
-		next := s.Clone().(SetValue)
-		next[mustInt(op.Inv.Args)] = true
-		return next, nil
+	switch k := classifySet(op); k {
+	case setInsAdded, setRemRemoved:
+		x := mustInt(op.Inv.Args)
+		if (k == setInsAdded) == forward {
+			s[x] = true
+		} else {
+			delete(s, x)
+		}
 	case setInsDup, setRemAbsent, setMemTrue, setMemFalse, setSize:
-		return s, nil
+	default:
+		return fmt.Errorf("adt: int-set: cannot step %s", op)
 	}
-	return nil, fmt.Errorf("adt: int-set: cannot undo %s", op)
+	return nil
 }

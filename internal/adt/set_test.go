@@ -3,8 +3,13 @@ package adt
 import (
 	"testing"
 
+	"repro/internal/commute"
 	"repro/internal/spec"
 )
+
+// Checker builds a commute.Checker over the exact finite spec, for the
+// tests that derive the set's relations to check the analytic ones.
+func (t IntSet) Checker() *commute.Checker { return commute.NewChecker(t.Spec()) }
 
 func setFigureOps(x int, n int) []spec.Operation {
 	return []spec.Operation{
@@ -93,29 +98,16 @@ func TestSetDistinctElementsIndependent(t *testing.T) {
 func TestSetMachine(t *testing.T) {
 	m := DefaultIntSet().Machine()
 	v := m.Init()
-	res, v, err := m.Apply(v, Insert(1))
-	if err != nil || res != "added" {
-		t.Fatalf("insert: %v %v", res, err)
-	}
-	res, v, _ = m.Apply(v, Insert(1))
-	if res != "dup" {
-		t.Fatalf("second insert should be dup, got %v", res)
-	}
-	res, v, _ = m.Apply(v, Member(1))
-	if res != "true" {
-		t.Fatalf("member: %v", res)
-	}
-	res, v, _ = m.Apply(v, Size())
-	if res != "1" {
-		t.Fatalf("size: %v", res)
-	}
-	res, v, _ = m.Apply(v, Remove(1))
-	if res != "removed" {
-		t.Fatalf("remove: %v", res)
-	}
-	res, v, _ = m.Apply(v, Remove(1))
-	if res != "absent" {
-		t.Fatalf("second remove should be absent, got %v", res)
+	for _, c := range []struct {
+		inv  spec.Invocation
+		want spec.Response
+	}{
+		{Insert(1), "added"}, {Insert(1), "dup"}, {Member(1), "true"},
+		{Size(), "1"}, {Remove(1), "removed"}, {Remove(1), "absent"},
+	} {
+		if res := mustStep(t, m, v, c.inv); res != c.want {
+			t.Fatalf("%s = %v, want %v", c.inv, res, c.want)
+		}
 	}
 	if v.Encode() != "{}" {
 		t.Errorf("final state = %s", v.Encode())
@@ -125,47 +117,30 @@ func TestSetMachine(t *testing.T) {
 func TestSetMachineUndo(t *testing.T) {
 	m := DefaultIntSet().Machine()
 	v := m.Init()
-	_, v1, _ := m.Apply(v, Insert(2))
-	und, err := m.Undo(v1, InsertAdded(2))
-	if err != nil || und.Encode() != "{}" {
-		t.Fatalf("undo insert-added: %v %v", und, err)
+	mustStep(t, m, v, Insert(2))
+	if err := m.Undo(v, InsertAdded(2)); err != nil || v.Encode() != "{}" {
+		t.Fatalf("undo insert-added: %v %v", v.Encode(), err)
 	}
 	// Undo of a dup insert is a no-op.
-	_, v2, _ := m.Apply(v1, Insert(2))
-	und2, err := m.Undo(v2, InsertDup(2))
-	if err != nil || und2.Encode() != "{2}" {
-		t.Fatalf("undo insert-dup: %v %v", und2, err)
+	mustStep(t, m, v, Insert(2))
+	mustStep(t, m, v, Insert(2))
+	if err := m.Undo(v, InsertDup(2)); err != nil || v.Encode() != "{2}" {
+		t.Fatalf("undo insert-dup: %v %v", v.Encode(), err)
 	}
 	// Undo remove-removed restores the element.
-	_, v3, _ := m.Apply(v1, Remove(2))
-	und3, err := m.Undo(v3, RemoveRemoved(2))
-	if err != nil || und3.Encode() != "{2}" {
-		t.Fatalf("undo remove-removed: %v %v", und3, err)
+	mustStep(t, m, v, Remove(2))
+	if err := m.Undo(v, RemoveRemoved(2)); err != nil || v.Encode() != "{2}" {
+		t.Fatalf("undo remove-removed: %v %v", v.Encode(), err)
 	}
 }
 
 // TestSetMachineRefinesSpec: machine executions are legal spec sequences.
 func TestSetMachineRefinesSpec(t *testing.T) {
 	st := DefaultIntSet()
-	m := st.Machine()
-	sp := st.Spec()
-	v := m.Init()
-	var seq spec.Seq
-	script := []spec.Invocation{
+	checkRefines(t, st.Machine(), st.Spec(), []spec.Invocation{
 		Insert(1), Insert(2), Insert(1), Member(3), Remove(2), Size(),
 		Remove(2), Member(1), Insert(3), Size(),
-	}
-	for _, inv := range script {
-		res, next, err := m.Apply(v, inv)
-		if err != nil {
-			t.Fatalf("Apply(%s): %v", inv, err)
-		}
-		seq = append(seq, spec.Op(inv, res))
-		if !sp.Legal(seq) {
-			t.Fatalf("machine produced spec-illegal sequence %s", seq)
-		}
-		v = next
-	}
+	})
 }
 
 func TestSetValueCloneIndependence(t *testing.T) {

@@ -31,27 +31,18 @@ func TestQueueOrderSensitivity(t *testing.T) {
 }
 
 func TestQueueMachine(t *testing.T) {
-	q := DefaultFIFOQueue()
-	m := q.Machine()
+	m := DefaultFIFOQueue().Machine()
 	v := m.Init()
-	for _, x := range []string{"a", "b", "a"} {
-		res, next, err := m.Apply(v, Enq(x))
-		if err != nil || res != "ok" {
-			t.Fatalf("enq(%s): %v %v", x, res, err)
+	for _, c := range []struct {
+		inv  spec.Invocation
+		want spec.Response
+	}{
+		{Enq("a"), "ok"}, {Enq("b"), "ok"}, {Enq("a"), "ok"}, {Enq("b"), "full"},
+		{Deq(), "a"}, {Deq(), "b"},
+	} {
+		if res := mustStep(t, m, v, c.inv); res != c.want {
+			t.Fatalf("%s = %v, want %v", c.inv, res, c.want)
 		}
-		v = next
-	}
-	res, v, _ := m.Apply(v, Enq("b"))
-	if res != "full" {
-		t.Fatalf("fourth enq should be full, got %v", res)
-	}
-	res, v, _ = m.Apply(v, Deq())
-	if res != "a" {
-		t.Fatalf("deq should return a, got %v", res)
-	}
-	res, v, _ = m.Apply(v, Deq())
-	if res != "b" {
-		t.Fatalf("deq should return b, got %v", res)
 	}
 	if v.Encode() != "[a]" {
 		t.Errorf("state = %s, want [a]", v.Encode())
@@ -59,51 +50,36 @@ func TestQueueMachine(t *testing.T) {
 }
 
 func TestQueueMachineUndo(t *testing.T) {
-	q := DefaultFIFOQueue()
-	m := q.Machine()
+	m := DefaultFIFOQueue().Machine()
 	v := m.Init()
-	_, v, _ = m.Apply(v, Enq("a"))
-	_, v, _ = m.Apply(v, Enq("b"))
+	mustStep(t, m, v, Enq("a"))
+	mustStep(t, m, v, Enq("b"))
 	// Undo the enq of b.
-	und, err := m.Undo(v, EnqOk("b"))
-	if err != nil || und.Encode() != "[a]" {
-		t.Fatalf("undo enq: %v %v", und, err)
+	if err := m.Undo(v, EnqOk("b")); err != nil || v.Encode() != "[a]" {
+		t.Fatalf("undo enq: %v %v", v.Encode(), err)
 	}
+	mustStep(t, m, v, Enq("b"))
 	// Undo a deq pushes the element back on the front.
-	res, v2, _ := m.Apply(v, Deq())
-	if res != "a" {
+	if res := mustStep(t, m, v, Deq()); res != "a" {
 		t.Fatalf("deq = %v", res)
 	}
-	und2, err := m.Undo(v2, DeqElem("a"))
-	if err != nil || und2.Encode() != "[a;b]" {
-		t.Fatalf("undo deq: %v %v", und2, err)
+	if err := m.Undo(v, DeqElem("a")); err != nil || v.Encode() != "[a;b]" {
+		t.Fatalf("undo deq: %v %v", v.Encode(), err)
 	}
 }
 
 func TestQueueMachineRefinesSpec(t *testing.T) {
 	q := DefaultFIFOQueue()
-	m := q.Machine()
-	sp := q.Spec()
 	rng := rand.New(rand.NewSource(3))
-	v := m.Init()
-	var seq spec.Seq
+	var script []spec.Invocation
 	for step := 0; step < 40; step++ {
-		var inv spec.Invocation
 		if rng.Intn(2) == 0 {
-			inv = Enq([]string{"a", "b"}[rng.Intn(2)])
+			script = append(script, Enq([]string{"a", "b"}[rng.Intn(2)]))
 		} else {
-			inv = Deq()
+			script = append(script, Deq())
 		}
-		res, next, err := m.Apply(v, inv)
-		if err != nil {
-			t.Fatalf("Apply(%s): %v", inv, err)
-		}
-		seq = append(seq, spec.Op(inv, res))
-		if !sp.Legal(seq) {
-			t.Fatalf("machine produced spec-illegal sequence %s", seq)
-		}
-		v = next
 	}
+	checkRefines(t, q.Machine(), q.Spec(), script)
 }
 
 // TestKVPerKeyConflicts: puts to the same key conflict under both NFC and
@@ -147,30 +123,27 @@ func TestKVMachineAndBeforeImageUndo(t *testing.T) {
 		t.Fatal("kv machine must support before-image undo")
 	}
 	v := m.Init()
-	res, v1, err := m.Apply(v, Put("x", "1"))
-	if err != nil || res != "ok" {
-		t.Fatalf("put: %v %v", res, err)
+	if res := mustStep(t, m, v, Put("x", "1")); res != "ok" {
+		t.Fatalf("put: %v", res)
 	}
 	// Capture before overwriting, then undo restores the old cell.
-	tok := bi.CaptureBefore(v1, Put("x", "0"))
-	_, v2, _ := m.Apply(v1, Put("x", "0"))
-	und, err := bi.UndoWithBefore(v2, PutOk("x", "0"), tok)
-	if err != nil || und.Encode() != "<x=1>" {
-		t.Fatalf("undo put: %v %v", und, err)
+	tok := bi.CaptureBefore(v, Put("x", "0"))
+	mustStep(t, m, v, Put("x", "0"))
+	if err := bi.UndoWithBefore(v, PutOk("x", "0"), tok); err != nil || v.Encode() != "<x=1>" {
+		t.Fatalf("undo put: %v %v", v.Encode(), err)
 	}
 	// Undo of a put into an absent key deletes the key.
 	tok2 := bi.CaptureBefore(v, Put("y", "5"))
-	_, v3, _ := m.Apply(v, Put("y", "5"))
-	und2, err := bi.UndoWithBefore(v3, PutOk("y", "5"), tok2)
-	if err != nil || und2.Encode() != "<>" {
-		t.Fatalf("undo put-into-absent: %v %v", und2, err)
+	mustStep(t, m, v, Put("y", "5"))
+	if err := bi.UndoWithBefore(v, PutOk("y", "5"), tok2); err != nil || v.Encode() != "<x=1>" {
+		t.Fatalf("undo put-into-absent: %v %v", v.Encode(), err)
 	}
 	// Plain Undo without a before-image must refuse for puts.
-	if _, err := m.Undo(v3, PutOk("y", "5")); err == nil {
+	if err := m.Undo(v, PutOk("y", "5")); err == nil {
 		t.Error("plain Undo of a put should fail")
 	}
 	// Gets are undoable trivially.
-	if _, err := m.Undo(v3, GetIs("y", "5")); err != nil {
+	if err := m.Undo(v, GetIs("y", "5")); err != nil {
 		t.Errorf("undo of get should succeed: %v", err)
 	}
 }
@@ -199,15 +172,13 @@ func TestRegisterRelationsCollapse(t *testing.T) {
 }
 
 func TestRegisterMachineBeforeImage(t *testing.T) {
-	r := DefaultRegister()
-	m := r.Machine()
+	m := DefaultRegister().Machine()
 	bi := m.(BeforeImageUndoer)
 	v := m.Init()
 	tok := bi.CaptureBefore(v, WriteReg("2"))
-	_, v1, _ := m.Apply(v, WriteReg("2"))
-	und, err := bi.UndoWithBefore(v1, WriteOk("2"), tok)
-	if err != nil || und.Encode() != "0" {
-		t.Fatalf("undo write: %v %v", und, err)
+	mustStep(t, m, v, WriteReg("2"))
+	if err := bi.UndoWithBefore(v, WriteOk("2"), tok); err != nil || v.Encode() != "0" {
+		t.Fatalf("undo write: %v %v", v.Encode(), err)
 	}
 }
 
@@ -228,45 +199,38 @@ func TestPoolPartialNondeterministic(t *testing.T) {
 }
 
 func TestPoolMachine(t *testing.T) {
-	p := DefaultResourcePool()
-	m := p.Machine()
+	m := DefaultResourcePool().Machine()
 	v := m.Init()
-	res, v, err := m.Apply(v, Alloc())
-	if err != nil || res != "1" {
-		t.Fatalf("alloc: %v %v (machine picks lowest)", res, err)
+	if res := mustStep(t, m, v, Alloc()); res != "1" {
+		t.Fatalf("alloc: %v (machine picks lowest)", res)
 	}
-	res, v, _ = m.Apply(v, Avail())
-	if res != "2" {
+	if res := mustStep(t, m, v, Avail()); res != "2" {
 		t.Fatalf("avail: %v", res)
 	}
-	_, v, _ = m.Apply(v, Alloc())
-	_, v, _ = m.Apply(v, Alloc())
-	_, _, err = m.Apply(v, Alloc())
-	if !errors.Is(err, ErrNotEnabled) {
+	mustStep(t, m, v, Alloc())
+	mustStep(t, m, v, Alloc())
+	if _, err := step(m, v, Alloc()); !errors.Is(err, ErrNotEnabled) {
 		t.Fatalf("alloc on empty pool should be ErrNotEnabled, got %v", err)
 	}
-	res, v, err = m.Apply(v, Release(2))
-	if err != nil || res != "ok" {
-		t.Fatalf("release: %v %v", res, err)
+	if res := mustStep(t, m, v, Release(2)); res != "ok" {
+		t.Fatalf("release: %v", res)
 	}
-	if _, _, err := m.Apply(v, Release(2)); err == nil {
+	if _, err := step(m, v, Release(2)); err == nil {
 		t.Error("double release should fail")
 	}
 }
 
 func TestPoolMachineUndo(t *testing.T) {
-	p := DefaultResourcePool()
-	m := p.Machine()
+	m := DefaultResourcePool().Machine()
 	v := m.Init()
-	res, v1, _ := m.Apply(v, Alloc())
-	und, err := m.Undo(v1, AllocGot(mustInt(string(res))))
-	if err != nil || und.Encode() != "free{1,2,3}" {
-		t.Fatalf("undo alloc: %v %v", und, err)
+	res := mustStep(t, m, v, Alloc())
+	if err := m.Undo(v, AllocGot(mustInt(string(res)))); err != nil || v.Encode() != "free{1,2,3}" {
+		t.Fatalf("undo alloc: %v %v", v.Encode(), err)
 	}
-	_, v2, _ := m.Apply(v1, Release(1))
-	und2, err := m.Undo(v2, ReleaseOk(1))
-	if err != nil || und2.Encode() != "free{2,3}" {
-		t.Fatalf("undo release: %v %v", und2, err)
+	mustStep(t, m, v, Alloc())
+	mustStep(t, m, v, Release(1))
+	if err := m.Undo(v, ReleaseOk(1)); err != nil || v.Encode() != "free{2,3}" {
+		t.Fatalf("undo release: %v %v", v.Encode(), err)
 	}
 }
 
@@ -274,22 +238,8 @@ func TestPoolMachineUndo(t *testing.T) {
 // legal refinement of the nondeterministic spec.
 func TestPoolMachineRefinesSpec(t *testing.T) {
 	p := DefaultResourcePool()
-	m := p.Machine()
-	sp := p.Spec()
-	v := m.Init()
-	var seq spec.Seq
-	script := []spec.Invocation{Alloc(), Alloc(), Avail(), Release(1), Alloc(), Avail()}
-	for _, inv := range script {
-		res, next, err := m.Apply(v, inv)
-		if err != nil {
-			t.Fatalf("Apply(%s): %v", inv, err)
-		}
-		seq = append(seq, spec.Op(inv, res))
-		if !sp.Legal(seq) {
-			t.Fatalf("machine produced spec-illegal sequence %s", seq)
-		}
-		v = next
-	}
+	checkRefines(t, p.Machine(), p.Spec(),
+		[]spec.Invocation{Alloc(), Alloc(), Avail(), Release(1), Alloc(), Avail()})
 }
 
 // TestAllTypesRWContainsDerived: Lemmas 11–12 instantiated per type — each
@@ -321,9 +271,10 @@ func TestAllTypesRWContainsDerived(t *testing.T) {
 // TestValueEncodeStability: Encode is canonical — applying Clone does not
 // change the encoding.
 func TestValueEncodeStability(t *testing.T) {
+	ba, q, reg := BAValue(7), QueueValue{"a", "b"}, RegValue("2")
 	vals := []Value{
-		BAValue(7), SetValue{2: true, 1: true}, QueueValue{"a", "b"},
-		KVValue{"x": "1"}, RegValue("2"), PoolValue{1: true, 3: true},
+		&ba, SetValue{2: true, 1: true}, &q,
+		KVValue{"x": "1"}, &reg, PoolValue{1: true, 3: true},
 	}
 	for _, v := range vals {
 		if v.Clone().Encode() != v.Encode() {

@@ -4,18 +4,18 @@ import "repro/internal/spec"
 
 // BeforeImageUndoer is implemented by machines whose operations cannot be
 // undone from the operation alone (e.g. a key-value put overwrites the old
-// value). The recovery managers capture a token before applying such an
-// invocation and hand it back on undo. The token must describe only the
+// value). The recovery managers capture a token before the in-place Apply
+// of such an invocation and hand it back on undo. The token must describe only the
 // state the operation overwrites (a key's cell, a register's value) — not a
 // whole-object snapshot — so that undo composes with concurrent updates to
 // unrelated parts of the state, exactly as the concurrency-control theory
 // requires.
 type BeforeImageUndoer interface {
-	// CaptureBefore returns the token needed to undo inv applied to v.
-	// It may return nil for read-only invocations.
+	// CaptureBefore returns the token needed to undo inv applied to v,
+	// leaving v unchanged. It may return nil for read-only invocations.
 	CaptureBefore(v Value, inv spec.Invocation) any
-	// UndoWithBefore reverses op on v using the captured token.
-	UndoWithBefore(v Value, op spec.Operation, before any) (Value, error)
+	// UndoWithBefore reverses op on v in place using the captured token.
+	UndoWithBefore(v Value, op spec.Operation, before any) error
 }
 
 // UndoTokenCodec is implemented by machines whose undo tokens must survive
@@ -38,7 +38,7 @@ type UndoTokenCodec interface {
 // checkpointed (the engine reports an error rather than silently leaving
 // the object out of an otherwise-truncatable checkpoint).
 type ValueCodec interface {
-	// DecodeValue parses a string produced by Value.Encode into a state
-	// of this machine.
+	// DecodeValue parses a string produced by Value.Encode into a fresh
+	// state of this machine, owned by the caller.
 	DecodeValue(s string) (Value, error)
 }

@@ -210,3 +210,37 @@ func TestCIImpliesRBCIForTotalDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// OpKT is K's second result in TableINondetSpec.
+var OpKT = spec.Op(InvK, "T")
+
+// TableINondetSpec is the modification described at the end of
+// Section 8.2.2.3: K becomes total and nondeterministic — in every state s,
+// K leaves the state unchanged; in state 4 it has two possible results S
+// and T, in all other states only S. As with the partial variant, state 5
+// looks like state 4 but not conversely, so I right commutes backward with
+// J while (I, J) ∉ CI, now caused by a nondeterministic (but total)
+// invocation.
+func TableINondetSpec() *spec.Automaton {
+	a := spec.NewAutomaton("weihl-table-1-nondet", "0")
+	type row struct {
+		s, i, j string
+	}
+	rows := []row{
+		{s: "0", i: "1", j: "2"},
+		{s: "1", i: "3", j: "4"},
+		{s: "2", i: "5", j: "3"},
+		{s: "3", i: "3", j: "3"},
+		{s: "4", i: "3", j: "3"},
+		{s: "5", i: "3", j: "3"},
+	}
+	for _, r := range rows {
+		a.AddTransition(r.s, OpIQ, r.i)
+		a.AddTransition(r.s, OpJR, r.j)
+		a.AddTransition(r.s, OpKS, r.s)
+		if r.s == "4" {
+			a.AddTransition(r.s, OpKT, r.s)
+		}
+	}
+	return a.Freeze()
+}

@@ -3,7 +3,9 @@
 //
 // In recovery.UndoLog, the update-in-place state (`current`) and the
 // per-transaction undo chains (`chain`) may only change after the record
-// describing the change has been staged into the log — staging after
+// describing the change has been staged into the log. The state changes
+// by assignment or, in place, through a machine's Apply, Undo or
+// UndoWithBefore called on `current` — staging after
 // mutating leaves a window where a crash (or a closed log) persists
 // state the log cannot explain. In txn.Txn, the transaction-level commit
 // record is the durable commit point and must be staged before any lock
@@ -36,6 +38,10 @@ var Analyzer = &analysis.Analyzer{
 // coveredFields are the UndoLog fields whose mutation must be preceded
 // by a stage call on the same path.
 var coveredFields = map[string]bool{"current": true, "chain": true}
+
+// inPlaceMethods are the machine methods that change the state passed as
+// their first argument in place.
+var inPlaceMethods = map[string]bool{"Apply": true, "Undo": true, "UndoWithBefore": true}
 
 func run(pass *analysis.Pass) error {
 	for _, fd := range analysis.FuncDecls(pass.Files) {
@@ -208,14 +214,21 @@ func isStage(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // undoLogMutation recognizes direct statements mutating the receiver's
-// covered fields: assignments to u.current / u.chain[...], and
-// delete(u.chain, ...).
+// covered fields: assignments to u.current / u.chain[...],
+// delete(u.chain, ...), and an in-place machine call on u.current — as a
+// statement, on an assignment's right-hand side, or in an if statement's
+// init.
 func undoLogMutation(recv string, s ast.Stmt) (token.Pos, string, bool) {
 	switch s := s.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range s.Lhs {
 			if name, ok := coveredTarget(recv, lhs); ok {
 				return s.Pos(), "mutation of " + name, true
+			}
+		}
+		for _, rhs := range s.Rhs {
+			if what, ok := inPlaceCall(recv, rhs); ok {
+				return s.Pos(), what, true
 			}
 		}
 	case *ast.IncDecStmt:
@@ -230,8 +243,33 @@ func undoLogMutation(recv string, s ast.Stmt) (token.Pos, string, bool) {
 				}
 			}
 		}
+		if what, ok := inPlaceCall(recv, s.X); ok {
+			return s.Pos(), what, true
+		}
+	case *ast.IfStmt:
+		if s.Init != nil {
+			return undoLogMutation(recv, s.Init)
+		}
 	}
 	return token.NoPos, "", false
+}
+
+// inPlaceCall matches a call x.Apply(recv.current, ...), x.Undo(...) or
+// x.UndoWithBefore(...): a machine changing the covered state in place.
+func inPlaceCall(recv string, e ast.Expr) (string, bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !inPlaceMethods[sel.Sel.Name] {
+		return "", false
+	}
+	name, ok := coveredTarget(recv, call.Args[0])
+	if !ok || name != recv+".current" {
+		return "", false
+	}
+	return "machine " + sel.Sel.Name + " on " + name, true
 }
 
 // coveredTarget matches recv.current, recv.chain and recv.chain[i].

@@ -6,9 +6,16 @@ import "wal"
 
 type UndoLog struct {
 	log     *wal.Log
+	machine Machine
 	current map[string]int
 	chain   map[uint64][]int
 }
+
+// Machine stands in for an ADT machine whose steps change a state in place.
+type Machine struct{}
+
+func (Machine) Apply(v map[string]int, op string) error           { return nil }
+func (Machine) UndoWithBefore(v map[string]int, op string, b any) {}
 
 // writeThenStage mutates update-in-place state before staging the record
 // that describes the change: a crash in between persists unexplained state.
@@ -24,6 +31,22 @@ func (u *UndoLog) writeThenStage(k string, v int) error {
 // completion record is staged.
 func (u *UndoLog) dropChainThenStage(tid uint64) {
 	delete(u.chain, tid) // want `delete from u\.chain precedes the WAL stage call`
+	u.log.AppendAsync(wal.Record{})
+}
+
+// applyThenStage changes the state in place through the machine before
+// staging the record: the same window as an assignment, without one.
+func (u *UndoLog) applyThenStage(op string) error {
+	if err := u.machine.Apply(u.current, op); err != nil { // want `machine Apply on u\.current precedes the WAL stage call`
+		return err
+	}
+	_, err := u.log.AppendAsync(wal.Record{})
+	return err
+}
+
+// undoThenStage undoes in place before staging the compensation record.
+func (u *UndoLog) undoThenStage(op string) {
+	u.machine.UndoWithBefore(u.current, op, nil) // want `machine UndoWithBefore on u\.current precedes the WAL stage call`
 	u.log.AppendAsync(wal.Record{})
 }
 

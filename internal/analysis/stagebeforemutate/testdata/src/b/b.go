@@ -6,9 +6,16 @@ import "wal"
 
 type UndoLog struct {
 	log     *wal.Log
+	machine Machine
 	current map[string]int
 	chain   map[uint64][]int
 }
+
+// Machine stands in for an ADT machine whose steps change a state in place.
+type Machine struct{}
+
+func (Machine) Apply(v map[string]int, op string) error { return nil }
+func (Machine) Peek(v map[string]int, op string) error  { return nil }
 
 // stageThenWrite is the discipline: the record is durable-stageable
 // before the in-place state moves.
@@ -36,6 +43,18 @@ func (u *UndoLog) conditionalStage(k string, v int, undo bool) error {
 	}
 	u.current[k] = v
 	return nil
+}
+
+// stageThenApply stages the record, then lets the machine change the
+// state in place; the Peek before the stage only reads it.
+func (u *UndoLog) stageThenApply(op string) error {
+	if err := u.machine.Peek(u.current, op); err != nil {
+		return err
+	}
+	if _, err := u.log.AppendAsync(wal.Record{}); err != nil {
+		return err
+	}
+	return u.machine.Apply(u.current, op)
 }
 
 type Txn struct {

@@ -20,7 +20,7 @@ func (m badCodecMachine) CaptureBefore(v adt.Value, inv spec.Invocation) any {
 	return m.Machine.(adt.BeforeImageUndoer).CaptureBefore(v, inv)
 }
 
-func (m badCodecMachine) UndoWithBefore(v adt.Value, op spec.Operation, before any) (adt.Value, error) {
+func (m badCodecMachine) UndoWithBefore(v adt.Value, op spec.Operation, before any) error {
 	return m.Machine.(adt.BeforeImageUndoer).UndoWithBefore(v, op, before)
 }
 

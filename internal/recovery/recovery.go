@@ -17,10 +17,11 @@
 //
 // Locking is result-dependent, so the engine must know an operation's
 // response before it can check the lock. Each store therefore splits an
-// operation into Peek, which runs the type's machine once against the
-// transaction's view and returns the response with the next state as a
-// Step, and Apply, which installs that Step once the lock is granted —
-// one machine step per operation, however the store records it.
+// operation into Peek, which asks the type's machine for the response in
+// the transaction's view and changes nothing, and Apply, which performs
+// the operation once the lock is granted. Every state a store holds — the
+// UIP current state, the DU base and each private workspace — has exactly
+// one owner and is changed in place by the machine.
 //
 // The correspondence validated by tests and used by the engine:
 // UndoLog realizes the UIP view function and requires an NRBC-containing
@@ -29,6 +30,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -42,19 +44,19 @@ import (
 // Store is the per-object recovery interface the transaction engine drives.
 // Stores are not synchronized; the engine serializes access per object.
 //
-// An operation runs the machine once. Peek computes the response and the
-// next state against the recovery state txn sees and returns them as a
+// An operation is one machine Peek and one machine Apply. Peek computes
+// the response against the recovery state txn sees and returns it as a
 // Step; the engine checks the lock against Step.Res and, if it is
-// granted, hands the same Step to Apply, which installs it. A Step is
-// valid only under the object latch it was peeked under and only until
-// the store next changes: the engine applies it before releasing the
-// latch, and peeks again after every wait.
+// granted, hands the same Step to Apply, which performs the operation in
+// place. A Step is valid only under the object latch it was peeked under
+// and only until the store next changes: the engine applies it before
+// releasing the latch, and peeks again after every wait.
 type Store interface {
 	// Peek computes the step inv takes for txn in the current recovery
 	// state without applying it. It returns adt.ErrNotEnabled for
 	// partial invocations with no legal response.
 	Peek(txn history.TxnID, inv spec.Invocation) (Step, error)
-	// Apply installs step, which Peek returned for txn under the same
+	// Apply performs step, which Peek returned for txn under the same
 	// latch hold, recording whatever the recovery discipline needs to
 	// commit or abort it later. On error the store is unchanged.
 	Apply(txn history.TxnID, step Step) error
@@ -70,11 +72,10 @@ type Store interface {
 }
 
 // Step is one operation as Peek computed it: the response, and — for
-// Apply alone — the invocation and the state the machine moved to.
+// Apply alone — the invocation.
 type Step struct {
-	Res  spec.Response
-	inv  spec.Invocation
-	next adt.Value
+	Res spec.Response
+	inv spec.Invocation
 }
 
 // BatchCommitter is implemented by stores whose per-object commit
@@ -146,12 +147,19 @@ type undoRec struct {
 // NewUndoLog builds an update-in-place store over the machine, logging to
 // log (which may be shared across objects).
 func NewUndoLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog {
+	return newUndoLog(obj, m, m.Init(), log, false)
+}
+
+// newUndoLog builds an update-in-place store whose current state is
+// state, which it takes ownership of.
+func newUndoLog(obj history.ObjectID, m adt.Machine, state adt.Value, log *wal.Log, redoOnly bool) *UndoLog {
 	return &UndoLog{
-		obj:     obj,
-		machine: m,
-		current: m.Init(),
-		log:     log,
-		chain:   make(map[history.TxnID][]undoRec),
+		obj:      obj,
+		machine:  m,
+		current:  state,
+		log:      log,
+		redoOnly: redoOnly,
+		chain:    make(map[history.TxnID][]undoRec),
 	}
 }
 
@@ -162,22 +170,20 @@ func NewUndoLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog {
 // commit-path record. RestartAllWithConfig restarts such a log by its
 // discipline marker, which the engine stages as the log's first record.
 func NewRedoOnlyLog(obj history.ObjectID, m adt.Machine, log *wal.Log) *UndoLog {
-	u := NewUndoLog(obj, m, log)
-	u.redoOnly = true
-	return u
+	return newUndoLog(obj, m, m.Init(), log, true)
 }
 
 // Peek implements Store: the step is computed against the single current
 // state (the UIP view).
 func (u *UndoLog) Peek(txn history.TxnID, inv spec.Invocation) (Step, error) {
-	res, next, err := u.machine.Apply(u.current, inv)
+	res, err := u.machine.Peek(u.current, inv)
 	if err != nil {
 		return Step{}, err
 	}
-	return Step{Res: res, inv: inv, next: next}, nil
+	return Step{Res: res, inv: inv}, nil
 }
 
-// Apply implements Store: log the undo record and update in place. The
+// Apply implements Store: log the undo record, then update in place. The
 // in-memory chain keeps the raw before-image token (live abort needs no
 // round trip); the staged WAL record carries the token in its durable
 // EncodedUndo form when the machine provides a codec, so the same record
@@ -214,11 +220,14 @@ func (u *UndoLog) Apply(txn history.TxnID, step Step) error {
 	op := spec.Op(step.inv, step.Res)
 	// Stage before mutating: a closed log (a commit racing Engine.Close)
 	// must leave the state and the undo chain untouched, so the caller sees
-	// a typed failure with nothing half-applied.
+	// a typed failure with nothing half-applied. The in-place Apply cannot
+	// fail once Peek accepted the operation against this same state.
 	if _, err := u.log.AppendAsync(wal.Record{Kind: kind, Txn: txn, Obj: u.obj, Op: op, Undo: logged}); err != nil {
 		return fmt.Errorf("recovery: logging %s: %w", op, err)
 	}
-	u.current = step.next
+	if err := u.machine.Apply(u.current, op); err != nil {
+		return fmt.Errorf("recovery: applying %s: %w", op, err)
+	}
 	recs, ok := u.chain[txn]
 	if !ok {
 		recs, u.spare = u.spare, nil
@@ -283,33 +292,33 @@ func (u *UndoLog) discharge(txn history.TxnID, recs []undoRec) {
 }
 
 // Abort implements Store: walk the undo chain backward applying logical
-// inverses (writing compensation records), then log the abort. Each
-// compensation record is staged before its undo is applied, so a closed
-// log stops the walk with the remaining chain suffix intact. Under the
-// REDO-only discipline the walk is purely in-memory — no compensation or
+// inverses in place (writing compensation records), then log the abort.
+// Each compensation record is staged before its undo is applied, so a
+// closed log stops the walk with the remaining chain suffix intact. Under
+// the REDO-only discipline the walk is purely in-memory — no compensation or
 // abort record is staged, because the durable log recovers losers by never
 // redoing them, not by undoing them.
 func (u *UndoLog) Abort(txn history.TxnID) error {
 	recs := u.chain[txn]
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
-		var next adt.Value
-		var err error
-		if bi, ok := u.machine.(adt.BeforeImageUndoer); ok && r.before != nil {
-			next, err = bi.UndoWithBefore(u.current, r.op, r.before)
-		} else {
-			next, err = u.machine.Undo(u.current, r.op)
-		}
-		if err != nil {
-			return fmt.Errorf("recovery: undo %s for %s: %w", r.op, txn, err)
-		}
 		if !u.redoOnly {
 			if _, err := u.log.AppendAsync(wal.Record{Kind: wal.CompensationRec, Txn: txn, Obj: u.obj, Op: r.op}); err != nil {
 				u.chain[txn] = recs[:i+1]
 				return fmt.Errorf("recovery: logging undo of %s for %s: %w", r.op, txn, err)
 			}
 		}
-		u.current = next
+		// The machine is called here, not through undoRec.undo, so the
+		// stagebeforemutate lint sees the in-place change it must order.
+		var err error
+		if bi, ok := u.machine.(adt.BeforeImageUndoer); ok && r.before != nil {
+			err = bi.UndoWithBefore(u.current, r.op, r.before)
+		} else {
+			err = u.machine.Undo(u.current, r.op)
+		}
+		if err != nil {
+			return fmt.Errorf("recovery: undo %s for %s: %w", r.op, txn, err)
+		}
 		u.chain[txn] = recs[:i]
 		// Undone: cleared at once, so whatever path ends the walk, the
 		// slice holds nothing past its length when it becomes the spare.
@@ -387,19 +396,27 @@ type Intentions struct {
 	baseVer uint64
 	intents map[history.TxnID]*intentList
 	// spare is a discharged transaction's intentions list, its ops
-	// cleared and its cache dropped, which the next transaction to start
-	// a list takes over. Like intents, it is touched only under the
-	// object latch.
+	// cleared and its workspace marked stale, which the next transaction
+	// to start a list takes over, workspace storage included. Like
+	// intents, it is touched only under the object latch.
 	spare *intentList
-	stats Stats
+	// befores is replay's buffer for the before tokens of the prefix it
+	// applied, kept across commits.
+	befores []any
+	stats   Stats
 }
 
 type intentList struct {
 	ops []spec.Operation
-	// cache of base+ops, valid while cacheVer == baseVer
-	cache    adt.Value
-	cacheVer uint64
-	cacheLen int
+	// ver is the base version the ops were last checked against: Peek
+	// computed them against that base, or a replay onto it gave each its
+	// recorded response.
+	ver uint64
+	// ws is the private workspace, base plus ops, built on the list's
+	// second operation (a first operation peeks against base itself). It
+	// is current while wsLen == len(ops) > 0 and ver == baseVer.
+	ws    adt.Value
+	wsLen int
 }
 
 // NewIntentions builds a deferred-update store over the machine.
@@ -412,33 +429,43 @@ func NewIntentions(obj history.ObjectID, m adt.Machine) *Intentions {
 	}
 }
 
-// workspace returns txn's private view: base plus its own intentions, using
-// the cached value when the base has not advanced (the private-workspace
-// maintenance cost the paper attributes to deferred update).
+// workspace returns txn's private view: base plus its own intentions. A
+// transaction with no intentions sees base itself. Otherwise the list's
+// workspace is rebuilt when it is stale — from a copy of base, replaying
+// the ops (the private-workspace maintenance cost the paper attributes to
+// deferred update). Ops checked against this very base are applied as
+// recorded; after the base moved, each replay must give the op its
+// recorded response.
 func (n *Intentions) workspace(txn history.TxnID) (adt.Value, error) {
 	il := n.intents[txn]
-	if il == nil {
+	if il == nil || len(il.ops) == 0 {
 		return n.base, nil
 	}
-	if il.cache != nil && il.cacheVer == n.baseVer && il.cacheLen == len(il.ops) {
-		return il.cache, nil
+	if il.wsLen == len(il.ops) && il.ver == n.baseVer {
+		return il.ws, nil
 	}
-	v := n.base
+	if il.ws == nil {
+		il.ws = n.base.Clone()
+	} else {
+		il.ws.CopyFrom(n.base)
+	}
+	il.wsLen = 0
+	checked := il.ver == n.baseVer
 	for _, op := range il.ops {
-		res, next, err := n.machine.Apply(v, op.Inv)
+		var err error
+		if checked {
+			err = n.machine.Apply(il.ws, op)
+		} else {
+			err = redo(n.machine, il.ws, op)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("recovery: replaying intent %s: %w", op, err)
+			return nil, fmt.Errorf("recovery: replaying intent %s against base version %d: %w", op, n.baseVer, err)
 		}
-		if res != op.Res {
-			return nil, fmt.Errorf("recovery: intent %s replayed with response %q against moved base", op, res)
-		}
-		v = next
 		n.stats.Replays++
 	}
-	il.cache = v
-	il.cacheVer = n.baseVer
-	il.cacheLen = len(il.ops)
-	return v, nil
+	il.ver = n.baseVer
+	il.wsLen = len(il.ops)
+	return il.ws, nil
 }
 
 // Peek implements Store: the step is computed against base plus the
@@ -448,15 +475,17 @@ func (n *Intentions) Peek(txn history.TxnID, inv spec.Invocation) (Step, error) 
 	if err != nil {
 		return Step{}, err
 	}
-	res, next, err := n.machine.Apply(w, inv)
+	res, err := n.machine.Peek(w, inv)
 	if err != nil {
 		return Step{}, err
 	}
-	return Step{Res: res, inv: inv, next: next}, nil
+	return Step{Res: res, inv: inv}, nil
 }
 
-// Apply implements Store: append to the intentions list, whose workspace
-// is now the state the step moved to.
+// Apply implements Store: append to the intentions list. When the list
+// has a current workspace, the operation is applied to it in place; a
+// list's first operation has none, and its workspace is built when its
+// next operation peeks.
 func (n *Intentions) Apply(txn history.TxnID, step Step) error {
 	il := n.intents[txn]
 	if il == nil {
@@ -466,38 +495,68 @@ func (n *Intentions) Apply(txn history.TxnID, step Step) error {
 		}
 		n.intents[txn] = il
 	}
-	il.ops = append(il.ops, spec.Op(step.inv, step.Res))
-	il.cache = step.next
-	il.cacheVer = n.baseVer
-	il.cacheLen = len(il.ops)
+	op := spec.Op(step.inv, step.Res)
+	if len(il.ops) == 0 {
+		il.ver = n.baseVer
+	} else if il.wsLen == len(il.ops) && il.ver == n.baseVer {
+		if err := n.machine.Apply(il.ws, op); err != nil {
+			return fmt.Errorf("recovery: applying %s: %w", op, err)
+		}
+		il.wsLen++
+	}
+	il.ops = append(il.ops, op)
 	n.stats.Applies++
 	return nil
 }
 
-// Commit implements Store: apply the intentions list to the base copy.
+// Commit implements Store: apply the intentions list to the base in place.
 // Commit order is the order of Commit calls, which the engine serializes
 // per object — exactly the DU view's Commit-order. The list is replayed
-// against the base, not taken from the workspace cache: applying intents
-// at commit is the deferred-update cost the paper's model charges.
+// against the base, not taken from the workspace: applying intents at
+// commit is the deferred-update cost the paper's model charges. Each
+// replayed op must get its recorded response; if one does not, the
+// prefix already applied is undone, so on error the base is unchanged.
 func (n *Intentions) Commit(txn history.TxnID) error {
 	il := n.intents[txn]
 	if il != nil {
-		v := n.base
-		for _, op := range il.ops {
-			res, next, err := n.machine.Apply(v, op.Inv)
-			if err != nil {
-				return fmt.Errorf("recovery: committing intent %s for %s: %w", op, txn, err)
-			}
-			if res != op.Res {
-				return fmt.Errorf("recovery: intent %s for %s committed with divergent response %q", op, txn, res)
-			}
-			v = next
-			n.stats.CommitApplies++
+		if err := n.replay(il.ops); err != nil {
+			return fmt.Errorf("recovery: committing %s: %w", txn, err)
 		}
-		n.base = v
 		n.baseVer++
 	}
 	n.discharge(txn, il)
+	return nil
+}
+
+// replay applies ops to the base in place, each checked against its
+// recorded response. If one fails, it undoes the prefix it applied,
+// newest first, so the base is unchanged on error.
+func (n *Intentions) replay(ops []spec.Operation) error {
+	bi, hasBI := n.machine.(adt.BeforeImageUndoer)
+	befores := n.befores[:0]
+	defer func() {
+		clear(befores)
+		n.befores = befores[:0]
+	}()
+	for i, op := range ops {
+		if hasBI {
+			befores = append(befores, bi.CaptureBefore(n.base, op.Inv))
+		}
+		if err := redo(n.machine, n.base, op); err != nil {
+			err = fmt.Errorf("intent %s: %w", op, err)
+			for j := i - 1; j >= 0; j-- {
+				r := undoRec{op: ops[j]}
+				if hasBI {
+					r.before = befores[j]
+				}
+				if uerr := r.undo(n.machine, n.base); uerr != nil {
+					return errors.Join(err, fmt.Errorf("rolling back intent %s: %w", ops[j], uerr))
+				}
+			}
+			return err
+		}
+		n.stats.CommitApplies++
+	}
 	return nil
 }
 
@@ -509,20 +568,42 @@ func (n *Intentions) Abort(txn history.TxnID) error {
 }
 
 // discharge drops txn's intentions list il (nil if it has none) and keeps
-// it, its ops cleared and its cache dropped, as the spare the next list
-// reuses, unless the spare has more room.
+// it, its ops cleared and its workspace marked stale, as the spare the
+// next list reuses, unless the spare has more room.
 func (n *Intentions) discharge(txn history.TxnID, il *intentList) {
 	delete(n.intents, txn)
 	if il == nil || (n.spare != nil && cap(n.spare.ops) >= cap(il.ops)) {
 		return
 	}
 	clear(il.ops)
-	*il = intentList{ops: il.ops[:0]}
+	*il = intentList{ops: il.ops[:0], ws: il.ws}
 	n.spare = il
 }
 
-// CommittedValue implements Store: the base copy, always meaningful.
+// CommittedValue implements Store: a copy of the base, always meaningful.
 func (n *Intentions) CommittedValue() adt.Value { return n.base.Clone() }
 
 // Stats returns a copy of the work counters.
 func (n *Intentions) Stats() Stats { return n.stats }
+
+// redo applies op to v in place after checking that v gives op its
+// recorded response: the replay of a logged or intended operation.
+func redo(m adt.Machine, v adt.Value, op spec.Operation) error {
+	res, err := m.Peek(v, op.Inv)
+	if err != nil {
+		return err
+	}
+	if res != op.Res {
+		return fmt.Errorf("operation %s replayed with response %q", op, res)
+	}
+	return m.Apply(v, op)
+}
+
+// undo reverses r's operation on v in place, from its before token when
+// it has one.
+func (r undoRec) undo(m adt.Machine, v adt.Value) error {
+	if bi, ok := m.(adt.BeforeImageUndoer); ok && r.before != nil {
+		return bi.UndoWithBefore(v, r.op, r.before)
+	}
+	return m.Undo(v, r.op)
+}

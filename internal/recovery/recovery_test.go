@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -170,9 +171,10 @@ func TestUndoLogSpareHoldsNoTokens(t *testing.T) {
 }
 
 // TestIntentionsSpareHoldsNoOps: a discharged intentions list is kept for
-// the next transaction's reuse, its ops cleared and its workspace cache
-// dropped first, so nothing it held stays reachable — after a commit and
-// after an abort alike.
+// the next transaction's reuse, its ops cleared and its workspace marked
+// stale first, so no operation it held stays reachable and the next list
+// rebuilds the workspace storage it inherits before reading it — after a
+// commit and after an abort alike.
 func TestIntentionsSpareHoldsNoOps(t *testing.T) {
 	n := NewIntentions("KV", adt.DefaultKVStore().Machine())
 	checkSpare := func(after string) {
@@ -180,8 +182,8 @@ func TestIntentionsSpareHoldsNoOps(t *testing.T) {
 		if n.spare == nil {
 			t.Fatalf("after %s: no spare list", after)
 		}
-		if n.spare.cache != nil || len(n.spare.ops) != 0 {
-			t.Fatalf("after %s: spare holds cache %v and %d ops", after, n.spare.cache, len(n.spare.ops))
+		if n.spare.wsLen != 0 || len(n.spare.ops) != 0 {
+			t.Fatalf("after %s: spare holds a workspace of %d ops and %d ops", after, n.spare.wsLen, len(n.spare.ops))
 		}
 		for i, op := range n.spare.ops[:cap(n.spare.ops)] {
 			if op != (spec.Operation{}) {
@@ -300,6 +302,61 @@ func TestIntentionsWorkspaceRefreshAfterBaseMove(t *testing.T) {
 	}
 	if n.Stats().Replays == 0 {
 		t.Error("expected replay work after base movement")
+	}
+}
+
+// TestIntentionsFailedCommitLeavesBase: a commit replays its intentions
+// onto the base in place; when an intention no longer gets its recorded
+// response there, the commit fails and the prefix it applied is undone —
+// logically on the account, from a before image on the KV store — so the
+// base is as the last successful commit left it. (The store takes the
+// commits in any order; under NFC locking the engine never would.)
+func TestIntentionsFailedCommitLeavesBase(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     adt.Machine
+		a, b  []spec.Invocation
+		wantB string
+	}{
+		{
+			name: "bank-account", m: adt.DefaultBankAccount().Machine(),
+			// A's withdrawal fails on its own deposit of 1; after B's
+			// deposit of 5 it would succeed.
+			a:     []spec.Invocation{adt.Deposit(1), adt.Withdraw(2)},
+			b:     []spec.Invocation{adt.Deposit(5)},
+			wantB: "5",
+		},
+		{
+			name: "kv-store", m: adt.DefaultKVStore().Machine(),
+			// A read y as unset; B's put makes it 2.
+			a:     []spec.Invocation{adt.Put("x", "1"), adt.Get("y")},
+			b:     []spec.Invocation{adt.Put("y", "2")},
+			wantB: "<y=2>",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := NewIntentions("O", c.m)
+			for _, inv := range c.a {
+				if _, err := PeekApply(n, "A", inv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, inv := range c.b {
+				if _, err := PeekApply(n, "B", inv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Commit("B"); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Commit("A"); err == nil || !strings.Contains(err.Error(), "replayed with response") {
+				t.Fatalf("A's commit = %v, want a divergent replay", err)
+			}
+			if got := n.CommittedValue().Encode(); got != c.wantB {
+				t.Fatalf("base after A's failed commit = %s, want %s", got, c.wantB)
+			}
+		})
 	}
 }
 

@@ -103,8 +103,12 @@ func checkDepClosure(snap []wal.Record, winners map[history.TxnID]bool) error {
 func restartRedoWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 	snap []wal.Record, idxs []int, winners map[history.TxnID]bool,
 	seed *checkpoint.ObjectSnapshot, stats *RestartStats) (*UndoLog, error) {
-	state := m.Init()
-	bi, hasBI := m.(adt.BeforeImageUndoer)
+	// The state replay runs on: the checkpoint's capture when seeded
+	// (decoded below), the machine's initial state otherwise.
+	var state adt.Value
+	if seed == nil {
+		state = m.Init()
+	}
 
 	// Checkpoint seeding: the captured dirty state plus the captured
 	// in-flight tables. Losers in the table are rolled back after the
@@ -175,15 +179,9 @@ func restartRedoWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 			continue
 		}
 		stats.Replayed++
-		res, next, err := m.Apply(state, rec.Op.Inv)
-		if err != nil {
+		if err := redo(m, state, rec.Op); err != nil {
 			return nil, fmt.Errorf("recovery: redo LSN %d: %w", rec.LSN, err)
 		}
-		if res != rec.Op.Res {
-			return nil, fmt.Errorf("recovery: redo LSN %d: operation %s replayed with response %q",
-				rec.LSN, rec.Op, res)
-		}
-		state = next
 	}
 
 	// Roll back the losers the checkpoint captured in flight: their
@@ -194,24 +192,13 @@ func restartRedoWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 			continue
 		}
 		for i := len(ct.pending) - 1; i >= 0; i-- {
-			r := ct.pending[i]
-			var next adt.Value
-			var err error
-			if hasBI && r.before != nil {
-				next, err = bi.UndoWithBefore(state, r.op, r.before)
-			} else {
-				next, err = m.Undo(state, r.op)
-			}
-			if err != nil {
+			if err := ct.pending[i].undo(m, state); err != nil {
 				return nil, fmt.Errorf("recovery: redo-only restart %s: undo of captured loser %s: %w",
 					obj, ct.txn, err)
 			}
-			state = next
 			stats.Undone++
 		}
 	}
 
-	u := NewRedoOnlyLog(obj, m, log)
-	u.current = state
-	return u, nil
+	return newUndoLog(obj, m, state, log, true), nil
 }

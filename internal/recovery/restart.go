@@ -430,8 +430,12 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		return ti
 	}
 
-	state := m.Init()
-	bi, hasBI := m.(adt.BeforeImageUndoer)
+	// The state replay runs on: the checkpoint's capture when seeded
+	// (decoded below), the machine's initial state otherwise.
+	var state adt.Value
+	if seed == nil {
+		state = m.Init()
+	}
 
 	// Checkpoint seeding: start from the captured (dirty) state and rebuild
 	// the in-flight transaction table exactly as it stood at the object's
@@ -475,21 +479,6 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		}
 	}
 
-	undoOne := func(r undoRec) error {
-		var next adt.Value
-		var err error
-		if hasBI && r.before != nil {
-			next, err = bi.UndoWithBefore(state, r.op, r.before)
-		} else {
-			next, err = m.Undo(state, r.op)
-		}
-		if err != nil {
-			return err
-		}
-		state = next
-		return nil
-	}
-
 	// Pass 2, redo: replay obj's history from the log — all of it on a
 	// plain restart, only the suffix past the object's capture marker on a
 	// checkpointed one (the captured state already reflects the prefix).
@@ -510,15 +499,9 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		ti := get(rec.Txn)
 		switch rec.Kind {
 		case wal.Update:
-			res, next, err := m.Apply(state, rec.Op.Inv)
-			if err != nil {
+			if err := redo(m, state, rec.Op); err != nil {
 				return nil, nil, fmt.Errorf("recovery: restart redo LSN %d: %w", rec.LSN, err)
 			}
-			if res != rec.Op.Res {
-				return nil, nil, fmt.Errorf("recovery: restart redo LSN %d: operation %s replayed with response %q",
-					rec.LSN, rec.Op, res)
-			}
-			state = next
 			before := rec.Undo
 			if enc, ok := before.(wal.EncodedUndo); ok {
 				c, ok := m.(adt.UndoTokenCodec)
@@ -543,7 +526,7 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 				return nil, nil, fmt.Errorf("recovery: restart LSN %d: compensation order mismatch (%s vs %s)",
 					rec.LSN, last.op, rec.Op)
 			}
-			if err := undoOne(last); err != nil {
+			if err := last.undo(m, state); err != nil {
 				return nil, nil, fmt.Errorf("recovery: restart LSN %d: %w", rec.LSN, err)
 			}
 			ti.pending = ti.pending[:len(ti.pending)-1]
@@ -589,7 +572,7 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		ti := txns[t]
 		for i := len(ti.pending) - 1; i >= 0; i-- {
 			r := ti.pending[i]
-			if err := undoOne(r); err != nil {
+			if err := r.undo(m, state); err != nil {
 				return nil, nil, fmt.Errorf("recovery: restart undo of loser %s: %w", t, err)
 			}
 			stats.Undone++
@@ -598,11 +581,5 @@ func restartWith(obj history.ObjectID, m adt.Machine, log *wal.Log,
 		tail = append(tail, wal.Record{Kind: wal.AbortRec, Txn: t, Obj: obj})
 	}
 
-	return &UndoLog{
-		obj:     obj,
-		machine: m,
-		current: state,
-		log:     log,
-		chain:   make(map[history.TxnID][]undoRec),
-	}, tail, nil
+	return newUndoLog(obj, m, state, log, false), tail, nil
 }

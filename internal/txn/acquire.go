@@ -17,9 +17,9 @@ import (
 
 // Invoke executes one operation on an object, blocking while conflicting
 // locks are held. Under the object latch it runs the type's machine once:
-// the store's Peek yields the response and next state, the lock is checked
-// against that response (locking is result-dependent), and the store's
-// Apply installs the same step. A waits-for cycle aborts its youngest
+// the store's Peek yields the response, the lock is checked against that
+// response (locking is result-dependent), and the store's Apply performs
+// the same step in place. A waits-for cycle aborts its youngest
 // member (latest Begin), so the oldest transaction in a deadlock survives.
 // If that is this transaction — whether its own request closed the cycle
 // or another requester's did while it waited — it is fully aborted and an
@@ -45,9 +45,9 @@ func (t *Txn) Invoke(obj history.ObjectID, inv spec.Invocation) (spec.Response, 
 	var waitHolder history.TxnID
 	for {
 		// One machine step: Peek computes the response the lock is
-		// checked against, and Apply installs that same step. The step is
-		// valid only under this latch hold, so every pass of the loop —
-		// after each wait — peeks afresh.
+		// checked against, and Apply performs that same step in place.
+		// The step is valid only under this latch hold, so every pass of
+		// the loop — after each wait — peeks afresh.
 		step, err := mo.store.Peek(t.id, inv)
 		if err != nil {
 			mo.mu.Unlock()

@@ -165,7 +165,8 @@ func TestCheckpointFuzzySnapshotShape(t *testing.T) {
 // counts from the replayed records' end, so every marker LSN a checkpoint
 // takes there names its own CheckpointRec and the frontier its begin
 // marker — not whatever record sits at the bare ticket number, which here
-// is a record of the first engine (whose checkpoint may carry the same ID).
+// is a record of the first engine — and the checkpoint's ID is not the
+// first engine's.
 func TestCheckpointMarkersOnReopenedLog(t *testing.T) {
 	const objects = 3
 	walDir := filepath.Join(t.TempDir(), "wal")
@@ -205,7 +206,8 @@ func TestCheckpointMarkersOnReopenedLog(t *testing.T) {
 	}
 	e := engineOver(log)
 	deposit(e, 4)
-	if _, err := e.Checkpoint(); err != nil {
+	first, err := e.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -230,6 +232,9 @@ func TestCheckpointMarkersOnReopenedLog(t *testing.T) {
 	snap, err := e.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.ID == first.ID {
+		t.Fatalf("the engine over the reopened log reused checkpoint ID %s", snap.ID)
 	}
 	recs := log.Snapshot()
 	at := func(lsn wal.LSN) wal.Record {

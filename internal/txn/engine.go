@@ -202,7 +202,12 @@ type Engine struct {
 	ckptGate sync.RWMutex
 	// ckptMu serializes whole checkpoints; ckptSeq numbers them, and
 	// ckptWalk is the registry walk's slice, reused checkpoint to
-	// checkpoint under ckptMu.
+	// checkpoint under ckptMu. ckptSeq starts at the log's durable LSN
+	// when the engine is built, so IDs stay unique across engines that
+	// share a log and a store: the n-th checkpoint an engine starts
+	// stages its begin marker at or past that LSN plus n, so every ID an
+	// earlier engine gave a durable marker — the only IDs a log or a
+	// saved snapshot can hold — is at most the next engine's start.
 	ckptMu   sync.Mutex
 	ckptSeq  atomic.Int64
 	ckptWalk []*managedObject
@@ -263,6 +268,7 @@ func NewEngine(opts Options) *Engine {
 		log:      log,
 		obsv:     opts.Obs,
 	}
+	e.ckptSeq.Store(int64(log.DurableLSN()))
 	if opts.Obs != nil {
 		log.SetObserver(opts.Obs)
 	}
