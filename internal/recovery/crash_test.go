@@ -346,6 +346,18 @@ func reopenLog(t *testing.T, dir string) *wal.Log {
 	return log
 }
 
+// closeReopen closes log, created over the segment directory dir, and
+// reopens dir: the log a restart after the crash reads.
+func closeReopen(t *testing.T, log *wal.Log, dir string) *wal.Log {
+	t.Helper()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	relog := reopenLog(t, dir)
+	t.Cleanup(func() { relog.Close() })
+	return relog
+}
+
 // readDurable returns the records that survived in a segment directory —
 // the oracle's view of what the crash left on disk.
 func readDurable(t *testing.T, dir string) []wal.Record {
@@ -404,10 +416,10 @@ func restartDurable(t *testing.T, walDir, ckptDir string,
 		}
 		r.vals[obj] = st.CommittedValue().Encode()
 	}
-	r.recs = log.Snapshot()
 	if err := log.Close(); err != nil {
 		t.Fatalf("close restarted log: %v", err)
 	}
+	r.recs = readDurable(t, walDir)
 	return r
 }
 

@@ -97,7 +97,7 @@ func TestUndoLogWALRecords(t *testing.T) {
 	if err := u.Abort("A"); err != nil {
 		t.Fatal(err)
 	}
-	recs := log.Snapshot()
+	recs := durableRecords(t, log)
 	if len(recs) != 3 {
 		t.Fatalf("expected update+clr+abort, got %v", recs)
 	}

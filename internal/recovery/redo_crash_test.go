@@ -221,8 +221,8 @@ func TestRedoCommitSplitDeterministic(t *testing.T) {
 // consistent-cut batching makes it impossible for the engine to produce —
 // and restart must refuse to replay it.
 func TestRedoDependencyClosureViolationRejected(t *testing.T) {
-	log := createLog(t, t.TempDir(), 0, nil)
-	defer log.Close()
+	dir := t.TempDir()
+	log := createLog(t, dir, 0, nil)
 	recovery.AppendDurable(t, log, wal.DisciplineMarker(wal.DisciplineRedo))
 	u := recovery.NewRedoOnlyLog("X", crashMachine(), log)
 	if _, err := recovery.PeekApply(u, "T2", adt.Deposit(5)); err != nil {
@@ -234,7 +234,7 @@ func TestRedoDependencyClosureViolationRejected(t *testing.T) {
 	// T2 claims to have read from T1, whose commit record never became
 	// durable.
 	recovery.AppendDurable(t, log, wal.Record{Kind: wal.TxnCommitRec, Txn: "T2", Deps: []history.TxnID{"T1"}})
-	err := restartErr(log, nil)
+	err := restartErr(closeReopen(t, log, dir), nil)
 	if err == nil || !strings.Contains(err.Error(), "dependency closure") {
 		t.Fatalf("restart accepted a winner with an undurable dependency: %v", err)
 	}
@@ -283,28 +283,28 @@ func TestMixedDisciplineRejected(t *testing.T) {
 		// A marked redo log polluted with an undo-mode Update record (and
 		// the dual: an unmarked log containing a RedoRec) — torn handoffs
 		// the per-kind audit catches even when the marker check passes.
-		polluted := createLog(t, t.TempDir(), 0, nil)
-		defer polluted.Close()
+		dir := t.TempDir()
+		polluted := createLog(t, dir, 0, nil)
 		recovery.AppendDurable(t, polluted, wal.DisciplineMarker(wal.DisciplineRedo))
 		recovery.AppendDurable(t, polluted, wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
-		if err := restartErr(polluted, nil); err == nil {
-			t.Fatal("restart accepted an Update record in a redo-only log")
+		if err := restartErr(closeReopen(t, polluted, dir), nil); err == nil || !strings.Contains(err.Error(), "discipline") {
+			t.Fatalf("restart of an Update record in a redo-only log = %v, want the discipline audit's error", err)
 		}
-		unmarked := createLog(t, t.TempDir(), 0, nil)
-		defer unmarked.Close()
+		dir = t.TempDir()
+		unmarked := createLog(t, dir, 0, nil)
 		recovery.AppendDurable(t, unmarked, wal.Record{Kind: wal.RedoRec, Txn: "T", Obj: "X", Op: adt.DepositOk(1)})
-		if err := restartErr(unmarked, nil); err == nil {
-			t.Fatal("restart accepted a RedoRec in a log with no discipline marker")
+		if err := restartErr(closeReopen(t, unmarked, dir), nil); err == nil || !strings.Contains(err.Error(), "discipline") {
+			t.Fatalf("restart of a RedoRec in a log with no discipline marker = %v, want the discipline audit's error", err)
 		}
 	})
 	t.Run("checkpoint-discipline-mismatch", func(t *testing.T) {
-		log := createLog(t, t.TempDir(), 0, nil)
-		defer log.Close()
+		dir := t.TempDir()
+		log := createLog(t, dir, 0, nil)
 		recovery.AppendDurable(t, log, wal.Record{Kind: wal.Update, Txn: "T", Obj: "X", Op: adt.DepositOk(1),
 			Undo: wal.EncodedUndo("")})
 		snap := &checkpoint.Snapshot{ID: "CKPT0001", Frontier: 1, Discipline: wal.DisciplineRedo}
-		if err := restartErr(log, snap); err == nil {
-			t.Fatal("restart accepted a redo-discipline checkpoint over an undo-mode log")
+		if err := restartErr(closeReopen(t, log, dir), snap); err == nil || !strings.Contains(err.Error(), "discipline") {
+			t.Fatalf("restart of an undo-mode log from a redo-discipline checkpoint = %v, want the discipline mismatch", err)
 		}
 	})
 }

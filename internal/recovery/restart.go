@@ -32,7 +32,7 @@ type WorkerStats struct {
 // parallelism (object assignment only moves work between workers); only
 // PerWorker and the wall-clock fields vary.
 type RestartStats struct {
-	// LogRecords is the number of records in the scanned (retained) log —
+	// LogRecords is the number of records in the scanned (replayed) log —
 	// what pass 1's winner scan walks.
 	LogRecords int `json:"log_records"`
 	// Replayed counts the per-object records pass 2 processed (updates
@@ -201,7 +201,13 @@ func winnersParallel(snap []wal.Record, bounds []wal.LSN, p int) (map[history.Tx
 // objects at once. The returned stores own the same log and are ready for
 // new transactions.
 //
-// A log with no backend (wal.New) is refused: it retains no records, so
+// Restart reads the durable log alone: the records log replayed from its
+// backend at wal.Open, which it takes from the log once (wal.Log.TakeReplay).
+// log must therefore be freshly reopened over the crash's durable image. A
+// log that has appended anything since Open is refused — its newest
+// records may never have reached the backend, and the replay does not
+// hold them — and so is a second restart of the same log. A log with no
+// backend (wal.New) is refused too: it retains no records, so
 // "restarting" from it would silently return every object in its initial
 // state.
 //
@@ -211,8 +217,8 @@ func winnersParallel(snap []wal.Record, bounds []wal.LSN, p int) (map[history.Tx
 // records past that object's marker — the bounded-suffix restart the
 // checkpoint exists for. Objects the snapshot does not cover (registered
 // after the checkpoint's registry walk began) replay in full from the
-// retained log.
-// The winner scan runs over the retained log, which by the checkpoint
+// durable log.
+// The winner scan runs over the durable log, which by the checkpoint
 // contract contains every decision record restart can need: any
 // transaction pending at a capture, or starting after one, stages its
 // transaction-level commit record past the checkpoint frontier, and any
@@ -248,6 +254,12 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	if !log.Durable() {
 		return nil, stats, fmt.Errorf("recovery: restart: log has no backend and retains no records to replay")
 	}
+	// The records restart reads are the ones the reopened log replayed
+	// from its backend, taken once; the live log keeps no copy of them.
+	snap, err := log.TakeReplay()
+	if err != nil {
+		return nil, stats, fmt.Errorf("recovery: restart: %w", err)
+	}
 	if ckpt == nil && log.Base() > 0 {
 		// A truncated log is only replayable from the checkpoint that
 		// justified the truncation. Replaying the bare suffix from initial
@@ -274,9 +286,8 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	}
 	p = min(p, maxRestartWorkers)
 
-	// Pass 1: partitioned winner scan over the consistent log snapshot.
+	// Pass 1: partitioned winner scan over the replayed log.
 	bounds := log.SegmentBounds()
-	snap := log.Snapshot()
 	stats.LogRecords = len(snap)
 	if err := checkLogDiscipline(snap, redo); err != nil {
 		return nil, stats, err
@@ -306,7 +317,7 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	// Pass 2: deal the objects to the workers round-robin; every worker
 	// replays its objects (in the caller's object order) with a private
 	// stats block, writing results and undo tails into per-object slots.
-	// The snapshot is grouped by object once, so each object's replay
+	// The replayed log is grouped by object once, so each object's replay
 	// visits only its own records (by index, in LSN order) instead of
 	// scanning the whole log.
 	pass2 := time.Now() //lint:ignore detreplay wall-clock stats only (RestartStats timing); never feeds replayed state

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,19 +12,72 @@ import (
 	"repro/internal/history"
 	"repro/internal/spec"
 	"repro/internal/wal"
-	"repro/internal/wal/waltest"
 )
 
-// backedLog opens a synchronous log over a zero-latency backend: a log
-// that sequences and retains its records, as restart needs. A log with no
-// backend (wal.New) is a sink and retains nothing.
+// backedLog opens a log over a fresh segmented backend in its own
+// temporary directory: a durable log that reopen can hand to restart and
+// durableRecords can read back. A log with no backend (wal.New) is a sink
+// and keeps nothing.
 func backedLog(t testing.TB) *wal.Log {
 	t.Helper()
-	log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(0)})
+	dir := t.TempDir()
+	b, err := wal.CreateSegmentedBackend(dir, wal.SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return openLog(t, dir, b)
+}
+
+// logDirs maps each log backedLog or reopen opened to its directory.
+var logDirs sync.Map
+
+// openLog opens a log over b, the backend in dir, and closes it when the
+// test ends.
+func openLog(t testing.TB, dir string, b wal.Backend) *wal.Log {
+	t.Helper()
+	log, err := wal.Open(wal.Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logDirs.Store(log, dir)
+	t.Cleanup(func() { log.Close() })
 	return log
+}
+
+// closeDir closes log, which backedLog or reopen opened, and returns its
+// directory.
+func closeDir(t testing.TB, log *wal.Log) string {
+	t.Helper()
+	dir, ok := logDirs.Load(log)
+	if !ok {
+		t.Fatal("log has no directory: open it with backedLog")
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir.(string)
+}
+
+// reopen is the crash's other side: it closes log and reopens its
+// directory, whose replay restart takes.
+func reopen(t testing.TB, log *wal.Log) *wal.Log {
+	t.Helper()
+	dir := closeDir(t, log)
+	b, err := wal.OpenSegmentedBackend(dir, wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return openLog(t, dir, b)
+}
+
+// durableRecords closes log and returns the records its directory holds.
+func durableRecords(t testing.TB, log *wal.Log) []wal.Record {
+	t.Helper()
+	recs, err := reopen(t, log).TakeReplay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // logTxnCommit stages the transaction-level commit record the way
@@ -35,16 +89,19 @@ func logTxnCommit(t testing.TB, log *wal.Log, txn history.TxnID) {
 	AppendDurable(t, log, wal.Record{Kind: wal.TxnCommitRec, Txn: txn})
 }
 
-// restart is the crash restart every test here runs: a full-log
-// RestartAllWithConfig of objs, each over a fresh machine from mk.
-func restart(t *testing.T, log *wal.Log, mk func() adt.Machine, objs ...history.ObjectID) map[history.ObjectID]*UndoLog {
+// restart is the crash restart every test here runs: it reopens log's
+// directory and runs a full-log RestartAllWithConfig of objs, each over a
+// fresh machine from mk. It returns the stores and the reopened log they
+// own.
+func restart(t *testing.T, log *wal.Log, mk func() adt.Machine, objs ...history.ObjectID) (map[history.ObjectID]*UndoLog, *wal.Log) {
 	t.Helper()
+	log = reopen(t, log)
 	stores, _, err := RestartAllWithConfig(objs,
 		func(history.ObjectID) adt.Machine { return mk() }, log, nil, RestartConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stores
+	return stores, log
 }
 
 // TestRestartCleanLog: restart after only committed work reproduces the
@@ -59,8 +116,8 @@ func TestRestartCleanLog(t *testing.T) {
 	}
 	logTxnCommit(t, log, "A")
 	// Crash: discard u; rebuild from the log.
-	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
-	if got := r.CommittedValue().Encode(); got != "3" {
+	rs, _ := restart(t, log, adt.DefaultBankAccount().Machine, "BA")
+	if got := rs["BA"].CommittedValue().Encode(); got != "3" {
 		t.Fatalf("restart state = %s, want 3", got)
 	}
 }
@@ -82,15 +139,10 @@ func TestRestartUndoesLoser(t *testing.T) {
 	}
 	logTxnCommit(t, log, "C")
 
-	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
+	rs, log := restart(t, log, adt.DefaultBankAccount().Machine, "BA")
+	r := rs["BA"]
 	if got := r.CommittedValue().Encode(); got != "7" {
 		t.Fatalf("restart state = %s, want 7 (5 + 2, loser's 3 undone)", got)
-	}
-	// The log now ends with B's compensation and abort records.
-	recs := log.Snapshot()
-	last := recs[len(recs)-1]
-	if last.Kind != wal.AbortRec || last.Txn != "B" {
-		t.Fatalf("log should end with B's abort record, got %v", last)
 	}
 	// The restarted store accepts new work.
 	mustApplyR(t, r, "D", adt.Deposit(1))
@@ -100,6 +152,16 @@ func TestRestartUndoesLoser(t *testing.T) {
 	logTxnCommit(t, log, "D")
 	if got := r.CommittedValue().Encode(); got != "8" {
 		t.Fatalf("post-restart state = %s, want 8", got)
+	}
+	// Restart logged B's compensation and abort records, and D's records
+	// follow them.
+	recs := durableRecords(t, log)
+	i := len(recs) - 1
+	for recs[i].Txn == "D" {
+		i--
+	}
+	if recs[i].Kind != wal.AbortRec || recs[i].Txn != "B" || recs[i-1].Kind != wal.CompensationRec {
+		t.Fatalf("restart's tail should end with B's compensation and abort records, got %v", recs[i-1:i+1])
 	}
 }
 
@@ -136,7 +198,7 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	}
 	// No logTxnCommit(t, log, "T"): the crash point.
 
-	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	rs, log := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	rx, ry := rs["X"], rs["Y"]
 	if got := rx.CommittedValue().Encode(); got != "10" {
 		t.Fatalf("X after restart = %s, want 10 (transfer presumed aborted)", got)
@@ -146,8 +208,8 @@ func TestRestartPresumedAbortHalfCommitted(t *testing.T) {
 	}
 	// A second restart is a fixed point: T is now terminated by abort
 	// records, and the state does not move.
-	rx2 := restart(t, log, adt.DefaultBankAccount().Machine, "X")["X"]
-	if got := rx2.CommittedValue().Encode(); got != "10" {
+	rs2, _ := restart(t, log, adt.DefaultBankAccount().Machine, "X")
+	if got := rs2["X"].CommittedValue().Encode(); got != "10" {
 		t.Fatalf("X after second restart = %s, want 10", got)
 	}
 }
@@ -169,7 +231,7 @@ func TestRestartWinnerSurvivesWithCommitHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	logTxnCommit(t, log, "T")
-	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	rs, _ := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	rx, ry := rs["X"], rs["Y"]
 	if rx.CommittedValue().Encode() != "6" || ry.CommittedValue().Encode() != "7" {
 		t.Fatalf("winner states = %s, %s; want 6, 7",
@@ -189,8 +251,8 @@ func TestRestartAfterPartialAbort(t *testing.T) {
 	// as live abort would before crashing mid-walk.
 	AppendDurable(t, log, wal.Record{Kind: wal.CompensationRec, Txn: "A", Obj: "BA", Op: adt.DepositOk(3)})
 
-	r := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
-	if got := r.CommittedValue().Encode(); got != "0" {
+	rs, _ := restart(t, log, adt.DefaultBankAccount().Machine, "BA")
+	if got := rs["BA"].CommittedValue().Encode(); got != "0" {
 		t.Fatalf("restart state = %s, want 0 (both deposits undone, one via CLR)", got)
 	}
 }
@@ -207,8 +269,9 @@ func TestRestartIdempotent(t *testing.T) {
 	logTxnCommit(t, log, "A")
 	mustApplyR(t, u, "B", adt.Withdraw(2)) // loser
 
-	r1 := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
-	r2 := restart(t, log, adt.DefaultBankAccount().Machine, "BA")["BA"]
+	rs1, log := restart(t, log, adt.DefaultBankAccount().Machine, "BA")
+	rs2, _ := restart(t, log, adt.DefaultBankAccount().Machine, "BA")
+	r1, r2 := rs1["BA"], rs2["BA"]
 	if r1.CommittedValue().Encode() != r2.CommittedValue().Encode() {
 		t.Fatalf("restart not idempotent: %s vs %s",
 			r1.CommittedValue().Encode(), r2.CommittedValue().Encode())
@@ -230,8 +293,8 @@ func TestRestartBeforeImageMachine(t *testing.T) {
 	logTxnCommit(t, log, "A")
 	mustApplyR(t, u, "B", adt.Put("x", "2")) // loser overwrites x
 
-	r := restart(t, log, adt.DefaultKVStore().Machine, "KV")["KV"]
-	if got := r.CommittedValue().Encode(); got != "<x=1>" {
+	rs, _ := restart(t, log, adt.DefaultKVStore().Machine, "KV")
+	if got := rs["KV"].CommittedValue().Encode(); got != "<x=1>" {
 		t.Fatalf("restart state = %s, want <x=1>", got)
 	}
 }
@@ -252,7 +315,7 @@ func TestRestartMultiObjectLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	logTxnCommit(t, log, "A")
-	rs := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
+	rs, _ := restart(t, log, adt.DefaultBankAccount().Machine, "X", "Y")
 	r1, r2 := rs["X"], rs["Y"]
 	if r1.CommittedValue().Encode() != "5" || r2.CommittedValue().Encode() != "7" {
 		t.Fatalf("restart states = %s, %s", r1.CommittedValue().Encode(), r2.CommittedValue().Encode())
@@ -269,28 +332,27 @@ func mustApplyR(t *testing.T, u *UndoLog, txn history.TxnID, inv spec.Invocation
 // errDevice is what switchBackend fails with.
 var errDevice = errors.New("device died")
 
-// switchBackend is a zero-latency device that stores nothing and whose
-// Write or Sync fails once failWrite or failSync is set: a device that
-// dies between the crash and the restart's undo tail.
+// switchBackend is a segmented backend whose Write or Sync fails once
+// failWrite or failSync is set: a device that dies between the crash and
+// the restart's undo tail.
 type switchBackend struct {
+	*wal.SegmentedBackend
 	failWrite, failSync atomic.Bool
 }
 
-func (b *switchBackend) Write([]wal.Record, []byte) error {
+func (b *switchBackend) Write(recs []wal.Record, frame []byte) error {
 	if b.failWrite.Load() {
 		return errDevice
 	}
-	return nil
+	return b.SegmentedBackend.Write(recs, frame)
 }
 
 func (b *switchBackend) Sync() error {
 	if b.failSync.Load() {
 		return errDevice
 	}
-	return nil
+	return b.SegmentedBackend.Sync()
 }
-
-func (b *switchBackend) Close() error { return nil }
 
 // TestRestartTailOneRound: restart stages its whole undo tail — here two
 // compensations and an abort record — as one batch that one flush round
@@ -299,11 +361,7 @@ func (b *switchBackend) Close() error { return nil }
 func TestRestartTailOneRound(t *testing.T) {
 	for _, fail := range []string{"none", "write", "sync"} {
 		t.Run(fail, func(t *testing.T) {
-			b := &switchBackend{}
-			log, err := wal.Open(wal.Config{Backend: b})
-			if err != nil {
-				t.Fatal(err)
-			}
+			log := backedLog(t)
 			u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
 			mustApplyR(t, u, "W", adt.Deposit(5))
 			if err := u.Commit("W"); err != nil {
@@ -315,6 +373,13 @@ func TestRestartTailOneRound(t *testing.T) {
 			if err := log.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			dir := closeDir(t, log)
+			sb, err := wal.OpenSegmentedBackend(dir, wal.SegmentConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &switchBackend{SegmentedBackend: sb}
+			log = openLog(t, dir, b)
 			b.failWrite.Store(fail == "write")
 			b.failSync.Store(fail == "sync")
 			flushes := log.Stats().Flushes
@@ -333,7 +398,7 @@ func TestRestartTailOneRound(t *testing.T) {
 			if got := log.Stats().Flushes - flushes; got != 1 {
 				t.Fatalf("restart ran %d flush rounds, want 1 for its whole undo tail", got)
 			}
-			recs := log.Snapshot()
+			recs := durableRecords(t, log)
 			tail := recs[len(recs)-3:]
 			if tail[0].Kind != wal.CompensationRec || tail[1].Kind != wal.CompensationRec || tail[2].Kind != wal.AbortRec {
 				t.Fatalf("log ends %v, want two compensations and an abort record", tail)
@@ -342,6 +407,56 @@ func TestRestartTailOneRound(t *testing.T) {
 				t.Fatalf("restart state = %s, want 5 (the loser undone)", got)
 			}
 		})
+	}
+}
+
+// TestRestartRefusesLiveOrTakenLog: restart reads the records a reopened
+// log replayed, once. A log that has appended since Open — the live log
+// that wrote them, or a reopened one that took more — is refused, since
+// its newest records may never have reached the backend; so is a second
+// restart of one reopened log. A fresh reopen restarts as ever.
+func TestRestartRefusesLiveOrTakenLog(t *testing.T) {
+	machineFor := func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() }
+	objs := []history.ObjectID{"BA"}
+	log := backedLog(t)
+	u := NewUndoLog("BA", adt.DefaultBankAccount().Machine(), log)
+	mustApplyR(t, u, "A", adt.Deposit(5))
+	if err := u.Commit("A"); err != nil {
+		t.Fatal(err)
+	}
+	logTxnCommit(t, log, "A")
+	mustApplyR(t, u, "B", adt.Deposit(3)) // loser
+	if _, _, err := RestartAllWithConfig(objs, machineFor, log, nil, RestartConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "appended") {
+		t.Fatalf("restart of the live log = %v, want the appended-since-Open refusal", err)
+	}
+
+	relog := reopen(t, log)
+	if _, err := relog.AppendAsync(wal.Record{Kind: wal.Update, Txn: "C", Obj: "BA", Op: adt.DepositOk(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RestartAllWithConfig(objs, machineFor, relog, nil, RestartConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "appended") {
+		t.Fatalf("restart of a reopened log that appended = %v, want the appended-since-Open refusal", err)
+	}
+
+	// Close made C's staged update durable: a fresh reopen replays A's
+	// records and both losers' updates, restarts once, and refuses a
+	// second time.
+	relog = reopen(t, relog)
+	stores, stats, err := RestartAllWithConfig(objs, machineFor, relog, nil, RestartConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stores["BA"].CommittedValue().Encode(); got != "5" {
+		t.Fatalf("restart state = %s, want 5 (B and C undone)", got)
+	}
+	if stats.LogRecords != 5 || stats.Undone != 2 {
+		t.Fatalf("restart read %d records and undid %d, want 5 and 2", stats.LogRecords, stats.Undone)
+	}
+	if _, _, err := RestartAllWithConfig(objs, machineFor, relog, nil, RestartConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "already taken") {
+		t.Fatalf("second restart of one reopened log = %v, want the already-taken refusal", err)
 	}
 }
 
@@ -374,13 +489,13 @@ func TestRestartRefusesSinkLog(t *testing.T) {
 // BenchmarkRestart restarts one fixed log — 8,192 single-deposit winners,
 // three records each — spread over 64, 512 and 4,096 objects, on one
 // worker. Pass 2 visits each object's own records only, so the cost per
-// record must not grow with the object count.
+// record must not grow with the object count. Each iteration restarts a
+// fresh reopen of the log; the reopen is not timed.
 func BenchmarkRestart(b *testing.B) {
 	const txns = 8192
 	for _, objects := range []int{64, 512, 4096} {
 		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
 			log := backedLog(b)
-			defer log.Close()
 			objs := make([]history.ObjectID, objects)
 			stores := make([]*UndoLog, objects)
 			for i := range objs {
@@ -396,12 +511,17 @@ func BenchmarkRestart(b *testing.B) {
 				if err := u.Commit(txn); err != nil {
 					b.Fatal(err)
 				}
-				logTxnCommit(b, log, txn)
+				if _, err := log.AppendAsync(wal.Record{Kind: wal.TxnCommitRec, Txn: txn}); err != nil {
+					b.Fatal(err)
+				}
 			}
 			records := log.Records()
 			machineFor := func(history.ObjectID) adt.Machine { return adt.DefaultBankAccount().Machine() }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				log = reopen(b, log)
+				b.StartTimer()
 				if _, _, err := RestartAllWithConfig(objs, machineFor, log, nil, RestartConfig{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}

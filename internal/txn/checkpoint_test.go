@@ -236,7 +236,18 @@ func TestCheckpointMarkersOnReopenedLog(t *testing.T) {
 	if snap.ID == first.ID {
 		t.Fatalf("the engine over the reopened log reused checkpoint ID %s", snap.ID)
 	}
-	recs := log.Snapshot()
+	// The markers are read back from the durable log the engine leaves.
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	backend, err = wal.OpenSegmentedBackend(walDir, wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := backend.Replay()
+	if err := backend.Close(); err != nil {
+		t.Fatal(err)
+	}
 	at := func(lsn wal.LSN) wal.Record {
 		t.Helper()
 		if lsn <= lsn0 || int(lsn) > len(recs) {

@@ -153,7 +153,7 @@ func TestCommitMidSweepFailureTerminates(t *testing.T) {
 	}
 
 	// No transaction-level commit record: restart must see a loser.
-	for _, rec := range e.WAL().Snapshot() {
+	for _, rec := range walRecords(t, e.WAL()) {
 		if rec.Kind == wal.TxnCommitRec && rec.Txn == tx.id {
 			t.Error("torn commit staged a TxnCommitRec; restart would redo it as a winner")
 		}

@@ -242,11 +242,8 @@ func TestBatchStagedCommitRecords(t *testing.T) {
 	if d := e.WAL().Stats().StripeAcquisitions - acqs; d != 2 {
 		t.Fatalf("Commit took the staging-queue lock %d times, want 2 (one batch + the transaction-level record)", d)
 	}
-	if err := e.WAL().Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
 	var recs []string
-	for _, r := range e.WAL().Snapshot() {
+	for _, r := range walRecords(t, e.WAL()) {
 		if r.Txn != tx.ID() {
 			t.Fatalf("record %s@%s belongs to %q, want only %s's records", r.Kind, r.Obj, r.Txn, tx.ID())
 		}

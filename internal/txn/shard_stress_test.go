@@ -225,7 +225,7 @@ func TestShardedEngineStressRace(t *testing.T) {
 		}
 	}
 	restarted, _, err := recovery.RestartAllWithConfig(logged,
-		func(history.ObjectID) adt.Machine { return ba.Machine() }, e.WAL(), nil, recovery.RestartConfig{})
+		func(history.ObjectID) adt.Machine { return ba.Machine() }, reopenWAL(t, e.WAL()), nil, recovery.RestartConfig{})
 	if err != nil {
 		t.Fatalf("restart from group-committed log: %v", err)
 	}

@@ -3,25 +3,79 @@ package txn
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/checkpoint"
 	"repro/internal/spec"
 	"repro/internal/wal"
-	"repro/internal/wal/waltest"
 )
 
-// backedWAL opens a log over a zero-latency backend, for the
-// engine tests that read the log back or restart from it: an engine's
-// default log (wal.New) is a sink and retains no records.
+// backedWAL opens a log over a fresh segmented backend in its own
+// temporary directory, for the engine tests that read the durable log back
+// (walRecords) or restart from it (reopenWAL): an engine's default log
+// (wal.New) is a sink and keeps no records.
 func backedWAL(t testing.TB) *wal.Log {
 	t.Helper()
-	log, err := wal.Open(wal.Config{Backend: waltest.NewLatencyBackend(0)})
+	dir := t.TempDir()
+	b, err := wal.CreateSegmentedBackend(dir, wal.SegmentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	log, err := wal.Open(wal.Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walDirs.Store(log, dir)
 	return log
+}
+
+// walDirs maps each log backedWAL opened to its directory.
+var walDirs sync.Map
+
+// closeWAL closes log, which backedWAL opened, and returns its directory.
+func closeWAL(t testing.TB, log *wal.Log) string {
+	t.Helper()
+	dir, ok := walDirs.Load(log)
+	if !ok {
+		t.Fatal("log has no directory: open it with backedWAL")
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir.(string)
+}
+
+// reopenWAL closes log, which backedWAL opened, and reopens its directory:
+// the log a restart after a crash reads. The test's end closes it.
+func reopenWAL(t testing.TB, log *wal.Log) *wal.Log {
+	t.Helper()
+	b, err := wal.OpenSegmentedBackend(closeWAL(t, log), wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relog, err := wal.Open(wal.Config{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relog.Close() })
+	return relog
+}
+
+// walRecords closes log, which backedWAL opened, and returns the records
+// its directory holds.
+func walRecords(t testing.TB, log *wal.Log) []wal.Record {
+	t.Helper()
+	b, err := wal.OpenSegmentedBackend(closeWAL(t, log), wal.SegmentConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := b.Replay()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // newTransferEngine builds an in-memory engine with two accounts, A and

@@ -45,25 +45,27 @@ type Backend interface {
 }
 
 // Replayer is implemented by backends that can hand back the records that
-// survived a previous incarnation (a re-opened segmented backend), each with
-// its encoded size in bytes. Replay hands the slices over: the backend keeps
-// no reference, and Open adopts them as the committed region before
-// accepting new appends, counting their bytes from sizes.
+// survived a previous incarnation (a re-opened segmented backend), in LSN
+// order, with the total bytes they were read from. Replay hands the slice
+// over: the backend keeps no reference. Open verifies the records before
+// accepting new appends, counts their bytes in Stats.Bytes, and keeps the
+// slice only until restart takes it (Log.TakeReplay).
 type Replayer interface {
-	Replay() (records []Record, sizes []int64)
+	Replay() (records []Record, bytes int64)
 }
 
 // Truncator is implemented by backends that can discard a durable prefix
 // of the log — the storage-reclamation half of checkpointing — and can do
 // so only at certain boundaries. AlignTruncate returns the greatest
 // truncation point at or below lsn the backend can realize exactly;
-// Log.TruncateBefore aligns to it before dropping the in-memory prefix, so
-// the retained in-memory log and the durable log stay identical, then
-// calls TruncateBefore with the aligned point. TruncateBefore must be
-// atomic with respect to crashes (a crash mid-truncation leaves a log
-// reopen can scan, never a torn mix); the segmented backend gets this by
-// unlinking whole segments. The returned TruncateStats expose the storage
-// cost; Log.TruncateBefore accumulates them.
+// Log.TruncateBefore aligns to it before advancing its base, so the live
+// log's base and the durable log's first LSN agree, then calls
+// TruncateBefore with the aligned point. TruncateBefore must be atomic
+// with respect to crashes (a crash mid-truncation leaves a log reopen can
+// scan, never a torn mix); the segmented backend gets this by unlinking
+// whole segments. The returned TruncateStats expose the storage cost,
+// BytesUnlinked included (Stats.Bytes falls by it); Log.TruncateBefore
+// accumulates them.
 type Truncator interface {
 	AlignTruncate(lsn LSN) LSN
 	TruncateBefore(lsn LSN) (TruncateStats, error)
@@ -281,49 +283,47 @@ func decodeRecord(line string) (Record, error) {
 	return r, nil
 }
 
-// scanFileLog reads records from the start of f, returning them with each
-// record's encoded size (its line length, newline included) and the byte
-// offset of the end of the last whole record. A torn tail — a final line
-// missing its newline or failing to decode — is discarded; a malformed
-// line with further lines after it is corruption and errors.
-func scanFileLog(f *os.File) ([]Record, []int64, int64, error) {
+// scanFileLog reads records from the start of f, returning them with the
+// byte offset of the end of the last whole record — the bytes they were
+// read from. A torn tail — a final line missing its newline or failing to
+// decode — is discarded; a malformed line with further lines after it is
+// corruption and errors.
+func scanFileLog(f *os.File) ([]Record, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	br := bufio.NewReader(f)
 	var recs []Record
-	var sizes []int64
 	var clean int64
 	for {
 		line, err := br.ReadString('\n')
 		if err == io.EOF {
 			// line (if any) has no terminator: torn tail, discard.
-			return recs, sizes, clean, nil
+			return recs, clean, nil
 		}
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("wal: scan log file: %w", err)
+			return nil, 0, fmt.Errorf("wal: scan log file: %w", err)
 		}
 		r, derr := decodeRecord(strings.TrimSuffix(line, "\n"))
 		if derr != nil {
 			// Only acceptable as the very last line (torn by a crash
 			// mid-write that still got the newline out); peek ahead.
 			if _, perr := br.ReadByte(); perr == io.EOF {
-				return recs, sizes, clean, nil
+				return recs, clean, nil
 			}
-			return nil, nil, 0, fmt.Errorf("wal: corrupt log record before offset %d: %w",
+			return nil, 0, fmt.Errorf("wal: corrupt log record before offset %d: %w",
 				clean+int64(len(line)), derr)
 		}
 		// A truncated log starts past LSN 1 (the first surviving record
 		// names the base); from there LSNs must be contiguous.
 		if r.LSN == 0 {
-			return nil, nil, 0, fmt.Errorf("wal: log file record with nil LSN")
+			return nil, 0, fmt.Errorf("wal: log file record with nil LSN")
 		}
 		if len(recs) > 0 && r.LSN != recs[len(recs)-1].LSN+1 {
-			return nil, nil, 0, fmt.Errorf("wal: log file LSN %d out of sequence (want %d)",
+			return nil, 0, fmt.Errorf("wal: log file LSN %d out of sequence (want %d)",
 				r.LSN, recs[len(recs)-1].LSN+1)
 		}
 		recs = append(recs, r)
-		sizes = append(sizes, int64(len(line)))
 		clean += int64(len(line))
 	}
 }

@@ -234,21 +234,26 @@ func TestOpenReplaysFileBackend(t *testing.T) {
 	if rl.Records() != 2 {
 		t.Fatalf("replayed Records = %d, want 2", rl.Records())
 	}
-	if lastLSN(rl, "A") != 2 {
-		t.Fatalf("chain head of A = %d, want 2", lastLSN(rl, "A"))
+	replay := replayed(t, rl)
+	if lastLSN(replay, "A") != 2 {
+		t.Fatalf("chain head of A = %d, want 2", lastLSN(replay, "A"))
+	}
+	chain := chainOf(replay, "A")
+	if len(chain) != 2 || chain[0].Kind != CommitRec || chain[0].PrevLSN != 1 {
+		t.Fatalf("replayed chain = %+v", chain)
 	}
 	lsn := appendDurable(t, rl, Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(1)})
 	if lsn != 3 {
 		t.Fatalf("post-replay append got LSN %d, want 3", lsn)
 	}
-	chain := chainOf(rl, "A")
-	if len(chain) != 2 || chain[0].Kind != CommitRec || chain[0].PrevLSN != 1 {
-		t.Fatalf("replayed chain = %+v", chain)
-	}
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs := readSegments(t, dir); len(recs) != 3 {
+	recs := readSegments(t, dir)
+	if len(recs) != 3 {
 		t.Fatalf("durable log has %d records, want 3", len(recs))
+	}
+	if !reflect.DeepEqual(recs[:2], replay) {
+		t.Fatalf("durable log %+v does not begin with the replay %+v", recs, replay)
 	}
 }

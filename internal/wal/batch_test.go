@@ -32,7 +32,7 @@ func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs := l.Snapshot()
+	recs := logged(t, l)
 	if len(recs) != 4 {
 		t.Fatalf("log has %d records, want 4", len(recs))
 	}
@@ -42,7 +42,7 @@ func TestAppendBatchAsyncStampsAndOrder(t *testing.T) {
 		}
 	}
 	// The PrevLSN chain threads through the batch.
-	chain := chainOf(l, "A")
+	chain := chainOf(logged(t, l), "A")
 	if len(chain) != 4 {
 		t.Fatalf("chain length = %d, want 4", len(chain))
 	}
@@ -82,7 +82,7 @@ func TestAppendBatchAsyncEmptyAndMixed(t *testing.T) {
 		obj  history.ObjectID
 		prev LSN
 	}{{"B", "Y", 0}, {"A", "X", 0}, {"B", "Y", 1}, {"A", "Z", 2}}
-	recs := l.Snapshot()
+	recs := logged(t, l)
 	if len(recs) != len(want) {
 		t.Fatalf("log has %d records, want %d", len(recs), len(want))
 	}

@@ -69,9 +69,10 @@ func (b *gateBackend) Close() error { return nil }
 
 // TestSnapshotSequencesOnClosingLog: a reader that loses the race with
 // Close must still see every record staged before Close began. Before the
-// fix, Snapshot discarded Flush's ErrClosed and returned immediately with
-// whatever was already sequenced — silently missing the staged tail that
-// Close's drain was about to sequence.
+// fix, the read accessors discarded Flush's ErrClosed and returned
+// immediately with whatever was already sequenced — silently missing the
+// staged tail that Close's drain was about to sequence. The readers here
+// are Records and Stats.
 func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 	b := &gateBackend{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	l, err := Open(Config{Backend: b})
@@ -99,13 +100,16 @@ func TestSnapshotSequencesOnClosingLog(t *testing.T) {
 	// The log is now closing with one record still staged. A correct
 	// reader blocks until the drain sequences it; the buggy reader
 	// returned a 1-record view within this window.
-	snapC := make(chan []Record, 1)
-	go func() { snapC <- l.Snapshot() }()
+	recordsC, statsC := make(chan int, 1), make(chan int, 1)
+	go func() { recordsC <- l.Records() }()
+	go func() { statsC <- l.Stats().Records }()
 	time.Sleep(20 * time.Millisecond)
 	close(b.gate)
-	snap := <-snapC
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot on closing log returned %d records, want 2 (staged tail lost)", len(snap))
+	if n := <-recordsC; n != 2 {
+		t.Fatalf("Records on closing log = %d, want 2 (staged tail lost)", n)
+	}
+	if n := <-statsC; n != 2 {
+		t.Fatalf("Stats().Records on closing log = %d, want 2 (staged tail lost)", n)
 	}
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)

@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,16 +33,6 @@ func (b *countingBackend) Sync() error {
 
 func (b *countingBackend) Close() error { return nil }
 
-// recordAt returns the retained record at lsn, as a reader sees the log.
-func recordAt(l *Log, lsn LSN) (Record, bool) {
-	for _, r := range l.Snapshot() {
-		if r.LSN == lsn {
-			return r, true
-		}
-	}
-	return Record{}, false
-}
-
 // appendDurable stages r, waits until it is durable and returns its LSN,
 // named by its ticket: the synchronous append the tests build logs with. A
 // refused record or a failed round is reported through t.Errorf (safe from
@@ -59,28 +50,84 @@ func appendDurable(t testing.TB, l *Log, r Record) LSN {
 	return l.TicketLSN(tk)
 }
 
-// chainOf returns txn's retained records newest-first, as a reader of
-// Snapshot finds them by following PrevLSN back from the transaction's
-// newest record; the walk stops at the truncation base.
-func chainOf(l *Log, txn history.TxnID) []Record {
-	snap := l.Snapshot()
+// memBackend is package wal's recording test device: a countingBackend
+// that also keeps a copy of every record written to it, in LSN order — the
+// durable image a test reads back through logged.
+type memBackend struct {
+	countingBackend
+	mu   sync.Mutex
+	recs []Record
+}
+
+func (b *memBackend) Write(records []Record, frame []byte) error {
+	b.mu.Lock()
+	b.recs = append(b.recs, records...)
+	b.mu.Unlock()
+	return b.countingBackend.Write(records, frame)
+}
+
+// logged returns the records log l spans — Base+1 through the newest LSN
+// sequenced — as its memBackend received them, sequencing staged records
+// first: what a reader of the durable log finds.
+func logged(t testing.TB, l *Log) []Record {
+	t.Helper()
+	b, ok := l.backend.(*memBackend)
+	if !ok {
+		t.Fatalf("backend %T keeps no records", l.backend)
+	}
+	base := l.Base() // sequences staged records
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var out []Record
-	for i := len(snap) - 1; i >= 0; i-- {
-		if snap[i].Txn != txn {
+	for _, r := range b.recs {
+		if r.LSN > base {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// replayed takes the records a reopened log replayed from its backend.
+func replayed(t testing.TB, l *Log) []Record {
+	t.Helper()
+	recs, err := l.TakeReplay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// recordAt returns the record at lsn among recs.
+func recordAt(recs []Record, lsn LSN) (Record, bool) {
+	for _, r := range recs {
+		if r.LSN == lsn {
+			return r, true
+		}
+	}
+	return Record{}, false
+}
+
+// chainOf returns txn's records among recs (contiguous in LSN order)
+// newest-first, as a reader finds them by following PrevLSN back from the
+// transaction's newest record; the walk stops at the first LSN of recs.
+func chainOf(recs []Record, txn history.TxnID) []Record {
+	var out []Record
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Txn != txn {
 			continue
 		}
-		base := snap[0].LSN - 1
-		for lsn := snap[i].LSN; lsn > base; lsn = out[len(out)-1].PrevLSN {
-			out = append(out, snap[lsn-base-1])
+		base := recs[0].LSN - 1
+		for lsn := recs[i].LSN; lsn > base; lsn = out[len(out)-1].PrevLSN {
+			out = append(out, recs[lsn-base-1])
 		}
 		break
 	}
 	return out
 }
 
-// lastLSN returns the LSN of txn's newest retained record, 0 if none.
-func lastLSN(l *Log, txn history.TxnID) LSN {
-	if chain := chainOf(l, txn); len(chain) > 0 {
+// lastLSN returns the LSN of txn's newest record among recs, 0 if none.
+func lastLSN(recs []Record, txn history.TxnID) LSN {
+	if chain := chainOf(recs, txn); len(chain) > 0 {
 		return chain[0].LSN
 	}
 	return 0

@@ -56,7 +56,7 @@ func (l *Log) awaitIdle() {
 
 // sequenceStaged guarantees every record staged before the call has been
 // sequenced when it returns, even on a closing log. It is what the read
-// accessors (Records, Snapshot, SegmentBounds, ...) use in place of a bare
+// accessors (Records, Stats, SegmentBounds, ...) use in place of a bare
 // Flush: Flush on a closing log returns ErrClosed WITHOUT sequencing, so a
 // reader that discarded the error could serve a view missing records
 // staged just before Close began. On that error the caller joins the
@@ -110,19 +110,14 @@ func (l *Log) flushOnce() {
 	// batch is sequenced in place and is itself what the crash hook and the
 	// backend see.
 	l.mu.Lock()
-	first := len(l.records)
-	next := l.base + LSN(first)
 	for i := range batch {
 		r := &batch[i]
-		r.LSN = next + LSN(i) + 1
+		r.LSN = l.lastLSN + LSN(i) + 1
 		r.PrevLSN = l.lastOf[r.Txn]
-		l.lastOf[r.Txn] = r.LSN
-		l.sizes = append(l.sizes, 0) // counted once the batch is encoded
-		if r.Kind == DisciplineRec && l.discipline == "" {
-			l.discipline = r.Op.Inv.Args
-		}
+		l.advance(r)
 	}
-	l.records = append(l.records, batch...)
+	l.lastLSN += LSN(n)
+	l.replay = nil
 	l.seqTicket = ticket
 	l.rounds = append(l.rounds, round{ticket: ticket, lsn: batch[n-1].LSN})
 	l.mu.Unlock()
@@ -135,17 +130,9 @@ func (l *Log) flushOnce() {
 	}
 	// Encode the batch once, outside mu (only flushMu, which serializes
 	// every backend write anyway): the frame is both what the backend
-	// writes and what Bytes counts. An unencodable batch hands no byte to
-	// the backend and counts none.
+	// writes and, once written, what Bytes counts. An unencodable batch
+	// hands no byte to the backend.
 	encErr := l.encodeFrame(batch)
-	if encErr == nil {
-		l.mu.Lock()
-		for i, size := range l.frameLens {
-			l.sizes[first+i] = size
-			l.bytes += size
-		}
-		l.mu.Unlock()
-	}
 	// Decide what reaches the backend. A simulated crash acknowledges
 	// without writing — the contract of CrashPoint is that the dying
 	// machine's acknowledgements continue. A dead log writes nothing: the
@@ -168,7 +155,9 @@ func (l *Log) flushOnce() {
 		if o != nil {
 			writeNS = time.Since(write0).Nanoseconds()
 		}
-		synced = err == nil
+		if synced = err == nil; synced {
+			l.bytes += int64(len(l.frame))
+		}
 	}
 	if err != nil {
 		// Before the next round may write: a batch after this one's hole
@@ -181,7 +170,7 @@ func (l *Log) flushOnce() {
 	if n > maxRetainedBatch {
 		// An outsized batch (a Close drain after a stall) does not pin its
 		// buffers for the log's lifetime.
-		l.batchBuf, l.frame, l.frameLens = nil, nil, nil
+		l.batchBuf, l.frame = nil, nil
 	}
 	l.flushMu.Unlock()
 	if synced {
@@ -240,17 +229,15 @@ func (l *Log) completeRound(ticket int64, err error) {
 // reuse.
 const maxRetainedBatch = 4096
 
-// encodeFrame encodes recs into the reused frame buffer, recording each
-// record's encoded length. Caller holds flushMu.
+// encodeFrame encodes recs into the reused frame buffer. Caller holds
+// flushMu.
 func (l *Log) encodeFrame(recs []Record) error {
-	l.frame, l.frameLens = l.frame[:0], l.frameLens[:0]
+	l.frame = l.frame[:0]
 	for i := range recs {
-		n := len(l.frame)
 		var err error
 		if l.frame, err = appendRecord(l.frame, recs[i]); err != nil {
 			return err
 		}
-		l.frameLens = append(l.frameLens, int64(len(l.frame)-n))
 	}
 	return nil
 }

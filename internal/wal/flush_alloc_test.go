@@ -55,7 +55,10 @@ func TestSegmentedFlushAllocsPerBatch(t *testing.T) {
 // AppendAsync calls, one AppendBatchAsync and the Flush that sequences
 // them allocate nothing once the log's buffers are sized.
 func TestStageFlushAllocFree(t *testing.T) {
-	l := backedLog(t)
+	l, err := Open(Config{Backend: &countingBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
 	const n = 4
 	rec := benchRecord()

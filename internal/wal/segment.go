@@ -61,17 +61,20 @@ const (
 )
 
 // TruncateStats describes the storage cost of backend truncation:
-// SegmentsUnlinked counts whole segment files deleted, and WallNS is the
-// wall-clock spent inside the backend call. Log.Stats reports their sum
-// across a log's lifetime (Stats.Truncate).
+// SegmentsUnlinked counts whole segment files deleted, BytesUnlinked their
+// bytes, and WallNS is the wall-clock spent inside the backend call.
+// Log.Stats reports their sum across a log's lifetime (Stats.Truncate),
+// and its Bytes falls by BytesUnlinked.
 type TruncateStats struct {
 	SegmentsUnlinked int   `json:"segments_unlinked"`
+	BytesUnlinked    int64 `json:"bytes_unlinked"`
 	WallNS           int64 `json:"wall_ns"`
 }
 
 // Add accumulates o into s.
 func (s *TruncateStats) Add(o TruncateStats) {
 	s.SegmentsUnlinked += o.SegmentsUnlinked
+	s.BytesUnlinked += o.BytesUnlinked
 	s.WallNS += o.WallNS
 }
 
@@ -138,11 +141,11 @@ type SegmentedBackend struct {
 	sealed []segmentInfo
 	active segFile
 	actInf segmentInfo
-	// replay and sizes are the records a reopen scanned and each one's
+	// replay and replayBytes are the records a reopen scanned and their
 	// encoded size, until Replay hands them over.
-	replay []Record
-	sizes  []int64
-	closed bool
+	replay      []Record
+	replayBytes int64
+	closed      bool
 	// syncFiles are the active segment's file descriptions that no fsync
 	// is using (active among them); syncing counts the fsyncs running
 	// outside mu. idle is signalled whenever an fsync finishes: a seal
@@ -267,7 +270,7 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment %s: %w", infos[i].Path, err)
 		}
-		recs, sizes, clean, err := scanFileLog(f)
+		recs, clean, err := scanFileLog(f)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("wal: scan segment %s: %w", infos[i].Path, err)
@@ -297,11 +300,11 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 				infos[i].Path, recs[0].LSN, b.replay[len(b.replay)-1].LSN+1)
 		}
 		if b.replay == nil {
-			b.replay, b.sizes = recs, sizes
+			b.replay = recs
 		} else {
 			b.replay = append(b.replay, recs...)
-			b.sizes = append(b.sizes, sizes...)
 		}
+		b.replayBytes += clean
 		if final {
 			// Repair the (only legally tearable) tail and keep the handle
 			// as the active segment.
@@ -326,15 +329,15 @@ func OpenSegmentedBackend(dir string, cfg SegmentConfig) (*SegmentedBackend, err
 }
 
 // Replay implements Replayer: the records that survived the crash, across
-// all segments, in LSN order, with the line length each was scanned from.
-// The backend hands them over once and keeps no reference (Open adopts
-// them as the log's committed region); a second call returns nil.
-func (b *SegmentedBackend) Replay() ([]Record, []int64) {
+// all segments, in LSN order, and the bytes they were scanned from. The
+// backend hands them over once and keeps no reference; a second call
+// returns nil and 0.
+func (b *SegmentedBackend) Replay() ([]Record, int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	recs, sizes := b.replay, b.sizes
-	b.replay, b.sizes = nil, nil
-	return recs, sizes
+	recs, n := b.replay, b.replayBytes
+	b.replay, b.replayBytes = nil, 0
+	return recs, n
 }
 
 // SegmentStarts implements Segmenter.
@@ -540,6 +543,7 @@ func (b *SegmentedBackend) TruncateBefore(lsn LSN) (TruncateStats, error) {
 			return stats, fmt.Errorf("wal: unlink segment %s: %w", b.sealed[i].Path, err)
 		}
 		stats.SegmentsUnlinked++
+		stats.BytesUnlinked += b.sealed[i].Bytes
 	}
 	b.sealed = append(b.sealed[:0:0], b.sealed[dead:]...)
 	if err := syncDir(b.dir); err != nil {

@@ -77,7 +77,7 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 
 	l2, b2 := openSegLog(t, dir, tinySegConfig())
 	defer l2.Close()
-	snap := l2.Snapshot()
+	snap := replayed(t, l2)
 	if len(snap) != n || snap[0].LSN != 1 || snap[n-1].LSN != n {
 		t.Fatalf("reopened replay = %d records, LSNs %v..%v; want %d spanning 1..%d",
 			len(snap), snap[0].LSN, snap[len(snap)-1].LSN, n, n)
@@ -85,9 +85,8 @@ func TestSegmentedRotationAndReplay(t *testing.T) {
 	if got := l2.DurableLSN(); got != n {
 		t.Fatalf("reopened durable watermark = %d, want %d", got, n)
 	}
-	// The log adopted the replayed records: the backend handed them over
-	// and keeps no copy.
-	if recs, sizes := b2.Replay(); recs != nil || sizes != nil {
+	// The backend handed the replayed records over and keeps no copy.
+	if recs, bytes := b2.Replay(); recs != nil || bytes != 0 {
 		t.Fatalf("backend still holds %d replayed records after Open", len(recs))
 	}
 	// Appends continue the sequence into the re-adopted active segment.
@@ -180,7 +179,7 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	if got := l2.Base(); got != base {
 		t.Fatalf("reopened base = %d, want %d (in-memory and durable logs diverged)", got, base)
 	}
-	snap := l2.Snapshot()
+	snap := replayed(t, l2)
 	if len(snap) == 0 || snap[0].LSN != base+1 || snap[len(snap)-1].LSN != n {
 		t.Fatalf("reopened suffix spans %v, want %d..%d", snap, base+1, n)
 	}
@@ -200,7 +199,10 @@ func TestSegmentedTruncateUnlinksWithoutRewrite(t *testing.T) {
 	if tk != 3 {
 		t.Fatalf("batch ticket = %d, want 3", tk)
 	}
-	r, ok := recordAt(l2, n+LSN(tk))
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, ok := recordAt(readSegments(t, dir), n+LSN(tk))
 	if !ok || r.Txn != "T2" || r.PrevLSN != n+1 {
 		t.Fatalf("record at LSN %d = %+v, %v; want T2's, chained to %d", n+LSN(tk), r, ok, n+1)
 	}
@@ -238,7 +240,7 @@ func TestSegmentedTornFinalSegmentRepaired(t *testing.T) {
 
 	l2, _ := openSegLog(t, dir, tinySegConfig())
 	defer l2.Close()
-	snap := l2.Snapshot()
+	snap := replayed(t, l2)
 	if len(snap) != 4 || snap[3].LSN != 4 {
 		t.Fatalf("torn final tail not repaired: replay = %+v", snap)
 	}

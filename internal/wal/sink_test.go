@@ -69,8 +69,8 @@ func TestSinkStampsAndRetainsNothing(t *testing.T) {
 		if n := l.Records(); n != 0 {
 			t.Fatalf("Records = %d, want 0", n)
 		}
-		if recs := l.Snapshot(); len(recs) != 0 {
-			t.Fatalf("Snapshot = %v, want empty", recs)
+		if recs, err := l.TakeReplay(); err == nil || len(recs) != 0 {
+			t.Fatalf("TakeReplay = %v, %v; want no records and the refusal of a log that appended", recs, err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close = %v", err)

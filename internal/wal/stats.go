@@ -25,13 +25,19 @@ func (l *Log) FlushedRecords() int64 { return l.flushed.Load() }
 // Flushes counts the non-empty flush rounds sequenced, and
 // StripeAcquisitions the staging-queue lock acquisitions by appenders (a
 // round's drain excluded; AppendBatchAsync stages N records under one).
-// Bytes is the exact encoded size of the retained records: the frame bytes
-// each batch was handed to the backend as, or scanned back from it at
-// Open, so it equals the segments' size on disk (a batch that failed to
-// encode counts 0). Truncate accumulates the backend's truncation cost
-// since Open. A sink retains and encodes nothing, so only its FlushedRecords
-// (every appended record) and Discipline move; the rest stay 0, the
-// watermark included — IsDurable holds for every ticket of a sink anyway.
+// Records counts the log's records from Base+1 through the newest LSN
+// sequenced; the log keeps none of them in memory. Bytes is what the
+// backend holds: the bytes its replay scanned at Open, plus each encoded
+// frame its Write accepted, minus the bytes its truncations unlinked
+// (TruncateStats.BytesUnlinked) — for the segmented backend, the segments'
+// size on disk. A batch that failed to encode, or that a simulated crash
+// or a dead backend kept from the backend, adds nothing; and a truncation
+// the backend does not realize (no Truncator, a dead backend, a simulated
+// crash) advances Base and lowers Records but leaves Bytes where it was.
+// Truncate accumulates the backend's truncation cost since Open. A sink
+// sequences and encodes nothing, so only its FlushedRecords (every
+// appended record) and Discipline move; the rest stay 0, the watermark
+// included — IsDurable holds for every ticket of a sink anyway.
 type Stats struct {
 	Flushes            int64         `json:"flushes"`
 	FlushedRecords     int64         `json:"flushed_records"`
@@ -67,7 +73,7 @@ func (l *Log) Stats() Stats {
 	}
 	s.DurableTicket = Ticket(l.durableTicket)
 	s.DurableLSN = l.durableLSN
-	s.Records = len(l.records)
+	s.Records = int(l.lastLSN - l.base)
 	s.Bytes = l.bytes
 	s.Base = l.base
 	s.Discipline = l.discipline
@@ -76,13 +82,13 @@ func (l *Log) Stats() Stats {
 }
 
 // Records is the log-size accounting the checkpoint experiments report:
-// the number of retained records (truncated records excluded), flushing
-// staged records first.
+// the number of records from Base+1 through the newest LSN sequenced
+// (truncated records excluded), sequencing staged records first.
 func (l *Log) Records() int {
 	l.sequenceStaged()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return int(l.lastLSN - l.base)
 }
 
 // Base returns the truncation base: every record with LSN at or below it
@@ -93,14 +99,4 @@ func (l *Log) Base() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base
-}
-
-// Snapshot returns a copy of the retained records in LSN order
-// (diagnostics, tests), flushing staged records first. Truncated records
-// are gone; the first record's LSN is Base+1.
-func (l *Log) Snapshot() []Record {
-	l.sequenceStaged()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Record(nil), l.records...)
 }

@@ -5,24 +5,24 @@ import (
 )
 
 // TruncateBefore discards every record with LSN strictly below lsn from
-// the retained log and, when the backend supports it (see Truncator), from
-// durable storage — the log-reclamation half of fuzzy checkpointing. The
-// requested point is clamped to the durable watermark plus one: truncation
-// never crosses the watermark, because records past it exist only in
-// memory (a round in flight or failed) and dropping their durable prefix
-// would leave the file unreplayable. It returns the number of records
-// discarded. LSNs are not renumbered; Base advances instead.
+// the log: Base advances past them and, when the backend supports it (see
+// Truncator), durable storage drops them too — the log-reclamation half of
+// fuzzy checkpointing. The requested point is clamped to the durable
+// watermark plus one: truncation never crosses the watermark, because
+// records past it are not durable (a round in flight or failed) and
+// dropping their durable prefix would leave the file unreplayable. It
+// returns the number of records discarded. LSNs are not renumbered; Base
+// advances instead.
 //
 // On a log whose backend has died, or under a simulated crash
-// (CrashPoint), only the in-memory prefix is dropped, unaligned — a dead
-// machine cannot unlink its segments, and the sticky-error/crash contracts
-// already freeze or fake the watermark accordingly.
+// (CrashPoint), only Base advances, unaligned — a dead machine cannot
+// unlink its segments, and the sticky-error/crash contracts already freeze
+// or fake the watermark accordingly.
 //
 // Otherwise the requested point is aligned down to the Truncator's
-// boundary (the segmented backend truncates at segment starts) before
-// anything is dropped, so the retained in-memory log and the durable log
-// stay byte-for-byte in agreement and a reopen replays exactly what the
-// live log retained.
+// boundary (the segmented backend truncates at segment starts) before Base
+// moves, so Base+1 is the durable log's first LSN and a reopen replays
+// exactly the records the live log counts.
 func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 	// flushMu orders the truncation against batch sequencing (no new LSNs
 	// are assigned mid-truncate) and serializes the backend unlink against
@@ -49,17 +49,12 @@ func (l *Log) TruncateBefore(lsn LSN) (int, error) {
 		return 0, nil
 	}
 	n := int(lsn - 1 - l.base)
-	for _, size := range l.sizes[:n] {
-		l.bytes -= size
-	}
-	// Copy the suffix so the truncated prefix's backing array is released.
-	l.records = append([]Record(nil), l.records[n:]...)
-	l.sizes = append([]int64(nil), l.sizes[n:]...)
 	l.base = lsn - 1
 	l.mu.Unlock()
 	if tr != nil {
 		stats, err := tr.TruncateBefore(lsn)
 		l.truncStats.Add(stats)
+		l.bytes -= stats.BytesUnlinked
 		if err != nil {
 			return n, fmt.Errorf("wal: truncate backend before %d: %w", lsn, err)
 		}

@@ -1,7 +1,7 @@
 package wal
 
-// Truncation tests: TruncateBefore drops the prefix from memory and from
-// the segmented backend (by unlinking whole segments), reopen replays only
+// Truncation tests: TruncateBefore advances the base and drops the prefix
+// from the segmented backend (by unlinking whole segments), reopen replays only
 // the surviving suffix with LSNs preserved, PrevLSN chains that cross the
 // truncation base are accepted, and — the watermark regression — a log
 // whose durable watermark lags or froze bounds how far truncation may
@@ -21,9 +21,10 @@ func truncRec(txn history.TxnID, obj history.ObjectID, name string) Record {
 		Op: spec.Operation{Inv: spec.Invocation{Name: name}, Res: "ok"}}
 }
 
-// TestTruncateBeforeInMemory checks the in-memory bookkeeping: Base
-// advances, Records shrinks, Bytes drops, truncated LSNs vanish from the
-// log, and retained LSNs keep their numbers.
+// TestTruncateBeforeInMemory checks the bookkeeping of a truncation the
+// backend does not realize (the test device has no Truncator): Base
+// advances, Records shrinks, Bytes — the bytes the backend holds — stays
+// where it was, and retained LSNs keep their numbers.
 func TestTruncateBeforeInMemory(t *testing.T) {
 	l := backedLog(t)
 	for i := 0; i < 10; i++ {
@@ -43,14 +44,11 @@ func TestTruncateBeforeInMemory(t *testing.T) {
 	if got := l.Records(); got != 6 {
 		t.Fatalf("Records = %d, want 6", got)
 	}
-	if got := l.Stats().Bytes; got >= bytesBefore || got <= 0 {
-		t.Fatalf("Bytes = %d after truncation, want positive and below %d", got, bytesBefore)
+	if got := l.Stats().Bytes; got != bytesBefore || got <= 0 {
+		t.Fatalf("Bytes = %d after truncation, want %d: a backend with no Truncator unlinks nothing", got, bytesBefore)
 	}
-	if _, ok := recordAt(l, 4); ok {
-		t.Fatal("truncated LSN 4 still readable")
-	}
-	if r, ok := recordAt(l, 5); !ok || r.LSN != 5 {
-		t.Fatalf("retained LSN 5: ok=%v rec=%+v", ok, r)
+	if recs := logged(t, l); len(recs) != 6 || recs[0].LSN != 5 {
+		t.Fatalf("log spans %d records from %+v, want 6 from LSN 5", len(recs), recs)
 	}
 	// Idempotent and monotone: truncating at or below the base is a no-op.
 	if n, err := l.TruncateBefore(3); err != nil || n != 0 {
@@ -73,11 +71,11 @@ func TestTruncateChainAcrossBase(t *testing.T) {
 	if _, err := l.TruncateBefore(3); err != nil {
 		t.Fatal(err)
 	}
-	chain := chainOf(l, "T1")
+	chain := chainOf(logged(t, l), "T1")
 	if len(chain) != 1 || chain[0].LSN != 3 || chain[0].PrevLSN != 1 {
 		t.Fatalf("chain = %+v, want the single retained record LSN 3 chaining to truncated 1", chain)
 	}
-	if got := chainOf(l, "T2"); len(got) != 0 {
+	if got := chainOf(logged(t, l), "T2"); len(got) != 0 {
 		t.Fatalf("fully truncated transaction still has a chain: %+v", got)
 	}
 }
@@ -118,11 +116,10 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
 	if got := l2.Base(); got != 2 {
 		t.Fatalf("reopened base = %d, want 2", got)
 	}
-	snap := l2.Snapshot()
+	snap := replayed(t, l2)
 	if len(snap) != 3 || snap[0].LSN != 3 || snap[2].LSN != 5 {
 		t.Fatalf("reopened suffix = %+v, want LSNs 3..5", snap)
 	}
@@ -133,7 +130,10 @@ func TestTruncateFileBackendReopen(t *testing.T) {
 	if lsn := appendDurable(t, l2, truncRec("T1", "x", "f")); lsn != 6 {
 		t.Fatalf("append after reopen assigned LSN %d, want 6", lsn)
 	}
-	if chain := chainOf(l2, "T1"); len(chain) != 2 || chain[1].LSN != 3 {
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if chain := chainOf(readSegments(t, dir), "T1"); len(chain) != 2 || chain[1].LSN != 3 {
 		t.Fatalf("T1 chain after reopen = %+v", chain)
 	}
 }
@@ -150,7 +150,16 @@ func TestTruncateBoundsChainHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(Config{Backend: backend})
+	// lPrev collects the PrevLSN of each of L's records as it is sequenced.
+	var lPrev []LSN
+	l, err := Open(Config{Backend: backend, CrashPoint: func(_ int, recs []Record) bool {
+		for _, r := range recs {
+			if r.Txn == "L" {
+				lPrev = append(lPrev, r.PrevLSN)
+			}
+		}
+		return false
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +188,18 @@ func TestTruncateBoundsChainHeads(t *testing.T) {
 			live = 1
 		}
 		if i == every {
-			lsn := appendDurable(t, l, truncRec("L", "x", "b"))
+			appendDurable(t, l, truncRec("L", "x", "b"))
 			live++
-			if r, ok := recordAt(l, lsn); !ok || r.PrevLSN != 0 {
-				t.Fatalf("L's record after its head was truncated: ok=%v rec=%+v, want PrevLSN 0", ok, r)
+			if len(lPrev) != 2 || lPrev[1] != 0 {
+				t.Fatalf("L's record after its head was truncated chains to %v, want PrevLSN 0", lPrev)
 			}
 		}
 	}
-	want := l.Snapshot()
 	wantHeads := heads(l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	want := readSegments(t, dir)
 
 	re, err := OpenSegmentedBackend(dir, cfg)
 	if err != nil {
@@ -201,7 +210,7 @@ func TestTruncateBoundsChainHeads(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	got := l2.Snapshot()
+	got := replayed(t, l2)
 	if len(got) != len(want) {
 		t.Fatalf("reopened log holds %d records, live log held %d", len(got), len(want))
 	}
@@ -255,8 +264,8 @@ func TestTruncateClampsToDurableWatermark(t *testing.T) {
 	if got := l.Base(); got != 3 {
 		t.Fatalf("base = %d, want 3: truncation crossed the durable watermark", got)
 	}
-	if r, ok := recordAt(l, 4); !ok || r.Txn != "T2" {
-		t.Fatalf("first unsynced record lost: ok=%v rec=%+v", ok, r)
+	if got := l.Records(); got != 3 {
+		t.Fatalf("Records = %d, want 3: the unsynced records 4..6 must stay in the log", got)
 	}
 }
 

@@ -10,15 +10,22 @@
 // An in-memory engine has no device to restart from, and live abort walks
 // each store's own undo chain, so nothing would ever read those records
 // back; Flush, IsDurable and WaitDurable return at once, TicketLSN names
-// no LSN, and the read accessors (Records, Snapshot, ...) see an empty
-// log. Durable reports which kind a log is. Everything below describes a
-// log with a backend.
+// no LSN, and the accessors (Records, Stats, ...) count an empty log.
+// Durable reports which kind a log is. Everything below describes a log
+// with a backend.
+//
+// The backend is the one copy of the log. Once a flush round has handed a
+// record to it, the log keeps nothing of the record but its transaction's
+// chain head — and only while the transaction is open; Records, Base and
+// Stats count records from LSNs. A log reopened over a backend that
+// replays (Replayer) verifies the replayed records and keeps them only
+// until crash restart takes them, once (TakeReplay).
 //
 // Appends are staged: AppendAsync and AppendBatchAsync append records to
-// one staging queue without touching the committed region of the log, and
-// take each record's ticket under the queue's lock, so queue order is
-// ticket order. Since the recovery manager stages while holding the object
-// latch, ticket order agrees with each object's true execution order.
+// one staging queue without touching the sequenced log, and take each
+// record's ticket under the queue's lock, so queue order is ticket order.
+// Since the recovery manager stages while holding the object latch, ticket
+// order agrees with each object's true execution order.
 // Sequencing — taking the whole queue and assigning it one contiguous LSN
 // range in queue order while fixing up each transaction's backward PrevLSN
 // chain — is the first half of a flush round. Every staged record is thus
@@ -255,28 +262,37 @@ type Log struct {
 	lsn0 LSN
 
 	// flushMu serializes the sequence-and-write half of flush rounds; mu
-	// guards the committed region and the rounds in flight.
+	// guards the log's positions and the rounds in flight.
 	flushMu sync.Mutex
 	mu      sync.Mutex
-	// records holds the retained suffix of the log: records[i] has LSN
-	// base+i+1. base counts records truncated away by TruncateBefore (or
-	// absent from a reopened, previously truncated file); LSNs are never
-	// renumbered, so references recorded before a truncation (checkpoint
-	// frontiers, PrevLSN chains) stay meaningful.
-	records []Record
+	// The log keeps no record once sequenced: the backend holds them.
+	// lastLSN is the LSN of the newest record sequenced (or replayed at
+	// Open), and base counts the records truncated away by TruncateBefore
+	// (or absent from a reopened, previously truncated file), so the log
+	// spans LSNs base+1 through lastLSN. LSNs are never renumbered, so
+	// references recorded before a truncation (checkpoint frontiers,
+	// PrevLSN chains) stay meaningful.
+	lastLSN LSN
 	base    LSN
-	// sizes[i] is records[i]'s encoded size: the exact bytes of its line
-	// (its share of the flushed frame, or the line a replay scanned; 0 for
-	// a batch that failed to encode). bytes is their sum — the log-length
-	// accounting Stats reports — so truncation subtracts sizes and never
-	// re-encodes.
-	sizes []int64
+	// bytes is the backend's share of the log: the encoded bytes a replay
+	// scanned at Open, plus each frame the backend accepted, minus the
+	// bytes its truncations unlinked. Under flushMu, like the backend calls
+	// that move it.
 	bytes int64
+	// replay holds the records Open replayed until restart takes them (see
+	// TakeReplay); the first flush round drops them too, since a log that
+	// has appended can no longer be restarted from them. replayTaken
+	// refuses a second take. Under mu.
+	replay      []Record
+	replayTaken bool
 	// lastOf maps each transaction to the LSN of its newest record, the
-	// PrevLSN its next record chains to. A head at or below the base is
-	// dropped once the backend has truncated past it too (see
-	// TruncateBefore), so the map holds the transactions logged since the
-	// last truncation, not every transaction ever logged.
+	// PrevLSN its next record chains to. A transaction's entry goes when
+	// its TxnCommitRec is sequenced or replayed — nothing is staged for a
+	// transaction after that record — and a head at or below the base goes
+	// once the backend has truncated past it too (see TruncateBefore). The
+	// map therefore holds the transactions still open, plus one entry per
+	// undo-logged abort (its per-object AbortRecs end no chain the log can
+	// see) and per checkpoint logged since the last truncation.
 	lastOf map[history.TxnID]LSN
 	// discipline is the logging discipline the log carries, set by the
 	// first DisciplineRec sequenced or replayed ("" = no marker = implicit
@@ -289,10 +305,9 @@ type Log struct {
 
 	// Flush buffers, reused batch to batch under flushMu: the spare staging
 	// queue a round swaps in for the one it drains, and the batch's encoded
-	// frame with each record's share of it.
-	batchBuf  []Record
-	frame     []byte
-	frameLens []int64
+	// frame.
+	batchBuf []Record
+	frame    []byte
 
 	// The durable watermark (under mu): the stage ticket and LSN of the
 	// last record of the last round that completed durably. Because batches
@@ -371,12 +386,12 @@ func New() *Log {
 func (l *Log) Durable() bool { return l.backend != nil }
 
 // Open builds a log per cfg. If the backend implements Replayer (a
-// re-opened segmented backend), its surviving records become the committed
-// region first — LSN continuity and PrevLSN chains are verified in place —
-// so new appends continue the durable log and restart can replay it. With
-// no backend the log is a sink (see Config.Backend). Open starts no
-// goroutine: every flush round runs on the goroutine of the barrier, reader
-// or Close that leads it.
+// re-opened segmented backend), its surviving records are verified first —
+// LSN continuity and PrevLSN chains — and new appends continue the durable
+// log after them; the log keeps the replay only until restart takes it
+// (TakeReplay). With no backend the log is a sink (see Config.Backend).
+// Open starts no goroutine: every flush round runs on the goroutine of the
+// barrier, reader or Close that leads it.
 func Open(cfg Config) (*Log, error) {
 	l := &Log{
 		lastOf:  make(map[history.TxnID]LSN),
@@ -385,10 +400,7 @@ func Open(cfg Config) (*Log, error) {
 	}
 	l.durableCond = sync.NewCond(&l.mu)
 	if rp, ok := cfg.Backend.(Replayer); ok && rp != nil {
-		recs, sizes := rp.Replay()
-		if len(sizes) != len(recs) {
-			return nil, fmt.Errorf("wal: replay: %d sizes for %d records", len(sizes), len(recs))
-		}
+		recs, bytes := rp.Replay()
 		if len(recs) > 0 {
 			// A previously truncated log starts past LSN 1: the first
 			// surviving record fixes the base, and continuity is required
@@ -411,22 +423,52 @@ func Open(cfg Config) (*Log, error) {
 						r.LSN, r.Txn, r.PrevLSN, l.lastOf[r.Txn])
 				}
 			}
-			l.bytes += sizes[i]
-			if r.Kind == DisciplineRec && l.discipline == "" {
-				l.discipline = r.Op.Inv.Args
-			}
-			l.lastOf[r.Txn] = r.LSN
+			l.advance(r)
 		}
-		// The replayed slices become the committed region as they are: the
-		// backend hands them over once and keeps no reference, so the
-		// reopened log holds one copy of its records.
-		l.records, l.sizes = recs, sizes
+		l.replay, l.bytes = recs, bytes
 		// Replayed records came from the durable log; the watermark starts
 		// past them.
-		l.durableLSN = l.base + LSN(len(l.records))
+		l.lastLSN = l.base + LSN(len(recs))
+		l.durableLSN = l.lastLSN
 		l.lsn0 = l.durableLSN
 	}
 	return l, nil
+}
+
+// advance makes r, just sequenced or replayed, its transaction's chain
+// head and notes the discipline a marker declares. A TxnCommitRec ends its
+// transaction's chain instead: nothing is staged for a transaction after
+// its commit record. Caller holds mu (or owns the log, at Open).
+func (l *Log) advance(r *Record) {
+	if r.Kind == TxnCommitRec {
+		delete(l.lastOf, r.Txn)
+	} else {
+		l.lastOf[r.Txn] = r.LSN
+	}
+	if r.Kind == DisciplineRec && l.discipline == "" {
+		l.discipline = r.Op.Inv.Args
+	}
+}
+
+// TakeReplay hands the records Open replayed from the backend, in LSN
+// order, to their one reader — crash restart — and drops the log's
+// reference: from then on the log holds no record. It fails on a log that
+// has appended anything since Open (the replay would miss those records)
+// and on a second call. A log whose backend replays nothing (no Replayer)
+// hands over no record.
+func (l *Log) TakeReplay() ([]Record, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.replayTaken {
+		return nil, fmt.Errorf("wal: take replay: the replay was already taken")
+	}
+	if n := l.stampSeq.Load(); n > 0 {
+		return nil, fmt.Errorf("wal: take replay: the log has appended %d records since Open; "+
+			"only a just-reopened log can be replayed", n)
+	}
+	recs := l.replay
+	l.replay, l.replayTaken = nil, true
+	return recs, nil
 }
 
 // Close sequences and syncs whatever is staged, waits for every round in

@@ -9,12 +9,12 @@ import (
 	"repro/internal/history"
 )
 
-// backedLog opens a log over a zero-latency backend: a log that sequences
-// and retains its records, for the tests that read them back. A log with no
-// backend is a sink and retains nothing.
+// backedLog opens a log over a zero-latency backend that keeps what it is
+// written (memBackend), for the tests that read the records back through
+// logged. A log with no backend is a sink and sequences nothing.
 func backedLog(t testing.TB) *Log {
 	t.Helper()
-	l, err := Open(Config{Backend: &countingBackend{}})
+	l, err := Open(Config{Backend: &memBackend{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 
 // TestTxnChainNewestFirst: each record chains by PrevLSN to its
 // transaction's previous record, so A's chain, walked back from its newest
-// record through Snapshot, is newest-first and skips B's record; every
+// record in the backend's copy, is newest-first and skips B's record; every
 // record sits at its ticket LSN.
 func TestTxnChainNewestFirst(t *testing.T) {
 	l := backedLog(t)
@@ -43,7 +43,7 @@ func TestTxnChainNewestFirst(t *testing.T) {
 	appendDurable(t, l, Record{Kind: Update, Txn: "B", Obj: "X", Op: adt.DepositOk(9)})
 	a2 := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "X", Op: adt.DepositOk(2)})
 	a3 := appendDurable(t, l, Record{Kind: Update, Txn: "A", Obj: "Y", Op: adt.DepositOk(3)})
-	chain := chainOf(l, "A")
+	chain := chainOf(logged(t, l), "A")
 	if len(chain) != 3 {
 		t.Fatalf("chain length = %d", len(chain))
 	}
@@ -60,24 +60,24 @@ func TestTxnChainNewestFirst(t *testing.T) {
 }
 
 // TestGetAndLastLSN: a durable append's ticket LSN names the record a reader
-// finds in the Snapshot and at the head of the transaction's chain.
+// finds in the backend's copy and at the head of the transaction's chain.
 func TestGetAndLastLSN(t *testing.T) {
 	l := backedLog(t)
-	if _, ok := recordAt(l, 1); ok {
+	if _, ok := recordAt(logged(t, l), 1); ok {
 		t.Error("an empty log holds no record at LSN 1")
 	}
-	if lastLSN(l, "A") != 0 {
+	if lastLSN(logged(t, l), "A") != 0 {
 		t.Error("an unknown txn has no chain")
 	}
 	lsn := appendDurable(t, l, Record{Kind: CommitRec, Txn: "A", Obj: "X"})
-	r, ok := recordAt(l, lsn)
+	r, ok := recordAt(logged(t, l), lsn)
 	if !ok || r.Kind != CommitRec || r.Txn != "A" {
 		t.Fatalf("record at LSN %d = %v, %v", lsn, r, ok)
 	}
-	if lastLSN(l, "A") != lsn {
-		t.Errorf("chain head of A = %d, want %d", lastLSN(l, "A"), lsn)
+	if lastLSN(logged(t, l), "A") != lsn {
+		t.Errorf("chain head of A = %d, want %d", lastLSN(logged(t, l), "A"), lsn)
 	}
-	if _, ok := recordAt(l, 0); ok {
+	if _, ok := recordAt(logged(t, l), 0); ok {
 		t.Error("a record at the nil LSN")
 	}
 }
@@ -102,7 +102,7 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 	// LSNs are dense and unique; every chain has n records.
 	seen := make(map[LSN]bool)
-	for _, r := range l.Snapshot() {
+	for _, r := range logged(t, l) {
 		if seen[r.LSN] {
 			t.Fatalf("duplicate LSN %d", r.LSN)
 		}
@@ -110,7 +110,7 @@ func TestConcurrentAppends(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		txn := history.TxnID(rune('A' + g))
-		if got := len(chainOf(l, txn)); got != n {
+		if got := len(chainOf(logged(t, l), txn)); got != n {
 			t.Errorf("chain(%s) = %d, want %d", txn, got, n)
 		}
 	}
@@ -156,7 +156,7 @@ func TestFlushBatchIsConsistentCut(t *testing.T) {
 	wg.Wait()
 	l.Flush()
 	lsnOf := make(map[history.TxnID]LSN)
-	for _, r := range l.Snapshot() {
+	for _, r := range logged(t, l) {
 		lsnOf[r.Txn] = r.LSN
 	}
 	for i := 0; i < pairs; i++ {
@@ -196,7 +196,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 		t.Fatalf("FlushedRecords = %d, want 3", got)
 	}
 	// The batch got one contiguous LSN range.
-	recs := l.Snapshot()
+	recs := logged(t, l)
 	if len(recs) != 3 {
 		t.Fatalf("Records = %d", len(recs))
 	}
@@ -206,7 +206,7 @@ func TestAppendAsyncStagesUntilFlush(t *testing.T) {
 		}
 	}
 	// A's chain: commit -> update, in stage order.
-	chain := chainOf(l, "A")
+	chain := chainOf(logged(t, l), "A")
 	if len(chain) != 2 || chain[0].Kind != CommitRec || chain[1].Kind != Update {
 		t.Fatalf("chain = %v", chain)
 	}
@@ -245,7 +245,7 @@ func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
 		t.Fatalf("flushed = %d, want %d", l.FlushedRecords(), gs*per)
 	}
 	seen := make(map[LSN]bool)
-	for _, r := range l.Snapshot() {
+	for _, r := range logged(t, l) {
 		if seen[r.LSN] {
 			t.Fatalf("duplicate LSN %d", r.LSN)
 		}
@@ -254,7 +254,7 @@ func TestGroupCommitBatchesConcurrentAppenders(t *testing.T) {
 	// Per-transaction chains are complete and in stage order.
 	for g := 0; g < gs; g++ {
 		txn := history.TxnID(rune('A' + g))
-		chain := chainOf(l, txn)
+		chain := chainOf(logged(t, l), txn)
 		if len(chain) != per {
 			t.Fatalf("chain(%s) = %d, want %d", txn, len(chain), per)
 		}
