@@ -99,13 +99,13 @@ func (t KVStore) Spec() spec.Enumerable {
 			if err != nil {
 				return nil
 			}
-			args := op.Inv.ArgList()
+			key, val := kvArgs(op.Inv.Args)
 			switch op.Inv.Name {
 			case "put":
-				m[args[0]] = args[1]
+				m[key] = val
 				return []string{encodeKV(m)}
 			case "get":
-				cur, ok := m[args[0]]
+				cur, ok := m[key]
 				if !ok {
 					cur = "nil"
 				}
@@ -114,7 +114,7 @@ func (t KVStore) Spec() spec.Enumerable {
 				}
 				return []string{state}
 			case "del":
-				delete(m, args[0])
+				delete(m, key)
 				return []string{encodeKV(m)}
 			}
 			return nil
@@ -164,6 +164,15 @@ func (v KVValue) Encode() string { return encodeKV(v) }
 
 type kvMachine struct{}
 
+// kvArgs returns the first two comma-separated fields of an invocation's
+// arguments: the key, and for put the value. It reads them in place, so a
+// step allocates nothing for its arguments.
+func kvArgs(args string) (key, val string) {
+	key, rest, _ := strings.Cut(args, ",")
+	val, _, _ = strings.Cut(rest, ",")
+	return key, val
+}
+
 func (kvMachine) Name() string { return "kv-store" }
 
 func (kvMachine) Init() Value { return KVValue{} }
@@ -177,7 +186,8 @@ func (kvMachine) Peek(v Value, inv spec.Invocation) (spec.Response, error) {
 	case "put", "del":
 		return "ok", nil
 	case "get":
-		cur, ok := m[inv.ArgList()[0]]
+		key, _ := kvArgs(inv.Args)
+		cur, ok := m[key]
 		if !ok {
 			cur = "nil"
 		}
@@ -191,12 +201,12 @@ func (kvMachine) Apply(v Value, op spec.Operation) error {
 	if err != nil {
 		return err
 	}
+	key, val := kvArgs(op.Inv.Args)
 	switch op.Inv.Name {
 	case "put":
-		args := op.Inv.ArgList()
-		m[args[0]] = args[1]
+		m[key] = val
 	case "del":
-		delete(m, op.Inv.ArgList()[0])
+		delete(m, key)
 	case "get":
 	default:
 		return fmt.Errorf("adt: kv-store: cannot apply %s", op)
@@ -246,7 +256,7 @@ func (kvMachine) CaptureBefore(v Value, inv spec.Invocation) any {
 	if !ok {
 		return nil
 	}
-	key := inv.ArgList()[0]
+	key, _ := kvArgs(inv.Args)
 	val, present := m[key]
 	return kvBefore{key: key, val: val, present: present}
 }

@@ -79,7 +79,7 @@ func checkRefines(t *testing.T, m Machine, sp spec.Spec, script []spec.Invocatio
 // TestMachineStepAllocFree: a step of a scalar machine changes its state in
 // place, so Peek, Apply and Undo of a deposit, a withdrawal and a refused
 // withdrawal (an increment, a decrement and a refused decrement on the
-// counter) allocate nothing.
+// counter) allocate nothing, and so do a kv-store's get, put and del.
 func TestMachineStepAllocFree(t *testing.T) {
 	ba := BankAccount{InitialBalance: 50, MaxBalance: 100, Amounts: []int{1}}
 	ctr := EscrowCounter{Initial: 50, Max: 100, Amounts: []int{1}}
@@ -114,6 +114,31 @@ func TestMachineStepAllocFree(t *testing.T) {
 		if got := v.Encode(); got != "50" {
 			t.Errorf("%s: state %s after the apply/undo pairs, want 50", c.name, got)
 		}
+	}
+	// The kv-store undoes a put or del through a before-image the recovery
+	// store keeps, so its case is a run of get, put and del steps that
+	// restore each other.
+	kv := KVStore{}.Machine()
+	v := kv.Init()
+	mustStep(t, kv, v, Put("x", "1"))
+	mustStep(t, kv, v, Put("y", "1"))
+	steps := []spec.Invocation{Get("x"), Put("x", "2"), Get("x"), Put("x", "1"), Del("y"), Get("y"), Put("y", "1")}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, inv := range steps {
+			res, err := kv.Peek(v, inv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Apply(v, spec.Op(inv, res)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("kv-store: Peek+Apply of get, put and del: %v allocs, want 0", allocs)
+	}
+	if got := v.Encode(); got != "<x=1,y=1>" {
+		t.Errorf("kv-store: state %s after the steps, want <x=1,y=1>", got)
 	}
 }
 

@@ -29,6 +29,11 @@ var guardedPackages = []string{
 	"repro/internal/txn",
 	"repro/internal/obs",
 	"repro/internal/history",
+	"repro/internal/spec",
+	"repro/internal/commute",
+	"repro/internal/core",
+	"repro/internal/atomicity",
+	"repro/internal/histfile",
 }
 
 // weihlSpec is the reason the Section 8.2.2 specifications stay exported.
@@ -42,6 +47,8 @@ var exportAllow = map[string]string{
 	"adt.NondetSpecD":  weihlSpec,
 	"adt.PartialSpecA": weihlSpec,
 	"adt.PartialSpecB": weihlSpec,
+	"atomicity.DynamicAtomicSampled": "paper artifact: the sampled check of dynamic atomicity, the paper's " +
+		"correctness property, which internal/txn's and internal/sim's tests run on the histories engines record",
 	"checkpoint.FileStore.SetCrashHook": "crash seam: the crash sweeps of internal/recovery kill the " +
 		"checkpoint store at the instant the WAL's CrashPoint fires, from another package",
 	"locking.Detector.WaitCount": "wait seam: the deadlock tests of internal/txn wait until their " +

@@ -132,16 +132,6 @@ func (c *Checker) reachableSets() []reachEntry {
 	return c.reach
 }
 
-// ReachableSetCount returns the number of distinct reachable state sets
-// (the size of the determinized state space). Useful for gauging checker
-// cost in tests and benchmarks.
-func (c *Checker) ReachableSetCount() int { return len(c.reachableSets()) }
-
-// Legal reports whether seq is in the specification.
-func (c *Checker) Legal(seq spec.Seq) bool {
-	return len(c.run(sortedCopy(c.e.Initial()), seq)) > 0
-}
-
 // LooksLike reports α ≲ β: every suffix legal after α is legal after β
 // (paper, Section 6.1). Illegal α looks like everything.
 func (c *Checker) LooksLike(alpha, beta spec.Seq) bool {
@@ -149,20 +139,6 @@ func (c *Checker) LooksLike(alpha, beta spec.Seq) bool {
 	sb := c.run(sortedCopy(c.e.Initial()), beta)
 	_, found := c.distinguishingSuffix(sa, sb)
 	return !found
-}
-
-// Equieffective reports α ≈ β: α ≲ β and β ≲ α (paper, Section 6.1).
-func (c *Checker) Equieffective(alpha, beta spec.Seq) bool {
-	return c.LooksLike(alpha, beta) && c.LooksLike(beta, alpha)
-}
-
-// DistinguishingSuffix returns a shortest γ such that αγ is legal but βγ is
-// not, witnessing ¬(α ≲ β). The boolean reports whether such a suffix
-// exists. A nil, true result means α itself is legal and β is not (γ = Λ).
-func (c *Checker) DistinguishingSuffix(alpha, beta spec.Seq) (spec.Seq, bool) {
-	sa := c.run(sortedCopy(c.e.Initial()), alpha)
-	sb := c.run(sortedCopy(c.e.Initial()), beta)
-	return c.distinguishingSuffix(sa, sb)
 }
 
 // distinguishingSuffix searches for a shortest suffix γ with

@@ -2,6 +2,7 @@ package commute
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/spec"
@@ -156,8 +157,8 @@ func TestLooksLikeLaws(t *testing.T) {
 		}
 		// Lemma 6: a ≲ b ⇒ a·γ ≲ b·γ.
 		if c.LooksLike(a, b) {
-			ag := append(a.Clone(), g...)
-			bg := append(b.Clone(), g...)
+			ag := append(slices.Clone(a), g...)
+			bg := append(slices.Clone(b), g...)
 			if !c.LooksLike(ag, bg) {
 				t.Fatalf("Lemma 6 failed: %s ≲ %s but %s ⋠ %s", a, b, ag, bg)
 			}
@@ -187,8 +188,8 @@ func TestDistinguishingSuffixIsValid(t *testing.T) {
 		if !found {
 			continue
 		}
-		ag := append(a.Clone(), suffix...)
-		bg := append(b.Clone(), suffix...)
+		ag := append(slices.Clone(a), suffix...)
+		bg := append(slices.Clone(b), suffix...)
 		if !m.Legal(ag) {
 			t.Fatalf("suffix invalid: α·γ = %s illegal", ag)
 		}
@@ -227,4 +228,28 @@ func TestAlphaRestrictionLimitsQuantification(t *testing.T) {
 	if !restricted.CommuteForward(opB(), opB()) {
 		t.Error("with state 1 excluded the FC check is vacuous")
 	}
+}
+
+// ReachableSetCount returns the number of distinct reachable state sets
+// (the size of the determinized state space). Useful for gauging checker
+// cost in tests and benchmarks.
+func (c *Checker) ReachableSetCount() int { return len(c.reachableSets()) }
+
+// Legal reports whether seq is in the specification.
+func (c *Checker) Legal(seq spec.Seq) bool {
+	return len(c.run(sortedCopy(c.e.Initial()), seq)) > 0
+}
+
+// Equieffective reports α ≈ β: α ≲ β and β ≲ α (paper, Section 6.1).
+func (c *Checker) Equieffective(alpha, beta spec.Seq) bool {
+	return c.LooksLike(alpha, beta) && c.LooksLike(beta, alpha)
+}
+
+// DistinguishingSuffix returns a shortest γ such that αγ is legal but βγ is
+// not, witnessing ¬(α ≲ β). The boolean reports whether such a suffix
+// exists. A nil, true result means α itself is legal and β is not (γ = Λ).
+func (c *Checker) DistinguishingSuffix(alpha, beta spec.Seq) (spec.Seq, bool) {
+	sa := c.run(sortedCopy(c.e.Initial()), alpha)
+	sb := c.run(sortedCopy(c.e.Initial()), beta)
+	return c.distinguishingSuffix(sa, sb)
 }

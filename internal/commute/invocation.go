@@ -204,37 +204,3 @@ func (c *Checker) NRBCIRelation() InvocationRelation {
 		},
 	}
 }
-
-// ReadOperation reports whether P is a read operation in the sense of
-// Section 8.1: for every α with αP legal, αP ≈ α.
-func (c *Checker) ReadOperation(p spec.Operation) bool {
-	for _, entry := range c.reachableSets() {
-		sp := c.step(entry.states, p)
-		if len(sp) == 0 {
-			continue
-		}
-		if _, found := c.distinguishingSuffix(sp, entry.states); found {
-			return false
-		}
-		if _, found := c.distinguishingSuffix(entry.states, sp); found {
-			return false
-		}
-	}
-	return true
-}
-
-// RWRelation builds the classic read/write locking conflict relation of
-// Section 8.1 for the spec: two operations conflict unless both are read
-// operations. Lemmas 11 and 12 guarantee it contains both NFC and NRBC.
-func (c *Checker) RWRelation() Relation {
-	isRead := make(map[spec.Operation]bool)
-	for _, op := range c.e.Alphabet() {
-		isRead[op] = c.ReadOperation(op)
-	}
-	return RelationFunc{
-		RelName: "RW(" + c.e.Name() + ")",
-		F: func(p, q spec.Operation) bool {
-			return !(isRead[p] && isRead[q])
-		},
-	}
-}

@@ -177,22 +177,6 @@ func (c *Checker) NRBCRelation() Relation {
 	}
 }
 
-// Union returns the relation that conflicts whenever any argument relation
-// does.
-func Union(name string, rels ...Relation) Relation {
-	return RelationFunc{
-		RelName: name,
-		F: func(p, q spec.Operation) bool {
-			for _, r := range rels {
-				if r.Conflicts(p, q) {
-					return true
-				}
-			}
-			return false
-		},
-	}
-}
-
 // SymmetricClosure returns the least symmetric relation containing r.
 // The paper notes (Section 6.3) that forcing symmetry on NRBC adds
 // unnecessary conflicts; the ablation benchmarks quantify that.
@@ -281,17 +265,4 @@ func (t *Table) Equal(u *Table) bool {
 		}
 	}
 	return true
-}
-
-// MarkedCount returns the number of marked (conflicting) cells.
-func (t *Table) MarkedCount() int {
-	n := 0
-	for _, row := range t.Marked {
-		for _, m := range row {
-			if m {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package commute
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/spec"
@@ -39,20 +40,20 @@ func TestFCViolationWitnessValid(t *testing.T) {
 				if !found {
 					continue
 				}
-				ap := append(v.Alpha.Clone(), p)
-				aq := append(v.Alpha.Clone(), q)
+				ap := append(slices.Clone(v.Alpha), p)
+				aq := append(slices.Clone(v.Alpha), q)
 				if !m.Legal(ap) || !m.Legal(aq) {
 					t.Fatalf("witness α=%s must enable both %s and %s", v.Alpha, p, q)
 				}
 				if v.PQIllegal {
-					apq := append(ap.Clone(), q)
+					apq := append(slices.Clone(ap), q)
 					if m.Legal(apq) {
 						t.Fatalf("witness claims α·P·Q illegal but %s is legal", apq)
 					}
 					continue
 				}
-				legal := append(append(v.Alpha.Clone(), v.LegalFirst, v.LegalSecond), v.Rho...)
-				illegal := append(append(v.Alpha.Clone(), v.LegalSecond, v.LegalFirst), v.Rho...)
+				legal := append(append(slices.Clone(v.Alpha), v.LegalFirst, v.LegalSecond), v.Rho...)
+				illegal := append(append(slices.Clone(v.Alpha), v.LegalSecond, v.LegalFirst), v.Rho...)
 				if !m.Legal(legal) {
 					t.Fatalf("witness legal order %s is illegal", legal)
 				}
@@ -78,8 +79,8 @@ func TestRBCViolationWitnessValid(t *testing.T) {
 				if !found {
 					continue
 				}
-				legal := append(append(v.Alpha.Clone(), q, p), v.Rho...)
-				illegal := append(append(v.Alpha.Clone(), p, q), v.Rho...)
+				legal := append(append(slices.Clone(v.Alpha), q, p), v.Rho...)
+				illegal := append(append(slices.Clone(v.Alpha), p, q), v.Rho...)
 				if !m.Legal(legal) {
 					t.Fatalf("witness α·Q·P·ρ = %s is illegal", legal)
 				}
@@ -104,7 +105,7 @@ func TestRBCDefinitionAgainstBruteForce(t *testing.T) {
 		var seqs []spec.Seq
 		var gen func(prefix spec.Seq, depth int)
 		gen = func(prefix spec.Seq, depth int) {
-			seqs = append(seqs, prefix.Clone())
+			seqs = append(seqs, slices.Clone(prefix))
 			if depth == 0 {
 				return
 			}
@@ -119,13 +120,13 @@ func TestRBCDefinitionAgainstBruteForce(t *testing.T) {
 				// Brute force: search for α, ρ with αQPρ legal, αPQρ illegal.
 				violated := false
 				for _, a := range seqs {
-					aqp := append(append(a.Clone(), q), p)
+					aqp := append(append(slices.Clone(a), q), p)
 					if !m.Legal(aqp) {
 						continue
 					}
-					apq := append(append(a.Clone(), p), q)
+					apq := append(append(slices.Clone(a), p), q)
 					for _, r := range seqs {
-						if m.Legal(append(aqp.Clone(), r...)) && !m.Legal(append(apq.Clone(), r...)) {
+						if m.Legal(append(slices.Clone(aqp), r...)) && !m.Legal(append(slices.Clone(apq), r...)) {
 							violated = true
 							break
 						}
@@ -221,4 +222,67 @@ func TestReadOperationsCommute(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Union returns the relation that conflicts whenever any argument relation
+// does.
+func Union(name string, rels ...Relation) Relation {
+	return RelationFunc{
+		RelName: name,
+		F: func(p, q spec.Operation) bool {
+			for _, r := range rels {
+				if r.Conflicts(p, q) {
+					return true
+				}
+			}
+			return false
+		},
+	}
+}
+
+// MarkedCount returns the number of marked (conflicting) cells.
+func (t *Table) MarkedCount() int {
+	n := 0
+	for _, row := range t.Marked {
+		for _, m := range row {
+			if m {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// RWRelation builds the classic read/write locking conflict relation of
+// Section 8.1 for the spec: two operations conflict unless both are read
+// operations. Lemmas 11 and 12 guarantee it contains both NFC and NRBC.
+func (c *Checker) RWRelation() Relation {
+	isRead := make(map[spec.Operation]bool)
+	for _, op := range c.e.Alphabet() {
+		isRead[op] = c.ReadOperation(op)
+	}
+	return RelationFunc{
+		RelName: "RW(" + c.e.Name() + ")",
+		F: func(p, q spec.Operation) bool {
+			return !(isRead[p] && isRead[q])
+		},
+	}
+}
+
+// ReadOperation reports whether P is a read operation in the sense of
+// Section 8.1: for every α with αP legal, αP ≈ α.
+func (c *Checker) ReadOperation(p spec.Operation) bool {
+	for _, entry := range c.reachableSets() {
+		sp := c.step(entry.states, p)
+		if len(sp) == 0 {
+			continue
+		}
+		if _, found := c.distinguishingSuffix(sp, entry.states); found {
+			return false
+		}
+		if _, found := c.distinguishingSuffix(entry.states, sp); found {
+			return false
+		}
+	}
+	return true
 }

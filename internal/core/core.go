@@ -75,12 +75,6 @@ func NewObject(id history.ObjectID, sp spec.Spec, v View, conflict commute.Relat
 	return &Object{id: id, spec: sp, view: v, conflict: conflict}
 }
 
-// ID returns the object identifier.
-func (o *Object) ID() history.ObjectID { return o.id }
-
-// History returns a copy of the object's event history (its state).
-func (o *Object) History() history.History { return o.state.Clone() }
-
 // Invoke appends an invocation event. Invocations are input actions and
 // always enabled, but Invoke enforces the well-formedness constraints the
 // environment is assumed to preserve, returning an error on violation.
@@ -145,18 +139,6 @@ func (o *Object) Respond(a history.TxnID, res spec.Response) error {
 	}
 	o.state = o.state.Append(history.Event{Kind: history.Respond, Obj: o.id, Txn: a, Res: res})
 	return nil
-}
-
-// EnabledResponses returns the candidate responses currently enabled for
-// a's pending invocation, drawn from the given candidates.
-func (o *Object) EnabledResponses(a history.TxnID, candidates []spec.Response) []spec.Response {
-	var out []spec.Response
-	for _, r := range candidates {
-		if ok, _ := o.ResponseEnabled(a, r); ok {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Accepts replays h (which must involve only this object's ID) against a

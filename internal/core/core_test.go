@@ -310,3 +310,21 @@ func TestTheoremOnlyIfGenericWitnesses(t *testing.T) {
 		}
 	}
 }
+
+// ID returns the object identifier.
+func (o *Object) ID() history.ObjectID { return o.id }
+
+// History returns a copy of the object's event history (its state).
+func (o *Object) History() history.History { return o.state.Clone() }
+
+// EnabledResponses returns the candidate responses currently enabled for
+// a's pending invocation, drawn from the given candidates.
+func (o *Object) EnabledResponses(a history.TxnID, candidates []spec.Response) []spec.Response {
+	var out []spec.Response
+	for _, r := range candidates {
+		if ok, _ := o.ResponseEnabled(a, r); ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}

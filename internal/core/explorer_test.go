@@ -1,5 +1,8 @@
 package core
 
+// The exhaustive explorer of I(X, Spec, View, Conflict): the tests of
+// Theorems 9 and 10 enumerate every reachable history within bounds.
+
 import (
 	"fmt"
 

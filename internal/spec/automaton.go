@@ -81,47 +81,6 @@ func (a *Automaton) Next(state string, op Operation) []string {
 // Legal implements Spec via subset simulation.
 func (a *Automaton) Legal(seq Seq) bool { return Legal(a, seq) }
 
-// States returns all states reachable from the initial states, in BFS
-// order. Useful for exhaustive verification and debugging.
-func (a *Automaton) States() []string {
-	seen := make(map[string]bool)
-	var queue, out []string
-	for _, s := range a.initial {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		out = append(out, s)
-		// Deterministic iteration: walk the alphabet in order.
-		for _, op := range a.alphabet {
-			for _, t := range a.Next(s, op) {
-				if !seen[t] {
-					seen[t] = true
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Deterministic reports whether every (state, operation) pair has at most
-// one successor among reachable states.
-func (a *Automaton) Deterministic() bool {
-	for _, s := range a.States() {
-		for _, op := range a.alphabet {
-			if len(dedup(a.Next(s, op))) > 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func dedup(xs []string) []string {
 	if len(xs) < 2 {
 		return xs

@@ -47,15 +47,6 @@ func (i Invocation) String() string {
 	return i.Name + "(" + i.Args + ")"
 }
 
-// ArgList splits the rendered argument list back into individual arguments.
-// It returns nil for nullary invocations.
-func (i Invocation) ArgList() []string {
-	if i.Args == "" {
-		return nil
-	}
-	return strings.Split(i.Args, ",")
-}
-
 // Response is the result returned by an operation execution, rendered
 // canonically (e.g. "ok", "no", "5").
 type Response string
@@ -93,22 +84,6 @@ func (s Seq) String() string {
 		parts[i] = op.String()
 	}
 	return strings.Join(parts, "·")
-}
-
-// Clone returns a copy of the sequence.
-func (s Seq) Clone() Seq {
-	out := make(Seq, len(s))
-	copy(out, s)
-	return out
-}
-
-// Concat returns the concatenation of sequences.
-func Concat(seqs ...Seq) Seq {
-	var out Seq
-	for _, s := range seqs {
-		out = append(out, s...)
-	}
-	return out
 }
 
 // Spec is a serial specification: a prefix-closed set of operation

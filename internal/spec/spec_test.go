@@ -34,16 +34,6 @@ func TestNewInvocationRendering(t *testing.T) {
 	}
 }
 
-func TestInvocationArgList(t *testing.T) {
-	if got := NewInvocation("f").ArgList(); got != nil {
-		t.Errorf("nullary ArgList = %v, want nil", got)
-	}
-	got := NewInvocation("f", "a", "b").ArgList()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("ArgList = %v, want [a b]", got)
-	}
-}
-
 func TestOperationString(t *testing.T) {
 	op := Op(NewInvocation("withdraw", 3), "ok")
 	if got := op.String(); got != "[withdraw(3),ok]" {
@@ -255,4 +245,61 @@ func TestFuncSpecAdapters(t *testing.T) {
 	if fs.Legal(Seq{opA(), opA(), opA()}) {
 		t.Error("a·a·a should be illegal")
 	}
+}
+
+// Clone returns a copy of the sequence.
+func (s Seq) Clone() Seq {
+	out := make(Seq, len(s))
+	copy(out, s)
+	return out
+}
+
+// Concat returns the concatenation of sequences.
+func Concat(seqs ...Seq) Seq {
+	var out Seq
+	for _, s := range seqs {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// Deterministic reports whether every (state, operation) pair has at most
+// one successor among reachable states.
+func (a *Automaton) Deterministic() bool {
+	for _, s := range a.States() {
+		for _, op := range a.alphabet {
+			if len(dedup(a.Next(s, op))) > 1 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// States returns all states reachable from the initial states, in BFS
+// order. Useful for exhaustive verification and debugging.
+func (a *Automaton) States() []string {
+	seen := make(map[string]bool)
+	var queue, out []string
+	for _, s := range a.initial {
+		if !seen[s] {
+			seen[s] = true
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		out = append(out, s)
+		// Deterministic iteration: walk the alphabet in order.
+		for _, op := range a.alphabet {
+			for _, t := range a.Next(s, op) {
+				if !seen[t] {
+					seen[t] = true
+					queue = append(queue, t)
+				}
+			}
+		}
+	}
+	return out
 }
