@@ -34,10 +34,13 @@
 // in order, and a commit barrier is acknowledged only once its round and
 // every earlier one are durable; a barrier whose records are not in the
 // round in flight starts its own round instead of waiting that sync out.
-// An engine built without a log gets wal.New(), a sink with no backend: it
-// stamps and counts each record and keeps none, because an in-memory
-// engine has nothing to restart from and live abort walks each store's own
-// undo chain. Checkpointing and restart refuse such a log.
+// A durable log keeps no copy of what it hands the backend: restart reads
+// only the records a freshly reopened log replayed from its backend, once,
+// and refuses a log that has appended since it was opened. An engine built
+// without a log gets wal.New(), a sink with no backend: it stamps and
+// counts each record and keeps none, because an in-memory engine has
+// nothing to restart from and live abort walks each store's own undo
+// chain. Checkpointing and restart refuse such a log.
 //
 // Crash restart is transaction-atomic: Txn.Commit stages a single
 // transaction-level commit record (wal.TxnCommitRec) after per-object
