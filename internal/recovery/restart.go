@@ -254,8 +254,6 @@ func RestartAllWithConfig(objs []history.ObjectID, machineFor func(history.Objec
 	if !log.Durable() {
 		return nil, stats, fmt.Errorf("recovery: restart: log has no backend and retains no records to replay")
 	}
-	// The records restart reads are the ones the reopened log replayed
-	// from its backend, taken once; the live log keeps no copy of them.
 	snap, err := log.TakeReplay()
 	if err != nil {
 		return nil, stats, fmt.Errorf("recovery: restart: %w", err)

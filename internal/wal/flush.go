@@ -155,7 +155,8 @@ func (l *Log) flushOnce() {
 		if o != nil {
 			writeNS = time.Since(write0).Nanoseconds()
 		}
-		if synced = err == nil; synced {
+		synced = err == nil
+		if synced {
 			l.bytes += int64(len(l.frame))
 		}
 	}
