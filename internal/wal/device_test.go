@@ -55,13 +55,13 @@ func appendDurable(t testing.TB, l *Log, r Record) LSN {
 // durable image a test reads back through logged.
 type memBackend struct {
 	countingBackend
-	mu   sync.Mutex
-	recs []Record
+	mu      sync.Mutex
+	written []Record
 }
 
 func (b *memBackend) Write(records []Record, frame []byte) error {
 	b.mu.Lock()
-	b.recs = append(b.recs, records...)
+	b.written = append(b.written, records...)
 	b.mu.Unlock()
 	return b.countingBackend.Write(records, frame)
 }
@@ -79,7 +79,7 @@ func logged(t testing.TB, l *Log) []Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var out []Record
-	for _, r := range b.recs {
+	for _, r := range b.written {
 		if r.LSN > base {
 			out = append(out, r)
 		}

@@ -47,7 +47,7 @@ func TestStatsMatchesAccessors(t *testing.T) {
 		t.Errorf("Err: %v vs %v", s.Err, l.Err())
 	}
 	var encoded []byte
-	for _, r := range l.backend.(*memBackend).recs {
+	for _, r := range l.backend.(*memBackend).written {
 		var err error
 		if encoded, err = appendRecord(encoded, r); err != nil {
 			t.Fatal(err)
